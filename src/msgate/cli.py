@@ -3,8 +3,8 @@
 Subcommands
 -----------
 coefficients   build the quadrature coefficient tables and write them as JSON
-sweep          closed-form predictions (and optional integrator curves)
-               across a miscalibration grid, as versioned CSV
+sweep          closed-form predictions (and optional exact full-Hamiltonian
+               oracle curves) across a miscalibration grid, as versioned CSV
 calibrate      simulate a two-gate calibration scan, fit the fringe, and
                invert it for the center-line error
 trajectory     sampled phase-space loop of the driven mode, as CSV
@@ -13,7 +13,9 @@ predict        print every closed-form predictor for one operating point
 A JSON config file (``--config``) may hold a section per subcommand whose
 keys mirror the long option names; explicit flags always win.  Exit codes:
 0 success, 2 usage/configuration error, 3 numerical-health failure (Fock
-truncation, guard-band occupation, non-convergent fit).
+truncation, guard-band occupation, norm drift, non-convergent fit).  Float
+options take negative values in exponent form either as a separate token
+(``--shift-hz -3e1``) or as ``--shift-hz=-3e1``.
 
 Tables built on demand are cached under ``$MSGATE_CACHE_DIR`` (default
 ``~/.cache/msgate``), keyed by the parameter hash.
@@ -25,8 +27,8 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +56,7 @@ from .magnus import (
     predict_populations,
     predict_purity,
 )
-from .oracle import GuardBandError, IntegratorConfig, sweep as oracle_sweep
+from .oracle import GuardBandError, IntegratorConfig, NormDriftError, sweep as oracle_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -211,23 +213,9 @@ def cmd_sweep(args) -> int:
     ]
     if args.oracle:
         params = DimensionlessGateParams(omega_tilde=args.omega_tilde)
-        cutoff = FockCutoff(args.cutoff_n_max)
         icfg = IntegratorConfig(steps_per_gate=args.steps)
-
-        def run_chunk(chunk: np.ndarray) -> list[dict]:
-            return oracle_sweep(chunk, fock, params, cutoff, icfg)
-
-        chunks = np.array_split(lams, max(1, args.workers))
-        if args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                parts = list(pool.map(run_chunk, chunks))
-        else:
-            parts = [run_chunk(c) for c in chunks]
-        # Reassemble in (n, lambda) grid order regardless of chunking.
-        by_key = {}
-        for part in parts:
-            for r in part:
-                by_key[(r["fock_n"], round(r["lambda_tilde"], 15))] = r
+        # Same (n, lambda) grid order as the predictor rows.
+        oracle_rows = oracle_sweep(lams, fock, params, FockCutoff(args.cutoff_n_max), icfg)
         oracle_cols = [
             "relative_phase",
             "p_gg",
@@ -240,19 +228,10 @@ def cmd_sweep(args) -> int:
             "norm_drift",
             "guard_band_mass",
         ]
-        for row in rows:
-            src = by_key[(row["fock_n"], round(row["lambda_tilde"], 15))]
+        for row, src in zip(rows, oracle_rows, strict=True):
             for c in oracle_cols:
                 row[f"oracle_{c}"] = src[c]
         columns += [f"oracle_{c}" for c in oracle_cols]
-        worst_guard = max(r["oracle_guard_band_mass"] for r in rows)
-        if worst_guard > icfg.guard_tolerance:
-            print(
-                f"guard-band occupation {worst_guard:.3e} exceeds "
-                f"{icfg.guard_tolerance:.1e}; raise --cutoff-n-max",
-                file=sys.stderr,
-            )
-            return EXIT_NUMERICAL
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -424,8 +403,18 @@ def cmd_predict(args) -> int:
 
 # ---------------------------------------------------------------- wiring
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-9.6e-05" as a value, not an option name (subparsers inherit it)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+        )
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="msgate",
         description="Force-gate miscalibration tables, predictors and calibration",
     )
@@ -442,22 +431,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_coefficients)
 
-    p = sub.add_parser("sweep", help="predictions across a miscalibration grid")
+    p = sub.add_parser("sweep", help="predictions (and exact oracle) across a lambda grid")
     _add_table_options(p)
     p.add_argument("--lambda-min", type=float, default=-0.1)
     p.add_argument("--lambda-max", type=float, default=0.1)
     p.add_argument("--points", type=int, default=41)
     p.add_argument("--fock", default="0,1,2,3", help="comma-separated Fock levels")
     p.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=False,
-                   help="also integrate the full Hamiltonian at each grid point")
-    p.add_argument("--steps", type=int, default=4096, help="integrator steps per gate")
+                   help="also propagate the full Hamiltonian exactly at each grid point")
+    p.add_argument("--steps", type=int, default=4096, help="no longer changes results")
     p.add_argument("--cutoff-n-max", type=int, default=32)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--plot-script", help="write a gnuplot script next to the CSV")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("calibrate", help="simulate and invert a calibration scan")
+    p = sub.add_parser("calibrate", help="simulate (model or exact oracle) and invert a scan")
     _add_table_options(p)
     # Required inputs stay optional at parse time so a config file can
     # supply them; _require() enforces presence after the merge.
@@ -470,8 +458,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--points", type=int, default=16)
     p.add_argument("--shots", type=int, default=200, help="0 means exact probabilities")
     p.add_argument("--engine", choices=["oracle", "first_order_model"], default="oracle")
-    p.add_argument("--steps", type=int, default=4096)
-    p.add_argument("--cutoff-n-max", type=int, default=32)
+    p.add_argument("--steps", type=int, default=4096, help="no longer changes results")
+    p.add_argument("--cutoff-n-max", type=int, default=32, help="too low exits 3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(func=cmd_calibrate)
@@ -522,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TruncationError, GuardBandError) as exc:
+    except (TruncationError, GuardBandError, NormDriftError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except RuntimeError as exc:

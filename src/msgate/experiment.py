@@ -12,11 +12,11 @@ with a_n the per-Fock-level phase slope from the coefficient table.  The
 fitted fringe phase therefore measures lam directly.
 
 Two engines produce fringes: ``first_order_model`` evaluates the cosine
-model above (thermally weighted when asked), and ``oracle`` integrates the
-full ramped-axis Hamiltonian (see :mod:`msgate.oracle`) with the axis angle
-continuing across both gates, exactly as drive-phase bookkeeping works on
-hardware.  Populations are frame-independent, so the two may be compared
-directly.
+model above (thermally weighted when asked), and ``oracle`` propagates the
+full ramped-axis Hamiltonian exactly (see :mod:`msgate.oracle`) with the
+axis angle continuing across both gates, as drive-phase bookkeeping works
+on hardware, and raises when either gate fails its health checks.
+Populations are frame-independent, so the two may be compared directly.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ class SequenceConfig:
     ``detuning`` (signed, rad/s) sets the gate clock; each gate lasts
     2*pi/|detuning|.  ``qubit_shift`` is the center-line error lam (rad/s)
     being estimated.  A thermal initial mode is used when ``n_bar`` is set,
-    otherwise the pure Fock level ``fock_initial``.
+    otherwise the pure Fock level ``fock_initial``.  ``steps_per_gate`` no
+    longer changes oracle results (propagation is exact).
     """
 
     detuning: float
@@ -168,16 +169,18 @@ def _oracle_fringe(config: SequenceConfig, phi_d: np.ndarray) -> np.ndarray:
     init = np.zeros((cutoff.composite_dim, len(levels)), dtype=complex)
     for j, n in enumerate(levels):
         init[cutoff.index(0, n), j] = 1.0
-    mid, _, guard1 = propagate_ramped_axis(
+    mid, drift1, guard1 = propagate_ramped_axis(
         init, cutoff, config.omega_tilde, lam, np.zeros(len(levels)), (0.0, tau_g), icfg
     )
+    icfg.check(drift1, guard1)
     # Gate 2 spans s in [2pi, 4pi]; the axis ramp continues through it, so
     # the scan phase enters on top of the accumulated slip.
     cols = np.repeat(mid, phi_d.size, axis=1)
     phis = np.tile(phi_d, len(levels))
-    fin, _, guard2 = propagate_ramped_axis(
+    fin, drift2, guard2 = propagate_ramped_axis(
         cols, cutoff, config.omega_tilde, lam, phis, (tau_g, 2.0 * tau_g), icfg
     )
+    icfg.check(drift2, guard2)
     d = cutoff.dim
     p_ee = (np.abs(fin[3 * d :, :]) ** 2).sum(axis=0)
     p_ee = p_ee.reshape(len(levels), phi_d.size)

@@ -1,9 +1,9 @@
-"""Independent full-Hamiltonian integrator used to check every predictor.
+"""Independent full-Hamiltonian propagator used to check every predictor.
 
 This module deliberately shares no derivation machinery with
-:mod:`msgate.magnus`: it builds the dense Hamiltonian and integrates the
-Schrodinger equation with a hand-rolled fixed-step fourth-order Runge-Kutta
-scheme.  Agreement between the two routes is the package's core evidence.
+:mod:`msgate.magnus`: it builds the full qubit-pair + mode Hamiltonian in a
+truncated Fock space and propagates it exactly.  Agreement between the two
+routes is the package's core evidence.
 
 Two drive frames are provided:
 
@@ -14,12 +14,19 @@ Two drive frames are provided:
   hardware's bookkeeping between gates (drive phase counted against the
   qubit frame), used by the two-gate calibration sequence.  Populations are
   frame-independent, so no de-rotation is needed before measuring.
+
+Both are the constant H' = lam*S_z - omega*(a + a^dag)*S_phi + N (N the
+phonon number) in a rotating frame: psi = e^{i N tau} chi for the static
+axis; psi = e^{i (N + lam*S_z) s} chi for the ramped axis at phi = 0, with
+the start angle phi0 entering as conjugation by e^{i phi0 S_z}.  One
+``eigh`` of H' per lam is thus the exact propagator for any span, scan
+phase and record time.  The RK4 integrator :func:`_rk4` is kept as the
+tests' independent reference route.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +46,7 @@ __all__ = [
     "IntegratorConfig",
     "PropagationResult",
     "GuardBandError",
+    "NormDriftError",
     "hamiltonian_matrix",
     "propagate",
     "propagate_batch",
@@ -56,9 +64,16 @@ class GuardBandError(RuntimeError):
     """Probability reached the top of the Fock ladder; results untrusted."""
 
 
+class NormDriftError(RuntimeError):
+    """Propagation changed a state's norm; results untrusted."""
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step RK4 settings and numerical-health thresholds."""
+    """Numerical-health thresholds for oracle propagation.
+
+    ``steps_per_gate`` is still accepted but no longer changes any result.
+    """
 
     steps_per_gate: int = 50_000
     guard_levels: int = 5
@@ -71,22 +86,28 @@ class IntegratorConfig:
         if self.guard_levels < 1:
             raise ValueError("guard_levels must be positive")
 
+    def check(self, norm_drift, guard_band_mass: float) -> None:
+        """Raise when the (worst) norm drift or guard mass exceeds tolerance."""
+        if guard_band_mass > self.guard_tolerance:
+            raise GuardBandError(
+                f"guard-band occupation {guard_band_mass:.3e} exceeds "
+                f"{self.guard_tolerance:.1e}; raise the Fock cutoff"
+            )
+        drift = float(np.max(norm_drift))
+        if drift > self.norm_tolerance:
+            raise NormDriftError(f"norm drift {drift:.3e} exceeds {self.norm_tolerance:.1e}")
+
 
 @dataclass
 class PropagationResult:
-    """Final state plus the health numbers accumulated during integration."""
+    """Final state plus the health numbers of its propagation."""
 
     state: CompositeState
     norm_drift: float
     guard_band_mass: float
-    steps: int
 
     def check(self, config: IntegratorConfig) -> "PropagationResult":
-        if self.guard_band_mass > config.guard_tolerance:
-            raise GuardBandError(
-                f"guard-band occupation {self.guard_band_mass:.3e} exceeds "
-                f"{config.guard_tolerance:.1e}; raise the Fock cutoff"
-            )
+        config.check(self.norm_drift, self.guard_band_mass)
         return self
 
 
@@ -111,7 +132,11 @@ def hamiltonian_matrix(
 
 
 def _rk4(apply_h, psi: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
-    """Classic RK4 for i dpsi/dt = H(t) psi; apply_h(t, psi) -> H(t) psi."""
+    """Classic RK4 for i dpsi/dt = H(t) psi; apply_h(t, psi) -> H(t) psi.
+
+    Not used by the propagators: it is the independent reference route the
+    tests check them against.
+    """
     h = (t1 - t0) / steps
     for k in range(steps):
         t = t0 + k * h
@@ -123,36 +148,45 @@ def _rk4(apply_h, psi: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarr
     return psi
 
 
-def _static_axis_apply(params, cutoff, lambda_values):
-    """H(t) psi for the static-axis frame, batched over columns.
+def _diagonals(cutoff: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
+    """Phonon number N and collective S_z on the composite basis, as columns."""
+    number = np.tile(np.arange(cutoff.dim, dtype=float), 4)
+    return number[:, None], np.repeat([1.0, 0.0, 0.0, -1.0], cutoff.dim)[:, None]
 
-    ``lambda_values`` has one miscalibration per column; the drive part is
-    shared across the batch (same matrices), the S_z part is a diagonal
-    rescaled per column.
+
+def _frame_hamiltonian(lam: float, omega: float, phi: float, cutoff: FockCutoff):
+    """H' = lam*S_z - omega*(a + a^dag)*S_phi + N = e^{-iN tau} H(tau) e^{iN tau} + N."""
+    a = _ladder(cutoff.dim)
+    number, sz = _diagonals(cutoff)
+    return -omega * np.kron(collective_spin(phi), a + a.conj().T) + np.diag(
+        (number + lam * sz)[:, 0]
+    )
+
+
+def _exact_evolve(lam, omega, phi, cutoff, cols: np.ndarray, dt) -> np.ndarray:
+    """e^{-i H' dt} on each column, as V e^{-iE dt} V^dag from one eigh.
+
+    ``dt`` is one duration, or one per column (``cols`` may then be a single
+    column, evaluated at every duration).
     """
-    d = cutoff.dim
-    a = _ladder(d)
-    coupling = -params.omega_tilde * np.kron(collective_spin(params.phi), a.conj().T)
-    coupling_dag = coupling.conj().T
-    z_diag = np.repeat([1.0, 0.0, 0.0, -1.0], d)[:, None]
-    lam = np.asarray(lambda_values, dtype=float)[None, :]
-
-    def apply_h(t: float, psi: np.ndarray) -> np.ndarray:
-        drive = np.exp(1j * t) * (coupling @ psi) + np.exp(-1j * t) * (
-            coupling_dag @ psi
-        )
-        return drive + lam * (z_diag * psi)
-
-    return apply_h
+    energies, vecs = np.linalg.eigh(_frame_hamiltonian(lam, omega, phi, cutoff))
+    phases = np.exp(-1j * energies[:, None] * np.reshape(dt, (1, -1)))
+    return vecs @ (phases * (vecs.conj().T @ cols))
 
 
-def _guard_band_mass(amps: np.ndarray, cutoff: FockCutoff, levels: int) -> float:
-    """Largest per-column probability in the top Fock levels."""
+def _guard_band_mass(amps: np.ndarray, cutoff: FockCutoff, levels: int) -> np.ndarray:
+    """Per-column probability in the top Fock levels."""
     d = cutoff.dim
     levels = min(levels, d)
     blocks = amps.reshape(4, d, -1)
-    mass = np.abs(blocks[:, d - levels :, :]) ** 2
-    return float(mass.sum(axis=(0, 1)).max())
+    return (np.abs(blocks[:, d - levels :, :]) ** 2).sum(axis=(0, 1))
+
+
+def _with_health(cols, final, cutoff, config, shape):
+    """(final reshaped, per-column norm drift, worst guard-band mass)."""
+    drift = np.abs(np.linalg.norm(final, axis=0) - np.linalg.norm(cols, axis=0))
+    guard = float(_guard_band_mass(final, cutoff, config.guard_levels).max())
+    return final.reshape(shape), drift, guard
 
 
 def propagate_batch(
@@ -166,24 +200,23 @@ def propagate_batch(
     """Propagate many columns at once in the static-axis frame.
 
     Each column j evolves under the Hamiltonian with miscalibration
-    ``lambda_values[j]``; all other parameters are shared.  Returns
-    (final amplitudes, per-column norm drift, worst guard-band mass).
+    ``lambda_values[j]``; all other parameters are shared.  Columns with
+    the same lambda share one eigendecomposition.  Returns (final
+    amplitudes, per-column norm drift, worst guard-band mass).
     """
-    amps = np.asarray(amps, dtype=complex)
-    squeeze = amps.ndim == 1
-    if squeeze:
-        amps = amps[:, None]
-    lam = np.broadcast_to(np.asarray(lambda_values, dtype=float), (amps.shape[1],))
-    if span is None:
-        span = (0.0, params.tau_gate)
-    apply_h = _static_axis_apply(params, cutoff, lam)
-    steps = config.steps_per_gate
-    final = _rk4(apply_h, amps, span[0], span[1], steps)
-    drift = np.abs(np.linalg.norm(final, axis=0) - np.linalg.norm(amps, axis=0))
-    guard = _guard_band_mass(final, cutoff, config.guard_levels)
-    if squeeze:
-        final = final[:, 0]
-    return final, drift, guard
+    cols = np.asarray(amps, dtype=complex).reshape(cutoff.composite_dim, -1)
+    lam = np.broadcast_to(np.asarray(lambda_values, dtype=float), (cols.shape[1],))
+    t0, t1 = (0.0, params.tau_gate) if span is None else span
+    number, _ = _diagonals(cutoff)
+    chi = np.exp(-1j * t0 * number) * cols
+    final = np.empty_like(chi)
+    for value in np.unique(lam):
+        same = lam == value
+        final[:, same] = _exact_evolve(
+            value, params.omega_tilde, params.phi, cutoff, chi[:, same], t1 - t0
+        )
+    final *= np.exp(1j * t1 * number)
+    return _with_health(cols, final, cutoff, config, np.shape(amps))
 
 
 def propagate(
@@ -192,17 +225,12 @@ def propagate(
     config: IntegratorConfig = IntegratorConfig(),
     span: tuple[float, float] | None = None,
 ) -> PropagationResult:
-    """Integrate one state through the static-axis Hamiltonian."""
+    """Propagate one state through the static-axis Hamiltonian."""
     final, drift, guard = propagate_batch(
-        initial.amplitudes,
-        initial.cutoff,
-        params,
-        np.array([params.lambda_tilde]),
-        config,
-        span,
+        initial.amplitudes, initial.cutoff, params, params.lambda_tilde, config, span
     )
     state = CompositeState(final, initial.cutoff, initial.frame)
-    return PropagationResult(state, float(drift.max()), guard, config.steps_per_gate)
+    return PropagationResult(state, float(drift.max()), guard)
 
 
 def propagate_ramped_axis(
@@ -217,36 +245,20 @@ def propagate_ramped_axis(
     """Propagate columns under the ramped-axis Hamiltonian.
 
     Column j sees the spin axis at angle phi_values[j] + lambda_tilde * s
-    (s is global, so a later span continues the same ramp).  The four drive
-    matvecs are shared across the batch; only the per-column axis angle
-    differs, entering through scalar cosine/sine weights.
+    (s is global, so a later span continues the same ramp).  The whole
+    batch shares one eigendecomposition of H' at phi = 0; each column's
+    start angle enters as the diagonal e^{i phi S_z}.
     """
-    amps = np.asarray(amps, dtype=complex)
-    squeeze = amps.ndim == 1
-    if squeeze:
-        amps = amps[:, None]
-    phi = np.broadcast_to(np.asarray(phi_values, dtype=float), (amps.shape[1],))
-
-    d = cutoff.dim
-    a = _ladder(d)
-    k_y = -omega_tilde * np.kron(collective_spin(0.0), a.conj().T)
-    k_x = -omega_tilde * np.kron(collective_spin(math.pi / 2.0), a.conj().T)
-    k_y_dag = k_y.conj().T
-    k_x_dag = k_x.conj().T
-
-    def apply_h(s: float, psi: np.ndarray) -> np.ndarray:
-        e_plus = np.exp(1j * s)
-        drive_y = e_plus * (k_y @ psi) + np.conj(e_plus) * (k_y_dag @ psi)
-        drive_x = e_plus * (k_x @ psi) + np.conj(e_plus) * (k_x_dag @ psi)
-        angle = phi + lambda_tilde * s
-        return drive_y * np.cos(angle)[None, :] + drive_x * np.sin(angle)[None, :]
-
-    final = _rk4(apply_h, amps, span[0], span[1], config.steps_per_gate)
-    drift = np.abs(np.linalg.norm(final, axis=0) - np.linalg.norm(amps, axis=0))
-    guard = _guard_band_mass(final, cutoff, config.guard_levels)
-    if squeeze:
-        final = final[:, 0]
-    return final, drift, guard
+    cols = np.asarray(amps, dtype=complex).reshape(cutoff.composite_dim, -1)
+    phi = np.broadcast_to(np.asarray(phi_values, dtype=float), (cols.shape[1],))
+    s0, s1 = span
+    number, sz = _diagonals(cutoff)
+    gen = number + lambda_tilde * sz
+    scan = np.exp(1j * sz * phi[None, :])
+    chi = np.conj(scan) * np.exp(-1j * s0 * gen) * cols
+    evolved = _exact_evolve(lambda_tilde, omega_tilde, 0.0, cutoff, chi, s1 - s0)
+    final = scan * np.exp(1j * s1 * gen) * evolved
+    return _with_health(cols, final, cutoff, config, np.shape(amps))
 
 
 def relative_phase_pair(initial_label: str) -> tuple[int, int]:
@@ -294,27 +306,21 @@ def expectation_trajectory(
     n_records: int = 64,
     config: IntegratorConfig = IntegratorConfig(),
 ) -> dict[str, np.ndarray]:
-    """Record <a>, norm and guard mass at evenly spaced times over the gate."""
+    """Record <a>, norm and guard mass at evenly spaced times over the gate.
+
+    One eigendecomposition serves every record time.
+    """
     if n_records < 2:
         raise ValueError("need at least two record points")
     cutoff = initial.cutoff
-    d = cutoff.dim
-    a_op = np.kron(np.eye(4, dtype=complex), _ladder(d))
+    a_op = np.kron(np.eye(4, dtype=complex), _ladder(cutoff.dim))
     taus = np.linspace(0.0, params.tau_gate, n_records)
-    steps_each = max(1, config.steps_per_gate // (n_records - 1))
-    apply_h = _static_axis_apply(params, cutoff, np.array([params.lambda_tilde]))
-    psi = initial.amplitudes[:, None]
-    a_exp = np.empty(n_records, dtype=complex)
-    norms = np.empty(n_records)
-    guard = np.empty(n_records)
-    for i, tau in enumerate(taus):
-        if i > 0:
-            psi = _rk4(apply_h, psi, taus[i - 1], tau, steps_each)
-        v = psi[:, 0]
-        nrm = np.linalg.norm(v)
-        a_exp[i] = np.vdot(v, a_op @ v) / max(nrm**2, 1e-300)
-        norms[i] = nrm
-        guard[i] = _guard_band_mass(psi, cutoff, config.guard_levels)
+    chi = _exact_evolve(params.lambda_tilde, params.omega_tilde, params.phi, cutoff,
+                        initial.amplitudes[:, None], taus)
+    psi = np.exp(1j * _diagonals(cutoff)[0] * taus[None, :]) * chi
+    norms = np.linalg.norm(psi, axis=0)
+    a_exp = np.einsum("ij,ij->j", psi.conj(), a_op @ psi) / np.maximum(norms**2, 1e-300)
+    guard = _guard_band_mass(psi, cutoff, config.guard_levels)
     return {"tau": taus, "a_expect": a_exp, "norm": norms, "guard_band_mass": guard}
 
 
@@ -344,8 +350,10 @@ def sweep(
 ) -> list[dict]:
     """Propagate |initial_label, n> across a miscalibration grid.
 
-    All (lambda, n) pairs are batched into a single RK4 run; rows come back
-    ordered by (n, lambda) with one dict per pair matching SWEEP_COLUMNS.
+    All (lambda, n) pairs go through one batched propagation; rows come
+    back ordered by (n, lambda) with one dict per pair matching
+    SWEEP_COLUMNS.  Raises GuardBandError or NormDriftError when any pair
+    exceeds the config's health tolerances.
     """
     lam = np.asarray(lambda_values, dtype=float)
     pairs = [(n, l) for n in fock_levels for l in lam]
@@ -355,27 +363,17 @@ def sweep(
         amps[cutoff.index(q, n), j] = 1.0
     lam_cols = np.array([l for _, l in pairs])
     final, drift, _ = propagate_batch(amps, cutoff, params, lam_cols, config)
+    guard_cols = _guard_band_mass(final, cutoff, config.guard_levels)
+    config.check(drift, float(guard_cols.max()))
     rows = []
     for j, (n, l) in enumerate(pairs):
         state = CompositeState(final[:, j], cutoff)
-        guard_j = _guard_band_mass(final[:, j : j + 1], cutoff, config.guard_levels)
         obs = observables(state, initial_label, n)
-        rows.append(
-            {
-                "lambda_tilde": l,
-                "fock_n": n,
-                "p_gg": obs["populations"][0],
-                "p_ge": obs["populations"][1],
-                "p_eg": obs["populations"][2],
-                "p_ee": obs["populations"][3],
-                "relative_phase": obs["relative_phase"],
-                "coherence_abs": obs["coherence_abs"],
-                "fidelity": obs["fidelity"],
-                "purity": obs["purity"],
-                "norm_drift": float(drift[j]),
-                "guard_band_mass": guard_j,
-            }
-        )
+        row = {"lambda_tilde": l, "fock_n": n}
+        row.update(zip(("p_gg", "p_ge", "p_eg", "p_ee"), obs["populations"]))
+        row.update({k: obs[k] for k in ("relative_phase", "coherence_abs", "fidelity", "purity")})
+        row.update(norm_drift=float(drift[j]), guard_band_mass=float(guard_cols[j]))
+        rows.append(row)
     return rows
 
 

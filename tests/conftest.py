@@ -5,13 +5,50 @@ keeps every derived scalar accurate to ~1e-7 for Fock levels 0..3 while
 building in well under a second.
 """
 
+import math
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from msgate.hilbert import FockCutoff
 from msgate.ideal import DimensionlessGateParams
 from msgate.magnus import QuadratureSpec, compute_coefficient_table
-from msgate.oracle import IntegratorConfig
+from msgate.oracle import IntegratorConfig, _rk4, hamiltonian_matrix
+
+
+def rk4_static_axis(amps, params, cutoff, lambda_values, steps):
+    """One static-axis gate by fixed-step RK4 on the dense Hamiltonian.
+
+    The independent reference route for ``oracle.propagate_batch``; column j
+    uses miscalibration ``lambda_values[j]``.  H(tau) is linear in lam and a
+    first-degree trigonometric polynomial in tau, so hamiltonian_matrix
+    sampled at tau = 0, pi/2, pi and lam = 0, 1 fixes it everywhere (checked
+    at an off-grid point); sparse pieces keep 8192-step runs cheap.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    drive = params.with_lambda(0.0)
+    h0, h1, h2 = (
+        hamiltonian_matrix(t, drive, cutoff) for t in (0.0, math.pi / 2, math.pi)
+    )
+    const = (h0 + h2) / 2.0
+    up = ((h0 - h2) / 2.0 - 1j * (h1 - const)) / 2.0
+    z = hamiltonian_matrix(0.0, params.with_lambda(1.0), cutoff) - h0
+    tau, lam = 1.234, 0.37
+    rebuilt = const + lam * z + np.exp(1j * tau) * up + np.exp(-1j * tau) * up.conj().T
+    np.testing.assert_allclose(
+        rebuilt, hamiltonian_matrix(tau, params.with_lambda(lam), cutoff), atol=1e-14
+    )
+    stacked = sparse.csr_matrix(np.vstack([const, z, up, up.conj().T]))
+    lam_row = np.broadcast_to(
+        np.asarray(lambda_values, dtype=float), (amps.shape[1],)
+    )
+
+    def apply_h(t, psi):
+        c, zp, u, dn = (stacked @ psi).reshape(4, len(psi), -1)
+        return c + lam_row * zp + np.exp(1j * t) * u + np.exp(-1j * t) * dn
+
+    return _rk4(apply_h, amps, 0.0, params.tau_gate, steps)
 
 
 @pytest.fixture(scope="session")
@@ -38,9 +75,13 @@ def oracle_cutoff():
 
 @pytest.fixture(scope="session")
 def fast_integrator():
-    # 4096 RK4 steps puts the integrator error near 1e-10 for one loop at
-    # this cutoff -- far below every tolerance used against it.
-    return IntegratorConfig(steps_per_gate=4096)
+    # Oracle health tolerances; the exact propagator takes no step count.
+    return IntegratorConfig()
+
+
+@pytest.fixture(scope="session")
+def rk4_static():
+    return rk4_static_axis
 
 
 @pytest.fixture()

@@ -1,9 +1,10 @@
 """Release gate: nine end-to-end checks, one printed PASS/FAIL line each.
 
-Every check pits an independent route (matrix exponentials, full RK4
-propagation, simulated calibration scans) against the closed-form layer at
-a fixed tolerance.  Shared oracle batches are module-scoped so the suite
-stays within its time budget.
+Every check pits an independent route (matrix exponentials, exact
+full-Hamiltonian propagation, simulated calibration scans) against the
+closed-form layer at a fixed tolerance; check 9 also holds the RK4
+reference route to fourth order against the exact propagator.  Shared
+oracle batches are module-scoped.
 """
 
 import math
@@ -322,19 +323,18 @@ def test_8_closed_loop_calibration(capsys, table):
     )
 
 
-def test_9_numerical_hygiene(capsys, oracle_cutoff, tmp_path):
+def test_9_numerical_hygiene(capsys, oracle_cutoff, rk4_static, tmp_path):
     params = DimensionlessGateParams(lambda_tilde=0.05)
     initial = CompositeState.basis_state("gg", 1, oracle_cutoff)
-    drift = propagate(initial, params, IntegratorConfig(steps_per_gate=4096)).norm_drift
+    exact = propagate(initial, params, IntegratorConfig())
+    drift = exact.norm_drift
     drift_ok = drift <= 1e-9
 
-    reference = propagate(
-        initial, params, IntegratorConfig(steps_per_gate=8192)
-    ).state.amplitudes
+    column = initial.amplitudes[:, None]
     errors = [
         np.abs(
-            propagate(initial, params, IntegratorConfig(steps_per_gate=s)).state.amplitudes
-            - reference
+            rk4_static(column, params, oracle_cutoff, [0.05], s)[:, 0]
+            - exact.state.amplitudes
         ).max()
         for s in (256, 512, 1024)
     ]
@@ -361,8 +361,9 @@ def test_9_numerical_hygiene(capsys, oracle_cutoff, tmp_path):
     ok = drift_ok and order_ok and refine_ok and bytes_ok
     _report(
         capsys, 9, ok,
-        f"norm drift {drift:.1e}/gate (tol 1e-9); step-halving error ratios "
-        f"{ratios[0]:.1f}, {ratios[1]:.1f} (want ~16); refined-quadrature "
+        f"norm drift {drift:.1e}/gate (tol 1e-9); RK4 step-halving error ratios "
+        f"against the exact propagator {ratios[0]:.1f}, {ratios[1]:.1f} "
+        f"(want ~16); refined-quadrature "
         f"table change {refine_diff:.1e} (tol 1e-8); repeated saves "
         f"byte-identical {bytes_ok}",
     )

@@ -21,6 +21,7 @@ from msgate.experiment import (
     thermal_levels,
 )
 from msgate.hilbert import ThermalDistribution
+from msgate.oracle import GuardBandError
 
 EPSILON = -2.0 * math.pi * 11e3  # rad/s
 
@@ -196,6 +197,16 @@ class TestOracleEngine:
         assert estimate.lambda_err > 0
         assert abs(estimate.lambda_hat - shift) < 5.0 * estimate.lambda_err
         assert len(p_obs) == 8
+
+    def test_truncated_cutoff_raises(self):
+        # At 3 phonons the drive pushes probability into the guard band and
+        # the fringe is visibly wrong, so the engine must refuse it.
+        config = _config(
+            engine="oracle", qubit_shift=2.0 * math.pi * 300.0, cutoff_n_max=3,
+            phase_points=8,
+        )
+        with pytest.raises(GuardBandError, match="guard-band"):
+            simulate_fringe(config)
 
 
 class TestEstimator:

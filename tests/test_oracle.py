@@ -1,16 +1,26 @@
-"""Full-Hamiltonian RK4 integrator: exactness, health checks, convergence."""
+"""Full-Hamiltonian oracle: exactness against RK4, health checks, convergence."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from msgate.experiment import SequenceConfig, simulate_fringe
 from msgate.hilbert import CompositeState, FockCutoff, state_fidelity
-from msgate.ideal import DimensionlessGateParams, ideal_output_state, ideal_propagator
+from msgate.ideal import (
+    DimensionlessGateParams,
+    collective_spin,
+    ideal_output_state,
+    ideal_propagator,
+)
 from msgate.oracle import (
     GuardBandError,
     IntegratorConfig,
+    NormDriftError,
     PropagationResult,
+    _frame_hamiltonian,
+    _rk4,
     expectation_trajectory,
     hamiltonian_matrix,
     observables,
@@ -40,15 +50,79 @@ class TestHamiltonian:
         ee = FockCutoff(2).index(3, 0)
         assert h[ee, ee] == pytest.approx(-0.3)
 
-    def test_batched_apply_matches_dense(self, oracle_cutoff):
-        params = DimensionlessGateParams(lambda_tilde=0.04)
-        rng = np.random.default_rng(0)
-        psi = rng.normal(size=(oracle_cutoff.composite_dim, 3)) * (1 + 0.5j)
-        from msgate.oracle import _static_axis_apply
+    def test_rotating_frame_hamiltonian_is_constant(self, oracle_cutoff):
+        # e^{-iN tau} H(tau) e^{iN tau} + N is the same matrix at every tau:
+        # the H' whose eigendecomposition the exact propagator uses.
+        params = DimensionlessGateParams(lambda_tilde=0.04, phi=0.3)
+        number = np.tile(np.arange(oracle_cutoff.dim, dtype=float), 4)
+        expected = _frame_hamiltonian(0.04, 0.5, 0.3, oracle_cutoff)
+        for tau in (0.0, 0.7, 2.9, 5.1):
+            rot = np.exp(-1j * tau * number)
+            framed = (
+                rot[:, None] * hamiltonian_matrix(tau, params, oracle_cutoff) * rot.conj()
+                + np.diag(number)
+            )
+            np.testing.assert_allclose(framed, expected, atol=1e-14)
 
-        apply_h = _static_axis_apply(params, oracle_cutoff, np.full(3, 0.04))
-        dense = hamiltonian_matrix(0.7, params, oracle_cutoff)
-        np.testing.assert_allclose(apply_h(0.7, psi), dense @ psi, atol=1e-12)
+
+class TestExactVsRK4:
+    """The exact propagator against the RK4 reference route at 8192 steps."""
+
+    STEPS = 8192
+
+    def test_static_axis_stencil_batch(self, oracle_cutoff, rk4_static):
+        params = DimensionlessGateParams()
+        stencil = (-0.02, -0.01, 0.0, 0.01, 0.02)
+        pairs = [(n, lam) for n in range(4) for lam in stencil]
+        amps = np.zeros((oracle_cutoff.composite_dim, len(pairs)), dtype=complex)
+        for j, (n, _) in enumerate(pairs):
+            amps[oracle_cutoff.index(0, n), j] = 1.0
+        lam_cols = np.array([lam for _, lam in pairs])
+        exact, _, _ = propagate_batch(amps, oracle_cutoff, params, lam_cols)
+        reference = rk4_static(amps, params, oracle_cutoff, lam_cols, self.STEPS)
+        assert np.abs(exact - reference).max() <= 1e-10
+
+    def test_two_gate_ramped_fringe(self, oracle_cutoff):
+        # Gate 1 over [0, 2pi] at axis 0, gate 2 over [2pi, 4pi] at each scan
+        # phase, with the axis ramp lam*s carried across both.
+        lam, omega = 0.02, 0.5
+        d = oracle_cutoff.dim
+        raise_op = np.diag(np.sqrt(np.arange(1.0, d)), -1).astype(complex)
+        k_y = sparse.csr_matrix(-omega * np.kron(collective_spin(0.0), raise_op))
+        k_x = sparse.csr_matrix(-omega * np.kron(collective_spin(math.pi / 2), raise_op))
+        stacked = sparse.vstack([k_y, k_y.conj().T, k_x, k_x.conj().T]).tocsr()
+
+        def rk4_ramped(amps, phi, span):
+            def apply_h(s, psi):
+                y, y_dag, x, x_dag = (stacked @ psi).reshape(4, 4 * d, -1)
+                e = np.exp(1j * s)
+                angle = phi + lam * s
+                return np.cos(angle) * (e * y + np.conj(e) * y_dag) + np.sin(angle) * (
+                    e * x + np.conj(e) * x_dag
+                )
+
+            return _rk4(apply_h, amps, span[0], span[1], self.STEPS)
+
+        init = np.zeros((4 * d, 2), dtype=complex)
+        init[oracle_cutoff.index(0, 0), 0] = init[oracle_cutoff.index(0, 1), 1] = 1.0
+        phis = np.array([0.0, 0.9, 2.1])
+        gate1, gate2 = (0.0, TAU), (TAU, 2 * TAU)
+        mid, _, _ = propagate_ramped_axis(init, oracle_cutoff, omega, lam, np.zeros(2), gate1)
+        mid_ref = rk4_ramped(init, np.zeros(2), gate1)
+        assert np.abs(mid - mid_ref).max() <= 1e-10
+
+        cols, col_phis = np.repeat(mid_ref, phis.size, axis=1), np.tile(phis, 2)
+        fin, _, _ = propagate_ramped_axis(cols, oracle_cutoff, omega, lam, col_phis, gate2)
+        fin_ref = rk4_ramped(cols, col_phis, gate2)
+        assert np.abs(fin - fin_ref).max() <= 1e-10
+
+        detuning = -2.0 * math.pi * 11e3
+        config = SequenceConfig(
+            detuning=detuning, qubit_shift=lam * detuning, fock_initial=1, shots=None
+        )
+        _, fringe = simulate_fringe(config, phis)
+        p_ee_ref = (np.abs(fin_ref[3 * d :, phis.size :]) ** 2).sum(axis=0)
+        assert np.abs(fringe - p_ee_ref).max() <= 1e-10
 
 
 class TestCalibratedPoint:
@@ -90,28 +164,44 @@ class TestHealthChecks:
         result = propagate(initial, params, fast_integrator)
         assert result.check(fast_integrator) is result
 
-    def test_norm_drift_reported(self, oracle_cutoff):
+    def test_norm_drift_reported(self, oracle_cutoff, rk4_static):
         params = DimensionlessGateParams(lambda_tilde=0.05)
         initial = CompositeState.basis_state("gg", 0, oracle_cutoff)
-        coarse = propagate(initial, params, IntegratorConfig(steps_per_gate=64))
-        fine = propagate(initial, params, IntegratorConfig(steps_per_gate=4096))
-        assert fine.norm_drift < coarse.norm_drift
-        assert fine.norm_drift < 1e-9
+        column = initial.amplitudes[:, None]
+
+        def rk4_drift(steps):
+            final = rk4_static(column, params, oracle_cutoff, [0.05], steps)
+            return abs(np.linalg.norm(final) - 1.0)
+
+        coarse, fine = rk4_drift(64), rk4_drift(4096)
+        assert fine < coarse
+        assert fine < 1e-9
+        assert propagate(initial, params).norm_drift < 1e-12
+
+    def test_norm_tolerance_enforced(self, oracle_cutoff):
+        state = CompositeState.basis_state("gg", 0, oracle_cutoff)
+        config = IntegratorConfig(norm_tolerance=1e-6)
+        clean = PropagationResult(state, 1e-7, 0.0)
+        assert clean.check(config) is clean
+        with pytest.raises(NormDriftError, match="norm drift"):
+            PropagationResult(state, 1e-5, 0.0).check(config)
+
+    def test_sweep_raises_on_guard_band(self):
+        with pytest.raises(GuardBandError, match="guard-band"):
+            sweep(np.array([0.0, 0.05]), [0], DimensionlessGateParams(), FockCutoff(3))
 
 
 class TestConvergence:
-    def test_rk4_fourth_order(self):
+    def test_rk4_fourth_order(self, rk4_static):
         # Global error should drop ~16x per step doubling.
         params = DimensionlessGateParams(lambda_tilde=0.1)
         cutoff = FockCutoff(16)
-        initial = CompositeState.basis_state("gg", 0, cutoff)
-        ref = propagate(initial, params, IntegratorConfig(steps_per_gate=8192))
+        initial = CompositeState.basis_state("gg", 0, cutoff).amplitudes[:, None]
+        ref = rk4_static(initial, params, cutoff, [0.1], 8192)
         errors = []
         for steps in (64, 128, 256):
-            res = propagate(initial, params, IntegratorConfig(steps_per_gate=steps))
-            errors.append(
-                np.linalg.norm(res.state.amplitudes - ref.state.amplitudes)
-            )
+            res = rk4_static(initial, params, cutoff, [0.1], steps)
+            errors.append(np.linalg.norm(res - ref))
         r1 = errors[0] / errors[1]
         r2 = errors[1] / errors[2]
         assert 12.0 < r1 < 20.0
