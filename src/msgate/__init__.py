@@ -5,7 +5,7 @@ Subpackage map:
 * :mod:`msgate.hilbert`    -- Fock-space utilities, displacement operators.
 * :mod:`msgate.ideal`      -- calibrated gate: loop functions, propagator.
 * :mod:`msgate.magnus`     -- detuning-error coefficient tables, predictors.
-* :mod:`msgate.oracle`     -- independent full-Hamiltonian RK4 integrator.
+* :mod:`msgate.oracle`     -- independent exact full-Hamiltonian propagator.
 * :mod:`msgate.experiment` -- two-gate calibration sequence and fringe fit.
 * :mod:`msgate.cli`        -- command-line entry points.
 """

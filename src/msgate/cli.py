@@ -34,12 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiment import (
-    SequenceConfig,
-    phi_seq_prediction,
-    run_calibration,
-    thermal_levels,
-)
+from .experiment import FitError, SequenceConfig, phi_seq_prediction, run_calibration
 from .hilbert import FockCutoff, ThermalDistribution
 from .ideal import DimensionlessGateParams, phase_space_trajectory, write_trajectory_csv
 from .magnus import (
@@ -56,7 +51,7 @@ from .magnus import (
     predict_populations,
     predict_purity,
 )
-from .oracle import GuardBandError, IntegratorConfig, NormDriftError, sweep as oracle_sweep
+from .oracle import GuardBandError, NormDriftError, sweep as oracle_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -92,37 +87,59 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _table_for(args) -> CoefficientTable:
-    """Load the named table, or build/cache one from the grid options."""
-    if getattr(args, "table", None):
-        return load_coefficient_table(args.table)
-    quad = QuadratureSpec(panels_1d=args.panels_1d, panels_2d=args.panels_2d)
+def _quad(args) -> QuadratureSpec:
+    return QuadratureSpec(panels_1d=args.panels_1d, panels_2d=args.panels_2d)
+
+
+def _cache_path(args) -> Path:
+    """Cache file of the table the grid options describe, keyed by its hash."""
     key = parameter_hash(
         DimensionlessGateParams(omega_tilde=args.omega_tilde),
         FockCutoff(args.n_max),
-        quad,
+        _quad(args),
     )
-    cached = cache_dir() / f"coefficients-{key[:16]}.json"
-    if cached.exists():
-        return load_coefficient_table(cached)
+    return cache_dir() / f"coefficients-{key[:16]}.json"
+
+
+def _build_and_save(args, out: Path) -> CoefficientTable:
     table = compute_coefficient_table(
-        omega_tilde=args.omega_tilde, n_max=args.n_max, quad=quad
+        omega_tilde=args.omega_tilde, n_max=args.n_max, quad=_quad(args)
     )
-    cached.parent.mkdir(parents=True, exist_ok=True)
-    table.save(cached)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    table.save(out)
     return table
 
 
-def _add_table_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--table", help="coefficient JSON produced by 'coefficients'")
-    p.add_argument("--n-max", type=int, default=40, help="Fock cutoff for auto-built tables")
+def _table_for(args) -> CoefficientTable:
+    """Load the named table, or build/cache one from the grid options."""
+    if args.table:
+        return load_coefficient_table(args.table)
+    cached = _cache_path(args)
+    if cached.exists():
+        return load_coefficient_table(cached)
+    return _build_and_save(args, cached)
+
+
+def _add_grid_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n-max", type=int, default=40, help="Fock cutoff of the table")
     p.add_argument("--omega-tilde", type=float, default=0.5)
     p.add_argument("--panels-1d", type=int, default=2**14)
     p.add_argument("--panels-2d", type=int, default=2**10)
 
 
+def _add_table_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--table", help="coefficient JSON produced by 'coefficients' "
+                   "(default: build from the grid options, or reuse the cached build)")
+    _add_grid_options(p)
+
+
 def _float_fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _finite_or_null(x: float) -> float | None:
+    """JSON has no inf or nan: write those as null."""
+    return x if math.isfinite(x) else None
 
 
 def _require(args, *names: str) -> None:
@@ -135,17 +152,10 @@ def _require(args, *names: str) -> None:
 # ---------------------------------------------------------------- commands
 
 def cmd_coefficients(args) -> int:
-    quad = QuadratureSpec(panels_1d=args.panels_1d, panels_2d=args.panels_2d)
-    table = compute_coefficient_table(
-        omega_tilde=args.omega_tilde, n_max=args.n_max, quad=quad
-    )
-    out = Path(args.out) if args.out else (
-        cache_dir() / f"coefficients-{table.provenance_hash[:16]}.json"
-    )
+    out = Path(args.out) if args.out else _cache_path(args)
     if out.exists() and not args.force:
         raise CliError(f"{out} exists; pass --force to overwrite")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    table.save(out)
+    table = _build_and_save(args, out)
     der = table.derived()
     if der.structure_residual > 1e-6:
         print(
@@ -198,24 +208,11 @@ def cmd_sweep(args) -> int:
             row.update(_sweep_predicted_row(table, n, lam))
             rows.append(row)
 
-    columns = [
-        "lambda_tilde",
-        "fock_n",
-        "pred_phase",
-        "pred_p_gg",
-        "pred_p_ge",
-        "pred_p_eg",
-        "pred_p_ee",
-        "pred_coherence_abs",
-        "pred_fidelity",
-        "pred_purity",
-        "pred_population_sum",
-    ]
+    columns = list(rows[0])  # the CSV columns, in row-key order
     if args.oracle:
         params = DimensionlessGateParams(omega_tilde=args.omega_tilde)
-        icfg = IntegratorConfig(steps_per_gate=args.steps)
         # Same (n, lambda) grid order as the predictor rows.
-        oracle_rows = oracle_sweep(lams, fock, params, FockCutoff(args.cutoff_n_max), icfg)
+        oracle_rows = oracle_sweep(lams, fock, params, FockCutoff(args.cutoff_n_max))
         oracle_cols = [
             "relative_phase",
             "p_gg",
@@ -301,7 +298,6 @@ def cmd_calibrate(args) -> int:
         shots=None if args.shots == 0 else args.shots,
         engine=args.engine,
         cutoff_n_max=args.cutoff_n_max,
-        steps_per_gate=args.steps,
     )
     rng = np.random.default_rng(args.seed)
     fit, estimate, phi_d, p_obs = run_calibration(config, table, rng)
@@ -323,12 +319,12 @@ def cmd_calibrate(args) -> int:
             "amplitude": fit.amplitude,
             "phase": fit.phase,
             "offset": fit.offset,
-            "phase_err": fit.phase_err,
+            "phase_err": _finite_or_null(fit.phase_err),
             "residual_rms": fit.residual_rms,
         },
         "estimate": {
             "shift_hz": estimate.lambda_hat / (2.0 * math.pi),
-            "shift_err_hz": estimate.lambda_err / (2.0 * math.pi),
+            "shift_err_hz": _finite_or_null(estimate.lambda_err / (2.0 * math.pi)),
             "phi_seq": estimate.phi_seq,
             "phi_seq_predicted": phi_seq_prediction(shift, detuning, estimate.slope),
             "slope": estimate.slope,
@@ -369,32 +365,26 @@ def cmd_predict(args) -> int:
     _require(args, "lambda-tilde")
     table = _table_for(args)
     lam = args.lambda_tilde
-    target: int | ThermalDistribution
-    if args.nbar is not None:
-        target = ThermalDistribution(args.nbar, thermal_levels(args.nbar))
-        pops = None
-        purity = None
-    else:
-        target = args.fock_initial
-        pops = predict_populations(target, lam, table, args.initial)
-        purity = predict_purity(target, lam, table)
+    fock = None if args.nbar is not None else args.fock_initial
+    target = ThermalDistribution(args.nbar) if fock is None else fock
     doc = {
         "lambda_tilde": lam,
         "initial": args.initial,
-        "fock": None if args.nbar is not None else args.fock_initial,
+        "fock": fock,
         "n_bar": args.nbar,
         "phase": predict_phase(target, lam, table, args.initial),
         "fidelity": predict_fidelity(target, lam, table),
     }
-    if pops is not None:
-        coh = predict_coherence(args.fock_initial, lam, table, args.initial)
+    if fock is not None:  # these predictors take a single level only
+        pops = predict_populations(fock, lam, table, args.initial)
+        coh = predict_coherence(fock, lam, table, args.initial)
         doc.update(
             {
                 "populations": [float(p) for p in pops],
                 "population_sum": float(pops.sum()),
                 "coherence_re": coh.real,
                 "coherence_im": coh.imag,
-                "purity": purity,
+                "purity": predict_purity(fock, lam, table),
             }
         )
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -423,10 +413,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coefficients", help="build and save coefficient tables")
-    p.add_argument("--n-max", type=int, default=40)
-    p.add_argument("--omega-tilde", type=float, default=0.5)
-    p.add_argument("--panels-1d", type=int, default=2**14)
-    p.add_argument("--panels-2d", type=int, default=2**10)
+    _add_grid_options(p)
     p.add_argument("--out", help="output JSON path (default: cache)")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_coefficients)
@@ -439,7 +426,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--fock", default="0,1,2,3", help="comma-separated Fock levels")
     p.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=False,
                    help="also propagate the full Hamiltonian exactly at each grid point")
-    p.add_argument("--steps", type=int, default=4096, help="no longer changes results")
+    p.add_argument("--steps", type=int, default=4096, help="ignored (propagation is exact)")
     p.add_argument("--cutoff-n-max", type=int, default=32)
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--plot-script", help="write a gnuplot script next to the CSV")
@@ -458,7 +445,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--points", type=int, default=16)
     p.add_argument("--shots", type=int, default=200, help="0 means exact probabilities")
     p.add_argument("--engine", choices=["oracle", "first_order_model"], default="oracle")
-    p.add_argument("--steps", type=int, default=4096, help="no longer changes results")
+    p.add_argument("--steps", type=int, default=4096, help="ignored (propagation is exact)")
     p.add_argument("--cutoff-n-max", type=int, default=32, help="too low exits 3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write a JSON report here")
@@ -510,14 +497,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TruncationError, GuardBandError, NormDriftError) as exc:
+    except (TruncationError, GuardBandError, NormDriftError, FitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except RuntimeError as exc:
-        if "Optimal parameters not found" in str(exc):
-            print(f"numerical failure: fringe fit did not converge: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        raise
 
 
 if __name__ == "__main__":

@@ -22,17 +22,19 @@ Populations are frame-independent, so the two may be compared directly.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import OptimizeWarning, curve_fit
 
-from .hilbert import FockCutoff, ThermalDistribution
-from .magnus import LAMBDA_HARD_CAP, CoefficientTable
-from .oracle import IntegratorConfig, propagate_ramped_axis
+from .hilbert import FockCutoff, ThermalDistribution, level_weights
+from .magnus import LAMBDA_HARD_CAP, CoefficientTable, _scalars_for
+from .oracle import propagate_ramped_axis
 
 __all__ = [
     "SequenceConfig",
+    "FitError",
     "FringeFit",
     "LambdaEstimate",
     "phase_scan",
@@ -55,8 +57,7 @@ class SequenceConfig:
     ``detuning`` (signed, rad/s) sets the gate clock; each gate lasts
     2*pi/|detuning|.  ``qubit_shift`` is the center-line error lam (rad/s)
     being estimated.  A thermal initial mode is used when ``n_bar`` is set,
-    otherwise the pure Fock level ``fock_initial``.  ``steps_per_gate`` no
-    longer changes oracle results (propagation is exact).
+    otherwise the pure Fock level ``fock_initial``.
     """
 
     detuning: float
@@ -68,7 +69,6 @@ class SequenceConfig:
     shots: int | None = 200
     engine: str = "oracle"
     cutoff_n_max: int = 32
-    steps_per_gate: int = 4096
 
     def __post_init__(self) -> None:
         if self.detuning == 0.0:
@@ -89,20 +89,11 @@ class SequenceConfig:
     def lambda_tilde(self) -> float:
         return self.qubit_shift / self.detuning
 
-    def thermal(self) -> ThermalDistribution | None:
+    def target(self) -> int | ThermalDistribution:
+        """The initial mode: the thermal distribution, or the Fock level."""
         if self.n_bar is None:
-            return None
-        n_levels = thermal_levels(self.n_bar)
-        return ThermalDistribution(self.n_bar, n_levels)
-
-
-def thermal_levels(n_bar: float, mass_tolerance: float = 1e-9) -> int:
-    """Smallest cutoff keeping the truncated thermal tail below tolerance."""
-    if n_bar <= 0.0:
-        return 0
-    ratio = n_bar / (1.0 + n_bar)
-    n = max(4, int(math.ceil(math.log(mass_tolerance) / math.log(ratio))))
-    return n
+            return self.fock_initial
+        return ThermalDistribution(self.n_bar)
 
 
 def phase_scan(n_points: int) -> np.ndarray:
@@ -118,13 +109,8 @@ def effective_phase_slope(
     To first order the thermal fringe is a phasor average of per-level
     fringes, so its fitted phase corresponds to the weighted mean slope.
     """
-    der = table.derived()
-    if isinstance(n, ThermalDistribution):
-        for lev in range(n.n_max + 1):
-            der.require_trusted(lev)
-        return float(n.probabilities @ der.a[: n.n_max + 1])
-    der.require_trusted(int(n))
-    return float(der.a[int(n)])
+    levels, weights = _scalars_for(n, table)
+    return float(weights @ table.derived().a[levels])
 
 
 def phi_seq_prediction(qubit_shift: float, detuning: float, slope: float) -> float:
@@ -137,50 +123,34 @@ def phi_seq_prediction(qubit_shift: float, detuning: float, slope: float) -> flo
 def _model_fringe(
     config: SequenceConfig, phi_d: np.ndarray, table: CoefficientTable
 ) -> np.ndarray:
-    thermal = config.thermal()
+    levels, weights = _scalars_for(config.target(), table)
     lam = config.lambda_tilde
-    der = table.derived()
-    if thermal is None:
-        levels = [config.fock_initial]
-        weights = np.array([1.0])
-    else:
-        levels = list(range(thermal.n_max + 1))
-        weights = thermal.probabilities
+    a = table.derived().a
     p = np.zeros_like(phi_d, dtype=float)
     for w, n in zip(weights, levels):
-        der.require_trusted(n)
-        p += w * 0.5 * (1.0 + np.cos(2.0 * phi_d + 2.0 * lam * der.a[n]))
+        p += w * 0.5 * (1.0 + np.cos(2.0 * phi_d + 2.0 * lam * a[n]))
     return p
 
 
 def _oracle_fringe(config: SequenceConfig, phi_d: np.ndarray) -> np.ndarray:
     cutoff = FockCutoff(config.cutoff_n_max)
-    icfg = IntegratorConfig(steps_per_gate=config.steps_per_gate)
-    thermal = config.thermal()
-    if thermal is None:
-        levels = [config.fock_initial]
-        weights = np.array([1.0])
-    else:
-        levels = list(range(thermal.n_max + 1))
-        weights = thermal.probabilities
+    levels, weights = level_weights(config.target())
     lam = config.lambda_tilde
     tau_g = 2.0 * math.pi
     # Gate 1 at drive phase 0, one column per initial Fock level.
     init = np.zeros((cutoff.composite_dim, len(levels)), dtype=complex)
     for j, n in enumerate(levels):
         init[cutoff.index(0, n), j] = 1.0
-    mid, drift1, guard1 = propagate_ramped_axis(
-        init, cutoff, config.omega_tilde, lam, np.zeros(len(levels)), (0.0, tau_g), icfg
+    mid, _, _ = propagate_ramped_axis(
+        init, cutoff, config.omega_tilde, lam, np.zeros(len(levels)), (0.0, tau_g)
     )
-    icfg.check(drift1, guard1)
     # Gate 2 spans s in [2pi, 4pi]; the axis ramp continues through it, so
     # the scan phase enters on top of the accumulated slip.
     cols = np.repeat(mid, phi_d.size, axis=1)
     phis = np.tile(phi_d, len(levels))
-    fin, drift2, guard2 = propagate_ramped_axis(
-        cols, cutoff, config.omega_tilde, lam, phis, (tau_g, 2.0 * tau_g), icfg
+    fin, _, _ = propagate_ramped_axis(
+        cols, cutoff, config.omega_tilde, lam, phis, (tau_g, 2.0 * tau_g)
     )
-    icfg.check(drift2, guard2)
     d = cutoff.dim
     p_ee = (np.abs(fin[3 * d :, :]) ** 2).sum(axis=0)
     p_ee = p_ee.reshape(len(levels), phi_d.size)
@@ -213,9 +183,16 @@ def sample_fringe(
     return rng.binomial(shots, p) / shots
 
 
+class FitError(RuntimeError):
+    """The fringe fit did not converge."""
+
+
 @dataclass
 class FringeFit:
-    """Result of fitting A*cos(2*phi_d + phase) + offset."""
+    """Result of fitting A*cos(2*phi_d + phase) + offset.
+
+    The errors are inf when the covariance could not be estimated.
+    """
 
     amplitude: float
     phase: float
@@ -233,6 +210,17 @@ def _fringe_model(phi: np.ndarray, amp: float, phase: float, offset: float):
     return amp * np.cos(2.0 * phi + phase) + offset
 
 
+def _curve_fit(phi_d, p_obs, p0, sigma, absolute_sigma):
+    """curve_fit of the fringe model; an undetermined covariance stays inf."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OptimizeWarning)
+            return curve_fit(_fringe_model, phi_d, p_obs, p0=p0, sigma=sigma,
+                             absolute_sigma=absolute_sigma, maxfev=20000)
+    except RuntimeError as exc:
+        raise FitError(f"fringe fit did not converge: {exc}") from exc
+
+
 def fit_fringe(
     phi_d: np.ndarray, p_obs: np.ndarray, shots: int | None = None
 ) -> FringeFit:
@@ -244,7 +232,8 @@ def fit_fringe(
     absolute; otherwise it is scaled from the residuals.  Binomial weights
     are taken from a first-pass fitted curve rather than the observed
     fractions — observed-fraction weights correlate with the noise and
-    understate the parameter covariance.
+    understate the parameter covariance.  Raises FitError when the fit
+    does not converge.
     """
     phi_d = np.asarray(phi_d, dtype=float)
     p_obs = np.asarray(p_obs, dtype=float)
@@ -258,27 +247,11 @@ def fit_fringe(
     if shots is not None:
         var = np.maximum(p_obs * (1.0 - p_obs), 0.25 / shots) / shots
         sigma = np.sqrt(var)
-    popt, pcov = curve_fit(
-        _fringe_model,
-        phi_d,
-        p_obs,
-        p0=p0,
-        sigma=sigma,
-        absolute_sigma=shots is not None,
-        maxfev=20000,
-    )
+    popt, pcov = _curve_fit(phi_d, p_obs, p0, sigma, shots is not None)
     if shots is not None:
         fitted = np.clip(_fringe_model(phi_d, *popt), 0.0, 1.0)
         var = np.maximum(fitted * (1.0 - fitted), 0.25 / shots) / shots
-        popt, pcov = curve_fit(
-            _fringe_model,
-            phi_d,
-            p_obs,
-            p0=popt,
-            sigma=np.sqrt(var),
-            absolute_sigma=True,
-            maxfev=20000,
-        )
+        popt, pcov = _curve_fit(phi_d, p_obs, popt, np.sqrt(var), True)
     amp, phase, offset = (float(x) for x in popt)
     if amp < 0.0:
         amp, phase = -amp, phase + math.pi
@@ -342,6 +315,8 @@ def estimate_lambda(
         )
     if fit.amplitude < 0.2:
         caveats.append("fringe contrast below 0.2; phase poorly constrained")
+    if not math.isfinite(fit.phase_err):
+        caveats.append("fringe covariance undetermined; the error bars are not meaningful")
     return LambdaEstimate(
         lambda_hat=float(lam_hat),
         lambda_err=float(lam_err),
@@ -372,7 +347,6 @@ def run_calibration(
             rng = np.random.default_rng(0)
         p_obs = sample_fringe(p_exact, config.shots, rng)
     fit = fit_fringe(phi_d, p_obs, config.shots)
-    target = config.thermal() or config.fock_initial
-    slope = effective_phase_slope(table, target)
+    slope = effective_phase_slope(table, config.target())
     estimate = estimate_lambda(fit, slope, config.detuning)
     return fit, estimate, phi_d, p_obs

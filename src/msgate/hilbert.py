@@ -45,6 +45,7 @@ __all__ = [
     "state_fidelity",
     "purity",
     "thermal_probabilities",
+    "level_weights",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -323,34 +324,37 @@ def thermal_probabilities(n_bar: float, n_max: int) -> np.ndarray:
     return np.exp(n * np.log(ratio) - np.log1p(n_bar))
 
 
+# Probability a thermal distribution may leave beyond its last level.
+_THERMAL_TAIL = 1e-9
+
+
 @dataclass
 class ThermalDistribution:
-    """Truncated thermal phonon distribution with explicit lost mass."""
+    """Thermal phonon distribution over 0..n_max, the levels it needs.
+
+    With r = n_bar / (1 + n_bar), ``n_max`` is the smallest n >= 4 with
+    r^n <= 1e-9 (0 for the ground state), so the truncated tail r^(n_max+1)
+    stays below 1e-9.
+    """
 
     n_bar: float
-    n_max: int
+    n_max: int = field(init=False)
     probabilities: np.ndarray = field(init=False)
 
-    # Raising above this much truncated probability mass (default matches the
-    # package-wide truncation budget) keeps silent bias out of averages.
-    mass_tolerance: float = 1e-9
-
     def __post_init__(self) -> None:
+        self.n_max = 0
+        if self.n_bar > 0.0:
+            ratio = self.n_bar / (1.0 + self.n_bar)
+            self.n_max = max(4, math.ceil(math.log(_THERMAL_TAIL) / math.log(ratio)))
         self.probabilities = thermal_probabilities(self.n_bar, self.n_max)
-        if self.truncated_mass > self.mass_tolerance:
-            raise ValueError(
-                f"thermal tail beyond n_max={self.n_max} holds "
-                f"{self.truncated_mass:.3e} probability (> {self.mass_tolerance:.1e}); "
-                "raise n_max"
-            )
 
     @property
     def truncated_mass(self) -> float:
         return float(1.0 - self.probabilities.sum())
 
-    def average(self, values: np.ndarray) -> float:
-        """Probability-weighted average of a per-Fock-level array."""
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] < self.n_max + 1:
-            raise ValueError("need one value per Fock level up to n_max")
-        return float(self.probabilities @ values[: self.n_max + 1])
+
+def level_weights(target: int | ThermalDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """(Fock levels, probabilities) of a pure level or a thermal mode."""
+    if isinstance(target, ThermalDistribution):
+        return np.arange(target.n_max + 1), target.probabilities
+    return np.array([int(target)]), np.array([1.0])

@@ -39,7 +39,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaln
@@ -51,6 +54,7 @@ from .hilbert import (
     FockCutoff,
     QubitDensityMatrix,
     ThermalDistribution,
+    level_weights,
 )
 from .ideal import DimensionlessGateParams, ideal_output_state, loop_functions
 
@@ -84,6 +88,9 @@ LAMBDA_HARD_CAP = 0.5
 # Complex line containing every first-order table entry on a square pulse.
 _LINE = -1.0 + 1.0j
 
+# Outer-time rows of the 2D grid per weighted-moment GEMM (bounds memory).
+_CHUNK_ROWS = 16
+
 
 class TruncationError(RuntimeError):
     """A requested Fock level sits too close to the table edge to trust."""
@@ -91,11 +98,10 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Base panel counts (before the Richardson halving) and chunking."""
+    """Base panel counts (before the Richardson halving)."""
 
     panels_1d: int = 2**14
     panels_2d: int = 2**10
-    chunk_rows: int = 16
 
     def __post_init__(self) -> None:
         for name in ("panels_1d", "panels_2d"):
@@ -105,7 +111,7 @@ class QuadratureSpec:
 
     def refined(self) -> "QuadratureSpec":
         """Same spec with both panel counts doubled (for convergence checks)."""
-        return QuadratureSpec(2 * self.panels_1d, 2 * self.panels_2d, self.chunk_rows)
+        return QuadratureSpec(2 * self.panels_1d, 2 * self.panels_2d)
 
 
 def _simpson(n_panels: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -192,15 +198,15 @@ def compute_second_order_tables(
     m1 = np.zeros((dim, dim), dtype=complex)
     m2 = np.zeros((dim, dim), dtype=complex)
     m3 = np.zeros((dim, dim), dtype=complex)
-    rows = max(1, quad.chunk_rows)
-    for start in range(0, u.size, rows):
-        uu = u[start : start + rows]
+    for start in range(0, u.size, _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        uu = u[start:stop]
         t1 = t_g * uu
         f1, g1 = loop_functions(t1, params)
         t2 = t1[:, None] * v[None, :]
         f2, g2 = loop_functions(t2, params)
         theta = (f1[:, None] * f2.conj()).imag
-        jac = (wu[start : start + rows] * t_g * t_g * uu)[:, None] * wv[None, :]
+        jac = (wu[start:stop] * t_g * t_g * uu)[:, None] * wv[None, :]
         beta1 = f2 - f1[:, None]
         beta2 = f2 + f1[:, None]
         base = g2 - g1[:, None] + g_end
@@ -291,10 +297,6 @@ class CoefficientTable:
 
     def save(self, path) -> None:
         save_coefficient_table(self, path)
-
-    @classmethod
-    def load(cls, path) -> "CoefficientTable":
-        return load_coefficient_table(path)
 
 
 def compute_coefficient_table(
@@ -514,17 +516,13 @@ def _check_lambda(lambda_tilde: float) -> None:
 def _scalars_for(
     n: int | ThermalDistribution, table: CoefficientTable
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(levels, weights) for a single level or a thermal mixture."""
+    """(levels, weights) of a level or thermal mode; raises TruncationError
+    for the first level the table does not resolve."""
+    levels, weights = level_weights(n)
     der = table.derived()
-    if isinstance(n, ThermalDistribution):
-        if n.n_max > table.n_max:
-            raise ValueError("thermal distribution extends past the table")
-        levels = np.arange(n.n_max + 1)
-        for lev in levels:
-            der.require_trusted(int(lev))
-        return levels, n.probabilities
-    der.require_trusted(int(n))
-    return np.array([int(n)]), np.array([1.0])
+    for lev in levels:
+        der.require_trusted(int(lev))
+    return levels, weights
 
 
 def predict_coherence(
@@ -710,7 +708,9 @@ def save_coefficient_table(table: CoefficientTable, path) -> None:
     """Write a versioned, byte-reproducible JSON dump of the tables.
 
     No timestamps: identical parameters produce identical bytes, and the
-    parameter hash in the file pins provenance.
+    parameter hash in the file pins provenance.  The bytes go to a
+    temporary file beside ``path`` that replaces it only once complete, so
+    a reader never sees a partial table and a failed write leaves nothing.
     """
     der = table.derived()
     doc = {
@@ -735,9 +735,16 @@ def save_coefficient_table(table: CoefficientTable, path) -> None:
             "tail_tolerance": der.tail_tolerance,
         },
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_coefficient_table(path) -> CoefficientTable:

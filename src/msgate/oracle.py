@@ -26,7 +26,6 @@ tests' independent reference route.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +54,6 @@ __all__ = [
     "relative_phase_pair",
     "expectation_trajectory",
     "sweep",
-    "write_sweep_csv",
-    "SWEEP_COLUMNS",
 ]
 
 
@@ -72,7 +69,9 @@ class NormDriftError(RuntimeError):
 class IntegratorConfig:
     """Numerical-health thresholds for oracle propagation.
 
-    ``steps_per_gate`` is still accepted but no longer changes any result.
+    Every propagator checks its result against them and raises
+    :class:`GuardBandError` or :class:`NormDriftError`.  ``steps_per_gate``
+    is still accepted but no longer changes any result.
     """
 
     steps_per_gate: int = 50_000
@@ -81,8 +80,6 @@ class IntegratorConfig:
     norm_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.steps_per_gate < 1:
-            raise ValueError("steps_per_gate must be positive")
         if self.guard_levels < 1:
             raise ValueError("guard_levels must be positive")
 
@@ -105,10 +102,6 @@ class PropagationResult:
     state: CompositeState
     norm_drift: float
     guard_band_mass: float
-
-    def check(self, config: IntegratorConfig) -> "PropagationResult":
-        config.check(self.norm_drift, self.guard_band_mass)
-        return self
 
 
 def _ladder(dim: int) -> np.ndarray:
@@ -183,9 +176,10 @@ def _guard_band_mass(amps: np.ndarray, cutoff: FockCutoff, levels: int) -> np.nd
 
 
 def _with_health(cols, final, cutoff, config, shape):
-    """(final reshaped, per-column norm drift, worst guard-band mass)."""
+    """(final reshaped, per-column norm drift, worst guard-band mass), checked."""
     drift = np.abs(np.linalg.norm(final, axis=0) - np.linalg.norm(cols, axis=0))
     guard = float(_guard_band_mass(final, cutoff, config.guard_levels).max())
+    config.check(drift, guard)
     return final.reshape(shape), drift, guard
 
 
@@ -247,7 +241,8 @@ def propagate_ramped_axis(
     Column j sees the spin axis at angle phi_values[j] + lambda_tilde * s
     (s is global, so a later span continues the same ramp).  The whole
     batch shares one eigendecomposition of H' at phi = 0; each column's
-    start angle enters as the diagonal e^{i phi S_z}.
+    start angle enters as the diagonal e^{i phi S_z}.  Returns and raises
+    as :func:`propagate_batch`.
     """
     cols = np.asarray(amps, dtype=complex).reshape(cutoff.composite_dim, -1)
     phi = np.broadcast_to(np.asarray(phi_values, dtype=float), (cols.shape[1],))
@@ -308,7 +303,8 @@ def expectation_trajectory(
 ) -> dict[str, np.ndarray]:
     """Record <a>, norm and guard mass at evenly spaced times over the gate.
 
-    One eigendecomposition serves every record time.
+    One eigendecomposition serves every record time.  Raises GuardBandError
+    or NormDriftError when any record exceeds the config's tolerances.
     """
     if n_records < 2:
         raise ValueError("need at least two record points")
@@ -321,23 +317,8 @@ def expectation_trajectory(
     norms = np.linalg.norm(psi, axis=0)
     a_exp = np.einsum("ij,ij->j", psi.conj(), a_op @ psi) / np.maximum(norms**2, 1e-300)
     guard = _guard_band_mass(psi, cutoff, config.guard_levels)
+    config.check(np.abs(norms - initial.norm), float(guard.max()))
     return {"tau": taus, "a_expect": a_exp, "norm": norms, "guard_band_mass": guard}
-
-
-SWEEP_COLUMNS = [
-    "lambda_tilde",
-    "fock_n",
-    "p_gg",
-    "p_ge",
-    "p_eg",
-    "p_ee",
-    "relative_phase",
-    "coherence_abs",
-    "fidelity",
-    "purity",
-    "norm_drift",
-    "guard_band_mass",
-]
 
 
 def sweep(
@@ -351,8 +332,9 @@ def sweep(
     """Propagate |initial_label, n> across a miscalibration grid.
 
     All (lambda, n) pairs go through one batched propagation; rows come
-    back ordered by (n, lambda) with one dict per pair matching
-    SWEEP_COLUMNS.  Raises GuardBandError or NormDriftError when any pair
+    back ordered by (n, lambda), one dict per pair with the lambda, the
+    level, the populations p_gg..p_ee, the observables and the pair's
+    health numbers.  Raises GuardBandError or NormDriftError when any pair
     exceeds the config's health tolerances.
     """
     lam = np.asarray(lambda_values, dtype=float)
@@ -364,7 +346,6 @@ def sweep(
     lam_cols = np.array([l for _, l in pairs])
     final, drift, _ = propagate_batch(amps, cutoff, params, lam_cols, config)
     guard_cols = _guard_band_mass(final, cutoff, config.guard_levels)
-    config.check(drift, float(guard_cols.max()))
     rows = []
     for j, (n, l) in enumerate(pairs):
         state = CompositeState(final[:, j], cutoff)
@@ -376,15 +357,3 @@ def sweep(
         rows.append(row)
     return rows
 
-
-def write_sweep_csv(path, rows: list[dict], extra_columns: list[str] | None = None) -> None:
-    """Versioned CSV dump of sweep rows (deterministic float formatting)."""
-    columns = SWEEP_COLUMNS + (extra_columns or [])
-    with open(path, "w", newline="") as fh:
-        fh.write("# schema=msgate/sweep/1\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [repr(float(row[c])) if c != "fock_n" else str(int(row[c])) for c in columns]
-            )

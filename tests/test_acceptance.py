@@ -269,8 +269,7 @@ def test_7_two_gate_fringe_slope(capsys, derived):
         for sign in (1.0, -1.0):
             config = SequenceConfig(
                 detuning=EPSILON, qubit_shift=sign * shift, fock_initial=n,
-                shots=None, engine="oracle", cutoff_n_max=32,
-                steps_per_gate=2048, phase_points=8,
+                shots=None, engine="oracle", cutoff_n_max=32, phase_points=8,
             )
             phi_d, p = simulate_fringe(config)
             fitted[sign] = fit_fringe(phi_d, p).phase
@@ -291,7 +290,7 @@ def test_8_closed_loop_calibration(capsys, table):
         shift = lam_tilde * EPSILON
         config = SequenceConfig(
             detuning=EPSILON, qubit_shift=shift, shots=None, engine="oracle",
-            cutoff_n_max=32, steps_per_gate=2048, phase_points=16,
+            cutoff_n_max=32, phase_points=16,
         )
         _, estimate, _, _ = run_calibration(config, table)
         worst_rel = max(worst_rel, abs(estimate.lambda_hat - shift) / abs(shift))
@@ -302,7 +301,7 @@ def test_8_closed_loop_calibration(capsys, table):
     truth = 0.01 * EPSILON
     config = SequenceConfig(
         detuning=EPSILON, qubit_shift=truth, shots=None, engine="oracle",
-        cutoff_n_max=32, steps_per_gate=2048, phase_points=32,
+        cutoff_n_max=32, phase_points=32,
     )
     phi_d, p_exact = simulate_fringe(config)
     slope = effective_phase_slope(table, 0)

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import msgate.experiment as experiment
 from msgate.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from msgate.experiment import thermal_levels
 from msgate.hilbert import ThermalDistribution
 from msgate.magnus import (
     predict_coherence,
@@ -98,7 +98,7 @@ class TestPredict:
         doc = json.loads(capsys.readouterr().out)
         assert doc["fock"] is None
         assert "populations" not in doc
-        dist = ThermalDistribution(0.05, thermal_levels(0.05))
+        dist = ThermalDistribution(0.05)
         assert doc["phase"] == pytest.approx(
             predict_phase(dist, 0.02, table), rel=1e-12
         )
@@ -209,6 +209,34 @@ class TestCalibrate:
         assert main(["calibrate", "--table", table_file]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "--detuning-hz" in err and "--shift-hz" in err
+
+    def test_undetermined_covariance_report(self, table_file, tmp_path, capsys):
+        # Noiseless model data on 8 points leaves the fit covariance
+        # undetermined: the report stays strict JSON and says so.
+        out = tmp_path / "report.json"
+        rc = main(["calibrate", "--table", table_file, "--detuning-hz=-11e3",
+                   "--shift-hz", "0", "--engine", "first_order_model",
+                   "--shots", "0", "--points", "8", "--out", str(out)])
+        assert rc == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert doc["fit"]["phase_err"] is None
+        assert doc["estimate"]["shift_err_hz"] is None
+        assert any("covariance undetermined" in c for c in doc["estimate"]["caveats"])
+        assert "caveat: fringe covariance undetermined" in capsys.readouterr().out
+
+    def test_fit_failure_exit(self, table_file, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("Optimal parameters not found: maxfev reached")
+
+        monkeypatch.setattr(experiment, "curve_fit", no_convergence)
+        rc = main(["calibrate", "--table", table_file, "--detuning-hz=-11e3",
+                   "--shift-hz", "30", "--engine", "first_order_model"])
+        assert rc == EXIT_NUMERICAL
+        assert "fringe fit did not converge" in capsys.readouterr().err
 
     def test_truncated_cutoff_exit(self, table_file, capsys):
         rc = main(["calibrate", "--table", table_file, "--detuning-hz",

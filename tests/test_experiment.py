@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msgate.experiment as experiment
 from msgate.experiment import (
     ENGINES,
+    FitError,
     SequenceConfig,
     effective_phase_slope,
     estimate_lambda,
@@ -18,7 +20,6 @@ from msgate.experiment import (
     run_calibration,
     sample_fringe,
     simulate_fringe,
-    thermal_levels,
 )
 from msgate.hilbert import ThermalDistribution
 from msgate.oracle import GuardBandError
@@ -49,15 +50,16 @@ class TestSequenceConfig:
             _config(phase_points=3)
 
     def test_thermal(self):
-        assert _config().thermal() is None
-        dist = _config(n_bar=0.05).thermal()
+        assert _config(fock_initial=2).target() == 2
+        dist = _config(n_bar=0.05).target()
         assert isinstance(dist, ThermalDistribution)
+        assert dist.n_bar == 0.05
         assert dist.truncated_mass < 1e-9
 
     def test_thermal_levels_scaling(self):
-        assert thermal_levels(0.0) == 0
-        assert thermal_levels(0.05) >= 4
-        assert thermal_levels(0.5) > thermal_levels(0.05)
+        levels = [_config(n_bar=n_bar).target().n_max for n_bar in (0.0, 0.05, 0.5)]
+        assert levels[0] == 0
+        assert 4 <= levels[1] < levels[2]
 
 
 class TestScanAndSlope:
@@ -69,7 +71,7 @@ class TestScanAndSlope:
 
     def test_effective_slope(self, table, derived):
         assert effective_phase_slope(table, 2) == derived.a[2]
-        dist = ThermalDistribution(0.05, 7)
+        dist = ThermalDistribution(0.05)
         expected = dist.probabilities @ derived.a[:8]
         assert effective_phase_slope(table, dist) == pytest.approx(expected)
 
@@ -132,6 +134,22 @@ class TestFringeFit:
         with pytest.raises(ValueError, match=">= 5"):
             fit_fringe(phi, np.zeros(4))
 
+    def test_undetermined_covariance_is_inf(self):
+        # Noiseless data on 8 points leaves no residual to scale the
+        # covariance by; the fit holds, its errors are inf, no warning escapes.
+        phi = phase_scan(8)
+        fit = fit_fringe(phi, 0.5 + 0.4 * np.cos(2 * phi))
+        assert fit.amplitude == pytest.approx(0.4, abs=1e-9)
+        assert math.isinf(fit.phase_err)
+
+    def test_nonconvergence_raises_fit_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("Optimal parameters not found: maxfev reached")
+
+        monkeypatch.setattr(experiment, "curve_fit", no_convergence)
+        with pytest.raises(FitError, match="did not converge"):
+            fit_fringe(phase_scan(8), np.full(8, 0.5))
+
 
 class TestSampling:
     def test_sampled_fraction_range(self, rng):
@@ -178,8 +196,7 @@ class TestOracleEngine:
     def test_phi_seq_matches_prediction(self, table, derived):
         shift = 50.0
         config = _config(
-            engine="oracle", qubit_shift=shift, cutoff_n_max=24,
-            steps_per_gate=2048, phase_points=8,
+            engine="oracle", qubit_shift=shift, cutoff_n_max=24, phase_points=8,
         )
         fit, estimate, _, _ = run_calibration(config, table)
         predicted = phi_seq_prediction(shift, EPSILON, derived.a[0])
@@ -191,7 +208,7 @@ class TestOracleEngine:
         shift = 150.0
         config = _config(
             engine="oracle", qubit_shift=shift, shots=200, cutoff_n_max=24,
-            steps_per_gate=2048, phase_points=8,
+            phase_points=8,
         )
         fit, estimate, _, p_obs = run_calibration(config, table, rng)
         assert estimate.lambda_err > 0
@@ -225,6 +242,11 @@ class TestEstimator:
         fit = fit_fringe(phi, big)
         estimate = estimate_lambda(fit, 5.68, EPSILON)
         assert any("first-order" in c for c in estimate.caveats)
+        assert not any("covariance" in c for c in estimate.caveats)
+        exact = fit_fringe(phase_scan(8), 0.5 + 0.5 * np.cos(2 * phase_scan(8)))
+        estimate = estimate_lambda(exact, 5.68, EPSILON)
+        assert any("covariance undetermined" in c for c in estimate.caveats)
+        assert math.isinf(estimate.lambda_err)
 
     def test_error_propagation(self):
         phi = phase_scan(16)

@@ -18,6 +18,7 @@ from msgate.hilbert import (
     displacement_element,
     displacement_matrix,
     displacement_matrix_batch,
+    level_weights,
     partial_trace_phonons,
     purity,
     qubit_basis_change,
@@ -215,17 +216,27 @@ class TestThermal:
         assert p[1:].sum() == 0.0
 
     def test_distribution_guards_tail(self):
-        with pytest.raises(ValueError, match="thermal tail"):
-            ThermalDistribution(1.5, 3)
-        dist = ThermalDistribution(0.05, 10)
-        assert dist.truncated_mass < 1e-9
+        # n_max is the smallest n >= 4 with (n_bar / (1 + n_bar))^n <= 1e-9.
+        for n_bar, n_max in ((0.0, 0), (0.01, 5), (0.05, 7), (0.5, 19), (2.0, 52)):
+            dist = ThermalDistribution(n_bar)
+            assert dist.n_max == n_max
+            assert dist.probabilities.shape == (n_max + 1,)
+            assert dist.truncated_mass <= 1e-9
+        with pytest.raises(ValueError, match="mean occupation"):
+            ThermalDistribution(-0.1)
 
-    def test_average(self):
-        dist = ThermalDistribution(0.1, 25)
-        values = np.arange(26, dtype=float)
-        assert dist.average(values) == pytest.approx(0.1, abs=1e-9)
-        with pytest.raises(ValueError, match="per Fock level"):
-            dist.average(np.zeros(3))
+    @given(n_bar=st.floats(0.0, 2.0))
+    @settings(max_examples=50, deadline=None)
+    def test_tail_within_budget(self, n_bar):
+        assert ThermalDistribution(n_bar).truncated_mass <= 1e-9
+
+    def test_level_weights(self):
+        levels, weights = level_weights(3)
+        assert list(levels) == [3] and list(weights) == [1.0]
+        dist = ThermalDistribution(0.5)
+        levels, weights = level_weights(dist)
+        np.testing.assert_array_equal(levels, np.arange(dist.n_max + 1))
+        assert weights is dist.probabilities
 
     @given(n_bar=st.floats(0.0, 0.5))
     @settings(max_examples=25, deadline=None)

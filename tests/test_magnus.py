@@ -378,7 +378,7 @@ class TestPredictors:
 
     def test_thermal_dispatch(self, table, derived):
         lam = 0.01
-        dist = ThermalDistribution(0.05, 7)
+        dist = ThermalDistribution(0.05)
         phase = predict_phase(dist, lam, table)
         slope = (phase - predict_phase(dist, -lam, table)) / (2 * lam)
         a_bar = dist.probabilities @ derived.a[:8]
@@ -392,6 +392,10 @@ class TestPredictors:
     def test_untrusted_level_refused(self, table):
         with pytest.raises(TruncationError):
             predict_populations(table.n_max - 1, 0.01, table)
+        # A thermal mode reaching past the table meets its untrusted rows.
+        assert ThermalDistribution(2.0).n_max > table.n_max
+        with pytest.raises(TruncationError):
+            predict_fidelity(ThermalDistribution(2.0), 0.01, table)
 
     def test_bad_initial(self, table):
         with pytest.raises(ValueError):
@@ -436,6 +440,16 @@ class TestPersistence:
         assert p1.read_bytes() == p2.read_bytes()
         load_coefficient_table(p1).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_leaves_nothing(self, table, tmp_path, monkeypatch):
+        def dump_then_fail(doc, fh, **kwargs):
+            fh.write('{"schema":')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            table.save(tmp_path / "table.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_tampered_parameters_rejected(self, table, tmp_path):
         path = tmp_path / "table.json"

@@ -1,24 +1,26 @@
 """Full-Hamiltonian oracle: exactness against RK4, health checks, convergence."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from msgate.cli import main
 from msgate.experiment import SequenceConfig, simulate_fringe
-from msgate.hilbert import CompositeState, FockCutoff, state_fidelity
+from msgate.hilbert import CompositeState, FockCutoff, Frame, state_fidelity
 from msgate.ideal import (
     DimensionlessGateParams,
     collective_spin,
     ideal_output_state,
     ideal_propagator,
+    loop_functions,
 )
 from msgate.oracle import (
     GuardBandError,
     IntegratorConfig,
     NormDriftError,
-    PropagationResult,
     _frame_hamiltonian,
     _rk4,
     expectation_trajectory,
@@ -29,7 +31,6 @@ from msgate.oracle import (
     propagate_ramped_axis,
     relative_phase_pair,
     sweep,
-    write_sweep_csv,
 )
 
 TAU = 2.0 * math.pi
@@ -140,7 +141,7 @@ class TestCalibratedPoint:
     def test_full_gate_fidelity(self, oracle_cutoff, fast_integrator):
         params = DimensionlessGateParams()
         initial = CompositeState.basis_state("gg", 1, oracle_cutoff)
-        result = propagate(initial, params, fast_integrator).check(fast_integrator)
+        result = propagate(initial, params, fast_integrator)
         target = ideal_output_state("gg", 1, oracle_cutoff)
         assert state_fidelity(result.state, target) == pytest.approx(
             1.0, abs=1e-10
@@ -151,18 +152,9 @@ class TestCalibratedPoint:
 class TestHealthChecks:
     def test_guard_band_raises_on_small_cutoff(self):
         params = DimensionlessGateParams()
-        tiny = FockCutoff(4)
-        initial = CompositeState.basis_state("gg", 0, tiny)
-        config = IntegratorConfig(steps_per_gate=512)
-        result = propagate(initial, params, config)
+        initial = CompositeState.basis_state("gg", 0, FockCutoff(4))
         with pytest.raises(GuardBandError, match="guard-band"):
-            result.check(config)
-
-    def test_check_returns_self_when_clean(self, oracle_cutoff, fast_integrator):
-        params = DimensionlessGateParams()
-        initial = CompositeState.basis_state("gg", 0, oracle_cutoff)
-        result = propagate(initial, params, fast_integrator)
-        assert result.check(fast_integrator) is result
+            propagate(initial, params)
 
     def test_norm_drift_reported(self, oracle_cutoff, rk4_static):
         params = DimensionlessGateParams(lambda_tilde=0.05)
@@ -179,12 +171,25 @@ class TestHealthChecks:
         assert propagate(initial, params).norm_drift < 1e-12
 
     def test_norm_tolerance_enforced(self, oracle_cutoff):
-        state = CompositeState.basis_state("gg", 0, oracle_cutoff)
         config = IntegratorConfig(norm_tolerance=1e-6)
-        clean = PropagationResult(state, 1e-7, 0.0)
-        assert clean.check(config) is clean
+        config.check(np.array([1e-7, 0.0]), 0.0)
         with pytest.raises(NormDriftError, match="norm drift"):
-            PropagationResult(state, 1e-5, 0.0).check(config)
+            config.check(np.array([1e-7, 1e-5]), 0.0)
+        # Every propagator applies the check itself: no drift, however
+        # small, passes a negative tolerance.
+        strict = IntegratorConfig(norm_tolerance=-1.0)
+        state = CompositeState.basis_state("gg", 0, oracle_cutoff)
+        params = DimensionlessGateParams(lambda_tilde=0.01)
+        calls = [
+            lambda: propagate(state, params, strict),
+            lambda: propagate_ramped_axis(
+                state.amplitudes, oracle_cutoff, 0.5, 0.01, 0.0, (0.0, TAU), strict
+            ),
+            lambda: expectation_trajectory(state, params, config=strict),
+        ]
+        for call in calls:
+            with pytest.raises(NormDriftError, match="norm drift"):
+                call()
 
     def test_sweep_raises_on_guard_band(self):
         with pytest.raises(GuardBandError, match="guard-band"):
@@ -294,19 +299,21 @@ class TestObservables:
 class TestTrajectory:
     def test_branch_circle(self, fast_integrator):
         # A sigma_y-frame |++,0> input follows alpha(tau) = F(tau).
-        cutoff = FockCutoff(16)
-        from msgate.hilbert import Frame
+        def plus_plus(n_max):
+            initial = CompositeState.basis_state(0, 0, FockCutoff(n_max), frame=Frame.SIGMA_Y)
+            return initial.in_frame(Frame.COMPUTATIONAL)
 
-        initial = CompositeState.basis_state(0, 0, cutoff, frame=Frame.SIGMA_Y)
-        comp = initial.in_frame(Frame.COMPUTATIONAL)
+        params = DimensionlessGateParams()
         traj = expectation_trajectory(
-            comp, DimensionlessGateParams(), n_records=17, config=fast_integrator
+            plus_plus(20), params, n_records=17, config=fast_integrator
         )
-        from msgate.ideal import loop_functions
-
-        f, _ = loop_functions(traj["tau"], DimensionlessGateParams())
+        f, _ = loop_functions(traj["tau"], params)
         np.testing.assert_allclose(traj["a_expect"], f, atol=1e-6)
         np.testing.assert_allclose(traj["norm"], 1.0, atol=1e-10)
+        assert traj["guard_band_mass"].max() <= fast_integrator.guard_tolerance
+        # At cutoff 16 the loop leaves about 8e-10 in the guard band.
+        with pytest.raises(GuardBandError, match="guard-band"):
+            expectation_trajectory(plus_plus(16), params, n_records=17, config=fast_integrator)
 
     def test_requires_two_records(self, oracle_cutoff):
         initial = CompositeState.basis_state("gg", 0, oracle_cutoff)
@@ -315,20 +322,29 @@ class TestTrajectory:
 
 
 class TestSweep:
-    def test_rows_and_csv(self, oracle_cutoff, tmp_path):
+    def test_rows_and_csv(self, oracle_cutoff, table, tmp_path):
         params = DimensionlessGateParams()
         lams = np.array([-0.02, 0.0, 0.02])
-        rows = sweep(lams, [0, 1], params, oracle_cutoff,
-                     IntegratorConfig(steps_per_gate=1024))
+        rows = sweep(lams, [0, 1], params, oracle_cutoff)
         assert len(rows) == 6
         assert [r["fock_n"] for r in rows] == [0, 0, 0, 1, 1, 1]
         zero = rows[1]
         assert zero["lambda_tilde"] == 0.0
         assert zero["fidelity"] == pytest.approx(1.0, abs=1e-8)
         assert all(r["guard_band_mass"] < 1e-10 for r in rows)
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, rows)
-        text = path.read_text().splitlines()
-        assert text[0] == "# schema=msgate/sweep/1"
-        data = np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
-        np.testing.assert_allclose(data["lambda_tilde"], np.tile(lams, 2))
+        # The CLI's sweep CSV carries these rows exactly, in the same order.
+        table_path, out = tmp_path / "table.json", tmp_path / "sweep.csv"
+        table.save(table_path)
+        argv = ["sweep", "--table", str(table_path), "--lambda-min=-0.02",
+                "--lambda-max", "0.02", "--points", "3", "--fock", "0,1",
+                "--oracle", "--out", str(out)]
+        assert main(argv) == 0
+        with open(out) as fh:
+            assert fh.readline() == "# schema=msgate/sweep-report/1\n"
+            written = list(csv.DictReader(fh))
+        for row, line in zip(rows, written, strict=True):
+            assert int(line["fock_n"]) == row["fock_n"]
+            for key in ("lambda_tilde", "p_ee", "relative_phase", "fidelity",
+                        "purity", "norm_drift", "guard_band_mass"):
+                column = key if key == "lambda_tilde" else f"oracle_{key}"
+                assert float(line[column]) == row[key]
