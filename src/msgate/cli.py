@@ -13,9 +13,11 @@ predict        print every closed-form predictor for one operating point
 A JSON config file (``--config``) may hold a section per subcommand whose
 keys mirror the long option names; explicit flags always win.  Exit codes:
 0 success, 2 usage/configuration error, 3 numerical-health failure (Fock
-truncation, guard-band occupation, norm drift, non-convergent fit).  Float
-options take negative values in exponent form either as a separate token
-(``--shift-hz -3e1``) or as ``--shift-hz=-3e1``.
+truncation, an initial level above the oracle cutoff, guard-band occupation,
+norm drift, non-convergent fit, a built table that fails its structure
+check; such a table is not written).  Float options take negative values in
+exponent form either as a separate token (``--shift-hz -3e1``) or as
+``--shift-hz=-3e1``.
 
 Tables built on demand are cached under ``$MSGATE_CACHE_DIR`` (default
 ``~/.cache/msgate``), keyed by the parameter hash.
@@ -65,6 +67,10 @@ class CliError(Exception):
     """User/configuration problem (exit code 2)."""
 
 
+class _UnhealthyTable(RuntimeError):
+    """A freshly built table failed its structure check (exit code 3)."""
+
+
 def cache_dir() -> Path:
     env = os.environ.get("MSGATE_CACHE_DIR")
     if env:
@@ -102,9 +108,15 @@ def _cache_path(args) -> Path:
 
 
 def _build_and_save(args, out: Path) -> CoefficientTable:
+    """Build the table the grid options describe; write it only if healthy."""
     table = compute_coefficient_table(
         omega_tilde=args.omega_tilde, n_max=args.n_max, quad=_quad(args)
     )
+    if table.structure_residual > 1e-6:
+        raise _UnhealthyTable(
+            f"structure residual {table.structure_residual:.3e} exceeds 1e-6; "
+            "the table was not written"
+        )
     out.parent.mkdir(parents=True, exist_ok=True)
     table.save(out)
     return table
@@ -157,12 +169,6 @@ def cmd_coefficients(args) -> int:
         raise CliError(f"{out} exists; pass --force to overwrite")
     table = _build_and_save(args, out)
     der = table.derived()
-    if der.structure_residual > 1e-6:
-        print(
-            f"structure residual {der.structure_residual:.3e} exceeds 1e-6",
-            file=sys.stderr,
-        )
-        return EXIT_NUMERICAL
     if der.trusted.any():
         trusted = f"0..{int(np.max(np.nonzero(der.trusted)[0]))}"
     else:
@@ -497,7 +503,8 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TruncationError, GuardBandError, NormDriftError, FitError) as exc:
+    except (TruncationError, GuardBandError, NormDriftError, FitError,
+            _UnhealthyTable) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

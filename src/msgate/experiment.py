@@ -30,7 +30,7 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 from .hilbert import FockCutoff, ThermalDistribution, level_weights
 from .magnus import LAMBDA_HARD_CAP, CoefficientTable, _scalars_for
-from .oracle import propagate_ramped_axis
+from .oracle import _basis_columns, propagate_ramped_axis
 
 __all__ = [
     "SequenceConfig",
@@ -138,9 +138,7 @@ def _oracle_fringe(config: SequenceConfig, phi_d: np.ndarray) -> np.ndarray:
     lam = config.lambda_tilde
     tau_g = 2.0 * math.pi
     # Gate 1 at drive phase 0, one column per initial Fock level.
-    init = np.zeros((cutoff.composite_dim, len(levels)), dtype=complex)
-    for j, n in enumerate(levels):
-        init[cutoff.index(0, n), j] = 1.0
+    init = _basis_columns(0, levels, cutoff)
     mid, _, _ = propagate_ramped_axis(
         init, cutoff, config.omega_tilde, lam, np.zeros(len(levels)), (0.0, tau_g)
     )

@@ -5,29 +5,31 @@ Conventions used throughout the package
 * Single-qubit basis: |g> = (1, 0)^T, |e> = (0, 1)^T with the standard
   Pauli matrices, so sigma_z|g> = +|g> and sigma_y|g> = i|e>.
 * Two-qubit computational order: (gg, ge, eg, ee) -> qubit index 0..3.
+  Every amplitude vector and density matrix in the package uses it.
 * sigma_y eigenbasis: |+> = (|g> + i|e>)/sqrt(2), |-> = (|g> - i|e>)/sqrt(2)
   (eigenvalues +1 and -1); two-qubit order (++, +-, -+, --).
+  ``SIGMA_Y_BASIS`` maps computational coordinates to these.
 * Composite kets are stored qubit-major: flat index = q*(n_max+1) + n for
   qubit-pair index q and Fock level n, i.e. kron(qubit, phonon).
 
-Displacement matrix elements <m|D(alpha)|n> are computed from the exact
-closed form (stable at moderate alpha via log-gamma factorial ratios) and,
-for batches of alpha, by an exact column recurrence.  Both give the matrix
-elements of the infinite-dimensional operator: truncation affects only which
-rows are stored, not their values.
+Displacement matrix elements <m|D(beta)|n> have one closed form,
+:func:`displacement_from_moments`, which sums them over many nodes beta from
+the power moments of :func:`power_moments` (it builds every coefficient
+table), and one exact column recurrence, :func:`displacement_matrix`, for a
+single beta (it builds the ideal propagator).  Both give the matrix elements
+of the infinite-dimensional operator: truncation affects only which rows
+are stored, not their values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
-    "Frame",
     "FockCutoff",
     "CompositeState",
     "QubitDensityMatrix",
@@ -36,11 +38,10 @@ __all__ = [
     "SIGMA_Y",
     "SIGMA_Z",
     "QUBIT_LABELS",
-    "qubit_basis_change",
-    "displacement_element",
+    "SIGMA_Y_BASIS",
+    "power_moments",
+    "displacement_from_moments",
     "displacement_matrix",
-    "displacement_matrix_batch",
-    "coherent_amplitudes",
     "partial_trace_phonons",
     "state_fidelity",
     "purity",
@@ -58,22 +59,8 @@ QUBIT_LABELS = ("gg", "ge", "eg", "ee")
 # rows (+, -), columns (g, e).
 _W1 = np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / math.sqrt(2.0)
 
-
-class Frame(Enum):
-    """Which qubit basis the amplitudes of a composite state refer to."""
-
-    COMPUTATIONAL = "computational"
-    SIGMA_Y = "sigma_y"
-
-
-def qubit_basis_change(frame_from: Frame, frame_to: Frame) -> np.ndarray:
-    """4x4 unitary mapping two-qubit coordinates between frames."""
-    if frame_from == frame_to:
-        return np.eye(4, dtype=complex)
-    w = np.kron(_W1, _W1)
-    if frame_from == Frame.COMPUTATIONAL:
-        return w
-    return w.conj().T
+# Two-qubit map: rows (++, +-, -+, --), columns (gg, ge, eg, ee).
+SIGMA_Y_BASIS = np.kron(_W1, _W1)
 
 
 @dataclass(frozen=True)
@@ -113,7 +100,6 @@ class CompositeState:
 
     amplitudes: np.ndarray
     cutoff: FockCutoff
-    frame: Frame = Frame.COMPUTATIONAL
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -125,19 +111,13 @@ class CompositeState:
         self.amplitudes = amps
 
     @classmethod
-    def basis_state(
-        cls,
-        qubit: int | str,
-        n: int,
-        cutoff: FockCutoff,
-        frame: Frame = Frame.COMPUTATIONAL,
-    ) -> "CompositeState":
+    def basis_state(cls, qubit: int | str, n: int, cutoff: FockCutoff) -> "CompositeState":
         """|qubit-pair, n> with qubit given as index 0..3 or label like 'gg'."""
         if isinstance(qubit, str):
             qubit = QUBIT_LABELS.index(qubit)
         amps = np.zeros(cutoff.composite_dim, dtype=complex)
         amps[cutoff.index(qubit, n)] = 1.0
-        return cls(amps, cutoff, frame)
+        return cls(amps, cutoff)
 
     @property
     def norm(self) -> float:
@@ -148,19 +128,11 @@ class CompositeState:
         d = self.cutoff.dim
         return self.amplitudes[qubit * d : (qubit + 1) * d]
 
-    def in_frame(self, frame: Frame) -> "CompositeState":
-        if frame == self.frame:
-            return self
-        w = qubit_basis_change(self.frame, frame)
-        amps = (w @ self.amplitudes.reshape(4, self.cutoff.dim)).ravel()
-        return CompositeState(amps, self.cutoff, frame)
-
     def overlap(self, other: "CompositeState") -> complex:
-        """<self|other>, transforming frames if they differ."""
+        """<self|other>."""
         if other.cutoff != self.cutoff:
             raise ValueError("states live on different cutoffs")
-        rhs = other.in_frame(self.frame)
-        return complex(np.vdot(self.amplitudes, rhs.amplitudes))
+        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass
@@ -214,50 +186,41 @@ class QubitDensityMatrix:
         return QubitDensityMatrix(self.matrix / tr)
 
 
-def displacement_element(m: int, n: int, alpha: complex) -> complex:
-    """Exact matrix element <m|D(alpha)|n> of the displacement operator.
+def power_moments(
+    betas: np.ndarray, weight_sets: list[np.ndarray], dim: int
+) -> list[np.ndarray]:
+    """M_s[p, q] = sum_k w_s[k] * beta_k^p * conj(beta_k)^q for each weight set."""
+    v = np.empty((betas.size, dim), dtype=complex)
+    v[:, 0] = 1.0
+    for p in range(1, dim):
+        v[:, p] = v[:, p - 1] * betas
+    vc = v.conj()
+    return [(v * w[:, None]).T @ vc for w in weight_sets]
 
-    Uses the associated-Laguerre closed form with factorial ratios evaluated
-    through log-gamma; exact (to roundoff) for the infinite-dimensional
-    operator, independent of any cutoff.
+
+def displacement_from_moments(mom: np.ndarray, dim: int) -> np.ndarray:
+    """Assemble T[m,n] = sum_k w~_k <m|D(beta_k)|n> from power moments.
+
+    Uses the closed form <m|D(b)|n> = e^{-|b|^2/2} sqrt(m! n!) *
+    sum_k (-1)^{n-k} b^{m-k} conj(b)^{n-k} / (k! (m-k)! (n-k)!), with the
+    Gaussian e^{-|b|^2/2} folded into the node weights w~_k beforehand.
     """
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be non-negative")
-    alpha = complex(alpha)
-    x = abs(alpha) ** 2
-    if x == 0.0:
-        return 1.0 + 0.0j if m == n else 0.0 + 0.0j
-    lg = gammaln
-    if m >= n:
-        # sqrt(n!/m!) * alpha^(m-n) * e^{-x/2} * L_n^{(m-n)}(x) expanded.
-        total = 0.0
-        for k in range(n + 1):
-            lnc = lg(n + 1) - lg(k + 1) - lg(n - k + 1)
-            term = (-1.0) ** k * math.exp(lnc - lg(m - n + k + 1) + k * math.log(x))
-            total += term
-        pref = math.exp(0.5 * (lg(m + 1) - lg(n + 1)) - 0.5 * x)
-        return pref * alpha ** (m - n) * total
-    # m < n: mirror expansion in conj(alpha).
-    total = 0.0
-    for k in range(m + 1):
-        lnc = lg(n + 1) - lg(k + 1) - lg(n - k + 1)
-        term = (-1.0) ** (n - k) * math.exp(
-            lnc - lg(m - k + 1) + (m - k) * math.log(x)
-        )
-        total += term
-    pref = math.exp(0.5 * (lg(m + 1) - lg(n + 1)) - 0.5 * x)
-    return pref * np.conjugate(alpha) ** (n - m) * total
+    lgf = gammaln(np.arange(dim + 1.0) + 1.0)
+    out = np.zeros((dim, dim), dtype=complex)
+    col_sign = (-1.0) ** np.arange(dim)
+    for k in range(dim):
+        g = np.exp(0.5 * lgf[k:dim] - lgf[: dim - k])
+        coef = (-1.0) ** k * math.exp(-lgf[k])
+        out[k:, k:] += coef * (g[:, None] * (g * col_sign[k:])[None, :]) * mom[
+            : dim - k, : dim - k
+        ]
+    return out
 
 
-def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    """<m|D(alpha)|0> for m = 0..dim-1 (coherent-state column)."""
-    return displacement_matrix_batch(np.array([alpha]), dim)[0, :, 0].copy()
+def displacement_matrix(alpha: complex, cutoff: FockCutoff | int) -> np.ndarray:
+    """Dense [<m|D(alpha)|n>] for m, n = 0..n_max, by column recurrence.
 
-
-def displacement_matrix_batch(alphas: np.ndarray, dim: int) -> np.ndarray:
-    """Stack of dense displacement matrices, shape (len(alphas), dim, dim).
-
-    Column recurrence (from D a^dag D^dag = a^dag - conj(alpha)):
+    From D a^dag D^dag = a^dag - conj(alpha):
 
         <m|D|0>   = e^{-|a|^2/2} alpha^m / sqrt(m!)
         <m|D|n+1> = (sqrt(m) <m-1|D|n> - conj(alpha) <m|D|n>) / sqrt(n+1)
@@ -265,37 +228,24 @@ def displacement_matrix_batch(alphas: np.ndarray, dim: int) -> np.ndarray:
     The recurrence only references lower row indices, so every stored entry
     equals the untruncated operator's matrix element exactly.
     """
-    alphas = np.asarray(alphas, dtype=complex).ravel()
-    k = alphas.size
-    out = np.empty((k, dim, dim), dtype=complex)
+    dim = cutoff.dim if isinstance(cutoff, FockCutoff) else int(cutoff)
+    alpha = np.complex128(alpha)
+    out = np.empty((dim, dim), dtype=complex)
     sqrt_m = np.sqrt(np.arange(dim))
     # Coherent-state column.
-    out[:, 0, 0] = np.exp(-0.5 * np.abs(alphas) ** 2)
+    out[0, 0] = np.exp(-0.5 * np.abs(alpha) ** 2)
     for m in range(1, dim):
-        out[:, m, 0] = out[:, m - 1, 0] * alphas / sqrt_m[m]
-    ac = alphas.conj()[:, None]
-    shifted = np.empty((k, dim), dtype=complex)
+        out[m, 0] = out[m - 1, 0] * alpha / sqrt_m[m]
+    shifted = np.zeros(dim, dtype=complex)
     for n in range(dim - 1):
-        col = out[:, :, n]
-        shifted[:, 0] = 0.0
-        shifted[:, 1:] = col[:, :-1] * sqrt_m[1:]
-        out[:, :, n + 1] = (shifted - ac * col) / sqrt_m[n + 1]
+        col = out[:, n]
+        shifted[1:] = col[:-1] * sqrt_m[1:]
+        out[:, n + 1] = (shifted - alpha.conj() * col) / sqrt_m[n + 1]
     return out
 
 
-def displacement_matrix(alpha: complex, cutoff: FockCutoff | int) -> np.ndarray:
-    """Dense [<m|D(alpha)|n>] for m, n = 0..n_max."""
-    dim = cutoff.dim if isinstance(cutoff, FockCutoff) else int(cutoff)
-    return displacement_matrix_batch(np.array([alpha]), dim)[0]
-
-
 def partial_trace_phonons(state: CompositeState) -> QubitDensityMatrix:
-    """Reduced qubit-pair density matrix, in the state's own frame order.
-
-    For states in :class:`Frame.COMPUTATIONAL` the rows/columns follow
-    ``QUBIT_LABELS``; callers holding sigma_y-frame states should convert
-    first if they want computational matrix elements.
-    """
+    """Reduced qubit-pair density matrix; rows/columns follow ``QUBIT_LABELS``."""
     v = state.amplitudes.reshape(4, state.cutoff.dim)
     return QubitDensityMatrix(v @ v.conj().T)
 

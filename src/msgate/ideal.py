@@ -26,11 +26,10 @@ import numpy as np
 from .hilbert import (
     SIGMA_X,
     SIGMA_Y,
+    SIGMA_Y_BASIS,
     CompositeState,
     FockCutoff,
-    Frame,
     displacement_matrix,
-    qubit_basis_change,
 )
 
 __all__ = [
@@ -152,8 +151,7 @@ def ideal_propagator(
     u[d : 2 * d, d : 2 * d] = np.eye(d)
     u[2 * d : 3 * d, 2 * d : 3 * d] = np.eye(d)
     u[3 * d :, 3 * d :] = phase * displacement_matrix(-complex(f), cutoff)
-    w = qubit_basis_change(Frame.COMPUTATIONAL, Frame.SIGMA_Y)
-    big_w = np.kron(w, np.eye(d, dtype=complex))
+    big_w = np.kron(SIGMA_Y_BASIS, np.eye(d, dtype=complex))
     return big_w.conj().T @ u @ big_w
 
 

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import __version__
 from .hilbert import (
@@ -54,7 +53,9 @@ from .hilbert import (
     FockCutoff,
     QubitDensityMatrix,
     ThermalDistribution,
+    displacement_from_moments,
     level_weights,
+    power_moments,
 )
 from .ideal import DimensionlessGateParams, ideal_output_state, loop_functions
 
@@ -91,6 +92,9 @@ _LINE = -1.0 + 1.0j
 # Outer-time rows of the 2D grid per weighted-moment GEMM (bounds memory).
 _CHUNK_ROWS = 16
 
+# Largest Fock-sum weight a derived scalar may leave in the last table rows.
+_TAIL_TOLERANCE = 1e-8
+
 
 class TruncationError(RuntimeError):
     """A requested Fock level sits too close to the table edge to trust."""
@@ -125,37 +129,6 @@ def _simpson(n_panels: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]
     return x, w * (h / 3.0)
 
 
-def _weighted_moments(
-    betas: np.ndarray, weight_sets: list[np.ndarray], dim: int
-) -> list[np.ndarray]:
-    """M_s[p, q] = sum_k w_s[k] * beta_k^p * conj(beta_k)^q for each weight set."""
-    v = np.empty((betas.size, dim), dtype=complex)
-    v[:, 0] = 1.0
-    for p in range(1, dim):
-        v[:, p] = v[:, p - 1] * betas
-    vc = v.conj()
-    return [(v * w[:, None]).T @ vc for w in weight_sets]
-
-
-def _matrix_from_moments(mom: np.ndarray, dim: int) -> np.ndarray:
-    """Assemble T[m,n] = sum_k w~_k <m|D(beta_k)|n> from power moments.
-
-    Uses <m|D(b)|n> = e^{-|b|^2/2} sqrt(m! n!) *
-    sum_k (-1)^{n-k} b^{m-k} conj(b)^{n-k} / (k! (m-k)! (n-k)!), with the
-    Gaussian folded into the node weights beforehand.
-    """
-    lgf = gammaln(np.arange(dim + 1.0) + 1.0)
-    out = np.zeros((dim, dim), dtype=complex)
-    col_sign = (-1.0) ** np.arange(dim)
-    for k in range(dim):
-        g = np.exp(0.5 * lgf[k:dim] - lgf[: dim - k])
-        coef = (-1.0) ** k * math.exp(-lgf[k])
-        out[k:, k:] += coef * (g[:, None] * (g * col_sign[k:])[None, :]) * mom[
-            : dim - k, : dim - k
-        ]
-    return out
-
-
 def _require_closed_loop(params: DimensionlessGateParams) -> float:
     f_end, g_end = loop_functions(params.tau_gate, params)
     if abs(complex(f_end)) > 1e-12:
@@ -176,8 +149,8 @@ def compute_first_order_table(
     tau, w = _simpson(quad.panels_1d, 0.0, params.tau_gate)
     f, g = loop_functions(tau, params)
     wt = w * np.exp(1j * g - 0.5 * np.abs(f) ** 2)
-    (mom,) = _weighted_moments(f, [wt.astype(complex)], dim)
-    return 0.5j * _matrix_from_moments(mom, dim)
+    (mom,) = power_moments(f, [wt.astype(complex)], dim)
+    return 0.5j * displacement_from_moments(mom, dim)
 
 
 def compute_second_order_tables(
@@ -213,14 +186,14 @@ def compute_second_order_tables(
         w1 = 0.5 * jac * np.exp(1j * (base - theta) - 0.5 * np.abs(beta1) ** 2)
         w3 = 0.5 * jac * np.exp(1j * (g1[:, None] - g2 - theta) - 0.5 * np.abs(beta1) ** 2)
         w2 = 0.5 * jac * np.exp(1j * (base + theta) - 0.5 * np.abs(beta2) ** 2)
-        d1, d3 = _weighted_moments(beta1.ravel(), [w1.ravel(), w3.ravel()], dim)
-        (d2,) = _weighted_moments(beta2.ravel(), [w2.ravel()], dim)
+        d1, d3 = power_moments(beta1.ravel(), [w1.ravel(), w3.ravel()], dim)
+        (d2,) = power_moments(beta2.ravel(), [w2.ravel()], dim)
         m1 += d1
         m3 += d3
         m2 += d2
-    j1 = _matrix_from_moments(m1, dim)
-    j2 = _matrix_from_moments(m2, dim)
-    j3 = _matrix_from_moments(m3, dim)
+    j1 = displacement_from_moments(m1, dim)
+    j2 = displacement_from_moments(m2, dim)
+    j3 = displacement_from_moments(m3, dim)
     parity = np.add.outer(np.arange(dim), -np.arange(dim)) % 2
     j3[parity == 1] = 0.0
     return j1, j2, j3
@@ -290,9 +263,9 @@ class CoefficientTable:
     def provenance_hash(self) -> str:
         return parameter_hash(self.params, self.cutoff, self.quad)
 
-    def derived(self, tail_tolerance: float = 1e-8) -> "DerivedScalars":
-        if self._derived is None or self._derived.tail_tolerance != tail_tolerance:
-            self._derived = derived_scalars(self, tail_tolerance)
+    def derived(self) -> "DerivedScalars":
+        if self._derived is None:
+            self._derived = derived_scalars(self)
         return self._derived
 
     def save(self, path) -> None:
@@ -320,8 +293,8 @@ class DerivedScalars:
     """Per-Fock-level scalars entering every closed-form predictor.
 
     ``trusted[n]`` is False when the Fock sums feeding level n have visible
-    weight in the last five table rows (tail estimate above tolerance) or n
-    itself sits within five levels of the cutoff.
+    weight in the last five table rows (tail estimate at or above
+    ``_TAIL_TOLERANCE``) or n itself sits within five levels of the cutoff.
     """
 
     a: np.ndarray
@@ -331,7 +304,6 @@ class DerivedScalars:
     c_eg: np.ndarray
     tails: dict[str, np.ndarray]
     trusted: np.ndarray
-    tail_tolerance: float
     structure_residual: float
 
     def require_trusted(self, n: int) -> None:
@@ -341,14 +313,12 @@ class DerivedScalars:
             worst = max(float(t[n]) for t in self.tails.values())
             raise TruncationError(
                 f"Fock level {n} is not trusted at tolerance "
-                f"{self.tail_tolerance:.1e} (worst tail {worst:.3e}); "
+                f"{_TAIL_TOLERANCE:.1e} (worst tail {worst:.3e}); "
                 "rebuild the table with a larger n_max"
             )
 
 
-def derived_scalars(
-    table: CoefficientTable, tail_tolerance: float = 1e-8
-) -> DerivedScalars:
+def derived_scalars(table: CoefficientTable) -> DerivedScalars:
     """Reduce the quadrature tables to the scalar coefficient arrays."""
     it = table.i_table
     dim = it.shape[0]
@@ -385,7 +355,7 @@ def derived_scalars(
     }
     trusted = np.ones(dim, dtype=bool)
     for t in tails.values():
-        trusted &= t < tail_tolerance
+        trusted &= t < _TAIL_TOLERANCE
     trusted[lo:] = False
     return DerivedScalars(
         a=a,
@@ -395,7 +365,6 @@ def derived_scalars(
         c_eg=c_eg,
         tails=tails,
         trusted=trusted,
-        tail_tolerance=tail_tolerance,
         structure_residual=table.structure_residual,
     )
 
@@ -604,9 +573,11 @@ def predict_density_matrix(
     lambda_tilde: float,
     table: CoefficientTable,
     initial: str = "gg",
-    renormalize: bool = False,
 ) -> QubitDensityMatrix:
-    """Second-order reduced qubit state (X-shaped in the computational basis)."""
+    """Second-order reduced qubit state (X-shaped in the computational basis).
+
+    Raw, like every predictor here; ``.normalized()`` rescales it to trace one.
+    """
     pops = predict_populations(n, lambda_tilde, table, initial)
     coh = predict_coherence(n, lambda_tilde, table, initial)
     der = table.derived()
@@ -620,8 +591,7 @@ def predict_density_matrix(
     else:
         rho[0, 3] = coh
         rho[3, 0] = np.conj(coh)
-    out = QubitDensityMatrix(rho)
-    return out.normalized() if renormalize else out
+    return QubitDensityMatrix(rho)
 
 
 def predict_fidelity(
@@ -732,7 +702,7 @@ def save_coefficient_table(table: CoefficientTable, path) -> None:
             "c_eg": der.c_eg.tolist(),
             "structure_residual": der.structure_residual,
             "trusted": der.trusted.astype(int).tolist(),
-            "tail_tolerance": der.tail_tolerance,
+            "tail_tolerance": _TAIL_TOLERANCE,
         },
     }
     path = Path(path)

@@ -35,7 +35,6 @@ from .hilbert import (
     QUBIT_LABELS,
     CompositeState,
     FockCutoff,
-    Frame,
     partial_trace_phonons,
     purity,
 )
@@ -63,6 +62,10 @@ class GuardBandError(RuntimeError):
 
 class NormDriftError(RuntimeError):
     """Propagation changed a state's norm; results untrusted."""
+
+
+# Pair coherence below which observables flag the relative phase unreliable.
+_COHERENCE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -167,6 +170,23 @@ def _exact_evolve(lam, omega, phi, cutoff, cols: np.ndarray, dt) -> np.ndarray:
     return vecs @ (phases * (vecs.conj().T @ cols))
 
 
+def _basis_columns(qubit: int, levels, cutoff: FockCutoff) -> np.ndarray:
+    """One column |qubit, n> per initial level n.
+
+    A level past the cutoff is a truncation, so it raises GuardBandError.
+    """
+    top = max(levels, default=0)
+    if top > cutoff.n_max:
+        raise GuardBandError(
+            f"initial Fock level {top} is above the oracle cutoff {cutoff.n_max}; "
+            "raise --cutoff-n-max"
+        )
+    amps = np.zeros((cutoff.composite_dim, len(levels)), dtype=complex)
+    for j, n in enumerate(levels):
+        amps[cutoff.index(qubit, n), j] = 1.0
+    return amps
+
+
 def _guard_band_mass(amps: np.ndarray, cutoff: FockCutoff, levels: int) -> np.ndarray:
     """Per-column probability in the top Fock levels."""
     d = cutoff.dim
@@ -223,7 +243,7 @@ def propagate(
     final, drift, guard = propagate_batch(
         initial.amplitudes, initial.cutoff, params, params.lambda_tilde, config, span
     )
-    state = CompositeState(final, initial.cutoff, initial.frame)
+    state = CompositeState(final, initial.cutoff)
     return PropagationResult(state, float(drift.max()), guard)
 
 
@@ -263,20 +283,14 @@ def relative_phase_pair(initial_label: str) -> tuple[int, int]:
     return pairs[initial_label]
 
 
-def observables(
-    state: CompositeState,
-    initial_label: str,
-    initial_n: int,
-    coherence_floor: float = 1e-6,
-) -> dict:
+def observables(state: CompositeState, initial_label: str, initial_n: int) -> dict:
     """Standard scorecard of a final state for a computational-basis input.
 
     Keys: populations (gg, ge, eg, ee order), relative_phase, coherence_abs,
     phase_reliable, fidelity, purity, norm, rho (QubitDensityMatrix).
     Fidelity is against the ideal *qubit* output (reduced-state overlap).
     """
-    comp = state.in_frame(Frame.COMPUTATIONAL)
-    rho = partial_trace_phonons(comp)
+    rho = partial_trace_phonons(state)
     pops = np.real(np.diag(rho.matrix)).copy()
     row, col = relative_phase_pair(initial_label)
     coh = rho.matrix[row, col]
@@ -287,10 +301,10 @@ def observables(
         "populations": pops,
         "relative_phase": float(np.angle(coh)),
         "coherence_abs": float(abs(coh)),
-        "phase_reliable": bool(abs(coh) > coherence_floor),
+        "phase_reliable": bool(abs(coh) > _COHERENCE_FLOOR),
         "fidelity": fid,
         "purity": purity(rho),
-        "norm": comp.norm,
+        "norm": state.norm,
         "rho": rho,
     }
 
@@ -334,15 +348,13 @@ def sweep(
     All (lambda, n) pairs go through one batched propagation; rows come
     back ordered by (n, lambda), one dict per pair with the lambda, the
     level, the populations p_gg..p_ee, the observables and the pair's
-    health numbers.  Raises GuardBandError or NormDriftError when any pair
-    exceeds the config's health tolerances.
+    health numbers.  Raises GuardBandError for a level above the cutoff, and
+    GuardBandError or NormDriftError when any pair exceeds the config's
+    health tolerances.
     """
     lam = np.asarray(lambda_values, dtype=float)
     pairs = [(n, l) for n in fock_levels for l in lam]
-    amps = np.zeros((cutoff.composite_dim, len(pairs)), dtype=complex)
-    q = QUBIT_LABELS.index(initial_label)
-    for j, (n, _) in enumerate(pairs):
-        amps[cutoff.index(q, n), j] = 1.0
+    amps = _basis_columns(QUBIT_LABELS.index(initial_label), [n for n, _ in pairs], cutoff)
     lam_cols = np.array([l for _, l in pairs])
     final, drift, _ = propagate_batch(amps, cutoff, params, lam_cols, config)
     guard_cols = _guard_band_mass(final, cutoff, config.guard_levels)

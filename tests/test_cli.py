@@ -74,6 +74,26 @@ class TestCoefficients:
         assert main(self.ARGS) == EXIT_OK
         assert len(list(cache.glob("coefficients-*.json"))) == 1
 
+    # omega_tilde 0.4 closes the loop with the wrong area, so the first-order
+    # table leaves the (-1 + i) line (structure residual about 0.98).
+    OFF_LINE = ["--n-max", "24", "--panels-1d", "256", "--panels-2d", "32",
+                "--omega-tilde", "0.4"]
+
+    @pytest.mark.parametrize("to_out", [True, False])
+    def test_unhealthy_table_not_written(self, tmp_path, cache, capsys, to_out):
+        out = tmp_path / "coef.json"
+        extra = ["--out", str(out)] if to_out else []
+        assert main(["coefficients", *self.OFF_LINE, *extra]) == EXIT_NUMERICAL
+        assert "structure residual" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(cache.glob("*"))
+
+    def test_unhealthy_auto_build_not_cached(self, cache, capsys):
+        argv = ["predict", "--lambda-tilde", "0.01", *self.OFF_LINE]
+        assert main(argv) == EXIT_NUMERICAL
+        assert "not written" in capsys.readouterr().err
+        assert not list(cache.glob("*"))
+
 
 class TestPredict:
     def test_matches_library(self, table_file, table, capsys):
@@ -169,6 +189,14 @@ class TestSweep:
         err = np.abs(d1["oracle_relative_phase"] - d1["pred_phase"])
         assert err.max() < 1e-3
 
+    def test_level_above_oracle_cutoff_exit(self, table_file, tmp_path, capsys):
+        rc = main(["sweep", "--table", table_file, "--points", "2", "--fock",
+                   "0,8", "--oracle", "--cutoff-n-max", "6",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "Fock level 8" in err and "--cutoff-n-max" in err
+
     def test_guard_band_exit(self, table_file, tmp_path, capsys):
         rc = main(["sweep", "--table", table_file, "--lambda-min", "-0.05",
                    "--lambda-max", "0.05", "--points", "2", "--fock", "0",
@@ -237,6 +265,20 @@ class TestCalibrate:
                    "--shift-hz", "30", "--engine", "first_order_model"])
         assert rc == EXIT_NUMERICAL
         assert "fringe fit did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, level", [
+        (["--nbar", "2.0"], 52),
+        (["--nbar", "0.3", "--cutoff-n-max", "12"], 15),
+        (["--fock-initial", "8", "--cutoff-n-max", "6"], 8),
+    ])
+    def test_level_above_oracle_cutoff_exit(self, table_file, capsys, mode, level):
+        # Thermal modes need levels 0..ThermalDistribution(n_bar).n_max.
+        rc = main(["calibrate", "--table", table_file, "--engine", "oracle",
+                   "--detuning-hz=-11e3", "--shift-hz", "30", "--shots", "0",
+                   *mode])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert f"Fock level {level}" in err and "--cutoff-n-max" in err
 
     def test_truncated_cutoff_exit(self, table_file, capsys):
         rc = main(["calibrate", "--table", table_file, "--detuning-hz",

@@ -225,6 +225,35 @@ class TestOracleEngine:
         with pytest.raises(GuardBandError, match="guard-band"):
             simulate_fringe(config)
 
+    def test_level_above_cutoff_raises(self):
+        # A thermal mode at n_bar = 2 needs levels 0..52, past cutoff 32.
+        config = _config(engine="oracle", n_bar=2.0)
+        with pytest.raises(GuardBandError, match="Fock level 52 .*--cutoff-n-max"):
+            simulate_fringe(config)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@given(
+    detuning_sign=st.sampled_from([-1.0, 1.0]),
+    shift_hz=st.floats(30.0, 300.0),
+    shift_sign=st.sampled_from([-1.0, 1.0]),
+)
+@settings(max_examples=20, deadline=None)
+def test_recovery_at_both_detuning_signs(table, engine, detuning_sign, shift_hz, shift_sign):
+    config = SequenceConfig(
+        detuning=detuning_sign * 2.0 * math.pi * 11e3,
+        qubit_shift=shift_sign * 2.0 * math.pi * shift_hz,
+        engine=engine, shots=None,
+    )
+    _, estimate, _, _ = run_calibration(config, table)
+    rel = abs(estimate.lambda_hat - config.qubit_shift) / abs(config.qubit_shift)
+    if engine == "first_order_model":
+        assert rel <= 1e-9
+    else:
+        # The first-order inversion's bias on the exact fringe grows like
+        # 0.12 |lambda_tilde| (3.2e-3 at 300 Hz against 11 kHz).
+        assert rel <= 0.15 * abs(config.lambda_tilde)
+
 
 class TestEstimator:
     def test_insensitive_slope_refused(self):

@@ -1,4 +1,4 @@
-"""Fock-space primitives: displacement elements, frames, reduced states."""
+"""Fock-space primitives: displacement elements, the sigma_y basis, reduced states."""
 
 import math
 
@@ -9,19 +9,17 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from msgate.hilbert import (
+    SIGMA_Y_BASIS,
     CompositeState,
     FockCutoff,
-    Frame,
     QubitDensityMatrix,
     ThermalDistribution,
-    coherent_amplitudes,
-    displacement_element,
+    displacement_from_moments,
     displacement_matrix,
-    displacement_matrix_batch,
     level_weights,
     partial_trace_phonons,
+    power_moments,
     purity,
-    qubit_basis_change,
     state_fidelity,
     thermal_probabilities,
 )
@@ -38,29 +36,30 @@ def expm_displacement(alpha: complex, dim: int, pad: int = 40) -> np.ndarray:
     return expm(alpha * a.conj().T - np.conj(alpha) * a)[:dim, :dim]
 
 
+def closed_form(alpha: complex, dim: int) -> np.ndarray:
+    """[<m|D(alpha)|n>] from the table kernel: one node, Gaussian weight."""
+    betas = np.array([alpha], dtype=complex)
+    weight = np.exp(-0.5 * np.abs(betas) ** 2).astype(complex)
+    (mom,) = power_moments(betas, [weight], dim)
+    return displacement_from_moments(mom, dim)
+
+
 class TestDisplacementElement:
     def test_identity_at_zero(self):
-        for m in range(6):
-            for n in range(6):
-                assert displacement_element(m, n, 0.0) == (1.0 if m == n else 0.0)
+        np.testing.assert_array_equal(displacement_matrix(0.0, 6), np.eye(6))
 
     def test_matches_expm_oracle(self):
         alpha = 0.7 - 0.4j
-        ref = expm_displacement(alpha, 10)
-        for m in range(10):
-            for n in range(10):
-                assert displacement_element(m, n, alpha) == pytest.approx(
-                    ref[m, n], abs=1e-12
-                )
+        np.testing.assert_allclose(
+            closed_form(alpha, 10), expm_displacement(alpha, 10), rtol=0, atol=1e-12
+        )
 
     def test_transpose_symmetry(self):
         # <m|D(a)|n> = <n|D(-a)|m>* for the unitary displacement.
         alpha = 0.3 + 1.1j
-        for m in range(8):
-            for n in range(8):
-                lhs = displacement_element(m, n, alpha)
-                rhs = np.conj(displacement_element(n, m, -alpha))
-                assert lhs == pytest.approx(rhs, abs=1e-13)
+        np.testing.assert_allclose(
+            closed_form(alpha, 8), closed_form(-alpha, 8).conj().T, rtol=0, atol=1e-13
+        )
 
     @given(
         m=st.integers(0, 20),
@@ -74,19 +73,16 @@ class TestDisplacementElement:
         # closed form near m = n = 20, |alpha| ~ 2; both routes hold far
         # tighter on the calibrated domain (see the expm cross-checks).
         alpha = complex(re, im)
-        batch = displacement_matrix_batch(np.array([alpha]), 21)[0]
-        assert batch[m, n] == pytest.approx(
-            displacement_element(m, n, alpha), abs=2e-9
+        assert displacement_matrix(alpha, 21)[m, n] == pytest.approx(
+            closed_form(alpha, 21)[m, n], abs=2e-9
         )
 
 
 class TestDisplacementMatrix:
     def test_batch_matches_expm(self):
-        alphas = np.array([0.2, -0.9j, 0.5 + 0.5j])
-        batch = displacement_matrix_batch(alphas, 12)
-        for k, alpha in enumerate(alphas):
+        for alpha in (0.2, -0.9j, 0.5 + 0.5j):
             ref = expm_displacement(alpha, 12)
-            np.testing.assert_allclose(batch[k], ref, atol=1e-10)
+            np.testing.assert_allclose(displacement_matrix(alpha, 12), ref, atol=1e-10)
 
     def test_composition_rule(self):
         # D(a)D(b) = e^{i Im(a conj(b))} D(a+b), exact for the operator; on a
@@ -106,7 +102,7 @@ class TestDisplacementMatrix:
 
     def test_coherent_column(self):
         alpha = 0.8j
-        col = coherent_amplitudes(alpha, 30)
+        col = displacement_matrix(alpha, 30)[:, 0]
         n = np.arange(30)
         fact = np.array([float(math.factorial(int(k))) for k in n])
         ref = np.exp(-0.5 * abs(alpha) ** 2) * alpha**n / np.sqrt(fact)
@@ -114,33 +110,17 @@ class TestDisplacementMatrix:
 
 
 class TestFrames:
+    """Amplitudes are computational; SIGMA_Y_BASIS maps them to the sigma_y frame."""
+
     def test_basis_change_unitary(self):
-        w = qubit_basis_change(Frame.COMPUTATIONAL, Frame.SIGMA_Y)
+        w = SIGMA_Y_BASIS
         np.testing.assert_allclose(w @ w.conj().T, np.eye(4), atol=1e-15)
 
-    def test_round_trip(self):
-        cutoff = FockCutoff(3)
-        rng = np.random.default_rng(5)
-        amps = rng.normal(size=cutoff.composite_dim) + 1j * rng.normal(
-            size=cutoff.composite_dim
-        )
-        state = CompositeState(amps, cutoff)
-        back = state.in_frame(Frame.SIGMA_Y).in_frame(Frame.COMPUTATIONAL)
-        np.testing.assert_allclose(back.amplitudes, amps, atol=1e-14)
-
     def test_plus_state_definition(self):
-        # |+> = (|g> + i|e>)/sqrt(2): a |++> state maps onto that product.
-        cutoff = FockCutoff(0)
-        plus_plus = CompositeState.basis_state(0, 0, cutoff, frame=Frame.SIGMA_Y)
-        comp = plus_plus.in_frame(Frame.COMPUTATIONAL).amplitudes
+        # |+> = (|g> + i|e>)/sqrt(2): the |++> row of the map is that product.
+        comp = SIGMA_Y_BASIS.conj().T[:, 0]
         expected = 0.5 * np.array([1.0, 1j, 1j, -1.0])
         np.testing.assert_allclose(comp, expected, atol=1e-15)
-
-    def test_overlap_across_frames(self):
-        cutoff = FockCutoff(2)
-        a = CompositeState.basis_state("gg", 1, cutoff)
-        b = a.in_frame(Frame.SIGMA_Y)
-        assert a.overlap(b) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestCompositeState:
@@ -166,7 +146,7 @@ class TestReducedState:
     def test_product_state_is_pure(self):
         cutoff = FockCutoff(14)
         qubit = np.array([0.6, 0.0, 0.0, 0.8j])
-        phonon = coherent_amplitudes(0.5, cutoff.dim)
+        phonon = displacement_matrix(0.5, cutoff)[:, 0]
         state = CompositeState(np.kron(qubit, phonon), cutoff)
         rho = partial_trace_phonons(state)
         rho.validate()

@@ -17,11 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from msgate.hilbert import (
-    FockCutoff,
-    ThermalDistribution,
-    displacement_matrix_batch,
-)
+from msgate.hilbert import FockCutoff, ThermalDistribution, displacement_matrix
 from msgate.ideal import DimensionlessGateParams, ideal_output_state, loop_functions
 from msgate.magnus import (
     LAMBDA_HARD_CAP,
@@ -47,6 +43,12 @@ from msgate.magnus import (
 )
 
 TAU = 2.0 * math.pi
+
+
+def displacement_stack(betas, dim):
+    """Recurrence matrices [<m|D(beta_k)|n>] for every node, shape (k, dim, dim)."""
+    return np.stack([displacement_matrix(b, dim) for b in np.ravel(betas)])
+
 
 # Regression anchors for the calibrated square pulse (adjudicated against
 # finite differences of the RK4 oracle to ~1e-6 relative).
@@ -102,7 +104,7 @@ class TestFirstOrderTable:
         dim = coarse.cutoff.dim
         tau, w = _simpson(coarse.quad.panels_1d, 0.0, params.tau_gate)
         f, g = loop_functions(tau, params)
-        mats = displacement_matrix_batch(f, dim)
+        mats = displacement_stack(f, dim)
         direct = 0.5j * np.einsum("k,kmn->mn", w * np.exp(1j * g), mats)
         np.testing.assert_allclose(coarse.i_table, direct, atol=1e-11)
 
@@ -130,8 +132,8 @@ class TestSecondOrderTables:
         base = g2 - g1[:, None] + g_end
         b1 = (f2 - f1[:, None]).ravel()
         b2 = (f2 + f1[:, None]).ravel()
-        d1 = displacement_matrix_batch(b1, dim)
-        d2 = displacement_matrix_batch(b2, dim)
+        d1 = displacement_stack(b1, dim)
+        d2 = displacement_stack(b2, dim)
         w1 = (0.5 * jac * np.exp(1j * (base - theta))).ravel()
         w2 = (0.5 * jac * np.exp(1j * (base + theta))).ravel()
         w3 = (0.5 * jac * np.exp(1j * (g1[:, None] - g2 - theta))).ravel()
@@ -151,10 +153,8 @@ class TestSecondOrderTables:
         pad, low = 28, 12
         g_end = float(loop_functions(params.tau_gate, params)[1])
         f1, g1, f2, g2, jac = _triangle_nodes(params, coarse.quad.panels_2d)
-        k1 = displacement_matrix_batch(f1, pad)
-        k2 = displacement_matrix_batch(f2.ravel(), pad).reshape(
-            f2.shape + (pad, pad)
-        )
+        k1 = displacement_stack(f1, pad)
+        k2 = displacement_stack(f2, pad).reshape(f2.shape + (pad, pad))
         phase12 = 0.5 * jac * np.exp(1j * (g2 - g1[:, None] + g_end))
         phase3 = 0.5 * jac * np.exp(1j * (g1[:, None] - g2))
         hop = np.einsum("ima,ijab->ijmb", k1.conj().transpose(0, 2, 1), k2)
@@ -179,7 +179,7 @@ class TestSecondOrderTables:
         dim = table.cutoff.dim
         tau, w = _simpson(2**12, 0.0, params.tau_gate)
         f, g = loop_functions(tau, params)
-        mats = displacement_matrix_batch(f, dim)
+        mats = displacement_stack(f, dim)
         c = np.einsum("k,kmn->mn", w * np.exp(-1j * g), mats)
         square = 0.5 * (c.conj().T @ c)
         lhs = table.j3 + table.j3.conj().T
@@ -359,7 +359,7 @@ class TestPredictors:
         np.testing.assert_allclose(np.diag(rho.matrix).real, pops, atol=1e-15)
         assert rho.coherence(3, 0) == predict_coherence(n, lam, table)
         np.testing.assert_allclose(rho.matrix, rho.matrix.conj().T, atol=1e-15)
-        renorm = predict_density_matrix(n, lam, table, renormalize=True)
+        renorm = predict_density_matrix(n, lam, table).normalized()
         assert renorm.trace == pytest.approx(1.0, abs=1e-14)
 
     def test_fidelity_purity_forms(self, table, derived):

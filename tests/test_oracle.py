@@ -9,7 +9,7 @@ from scipy import sparse
 
 from msgate.cli import main
 from msgate.experiment import SequenceConfig, simulate_fringe
-from msgate.hilbert import CompositeState, FockCutoff, Frame, state_fidelity
+from msgate.hilbert import SIGMA_Y_BASIS, CompositeState, FockCutoff, state_fidelity
 from msgate.ideal import (
     DimensionlessGateParams,
     collective_spin,
@@ -298,10 +298,11 @@ class TestObservables:
 
 class TestTrajectory:
     def test_branch_circle(self, fast_integrator):
-        # A sigma_y-frame |++,0> input follows alpha(tau) = F(tau).
+        # A |++,0> input (computational amplitudes) follows alpha(tau) = F(tau).
         def plus_plus(n_max):
-            initial = CompositeState.basis_state(0, 0, FockCutoff(n_max), frame=Frame.SIGMA_Y)
-            return initial.in_frame(Frame.COMPUTATIONAL)
+            plus_plus_qubits = SIGMA_Y_BASIS.conj().T[:, 0]
+            vacuum = np.eye(n_max + 1)[0]
+            return CompositeState(np.kron(plus_plus_qubits, vacuum), FockCutoff(n_max))
 
         params = DimensionlessGateParams()
         traj = expectation_trajectory(
@@ -322,6 +323,10 @@ class TestTrajectory:
 
 
 class TestSweep:
+    def test_level_above_cutoff_raises(self):
+        with pytest.raises(GuardBandError, match="Fock level 8 .*--cutoff-n-max"):
+            sweep(np.array([0.0]), [0, 8], DimensionlessGateParams(), FockCutoff(6))
+
     def test_rows_and_csv(self, oracle_cutoff, table, tmp_path):
         params = DimensionlessGateParams()
         lams = np.array([-0.02, 0.0, 0.02])
