@@ -12,10 +12,12 @@ predict        print every closed-form predictor for one operating point
 
 A JSON config file (``--config``) may hold a section per subcommand whose
 keys mirror the long option names; explicit flags always win.  Exit codes:
-0 success, 2 usage/configuration error, 3 numerical-health failure (Fock
-truncation, an initial level above the oracle cutoff, guard-band occupation,
-norm drift, non-convergent fit, a built table that fails its structure
-check; such a table is not written).  Float options take negative values in
+0 success, 2 usage/configuration error (including a table file whose stored
+derived scalars or provenance do not match its contents), 3 numerical-health
+failure (Fock truncation, an initial level above the oracle cutoff,
+guard-band occupation, norm drift, non-convergent fit, a table with
+non-finite entries or a structure residual past 1e-6: a built one is not
+written, a loaded one is refused).  Float options take negative values in
 exponent form either as a separate token (``--shift-hz -3e1``) or as
 ``--shift-hz=-3e1``.
 
@@ -44,6 +46,7 @@ from .magnus import (
     CoefficientTable,
     QuadratureSpec,
     TruncationError,
+    UnhealthyTableError,
     compute_coefficient_table,
     load_coefficient_table,
     parameter_hash,
@@ -65,10 +68,6 @@ CALIBRATION_SCHEMA = "msgate/calibration-report/1"
 
 class CliError(Exception):
     """User/configuration problem (exit code 2)."""
-
-
-class _UnhealthyTable(RuntimeError):
-    """A freshly built table failed its structure check (exit code 3)."""
 
 
 def cache_dir() -> Path:
@@ -112,11 +111,10 @@ def _build_and_save(args, out: Path) -> CoefficientTable:
     table = compute_coefficient_table(
         omega_tilde=args.omega_tilde, n_max=args.n_max, quad=_quad(args)
     )
-    if table.structure_residual > 1e-6:
-        raise _UnhealthyTable(
-            f"structure residual {table.structure_residual:.3e} exceeds 1e-6; "
-            "the table was not written"
-        )
+    try:
+        table.check_health()
+    except UnhealthyTableError as exc:
+        raise UnhealthyTableError(f"{exc}; the table was not written") from None
     out.parent.mkdir(parents=True, exist_ok=True)
     table.save(out)
     return table
@@ -504,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TruncationError, GuardBandError, NormDriftError, FitError,
-            _UnhealthyTable) as exc:
+            UnhealthyTableError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

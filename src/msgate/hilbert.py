@@ -19,6 +19,13 @@ table), and one exact column recurrence, :func:`displacement_matrix`, for a
 single beta (it builds the ideal propagator).  Both give the matrix elements
 of the infinite-dimensional operator: truncation affects only which rows
 are stored, not their values.
+
+The moment kernel (:func:`power_moments`, or :func:`power_moments_into` with
+caller-owned storage) is where table builds spend their time.  It keeps the
+Vandermonde as a (dim, nodes) array filled one contiguous row at a time,
+stacks every weight set's weighted copy into one (S*dim, nodes) block, and
+forms all S moment matrices with a single ZGEMM whose conjugate-transpose
+flag stands in for a conjugated copy.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 from scipy.special import gammaln
 
 __all__ = [
@@ -40,6 +48,7 @@ __all__ = [
     "QUBIT_LABELS",
     "SIGMA_Y_BASIS",
     "power_moments",
+    "power_moments_into",
     "displacement_from_moments",
     "displacement_matrix",
     "partial_trace_phonons",
@@ -189,13 +198,36 @@ class QubitDensityMatrix:
 def power_moments(
     betas: np.ndarray, weight_sets: list[np.ndarray], dim: int
 ) -> list[np.ndarray]:
-    """M_s[p, q] = sum_k w_s[k] * beta_k^p * conj(beta_k)^q for each weight set."""
-    v = np.empty((betas.size, dim), dtype=complex)
-    v[:, 0] = 1.0
+    """M_s[p, q] = sum_k w_s[k] * beta_k^p * conj(beta_k)^q for each weight set.
+
+    Allocates the storage and calls :func:`power_moments_into`.
+    """
+    vt = np.empty((dim, betas.size), dtype=complex)
+    a = np.empty((len(weight_sets) * dim, betas.size), dtype=complex)
+    return power_moments_into(vt, a, betas, weight_sets)
+
+
+def power_moments_into(
+    vt: np.ndarray, a: np.ndarray, betas: np.ndarray, weight_sets: list[np.ndarray]
+) -> list[np.ndarray]:
+    """:func:`power_moments` in caller-owned C-ordered storage.
+
+    ``vt`` is (dim, nodes) and receives the Vandermonde V[p, k] = beta_k^p,
+    built row by row, each row one contiguous product of the previous row
+    with ``betas``.  ``a`` is (S*dim, nodes) and receives the S weighted
+    copies w_s * V stacked.  A single ZGEMM with its conjugate-transpose flag
+    then forms conj(V) @ A^T = [M_1^T .. M_S^T]: both operands are transposed
+    views of C-ordered arrays, so BLAS reads them in place and no conjugated
+    copy of V is made.
+    """
+    dim = vt.shape[0]
+    vt[0] = 1.0
     for p in range(1, dim):
-        v[:, p] = v[:, p - 1] * betas
-    vc = v.conj()
-    return [(v * w[:, None]).T @ vc for w in weight_sets]
+        np.multiply(vt[p - 1], betas, out=vt[p])
+    for s, w in enumerate(weight_sets):
+        np.multiply(vt, w, out=a[s * dim : (s + 1) * dim])
+    mt = zgemm(1.0, vt.T, a.T, trans_a=2)
+    return [mt[:, s * dim : (s + 1) * dim].T for s in range(len(weight_sets))]
 
 
 def displacement_from_moments(mom: np.ndarray, dim: int) -> np.ndarray:

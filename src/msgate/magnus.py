@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import os
 import threading
 from dataclasses import dataclass, field
@@ -56,6 +57,7 @@ from .hilbert import (
     displacement_from_moments,
     level_weights,
     power_moments,
+    power_moments_into,
 )
 from .ideal import DimensionlessGateParams, ideal_output_state, loop_functions
 
@@ -64,6 +66,7 @@ __all__ = [
     "CoefficientTable",
     "DerivedScalars",
     "TruncationError",
+    "UnhealthyTableError",
     "compute_first_order_table",
     "compute_second_order_tables",
     "compute_coefficient_table",
@@ -89,15 +92,26 @@ LAMBDA_HARD_CAP = 0.5
 # Complex line containing every first-order table entry on a square pulse.
 _LINE = -1.0 + 1.0j
 
-# Outer-time rows of the 2D grid per weighted-moment GEMM (bounds memory).
+# Outer-time rows of the 2D grid per kernel call.  32 rows timed within
+# noise of 16 (medians 0.504 s and 0.495 s of eight alternating builds of
+# the second-order tables at n_max 40, panels_2d 256, 2 cores), while 16
+# halves the kernel workspace: about 65 MB instead of 130 MB at the CLI
+# default panels_2d 1024.
 _CHUNK_ROWS = 16
 
 # Largest Fock-sum weight a derived scalar may leave in the last table rows.
 _TAIL_TOLERANCE = 1e-8
 
+# Largest structure residual a usable table may have.
+_STRUCTURE_TOLERANCE = 1e-6
+
 
 class TruncationError(RuntimeError):
     """A requested Fock level sits too close to the table edge to trust."""
+
+
+class UnhealthyTableError(RuntimeError):
+    """A table has non-finite entries or leaves the first-order line."""
 
 
 @dataclass(frozen=True)
@@ -171,6 +185,14 @@ def compute_second_order_tables(
     m1 = np.zeros((dim, dim), dtype=complex)
     m2 = np.zeros((dim, dim), dtype=complex)
     m3 = np.zeros((dim, dim), dtype=complex)
+    # Every chunk reuses one kernel workspace, an anonymous mapping that is
+    # unmapped when the build ends.  Allocated per chunk through malloc, the
+    # freed 5-32 MB blocks raise glibc's dynamic mmap threshold, and later
+    # arrays below it stay resident in the heap: +5.6 MB peak RSS when an
+    # oracle run follows a 40/4096/256 build.  A fresh mapping per chunk
+    # faults its pages in every time: 0.9 s instead of 0.5 s at that size.
+    nodes = min(_CHUNK_ROWS, u.size) * v.size
+    work = np.frombuffer(mmap.mmap(-1, 3 * dim * nodes * 16), dtype=complex)
     for start in range(0, u.size, _CHUNK_ROWS):
         stop = start + _CHUNK_ROWS
         uu = u[start:stop]
@@ -186,8 +208,11 @@ def compute_second_order_tables(
         w1 = 0.5 * jac * np.exp(1j * (base - theta) - 0.5 * np.abs(beta1) ** 2)
         w3 = 0.5 * jac * np.exp(1j * (g1[:, None] - g2 - theta) - 0.5 * np.abs(beta1) ** 2)
         w2 = 0.5 * jac * np.exp(1j * (base + theta) - 0.5 * np.abs(beta2) ** 2)
-        d1, d3 = power_moments(beta1.ravel(), [w1.ravel(), w3.ravel()], dim)
-        (d2,) = power_moments(beta2.ravel(), [w2.ravel()], dim)
+        k = beta1.size
+        vt = work[: dim * k].reshape(dim, k)
+        a = work[dim * k : 3 * dim * k].reshape(2 * dim, k)
+        d1, d3 = power_moments_into(vt, a, beta1.ravel(), [w1.ravel(), w3.ravel()])
+        (d2,) = power_moments_into(vt, a[:dim], beta2.ravel(), [w2.ravel()])
         m1 += d1
         m3 += d3
         m2 += d2
@@ -262,6 +287,19 @@ class CoefficientTable:
     @property
     def provenance_hash(self) -> str:
         return parameter_hash(self.params, self.cutoff, self.quad)
+
+    def check_health(self) -> None:
+        """Raise :class:`UnhealthyTableError` unless every entry is finite and
+        the structure residual is at most 1e-6.  Built and loaded tables alike
+        pass through here before any predictor reads them."""
+        for name in ("i_table", "j1", "j2", "j3"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise UnhealthyTableError(f"table {name} has non-finite entries")
+        if self.structure_residual > _STRUCTURE_TOLERANCE:
+            raise UnhealthyTableError(
+                f"structure residual {self.structure_residual:.3e} exceeds "
+                f"{_STRUCTURE_TOLERANCE:.0e}; the first-order table is off its line"
+            )
 
     def derived(self) -> "DerivedScalars":
         if self._derived is None:
@@ -717,8 +755,26 @@ def save_coefficient_table(table: CoefficientTable, path) -> None:
         raise
 
 
+def _check_stored_derived(stored: dict, der: DerivedScalars) -> None:
+    """Compare a file's ``derived`` block with the scalars of its tables."""
+    for name in ("a", "b", "c_gg", "c_ee", "c_eg", "structure_residual"):
+        value = stored[name]
+        got = _array_from_json(value) if name == "b" else np.asarray(value, dtype=float)
+        want = np.asarray(getattr(der, name))
+        if got.shape != want.shape or not np.all(np.abs(got - want) <= 1e-12 * np.abs(want)):
+            raise ValueError(f"coefficient file derived {name!r} does not match its tables")
+    if not np.array_equal(np.asarray(stored["trusted"]), der.trusted.astype(int)):
+        raise ValueError("coefficient file derived 'trusted' does not match its tables")
+
+
 def load_coefficient_table(path) -> CoefficientTable:
-    """Load and validate a table written by :func:`save_coefficient_table`."""
+    """Load and validate a table written by :func:`save_coefficient_table`.
+
+    Beyond schema, provenance and shapes, the tables must pass
+    :meth:`CoefficientTable.check_health` (else :class:`UnhealthyTableError`)
+    and the stored ``derived`` block must match the scalars recomputed from
+    them (else ``ValueError``); those scalars are kept for the predictors.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("schema") != TABLE_SCHEMA:
@@ -747,4 +803,6 @@ def load_coefficient_table(path) -> CoefficientTable:
     for name in ("i_table", "j1", "j2", "j3"):
         if getattr(table, name).shape != (dim, dim):
             raise ValueError(f"table {name} has the wrong shape")
+    table.check_health()
+    _check_stored_derived(doc["derived"], table.derived())
     return table

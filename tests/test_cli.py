@@ -9,6 +9,8 @@ import msgate.experiment as experiment
 from msgate.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from msgate.hilbert import ThermalDistribution
 from msgate.magnus import (
+    QuadratureSpec,
+    compute_coefficient_table,
     predict_coherence,
     predict_fidelity,
     predict_phase,
@@ -96,6 +98,28 @@ class TestCoefficients:
 
 
 class TestPredict:
+    def test_off_line_table_file_refused(self, tmp_path, capsys):
+        # A file that fails the structure check is refused on load instead of
+        # reaching the predictors, which would blame n_max.
+        path = tmp_path / "off.json"
+        compute_coefficient_table(
+            omega_tilde=0.4, n_max=24, quad=QuadratureSpec(256, 32)
+        ).save(path)
+        rc = main(["predict", "--table", str(path), "--lambda-tilde", "0.01"])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "structure residual" in err
+        assert "n_max" not in err
+
+    def test_non_finite_table_file_refused(self, table_file, tmp_path, capsys):
+        doc = json.loads(open(table_file).read())
+        doc["tables"]["i"]["re"][0][0] = float("inf")
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["predict", "--table", str(path), "--lambda-tilde", "0.01"])
+        assert rc == EXIT_NUMERICAL
+        assert "non-finite" in capsys.readouterr().err
+
     def test_matches_library(self, table_file, table, capsys):
         rc = main(["predict", "--table", table_file, "--lambda-tilde", "0.02",
                    "--fock-initial", "1"])

@@ -78,6 +78,31 @@ class TestDisplacementElement:
         )
 
 
+class TestPowerMoments:
+    @pytest.mark.parametrize("nodes", [1, 2, 7, 33])
+    @pytest.mark.parametrize("sets", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 5, 12])
+    def test_matches_per_node_sum(self, nodes, sets, dim):
+        # Every returned matrix against an independent sum over the nodes of
+        # its own weight set; distinct weight sets catch a swapped or shared
+        # output block.
+        rng = np.random.default_rng(100 * nodes + 10 * sets + dim)
+        betas = 2.0 * rng.uniform(0.0, 1.0, nodes) * np.exp(
+            2j * math.pi * rng.uniform(0.0, 1.0, nodes)
+        )
+        weights = [
+            rng.normal(size=nodes) + 1j * rng.normal(size=nodes) for _ in range(sets)
+        ]
+        p = np.arange(dim)
+        powers = betas[:, None] ** p
+        conj_powers = np.conj(betas)[:, None] ** p
+        got = power_moments(betas, weights, dim)
+        assert len(got) == sets
+        for mom, w in zip(got, weights):
+            ref = np.einsum("k,kp,kq->pq", w, powers, conj_powers)
+            np.testing.assert_allclose(mom, ref, rtol=1e-12, atol=0)
+
+
 class TestDisplacementMatrix:
     def test_batch_matches_expm(self):
         for alpha in (0.2, -0.9j, 0.5 + 0.5j):

@@ -16,17 +16,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import msgate.magnus as magnus
 from msgate.hilbert import FockCutoff, ThermalDistribution, displacement_matrix
 from msgate.ideal import DimensionlessGateParams, ideal_output_state, loop_functions
 from msgate.magnus import (
     LAMBDA_HARD_CAP,
     QuadratureSpec,
     TruncationError,
+    UnhealthyTableError,
     _simpson,
     compute_coefficient_table,
     compute_first_order_table,
     compute_second_order_tables,
+    derived_scalars,
     first_order_correction,
     first_order_traced_unitary,
     load_coefficient_table,
@@ -122,29 +127,48 @@ def _triangle_nodes(params, panels):
     return f1, g1, f2, g2, jac
 
 
+def _direct_second_order(params, dim, panels):
+    """(j1, j2, j3) summed node by node over recurrence displacement matrices."""
+    g_end = float(loop_functions(params.tau_gate, params)[1])
+    f1, g1, f2, g2, jac = _triangle_nodes(params, panels)
+    theta = (f1[:, None] * f2.conj()).imag
+    base = g2 - g1[:, None] + g_end
+    d1 = displacement_stack(f2 - f1[:, None], dim)
+    d2 = displacement_stack(f2 + f1[:, None], dim)
+    w1 = (0.5 * jac * np.exp(1j * (base - theta))).ravel()
+    w2 = (0.5 * jac * np.exp(1j * (base + theta))).ravel()
+    w3 = (0.5 * jac * np.exp(1j * (g1[:, None] - g2 - theta))).ravel()
+    j1 = np.einsum("k,kmn->mn", w1, d1)
+    j2 = np.einsum("k,kmn->mn", w2, d2)
+    j3 = np.einsum("k,kmn->mn", w3, d1)
+    parity = np.add.outer(np.arange(dim), -np.arange(dim)) % 2
+    j3[parity == 1] = 0.0
+    return j1, j2, j3
+
+
 class TestSecondOrderTables:
     def test_moment_route_matches_direct_quadrature(self, coarse):
-        params = coarse.params
-        dim = coarse.cutoff.dim
-        g_end = float(loop_functions(params.tau_gate, params)[1])
-        f1, g1, f2, g2, jac = _triangle_nodes(params, coarse.quad.panels_2d)
-        theta = (f1[:, None] * f2.conj()).imag
-        base = g2 - g1[:, None] + g_end
-        b1 = (f2 - f1[:, None]).ravel()
-        b2 = (f2 + f1[:, None]).ravel()
-        d1 = displacement_stack(b1, dim)
-        d2 = displacement_stack(b2, dim)
-        w1 = (0.5 * jac * np.exp(1j * (base - theta))).ravel()
-        w2 = (0.5 * jac * np.exp(1j * (base + theta))).ravel()
-        w3 = (0.5 * jac * np.exp(1j * (g1[:, None] - g2 - theta))).ravel()
-        j1 = np.einsum("k,kmn->mn", w1, d1)
-        j2 = np.einsum("k,kmn->mn", w2, d2)
-        j3 = np.einsum("k,kmn->mn", w3, d1)
-        parity = np.add.outer(np.arange(dim), -np.arange(dim)) % 2
-        j3[parity == 1] = 0.0
-        np.testing.assert_allclose(coarse.j1, j1, atol=1e-10)
-        np.testing.assert_allclose(coarse.j2, j2, atol=1e-10)
-        np.testing.assert_allclose(coarse.j3, j3, atol=1e-10)
+        direct = _direct_second_order(coarse.params, coarse.cutoff.dim,
+                                      coarse.quad.panels_2d)
+        for got, want in zip((coarse.j1, coarse.j2, coarse.j3), direct):
+            np.testing.assert_allclose(got, want, atol=1e-10)
+
+    @given(
+        omega=st.floats(0.3, 0.6),
+        sign=st.sampled_from([-1.0, 1.0]),
+        loops=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_moment_route_matches_direct_off_calibration(self, omega, sign, loops):
+        # Either detuning sign and one or two loops; the 33 outer rows of
+        # panels_2d = 16 span three weighted-moment chunks.
+        params = DimensionlessGateParams(omega_tilde=sign * omega,
+                                         tau_gate=loops * TAU)
+        quad = QuadratureSpec(panels_1d=256, panels_2d=16)
+        tables = compute_second_order_tables(params, FockCutoff(12), quad)
+        direct = _direct_second_order(params, 13, quad.panels_2d)
+        for got, want in zip(tables, direct):
+            np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_collapsed_integrand_matches_matrix_products(self, coarse):
         # Independent route: multiply the two truncated displacement matrices
@@ -459,6 +483,60 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="provenance"):
             load_coefficient_table(path)
+
+    @pytest.mark.parametrize(
+        "block, field, entry, name",
+        [
+            ("derived", "a", (0,), "'a'"),
+            ("tables", "j1", ("re", 2, 2), "'c_gg'"),  # feeds c_gg and c_ee
+        ],
+    )
+    def test_tampered_content_rejected(self, table, tmp_path, block, field, entry, name):
+        # The parameter hash covers neither; the stored derived block is
+        # recomputed from the tables on load and compared.
+        path = tmp_path / "table.json"
+        table.save(path)
+        doc = json.loads(path.read_text())
+        *keys, last = (field, *entry)
+        target = doc[block]
+        for key in keys:
+            target = target[key]
+        target[last] *= 1.0 + 1e-9
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"derived {name}"):
+            load_coefficient_table(path)
+
+    def test_load_keeps_recomputed_scalars(self, table, tmp_path, monkeypatch):
+        path = tmp_path / "table.json"
+        table.save(path)
+        calls = []
+        monkeypatch.setattr(magnus, "derived_scalars",
+                            lambda t: calls.append(t) or derived_scalars(t))
+        loaded = load_coefficient_table(path)
+        predict_phase(0, 0.01, loaded)
+        predict_fidelity(ThermalDistribution(0.05), 0.01, loaded)
+        assert len(calls) == 1 and calls[0] is loaded
+
+    def test_non_finite_entry_rejected(self, table, tmp_path):
+        path = tmp_path / "table.json"
+        table.save(path)
+        doc = json.loads(path.read_text())
+        doc["tables"]["j2"]["im"][3][1] = math.nan
+        path.write_text(json.dumps(doc))
+        with pytest.raises(UnhealthyTableError, match="j2 has non-finite"):
+            load_coefficient_table(path)
+
+    def test_off_line_table_rejected(self, tmp_path):
+        # omega_tilde 0.4 closes the loop with the wrong area; the library
+        # still builds and saves such a table, but loading refuses it.
+        off = compute_coefficient_table(omega_tilde=0.4, n_max=8,
+                                        quad=QuadratureSpec(64, 16))
+        path = tmp_path / "table.json"
+        off.save(path)
+        with pytest.raises(UnhealthyTableError, match="structure residual"):
+            load_coefficient_table(path)
+        with pytest.raises(UnhealthyTableError, match="structure residual"):
+            off.check_health()
 
     def test_wrong_schema_rejected(self, table, tmp_path):
         path = tmp_path / "table.json"
