@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-coefficients   build the quadrature coefficient tables and write them as JSON
+coefficients   build the exact coefficient tables and write them as JSON
 sweep          closed-form predictions (and optional exact full-Hamiltonian
                oracle curves) across a miscalibration grid, as versioned CSV
 calibrate      simulate a two-gate calibration scan, fit the fringe, and
@@ -12,17 +12,19 @@ predict        print every closed-form predictor for one operating point
 
 A JSON config file (``--config``) may hold a section per subcommand whose
 keys mirror the long option names; explicit flags always win.  Exit codes:
-0 success, 2 usage/configuration error (including a table file whose stored
-derived scalars or provenance do not match its contents), 3 numerical-health
-failure (Fock truncation, an initial level above the oracle cutoff,
-guard-band occupation, norm drift, non-convergent fit, a table with
-non-finite entries or a structure residual past 1e-6: a built one is not
-written, a loaded one is refused).  Float options take negative values in
-exponent form either as a separate token (``--shift-hz -3e1``) or as
-``--shift-hz=-3e1``.
+0 success, 2 usage/configuration error (including a table file whose schema
+is not the current one, or whose stored derived scalars or provenance do not
+match its contents), 3 numerical-health failure (Fock truncation, an initial
+level above the oracle cutoff, guard-band occupation, norm drift,
+non-convergent fit, a table with non-finite entries or a structure residual
+past 1e-6: a built one is not written, a loaded one is refused).  Float
+options take negative values in exponent form either as a separate token
+(``--shift-hz -3e1``) or as ``--shift-hz=-3e1``.
 
 Tables built on demand are cached under ``$MSGATE_CACHE_DIR`` (default
-``~/.cache/msgate``), keyed by the parameter hash.
+``~/.cache/msgate``), keyed by the parameter hash, which covers the table
+schema.  ``--panels-1d``/``--panels-2d`` are accepted and recorded in the
+table but change no value: the tables are exact.
 """
 
 from __future__ import annotations
@@ -133,8 +135,8 @@ def _table_for(args) -> CoefficientTable:
 def _add_grid_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", type=int, default=40, help="Fock cutoff of the table")
     p.add_argument("--omega-tilde", type=float, default=0.5)
-    p.add_argument("--panels-1d", type=int, default=2**14)
-    p.add_argument("--panels-2d", type=int, default=2**10)
+    p.add_argument("--panels-1d", type=int, default=2**14, help="ignored; tables are exact")
+    p.add_argument("--panels-2d", type=int, default=2**10, help="ignored; tables are exact")
 
 
 def _add_table_options(p: argparse.ArgumentParser) -> None:

@@ -12,20 +12,11 @@ Conventions used throughout the package
 * Composite kets are stored qubit-major: flat index = q*(n_max+1) + n for
   qubit-pair index q and Fock level n, i.e. kron(qubit, phonon).
 
-Displacement matrix elements <m|D(beta)|n> have one closed form,
-:func:`displacement_from_moments`, which sums them over many nodes beta from
-the power moments of :func:`power_moments` (it builds every coefficient
-table), and one exact column recurrence, :func:`displacement_matrix`, for a
-single beta (it builds the ideal propagator).  Both give the matrix elements
-of the infinite-dimensional operator: truncation affects only which rows
-are stored, not their values.
-
-The moment kernel (:func:`power_moments`, or :func:`power_moments_into` with
-caller-owned storage) is where table builds spend their time.  It keeps the
-Vandermonde as a (dim, nodes) array filled one contiguous row at a time,
-stacks every weight set's weighted copy into one (S*dim, nodes) block, and
-forms all S moment matrices with a single ZGEMM whose conjugate-transpose
-flag stands in for a conjugated copy.
+Displacement matrix elements <m|D(beta)|n> come from one exact column
+recurrence, :func:`displacement_matrix`.  It gives the matrix elements of
+the infinite-dimensional operator: truncation affects only which rows are
+stored, not their values.  It builds the ideal propagator and, as the
+lam = 0 eigenvectors D(s*omega)|k>, every coefficient table.
 """
 
 from __future__ import annotations
@@ -34,8 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import zgemm
-from scipy.special import gammaln
 
 __all__ = [
     "FockCutoff",
@@ -47,9 +36,6 @@ __all__ = [
     "SIGMA_Z",
     "QUBIT_LABELS",
     "SIGMA_Y_BASIS",
-    "power_moments",
-    "power_moments_into",
-    "displacement_from_moments",
     "displacement_matrix",
     "partial_trace_phonons",
     "state_fidelity",
@@ -193,60 +179,6 @@ class QubitDensityMatrix:
         if tr <= 0.0:
             raise ValueError("cannot normalize a trace<=0 matrix")
         return QubitDensityMatrix(self.matrix / tr)
-
-
-def power_moments(
-    betas: np.ndarray, weight_sets: list[np.ndarray], dim: int
-) -> list[np.ndarray]:
-    """M_s[p, q] = sum_k w_s[k] * beta_k^p * conj(beta_k)^q for each weight set.
-
-    Allocates the storage and calls :func:`power_moments_into`.
-    """
-    vt = np.empty((dim, betas.size), dtype=complex)
-    a = np.empty((len(weight_sets) * dim, betas.size), dtype=complex)
-    return power_moments_into(vt, a, betas, weight_sets)
-
-
-def power_moments_into(
-    vt: np.ndarray, a: np.ndarray, betas: np.ndarray, weight_sets: list[np.ndarray]
-) -> list[np.ndarray]:
-    """:func:`power_moments` in caller-owned C-ordered storage.
-
-    ``vt`` is (dim, nodes) and receives the Vandermonde V[p, k] = beta_k^p,
-    built row by row, each row one contiguous product of the previous row
-    with ``betas``.  ``a`` is (S*dim, nodes) and receives the S weighted
-    copies w_s * V stacked.  A single ZGEMM with its conjugate-transpose flag
-    then forms conj(V) @ A^T = [M_1^T .. M_S^T]: both operands are transposed
-    views of C-ordered arrays, so BLAS reads them in place and no conjugated
-    copy of V is made.
-    """
-    dim = vt.shape[0]
-    vt[0] = 1.0
-    for p in range(1, dim):
-        np.multiply(vt[p - 1], betas, out=vt[p])
-    for s, w in enumerate(weight_sets):
-        np.multiply(vt, w, out=a[s * dim : (s + 1) * dim])
-    mt = zgemm(1.0, vt.T, a.T, trans_a=2)
-    return [mt[:, s * dim : (s + 1) * dim].T for s in range(len(weight_sets))]
-
-
-def displacement_from_moments(mom: np.ndarray, dim: int) -> np.ndarray:
-    """Assemble T[m,n] = sum_k w~_k <m|D(beta_k)|n> from power moments.
-
-    Uses the closed form <m|D(b)|n> = e^{-|b|^2/2} sqrt(m! n!) *
-    sum_k (-1)^{n-k} b^{m-k} conj(b)^{n-k} / (k! (m-k)! (n-k)!), with the
-    Gaussian e^{-|b|^2/2} folded into the node weights w~_k beforehand.
-    """
-    lgf = gammaln(np.arange(dim + 1.0) + 1.0)
-    out = np.zeros((dim, dim), dtype=complex)
-    col_sign = (-1.0) ** np.arange(dim)
-    for k in range(dim):
-        g = np.exp(0.5 * lgf[k:dim] - lgf[: dim - k])
-        coef = (-1.0) ** k * math.exp(-lgf[k])
-        out[k:, k:] += coef * (g[:, None] * (g * col_sign[k:])[None, :]) * mom[
-            : dim - k, : dim - k
-        ]
-    return out
 
 
 def displacement_matrix(alpha: complex, cutoff: FockCutoff | int) -> np.ndarray:

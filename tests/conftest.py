@@ -1,8 +1,7 @@
 """Shared fixtures.
 
-The coefficient table is session-scoped: n_max=24 with moderate panel counts
-keeps every derived scalar accurate to ~1e-7 for Fock levels 0..3 while
-building in well under a second.
+The coefficient table is session-scoped: n_max=24 trusts Fock levels 0..9
+and builds in a few milliseconds.  Its panel counts are recorded only.
 """
 
 import math

@@ -1,13 +1,16 @@
 """CLI coverage through main(argv): exit codes, files, reports, config."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 import msgate.experiment as experiment
+import msgate.magnus as magnus
 from msgate.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from msgate.hilbert import ThermalDistribution
+from msgate.hilbert import FockCutoff, ThermalDistribution
+from msgate.ideal import DimensionlessGateParams
 from msgate.magnus import (
     QuadratureSpec,
     compute_coefficient_table,
@@ -110,6 +113,16 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "structure residual" in err
         assert "n_max" not in err
+
+    def test_schema_1_table_file_refused(self, table_file, tmp_path, capsys):
+        doc = json.loads(open(table_file).read())
+        doc["schema"] = "msgate/coefficients/1"
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["predict", "--table", str(path), "--lambda-tilde", "0.01"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "msgate/coefficients/1" in err and "msgate coefficients" in err
 
     def test_non_finite_table_file_refused(self, table_file, tmp_path, capsys):
         doc = json.loads(open(table_file).read())
@@ -407,6 +420,21 @@ class TestTrajectory:
 class TestCache:
     ARGS = ["predict", "--lambda-tilde", "0.01", "--n-max", "16",
             "--panels-1d", "2048", "--panels-2d", "128"]
+
+    def test_schema_1_cache_entry_not_looked_up(self, cache):
+        # A version-1 entry sits under the key of the same grid options
+        # hashed without the schema; the build goes to a new key instead.
+        params = magnus._parameter_dict(DimensionlessGateParams(), FockCutoff(16),
+                                        QuadratureSpec(2048, 128))
+        blob = json.dumps(params, sort_keys=True, separators=(",", ":"))
+        old_key = hashlib.sha256(blob.encode()).hexdigest()
+        cache.mkdir(parents=True)
+        stale = cache / f"coefficients-{old_key[:16]}.json"
+        stale.write_text('{"schema": "msgate/coefficients/1"}')
+        assert main(self.ARGS) == EXIT_OK
+        files = set(cache.glob("coefficients-*.json"))
+        assert len(files) == 2 and stale in files
+        assert stale.read_text() == '{"schema": "msgate/coefficients/1"}'
 
     def test_auto_build_then_reuse(self, cache):
         assert main(self.ARGS) == EXIT_OK

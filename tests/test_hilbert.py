@@ -1,4 +1,8 @@
-"""Fock-space primitives: displacement elements, the sigma_y basis, reduced states."""
+"""Fock-space primitives: displacement elements, the sigma_y basis, reduced states.
+
+The closed form <m|D|n> and its moment kernel live in the tests' quadrature
+reference (``quadrature.py``); they are checked here against the recurrence.
+"""
 
 import math
 
@@ -14,15 +18,14 @@ from msgate.hilbert import (
     FockCutoff,
     QubitDensityMatrix,
     ThermalDistribution,
-    displacement_from_moments,
     displacement_matrix,
     level_weights,
     partial_trace_phonons,
-    power_moments,
     purity,
     state_fidelity,
     thermal_probabilities,
 )
+from quadrature import displacement_from_moments, power_moments
 
 
 def expm_displacement(alpha: complex, dim: int, pad: int = 40) -> np.ndarray:
@@ -37,7 +40,7 @@ def expm_displacement(alpha: complex, dim: int, pad: int = 40) -> np.ndarray:
 
 
 def closed_form(alpha: complex, dim: int) -> np.ndarray:
-    """[<m|D(alpha)|n>] from the table kernel: one node, Gaussian weight."""
+    """[<m|D(alpha)|n>] from the quadrature kernel: one node, Gaussian weight."""
     betas = np.array([alpha], dtype=complex)
     weight = np.exp(-0.5 * np.abs(betas) ** 2).astype(complex)
     (mom,) = power_moments(betas, [weight], dim)

@@ -1,14 +1,19 @@
 """Coefficient tables, derived scalars and closed-form predictors.
 
-The table values are checked three independent ways:
-  * a direct quadrature over explicit displacement matrices at the *same*
-    nodes isolates the moment-assembly step;
-  * an explicit two-matrix product at each node pair isolates the analytic
-    collapse of D(F1)^dag D(F2) into a phase times one displacement;
-  * the time-ordered triangle plus its mirror must rebuild a full-square
+The spectral tables are checked against two independent routes:
+  * the Van Loan block exponential (``quadrature.van_loan_derivatives``)
+    gives dU/dlam and (1/2) d^2U/dlam^2 on a dense truncated space; the
+    correction states read from the tables must match its columns;
+  * the integral definitions, by quadrature (``quadrature.quadrature_table``),
+    must converge to the tables as the panels are refined (acceptance 9),
+    and the time-ordered triangle plus its mirror must rebuild a full-square
     integral that factorizes into two one-dimensional integrals.
-Scalar values adjudicated against the RK4 oracle elsewhere are frozen here
-as regression anchors.
+The quadrature reference is itself checked two ways: a direct sum over
+explicit displacement matrices at the *same* nodes isolates its
+moment-assembly step, and an explicit two-matrix product at each node pair
+isolates the analytic collapse of D(F1)^dag D(F2) into a phase times one
+displacement.  Scalar values adjudicated against the RK4 oracle elsewhere
+are frozen here as regression anchors.
 """
 
 import json
@@ -24,10 +29,11 @@ from msgate.hilbert import FockCutoff, ThermalDistribution, displacement_matrix
 from msgate.ideal import DimensionlessGateParams, ideal_output_state, loop_functions
 from msgate.magnus import (
     LAMBDA_HARD_CAP,
+    TABLE_SCHEMA,
+    CoefficientTable,
     QuadratureSpec,
     TruncationError,
     UnhealthyTableError,
-    _simpson,
     compute_coefficient_table,
     compute_first_order_table,
     compute_second_order_tables,
@@ -46,6 +52,7 @@ from msgate.magnus import (
     second_order_correction,
     traced_unitary_factored,
 )
+from quadrature import quadrature_table, second_order_tables, simpson, van_loan_derivatives
 
 TAU = 2.0 * math.pi
 
@@ -73,10 +80,8 @@ C_EG_REF = np.array([2.0338754288, 2.2187261817, 1.4384987830, 0.7385631710])
 
 @pytest.fixture(scope="module")
 def coarse():
-    """Small table whose quadrature nodes the dual-route checks re-use."""
-    return compute_coefficient_table(
-        n_max=16, quad=QuadratureSpec(panels_1d=256, panels_2d=16)
-    )
+    """Small quadrature table whose nodes the dual-route checks re-use."""
+    return quadrature_table(n_max=16, quad=QuadratureSpec(panels_1d=256, panels_2d=16))
 
 
 class TestQuadratureSpec:
@@ -90,9 +95,9 @@ class TestQuadratureSpec:
         assert (ref.panels_1d, ref.panels_2d) == (128, 32)
 
     def test_simpson_integrates_cubics_exactly(self):
-        x, w = _simpson(8, 0.0, 2.0)
+        x, w = simpson(8, 0.0, 2.0)
         assert w @ x**3 == pytest.approx(4.0, abs=1e-13)
-        x, w = _simpson(128, 0.0, 2.0)
+        x, w = simpson(128, 0.0, 2.0)
         assert w @ np.exp(x) == pytest.approx(np.exp(2.0) - 1.0, rel=1e-10)
 
 
@@ -107,7 +112,7 @@ class TestFirstOrderTable:
     def test_moment_route_matches_direct_quadrature(self, coarse):
         params = coarse.params
         dim = coarse.cutoff.dim
-        tau, w = _simpson(coarse.quad.panels_1d, 0.0, params.tau_gate)
+        tau, w = simpson(coarse.quad.panels_1d, 0.0, params.tau_gate)
         f, g = loop_functions(tau, params)
         mats = displacement_stack(f, dim)
         direct = 0.5j * np.einsum("k,kmn->mn", w * np.exp(1j * g), mats)
@@ -117,8 +122,8 @@ class TestFirstOrderTable:
 def _triangle_nodes(params, panels):
     """Shared triangle->unit-square discretization for route comparisons."""
     t_g = params.tau_gate
-    u, wu = _simpson(panels, 0.0, 1.0)
-    v, wv = _simpson(panels, 0.0, 1.0)
+    u, wu = simpson(panels, 0.0, 1.0)
+    v, wv = simpson(panels, 0.0, 1.0)
     t1 = t_g * u
     f1, g1 = loop_functions(t1, params)
     t2 = t1[:, None] * v[None, :]
@@ -161,11 +166,11 @@ class TestSecondOrderTables:
     @settings(max_examples=8, deadline=None)
     def test_moment_route_matches_direct_off_calibration(self, omega, sign, loops):
         # Either detuning sign and one or two loops; the 33 outer rows of
-        # panels_2d = 16 span three weighted-moment chunks.
+        # panels_2d = 16 span three weighted-moment chunks of the reference.
         params = DimensionlessGateParams(omega_tilde=sign * omega,
                                          tau_gate=loops * TAU)
         quad = QuadratureSpec(panels_1d=256, panels_2d=16)
-        tables = compute_second_order_tables(params, FockCutoff(12), quad)
+        tables = second_order_tables(params, FockCutoff(12), quad)
         direct = _direct_second_order(params, 13, quad.panels_2d)
         for got, want in zip(tables, direct):
             np.testing.assert_allclose(got, want, atol=1e-10)
@@ -201,7 +206,7 @@ class TestSecondOrderTables:
         # integral factorizes into C^dag C with C = Int e^{-iG} D(F) dtau.
         params = table.params
         dim = table.cutoff.dim
-        tau, w = _simpson(2**12, 0.0, params.tau_gate)
+        tau, w = simpson(2**12, 0.0, params.tau_gate)
         f, g = loop_functions(tau, params)
         mats = displacement_stack(f, dim)
         c = np.einsum("k,kmn->mn", w * np.exp(-1j * g), mats)
@@ -230,6 +235,82 @@ class TestSecondOrderTables:
         )
 
 
+def _van_loan_gap(table, levels, pad=30):
+    """(largest |correction state - Van Loan column|, largest |Van Loan entry|)
+    over every qubit label and the given input levels, both derivative
+    orders, all table rows."""
+    dim, big = table.cutoff.dim, FockCutoff(table.n_max + pad)
+    first, second = van_loan_derivatives(table.params, big)
+    gaps, scales = [], []
+    for q, label in enumerate(("gg", "ge", "eg", "ee")):
+        for n in levels:
+            col = big.index(q, n)
+            for deriv, correction in ((first, first_order_correction),
+                                      (second, second_order_correction)):
+                want = -deriv[:, col].reshape(4, big.dim)[:, :dim].ravel()
+                got = correction(label, n, table).amplitudes
+                gaps.append(np.abs(got - want).max())
+                scales.append(np.abs(want).max())
+    return float(np.max(gaps)), float(np.max(scales))  # np.max keeps a nan
+
+
+def _spectral_table(params, cutoff):
+    """The library's tables for any closed loop, without the calibrated defaults."""
+    return CoefficientTable(
+        params, cutoff, QuadratureSpec(),
+        compute_first_order_table(params, cutoff),
+        *compute_second_order_tables(params, cutoff),
+    )
+
+
+class TestSpectralTables:
+    def test_matches_van_loan_on_trusted_levels(self, table, derived):
+        levels = np.nonzero(derived.trusted)[0]
+        assert levels.size >= 4
+        gap, _ = _van_loan_gap(table, levels)
+        assert gap <= 1e-12
+
+    @given(
+        omega=st.floats(0.3, 0.6),
+        sign=st.sampled_from([-1.0, 1.0]),
+        loops=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_matches_van_loan_off_calibration(self, omega, sign, loops):
+        # Off the calibrated area the tables leave the (-1 + i) line, but the
+        # correction-state maps, and so the read-off, still hold.  The bound
+        # is relative: at two loops |d^2U/dlam^2| / 2 reaches about 40, and
+        # the Van Loan exponential's own roundoff about 1e-12 there.
+        params = DimensionlessGateParams(omega_tilde=sign * omega, tau_gate=loops * TAU)
+        table = _spectral_table(params, FockCutoff(12))
+        gap, scale = _van_loan_gap(table, range(13))
+        assert gap <= 1e-13 * scale
+
+    @pytest.mark.parametrize("omega", [1.0, math.sqrt(2.0)])
+    def test_degenerate_branches(self, omega):
+        # With omega^2 an integer, displaced and idle levels share energies,
+        # so the divided differences meet their confluent limits (sqrt(2)
+        # misses by one rounding, 1 not at all).
+        table = _spectral_table(DimensionlessGateParams(omega_tilde=omega), FockCutoff(8))
+        gap, scale = _van_loan_gap(table, range(9), pad=60)
+        assert gap <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n_max, omega", [(40, 0.5), (120, 0.5), (120, 0.6)])
+    def test_margin_doubling_moves_no_entry(self, n_max, omega, monkeypatch):
+        base = compute_coefficient_table(omega_tilde=omega, n_max=n_max)
+        margin = magnus._fock_margin
+        monkeypatch.setattr(magnus, "_fock_margin", lambda n, w: 2 * margin(n, w))
+        doubled = compute_coefficient_table(omega_tilde=omega, n_max=n_max)
+        for name in ("i_table", "j1", "j2", "j3"):
+            assert np.abs(getattr(doubled, name) - getattr(base, name)).max() <= 1e-13
+
+    def test_quadrature_ignored(self, table):
+        other = compute_coefficient_table(n_max=table.n_max, quad=QuadratureSpec(64, 16))
+        for name in ("i_table", "j1", "j2", "j3"):
+            np.testing.assert_array_equal(getattr(other, name), getattr(table, name))
+        assert other.provenance_hash != table.provenance_hash
+
+
 class TestComputeTable:
     def test_open_loop_rejected(self):
         with pytest.raises(ValueError, match="closed loops"):
@@ -237,8 +318,13 @@ class TestComputeTable:
                                       quad=QuadratureSpec(64, 16))
 
     def test_cutoff_overflow_guard(self):
-        with pytest.raises(ValueError, match="overflow"):
+        with pytest.raises(ValueError, match="Fock margin"):
             compute_coefficient_table(n_max=150)
+
+    def test_parameter_hash_covers_schema(self, table, monkeypatch):
+        same = table.provenance_hash
+        monkeypatch.setattr(magnus, "TABLE_SCHEMA", "msgate/coefficients/1")
+        assert table.provenance_hash != same
 
     def test_parameter_hash_stability(self, table):
         same = parameter_hash(table.params, table.cutoff, table.quad)
@@ -466,11 +552,11 @@ class TestPersistence:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_failed_write_leaves_nothing(self, table, tmp_path, monkeypatch):
-        def dump_then_fail(doc, fh, **kwargs):
-            fh.write('{"schema":')
+        # The temporary file is written in full, then the rename fails.
+        def fail(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(json, "dump", dump_then_fail)
+        monkeypatch.setattr(magnus.os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
             table.save(tmp_path / "table.json")
         assert list(tmp_path.iterdir()) == []
@@ -537,6 +623,18 @@ class TestPersistence:
             load_coefficient_table(path)
         with pytest.raises(UnhealthyTableError, match="structure residual"):
             off.check_health()
+
+    def test_schema_1_file_rejected(self, table, tmp_path):
+        # Version-1 files hold quadrature tables; the message says how to
+        # replace them.
+        assert TABLE_SCHEMA == "msgate/coefficients/2"
+        path = tmp_path / "table.json"
+        table.save(path)
+        doc = json.loads(path.read_text())
+        doc["schema"] = "msgate/coefficients/1"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="'msgate/coefficients/1'.*msgate coefficients"):
+            load_coefficient_table(path)
 
     def test_wrong_schema_rejected(self, table, tmp_path):
         path = tmp_path / "table.json"
