@@ -13,18 +13,20 @@ predict        print every closed-form predictor for one operating point
 A JSON config file (``--config``) may hold a section per subcommand whose
 keys mirror the long option names; explicit flags always win.  Exit codes:
 0 success, 2 usage/configuration error (including a table file whose schema
-is not the current one, or whose stored derived scalars or provenance do not
-match its contents), 3 numerical-health failure (Fock truncation, an initial
-level above the oracle cutoff, guard-band occupation, norm drift,
-non-convergent fit, a table with non-finite entries or a structure residual
-past 1e-6: a built one is not written, a loaded one is refused).  Float
-options take negative values in exponent form either as a separate token
-(``--shift-hz -3e1``) or as ``--shift-hz=-3e1``.
+is not the current one, that cannot be read, lacks an entry, or whose stored
+derived scalars or provenance digest do not match its contents), 3
+numerical-health failure (Fock truncation, an initial level above the oracle
+cutoff, guard-band occupation, norm drift, non-convergent fit, a table with
+non-finite entries or a structure residual past 1e-6: a built one is not
+written, a loaded one is refused).  Float options take negative values in
+exponent form either as a separate token (``--shift-hz -3e1``) or as
+``--shift-hz=-3e1``.
 
-Tables built on demand are cached under ``$MSGATE_CACHE_DIR`` (default
-``~/.cache/msgate``), keyed by the parameter hash, which covers the table
-schema.  ``--panels-1d``/``--panels-2d`` are accepted and recorded in the
-table but change no value: the tables are exact.
+``coefficients`` is the only command that writes a table.  ``predict``,
+``sweep`` and ``calibrate`` load ``--table``, or else build the table the grid
+options describe in memory (milliseconds) and write it nowhere.
+``--panels-1d``/``--panels-2d`` are accepted and recorded in the table but
+change no value: the tables are exact.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -51,7 +52,6 @@ from .magnus import (
     UnhealthyTableError,
     compute_coefficient_table,
     load_coefficient_table,
-    parameter_hash,
     predict_coherence,
     predict_fidelity,
     predict_phase,
@@ -72,13 +72,6 @@ class CliError(Exception):
     """User/configuration problem (exit code 2)."""
 
 
-def cache_dir() -> Path:
-    env = os.environ.get("MSGATE_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "msgate"
-
-
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -94,42 +87,28 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _quad(args) -> QuadratureSpec:
-    return QuadratureSpec(panels_1d=args.panels_1d, panels_2d=args.panels_2d)
-
-
-def _cache_path(args) -> Path:
-    """Cache file of the table the grid options describe, keyed by its hash."""
-    key = parameter_hash(
-        DimensionlessGateParams(omega_tilde=args.omega_tilde),
-        FockCutoff(args.n_max),
-        _quad(args),
-    )
-    return cache_dir() / f"coefficients-{key[:16]}.json"
-
-
-def _build_and_save(args, out: Path) -> CoefficientTable:
-    """Build the table the grid options describe; write it only if healthy."""
+def _build(args) -> CoefficientTable:
+    """Build the table the grid options describe; refuse it unless healthy."""
     table = compute_coefficient_table(
-        omega_tilde=args.omega_tilde, n_max=args.n_max, quad=_quad(args)
+        omega_tilde=args.omega_tilde,
+        n_max=args.n_max,
+        quad=QuadratureSpec(panels_1d=args.panels_1d, panels_2d=args.panels_2d),
     )
     try:
         table.check_health()
     except UnhealthyTableError as exc:
         raise UnhealthyTableError(f"{exc}; the table was not written") from None
-    out.parent.mkdir(parents=True, exist_ok=True)
-    table.save(out)
     return table
 
 
 def _table_for(args) -> CoefficientTable:
-    """Load the named table, or build/cache one from the grid options."""
-    if args.table:
+    """Load the named table, or build one in memory from the grid options."""
+    if not args.table:
+        return _build(args)
+    try:
         return load_coefficient_table(args.table)
-    cached = _cache_path(args)
-    if cached.exists():
-        return load_coefficient_table(cached)
-    return _build_and_save(args, cached)
+    except OSError as exc:
+        raise CliError(f"cannot read table file {args.table}: {exc.strerror}")
 
 
 def _add_grid_options(p: argparse.ArgumentParser) -> None:
@@ -141,7 +120,7 @@ def _add_grid_options(p: argparse.ArgumentParser) -> None:
 
 def _add_table_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--table", help="coefficient JSON produced by 'coefficients' "
-                   "(default: build from the grid options, or reuse the cached build)")
+                   "(default: build in memory from the grid options)")
     _add_grid_options(p)
 
 
@@ -164,10 +143,12 @@ def _require(args, *names: str) -> None:
 # ---------------------------------------------------------------- commands
 
 def cmd_coefficients(args) -> int:
-    out = Path(args.out) if args.out else _cache_path(args)
+    out = Path(args.out)
     if out.exists() and not args.force:
         raise CliError(f"{out} exists; pass --force to overwrite")
-    table = _build_and_save(args, out)
+    table = _build(args)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    table.save(out)
     der = table.derived()
     if der.trusted.any():
         trusted = f"0..{int(np.max(np.nonzero(der.trusted)[0]))}"
@@ -198,6 +179,8 @@ def _sweep_predicted_row(table, n: int, lam: float) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.points < 1:
+        raise CliError(f"--points must be at least 1, got {args.points}")
     table = _table_for(args)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.points)
     if np.abs(lams).max() > LAMBDA_HARD_CAP:
@@ -420,7 +403,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("coefficients", help="build and save coefficient tables")
     _add_grid_options(p)
-    p.add_argument("--out", help="output JSON path (default: cache)")
+    p.add_argument("--out", default="coefficients.json", help="output JSON path")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_coefficients)
 

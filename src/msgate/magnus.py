@@ -122,7 +122,7 @@ class UnhealthyTableError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Panel counts, validated and recorded with a table (file, parameter
+    """Panel counts, validated and recorded with a table (file, provenance
     hash).  No table value depends on them: the tables are exact."""
 
     panels_1d: int = 2**14
@@ -316,16 +316,6 @@ def _parameter_dict(
     }
 
 
-def parameter_hash(
-    params: DimensionlessGateParams, cutoff: FockCutoff, quad: QuadratureSpec
-) -> str:
-    """Digest of everything the tables depend on, the file schema included;
-    keys caches and files, so an older schema's cache entry is never found."""
-    doc = {"schema": TABLE_SCHEMA, **_parameter_dict(params, cutoff, quad)}
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 @dataclass
 class CoefficientTable:
     """Coefficient tables for one calibrated gate, plus their provenance."""
@@ -361,7 +351,15 @@ class CoefficientTable:
 
     @property
     def provenance_hash(self) -> str:
-        return parameter_hash(self.params, self.cutoff, self.quad)
+        """sha256 of the file schema, the parameters and the float64 bytes of
+        the four tables, so a file whose parameters or entries were altered
+        no longer matches the digest it carries."""
+        doc = {"schema": TABLE_SCHEMA, **self.parameter_dict()}
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+        for name in ("i_table", "j1", "j2", "j3"):
+            # + 0.0 folds -0.0 into 0.0: the loader's re + 1j*im drops that sign.
+            digest.update(np.ascontiguousarray(getattr(self, name) + 0.0).tobytes())
+        return digest.hexdigest()
 
     def check_health(self) -> None:
         """Raise :class:`UnhealthyTableError` unless every entry is finite and
@@ -794,7 +792,8 @@ def save_coefficient_table(table: CoefficientTable, path) -> None:
     """Write a versioned, byte-reproducible JSON dump of the tables.
 
     No timestamps: identical parameters produce identical bytes, and the
-    parameter hash in the file pins provenance.  The bytes go to a
+    digest in the file (:attr:`CoefficientTable.provenance_hash`) pins the
+    parameters and every table entry.  The bytes go to a
     temporary file beside ``path`` that replaces it only once complete, so
     a reader never sees a partial table and a failed write leaves nothing.
     """
@@ -850,18 +849,29 @@ def _check_stored_derived(stored: dict, der: DerivedScalars) -> None:
 def load_coefficient_table(path) -> CoefficientTable:
     """Load and validate a table written by :func:`save_coefficient_table`.
 
-    Beyond schema, provenance and shapes, the tables must pass
-    :meth:`CoefficientTable.check_health` (else :class:`UnhealthyTableError`)
-    and the stored ``derived`` block must match the scalars recomputed from
-    them (else ``ValueError``); those scalars are kept for the predictors.
+    Checked in order: the schema, the shapes, :meth:`CoefficientTable.check_health`
+    (else :class:`UnhealthyTableError`), the stored ``derived`` block against
+    the scalars recomputed from the tables, and last the stored digest against
+    :attr:`CoefficientTable.provenance_hash`.  A file that is not a JSON
+    object, lacks an entry or fails any check but health raises ``ValueError``.
+    The recomputed scalars are kept for the predictors.
     """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("coefficient file is not a JSON object")
     if doc.get("schema") != TABLE_SCHEMA:
         raise ValueError(
             f"unsupported coefficient file schema {doc.get('schema')!r}; "
             f"expected {TABLE_SCHEMA!r}: rebuild the table with 'msgate coefficients'"
         )
+    try:
+        return _validated_table(doc)
+    except KeyError as exc:
+        raise ValueError(f"coefficient file has no {exc.args[0]!r} entry") from None
+
+
+def _validated_table(doc: dict) -> CoefficientTable:
     p = doc["params"]
     params = DimensionlessGateParams(
         omega_tilde=p["omega_tilde"], tau_gate=p["tau_gate"], phi=p["phi"]
@@ -877,12 +887,15 @@ def load_coefficient_table(path) -> CoefficientTable:
         _array_from_json(doc["tables"]["j2"]),
         _array_from_json(doc["tables"]["j3"]),
     )
-    if doc["provenance_sha256"] != table.provenance_hash:
-        raise ValueError("coefficient file provenance hash does not match its parameters")
     dim = cutoff.dim
     for name in ("i_table", "j1", "j2", "j3"):
         if getattr(table, name).shape != (dim, dim):
             raise ValueError(f"table {name} has the wrong shape")
     table.check_health()
     _check_stored_derived(doc["derived"], table.derived())
+    if doc["provenance_sha256"] != table.provenance_hash:
+        raise ValueError(
+            "coefficient file provenance hash does not match its parameters and "
+            "tables: rebuild the table with 'msgate coefficients'"
+        )
     return table

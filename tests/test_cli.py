@@ -1,16 +1,15 @@
 """CLI coverage through main(argv): exit codes, files, reports, config."""
 
-import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import msgate.experiment as experiment
-import msgate.magnus as magnus
 from msgate.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from msgate.hilbert import FockCutoff, ThermalDistribution
-from msgate.ideal import DimensionlessGateParams
+from msgate.experiment import SequenceConfig, run_calibration
+from msgate.hilbert import ThermalDistribution
 from msgate.magnus import (
     QuadratureSpec,
     compute_coefficient_table,
@@ -23,10 +22,15 @@ from msgate.magnus import (
 
 
 @pytest.fixture(autouse=True)
-def cache(tmp_path, monkeypatch):
-    path = tmp_path / "cache"
-    monkeypatch.setenv("MSGATE_CACHE_DIR", str(path))
-    return path
+def workdir(tmp_path, monkeypatch):
+    """Each test runs in its own empty directory, with HOME pointing there."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    return tmp_path
+
+
+def _files(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +79,13 @@ class TestCoefficients:
         assert "--force" in capsys.readouterr().err
         assert main(self.ARGS + ["--out", str(out), "--force"]) == EXIT_OK
 
-    def test_default_out_lands_in_cache(self, cache):
+    def test_default_out_in_working_directory(self, workdir, capsys):
         assert main(self.ARGS) == EXIT_OK
-        assert len(list(cache.glob("coefficients-*.json"))) == 1
+        assert _files(workdir) == [Path("coefficients.json")]
+        assert main(self.ARGS) == EXIT_USAGE
+        assert "--force" in capsys.readouterr().err
+        assert main(self.ARGS + ["--force"]) == EXIT_OK
+        assert _files(workdir) == [Path("coefficients.json")]
 
     # omega_tilde 0.4 closes the loop with the wrong area, so the first-order
     # table leaves the (-1 + i) line (structure residual about 0.98).
@@ -85,19 +93,17 @@ class TestCoefficients:
                 "--omega-tilde", "0.4"]
 
     @pytest.mark.parametrize("to_out", [True, False])
-    def test_unhealthy_table_not_written(self, tmp_path, cache, capsys, to_out):
-        out = tmp_path / "coef.json"
-        extra = ["--out", str(out)] if to_out else []
+    def test_unhealthy_table_not_written(self, workdir, capsys, to_out):
+        extra = ["--out", "sub/coef.json"] if to_out else []
         assert main(["coefficients", *self.OFF_LINE, *extra]) == EXIT_NUMERICAL
         assert "structure residual" in capsys.readouterr().err
-        assert not out.exists()
-        assert not list(cache.glob("*"))
+        assert _files(workdir) == []
 
-    def test_unhealthy_auto_build_not_cached(self, cache, capsys):
+    def test_unhealthy_auto_build_not_cached(self, workdir, capsys):
         argv = ["predict", "--lambda-tilde", "0.01", *self.OFF_LINE]
         assert main(argv) == EXIT_NUMERICAL
         assert "not written" in capsys.readouterr().err
-        assert not list(cache.glob("*"))
+        assert _files(workdir) == []
 
 
 class TestPredict:
@@ -208,6 +214,12 @@ class TestSweep:
         rc = main(["sweep", "--table", table_file, "--fock", ",",
                    "--out", str(tmp_path / "s.csv")])
         assert rc == EXIT_USAGE
+
+    def test_zero_points(self, table_file, tmp_path, capsys):
+        rc = main(["sweep", "--table", table_file, "--points", "0",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == EXIT_USAGE
+        assert "--points must be at least 1" in capsys.readouterr().err
 
     def test_oracle_columns_and_repeat_determinism(self, table_file, tmp_path):
         base = ["sweep", "--table", table_file, "--lambda-min", "-0.02",
@@ -417,30 +429,57 @@ class TestTrajectory:
         assert data.shape == (65,)
 
 
-class TestCache:
-    ARGS = ["predict", "--lambda-tilde", "0.01", "--n-max", "16",
-            "--panels-1d", "2048", "--panels-2d", "128"]
+class TestTableOnDemand:
+    """Without --table a command builds its table in memory and writes only
+    its own outputs; the answers equal the library's on the same grid."""
 
-    def test_schema_1_cache_entry_not_looked_up(self, cache):
-        # A version-1 entry sits under the key of the same grid options
-        # hashed without the schema; the build goes to a new key instead.
-        params = magnus._parameter_dict(DimensionlessGateParams(), FockCutoff(16),
-                                        QuadratureSpec(2048, 128))
-        blob = json.dumps(params, sort_keys=True, separators=(",", ":"))
-        old_key = hashlib.sha256(blob.encode()).hexdigest()
-        cache.mkdir(parents=True)
-        stale = cache / f"coefficients-{old_key[:16]}.json"
-        stale.write_text('{"schema": "msgate/coefficients/1"}')
-        assert main(self.ARGS) == EXIT_OK
-        files = set(cache.glob("coefficients-*.json"))
-        assert len(files) == 2 and stale in files
-        assert stale.read_text() == '{"schema": "msgate/coefficients/1"}'
+    GRID = ["--n-max", "24", "--panels-1d", "2048", "--panels-2d", "128"]
 
-    def test_auto_build_then_reuse(self, cache):
-        assert main(self.ARGS) == EXIT_OK
-        files = list(cache.glob("coefficients-*.json"))
-        assert len(files) == 1
-        stamp = files[0].stat().st_mtime_ns
-        assert main(self.ARGS) == EXIT_OK
-        assert list(cache.glob("coefficients-*.json")) == files
-        assert files[0].stat().st_mtime_ns == stamp
+    @pytest.fixture(scope="class")
+    def built(self):
+        return compute_coefficient_table(n_max=24, quad=QuadratureSpec(2048, 128))
+
+    def test_predict(self, workdir, built, capsys):
+        assert main(["predict", "--lambda-tilde", "0.02", *self.GRID]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["phase"] == pytest.approx(predict_phase(0, 0.02, built), rel=1e-12)
+        assert doc["purity"] == pytest.approx(predict_purity(0, 0.02, built), rel=1e-12)
+        assert _files(workdir) == []
+
+    def test_sweep(self, workdir, built):
+        rc = main(["sweep", "--points", "3", "--fock", "1", *self.GRID])
+        assert rc == EXIT_OK
+        assert _files(workdir) == [Path("sweep.csv")]
+        data = np.genfromtxt("sweep.csv", delimiter=",", names=True, skip_header=1)
+        want = [predict_fidelity(1, lam, built) for lam in (-0.1, 0.0, 0.1)]
+        np.testing.assert_allclose(data["pred_fidelity"], want, rtol=1e-12)
+
+    def test_calibrate(self, workdir, built):
+        rc = main(["calibrate", "--engine", "first_order_model", "--detuning-hz",
+                   "-11000", "--shift-hz", "30", "--shots", "0", "--out", "r.json",
+                   *self.GRID])
+        assert rc == EXIT_OK
+        assert _files(workdir) == [Path("r.json")]
+        doc = json.loads(Path("r.json").read_text())
+        config = SequenceConfig(detuning=2.0 * np.pi * -11000.0,
+                                qubit_shift=2.0 * np.pi * 30.0, shots=None,
+                                engine="first_order_model")
+        _, estimate, _, _ = run_calibration(config, built, np.random.default_rng(0))
+        assert doc["estimate"]["phi_seq"] == pytest.approx(estimate.phi_seq, rel=1e-12)
+        assert doc["inputs"]["table_provenance"] == built.provenance_hash
+
+
+class TestBadTableFile:
+    """A --table file that cannot serve as a table exits 2 with a message."""
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read table file"),
+        ('{"schema": "msgate/coefficients/2"}', "no 'params' entry"),
+        ("[1, 2]", "not a JSON object"),
+    ])
+    def test_exit_usage(self, workdir, capsys, content, message):
+        if content is not None:
+            Path("t.json").write_text(content)
+        rc = main(["predict", "--table", "t.json", "--lambda-tilde", "0.01"])
+        assert rc == EXIT_USAGE
+        assert message in capsys.readouterr().err

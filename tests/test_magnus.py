@@ -41,7 +41,6 @@ from msgate.magnus import (
     first_order_correction,
     first_order_traced_unitary,
     load_coefficient_table,
-    parameter_hash,
     predict_coherence,
     predict_density_matrix,
     predict_fidelity,
@@ -326,13 +325,14 @@ class TestComputeTable:
         monkeypatch.setattr(magnus, "TABLE_SCHEMA", "msgate/coefficients/1")
         assert table.provenance_hash != same
 
-    def test_parameter_hash_stability(self, table):
-        same = parameter_hash(table.params, table.cutoff, table.quad)
-        assert same == table.provenance_hash
-        other = parameter_hash(
-            table.params, FockCutoff(table.n_max + 1), table.quad
-        )
-        assert other != same
+    def test_parameter_hash_stability(self, table, tmp_path):
+        # The provenance digest survives a save and load, and moves with n_max.
+        path = tmp_path / "table.json"
+        table.save(path)
+        assert json.loads(path.read_text())["provenance_sha256"] == table.provenance_hash
+        assert load_coefficient_table(path).provenance_hash == table.provenance_hash
+        other = compute_coefficient_table(n_max=table.n_max + 1, quad=table.quad)
+        assert other.provenance_hash != table.provenance_hash
 
 
 class TestDerivedScalars:
@@ -578,8 +578,8 @@ class TestPersistence:
         ],
     )
     def test_tampered_content_rejected(self, table, tmp_path, block, field, entry, name):
-        # The parameter hash covers neither; the stored derived block is
-        # recomputed from the tables on load and compared.
+        # The stored derived block is recomputed from the tables on load and
+        # compared before the provenance digest, which names no entry.
         path = tmp_path / "table.json"
         table.save(path)
         doc = json.loads(path.read_text())
@@ -590,6 +590,20 @@ class TestPersistence:
         target[last] *= 1.0 + 1e-9
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"derived {name}"):
+            load_coefficient_table(path)
+
+    @pytest.mark.parametrize("field, part, m, n", [
+        ("j1", "re", 2, 0), ("j2", "im", 3, 1), ("j3", "re", 4, 0),
+    ])
+    def test_tampered_off_diagonal_rejected(self, table, tmp_path, field, part, m, n):
+        # No derived scalar reads these entries, but the correction states
+        # do; only the provenance digest catches the change.
+        path = tmp_path / "table.json"
+        table.save(path)
+        doc = json.loads(path.read_text())
+        doc["tables"][field][part][m][n] += 0.5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="provenance.*msgate coefficients"):
             load_coefficient_table(path)
 
     def test_load_keeps_recomputed_scalars(self, table, tmp_path, monkeypatch):
