@@ -22,11 +22,13 @@ written, a loaded one is refused).  Float options take negative values in
 exponent form either as a separate token (``--shift-hz -3e1``) or as
 ``--shift-hz=-3e1``.
 
-``coefficients`` is the only command that writes a table.  ``predict``,
-``sweep`` and ``calibrate`` load ``--table``, or else build the table the grid
-options describe in memory (milliseconds) and write it nowhere.
-``--panels-1d``/``--panels-2d`` are accepted and recorded in the table but
-change no value: the tables are exact.
+``coefficients`` is the only command that writes a table; its ``--panels-*``
+are recorded but change no value (the tables are exact).  ``predict``,
+``sweep`` and ``calibrate`` load ``--table``, or else build in memory
+(milliseconds) the table that ``--n-max``/``--omega-tilde`` describe; those
+two are refused with ``--table``.  The table owns the gate: ``sweep
+--oracle`` and both ``calibrate`` engines run its ``omega_tilde`` and
+``tau_gate``.  ``--fock-initial`` and ``--nbar`` are exclusive.
 """
 
 from __future__ import annotations
@@ -87,13 +89,16 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _build(args) -> CoefficientTable:
-    """Build the table the grid options describe; refuse it unless healthy."""
-    table = compute_coefficient_table(
-        omega_tilde=args.omega_tilde,
-        n_max=args.n_max,
-        quad=QuadratureSpec(panels_1d=args.panels_1d, panels_2d=args.panels_2d),
-    )
+_GRID_OPTIONS = ("n_max", "omega_tilde")
+
+
+def _build(args, quad: QuadratureSpec | None = None) -> CoefficientTable:
+    """Build the table the grid options describe (unset ones, ``quad`` too,
+    take compute_coefficient_table's defaults); refuse it unless healthy."""
+    grid = {k: getattr(args, k) for k in _GRID_OPTIONS if getattr(args, k) is not None}
+    if quad is not None:
+        grid["quad"] = quad
+    table = compute_coefficient_table(**grid)
     try:
         table.check_health()
     except UnhealthyTableError as exc:
@@ -105,6 +110,11 @@ def _table_for(args) -> CoefficientTable:
     """Load the named table, or build one in memory from the grid options."""
     if not args.table:
         return _build(args)
+    for name in _GRID_OPTIONS:
+        if getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise CliError(f"{flag} describes an in-memory build; it cannot be "
+                           "given with --table, whose file fixes the gate")
     try:
         return load_coefficient_table(args.table)
     except OSError as exc:
@@ -112,16 +122,32 @@ def _table_for(args) -> CoefficientTable:
 
 
 def _add_grid_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-max", type=int, default=40, help="Fock cutoff of the table")
-    p.add_argument("--omega-tilde", type=float, default=0.5)
-    p.add_argument("--panels-1d", type=int, default=2**14, help="ignored; tables are exact")
-    p.add_argument("--panels-2d", type=int, default=2**10, help="ignored; tables are exact")
+    p.add_argument("--n-max", type=int, help="Fock cutoff of the table (default 40)")
+    p.add_argument("--omega-tilde", type=float, help="coupling over detuning (default 0.5)")
 
 
 def _add_table_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--table", help="coefficient JSON produced by 'coefficients' "
-                   "(default: build in memory from the grid options)")
+                   "(default: build in memory from --n-max and --omega-tilde)")
     _add_grid_options(p)
+
+
+def _add_initial_mode(p: argparse.ArgumentParser) -> None:
+    mode = p.add_mutually_exclusive_group()
+    # No default for --fock-initial, so that "--fock-initial 0 --nbar X" is
+    # refused too; the commands read an unset level as 0.
+    mode.add_argument("--fock-initial", type=int, help="initial Fock level (default 0)")
+    mode.add_argument("--nbar", type=float, help="thermal initial mode of this mean")
+
+
+def _fock_level(args) -> int | None:
+    """The initial Fock level, or None for ``--nbar``.  argparse refuses the
+    two flags together; this also catches a config file supplying one."""
+    if args.nbar is None:
+        return args.fock_initial or 0
+    if args.fock_initial is not None:
+        raise CliError(f"{args.command}: --fock-initial and --nbar are exclusive")
+    return None
 
 
 def _float_fmt(x: float) -> str:
@@ -146,7 +172,7 @@ def cmd_coefficients(args) -> int:
     out = Path(args.out)
     if out.exists() and not args.force:
         raise CliError(f"{out} exists; pass --force to overwrite")
-    table = _build(args)
+    table = _build(args, QuadratureSpec(args.panels_1d, args.panels_2d))
     out.parent.mkdir(parents=True, exist_ok=True)
     table.save(out)
     der = table.derived()
@@ -199,9 +225,8 @@ def cmd_sweep(args) -> int:
 
     columns = list(rows[0])  # the CSV columns, in row-key order
     if args.oracle:
-        params = DimensionlessGateParams(omega_tilde=args.omega_tilde)
-        # Same (n, lambda) grid order as the predictor rows.
-        oracle_rows = oracle_sweep(lams, fock, params, FockCutoff(args.cutoff_n_max))
+        # The table's gate, in the same (n, lambda) grid order as the rows.
+        oracle_rows = oracle_sweep(lams, fock, table.params, FockCutoff(args.cutoff_n_max))
         oracle_cols = [
             "relative_phase",
             "p_gg",
@@ -280,8 +305,7 @@ def cmd_calibrate(args) -> int:
     config = SequenceConfig(
         detuning=detuning,
         qubit_shift=shift,
-        omega_tilde=args.omega_tilde,
-        fock_initial=args.fock_initial,
+        fock_initial=_fock_level(args) or 0,
         n_bar=args.nbar,
         phase_points=args.points,
         shots=None if args.shots == 0 else args.shots,
@@ -299,7 +323,7 @@ def cmd_calibrate(args) -> int:
             "engine": args.engine,
             "shots": config.shots,
             "phase_points": args.points,
-            "fock_initial": args.fock_initial,
+            "fock_initial": config.fock_initial,
             "n_bar": args.nbar,
             "seed": args.seed,
             "table_provenance": table.provenance_hash,
@@ -354,7 +378,7 @@ def cmd_predict(args) -> int:
     _require(args, "lambda-tilde")
     table = _table_for(args)
     lam = args.lambda_tilde
-    fock = None if args.nbar is not None else args.fock_initial
+    fock = _fock_level(args)
     target = ThermalDistribution(args.nbar) if fock is None else fock
     doc = {
         "lambda_tilde": lam,
@@ -403,6 +427,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("coefficients", help="build and save coefficient tables")
     _add_grid_options(p)
+    p.add_argument("--panels-1d", type=int, default=2**14, help="recorded only; tables are exact")
+    p.add_argument("--panels-2d", type=int, default=2**10, help="recorded only; tables are exact")
     p.add_argument("--out", default="coefficients.json", help="output JSON path")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_coefficients)
@@ -429,8 +455,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="signed drive-sideband gap in Hz (cycles/s)")
     p.add_argument("--shift-hz", type=float,
                    help="true injected center-line error in Hz")
-    p.add_argument("--fock-initial", type=int, default=0)
-    p.add_argument("--nbar", type=float, default=None)
+    _add_initial_mode(p)
     p.add_argument("--points", type=int, default=16)
     p.add_argument("--shots", type=int, default=200, help="0 means exact probabilities")
     p.add_argument("--engine", choices=["oracle", "first_order_model"], default="oracle")
@@ -450,8 +475,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("predict", help="closed-form predictors at one point")
     _add_table_options(p)
     p.add_argument("--lambda-tilde", type=float)
-    p.add_argument("--fock-initial", type=int, default=0)
-    p.add_argument("--nbar", type=float, default=None)
+    _add_initial_mode(p)
     p.add_argument("--initial", choices=["gg", "ee"], default="gg")
     p.set_defaults(func=cmd_predict)
 

@@ -17,6 +17,9 @@ full ramped-axis Hamiltonian exactly (see :mod:`msgate.oracle`) with the
 axis angle continuing across both gates, as drive-phase bookkeeping works
 on hardware, and raises when either gate fails its health checks.
 Populations are frame-independent, so the two may be compared directly.
+
+The coefficient table owns the gate: the oracle runs its ``omega_tilde`` for
+its ``tau_gate``, so the fringe and the slope a_n always describe one gate.
 """
 
 from __future__ import annotations
@@ -55,14 +58,15 @@ class SequenceConfig:
     """Physical and numerical settings for one calibration run.
 
     ``detuning`` (signed, rad/s) sets the gate clock; each gate lasts
-    2*pi/|detuning|.  ``qubit_shift`` is the center-line error lam (rad/s)
-    being estimated.  A thermal initial mode is used when ``n_bar`` is set,
-    otherwise the pure Fock level ``fock_initial``.
+    ``tau_gate``/|detuning|, with ``tau_gate`` that of the coefficient table
+    the run is given.  ``qubit_shift`` is the center-line error lam (rad/s)
+    being estimated.  The initial mode is the thermal distribution at
+    ``n_bar`` or else the pure Fock level ``fock_initial``; setting both is
+    refused.
     """
 
     detuning: float
     qubit_shift: float
-    omega_tilde: float = 0.5
     fock_initial: int = 0
     n_bar: float | None = None
     phase_points: int = 16
@@ -82,7 +86,9 @@ class SequenceConfig:
             )
         if self.phase_points < 5:
             raise ValueError("need at least 5 phase points to fit 3 parameters")
-        if self.n_bar is None and self.fock_initial < 0:
+        if self.n_bar is not None and self.fock_initial != 0:
+            raise ValueError("set fock_initial or n_bar, not both")
+        if self.fock_initial < 0:
             raise ValueError("fock_initial must be >= 0")
 
     @property
@@ -132,23 +138,23 @@ def _model_fringe(
     return p
 
 
-def _oracle_fringe(config: SequenceConfig, phi_d: np.ndarray) -> np.ndarray:
+def _oracle_fringe(
+    config: SequenceConfig, table: CoefficientTable, phi_d: np.ndarray
+) -> np.ndarray:
     cutoff = FockCutoff(config.cutoff_n_max)
     levels, weights = level_weights(config.target())
     lam = config.lambda_tilde
-    tau_g = 2.0 * math.pi
+    omega, tau = table.params.omega_tilde, table.params.tau_gate
     # Gate 1 at drive phase 0, one column per initial Fock level.
     init = _basis_columns(0, levels, cutoff)
     mid, _, _ = propagate_ramped_axis(
-        init, cutoff, config.omega_tilde, lam, np.zeros(len(levels)), (0.0, tau_g)
+        init, cutoff, omega, lam, np.zeros(len(levels)), (0.0, tau)
     )
-    # Gate 2 spans s in [2pi, 4pi]; the axis ramp continues through it, so
+    # Gate 2 spans s in [tau, 2 tau]; the axis ramp continues through it, so
     # the scan phase enters on top of the accumulated slip.
     cols = np.repeat(mid, phi_d.size, axis=1)
     phis = np.tile(phi_d, len(levels))
-    fin, _, _ = propagate_ramped_axis(
-        cols, cutoff, config.omega_tilde, lam, phis, (tau_g, 2.0 * tau_g)
-    )
+    fin, _, _ = propagate_ramped_axis(cols, cutoff, omega, lam, phis, (tau, 2.0 * tau))
     d = cutoff.dim
     p_ee = (np.abs(fin[3 * d :, :]) ** 2).sum(axis=0)
     p_ee = p_ee.reshape(len(levels), phi_d.size)
@@ -157,18 +163,17 @@ def _oracle_fringe(config: SequenceConfig, phi_d: np.ndarray) -> np.ndarray:
 
 def simulate_fringe(
     config: SequenceConfig,
+    table: CoefficientTable,
     phi_d: np.ndarray | None = None,
-    table: CoefficientTable | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact fringe probabilities P(ee)(phi_d) for the configured engine."""
+    """Exact fringe probabilities P(ee)(phi_d) of the configured engine,
+    which runs the gate of ``table``."""
     if phi_d is None:
         phi_d = phase_scan(config.phase_points)
     phi_d = np.asarray(phi_d, dtype=float)
     if config.engine == "first_order_model":
-        if table is None:
-            raise ValueError("the first_order_model engine needs a coefficient table")
         return phi_d, _model_fringe(config, phi_d, table)
-    return phi_d, _oracle_fringe(config, phi_d)
+    return phi_d, _oracle_fringe(config, table, phi_d)
 
 
 def sample_fringe(
@@ -337,7 +342,7 @@ def run_calibration(
     when ``config.shots`` is None, in which case the fit sees exact
     probabilities.
     """
-    phi_d, p_exact = simulate_fringe(config, table=table)
+    phi_d, p_exact = simulate_fringe(config, table)
     if config.shots is None:
         p_obs = p_exact
     else:

@@ -38,7 +38,6 @@ __all__ = [
     "SIGMA_Y_BASIS",
     "displacement_matrix",
     "partial_trace_phonons",
-    "state_fidelity",
     "purity",
     "thermal_probabilities",
     "level_weights",
@@ -212,11 +211,6 @@ def partial_trace_phonons(state: CompositeState) -> QubitDensityMatrix:
     """Reduced qubit-pair density matrix; rows/columns follow ``QUBIT_LABELS``."""
     v = state.amplitudes.reshape(4, state.cutoff.dim)
     return QubitDensityMatrix(v @ v.conj().T)
-
-
-def state_fidelity(state: CompositeState, target: CompositeState) -> float:
-    """|<target|state>|^2 between pure composite states."""
-    return abs(state.overlap(target)) ** 2
 
 
 def purity(rho: QubitDensityMatrix | np.ndarray) -> float:

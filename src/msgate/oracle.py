@@ -42,11 +42,9 @@ from .ideal import DimensionlessGateParams, collective_spin, ideal_output_state
 
 __all__ = [
     "IntegratorConfig",
-    "PropagationResult",
     "GuardBandError",
     "NormDriftError",
     "hamiltonian_matrix",
-    "propagate",
     "propagate_batch",
     "propagate_ramped_axis",
     "observables",
@@ -96,15 +94,6 @@ class IntegratorConfig:
         drift = float(np.max(norm_drift))
         if drift > self.norm_tolerance:
             raise NormDriftError(f"norm drift {drift:.3e} exceeds {self.norm_tolerance:.1e}")
-
-
-@dataclass
-class PropagationResult:
-    """Final state plus the health numbers of its propagation."""
-
-    state: CompositeState
-    norm_drift: float
-    guard_band_mass: float
 
 
 def _ladder(dim: int) -> np.ndarray:
@@ -231,20 +220,6 @@ def propagate_batch(
         )
     final *= np.exp(1j * t1 * number)
     return _with_health(cols, final, cutoff, config, np.shape(amps))
-
-
-def propagate(
-    initial: CompositeState,
-    params: DimensionlessGateParams,
-    config: IntegratorConfig = IntegratorConfig(),
-    span: tuple[float, float] | None = None,
-) -> PropagationResult:
-    """Propagate one state through the static-axis Hamiltonian."""
-    final, drift, guard = propagate_batch(
-        initial.amplitudes, initial.cutoff, params, params.lambda_tilde, config, span
-    )
-    state = CompositeState(final, initial.cutoff)
-    return PropagationResult(state, float(drift.max()), guard)
 
 
 def propagate_ramped_axis(

@@ -2,6 +2,9 @@
 
 The coefficient table is session-scoped: n_max=24 trusts Fock levels 0..9
 and builds in a few milliseconds.  Its panel counts are recorded only.
+``two_loop_table`` is a second calibrated gate (two loops at
+omega_tilde = 1/(2 sqrt 2)) for checks that every route runs the table's
+gate rather than the one-loop default.
 """
 
 import math
@@ -55,6 +58,15 @@ def table():
     return compute_coefficient_table(
         n_max=24, quad=QuadratureSpec(panels_1d=2**12, panels_2d=2**8)
     )
+
+
+@pytest.fixture(scope="session")
+def two_loop_table():
+    table = compute_coefficient_table(
+        omega_tilde=1.0 / (2.0 * math.sqrt(2.0)), n_max=24, tau_gate=4.0 * math.pi
+    )
+    table.check_health()
+    return table
 
 
 @pytest.fixture(scope="session")

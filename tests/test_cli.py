@@ -100,7 +100,7 @@ class TestCoefficients:
         assert _files(workdir) == []
 
     def test_unhealthy_auto_build_not_cached(self, workdir, capsys):
-        argv = ["predict", "--lambda-tilde", "0.01", *self.OFF_LINE]
+        argv = ["predict", "--lambda-tilde", "0.01", "--n-max", "24", "--omega-tilde", "0.4"]
         assert main(argv) == EXIT_NUMERICAL
         assert "not written" in capsys.readouterr().err
         assert _files(workdir) == []
@@ -433,11 +433,11 @@ class TestTableOnDemand:
     """Without --table a command builds its table in memory and writes only
     its own outputs; the answers equal the library's on the same grid."""
 
-    GRID = ["--n-max", "24", "--panels-1d", "2048", "--panels-2d", "128"]
+    GRID = ["--n-max", "24"]
 
     @pytest.fixture(scope="class")
     def built(self):
-        return compute_coefficient_table(n_max=24, quad=QuadratureSpec(2048, 128))
+        return compute_coefficient_table(n_max=24)
 
     def test_predict(self, workdir, built, capsys):
         assert main(["predict", "--lambda-tilde", "0.02", *self.GRID]) == EXIT_OK
@@ -467,6 +467,59 @@ class TestTableOnDemand:
         _, estimate, _, _ = run_calibration(config, built, np.random.default_rng(0))
         assert doc["estimate"]["phi_seq"] == pytest.approx(estimate.phi_seq, rel=1e-12)
         assert doc["inputs"]["table_provenance"] == built.provenance_hash
+
+
+class TestTableOwnsGate:
+    """With --table, the file fixes the gate: the oracle runs it, and the
+    grid options that describe an in-memory build are refused."""
+
+    def test_sweep_oracle_runs_two_loop_gate(self, two_loop_table, workdir):
+        two_loop_table.save("two_loop.json")
+        rc = main(["sweep", "--table", "two_loop.json", "--oracle", "--points", "2",
+                   "--lambda-min=-0.01", "--lambda-max", "0.01", "--fock", "0",
+                   "--cutoff-n-max", "32"])
+        assert rc == EXIT_OK
+        data = np.genfromtxt("sweep.csv", delimiter=",", names=True, skip_header=1)
+        err = np.abs(data["oracle_relative_phase"] - data["pred_phase"])
+        assert err.max() <= 1e-3
+
+    @pytest.mark.parametrize("command", [
+        ["predict", "--lambda-tilde", "0.01"],
+        ["sweep"],
+        ["calibrate", "--detuning-hz=-11e3", "--shift-hz", "30"],
+    ])
+    @pytest.mark.parametrize("flag, value", [("--omega-tilde", "0.5"), ("--n-max", "24")])
+    def test_grid_option_with_table_refused(self, table_file, workdir, capsys,
+                                            command, flag, value):
+        assert main([*command, "--table", table_file, flag, value]) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert _files(workdir) == []
+
+
+class TestInitialMode:
+    """--fock-initial and --nbar name one initial mode; both together exit 2."""
+
+    COMMANDS = [
+        ["predict", "--lambda-tilde", "0.01"],
+        ["calibrate", "--detuning-hz=-11e3", "--shift-hz", "30"],
+    ]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("level", ["0", "3"])
+    def test_fock_and_nbar_exclusive(self, table_file, capsys, command, level):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--table", table_file, "--nbar", "0.05",
+                  "--fock-initial", level])
+        assert exc.value.code == EXIT_USAGE
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_nbar_with_flag_refused(self, table_file, workdir, capsys, command):
+        Path("c.json").write_text(json.dumps({command[0]: {"nbar": 0.05}}))
+        rc = main(["--config", "c.json", *command, "--table", table_file,
+                   "--fock-initial", "3"])
+        assert rc == EXIT_USAGE
+        assert "--fock-initial and --nbar are exclusive" in capsys.readouterr().err
 
 
 class TestBadTableFile:

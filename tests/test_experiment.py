@@ -49,6 +49,10 @@ class TestSequenceConfig:
         with pytest.raises(ValueError, match="phase points"):
             _config(phase_points=3)
 
+    def test_fock_level_and_thermal_exclusive(self):
+        with pytest.raises(ValueError, match="not both"):
+            _config(fock_initial=2, n_bar=0.05)
+
     def test_thermal(self):
         assert _config(fock_initial=2).target() == 2
         dist = _config(n_bar=0.05).target()
@@ -180,10 +184,6 @@ class TestModelEngine:
             assert estimate.lambda_hat == pytest.approx(shift, rel=1e-9)
             assert estimate.caveats == []
 
-    def test_table_required(self):
-        with pytest.raises(ValueError, match="table"):
-            simulate_fringe(_config())
-
     def test_thermal_round_trip(self, table):
         config = _config(qubit_shift=40.0, n_bar=0.05)
         fit, estimate, _, _ = run_calibration(config, table)
@@ -215,7 +215,15 @@ class TestOracleEngine:
         assert abs(estimate.lambda_hat - shift) < 5.0 * estimate.lambda_err
         assert len(p_obs) == 8
 
-    def test_truncated_cutoff_raises(self):
+    def test_runs_the_tables_gate(self, two_loop_table):
+        # A two-loop table: the oracle must run two loops at its omega_tilde,
+        # or the fringe it fits is not the gate whose slope inverts it.
+        shift = 2.0 * math.pi * 100.0
+        config = _config(engine="oracle", qubit_shift=shift)
+        _, estimate, _, _ = run_calibration(config, two_loop_table)
+        assert estimate.lambda_hat == pytest.approx(shift, rel=5e-3)
+
+    def test_truncated_cutoff_raises(self, table):
         # At 3 phonons the drive pushes probability into the guard band and
         # the fringe is visibly wrong, so the engine must refuse it.
         config = _config(
@@ -223,13 +231,13 @@ class TestOracleEngine:
             phase_points=8,
         )
         with pytest.raises(GuardBandError, match="guard-band"):
-            simulate_fringe(config)
+            simulate_fringe(config, table)
 
-    def test_level_above_cutoff_raises(self):
+    def test_level_above_cutoff_raises(self, table):
         # A thermal mode at n_bar = 2 needs levels 0..52, past cutoff 32.
         config = _config(engine="oracle", n_bar=2.0)
         with pytest.raises(GuardBandError, match="Fock level 52 .*--cutoff-n-max"):
-            simulate_fringe(config)
+            simulate_fringe(config, table)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

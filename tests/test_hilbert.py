@@ -22,7 +22,6 @@ from msgate.hilbert import (
     level_weights,
     partial_trace_phonons,
     purity,
-    state_fidelity,
     thermal_probabilities,
 )
 from quadrature import displacement_from_moments, power_moments
@@ -196,8 +195,8 @@ class TestReducedState:
         cutoff = FockCutoff(2)
         a = CompositeState.basis_state("gg", 0, cutoff)
         b = CompositeState.basis_state("ee", 0, cutoff)
-        assert state_fidelity(a, a) == pytest.approx(1.0)
-        assert state_fidelity(a, b) == 0.0
+        assert abs(a.overlap(a)) ** 2 == pytest.approx(1.0)
+        assert abs(a.overlap(b)) ** 2 == 0.0
 
     def test_validate_rejects_non_hermitian(self):
         bad = np.eye(4, dtype=complex)

@@ -9,7 +9,7 @@ from scipy import sparse
 
 from msgate.cli import main
 from msgate.experiment import SequenceConfig, simulate_fringe
-from msgate.hilbert import SIGMA_Y_BASIS, CompositeState, FockCutoff, state_fidelity
+from msgate.hilbert import SIGMA_Y_BASIS, CompositeState, FockCutoff
 from msgate.ideal import (
     DimensionlessGateParams,
     collective_spin,
@@ -26,7 +26,6 @@ from msgate.oracle import (
     expectation_trajectory,
     hamiltonian_matrix,
     observables,
-    propagate,
     propagate_batch,
     propagate_ramped_axis,
     relative_phase_pair,
@@ -83,7 +82,7 @@ class TestExactVsRK4:
         reference = rk4_static(amps, params, oracle_cutoff, lam_cols, self.STEPS)
         assert np.abs(exact - reference).max() <= 1e-10
 
-    def test_two_gate_ramped_fringe(self, oracle_cutoff):
+    def test_two_gate_ramped_fringe(self, oracle_cutoff, table):
         # Gate 1 over [0, 2pi] at axis 0, gate 2 over [2pi, 4pi] at each scan
         # phase, with the axis ramp lam*s carried across both.
         lam, omega = 0.02, 0.5
@@ -121,7 +120,7 @@ class TestExactVsRK4:
         config = SequenceConfig(
             detuning=detuning, qubit_shift=lam * detuning, fock_initial=1, shots=None
         )
-        _, fringe = simulate_fringe(config, phis)
+        _, fringe = simulate_fringe(config, table, phis)
         p_ee_ref = (np.abs(fin_ref[3 * d :, phis.size :]) ** 2).sum(axis=0)
         assert np.abs(fringe - p_ee_ref).max() <= 1e-10
 
@@ -132,29 +131,31 @@ class TestCalibratedPoint:
         u = ideal_propagator(TAU, params, oracle_cutoff)
         for label, n in (("gg", 0), ("ge", 1), ("ee", 2)):
             initial = CompositeState.basis_state(label, n, oracle_cutoff)
-            result = propagate(initial, params, fast_integrator)
-            expected = u @ initial.amplitudes
-            np.testing.assert_allclose(
-                result.state.amplitudes, expected, atol=1e-9
+            final, _, _ = propagate_batch(
+                initial.amplitudes, oracle_cutoff, params, 0.0, fast_integrator
             )
+            expected = u @ initial.amplitudes
+            np.testing.assert_allclose(final, expected, atol=1e-9)
 
     def test_full_gate_fidelity(self, oracle_cutoff, fast_integrator):
         params = DimensionlessGateParams()
         initial = CompositeState.basis_state("gg", 1, oracle_cutoff)
-        result = propagate(initial, params, fast_integrator)
-        target = ideal_output_state("gg", 1, oracle_cutoff)
-        assert state_fidelity(result.state, target) == pytest.approx(
-            1.0, abs=1e-10
+        final, drift, _ = propagate_batch(
+            initial.amplitudes, oracle_cutoff, params, 0.0, fast_integrator
         )
-        assert result.norm_drift < 1e-10
+        target = ideal_output_state("gg", 1, oracle_cutoff)
+        fidelity = abs(CompositeState(final, oracle_cutoff).overlap(target)) ** 2
+        assert fidelity == pytest.approx(1.0, abs=1e-10)
+        assert drift.max() < 1e-10
 
 
 class TestHealthChecks:
     def test_guard_band_raises_on_small_cutoff(self):
         params = DimensionlessGateParams()
-        initial = CompositeState.basis_state("gg", 0, FockCutoff(4))
+        cutoff = FockCutoff(4)
+        initial = CompositeState.basis_state("gg", 0, cutoff)
         with pytest.raises(GuardBandError, match="guard-band"):
-            propagate(initial, params)
+            propagate_batch(initial.amplitudes, cutoff, params, 0.0)
 
     def test_norm_drift_reported(self, oracle_cutoff, rk4_static):
         params = DimensionlessGateParams(lambda_tilde=0.05)
@@ -168,7 +169,8 @@ class TestHealthChecks:
         coarse, fine = rk4_drift(64), rk4_drift(4096)
         assert fine < coarse
         assert fine < 1e-9
-        assert propagate(initial, params).norm_drift < 1e-12
+        _, drift, _ = propagate_batch(initial.amplitudes, oracle_cutoff, params, 0.05)
+        assert drift.max() < 1e-12
 
     def test_norm_tolerance_enforced(self, oracle_cutoff):
         config = IntegratorConfig(norm_tolerance=1e-6)
@@ -181,7 +183,7 @@ class TestHealthChecks:
         state = CompositeState.basis_state("gg", 0, oracle_cutoff)
         params = DimensionlessGateParams(lambda_tilde=0.01)
         calls = [
-            lambda: propagate(state, params, strict),
+            lambda: propagate_batch(state.amplitudes, oracle_cutoff, params, 0.01, strict),
             lambda: propagate_ramped_axis(
                 state.amplitudes, oracle_cutoff, 0.5, 0.01, 0.0, (0.0, TAU), strict
             ),
@@ -271,8 +273,10 @@ class TestObservables:
     def test_ideal_scorecard(self, oracle_cutoff, fast_integrator):
         params = DimensionlessGateParams()
         initial = CompositeState.basis_state("gg", 0, oracle_cutoff)
-        result = propagate(initial, params, fast_integrator)
-        obs = observables(result.state, "gg", 0)
+        final, _, _ = propagate_batch(
+            initial.amplitudes, oracle_cutoff, params, 0.0, fast_integrator
+        )
+        obs = observables(CompositeState(final, oracle_cutoff), "gg", 0)
         np.testing.assert_allclose(
             obs["populations"], [0.5, 0.0, 0.0, 0.5], atol=1e-9
         )
@@ -290,8 +294,10 @@ class TestObservables:
     def test_idle_pair_phase(self, oracle_cutoff, fast_integrator):
         params = DimensionlessGateParams(lambda_tilde=0.03)
         initial = CompositeState.basis_state("ge", 0, oracle_cutoff)
-        result = propagate(initial, params, fast_integrator)
-        obs = observables(result.state, "ge", 0)
+        final, _, _ = propagate_batch(
+            initial.amplitudes, oracle_cutoff, params, 0.03, fast_integrator
+        )
+        obs = observables(CompositeState(final, oracle_cutoff), "ge", 0)
         # No first-order phase shift on the idle pair: +pi/2 to O(lam^2).
         assert obs["relative_phase"] == pytest.approx(math.pi / 2, abs=1e-2)
 
