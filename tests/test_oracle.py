@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import expm
 
 from msgate.cli import main
 from msgate.experiment import SequenceConfig, simulate_fringe
@@ -22,7 +23,9 @@ from msgate.oracle import (
     IntegratorConfig,
     NormDriftError,
     _frame_hamiltonian,
+    _exact_evolve,
     _rk4,
+    _symmetry_blocks,
     expectation_trajectory,
     hamiltonian_matrix,
     observables,
@@ -63,6 +66,70 @@ class TestHamiltonian:
                 + np.diag(number)
             )
             np.testing.assert_allclose(framed, expected, atol=1e-14)
+
+
+GRID_PHI = (0.0, 0.3, math.pi / 2, 2.0)
+GRID_OMEGA = (0.5, 1.0 / (2.0 * math.sqrt(2.0)))  # one-loop and two-loop gates
+GRID_LAM = (-0.2, 0.0, 0.07)
+
+
+class TestSymmetryBlocks:
+    """The block route of the exact propagator against the dense H'."""
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 32])
+    def test_matches_dense_expm(self, n_max):
+        cutoff, dt = FockCutoff(n_max), 2.3
+        unit = np.eye(cutoff.composite_dim, dtype=complex)
+        for phi in GRID_PHI:
+            for omega in GRID_OMEGA:
+                for lam in GRID_LAM:
+                    dense = expm(-1j * dt * _frame_hamiltonian(lam, omega, phi, cutoff))
+                    blocks = _exact_evolve(lam, omega, phi, cutoff, unit, dt)
+                    assert np.abs(blocks - dense).max() <= 1e-12, (phi, omega, lam)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 32])
+    def test_per_column_durations(self, n_max):
+        # One input column at many durations, directly and through the
+        # trajectory recorder (<a> in the lab frame at every record).
+        cutoff = FockCutoff(n_max)
+        params = DimensionlessGateParams(omega_tilde=GRID_OMEGA[1], lambda_tilde=0.07, phi=2.0)
+        rng = np.random.default_rng(n_max)
+        psi0 = rng.normal(size=cutoff.composite_dim) + 1j * rng.normal(size=cutoff.composite_dim)
+        psi0 /= np.linalg.norm(psi0)
+        h = _frame_hamiltonian(params.lambda_tilde, params.omega_tilde, params.phi, cutoff)
+        taus = np.linspace(0.0, params.tau_gate, 9)
+        dense = np.stack([expm(-1j * t * h) @ psi0 for t in taus], axis=1)
+        chi = _exact_evolve(params.lambda_tilde, params.omega_tilde, params.phi, cutoff,
+                            psi0[:, None], taus)
+        assert np.abs(chi - dense).max() <= 1e-12
+
+        # Small cutoffs fill the guard band; only the amplitudes are checked.
+        permissive = IntegratorConfig(guard_tolerance=np.inf)
+        traj = expectation_trajectory(CompositeState(psi0, cutoff), params, 9, permissive)
+        lab = np.exp(1j * np.tile(np.arange(cutoff.dim), 4)[:, None] * taus) * dense
+        a_op = np.kron(np.eye(4), np.diag(np.sqrt(np.arange(1.0, cutoff.dim)), 1))
+        a_dense = np.einsum("ij,ij->j", lab.conj(), a_op @ lab)
+        assert np.abs(traj["a_expect"] - a_dense).max() <= 1e-12
+        np.testing.assert_allclose(traj["norm"], 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("phi", GRID_PHI)
+    def test_rotated_hamiltonian_is_block_diagonal(self, oracle_cutoff, phi):
+        # e^{i(pi/2 - phi) S_z} H' e^{-i(pi/2 - phi) S_z} in the block basis
+        # has nothing outside the singlet and the two triplet parity blocks,
+        # and inside them it is the cached real coupling plus the diagonal.
+        lam, omega = 0.07, 0.5
+        basis, number, block_s_z, blocks = _symmetry_blocks(oracle_cutoff.n_max)
+        s_z = np.repeat([1.0, 0.0, 0.0, -1.0], oracle_cutoff.dim)
+        rot = np.exp(1j * (math.pi / 2 - phi) * s_z)
+        h = _frame_hamiltonian(lam, omega, phi, oracle_cutoff)
+        k = basis.conj().T @ (rot[:, None] * h * rot.conj()) @ basis
+        sizes = [sl.stop - sl.start for sl, _ in blocks]
+        assert sizes + [oracle_cutoff.composite_dim - blocks[-1][0].stop] == [49, 50, 33]
+        assert np.abs(k.imag).max() <= 1e-14
+        expected = np.diag(number + lam * block_s_z)
+        for sl, coupling in blocks:
+            expected[sl, sl] += omega * coupling
+        assert np.abs(k - expected).max() <= 1e-14
 
 
 class TestExactVsRK4:
