@@ -12,15 +12,15 @@ predict        print every closed-form predictor for one operating point
 
 A JSON config file (``--config``) may hold a section per subcommand whose
 keys mirror the long option names; explicit flags always win.  Exit codes:
-0 success, 2 usage/configuration error (including a table file whose schema
-is not the current one, that cannot be read, lacks an entry, or whose stored
-derived scalars or provenance digest do not match its contents), 3
+0 success, 2 usage/configuration error (including an output path that
+cannot be written, and a table file whose schema is not the current one,
+that cannot be read, lacks an entry or holds one of the wrong type, or whose
+stored derived scalars or provenance digest do not match its contents), 3
 numerical-health failure (Fock truncation, an initial level above the oracle
-cutoff, guard-band occupation, norm drift, non-convergent fit, a table with
-non-finite entries or a structure residual past 1e-6: a built one is not
-written, a loaded one is refused).  Float options take negative values in
-exponent form either as a separate token (``--shift-hz -3e1``) or as
-``--shift-hz=-3e1``.
+cutoff, guard-band occupation, norm drift, a table with non-finite entries
+or a structure residual past 1e-6: a built one is not written, a loaded one
+is refused).  Float options take negative values in exponent form either as
+a separate token (``--shift-hz -3e1``) or as ``--shift-hz=-3e1``.
 
 ``coefficients`` is the only command that writes a table; its ``--panels-*``
 are recorded but change no value (the tables are exact).  ``predict``,
@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiment import FitError, SequenceConfig, phi_seq_prediction, run_calibration
+from .experiment import SequenceConfig, phi_seq_prediction, run_calibration
 from .hilbert import FockCutoff, ThermalDistribution
 from .ideal import DimensionlessGateParams, phase_space_trajectory, write_trajectory_csv
 from .magnus import (
@@ -82,6 +82,8 @@ def _load_config(path: str | None) -> dict:
             doc = json.load(fh)
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}")
+    except OSError as exc:
+        raise CliError(f"cannot read config file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
@@ -510,7 +512,12 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TruncationError, GuardBandError, NormDriftError, FitError,
+    except OSError as exc:
+        # Every input file is read behind a CliError, so what is left is an
+        # output path that cannot be written.
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (TruncationError, GuardBandError, NormDriftError,
             UnhealthyTableError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

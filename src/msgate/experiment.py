@@ -9,7 +9,9 @@ the gates; to first order the excited-pair population traces
     phi_seq      = 2 * lam * a_n / detuning,
 
 with a_n the per-Fock-level phase slope from the coefficient table.  The
-fitted fringe phase therefore measures lam directly.
+fitted fringe phase therefore measures lam directly.  The fringe is linear
+in (A cos phi_seq, A sin phi_seq, offset), so the fit is a weighted linear
+least-squares solve with no iteration and no starting guess.
 
 Two engines produce fringes: ``first_order_model`` evaluates the cosine
 model above (thermally weighted when asked), and ``oracle`` propagates the
@@ -25,11 +27,9 @@ its ``tau_gate``, so the fringe and the slope a_n always describe one gate.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .hilbert import FockCutoff, ThermalDistribution, level_weights
 from .magnus import LAMBDA_HARD_CAP, CoefficientTable, _scalars_for
@@ -37,7 +37,6 @@ from .oracle import _basis_columns, propagate_ramped_axis
 
 __all__ = [
     "SequenceConfig",
-    "FitError",
     "FringeFit",
     "LambdaEstimate",
     "phase_scan",
@@ -186,15 +185,15 @@ def sample_fringe(
     return rng.binomial(shots, p) / shots
 
 
-class FitError(RuntimeError):
-    """The fringe fit did not converge."""
-
-
 @dataclass
 class FringeFit:
-    """Result of fitting A*cos(2*phi_d + phase) + offset.
+    """Result of fitting A*cos(2*phi_d + phase) + offset, with A >= 0 and
+    phase in (-pi, pi].
 
-    The errors are inf when the covariance could not be estimated.
+    The errors and the covariance are inf when the fit leaves them
+    undetermined: at zero amplitude, where the phase has no meaning, and
+    without ``shots`` when the residuals that would scale the covariance
+    are at rounding level.
     """
 
     amplitude: float
@@ -209,74 +208,83 @@ class FringeFit:
     shots: int | None
 
 
-def _fringe_model(phi: np.ndarray, amp: float, phase: float, offset: float):
-    return amp * np.cos(2.0 * phi + phase) + offset
+# Residual RMS at or below which a fit without shots has no scale for its
+# covariance: exact cosine fringes leave rounding of at most 6e-16.  The
+# oracle fringe departs from a cosine as lam^4 (5.4e-13 at 10 Hz, 4.4e-11
+# at 30 Hz against 11 kHz), so it keeps its error bars down to about 3 Hz.
+_RESIDUAL_RMS_FLOOR = 1e-14
 
 
-def _curve_fit(phi_d, p_obs, p0, sigma, absolute_sigma):
-    """curve_fit of the fringe model; an undetermined covariance stays inf."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OptimizeWarning)
-            return curve_fit(_fringe_model, phi_d, p_obs, p0=p0, sigma=sigma,
-                             absolute_sigma=absolute_sigma, maxfev=20000)
-    except RuntimeError as exc:
-        raise FitError(f"fringe fit did not converge: {exc}") from exc
+def _binomial_sigma(p: np.ndarray, shots: int) -> np.ndarray:
+    """Binomial standard error of fractions p, floored as if p(1-p) >= 1/(4 shots)."""
+    return np.sqrt(np.maximum(p * (1.0 - p), 0.25 / shots) / shots)
+
+
+def _weighted_solve(design: np.ndarray, p_obs: np.ndarray, sigma: np.ndarray):
+    """Weighted least-squares coefficients and their covariance inv(X^T W X)."""
+    u, sv, vt = np.linalg.svd(design / sigma[:, None], full_matrices=False)
+    if sv[-1] <= sv[0] * max(design.shape) * np.finfo(float).eps:
+        raise ValueError("the scan phases do not determine the fringe (rank < 3)")
+    coef = vt.T @ ((u.T @ (p_obs / sigma)) / sv)
+    return coef, (vt.T / sv**2) @ vt
 
 
 def fit_fringe(
     phi_d: np.ndarray, p_obs: np.ndarray, shots: int | None = None
 ) -> FringeFit:
-    """Weighted least-squares fringe fit with a DFT-based initializer.
+    """Weighted least-squares fringe fit, solved in closed form.
 
     The frequency is fixed at 2 cycles per radian of scan phase (the pair
-    coherence winds twice per drive-phase radian).  With ``shots`` given,
-    points are weighted by their binomial uncertainty and the covariance is
-    absolute; otherwise it is scaled from the residuals.  Binomial weights
-    are taken from a first-pass fitted curve rather than the observed
-    fractions — observed-fraction weights correlate with the noise and
-    understate the parameter covariance.  Raises FitError when the fit
-    does not converge.
+    coherence winds twice per drive-phase radian), so the model is linear
+    in (c, s, offset) = (A cos phase, A sin phase, offset) on the columns
+    [cos 2 phi_d, -sin 2 phi_d, 1], and each pass is one linear solve.
+    With ``shots`` given, points are weighted by their binomial uncertainty
+    and the covariance is absolute; otherwise it is scaled from the
+    residuals.  Binomial weights are taken from a first-pass fitted curve
+    rather than the observed fractions: observed-fraction weights correlate
+    with the noise and understate the parameter covariance.  The
+    covariance of (c, s, offset) maps to (A, phase, offset) through the
+    Jacobian of A = hypot(c, s), phase = atan2(s, c).  Raises ValueError on
+    non-finite data or scan phases that do not determine the fringe.
     """
     phi_d = np.asarray(phi_d, dtype=float)
     p_obs = np.asarray(p_obs, dtype=float)
-    if phi_d.shape != p_obs.shape or phi_d.size < 5:
-        raise ValueError("need matching phase/population arrays, >= 5 points")
-    mean = float(p_obs.mean())
-    # Single-bin DFT at the known frequency seeds amplitude and phase.
-    z = np.sum((p_obs - mean) * np.exp(-2.0j * phi_d)) * 2.0 / phi_d.size
-    p0 = [max(abs(z), 1e-3), float(np.angle(z)), mean]
-    sigma = None
+    if phi_d.shape != p_obs.shape or phi_d.ndim != 1 or phi_d.size < 5:
+        raise ValueError("need matching 1-D phase/population arrays, >= 5 points")
+    if not (np.isfinite(phi_d).all() and np.isfinite(p_obs).all()):
+        raise ValueError("fringe data must be finite")
+    design = np.column_stack(
+        [np.cos(2.0 * phi_d), -np.sin(2.0 * phi_d), np.ones_like(phi_d)]
+    )
+    sigma = np.ones_like(p_obs)
     if shots is not None:
-        var = np.maximum(p_obs * (1.0 - p_obs), 0.25 / shots) / shots
-        sigma = np.sqrt(var)
-    popt, pcov = _curve_fit(phi_d, p_obs, p0, sigma, shots is not None)
-    if shots is not None:
-        fitted = np.clip(_fringe_model(phi_d, *popt), 0.0, 1.0)
-        var = np.maximum(fitted * (1.0 - fitted), 0.25 / shots) / shots
-        popt, pcov = _curve_fit(phi_d, p_obs, popt, np.sqrt(var), True)
-    amp, phase, offset = (float(x) for x in popt)
-    if amp < 0.0:
-        amp, phase = -amp, phase + math.pi
-        pcov = pcov.copy()
-        # Flipping the amplitude sign leaves variances unchanged but flips
-        # the amp-phase and amp-offset covariances.
-        pcov[0, 1:] *= -1.0
-        pcov[1:, 0] *= -1.0
-    phase = math.remainder(phase, 2.0 * math.pi)
-    if phase <= -math.pi:
-        phase += 2.0 * math.pi
-    resid = p_obs - _fringe_model(phi_d, amp, phase, offset)
-    errs = np.sqrt(np.maximum(np.diag(pcov), 0.0))
+        coef, _ = _weighted_solve(design, p_obs, _binomial_sigma(p_obs, shots))
+        sigma = _binomial_sigma(np.clip(design @ coef, 0.0, 1.0), shots)
+    coef, cov = _weighted_solve(design, p_obs, sigma)
+    resid = p_obs - design @ coef
+    rms = float(np.sqrt(np.mean(resid**2)))
+    c, s, offset = (float(x) for x in coef)
+    amp = math.hypot(c, s)
+    # Adding 0.0 turns a -0.0 sine into +0.0, keeping the phase off -pi.
+    phase = math.atan2(s + 0.0, c)
+    if amp == 0.0 or (shots is None and rms <= _RESIDUAL_RMS_FLOOR):
+        cov = np.full((3, 3), math.inf)
+    else:
+        if shots is None:
+            cov = cov * float(resid @ resid) / (phi_d.size - 3)
+        cu, su = c / amp, s / amp
+        jac = np.array([[cu, su, 0.0], [-su / amp, cu / amp, 0.0], [0.0, 0.0, 1.0]])
+        cov = jac @ cov @ jac.T
+    errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FringeFit(
         amplitude=amp,
-        phase=float(phase),
+        phase=phase,
         offset=offset,
         amplitude_err=float(errs[0]),
         phase_err=float(errs[1]),
         offset_err=float(errs[2]),
-        covariance=pcov,
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
+        covariance=cov,
+        residual_rms=rms,
         n_points=phi_d.size,
         shots=shots,
     )

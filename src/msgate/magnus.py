@@ -853,8 +853,9 @@ def load_coefficient_table(path) -> CoefficientTable:
     (else :class:`UnhealthyTableError`), the stored ``derived`` block against
     the scalars recomputed from the tables, and last the stored digest against
     :attr:`CoefficientTable.provenance_hash`.  A file that is not a JSON
-    object, lacks an entry or fails any check but health raises ``ValueError``.
-    The recomputed scalars are kept for the predictors.
+    object, lacks an entry, holds one of the wrong type or fails any check
+    but health raises ``ValueError``.  The recomputed scalars are kept for
+    the predictors.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -869,6 +870,8 @@ def load_coefficient_table(path) -> CoefficientTable:
         return _validated_table(doc)
     except KeyError as exc:
         raise ValueError(f"coefficient file has no {exc.args[0]!r} entry") from None
+    except TypeError as exc:
+        raise ValueError(f"coefficient file has an entry of the wrong type: {exc}") from None
 
 
 def _validated_table(doc: dict) -> CoefficientTable:

@@ -6,13 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import msgate.experiment as experiment
 from msgate.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from msgate.experiment import SequenceConfig, run_calibration
 from msgate.hilbert import ThermalDistribution
 from msgate.magnus import (
     QuadratureSpec,
     compute_coefficient_table,
+    load_coefficient_table,
     predict_coherence,
     predict_fidelity,
     predict_phase,
@@ -57,6 +57,12 @@ class TestTopLevel:
                    "--out", str(tmp_path / "t.csv")])
         assert rc == EXIT_USAGE
         assert "not found" in capsys.readouterr().err
+
+    def test_unreadable_config_file(self, tmp_path, capsys):
+        rc = main(["--config", str(tmp_path), "trajectory",
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == EXIT_USAGE
+        assert "cannot read config file" in capsys.readouterr().err
 
 
 class TestCoefficients:
@@ -266,7 +272,9 @@ class TestCalibrate:
         assert doc["schema"] == "msgate/calibration-report/1"
         assert doc["inputs"]["shots"] is None
         assert doc["estimate"]["shift_hz"] == pytest.approx(30.0, rel=1e-9)
-        assert doc["estimate"]["caveats"] == []
+        # Exact data leaves no residual to scale the covariance by.
+        [caveat] = doc["estimate"]["caveats"]
+        assert "covariance undetermined" in caveat
         assert doc["estimate"]["phi_seq"] == pytest.approx(
             doc["estimate"]["phi_seq_predicted"], rel=1e-9
         )
@@ -304,16 +312,6 @@ class TestCalibrate:
         assert doc["estimate"]["shift_err_hz"] is None
         assert any("covariance undetermined" in c for c in doc["estimate"]["caveats"])
         assert "caveat: fringe covariance undetermined" in capsys.readouterr().out
-
-    def test_fit_failure_exit(self, table_file, capsys, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise RuntimeError("Optimal parameters not found: maxfev reached")
-
-        monkeypatch.setattr(experiment, "curve_fit", no_convergence)
-        rc = main(["calibrate", "--table", table_file, "--detuning-hz=-11e3",
-                   "--shift-hz", "30", "--engine", "first_order_model"])
-        assert rc == EXIT_NUMERICAL
-        assert "fringe fit did not converge" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode, level", [
         (["--nbar", "2.0"], 52),
@@ -522,6 +520,26 @@ class TestInitialMode:
         assert "--fock-initial and --nbar are exclusive" in capsys.readouterr().err
 
 
+class TestUnwritableOutput:
+    """An output path under a regular file exits 2 with a message."""
+
+    @pytest.mark.parametrize("command", [
+        ["coefficients", "--n-max", "12", "--out", "blocker/t.json"],
+        ["sweep", "--points", "3", "--out", "blocker/s.csv"],
+        ["sweep", "--points", "3", "--plot-script", "blocker/p.gp"],
+        ["calibrate", "--engine", "first_order_model", "--detuning-hz=-11e3",
+         "--shift-hz", "30", "--out", "blocker/r.json"],
+        ["trajectory", "--samples", "9", "--out", "blocker/t.csv"],
+    ], ids=["coefficients", "sweep", "plot-script", "calibrate", "trajectory"])
+    def test_exit_usage(self, table_file, workdir, capsys, command):
+        Path("blocker").write_text("")
+        if command[0] in ("sweep", "calibrate"):
+            command = [*command, "--table", table_file]
+        assert main(command) == EXIT_USAGE
+        assert "error: cannot write output" in capsys.readouterr().err
+        assert Path("blocker").read_text() == ""
+
+
 class TestBadTableFile:
     """A --table file that cannot serve as a table exits 2 with a message."""
 
@@ -536,3 +554,14 @@ class TestBadTableFile:
         rc = main(["predict", "--table", "t.json", "--lambda-tilde", "0.01"])
         assert rc == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["params", "tables"])
+    def test_wrong_typed_entry(self, table_file, workdir, capsys, entry):
+        doc = json.loads(Path(table_file).read_text())
+        doc[entry] = []
+        Path("t.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="wrong type"):
+            load_coefficient_table("t.json")
+        rc = main(["predict", "--table", "t.json", "--lambda-tilde", "0.01"])
+        assert rc == EXIT_USAGE
+        assert "entry of the wrong type" in capsys.readouterr().err

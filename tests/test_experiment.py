@@ -1,16 +1,15 @@
 """Two-gate calibration sequence: fringe synthesis, fitting, inversion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import msgate.experiment as experiment
 from msgate.experiment import (
     ENGINES,
-    FitError,
     SequenceConfig,
     effective_phase_slope,
     estimate_lambda,
@@ -125,7 +124,7 @@ class TestFringeFit:
 
     def test_negative_seed_amplitude_normalized(self):
         phi = phase_scan(12)
-        # Phase near pi makes the DFT seed land on a negative-amp solution.
+        # A phase near pi still comes back with a positive amplitude.
         p = 0.5 + 0.4 * np.cos(2 * phi + 3.0)
         fit = fit_fringe(phi, p)
         assert fit.amplitude > 0
@@ -146,13 +145,47 @@ class TestFringeFit:
         assert fit.amplitude == pytest.approx(0.4, abs=1e-9)
         assert math.isinf(fit.phase_err)
 
-    def test_nonconvergence_raises_fit_error(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise RuntimeError("Optimal parameters not found: maxfev reached")
+    @pytest.mark.parametrize("points", [5, 8, 16])
+    @pytest.mark.parametrize("phase", [0.0, 0.7, -1.2, 3.0])
+    def test_exact_fringe_undetermined_at_any_phase(self, phase, points):
+        # Without shots, exact probabilities leave only rounding in the
+        # residuals: the errors are inf and the caveat fires at every phase.
+        phi = phase_scan(points)
+        fit = fit_fringe(phi, 0.5 + 0.4 * np.cos(2 * phi + phase))
+        assert fit.phase == pytest.approx(phase, abs=1e-12)
+        assert np.isinf([fit.amplitude_err, fit.phase_err, fit.offset_err]).all()
+        estimate = estimate_lambda(fit, 5.68, EPSILON)
+        assert any("covariance undetermined" in c for c in estimate.caveats)
 
-        monkeypatch.setattr(experiment, "curve_fit", no_convergence)
-        with pytest.raises(FitError, match="did not converge"):
-            fit_fringe(phase_scan(8), np.full(8, 0.5))
+    def test_errors_match_closed_form(self, rng):
+        # On an evenly spaced scan the columns cos 2phi, sin 2phi and 1 are
+        # orthogonal, so var(A cos, A sin) = 2 s^2/N and var(phase) = that / A^2.
+        n = 20
+        phi = phase_scan(n)
+        p = 0.5 + 0.4 * np.cos(2 * phi + 0.7) + rng.normal(0.0, 0.01, n)
+        fit = fit_fringe(phi, p)
+        s2 = n * fit.residual_rms**2 / (n - 3)
+        assert fit.phase_err == pytest.approx(math.sqrt(2 * s2 / n) / fit.amplitude, rel=1e-10)
+        assert fit.amplitude_err == pytest.approx(math.sqrt(2 * s2 / n), rel=1e-10)
+        assert fit.offset_err == pytest.approx(math.sqrt(s2 / n), rel=1e-10)
+
+    @pytest.mark.parametrize("phi, p, message", [
+        (phase_scan(8), np.r_[np.full(7, 0.5), np.nan], "finite"),
+        (np.r_[phase_scan(7), np.inf], np.full(8, 0.5), "finite"),
+        (np.zeros(8), np.full(8, 0.5), "rank < 3"),
+        (np.tile([0.0, math.pi / 2], 4), np.tile([0.9, 0.1], 4), "rank < 3"),
+    ])
+    def test_rejects_undetermining_data(self, phi, p, message):
+        with pytest.raises(ValueError, match=message):
+            fit_fringe(phi, p)
+
+    @pytest.mark.parametrize("shots", [None, 200])
+    def test_flat_data_warns_nothing(self, shots):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_fringe(phase_scan(8), np.full(8, 0.5), shots)
+        assert fit.amplitude == pytest.approx(0.0, abs=1e-12)
+        assert fit.offset == pytest.approx(0.5)
 
 
 class TestSampling:
@@ -182,7 +215,9 @@ class TestModelEngine:
             config = _config(qubit_shift=shift)
             fit, estimate, _, _ = run_calibration(config, table)
             assert estimate.lambda_hat == pytest.approx(shift, rel=1e-9)
-            assert estimate.caveats == []
+            # Exact data leaves no residual to scale the covariance by.
+            assert len(estimate.caveats) == 1
+            assert "covariance undetermined" in estimate.caveats[0]
 
     def test_thermal_round_trip(self, table):
         config = _config(qubit_shift=40.0, n_bar=0.05)
@@ -276,7 +311,7 @@ class TestEstimator:
         estimate = estimate_lambda(fit, 5.68, EPSILON)
         assert any("contrast" in c for c in estimate.caveats)
         big = 0.5 + 0.5 * np.cos(2 * phi + 2.0)
-        fit = fit_fringe(phi, big)
+        fit = fit_fringe(phi, big, shots=400)
         estimate = estimate_lambda(fit, 5.68, EPSILON)
         assert any("first-order" in c for c in estimate.caveats)
         assert not any("covariance" in c for c in estimate.caveats)

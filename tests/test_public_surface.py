@@ -1,5 +1,5 @@
 """Every public name of msgate has a caller inside the package, or is a named
-cross-check route; every CLI option is listed.
+cross-check route; every CLI option is listed; the CLI needs numpy alone.
 
 A module's public names are its ``__all__``.  A name counts as called when
 some statement under ``src/msgate`` other than its own top-level definition
@@ -7,6 +7,9 @@ reads it as a ``Name`` or an ``Attribute``, or imports it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from msgate.cli import build_parser
@@ -95,3 +98,13 @@ def test_cli_options_are_listed():
         return tuple(a.dest for a in p._actions if a.dest not in ("help", "version", "command"))
 
     assert {name: dests(p) for name, p in commands.items()} == CLI_OPTIONS
+
+
+def test_cli_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = "import sys, msgate.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
