@@ -179,13 +179,18 @@ class TestFringeFit:
         with pytest.raises(ValueError, match=message):
             fit_fringe(phi, p)
 
+    @pytest.mark.parametrize("level", [0.0, 0.5])
     @pytest.mark.parametrize("shots", [None, 200])
-    def test_flat_data_warns_nothing(self, shots):
+    def test_flat_data_warns_nothing(self, shots, level):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = fit_fringe(phase_scan(8), np.full(8, 0.5), shots)
+            fit = fit_fringe(phase_scan(8), np.full(8, level), shots)
         assert fit.amplitude == pytest.approx(0.0, abs=1e-12)
-        assert fit.offset == pytest.approx(0.5)
+        assert fit.offset == pytest.approx(level)
+        if level == 0.0:
+            # All-zero data fits A = 0 exactly: no phase, so no error bars.
+            assert fit.amplitude == 0.0
+            assert np.isinf([fit.amplitude_err, fit.phase_err, fit.offset_err]).all()
 
 
 class TestSampling:
