@@ -13,14 +13,18 @@ predict        print every closed-form predictor for one operating point
 A JSON config file (``--config``) may hold a section per subcommand whose
 keys mirror the long option names; explicit flags always win.  Exit codes:
 0 success, 2 usage/configuration error (including an output path that
-cannot be written, and a table file whose schema is not the current one,
-that cannot be read, lacks an entry or holds one of the wrong type, or whose
-stored derived scalars or provenance digest do not match its contents), 3
-numerical-health failure (Fock truncation, an initial level above the oracle
-cutoff, guard-band occupation, norm drift, a table with non-finite entries
-or a structure residual past 1e-6: a built one is not written, a loaded one
-is refused).  Float options take negative values in exponent form either as
-a separate token (``--shift-hz -3e1``) or as ``--shift-hz=-3e1``.
+cannot be written, after which ``sweep`` leaves neither its CSV nor its
+plot script, and a table file whose schema is not the current
+``msgate/coefficients/3`` (schema 1 and 2 files get a message to rebuild
+the table), that cannot be read, lacks an entry or holds one of the wrong
+type, holds a table that is not base64 of exactly (n_max + 1)^2
+little-endian complex128 values, or whose stored derived scalars or
+provenance digest do not match its contents), 3 numerical-health failure
+(Fock truncation, an initial level above the oracle cutoff, guard-band
+occupation, norm drift, a table with non-finite entries or a structure
+residual past 1e-6: a built one is not written, a loaded one is refused).
+Float options take negative values in exponent form either as a separate
+token (``--shift-hz -3e1``) or as ``--shift-hz=-3e1``.
 
 ``coefficients`` is the only command that writes a table; its ``--panels-*``
 are recorded but change no value (the tables are exact).  ``predict``,
@@ -34,8 +38,10 @@ two are refused with ``--table``.  The table owns the gate: ``sweep
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -247,24 +253,47 @@ def cmd_sweep(args) -> int:
         columns += [f"oracle_{c}" for c in oracle_cols]
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        fh.write(f"# schema={SWEEP_REPORT_SCHEMA}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = [
-                str(int(row[c])) if c == "fock_n" else _float_fmt(row[c])
-                for c in columns
-            ]
-            fh.write(",".join(cells) + "\n")
+    lines = [f"# schema={SWEEP_REPORT_SCHEMA}", ",".join(columns)]
+    for row in rows:
+        cells = [
+            str(int(row[c])) if c == "fock_n" else _float_fmt(row[c])
+            for c in columns
+        ]
+        lines.append(",".join(cells))
+    outputs = {out: "\n".join(lines) + "\n"}
+    if args.plot_script:
+        outputs[Path(args.plot_script)] = _sweep_plot_text(
+            out, fock, "oracle" if args.oracle else None
+        )
+    _write_all(outputs)
     print(f"wrote {out} ({len(rows)} rows)")
     if args.plot_script:
-        _write_sweep_plot(args.plot_script, out, fock, "oracle" if args.oracle else None)
         print(f"wrote {args.plot_script}")
     return EXIT_OK
 
 
-def _write_sweep_plot(path, csv_path, fock, oracle_tag) -> None:
+def _write_all(outputs: dict[Path, str]) -> None:
+    """Write every file or none, creating missing parent directories: each
+    text goes to a temporary file beside its path, and the temporaries
+    replace their paths only once all are written, so a path that cannot be
+    written leaves the others untouched."""
+    tmps = {}
+    try:
+        for path, text in outputs.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if path.is_dir():  # os.replace would fail only after earlier renames
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            tmps[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with open(tmps[path], "w", newline="") as fh:
+                fh.write(text)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
+
+
+def _sweep_plot_text(csv_path, fock, oracle_tag) -> str:
     lines = [
         "# gnuplot script generated by msgate sweep",
         "set datafile separator ','",
@@ -296,7 +325,7 @@ def _write_sweep_plot(path, csv_path, fock, oracle_tag) -> None:
                 )
         lines.append("plot " + ", \\\n     ".join(plots))
     lines.append("unset multiplot")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_calibrate(args) -> int:

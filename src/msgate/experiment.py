@@ -191,9 +191,9 @@ class FringeFit:
     phase in (-pi, pi].
 
     The errors and the covariance are inf when the fit leaves them
-    undetermined: at zero amplitude, where the phase has no meaning, and
-    without ``shots`` when the residuals that would scale the covariance
-    are at rounding level.
+    undetermined: at an amplitude of zero or at the rounding level of the
+    data, where the phase has no meaning, and without ``shots`` when the
+    residuals that would scale the covariance are at rounding level.
     """
 
     amplitude: float
@@ -267,7 +267,10 @@ def fit_fringe(
     amp = math.hypot(c, s)
     # Adding 0.0 turns a -0.0 sine into +0.0, keeping the phase off -pi.
     phase = math.atan2(s + 0.0, c)
-    if amp == 0.0 or (shots is None and rms <= _RESIDUAL_RMS_FLOOR):
+    # An amplitude at the rounding level of the data is no fringe: a flat
+    # scan fits A of 1e-16 to 3e-16 where exact arithmetic gives 0.
+    amp_floor = phi_d.size * np.finfo(float).eps * float(np.abs(p_obs).max())
+    if amp <= amp_floor or (shots is None and rms <= _RESIDUAL_RMS_FLOOR):
         cov = np.full((3, 3), math.inf)
     else:
         if shots is None:

@@ -46,6 +46,7 @@ table and changes no value.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -94,7 +95,7 @@ __all__ = [
     "load_coefficient_table",
 ]
 
-TABLE_SCHEMA = "msgate/coefficients/2"
+TABLE_SCHEMA = "msgate/coefficients/3"
 LAMBDA_HARD_CAP = 0.5
 
 # Complex line containing every first-order table entry on a square pulse.
@@ -351,14 +352,14 @@ class CoefficientTable:
 
     @property
     def provenance_hash(self) -> str:
-        """sha256 of the file schema, the parameters and the float64 bytes of
-        the four tables, so a file whose parameters or entries were altered
+        """sha256 of the file schema, the parameters and the complex128 bytes
+        of the four tables, so a file whose parameters or entries were altered
         no longer matches the digest it carries."""
         doc = {"schema": TABLE_SCHEMA, **self.parameter_dict()}
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
-        for name in ("i_table", "j1", "j2", "j3"):
-            # + 0.0 folds -0.0 into 0.0: the loader's re + 1j*im drops that sign.
-            digest.update(np.ascontiguousarray(getattr(self, name) + 0.0).tobytes())
+        for name in _TABLE_FIELDS.values():
+            # The bytes the file stores, -0.0 folded into 0.0 (_table_bytes).
+            digest.update(_table_bytes(getattr(self, name)))
         return digest.hexdigest()
 
     def check_health(self) -> None:
@@ -788,14 +789,46 @@ def _array_from_json(obj: dict) -> np.ndarray:
     return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
 
 
+# File key of each table under "tables", and the attribute that holds it.
+_TABLE_FIELDS = {"i": "i_table", "j1": "j1", "j2": "j2", "j3": "j3"}
+
+
+def _table_bytes(arr: np.ndarray) -> bytes:
+    """Little-endian complex128 bytes of a table, row-major: what the file
+    stores and the digest hashes.  + 0.0 folds -0.0 into 0.0, so a table
+    and its reloaded copy hash alike whatever the signs of their zeros."""
+    return np.ascontiguousarray(arr + 0.0, dtype="<c16").tobytes()
+
+
+def _table_from_text(text, name: str, dim: int) -> np.ndarray:
+    """Decode one stored table, refusing anything but base64 of exactly
+    ``dim * dim`` complex128 values."""
+    if not isinstance(text, str):
+        raise ValueError(f"table {name} is not a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a str that is not ASCII
+        raise ValueError(f"table {name} is not valid base64") from None
+    if len(raw) != 16 * dim * dim:
+        raise ValueError(
+            f"table {name} has the wrong shape: {len(raw)} bytes, "
+            f"expected {16 * dim * dim} for {dim} x {dim} complex128"
+        )
+    return np.frombuffer(raw, dtype="<c16").astype(complex).reshape(dim, dim)
+
+
 def save_coefficient_table(table: CoefficientTable, path) -> None:
     """Write a versioned, byte-reproducible JSON dump of the tables.
 
-    No timestamps: identical parameters produce identical bytes, and the
-    digest in the file (:attr:`CoefficientTable.provenance_hash`) pins the
-    parameters and every table entry.  The bytes go to a
-    temporary file beside ``path`` that replaces it only once complete, so
-    a reader never sees a partial table and a failed write leaves nothing.
+    The four tables are base64 strings of their little-endian complex128
+    bytes (row-major, -0.0 written as 0.0), the bytes that
+    :attr:`CoefficientTable.provenance_hash` hashes, so a load returns them
+    bit for bit.  The schema, parameters, digest and ``derived`` block stay
+    plain JSON that can be read as text.  No timestamps: identical
+    parameters produce identical bytes, and the digest in the file pins the
+    parameters and every table entry.  The bytes go to a temporary file
+    beside ``path`` that replaces it only once complete, so a reader never
+    sees a partial table and a failed write leaves nothing.
     """
     der = table.derived()
     doc = {
@@ -804,10 +837,8 @@ def save_coefficient_table(table: CoefficientTable, path) -> None:
         "params": table.parameter_dict(),
         "provenance_sha256": table.provenance_hash,
         "tables": {
-            "i": _array_to_json(table.i_table),
-            "j1": _array_to_json(table.j1),
-            "j2": _array_to_json(table.j2),
-            "j3": _array_to_json(table.j3),
+            key: base64.b64encode(_table_bytes(getattr(table, name))).decode("ascii")
+            for key, name in _TABLE_FIELDS.items()
         },
         "derived": {
             "a": der.a.tolist(),
@@ -849,7 +880,10 @@ def _check_stored_derived(stored: dict, der: DerivedScalars) -> None:
 def load_coefficient_table(path) -> CoefficientTable:
     """Load and validate a table written by :func:`save_coefficient_table`.
 
-    Checked in order: the schema, the shapes, :meth:`CoefficientTable.check_health`
+    Checked in order: the schema (only the current one, schema 3, loads;
+    a schema 1 or 2 file is refused with a message to rebuild it), the
+    shapes (each table a valid base64 string of exactly ``n_max + 1``
+    squared complex128 values), :meth:`CoefficientTable.check_health`
     (else :class:`UnhealthyTableError`), the stored ``derived`` block against
     the scalars recomputed from the tables, and last the stored digest against
     :attr:`CoefficientTable.provenance_hash`.  A file that is not a JSON
@@ -881,19 +915,14 @@ def _validated_table(doc: dict) -> CoefficientTable:
     )
     quad = QuadratureSpec(panels_1d=p["panels_1d"], panels_2d=p["panels_2d"])
     cutoff = FockCutoff(p["n_max"])
+    stored = doc["tables"]
     table = CoefficientTable(
         params,
         cutoff,
         quad,
-        _array_from_json(doc["tables"]["i"]),
-        _array_from_json(doc["tables"]["j1"]),
-        _array_from_json(doc["tables"]["j2"]),
-        _array_from_json(doc["tables"]["j3"]),
+        *(_table_from_text(stored[key], name, cutoff.dim)
+          for key, name in _TABLE_FIELDS.items()),
     )
-    dim = cutoff.dim
-    for name in ("i_table", "j1", "j2", "j3"):
-        if getattr(table, name).shape != (dim, dim):
-            raise ValueError(f"table {name} has the wrong shape")
     table.check_health()
     _check_stored_derived(doc["derived"], table.derived())
     if doc["provenance_sha256"] != table.provenance_hash:

@@ -136,9 +136,26 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "msgate/coefficients/1" in err and "msgate coefficients" in err
 
-    def test_non_finite_table_file_refused(self, table_file, tmp_path, capsys):
+    def test_schema_2_table_file_refused(self, table_file, table, tmp_path, capsys):
+        # Version 2 stored each table as nested re/im float lists.
         doc = json.loads(open(table_file).read())
-        doc["tables"]["i"]["re"][0][0] = float("inf")
+        doc["schema"] = "msgate/coefficients/2"
+        doc["tables"] = {
+            key: {"re": arr.real.tolist(), "im": arr.imag.tolist()}
+            for key, arr in [("i", table.i_table), ("j1", table.j1),
+                             ("j2", table.j2), ("j3", table.j3)]
+        }
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["predict", "--table", str(path), "--lambda-tilde", "0.01"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "msgate/coefficients/2" in err and "msgate coefficients" in err
+
+    def test_non_finite_table_file_refused(self, table_file, tmp_path, capsys,
+                                           edit_table_entry):
+        doc = json.loads(open(table_file).read())
+        edit_table_entry(doc, "i", "re", 0, 0, lambda x: float("inf"))
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(doc))
         rc = main(["predict", "--table", str(path), "--lambda-tilde", "0.01"])
@@ -527,17 +544,23 @@ class TestUnwritableOutput:
         ["coefficients", "--n-max", "12", "--out", "blocker/t.json"],
         ["sweep", "--points", "3", "--out", "blocker/s.csv"],
         ["sweep", "--points", "3", "--plot-script", "blocker/p.gp"],
+        ["sweep", "--points", "3", "--plot-script", "."],
         ["calibrate", "--engine", "first_order_model", "--detuning-hz=-11e3",
          "--shift-hz", "30", "--out", "blocker/r.json"],
         ["trajectory", "--samples", "9", "--out", "blocker/t.csv"],
-    ], ids=["coefficients", "sweep", "plot-script", "calibrate", "trajectory"])
+    ], ids=["coefficients", "sweep", "plot-script", "plot-script-dir", "calibrate",
+            "trajectory"])
     def test_exit_usage(self, table_file, workdir, capsys, command):
         Path("blocker").write_text("")
         if command[0] in ("sweep", "calibrate"):
             command = [*command, "--table", table_file]
         assert main(command) == EXIT_USAGE
-        assert "error: cannot write output" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "error: cannot write output" in err
         assert Path("blocker").read_text() == ""
+        # Nothing is written, not even the sweep CSV beside a bad plot script.
+        assert "wrote" not in out
+        assert _files(workdir) == [Path("blocker")]
 
 
 class TestBadTableFile:
@@ -545,7 +568,7 @@ class TestBadTableFile:
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read table file"),
-        ('{"schema": "msgate/coefficients/2"}', "no 'params' entry"),
+        ('{"schema": "msgate/coefficients/3"}', "no 'params' entry"),
         ("[1, 2]", "not a JSON object"),
     ])
     def test_exit_usage(self, workdir, capsys, content, message):
@@ -554,6 +577,22 @@ class TestBadTableFile:
         rc = main(["predict", "--table", "t.json", "--lambda-tilde", "0.01"])
         assert rc == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stored, message", [
+        (lambda text: text[:-4], "j3 has the wrong shape"),
+        (lambda text: "*" + text[1:], "j3 is not valid base64"),
+        (lambda text: 0, "j3 is not a base64 string"),
+        (lambda text: [], "j3 is not a base64 string"),
+    ], ids=["truncated", "invalid", "number", "list"])
+    def test_bad_table_encoding(self, table_file, workdir, capsys, stored, message):
+        doc = json.loads(Path(table_file).read_text())
+        doc["tables"]["j3"] = stored(doc["tables"]["j3"])
+        Path("t.json").write_text(json.dumps(doc))
+        rc = main(["predict", "--table", "t.json", "--lambda-tilde", "0.01"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("entry", ["params", "tables"])
     def test_wrong_typed_entry(self, table_file, workdir, capsys, entry):

@@ -182,15 +182,21 @@ class TestFringeFit:
     @pytest.mark.parametrize("level", [0.0, 0.5])
     @pytest.mark.parametrize("shots", [None, 200])
     def test_flat_data_warns_nothing(self, shots, level):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fit = fit_fringe(phase_scan(8), np.full(8, level), shots)
-        assert fit.amplitude == pytest.approx(0.0, abs=1e-12)
-        assert fit.offset == pytest.approx(level)
-        if level == 0.0:
-            # All-zero data fits A = 0 exactly: no phase, so no error bars.
-            assert fit.amplitude == 0.0
+        # A flat scan has no phase, so no error bars.  All-zero data fits
+        # A = 0 exactly; at level 0.5 with shots the fit leaves A at the
+        # rounding level of the data (1.4e-16 on 5 points, 3.2e-16 on 8),
+        # which counts as zero too.
+        for points in (5, 8):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fit = fit_fringe(phase_scan(points), np.full(points, level), shots)
+            assert fit.amplitude == pytest.approx(0.0, abs=1e-12)
+            assert fit.offset == pytest.approx(level)
+            if level == 0.0:
+                assert fit.amplitude == 0.0
             assert np.isinf([fit.amplitude_err, fit.phase_err, fit.offset_err]).all()
+            estimate = estimate_lambda(fit, 5.68, EPSILON)
+            assert any("covariance undetermined" in c for c in estimate.caveats)
 
 
 class TestSampling:

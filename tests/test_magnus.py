@@ -16,6 +16,7 @@ displacement.  Scalar values adjudicated against the RK4 oracle elsewhere
 are frozen here as regression anchors.
 """
 
+import base64
 import json
 import math
 
@@ -538,10 +539,29 @@ class TestPersistence:
         path = tmp_path / "table.json"
         table.save(path)
         loaded = load_coefficient_table(path)
-        np.testing.assert_array_equal(loaded.i_table, table.i_table)
-        np.testing.assert_array_equal(loaded.j3, table.j3)
+        # The file holds the tables' own bytes: every entry comes back exact.
+        for name in ("i_table", "j1", "j2", "j3"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(table, name))
         assert loaded.params == table.params
         assert loaded.provenance_hash == table.provenance_hash
+
+    def test_signed_zero_round_trip(self, table, tmp_path):
+        # A -0.0 is stored and hashed as 0.0, so the reloaded table equals
+        # the built one, carries its digest and saves to the same bytes.
+        j3 = table.j3.copy()
+        j3[1, 0] = complex(-0.0, -0.0)  # odd n - m: zero in every j3
+        built = CoefficientTable(table.params, table.cutoff, table.quad,
+                                 table.i_table, table.j1, table.j2, j3)
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        built.save(p1)
+        loaded = load_coefficient_table(p1)
+        for name in ("i_table", "j1", "j2", "j3"):
+            assert np.array_equal(getattr(loaded, name), getattr(built, name))
+        parts = loaded.j3.view(float)
+        assert not np.signbit(parts[parts == 0.0]).any()
+        assert loaded.provenance_hash == built.provenance_hash
+        loaded.save(p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_byte_reproducible(self, table, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -577,17 +597,17 @@ class TestPersistence:
             ("tables", "j1", ("re", 2, 2), "'c_gg'"),  # feeds c_gg and c_ee
         ],
     )
-    def test_tampered_content_rejected(self, table, tmp_path, block, field, entry, name):
+    def test_tampered_content_rejected(self, table, tmp_path, edit_table_entry,
+                                       block, field, entry, name):
         # The stored derived block is recomputed from the tables on load and
         # compared before the provenance digest, which names no entry.
         path = tmp_path / "table.json"
         table.save(path)
         doc = json.loads(path.read_text())
-        *keys, last = (field, *entry)
-        target = doc[block]
-        for key in keys:
-            target = target[key]
-        target[last] *= 1.0 + 1e-9
+        if block == "tables":
+            edit_table_entry(doc, field, *entry, lambda x: x * (1.0 + 1e-9))
+        else:
+            doc[block][field][entry[0]] *= 1.0 + 1e-9
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"derived {name}"):
             load_coefficient_table(path)
@@ -595,13 +615,14 @@ class TestPersistence:
     @pytest.mark.parametrize("field, part, m, n", [
         ("j1", "re", 2, 0), ("j2", "im", 3, 1), ("j3", "re", 4, 0),
     ])
-    def test_tampered_off_diagonal_rejected(self, table, tmp_path, field, part, m, n):
+    def test_tampered_off_diagonal_rejected(self, table, tmp_path, edit_table_entry,
+                                            field, part, m, n):
         # No derived scalar reads these entries, but the correction states
         # do; only the provenance digest catches the change.
         path = tmp_path / "table.json"
         table.save(path)
         doc = json.loads(path.read_text())
-        doc["tables"][field][part][m][n] += 0.5
+        edit_table_entry(doc, field, part, m, n, lambda x: x + 0.5)
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="provenance.*msgate coefficients"):
             load_coefficient_table(path)
@@ -617,11 +638,11 @@ class TestPersistence:
         predict_fidelity(ThermalDistribution(0.05), 0.01, loaded)
         assert len(calls) == 1 and calls[0] is loaded
 
-    def test_non_finite_entry_rejected(self, table, tmp_path):
+    def test_non_finite_entry_rejected(self, table, tmp_path, edit_table_entry):
         path = tmp_path / "table.json"
         table.save(path)
         doc = json.loads(path.read_text())
-        doc["tables"]["j2"]["im"][3][1] = math.nan
+        edit_table_entry(doc, "j2", "im", 3, 1, lambda x: math.nan)
         path.write_text(json.dumps(doc))
         with pytest.raises(UnhealthyTableError, match="j2 has non-finite"):
             load_coefficient_table(path)
@@ -641,13 +662,45 @@ class TestPersistence:
     def test_schema_1_file_rejected(self, table, tmp_path):
         # Version-1 files hold quadrature tables; the message says how to
         # replace them.
-        assert TABLE_SCHEMA == "msgate/coefficients/2"
+        assert TABLE_SCHEMA == "msgate/coefficients/3"
         path = tmp_path / "table.json"
         table.save(path)
         doc = json.loads(path.read_text())
         doc["schema"] = "msgate/coefficients/1"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="'msgate/coefficients/1'.*msgate coefficients"):
+            load_coefficient_table(path)
+
+    def test_schema_2_file_rejected(self, table, tmp_path):
+        # Version-2 files store the tables as nested float lists.
+        path = tmp_path / "table.json"
+        table.save(path)
+        doc = json.loads(path.read_text())
+        doc["schema"] = "msgate/coefficients/2"
+        doc["tables"] = {
+            key: {"re": arr.real.tolist(), "im": arr.imag.tolist()}
+            for key, arr in [("i", table.i_table), ("j1", table.j1),
+                             ("j2", table.j2), ("j3", table.j3)]
+        }
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="'msgate/coefficients/2'.*msgate coefficients"):
+            load_coefficient_table(path)
+
+    @pytest.mark.parametrize("stored, message", [
+        (lambda text: base64.b64encode(base64.b64decode(text)[:-16]).decode(),
+         "j1 has the wrong shape: 9984 bytes, expected 10000"),
+        (lambda text: text[:-4] + "!!!!", "j1 is not valid base64"),
+        (lambda text: "é" + text[1:], "j1 is not valid base64"),
+        (lambda text: 1.5, "j1 is not a base64 string"),
+        (lambda text: [[0.0] * 25] * 25, "j1 is not a base64 string"),
+    ], ids=["truncated", "bad-character", "non-ascii", "number", "list"])
+    def test_bad_table_encoding_rejected(self, table, tmp_path, stored, message):
+        path = tmp_path / "table.json"
+        table.save(path)
+        doc = json.loads(path.read_text())
+        doc["tables"]["j1"] = stored(doc["tables"]["j1"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
             load_coefficient_table(path)
 
     def test_wrong_schema_rejected(self, table, tmp_path):
