@@ -12,11 +12,12 @@ predict        print every closed-form predictor for one operating point
 
 A JSON config file (``--config``) may hold a section per subcommand whose
 keys mirror the long option names; explicit flags always win.  Exit codes:
-0 success, 2 usage/configuration error (including an output path that
-cannot be written, after which ``sweep`` leaves neither its CSV nor its
-plot script, and a table file whose schema is not the current
-``msgate/coefficients/3`` (schema 1 and 2 files get a message to rebuild
-the table), that cannot be read, lacks an entry or holds one of the wrong
+0 success, 2 usage/configuration error (including a nan or inf float
+option, an ``--nbar`` that needs more than 10^4 Fock levels, an output path
+that cannot be written, which leaves any earlier file there untouched and
+after which ``sweep`` writes neither its CSV nor its plot script, and a
+table file whose schema is not the current ``msgate/coefficients/3``
+(schema 1 and 2 files get a message to rebuild the table), that cannot be read, lacks an entry or holds one of the wrong
 type, holds a table that is not base64 of exactly (n_max + 1)^2
 little-endian complex128 values, or whose stored derived scalars or
 provenance digest do not match its contents), 3 numerical-health failure
@@ -379,10 +380,8 @@ def cmd_calibrate(args) -> int:
             "p_ee": [float(x) for x in p_obs],
         },
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text + "\n")
+        _write_all({Path(args.out): json.dumps(report, indent=2, sort_keys=True) + "\n"})
         print(f"wrote {args.out}")
     err = estimate.lambda_err / (2.0 * math.pi)
     print(

@@ -74,6 +74,9 @@ class SequenceConfig:
     cutoff_n_max: int = 32
 
     def __post_init__(self) -> None:
+        for name in ("detuning", "qubit_shift"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.detuning == 0.0:
             raise ValueError("detuning must be nonzero")
         if self.engine not in ENGINES:

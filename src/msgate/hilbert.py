@@ -189,7 +189,9 @@ def displacement_matrix(alpha: complex, cutoff: FockCutoff | int) -> np.ndarray:
         <m|D|n+1> = (sqrt(m) <m-1|D|n> - conj(alpha) <m|D|n>) / sqrt(n+1)
 
     The recurrence only references lower row indices, so every stored entry
-    equals the untruncated operator's matrix element exactly.
+    is the untruncated operator's matrix element: truncation changes none.
+    Rounding grows along the columns, to about 2e-14 at alpha = 0.5 and
+    2e-10 at alpha = 1.1 - 0.3j by column 75.
     """
     dim = cutoff.dim if isinstance(cutoff, FockCutoff) else int(cutoff)
     alpha = np.complex128(alpha)
@@ -235,6 +237,10 @@ def thermal_probabilities(n_bar: float, n_max: int) -> np.ndarray:
 # Probability a thermal distribution may leave beyond its last level.
 _THERMAL_TAIL = 1e-9
 
+# Most Fock levels a thermal distribution may span: far above any table
+# (n_max <= 120) or oracle cutoff, and refused before any array is made.
+_THERMAL_MAX_LEVELS = 10_000
+
 
 @dataclass
 class ThermalDistribution:
@@ -242,7 +248,8 @@ class ThermalDistribution:
 
     With r = n_bar / (1 + n_bar), ``n_max`` is the smallest n >= 4 with
     r^n <= 1e-9 (0 for the ground state), so the truncated tail r^(n_max+1)
-    stays below 1e-9.
+    stays below 1e-9.  A non-finite ``n_bar``, or one that needs more than
+    10^4 levels (n_bar above about 480), raises ``ValueError``.
     """
 
     n_bar: float
@@ -250,10 +257,20 @@ class ThermalDistribution:
     probabilities: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.n_bar):
+            raise ValueError(f"n_bar must be finite, got {self.n_bar}")
         self.n_max = 0
         if self.n_bar > 0.0:
-            ratio = self.n_bar / (1.0 + self.n_bar)
-            self.n_max = max(4, math.ceil(math.log(_THERMAL_TAIL) / math.log(ratio)))
+            # r^n = 1e-9 at n = log(1e-9) / log(r).  log(r) = -log1p(1 / n_bar)
+            # stays nonzero where r itself rounds to 1 (n_bar above 1e16).
+            n_tail = math.log(_THERMAL_TAIL) / -math.log1p(1.0 / self.n_bar)
+            if n_tail + 1.0 > _THERMAL_MAX_LEVELS:
+                raise ValueError(
+                    f"n_bar = {self.n_bar:g} needs {n_tail + 1.0:.3g} Fock levels to "
+                    f"hold all but {_THERMAL_TAIL:.0e} of its probability; at most "
+                    f"{_THERMAL_MAX_LEVELS} are supported"
+                )
+            self.n_max = max(4, math.ceil(n_tail))
         self.probabilities = thermal_probabilities(self.n_bar, self.n_max)
 
     @property

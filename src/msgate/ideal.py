@@ -76,6 +76,9 @@ class DimensionlessGateParams:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("omega_tilde", "lambda_tilde", "tau_gate", "phi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.omega_tilde == 0.0:
             raise ValueError("omega_tilde must be nonzero")
         if self.tau_gate <= 0.0:

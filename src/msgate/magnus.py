@@ -169,15 +169,43 @@ def _divided_difference(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
     return -1j * t * phase * np.sinc(t * (x - y) / (2.0 * math.pi))
 
 
+def _split(a):
+    """Veltkamp split of a float64 into halves of 26 bits: a == hi + lo."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _exp_i(t: float, x: np.ndarray) -> np.ndarray:
+    """e^{i t x} with the rounding error of t * x put back (Dekker's exact
+    product, to first order): the phase is exact even where |t x| is large."""
+    p = t * x
+    t_hi, t_lo = _split(t)
+    x_hi, x_lo = _split(x)
+    err = ((t_hi * x_hi - p) + t_hi * x_lo + t_lo * x_hi) + t_lo * x_lo
+    return np.exp(1j * p) * (1.0 + 1j * err)
+
+
 def _confluent_difference(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
-    """f[x, x, y] of f(x) = e^{-i t x}: e^{-itx} (-t^2) phi2(-it(y - x)), with
-    phi2(z) = (e^z - 1 - z) / z^2 summed as its Taylor series where |z| < 0.1."""
-    z = -1j * t * (y - x)
-    phi2 = np.empty_like(z)
-    small = np.abs(z) < 0.1
-    zs, zb = z[small], z[~small]
-    phi2[small] = sum(zs**k / math.factorial(k + 2) for k in range(8))
-    phi2[~small] = (np.expm1(zb) - zb) / zb**2
+    """f[x, x, y] of f(x) = e^{-i t x} for a column x and a row y:
+    e^{-itx} (-t^2) phi2(z) with z = -it(y - x) and phi2(z) = (e^z - 1 - z) / z^2.
+
+    e^z is the outer product e^{itx} e^{-ity} of two 1-D exponentials.  Those
+    keep their phases exact (:func:`_exp_i`), because e^z - 1 - z cancels: an
+    ulp of t*x left in e^z costs 4e-12 relative where |z| is just over 0.1,
+    and moves two-loop tables by 3e-13.  Where |z| < 0.1 (z == 0 included)
+    phi2 is its Taylor series, in Horner form.
+    """
+    w = t * (y - x)  # z = -iw, z^2 = -w^2
+    phi2 = np.divide(1.0 - 1j * w - _exp_i(t, x) * _exp_i(-t, y), w * w,
+                     out=np.empty(w.shape, dtype=complex), where=w != 0)
+    small = np.abs(w) < 0.1
+    if small.any():
+        zs = -1j * w[small]
+        acc = np.full(zs.shape, 1.0 / math.factorial(9), dtype=complex)
+        for k in range(8, 1, -1):
+            acc = acc * zs + 1.0 / math.factorial(k)
+        phi2[small] = acc
     return -t * t * np.exp(-1j * t * x) * phi2
 
 
@@ -191,13 +219,16 @@ class _Spectrum:
     S_z couples each displaced branch (++, --) to each idle one (+-, -+)
     only.  Eigenvector index runs over (branch, k) with k < ``size``;
     displaced and idle branches are kept as two blocks of 2*size each, with
-    the same k labels, which are also the idle energies.
+    the same k labels, which are also the idle energies.  One spectrum
+    serves both table orders of a build.
     """
 
     t: float
     e_disp: np.ndarray  # (2 size,) energies of the displaced eigenvectors
     e_idle: np.ndarray  # (2 size,) energies of the idle eigenvectors
     b: np.ndarray  # S_z from idle to displaced eigenvectors, (2 size, 2 size)
+    g_di: np.ndarray  # dU/dlam at lam = 0 (Daleckii-Krein), F1 o B: idle to displaced
+    g_id: np.ndarray  # its other block, F1^T o B^dag: displaced to idle
     ket_disp: np.ndarray  # inputs |gg,n>, |ge,n> (n < dim) on the displaced ones
     ket_idle: np.ndarray  # the same inputs on the idle eigenvectors
     bra_disp: np.ndarray  # displaced eigenvectors -> computational rows (q, m < dim)
@@ -212,11 +243,6 @@ class _Spectrum:
         """Columns of an operator that keeps each block."""
         return self.bra_disp @ (disp @ self.ket_disp) + self.bra_idle @ (idle @ self.ket_idle)
 
-    def first_derivative(self) -> tuple[np.ndarray, np.ndarray]:
-        """dU/dlam at lam = 0 in the eigenbasis (Daleckii-Krein): F1 o B, by block."""
-        f1 = _divided_difference(self.e_disp[:, None], self.e_idle[None, :], self.t)
-        return f1 * self.b, f1.T * self.b.conj().T
-
 
 def _spectrum(params: DimensionlessGateParams, cutoff: FockCutoff) -> _Spectrum:
     _require_closed_loop(params)
@@ -227,7 +253,10 @@ def _spectrum(params: DimensionlessGateParams, cutoff: FockCutoff) -> _Spectrum:
     s_z = np.diag([1.0, 0.0, 0.0, -1.0])  # collective S_z, computational order
     z = (w @ s_z @ w.conj().T)[np.ix_(_DISPLACED, _IDLE)]
     # Rows m < dim of each eigenvector, per branch: D(+omega), D(-omega), 1, 1.
-    disp = [displacement_matrix(s * omega, size) for s in (1.0, -1.0)]
+    # D(-omega) = P D(omega) P with the parity P = (-1)^N: the recurrence run
+    # at -omega flips exactly these signs, so one run serves both branches.
+    d_plus = displacement_matrix(omega, size)
+    disp = (d_plus, np.where(_even_mask(size), d_plus, -d_plus))
     eye = np.eye(size)
 
     def lift(branches, vecs):
@@ -240,7 +269,9 @@ def _spectrum(params: DimensionlessGateParams, cutoff: FockCutoff) -> _Spectrum:
     # <D(s omega) k| S_z |l> = z[s, idle] <k|D(-s omega)|l> = z conj(<l|D(s omega)|k>).
     b = np.block([[z[i, j] * disp[i].conj().T for j in range(2)] for i in range(2)])
     levels = np.tile(np.arange(size, dtype=float), 2)
-    return _Spectrum(params.tau_gate, levels - omega * omega, levels, b,
+    e_disp = levels - omega * omega
+    f1 = _divided_difference(e_disp[:, None], levels[None, :], params.tau_gate)
+    return _Spectrum(params.tau_gate, e_disp, levels, b, f1 * b, f1.T * b.conj().T,
                      ket_disp, ket_idle, bra_disp, bra_idle)
 
 
@@ -254,14 +285,17 @@ def compute_first_order_table(
     params: DimensionlessGateParams,
     cutoff: FockCutoff,
     quad: QuadratureSpec = QuadratureSpec(),
+    *,
+    spectrum: _Spectrum | None = None,
 ) -> np.ndarray:
     """First-order table; i_table[m, n] = (i/2) Int e^{iG} <m|D(F)|n> dt.
 
     Read off dU/dlam at lam = 0 on the |gg, n> and |ge, n> columns.
-    ``quad`` is recorded only.
+    ``quad`` is recorded only.  ``spectrum`` is the lam = 0 eigenbasis of
+    ``params`` and ``cutoff`` when the caller has built it already.
     """
-    sp = _spectrum(params, cutoff)
-    gg, ge = _corrections(sp.apply(*sp.first_derivative()), cutoff.dim)
+    sp = _spectrum(params, cutoff) if spectrum is None else spectrum
+    gg, ge = _corrections(sp.apply(sp.g_di, sp.g_id), cutoff.dim)
     # Inverse of first_order_correction: even m - n from gg, odd from ge.
     return np.where(_even_mask(cutoff.dim), 0.5 * (gg[0] + gg[3]), 1j * ge[0])
 
@@ -270,25 +304,35 @@ def compute_second_order_tables(
     params: DimensionlessGateParams,
     cutoff: FockCutoff,
     quad: QuadratureSpec = QuadratureSpec(),
+    *,
+    spectrum: _Spectrum | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Second-order tables (j1, j2, j3) over the time-ordered triangle.
 
     Read off (1/2) d^2U/dlam^2 at lam = 0 on the |gg, n> and |ge, n>
-    columns.  ``quad`` is recorded only.
+    columns.  ``quad`` is recorded only; ``spectrum`` as in
+    :func:`compute_first_order_table`.
     """
-    sp = _spectrum(params, cutoff)
-    g_di, g_id = sp.first_derivative()
+    sp = _spectrum(params, cutoff) if spectrum is None else spectrum
+    g_di, g_id = sp.g_di, sp.g_id
     b_di, b_id = sp.b, sp.b.conj().T
     # (1/2) d^2U/dlam^2 = sum_j f[E_i, E_j, E_k] B_ij B_jk.  Both hops cross
     # blocks, so i and k share one; their gap is the integer k_i - k_k, and
-    # the confluent pairs are those of equal k.
+    # the confluent pairs are those of equal k: two per row i, at k_i and
+    # k_i + size, each one sum over j.
     gap = np.subtract.outer(sp.e_idle, sp.e_idle)
     inv_gap = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap != 0)
-    same_k = gap == 0
-    conf_disp = _confluent_difference(sp.e_disp[:, None], sp.e_idle[None, :], sp.t)
-    conf_idle = _confluent_difference(sp.e_idle[:, None], sp.e_disp[None, :], sp.t)
-    c_disp = inv_gap * (g_di @ b_id - b_di @ g_id) + same_k * ((conf_disp * b_di) @ b_id)
-    c_idle = inv_gap * (g_id @ b_di - b_id @ g_di) + same_k * ((conf_idle * b_id) @ b_di)
+    c_disp = inv_gap * (g_di @ b_id - b_di @ g_id)
+    c_idle = inv_gap * (g_id @ b_di - b_id @ g_di)
+    size = sp.e_idle.size // 2
+    rows = np.arange(2 * size)
+    level = rows % size
+    for c, x, y, hop in ((c_disp, sp.e_disp, sp.e_idle, b_di),
+                         (c_idle, sp.e_idle, sp.e_disp, b_id)):
+        first = _confluent_difference(x[:, None], y[None, :], sp.t) * hop
+        for k in (level, level + size):
+            # The second hop is hop^dag, so its column k is row k of hop, conjugated.
+            c[rows, k] = (first * hop[k].conj()).sum(axis=1)
     gg, ge = _corrections(sp.apply_within(c_disp, c_idle), cutoff.dim)
     # Inverse of second_order_correction.
     even = _even_mask(cutoff.dim)
@@ -390,7 +434,8 @@ def compute_coefficient_table(
     quad: QuadratureSpec = QuadratureSpec(),
     tau_gate: float = 2.0 * math.pi,
 ) -> CoefficientTable:
-    """Build all tables for a calibrated square-pulse gate."""
+    """Build all tables for a calibrated square-pulse gate from one
+    lam = 0 eigenbasis, shared by both table orders."""
     if n_max > 120:
         raise ValueError(
             "n_max beyond 120 is past the range where the Fock margin of the "
@@ -398,8 +443,9 @@ def compute_coefficient_table(
         )
     params = DimensionlessGateParams(omega_tilde=omega_tilde, tau_gate=tau_gate)
     cutoff = FockCutoff(n_max)
-    i_table = compute_first_order_table(params, cutoff, quad)
-    j1, j2, j3 = compute_second_order_tables(params, cutoff, quad)
+    sp = _spectrum(params, cutoff)
+    i_table = compute_first_order_table(params, cutoff, quad, spectrum=sp)
+    j1, j2, j3 = compute_second_order_tables(params, cutoff, quad, spectrum=sp)
     return CoefficientTable(params, cutoff, quad, i_table, j1, j2, j3)
 
 
@@ -590,6 +636,8 @@ def predicted_state(
 # --------------------------------------------------------------------------
 
 def _check_lambda(lambda_tilde: float) -> None:
+    if not math.isfinite(lambda_tilde):
+        raise ValueError(f"lambda_tilde must be finite, got {lambda_tilde}")
     if abs(lambda_tilde) > LAMBDA_HARD_CAP:
         raise ValueError(
             f"|lambda_tilde| = {abs(lambda_tilde):.3f} exceeds the hard cap "

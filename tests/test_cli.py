@@ -344,6 +344,21 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert f"Fock level {level}" in err and "--cutoff-n-max" in err
 
+    def test_failed_report_write_keeps_earlier_report(self, table_file, workdir,
+                                                      capsys, monkeypatch):
+        Path("report.json").write_text("earlier report\n")
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        monkeypatch.setattr("msgate.cli.os.replace", refuse)
+        rc = main(["calibrate", "--table", table_file, "--engine", "first_order_model",
+                   "--detuning-hz=-11e3", "--shift-hz", "30", "--out", "report.json"])
+        assert rc == EXIT_USAGE
+        assert "cannot write output" in capsys.readouterr().err
+        assert Path("report.json").read_text() == "earlier report\n"
+        assert _files(workdir) == [Path("report.json")]  # no temporary left
+
     def test_truncated_cutoff_exit(self, table_file, capsys):
         rc = main(["calibrate", "--table", table_file, "--detuning-hz",
                    "-11000", "--shift-hz", "300", "--shots", "0", "--points",
@@ -535,6 +550,49 @@ class TestInitialMode:
                    "--fock-initial", "3"])
         assert rc == EXIT_USAGE
         assert "--fock-initial and --nbar are exclusive" in capsys.readouterr().err
+
+
+class TestNonFiniteInput:
+    """A nan or inf float option exits 2 with msgate's own message, writing
+    nothing; so does an --nbar whose thermal mode needs over 10^4 levels."""
+
+    @pytest.mark.parametrize("command, message", [
+        (["predict", "--table", "T", "--lambda-tilde", "nan"], "lambda_tilde must be finite"),
+        (["sweep", "--table", "T", "--lambda-min", "nan", "--points", "3"],
+         "lambda_tilde must be finite"),
+        (["calibrate", "--table", "T", "--detuning-hz", "inf", "--shift-hz", "30",
+          "--out", "r.json"], "detuning must be finite"),
+        (["calibrate", "--table", "T", "--detuning-hz=-11e3", "--shift-hz", "nan",
+          "--out", "r.json"], "qubit_shift must be finite"),
+        (["trajectory", "--omega-tilde", "nan"], "omega_tilde must be finite"),
+        (["predict", "--omega-tilde", "nan", "--lambda-tilde", "0.01"],
+         "omega_tilde must be finite"),
+        (["predict", "--table", "T", "--lambda-tilde", "0.01", "--nbar", "inf"],
+         "n_bar must be finite"),
+        (["calibrate", "--table", "T", "--detuning-hz=-11e3", "--shift-hz", "30",
+          "--nbar", "inf", "--out", "r.json"], "n_bar must be finite"),
+        (["predict", "--table", "T", "--lambda-tilde", "0.01", "--nbar", "5e4"],
+         "n_bar = 50000 needs 1.04e+06 Fock levels"),
+        (["calibrate", "--table", "T", "--detuning-hz=-11e3", "--shift-hz", "30",
+          "--nbar", "5e4", "--out", "r.json"], "n_bar = 50000 needs 1.04e+06 Fock levels"),
+    ], ids=["predict-lambda", "sweep-lambda", "calibrate-detuning", "calibrate-shift",
+            "trajectory-omega", "predict-omega", "predict-nbar", "calibrate-nbar",
+            "predict-nbar-levels", "calibrate-nbar-levels"])
+    def test_exit_usage(self, table_file, workdir, capsys, command, message):
+        command = [table_file if arg == "T" else arg for arg in command]
+        assert main(command) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {message}")
+        assert out == "" and _files(workdir) == []
+
+    @pytest.mark.parametrize("command", [
+        ["predict", "--lambda-tilde", "0.01"],
+        ["calibrate", "--detuning-hz=-11e3", "--shift-hz", "30",
+         "--engine", "first_order_model"],
+    ])
+    def test_wide_thermal_mode_still_truncates(self, table_file, capsys, command):
+        assert main([*command, "--table", table_file, "--nbar", "50"]) == EXIT_NUMERICAL
+        assert "is not trusted" in capsys.readouterr().err
 
 
 class TestUnwritableOutput:

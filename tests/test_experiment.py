@@ -48,6 +48,12 @@ class TestSequenceConfig:
         with pytest.raises(ValueError, match="phase points"):
             _config(phase_points=3)
 
+    @pytest.mark.parametrize("name", ["detuning", "qubit_shift"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            _config(**{name: value})
+
     def test_fock_level_and_thermal_exclusive(self):
         with pytest.raises(ValueError, match="not both"):
             _config(fock_initial=2, n_bar=0.05)

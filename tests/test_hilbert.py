@@ -120,6 +120,17 @@ class TestDisplacementMatrix:
         rhs = np.exp(1j * np.imag(a * np.conj(b))) * displacement_matrix(a + b, dim)
         np.testing.assert_allclose(lhs[:20, :20], rhs[:20, :20], atol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.5, -0.35, 0.3 + 0.4j, 1.1 - 0.3j])
+    def test_negated_argument_is_parity_conjugation(self, alpha):
+        # D(-a) = P D(a) P with P = (-1)^N.  The recurrence meets this bit for
+        # bit, so one run serves both signs.  D(a)^dag meets it only to the
+        # recurrence's rounding, which grows along the columns: 4e-14 at
+        # a = 0.5 and 3e-10 at 1.1 - 0.3j by column 75.
+        k = np.arange(76)
+        parity = (-1.0) ** np.add.outer(k, k)
+        np.testing.assert_array_equal(displacement_matrix(-alpha, 76),
+                                      parity * displacement_matrix(alpha, 76))
+
     def test_column_norms_unitary(self):
         # Low columns of the exact (untruncated) operator have unit norm once
         # the row cutoff comfortably exceeds n + |alpha|^2.
@@ -231,6 +242,17 @@ class TestThermal:
             assert dist.truncated_mass <= 1e-9
         with pytest.raises(ValueError, match="mean occupation"):
             ThermalDistribution(-0.1)
+
+    @pytest.mark.parametrize("n_bar", [math.nan, math.inf])
+    def test_non_finite_refused(self, n_bar):
+        with pytest.raises(ValueError, match="n_bar must be finite"):
+            ThermalDistribution(n_bar)
+
+    def test_level_ceiling(self):
+        # Refused from the level count alone: 5e4 would need about 10^6 levels.
+        with pytest.raises(ValueError, match=r"n_bar = 50000 needs 1\.04e\+06 Fock levels"):
+            ThermalDistribution(5e4)
+        assert ThermalDistribution(480.0).n_max == 9958
 
     @given(n_bar=st.floats(0.0, 2.0))
     @settings(max_examples=50, deadline=None)

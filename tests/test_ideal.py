@@ -52,6 +52,12 @@ class TestParams:
         with pytest.raises(ValueError):
             DimensionlessGateParams(omega_tilde=0.0)
 
+    @pytest.mark.parametrize("name", ["omega_tilde", "lambda_tilde", "tau_gate", "phi"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DimensionlessGateParams(**{name: value})
+
 
 class TestLoopFunctions:
     def test_loop_closes(self):

@@ -304,6 +304,32 @@ class TestSpectralTables:
         for name in ("i_table", "j1", "j2", "j3"):
             assert np.abs(getattr(doubled, name) - getattr(base, name)).max() <= 1e-13
 
+    @pytest.mark.parametrize("omega2, t, regime", [
+        (1.0, TAU, "z == 0"),
+        (0.0999 / TAU, TAU, "under"),
+        (0.1001 / TAU, TAU, "over"),
+        (0.125, 2.0 * TAU, "two loops"),
+    ], ids=["z-zero", "z-under-0.1", "z-over-0.1", "two-loops"])
+    def test_confluent_difference_matches_mpmath(self, omega2, t, regime):
+        # f[x, x, y] of e^{-itx} at the energies of a spectrum (levels k and
+        # k - omega^2 below 41), against 30-digit arithmetic on the same floats.
+        mpmath = pytest.importorskip("mpmath")
+        levels = np.arange(41.0)
+        for x, y in ((levels - omega2, levels), (levels, levels - omega2)):
+            w = np.abs(t * np.subtract.outer(y, x)).min()
+            assert {"z == 0": w == 0.0, "under": 0.099 < w < 0.1,
+                    "over": 0.1 <= w < 0.101, "two loops": w > 1.0}[regime]
+            got = magnus._confluent_difference(x[:, None], y[None, :], t)
+            with mpmath.workdps(30):
+                tm = mpmath.mpf(t)
+                for i, xi in enumerate(x):
+                    pre = -tm * tm * mpmath.expj(-tm * xi)
+                    for j, yj in enumerate(y):
+                        z = -1j * tm * (mpmath.mpf(yj) - mpmath.mpf(xi))
+                        phi2 = 0.5 if z == 0 else (mpmath.exp(z) - 1 - z) / z**2
+                        want = complex(pre * phi2)
+                        assert abs(got[i, j] - want) <= 1e-13 * abs(want)
+
     def test_quadrature_ignored(self, table):
         other = compute_coefficient_table(n_max=table.n_max, quad=QuadratureSpec(64, 16))
         for name in ("i_table", "j1", "j2", "j3"):
@@ -316,6 +342,26 @@ class TestComputeTable:
         with pytest.raises(ValueError, match="closed loops"):
             compute_coefficient_table(n_max=4, tau_gate=0.8 * TAU,
                                       quad=QuadratureSpec(64, 16))
+
+    def test_one_spectrum_per_build(self, monkeypatch):
+        calls = []
+        spectrum = magnus._spectrum
+
+        def counted(*args):
+            calls.append(args)
+            return spectrum(*args)
+
+        monkeypatch.setattr(magnus, "_spectrum", counted)
+        compute_coefficient_table(n_max=12)
+        assert len(calls) == 1
+
+    def test_standalone_tables_match_build(self, table):
+        # Built alone, each order is the same table bit for bit.
+        np.testing.assert_array_equal(
+            compute_first_order_table(table.params, table.cutoff), table.i_table)
+        for got, want in zip(compute_second_order_tables(table.params, table.cutoff),
+                             (table.j1, table.j2, table.j3)):
+            np.testing.assert_array_equal(got, want)
 
     def test_cutoff_overflow_guard(self):
         with pytest.raises(ValueError, match="Fock margin"):
@@ -499,6 +545,11 @@ class TestPredictors:
         with pytest.raises(ValueError, match="hard cap"):
             predict_phase(0, 0.9, table)
         assert abs(LAMBDA_HARD_CAP - 0.5) < 1e-15
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda(self, table, lam):
+        with pytest.raises(ValueError, match="lambda_tilde must be finite"):
+            predict_phase(0, lam, table)
 
     def test_untrusted_level_refused(self, table):
         with pytest.raises(TruncationError):
