@@ -13,12 +13,13 @@ predict        print every closed-form predictor for one operating point
 A JSON config file (``--config``) may hold a section per subcommand whose
 keys mirror the long option names; explicit flags always win.  Exit codes:
 0 success, 2 usage/configuration error (including a nan or inf float
-option, an ``--nbar`` that needs more than 10^4 Fock levels, an output path
-that cannot be written, which leaves any earlier file there untouched and
-after which ``sweep`` writes neither its CSV nor its plot script, and a
-table file whose schema is not the current ``msgate/coefficients/3``
-(schema 1 and 2 files get a message to rebuild the table), that cannot be read, lacks an entry or holds one of the wrong
-type, holds a table that is not base64 of exactly (n_max + 1)^2
+option, a ``--loops`` that is not an integer >= 1, an ``--nbar`` that needs
+more than 10^4 Fock levels, an output path that cannot be written, which
+leaves any earlier file there untouched and after which ``sweep`` writes
+neither its CSV nor its plot script, and a table file whose schema is not
+the current ``msgate/coefficients/3`` (schema 1 and 2 files get a message
+to rebuild the table), that cannot be read, lacks an entry or holds one of
+the wrong type, holds a table that is not base64 of exactly (n_max + 1)^2
 little-endian complex128 values, or whose stored derived scalars or
 provenance digest do not match its contents), 3 numerical-health failure
 (Fock truncation, an initial level above the oracle cutoff, guard-band
@@ -27,13 +28,16 @@ residual past 1e-6: a built one is not written, a loaded one is refused).
 Float options take negative values in exponent form either as a separate
 token (``--shift-hz -3e1``) or as ``--shift-hz=-3e1``.
 
+``--loops K`` (default 1) names the calibrated gate of K closed loops:
+coupling over detuning 1/(2 sqrt K) for a gate time of 2 pi K.
 ``coefficients`` is the only command that writes a table; its ``--panels-*``
 are recorded but change no value (the tables are exact).  ``predict``,
 ``sweep`` and ``calibrate`` load ``--table``, or else build in memory
-(milliseconds) the table that ``--n-max``/``--omega-tilde`` describe; those
-two are refused with ``--table``.  The table owns the gate: ``sweep
---oracle`` and both ``calibrate`` engines run its ``omega_tilde`` and
-``tau_gate``.  ``--fock-initial`` and ``--nbar`` are exclusive.
+(milliseconds) the table that ``--n-max``/``--loops`` describe; those two
+are refused with ``--table``.  The table owns the gate: ``sweep --oracle``
+and both ``calibrate`` engines run its ``omega_tilde`` and ``tau_gate``.
+``trajectory`` draws the loop of the ``--loops`` gate.  ``--fock-initial``
+and ``--nbar`` are exclusive.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import numpy as np
 from . import __version__
 from .experiment import SequenceConfig, phi_seq_prediction, run_calibration
 from .hilbert import FockCutoff, ThermalDistribution
-from .ideal import DimensionlessGateParams, phase_space_trajectory, write_trajectory_csv
+from .ideal import DimensionlessGateParams, phase_space_trajectory, trajectory_csv
 from .magnus import (
     LAMBDA_HARD_CAP,
     CoefficientTable,
@@ -98,16 +102,22 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-_GRID_OPTIONS = ("n_max", "omega_tilde")
+_GRID_OPTIONS = ("n_max", "loops")
+
+
+def _gate(args) -> DimensionlessGateParams:
+    """The calibrated gate of ``--loops`` (one loop when unset)."""
+    return DimensionlessGateParams.calibrated(1 if args.loops is None else args.loops)
 
 
 def _build(args, quad: QuadratureSpec | None = None) -> CoefficientTable:
-    """Build the table the grid options describe (unset ones, ``quad`` too,
-    take compute_coefficient_table's defaults); refuse it unless healthy."""
-    grid = {k: getattr(args, k) for k in _GRID_OPTIONS if getattr(args, k) is not None}
-    if quad is not None:
-        grid["quad"] = quad
-    table = compute_coefficient_table(**grid)
+    """Build the table of the calibrated gate the grid options describe
+    (an unset ``--n-max``, and ``quad``, take compute_coefficient_table's
+    defaults); refuse it unless healthy."""
+    gate = _gate(args)
+    grid = {"omega_tilde": gate.omega_tilde, "tau_gate": gate.tau_gate,
+            "n_max": args.n_max, "quad": quad}
+    table = compute_coefficient_table(**{k: v for k, v in grid.items() if v is not None})
     try:
         table.check_health()
     except UnhealthyTableError as exc:
@@ -130,14 +140,19 @@ def _table_for(args) -> CoefficientTable:
         raise CliError(f"cannot read table file {args.table}: {exc.strerror}")
 
 
+def _add_loops(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--loops", type=int,
+                   help="closed loops of the calibrated gate (default 1)")
+
+
 def _add_grid_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", type=int, help="Fock cutoff of the table (default 40)")
-    p.add_argument("--omega-tilde", type=float, help="coupling over detuning (default 0.5)")
+    _add_loops(p)
 
 
 def _add_table_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--table", help="coefficient JSON produced by 'coefficients' "
-                   "(default: build in memory from --n-max and --omega-tilde)")
+                   "(default: build in memory from --n-max and --loops)")
     _add_grid_options(p)
 
 
@@ -149,14 +164,15 @@ def _add_initial_mode(p: argparse.ArgumentParser) -> None:
     mode.add_argument("--nbar", type=float, help="thermal initial mode of this mean")
 
 
-def _fock_level(args) -> int | None:
-    """The initial Fock level, or None for ``--nbar``.  argparse refuses the
-    two flags together; this also catches a config file supplying one."""
+def _initial_mode(args) -> int | ThermalDistribution:
+    """The ``--fock-initial`` level (default 0), or the thermal mode of
+    ``--nbar``.  argparse refuses the two flags together; this also catches
+    a config file supplying one."""
     if args.nbar is None:
         return args.fock_initial or 0
     if args.fock_initial is not None:
         raise CliError(f"{args.command}: --fock-initial and --nbar are exclusive")
-    return None
+    return ThermalDistribution(args.nbar)
 
 
 def _float_fmt(x: float) -> str:
@@ -337,8 +353,7 @@ def cmd_calibrate(args) -> int:
     config = SequenceConfig(
         detuning=detuning,
         qubit_shift=shift,
-        fock_initial=_fock_level(args) or 0,
-        n_bar=args.nbar,
+        mode=_initial_mode(args),
         phase_points=args.points,
         shots=None if args.shots == 0 else args.shots,
         engine=args.engine,
@@ -355,7 +370,7 @@ def cmd_calibrate(args) -> int:
             "engine": args.engine,
             "shots": config.shots,
             "phase_points": args.points,
-            "fock_initial": config.fock_initial,
+            "fock_initial": args.fock_initial or 0,
             "n_bar": args.nbar,
             "seed": args.seed,
             "table_provenance": table.provenance_hash,
@@ -395,11 +410,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    params = DimensionlessGateParams(
-        omega_tilde=args.omega_tilde, tau_gate=2.0 * math.pi * args.loops
-    )
-    traj = phase_space_trajectory(params, args.samples)
-    write_trajectory_csv(args.out, traj)
+    traj = phase_space_trajectory(_gate(args), args.samples)
+    _write_all({Path(args.out): trajectory_csv(traj)})
     print(f"wrote {args.out} ({args.samples} samples)")
     return EXIT_OK
 
@@ -408,15 +420,15 @@ def cmd_predict(args) -> int:
     _require(args, "lambda-tilde")
     table = _table_for(args)
     lam = args.lambda_tilde
-    fock = _fock_level(args)
-    target = ThermalDistribution(args.nbar) if fock is None else fock
+    mode = _initial_mode(args)
+    fock = mode if isinstance(mode, int) else None
     doc = {
         "lambda_tilde": lam,
         "initial": args.initial,
         "fock": fock,
         "n_bar": args.nbar,
-        "phase": predict_phase(target, lam, table, args.initial),
-        "fidelity": predict_fidelity(target, lam, table),
+        "phase": predict_phase(mode, lam, table, args.initial),
+        "fidelity": predict_fidelity(mode, lam, table),
     }
     if fock is not None:  # these predictors take a single level only
         pops = predict_populations(fock, lam, table, args.initial)
@@ -496,8 +508,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("trajectory", help="phase-space loop of the driven mode")
-    p.add_argument("--omega-tilde", type=float, default=0.5)
-    p.add_argument("--loops", type=int, default=1)
+    _add_loops(p)
     p.add_argument("--samples", type=int, default=257)
     p.add_argument("--out", default="trajectory.csv")
     p.set_defaults(func=cmd_trajectory)

@@ -59,15 +59,13 @@ class SequenceConfig:
     ``detuning`` (signed, rad/s) sets the gate clock; each gate lasts
     ``tau_gate``/|detuning|, with ``tau_gate`` that of the coefficient table
     the run is given.  ``qubit_shift`` is the center-line error lam (rad/s)
-    being estimated.  The initial mode is the thermal distribution at
-    ``n_bar`` or else the pure Fock level ``fock_initial``; setting both is
-    refused.
+    being estimated.  ``mode`` is the initial mode of the motion: a Fock
+    level or a thermal distribution.
     """
 
     detuning: float
     qubit_shift: float
-    fock_initial: int = 0
-    n_bar: float | None = None
+    mode: int | ThermalDistribution = 0
     phase_points: int = 16
     shots: int | None = 200
     engine: str = "oracle"
@@ -88,20 +86,12 @@ class SequenceConfig:
             )
         if self.phase_points < 5:
             raise ValueError("need at least 5 phase points to fit 3 parameters")
-        if self.n_bar is not None and self.fock_initial != 0:
-            raise ValueError("set fock_initial or n_bar, not both")
-        if self.fock_initial < 0:
-            raise ValueError("fock_initial must be >= 0")
+        if isinstance(self.mode, int) and self.mode < 0:
+            raise ValueError(f"the initial Fock level must be >= 0, got {self.mode}")
 
     @property
     def lambda_tilde(self) -> float:
         return self.qubit_shift / self.detuning
-
-    def target(self) -> int | ThermalDistribution:
-        """The initial mode: the thermal distribution, or the Fock level."""
-        if self.n_bar is None:
-            return self.fock_initial
-        return ThermalDistribution(self.n_bar)
 
 
 def phase_scan(n_points: int) -> np.ndarray:
@@ -131,7 +121,7 @@ def phi_seq_prediction(qubit_shift: float, detuning: float, slope: float) -> flo
 def _model_fringe(
     config: SequenceConfig, phi_d: np.ndarray, table: CoefficientTable
 ) -> np.ndarray:
-    levels, weights = _scalars_for(config.target(), table)
+    levels, weights = _scalars_for(config.mode, table)
     lam = config.lambda_tilde
     a = table.derived().a
     p = np.zeros_like(phi_d, dtype=float)
@@ -144,7 +134,7 @@ def _oracle_fringe(
     config: SequenceConfig, table: CoefficientTable, phi_d: np.ndarray
 ) -> np.ndarray:
     cutoff = FockCutoff(config.cutoff_n_max)
-    levels, weights = level_weights(config.target())
+    levels, weights = level_weights(config.mode)
     lam = config.lambda_tilde
     omega, tau = table.params.omega_tilde, table.params.tau_gate
     # Gate 1 at drive phase 0, one column per initial Fock level.
@@ -364,6 +354,6 @@ def run_calibration(
             rng = np.random.default_rng(0)
         p_obs = sample_fringe(p_exact, config.shots, rng)
     fit = fit_fringe(phi_d, p_obs, config.shots)
-    slope = effective_phase_slope(table, config.target())
+    slope = effective_phase_slope(table, config.mode)
     estimate = estimate_lambda(fit, slope, config.detuning)
     return fit, estimate, phi_d, p_obs

@@ -12,12 +12,12 @@ closed loop F(tau) and pick up the enclosed-area phase G(tau),
     F(tau) = omega * (e^{i tau} - 1),      G(tau) = omega^2 * (tau - sin tau).
 
 The calibrated point omega = 1/2, tau_g = 2*pi closes the loop with
-G = pi/2, giving a maximally entangling gate exp(i (pi/2) S_phi^2).
+G = pi/2, giving a maximally entangling gate exp(i (pi/2) S_phi^2); K loops
+at omega = 1/(2 sqrt K), tau_g = 2*pi*K give the same gate.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -40,7 +40,7 @@ __all__ = [
     "ideal_output_state",
     "ms_target_unitary",
     "phase_space_trajectory",
-    "write_trajectory_csv",
+    "trajectory_csv",
 ]
 
 TAU_GATE = 2.0 * math.pi
@@ -83,6 +83,15 @@ class DimensionlessGateParams:
             raise ValueError("omega_tilde must be nonzero")
         if self.tau_gate <= 0.0:
             raise ValueError("tau_gate must be positive")
+
+    @classmethod
+    def calibrated(cls, loops: int) -> "DimensionlessGateParams":
+        """The calibrated gate of ``loops`` closed loops: omega_tilde =
+        1/(2 sqrt(loops)) for tau_gate = 2*pi*loops, which encloses the area
+        pi/2.  Raises ``ValueError`` unless ``loops`` is an integer >= 1."""
+        if not isinstance(loops, int) or isinstance(loops, bool) or loops < 1:
+            raise ValueError(f"loops must be an integer >= 1, got {loops!r}")
+        return cls(omega_tilde=1.0 / (2.0 * math.sqrt(loops)), tau_gate=loops * TAU_GATE)
 
     @classmethod
     def from_physical(
@@ -215,23 +224,19 @@ def phase_space_trajectory(
     }
 
 
-def write_trajectory_csv(path, trajectory: dict[str, np.ndarray]) -> None:
-    """Write a phase-space trajectory as versioned CSV."""
-    with open(path, "w", newline="") as fh:
-        fh.write("# schema=msgate/trajectory/1\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["tau", "re_alpha_plus", "im_alpha_plus", "re_alpha_minus",
-             "im_alpha_minus", "area_phase"]
-        )
-        for i in range(trajectory["tau"].size):
-            writer.writerow(
-                [
-                    repr(float(trajectory["tau"][i])),
-                    repr(float(trajectory["alpha_plus"][i].real)),
-                    repr(float(trajectory["alpha_plus"][i].imag)),
-                    repr(float(trajectory["alpha_minus"][i].real)),
-                    repr(float(trajectory["alpha_minus"][i].imag)),
-                    repr(float(trajectory["area_phase"][i])),
-                ]
-            )
+def trajectory_csv(trajectory: dict[str, np.ndarray]) -> str:
+    """A phase-space trajectory as versioned CSV text, one row per sample."""
+    lines = [
+        "# schema=msgate/trajectory/1",
+        "tau,re_alpha_plus,im_alpha_plus,re_alpha_minus,im_alpha_minus,area_phase",
+    ]
+    columns = (
+        trajectory["tau"],
+        trajectory["alpha_plus"].real,
+        trajectory["alpha_plus"].imag,
+        trajectory["alpha_minus"].real,
+        trajectory["alpha_minus"].imag,
+        trajectory["area_phase"],
+    )
+    lines += [",".join(repr(float(x)) for x in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"

@@ -3,8 +3,9 @@
 The coefficient table is session-scoped: n_max=24 trusts Fock levels 0..9
 and builds in a few milliseconds.  Its panel counts are recorded only.
 ``two_loop_table`` is a second calibrated gate (two loops at
-omega_tilde = 1/(2 sqrt 2)) for checks that every route runs the table's
-gate rather than the one-loop default.
+omega_tilde = 1/(2 sqrt 2), built through ``DimensionlessGateParams.calibrated``)
+for checks that every route runs the table's gate rather than the one-loop
+default.
 ``edit_table_entry`` changes one stored entry of a parsed table file.
 """
 
@@ -81,8 +82,9 @@ def table():
 
 @pytest.fixture(scope="session")
 def two_loop_table():
+    gate = DimensionlessGateParams.calibrated(2)
     table = compute_coefficient_table(
-        omega_tilde=1.0 / (2.0 * math.sqrt(2.0)), n_max=24, tau_gate=4.0 * math.pi
+        omega_tilde=gate.omega_tilde, n_max=24, tau_gate=gate.tau_gate
     )
     table.check_health()
     return table

@@ -269,7 +269,7 @@ def test_7_two_gate_fringe_slope(capsys, table, derived):
         fitted = {}
         for sign in (1.0, -1.0):
             config = SequenceConfig(
-                detuning=EPSILON, qubit_shift=sign * shift, fock_initial=n,
+                detuning=EPSILON, qubit_shift=sign * shift, mode=n,
                 shots=None, engine="oracle", cutoff_n_max=32, phase_points=8,
             )
             phi_d, p = simulate_fringe(config, table)

@@ -93,10 +93,10 @@ class TestCoefficients:
         assert main(self.ARGS + ["--force"]) == EXIT_OK
         assert _files(workdir) == [Path("coefficients.json")]
 
-    # omega_tilde 0.4 closes the loop with the wrong area, so the first-order
-    # table leaves the (-1 + i) line (structure residual about 0.98).
+    # At 100000 loops the first-order table leaves the (-1 + i) line by a
+    # structure residual of about 8.8e-4 (1e-7 at 1000 loops, 3e-6 at 10000).
     OFF_LINE = ["--n-max", "24", "--panels-1d", "256", "--panels-2d", "32",
-                "--omega-tilde", "0.4"]
+                "--loops", "100000"]
 
     @pytest.mark.parametrize("to_out", [True, False])
     def test_unhealthy_table_not_written(self, workdir, capsys, to_out):
@@ -106,10 +106,23 @@ class TestCoefficients:
         assert _files(workdir) == []
 
     def test_unhealthy_auto_build_not_cached(self, workdir, capsys):
-        argv = ["predict", "--lambda-tilde", "0.01", "--n-max", "24", "--omega-tilde", "0.4"]
+        argv = ["predict", "--lambda-tilde", "0.01", "--n-max", "24", "--loops", "100000"]
         assert main(argv) == EXIT_NUMERICAL
         assert "not written" in capsys.readouterr().err
         assert _files(workdir) == []
+
+    def test_two_loops_match_library(self, two_loop_table, workdir, capsys):
+        assert main(["coefficients", "--loops", "2", "--n-max", "24"]) == EXIT_OK
+        assert f"provenance {two_loop_table.provenance_hash}" in capsys.readouterr().out
+        doc = json.loads(Path("coefficients.json").read_text())
+        assert doc["provenance_sha256"] == two_loop_table.provenance_hash
+
+    def test_one_loop_is_the_default_gate(self, workdir):
+        # --loops 1 gives omega_tilde 0.5 and tau_gate 2 pi exactly, so the
+        # file equals the library's default table byte for byte.
+        assert main(["coefficients", "--loops", "1", "--n-max", "12"]) == EXIT_OK
+        compute_coefficient_table(n_max=12).save("library.json")
+        assert Path("coefficients.json").read_bytes() == Path("library.json").read_bytes()
 
 
 class TestPredict:
@@ -458,6 +471,44 @@ class TestTrajectory:
         data = np.genfromtxt(out, delimiter=",", names=True, skip_header=1)
         assert data.shape == (65,)
 
+    def test_new_directory_and_line_ends(self, workdir):
+        assert main(["trajectory", "--samples", "9", "--out", "new/loop.csv"]) == EXIT_OK
+        assert b"\r" not in Path("new/loop.csv").read_bytes()
+
+    def test_two_loops_close_with_area_pi_over_2(self, workdir):
+        # The gate that --loops 2 builds: two loops at omega_tilde 1/(2 sqrt 2).
+        assert main(["trajectory", "--loops", "2", "--samples", "9"]) == EXIT_OK
+        data = np.genfromtxt("trajectory.csv", delimiter=",", names=True, skip_header=1)
+        last = data[-1]
+        assert last["tau"] == pytest.approx(4.0 * np.pi, rel=1e-15)
+        assert abs(complex(last["re_alpha_plus"], last["im_alpha_plus"])) < 1e-15
+        assert last["area_phase"] == pytest.approx(np.pi / 2, abs=1e-15)
+
+
+class TestLoops:
+    """--loops names a calibrated gate, so it must be an integer >= 1; a bad
+    value from the command line or a config file exits 2 writing nothing."""
+
+    COMMANDS = [
+        ["coefficients", "--n-max", "12"],
+        ["predict", "--lambda-tilde", "0.01", "--n-max", "12"],
+        ["trajectory"],
+    ]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_zero_loops_refused(self, workdir, capsys, command):
+        assert main([*command, "--loops", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: loops must be an integer >= 1")
+        assert _files(workdir) == []
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_config_fraction_refused(self, workdir, capsys, command):
+        Path("c.json").write_text(json.dumps({command[0]: {"loops": 1.5}}))
+        assert main(["--config", "c.json", *command]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: loops must be an integer >= 1, got 1.5")
+        assert _files(workdir) == [Path("c.json")]
+
 
 class TestTableOnDemand:
     """Without --table a command builds its table in memory and writes only
@@ -518,7 +569,7 @@ class TestTableOwnsGate:
         ["sweep"],
         ["calibrate", "--detuning-hz=-11e3", "--shift-hz", "30"],
     ])
-    @pytest.mark.parametrize("flag, value", [("--omega-tilde", "0.5"), ("--n-max", "24")])
+    @pytest.mark.parametrize("flag, value", [("--loops", "2"), ("--n-max", "24")])
     def test_grid_option_with_table_refused(self, table_file, workdir, capsys,
                                             command, flag, value):
         assert main([*command, "--table", table_file, flag, value]) == EXIT_USAGE
@@ -564,9 +615,6 @@ class TestNonFiniteInput:
           "--out", "r.json"], "detuning must be finite"),
         (["calibrate", "--table", "T", "--detuning-hz=-11e3", "--shift-hz", "nan",
           "--out", "r.json"], "qubit_shift must be finite"),
-        (["trajectory", "--omega-tilde", "nan"], "omega_tilde must be finite"),
-        (["predict", "--omega-tilde", "nan", "--lambda-tilde", "0.01"],
-         "omega_tilde must be finite"),
         (["predict", "--table", "T", "--lambda-tilde", "0.01", "--nbar", "inf"],
          "n_bar must be finite"),
         (["calibrate", "--table", "T", "--detuning-hz=-11e3", "--shift-hz", "30",
@@ -576,8 +624,7 @@ class TestNonFiniteInput:
         (["calibrate", "--table", "T", "--detuning-hz=-11e3", "--shift-hz", "30",
           "--nbar", "5e4", "--out", "r.json"], "n_bar = 50000 needs 1.04e+06 Fock levels"),
     ], ids=["predict-lambda", "sweep-lambda", "calibrate-detuning", "calibrate-shift",
-            "trajectory-omega", "predict-omega", "predict-nbar", "calibrate-nbar",
-            "predict-nbar-levels", "calibrate-nbar-levels"])
+            "predict-nbar", "calibrate-nbar", "predict-nbar-levels", "calibrate-nbar-levels"])
     def test_exit_usage(self, table_file, workdir, capsys, command, message):
         command = [table_file if arg == "T" else arg for arg in command]
         assert main(command) == EXIT_USAGE

@@ -54,21 +54,30 @@ class TestSequenceConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             _config(**{name: value})
 
-    def test_fock_level_and_thermal_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            _config(fock_initial=2, n_bar=0.05)
-
     def test_thermal(self):
-        assert _config(fock_initial=2).target() == 2
-        dist = _config(n_bar=0.05).target()
-        assert isinstance(dist, ThermalDistribution)
-        assert dist.n_bar == 0.05
-        assert dist.truncated_mass < 1e-9
+        assert _config().mode == 0
+        assert _config(mode=2).mode == 2
+        dist = ThermalDistribution(0.05)
+        assert _config(mode=dist).mode is dist
 
-    def test_thermal_levels_scaling(self):
-        levels = [_config(n_bar=n_bar).target().n_max for n_bar in (0.0, 0.05, 0.5)]
+    def test_negative_level_refused(self):
+        with pytest.raises(ValueError, match="initial Fock level must be >= 0"):
+            _config(mode=-1)
+
+    def test_thermal_levels_scaling(self, table):
+        # The model fringe of a thermal mode is the weighted sum of the
+        # fringes of its levels 0..n_max, whose count grows with n_bar.
+        levels = []
+        for n_bar in (0.0, 0.05):
+            dist = ThermalDistribution(n_bar)
+            levels.append(dist.n_max)
+            _, mixed = simulate_fringe(_config(mode=dist), table)
+            per_level = [simulate_fringe(_config(mode=n), table)[1]
+                         for n in range(dist.n_max + 1)]
+            np.testing.assert_allclose(mixed, dist.probabilities @ np.array(per_level),
+                                       rtol=1e-14, atol=1e-15)
         assert levels[0] == 0
-        assert 4 <= levels[1] < levels[2]
+        assert 4 <= levels[1] < ThermalDistribution(0.5).n_max
 
 
 class TestScanAndSlope:
@@ -237,7 +246,7 @@ class TestModelEngine:
             assert "covariance undetermined" in estimate.caveats[0]
 
     def test_thermal_round_trip(self, table):
-        config = _config(qubit_shift=40.0, n_bar=0.05)
+        config = _config(qubit_shift=40.0, mode=ThermalDistribution(0.05))
         fit, estimate, _, _ = run_calibration(config, table)
         # Thermal fringe phase is a phasor average; the weighted-slope
         # inversion leaves only the O(lam^2) phasor-vs-mean residue.
@@ -287,7 +296,7 @@ class TestOracleEngine:
 
     def test_level_above_cutoff_raises(self, table):
         # A thermal mode at n_bar = 2 needs levels 0..52, past cutoff 32.
-        config = _config(engine="oracle", n_bar=2.0)
+        config = _config(engine="oracle", mode=ThermalDistribution(2.0))
         with pytest.raises(GuardBandError, match="Fock level 52 .*--cutoff-n-max"):
             simulate_fringe(config, table)
 

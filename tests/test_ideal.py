@@ -18,7 +18,7 @@ from msgate.ideal import (
     loop_functions,
     ms_target_unitary,
     phase_space_trajectory,
-    write_trajectory_csv,
+    trajectory_csv,
 )
 
 TAU_GATE = 2.0 * math.pi
@@ -42,6 +42,20 @@ class TestParams:
     def test_detuned_coupling_not_calibrated(self):
         assert not DimensionlessGateParams(omega_tilde=0.4).is_calibrated
         assert not DimensionlessGateParams(tau_gate=0.7 * TAU_GATE).is_calibrated
+
+    def test_calibrated_loops(self):
+        # One loop is the default gate exactly; K loops enclose the same area.
+        assert DimensionlessGateParams.calibrated(1) == DimensionlessGateParams()
+        for loops in (2, 3, 7):
+            params = DimensionlessGateParams.calibrated(loops)
+            assert params.omega_tilde == pytest.approx(0.5 / math.sqrt(loops), rel=1e-15)
+            assert params.tau_gate == loops * TAU_GATE
+            assert params.is_calibrated
+
+    @pytest.mark.parametrize("loops", [0, -1, 1.5, 2.0, True])
+    def test_calibrated_rejects_non_positive_or_non_integer(self, loops):
+        with pytest.raises(ValueError, match="loops must be an integer >= 1"):
+            DimensionlessGateParams.calibrated(loops)
 
     def test_with_lambda(self):
         params = DimensionlessGateParams().with_lambda(0.03)
@@ -155,9 +169,10 @@ class TestTrajectory:
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "traj.csv"
         traj = phase_space_trajectory(DimensionlessGateParams(), 9)
-        write_trajectory_csv(path, traj)
-        text = path.read_text().splitlines()
-        assert text[0] == "# schema=msgate/trajectory/1"
+        text = trajectory_csv(traj)
+        assert text.count("\n") == 11 and "\r" not in text
+        assert text.splitlines()[0] == "# schema=msgate/trajectory/1"
+        path.write_text(text)
         data = np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
         np.testing.assert_allclose(data["tau"], traj["tau"], atol=1e-15)
         np.testing.assert_allclose(

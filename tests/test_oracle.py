@@ -185,7 +185,7 @@ class TestExactVsRK4:
 
         detuning = -2.0 * math.pi * 11e3
         config = SequenceConfig(
-            detuning=detuning, qubit_shift=lam * detuning, fock_initial=1, shots=None
+            detuning=detuning, qubit_shift=lam * detuning, mode=1, shots=None
         )
         _, fringe = simulate_fringe(config, table, phis)
         p_ee_ref = (np.abs(fin_ref[3 * d :, phis.size :]) ** 2).sum(axis=0)

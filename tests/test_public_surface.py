@@ -1,5 +1,6 @@
 """Every public name of msgate has a caller inside the package, or is a named
-cross-check route; every CLI option is listed; the CLI needs numpy alone.
+cross-check route; every CLI option is listed; every README command parses;
+the CLI needs numpy alone.
 
 A module's public names are its ``__all__``.  A name counts as called when
 some statement under ``src/msgate`` other than its own top-level definition
@@ -8,13 +9,18 @@ reads it as a ``Name`` or an ``Attribute``, or imports it.
 
 import ast
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from msgate.cli import build_parser
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "msgate"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "msgate"
 
 # Public names that only the tests call, each with the reason it stays.  The
 # list only shrinks: a name that gains a package caller must leave it.
@@ -33,14 +39,14 @@ CROSS_CHECK_ONLY = {
 # removing an option must show up here.
 CLI_OPTIONS = {
     "msgate": ("config",),
-    "coefficients": ("n_max", "omega_tilde", "panels_1d", "panels_2d", "out", "force"),
-    "sweep": ("table", "n_max", "omega_tilde", "lambda_min", "lambda_max", "points",
+    "coefficients": ("n_max", "loops", "panels_1d", "panels_2d", "out", "force"),
+    "sweep": ("table", "n_max", "loops", "lambda_min", "lambda_max", "points",
               "fock", "oracle", "steps", "cutoff_n_max", "out", "plot_script"),
-    "calibrate": ("table", "n_max", "omega_tilde", "detuning_hz", "shift_hz",
+    "calibrate": ("table", "n_max", "loops", "detuning_hz", "shift_hz",
                   "fock_initial", "nbar", "points", "shots", "engine", "steps",
                   "cutoff_n_max", "seed", "out"),
-    "trajectory": ("omega_tilde", "loops", "samples", "out"),
-    "predict": ("table", "n_max", "omega_tilde", "lambda_tilde", "fock_initial", "nbar",
+    "trajectory": ("loops", "samples", "out"),
+    "predict": ("table", "n_max", "loops", "lambda_tilde", "fock_initial", "nbar",
                 "initial"),
 }
 
@@ -98,6 +104,28 @@ def test_cli_options_are_listed():
         return tuple(a.dest for a in p._actions if a.dest not in ("help", "version", "command"))
 
     assert {name: dests(p) for name, p in commands.items()} == CLI_OPTIONS
+
+
+def _readme_commands():
+    """The argv of every ``msgate`` command in the README's sh blocks, with
+    continuation lines joined and comments dropped."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        flags=re.MULTILINE | re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("msgate ")]
+
+
+def test_readme_commands_parse():
+    # Parsing only: a removed or renamed flag in the README fails here.
+    parser, subparsers = build_parser()
+    commands = _readme_commands()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: msgate {shlex.join(argv)}")
+    assert {argv[0] for argv in commands} == set(subparsers)
 
 
 def test_cli_imports_no_scipy():
