@@ -248,26 +248,13 @@ def cmd_sweep(args) -> int:
             row.update(_sweep_predicted_row(table, n, lam))
             rows.append(row)
 
-    columns = list(rows[0])  # the CSV columns, in row-key order
     if args.oracle:
         # The table's gate, in the same (n, lambda) grid order as the rows.
         oracle_rows = oracle_sweep(lams, fock, table.params, FockCutoff(args.cutoff_n_max))
-        oracle_cols = [
-            "relative_phase",
-            "p_gg",
-            "p_ge",
-            "p_eg",
-            "p_ee",
-            "coherence_abs",
-            "fidelity",
-            "purity",
-            "norm_drift",
-            "guard_band_mass",
-        ]
         for row, src in zip(rows, oracle_rows, strict=True):
-            for c in oracle_cols:
-                row[f"oracle_{c}"] = src[c]
-        columns += [f"oracle_{c}" for c in oracle_cols]
+            row.update((f"oracle_{k}", v) for k, v in src.items()
+                       if k not in ("lambda_tilde", "fock_n"))
+    columns = list(rows[0])  # the CSV columns, in row-key order
 
     out = Path(args.out)
     lines = [f"# schema={SWEEP_REPORT_SCHEMA}", ",".join(columns)]

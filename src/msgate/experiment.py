@@ -122,12 +122,11 @@ def _model_fringe(
     config: SequenceConfig, phi_d: np.ndarray, table: CoefficientTable
 ) -> np.ndarray:
     levels, weights = _scalars_for(config.mode, table)
-    lam = config.lambda_tilde
-    a = table.derived().a
-    p = np.zeros_like(phi_d, dtype=float)
-    for w, n in zip(weights, levels):
-        p += w * 0.5 * (1.0 + np.cos(2.0 * phi_d + 2.0 * lam * a[n]))
-    return p
+    slips = 2.0 * config.lambda_tilde * table.derived().a[levels]
+    terms = (weights * 0.5)[:, None] * (1.0 + np.cos(2.0 * phi_d + slips[:, None]))
+    # A sum down the level axis adds the levels in order, unlike a BLAS dot,
+    # so a thermal fringe does not move with the BLAS build.
+    return terms.sum(axis=0)
 
 
 def _oracle_fringe(

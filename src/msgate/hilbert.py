@@ -37,8 +37,6 @@ __all__ = [
     "QUBIT_LABELS",
     "SIGMA_Y_BASIS",
     "displacement_matrix",
-    "partial_trace_phonons",
-    "purity",
     "thermal_probabilities",
     "level_weights",
 ]
@@ -207,18 +205,6 @@ def displacement_matrix(alpha: complex, cutoff: FockCutoff | int) -> np.ndarray:
         shifted[1:] = col[:-1] * sqrt_m[1:]
         out[:, n + 1] = (shifted - alpha.conj() * col) / sqrt_m[n + 1]
     return out
-
-
-def partial_trace_phonons(state: CompositeState) -> QubitDensityMatrix:
-    """Reduced qubit-pair density matrix; rows/columns follow ``QUBIT_LABELS``."""
-    v = state.amplitudes.reshape(4, state.cutoff.dim)
-    return QubitDensityMatrix(v @ v.conj().T)
-
-
-def purity(rho: QubitDensityMatrix | np.ndarray) -> float:
-    """Tr(rho^2), real part (imaginary part is roundoff for Hermitian rho)."""
-    m = rho.matrix if isinstance(rho, QubitDensityMatrix) else np.asarray(rho)
-    return float(np.real(np.trace(m @ m)))
 
 
 def thermal_probabilities(n_bar: float, n_max: int) -> np.ndarray:

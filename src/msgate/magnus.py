@@ -512,7 +512,8 @@ def derived_scalars(table: CoefficientTable) -> DerivedScalars:
         "c_ee": dif2[lo:, :].sum(axis=0),
         "c_eg": (odd * np.abs(it) ** 2)[:, lo:].sum(axis=1),
         "b": 2.0 * np.abs(cross[lo:, :].sum(axis=0)),
-        "a_structure": np.full(dim, a_imag),
+        # Relative to the slopes, which grow with the loop count (about 8K).
+        "a_structure": np.full(dim, a_imag / max(1.0, float(np.abs(a).max()))),
     }
     trusted = np.ones(dim, dtype=bool)
     for t in tails.values():

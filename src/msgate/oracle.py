@@ -36,14 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    SIGMA_Z,
-    QUBIT_LABELS,
-    CompositeState,
-    FockCutoff,
-    partial_trace_phonons,
-    purity,
-)
+from .hilbert import SIGMA_Z, QUBIT_LABELS, CompositeState, FockCutoff
 from .ideal import DimensionlessGateParams, collective_spin, ideal_output_state
 
 __all__ = [
@@ -145,15 +138,6 @@ def _diagonals(cutoff: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
     return number[:, None], np.repeat([1.0, 0.0, 0.0, -1.0], cutoff.dim)[:, None]
 
 
-def _frame_hamiltonian(lam: float, omega: float, phi: float, cutoff: FockCutoff):
-    """H' = lam*S_z - omega*(a + a^dag)*S_phi + N = e^{-iN tau} H(tau) e^{iN tau} + N."""
-    a = _ladder(cutoff.dim)
-    number, sz = _diagonals(cutoff)
-    return -omega * np.kron(collective_spin(phi), a + a.conj().T) + np.diag(
-        (number + lam * sz)[:, 0]
-    )
-
-
 @functools.lru_cache(maxsize=8)
 def _symmetry_blocks(n_max: int):
     """Real orthogonal basis in which H' at phi = pi/2 is block diagonal.
@@ -161,8 +145,8 @@ def _symmetry_blocks(n_max: int):
     Columns: triplet (T+, T0, T-) x Fock states with n + m even, then odd
     (m the S_z value), then the singlet.  Returns the basis (complex, so
     both products with it are one ZGEMM), N and S_z on it, and per triplet
-    block its slice and real coupling -(a + a^dag) S_x, all read off
-    :func:`_frame_hamiltonian`.
+    block its slice and real coupling -(a + a^dag) S_x, read off
+    :func:`hamiltonian_matrix` at tau = 0.
     """
     cutoff = FockCutoff(n_max)
     d, r = cutoff.dim, np.sqrt(0.5)
@@ -171,13 +155,12 @@ def _symmetry_blocks(n_max: int):
     triplet_parity = (np.tile(np.arange(d), 3) + np.repeat([1, 0, -1], d)) % 2
     block = np.concatenate([triplet_parity, np.full(d, 2)])
     basis = np.kron(qubit, np.eye(d))[:, np.argsort(block, kind="stable")]
-    number, shifted, coupled = (
-        basis.T @ _frame_hamiltonian(lam, omega, np.pi / 2, cutoff).real @ basis
-        for lam, omega in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-    )
+    number, sz = (np.diag(basis.T @ (diag * basis)).copy() for diag in _diagonals(cutoff))
+    drive = DimensionlessGateParams(omega_tilde=1.0, phi=np.pi / 2)
+    coupled = basis.T @ hamiltonian_matrix(0.0, drive, cutoff).real @ basis
     even = np.count_nonzero(block == 0)
-    blocks = [(sl, (coupled - number)[sl, sl]) for sl in (slice(0, even), slice(even, 3 * d))]
-    out = basis.astype(complex), np.diag(number).copy(), np.diag(shifted - number).copy(), blocks
+    blocks = [(sl, coupled[sl, sl]) for sl in (slice(0, even), slice(even, 3 * d))]
+    out = basis.astype(complex), number, sz, blocks
     for arr in (*out[:3], *(c for _, c in blocks)):
         arr.flags.writeable = False  # shared by every caller through the cache
     return out
@@ -304,30 +287,37 @@ def relative_phase_pair(initial_label: str) -> tuple[int, int]:
     return pairs[initial_label]
 
 
-def observables(state: CompositeState, initial_label: str, initial_n: int) -> dict:
-    """Standard scorecard of a final state for a computational-basis input.
+def observables(final: np.ndarray, initial_label: str, cutoff: FockCutoff) -> dict:
+    """Standard scorecard of final states for a computational-basis input.
 
-    Keys: populations (gg, ge, eg, ee order), relative_phase, coherence_abs,
-    phase_reliable, fidelity, purity, norm, rho (QubitDensityMatrix).
-    Fidelity is against the ideal *qubit* output (reduced-state overlap).
+    ``final`` is one propagated column (4*dim,) or a batch (4*dim, k).  Keys:
+    populations (gg, ge, eg, ee order), relative_phase, coherence_abs,
+    phase_reliable, fidelity, purity, norm and rho, the reduced qubit-pair
+    density matrix.  A batch gives one value per column along a leading
+    axis (rho is (k, 4, 4)); one column gives scalars, (4,) populations and
+    a (4, 4) rho.  Fidelity is against the ideal *qubit* output, which is
+    the same for every Fock level.
     """
-    rho = partial_trace_phonons(state)
-    pops = np.real(np.diag(rho.matrix)).copy()
+    amps = np.asarray(final, dtype=complex)
+    # (k, 4, dim), so every reduced state comes from one stacked product.
+    v = np.ascontiguousarray(amps.reshape(4, cutoff.dim, -1).transpose(2, 0, 1))
+    rho = v @ np.conj(v.transpose(0, 2, 1))
     row, col = relative_phase_pair(initial_label)
-    coh = rho.matrix[row, col]
-    target = ideal_output_state(initial_label, initial_n, state.cutoff)
-    target_qubit = target.amplitudes.reshape(4, state.cutoff.dim)[:, initial_n]
-    fid = float(np.real(target_qubit.conj() @ rho.matrix @ target_qubit))
-    return {
-        "populations": pops,
-        "relative_phase": float(np.angle(coh)),
-        "coherence_abs": float(abs(coh)),
-        "phase_reliable": bool(abs(coh) > _COHERENCE_FLOOR),
-        "fidelity": fid,
-        "purity": purity(rho),
-        "norm": state.norm,
+    coh = rho[:, row, col]
+    target = ideal_output_state(initial_label, 0, FockCutoff(0)).amplitudes
+    scores = {
+        "populations": np.real(np.diagonal(rho, axis1=1, axis2=2)),
+        "relative_phase": np.angle(coh),
+        "coherence_abs": np.abs(coh),
+        "phase_reliable": np.abs(coh) > _COHERENCE_FLOOR,
+        "fidelity": np.real(np.sum(np.outer(target.conj(), target) * rho, axis=(1, 2))),
+        "purity": np.real(np.sum(rho * rho.transpose(0, 2, 1), axis=(1, 2))),
+        "norm": np.linalg.norm(v, axis=(1, 2)),
         "rho": rho,
     }
+    if amps.ndim == 1:
+        return {key: value[0] for key, value in scores.items()}
+    return scores
 
 
 def expectation_trajectory(
@@ -368,25 +358,28 @@ def sweep(
 
     All (lambda, n) pairs go through one batched propagation; rows come
     back ordered by (n, lambda), one dict per pair with the lambda, the
-    level, the populations p_gg..p_ee, the observables and the pair's
-    health numbers.  Raises GuardBandError for a level above the cutoff, and
-    GuardBandError or NormDriftError when any pair exceeds the config's
-    health tolerances.
+    level, then the columns of the sweep CSV: relative_phase, the
+    populations p_gg..p_ee, coherence_abs, fidelity, purity and the pair's
+    health numbers norm_drift and guard_band_mass.  One :func:`observables`
+    call scores the whole batch.  Raises GuardBandError for a level above
+    the cutoff, and GuardBandError or NormDriftError when any pair exceeds
+    the config's health tolerances.
     """
     lam = np.asarray(lambda_values, dtype=float)
     pairs = [(n, l) for n in fock_levels for l in lam]
     amps = _basis_columns(QUBIT_LABELS.index(initial_label), [n for n, _ in pairs], cutoff)
     lam_cols = np.array([l for _, l in pairs])
     final, drift, _ = propagate_batch(amps, cutoff, params, lam_cols, config)
-    guard_cols = _guard_band_mass(final, cutoff, config.guard_levels)
-    rows = []
-    for j, (n, l) in enumerate(pairs):
-        state = CompositeState(final[:, j], cutoff)
-        obs = observables(state, initial_label, n)
-        row = {"lambda_tilde": l, "fock_n": n}
-        row.update(zip(("p_gg", "p_ge", "p_eg", "p_ee"), obs["populations"]))
-        row.update({k: obs[k] for k in ("relative_phase", "coherence_abs", "fidelity", "purity")})
-        row.update(norm_drift=float(drift[j]), guard_band_mass=float(guard_cols[j]))
-        rows.append(row)
-    return rows
-
+    obs = observables(final, initial_label, cutoff)
+    columns = {
+        "relative_phase": obs["relative_phase"],
+        **dict(zip(("p_gg", "p_ge", "p_eg", "p_ee"), obs["populations"].T)),
+        **{k: obs[k] for k in ("coherence_abs", "fidelity", "purity")},
+        "norm_drift": drift,
+        "guard_band_mass": _guard_band_mass(final, cutoff, config.guard_levels),
+    }
+    values = np.column_stack(list(columns.values())).tolist()
+    return [
+        {"lambda_tilde": l, "fock_n": n, **dict(zip(columns, row))}
+        for (n, l), row in zip(pairs, values)
+    ]

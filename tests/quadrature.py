@@ -12,6 +12,8 @@ summed over every node at once through the power moments of
 [[A, B, 0], [0, A, B], [0, 0, A]] with A = -iT H'(0) and B = -iT S_z, whose
 upper blocks are dU/dlam and (1/2) d^2U/dlam^2 of U = e^{-iT H'(lam)}
 (Van Loan 1978; Najfeld & Havel 1995), on a dense truncated Fock space.
+Its H' is :func:`frame_hamiltonian`, which the oracle tests use as their
+dense reference too.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from scipy.linalg.blas import zgemm
 from scipy.special import gammaln
 
 from msgate.hilbert import FockCutoff
-from msgate.ideal import DimensionlessGateParams, loop_functions
+from msgate.ideal import DimensionlessGateParams, collective_spin, loop_functions
 from msgate.magnus import CoefficientTable, QuadratureSpec
-from msgate.oracle import _diagonals, _frame_hamiltonian
+from msgate.oracle import _diagonals
 
 # Outer-time rows of the 2D grid per moment call; bounds the workspace.
 CHUNK_ROWS = 16
@@ -157,6 +159,15 @@ def quadrature_table(
     return CoefficientTable(params, cutoff, quad, i_table, j1, j2, j3)
 
 
+def frame_hamiltonian(lam: float, omega: float, phi: float, cutoff: FockCutoff) -> np.ndarray:
+    """Dense H' = lam*S_z - omega*(a + a^dag)*S_phi + N, the rotating-frame
+    Hamiltonian e^{-iN tau} H(tau) e^{iN tau} + N, written out here apart
+    from :func:`msgate.oracle.hamiltonian_matrix`."""
+    x = np.diag(np.sqrt(np.arange(1.0, cutoff.dim)), 1)
+    number, s_z = _diagonals(cutoff)
+    return -omega * np.kron(collective_spin(phi), x + x.T) + np.diag((number + lam * s_z)[:, 0])
+
+
 def van_loan_derivatives(params: DimensionlessGateParams, cutoff: FockCutoff):
     """(dU/dlam, (1/2) d^2U/dlam^2) at lam = 0, dense on ``cutoff``.
 
@@ -165,7 +176,7 @@ def van_loan_derivatives(params: DimensionlessGateParams, cutoff: FockCutoff):
     columns use the composite (qubit-major) order of ``cutoff``.
     """
     t = params.tau_gate
-    h = _frame_hamiltonian(0.0, params.omega_tilde, params.phi, cutoff)
+    h = frame_hamiltonian(0.0, params.omega_tilde, params.phi, cutoff)
     s_z = np.diag(_diagonals(cutoff)[1][:, 0]).astype(complex)
     excitations = np.array([0, 1, 1, 2])
     parity = (np.repeat(excitations, cutoff.dim) + np.tile(np.arange(cutoff.dim), 4)) % 2

@@ -65,10 +65,8 @@ def _gg_observables(lam_values, cutoff, config):
     lam_cols = np.array([lam for _, lam in pairs])
     final, drift, guard = propagate_batch(amps, cutoff, params, lam_cols, config)
     assert drift.max() < 1e-9 and guard < 1e-8
-    return {
-        (n, lam): observables(CompositeState(final[:, j], cutoff), "gg", n)
-        for j, (n, lam) in enumerate(pairs)
-    }
+    obs = observables(final, "gg", cutoff)
+    return {pair: {key: value[j] for key, value in obs.items()} for j, pair in enumerate(pairs)}
 
 
 @pytest.fixture(scope="module")
@@ -120,12 +118,15 @@ def test_2_ideal_gate_regression(capsys, oracle_cutoff, fast_integrator):
         amps, oracle_cutoff, params, np.zeros(len(pairs)), fast_integrator
     )
     assert drift.max() < 1e-9 and guard < 1e-9
-    worst_entry, worst_fid = 0.0, 1.0
-    for j, (_, label, n) in enumerate(pairs):
-        target = ideal_output_state(label, n, oracle_cutoff)
-        worst_entry = max(worst_entry, np.abs(final[:, j] - target.amplitudes).max())
-        obs = observables(CompositeState(final[:, j], oracle_cutoff), label, n)
-        worst_fid = min(worst_fid, obs["fidelity"])
+    worst_entry = max(
+        np.abs(final[:, j] - ideal_output_state(label, n, oracle_cutoff).amplitudes).max()
+        for j, (_, label, n) in enumerate(pairs)
+    )
+    # Columns 4q..4q+3 hold the four Fock inputs of label q.
+    worst_fid = min(
+        observables(final[:, 4 * q : 4 * q + 4], label, oracle_cutoff)["fidelity"].min()
+        for q, label in enumerate(("gg", "ge", "eg", "ee"))
+    )
     ok = worst_entry <= 1e-8 and worst_fid >= 1.0 - 1e-10
     _report(
         capsys, 2, ok,
@@ -197,7 +198,7 @@ def test_5_residual_scaling(capsys, scaling_obs, table):
         obs = scaling_obs[(n, lam)]
         pops = predict_populations(n, lam, table)
         row, col = relative_phase_pair("gg")
-        coh = complex(obs["rho"].matrix[row, col])
+        coh = complex(obs["rho"][row, col])
         out = {"phase": abs(predict_phase(n, lam, table) - obs["relative_phase"])}
         for i, key in enumerate(("P(gg)", "P(ge)", "P(eg)", "P(ee)")):
             out[key] = abs(pops[i] - obs["populations"][i])

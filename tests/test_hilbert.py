@@ -20,10 +20,9 @@ from msgate.hilbert import (
     ThermalDistribution,
     displacement_matrix,
     level_weights,
-    partial_trace_phonons,
-    purity,
     thermal_probabilities,
 )
+from msgate.oracle import observables
 from quadrature import displacement_from_moments, power_moments
 
 
@@ -185,10 +184,10 @@ class TestReducedState:
         cutoff = FockCutoff(14)
         qubit = np.array([0.6, 0.0, 0.0, 0.8j])
         phonon = displacement_matrix(0.5, cutoff)[:, 0]
-        state = CompositeState(np.kron(qubit, phonon), cutoff)
-        rho = partial_trace_phonons(state)
+        obs = observables(np.kron(qubit, phonon), "gg", cutoff)
+        rho = QubitDensityMatrix(obs["rho"])
         rho.validate()
-        assert purity(rho) == pytest.approx(1.0, abs=1e-9)
+        assert obs["purity"] == pytest.approx(1.0, abs=1e-9)
         assert rho.population("gg") == pytest.approx(0.36)
         assert rho.population("ee") == pytest.approx(0.64)
         assert rho.coherence("gg", "ee") == pytest.approx(-0.48j)
@@ -198,9 +197,9 @@ class TestReducedState:
         amps = np.zeros(cutoff.composite_dim, dtype=complex)
         amps[cutoff.index(0, 0)] = 1 / math.sqrt(2)  # |gg,0>
         amps[cutoff.index(3, 1)] = 1 / math.sqrt(2)  # |ee,1>
-        rho = partial_trace_phonons(CompositeState(amps, cutoff))
-        rho.validate()
-        assert purity(rho) == pytest.approx(0.5, abs=1e-12)
+        obs = observables(amps, "gg", cutoff)
+        QubitDensityMatrix(obs["rho"]).validate()
+        assert obs["purity"] == pytest.approx(0.5, abs=1e-12)
 
     def test_fidelity_bounds(self):
         cutoff = FockCutoff(2)

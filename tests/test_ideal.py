@@ -5,11 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from msgate.hilbert import (
-    CompositeState,
-    FockCutoff,
-    partial_trace_phonons,
-)
+from msgate.hilbert import CompositeState, FockCutoff
 from msgate.ideal import (
     DimensionlessGateParams,
     collective_spin,
@@ -20,6 +16,7 @@ from msgate.ideal import (
     phase_space_trajectory,
     trajectory_csv,
 )
+from msgate.oracle import observables
 
 TAU_GATE = 2.0 * math.pi
 
@@ -148,7 +145,7 @@ class TestTargetUnitary:
         u = ms_target_unitary()
         for label, q in (("gg", 0), ("ge", 1)):
             out = ideal_output_state(label, 2, cutoff)
-            rho = partial_trace_phonons(out).matrix
+            rho = observables(out.amplitudes, label, cutoff)["rho"]
             vec = u[:, q]
             np.testing.assert_allclose(rho, np.outer(vec, vec.conj()), atol=1e-12)
 

@@ -397,6 +397,9 @@ class TestDerivedScalars:
 
     def test_trusted_band(self, table, derived):
         assert derived.trusted[:4].all()
+        # The one-loop range at n_max 24: the a_structure tail, taken
+        # relative to max|a|, must not move it.
+        assert np.flatnonzero(derived.trusted).tolist() == list(range(10))
         # Levels within the five-row guard band are never trusted.
         assert not derived.trusted[table.n_max - 4 :].any()
         with pytest.raises(TruncationError, match="not trusted"):

@@ -17,12 +17,12 @@ from msgate.ideal import (
     ideal_output_state,
     ideal_propagator,
     loop_functions,
+    ms_target_unitary,
 )
 from msgate.oracle import (
     GuardBandError,
     IntegratorConfig,
     NormDriftError,
-    _frame_hamiltonian,
     _exact_evolve,
     _rk4,
     _symmetry_blocks,
@@ -34,6 +34,7 @@ from msgate.oracle import (
     relative_phase_pair,
     sweep,
 )
+from quadrature import frame_hamiltonian
 
 TAU = 2.0 * math.pi
 
@@ -58,7 +59,7 @@ class TestHamiltonian:
         # the H' whose eigendecomposition the exact propagator uses.
         params = DimensionlessGateParams(lambda_tilde=0.04, phi=0.3)
         number = np.tile(np.arange(oracle_cutoff.dim, dtype=float), 4)
-        expected = _frame_hamiltonian(0.04, 0.5, 0.3, oracle_cutoff)
+        expected = frame_hamiltonian(0.04, 0.5, 0.3, oracle_cutoff)
         for tau in (0.0, 0.7, 2.9, 5.1):
             rot = np.exp(-1j * tau * number)
             framed = (
@@ -83,7 +84,7 @@ class TestSymmetryBlocks:
         for phi in GRID_PHI:
             for omega in GRID_OMEGA:
                 for lam in GRID_LAM:
-                    dense = expm(-1j * dt * _frame_hamiltonian(lam, omega, phi, cutoff))
+                    dense = expm(-1j * dt * frame_hamiltonian(lam, omega, phi, cutoff))
                     blocks = _exact_evolve(lam, omega, phi, cutoff, unit, dt)
                     assert np.abs(blocks - dense).max() <= 1e-12, (phi, omega, lam)
 
@@ -96,7 +97,7 @@ class TestSymmetryBlocks:
         rng = np.random.default_rng(n_max)
         psi0 = rng.normal(size=cutoff.composite_dim) + 1j * rng.normal(size=cutoff.composite_dim)
         psi0 /= np.linalg.norm(psi0)
-        h = _frame_hamiltonian(params.lambda_tilde, params.omega_tilde, params.phi, cutoff)
+        h = frame_hamiltonian(params.lambda_tilde, params.omega_tilde, params.phi, cutoff)
         taus = np.linspace(0.0, params.tau_gate, 9)
         dense = np.stack([expm(-1j * t * h) @ psi0 for t in taus], axis=1)
         chi = _exact_evolve(params.lambda_tilde, params.omega_tilde, params.phi, cutoff,
@@ -121,7 +122,7 @@ class TestSymmetryBlocks:
         basis, number, block_s_z, blocks = _symmetry_blocks(oracle_cutoff.n_max)
         s_z = np.repeat([1.0, 0.0, 0.0, -1.0], oracle_cutoff.dim)
         rot = np.exp(1j * (math.pi / 2 - phi) * s_z)
-        h = _frame_hamiltonian(lam, omega, phi, oracle_cutoff)
+        h = frame_hamiltonian(lam, omega, phi, oracle_cutoff)
         k = basis.conj().T @ (rot[:, None] * h * rot.conj()) @ basis
         sizes = [sl.stop - sl.start for sl, _ in blocks]
         assert sizes + [oracle_cutoff.composite_dim - blocks[-1][0].stop] == [49, 50, 33]
@@ -343,7 +344,7 @@ class TestObservables:
         final, _, _ = propagate_batch(
             initial.amplitudes, oracle_cutoff, params, 0.0, fast_integrator
         )
-        obs = observables(CompositeState(final, oracle_cutoff), "gg", 0)
+        obs = observables(final, "gg", oracle_cutoff)
         np.testing.assert_allclose(
             obs["populations"], [0.5, 0.0, 0.0, 0.5], atol=1e-9
         )
@@ -352,6 +353,39 @@ class TestObservables:
         assert obs["phase_reliable"]
         assert obs["fidelity"] == pytest.approx(1.0, abs=1e-10)
         assert obs["purity"] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("label", ["gg", "ge", "eg", "ee"])
+    def test_batch_columns_equal_single_calls(self, oracle_cutoff, fast_integrator, label):
+        # Fock inputs 0..3 at three lambdas: column j of the batched
+        # scorecard is the one-column scorecard of final[:, j], bit for bit,
+        # and both match a per-column partial trace written out here.
+        cutoff, q = oracle_cutoff, ["gg", "ge", "eg", "ee"].index(label)
+        pairs = [(n, lam) for n in range(4) for lam in (-0.05, 0.0, 0.03)]
+        amps = np.zeros((cutoff.composite_dim, len(pairs)), dtype=complex)
+        for j, (n, _) in enumerate(pairs):
+            amps[cutoff.index(q, n), j] = 1.0
+        final, _, _ = propagate_batch(amps, cutoff, DimensionlessGateParams(),
+                                      np.array([lam for _, lam in pairs]), fast_integrator)
+        batch = observables(final, label, cutoff)
+        assert batch["rho"].shape == (len(pairs), 4, 4)
+        assert batch["populations"].shape == (len(pairs), 4)
+        row, col = relative_phase_pair(label)
+        target = ms_target_unitary()[:, q]
+        for j in range(len(pairs)):
+            single = observables(final[:, j], label, cutoff)
+            assert set(single) == set(batch)
+            for key, value in single.items():
+                assert np.array_equal(batch[key][j], value), (key, j)
+            v = final[:, j].reshape(4, cutoff.dim)
+            rho = sum(np.outer(v[:, n], v[:, n].conj()) for n in range(cutoff.dim))
+            np.testing.assert_allclose(single["rho"], rho, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(single["populations"], np.diag(rho).real, atol=1e-14)
+            assert single["relative_phase"] == pytest.approx(np.angle(rho[row, col]), abs=1e-12)
+            assert single["coherence_abs"] == pytest.approx(abs(rho[row, col]), abs=1e-14)
+            assert single["fidelity"] == pytest.approx(
+                (target.conj() @ rho @ target).real, abs=1e-14)
+            assert single["purity"] == pytest.approx(np.trace(rho @ rho).real, abs=1e-14)
+            assert single["norm"] == pytest.approx(np.linalg.norm(final[:, j]), abs=1e-14)
 
     def test_phase_pairs(self):
         assert relative_phase_pair("gg") == (3, 0)
@@ -364,7 +398,7 @@ class TestObservables:
         final, _, _ = propagate_batch(
             initial.amplitudes, oracle_cutoff, params, 0.03, fast_integrator
         )
-        obs = observables(CompositeState(final, oracle_cutoff), "ge", 0)
+        obs = observables(final, "ge", oracle_cutoff)
         # No first-order phase shift on the idle pair: +pi/2 to O(lam^2).
         assert obs["relative_phase"] == pytest.approx(math.pi / 2, abs=1e-2)
 

@@ -1,6 +1,6 @@
 """Every public name of msgate has a caller inside the package, or is a named
-cross-check route; every CLI option is listed; every README command parses;
-the CLI needs numpy alone.
+cross-check route; every CLI option is listed; every README command parses
+and the README's Python runs; the CLI needs numpy alone.
 
 A module's public names are its ``__all__``.  A name counts as called when
 some statement under ``src/msgate`` other than its own top-level definition
@@ -30,7 +30,6 @@ CROSS_CHECK_ONLY = {
     "magnus.predict_density_matrix": "reduced density matrix behind the scalar predictors",
     "magnus.first_order_traced_unitary": "the paper's effective qubit map at first order",
     "magnus.traced_unitary_factored": "the same map in factored, exactly unitary form",
-    "oracle.hamiltonian_matrix": "dense Hamiltonian of the tests' RK4 reference route",
     "oracle.expectation_trajectory": "<a> along one gate, compared with the loop functions",
 }
 
@@ -126,6 +125,18 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"README command does not parse: msgate {shlex.join(argv)}")
     assert {argv[0] for argv in commands} == set(subparsers)
+
+
+def test_readme_python_runs(monkeypatch, tmp_path):
+    # The quickstart's blocks build on each other, so they share one
+    # namespace; a changed signature in the README's calls fails here.
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
 
 
 def test_cli_imports_no_scipy():
