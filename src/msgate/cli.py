@@ -11,20 +11,22 @@ trajectory     sampled phase-space loop of the driven mode, as CSV
 predict        print every closed-form predictor for one operating point
 
 A JSON config file (``--config``) may hold a section per subcommand whose
-keys mirror the long option names; explicit flags always win.  Exit codes:
-0 success, 2 usage/configuration error (including a nan or inf float
-option, a ``--loops`` that is not an integer >= 1, an ``--nbar`` that needs
-more than 10^4 Fock levels, an output path that cannot be written, which
-leaves any earlier file there untouched and after which ``sweep`` writes
-neither its CSV nor its plot script, and a table file whose schema is not
-the current ``msgate/coefficients/3`` (schema 1 and 2 files get a message
-to rebuild the table), that cannot be read, lacks an entry or holds one of
-the wrong type, holds a table that is not base64 of exactly (n_max + 1)^2
-little-endian complex128 values, or whose stored derived scalars or
-provenance digest do not match its contents), 3 numerical-health failure
-(Fock truncation, an initial level above the oracle cutoff, guard-band
-occupation, norm drift, a table with non-finite entries or a structure
-residual past 1e-6: a built one is not written, a loaded one is refused).
+keys mirror the long option names; explicit flags always win. Exit codes: 0
+success, 2 usage/configuration error (including a nan or inf float option,
+a ``predict --lambda-tilde`` or a ``sweep`` grid past the hard cap
+|lambda_tilde| <= 0.5, a ``--loops`` that is not an integer >= 1, an
+``--nbar`` that needs more than 10^4 Fock levels, an output path that
+cannot be written, which leaves any earlier file there untouched and after
+which ``sweep`` writes neither its CSV nor its plot script, and a table
+file whose schema is not the current ``msgate/coefficients/3`` (schema 1
+and 2 files get a message to rebuild the table), that cannot be read, lacks
+an entry or holds one of the wrong type, holds a table that is not base64
+of exactly (n_max + 1)^2 little-endian complex128 values, or whose stored
+derived scalars or provenance digest do not match its contents), 3
+numerical-health failure (Fock truncation, an initial level above the
+oracle cutoff, guard-band occupation, norm drift, a table with non-finite
+entries or a structure residual past 1e-6: a built one is not written, a
+loaded one is refused).
 Float options take negative values in exponent form either as a separate
 token (``--shift-hz -3e1``) or as ``--shift-hz=-3e1``.
 
@@ -55,10 +57,9 @@ import numpy as np
 
 from . import __version__
 from .experiment import SequenceConfig, phi_seq_prediction, run_calibration
-from .hilbert import FockCutoff, ThermalDistribution
+from .hilbert import QUBIT_LABELS, FockCutoff, ThermalDistribution
 from .ideal import DimensionlessGateParams, phase_space_trajectory, trajectory_csv
 from .magnus import (
-    LAMBDA_HARD_CAP,
     CoefficientTable,
     QuadratureSpec,
     TruncationError,
@@ -175,10 +176,6 @@ def _initial_mode(args) -> int | ThermalDistribution:
     return ThermalDistribution(args.nbar)
 
 
-def _float_fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _finite_or_null(x: float) -> float | None:
     """JSON has no inf or nan: write those as null."""
     return x if math.isfinite(x) else None
@@ -213,57 +210,39 @@ def cmd_coefficients(args) -> int:
     return EXIT_OK
 
 
-def _sweep_predicted_row(table, n: int, lam: float) -> dict:
-    pops = predict_populations(n, lam, table)
-    coh = predict_coherence(n, lam, table)
-    return {
-        "pred_phase": predict_phase(n, lam, table),
-        "pred_p_gg": pops[0],
-        "pred_p_ge": pops[1],
-        "pred_p_eg": pops[2],
-        "pred_p_ee": pops[3],
-        "pred_coherence_abs": abs(coh),
-        "pred_fidelity": predict_fidelity(n, lam, table),
-        "pred_purity": predict_purity(n, lam, table),
-        "pred_population_sum": float(pops.sum()),
-    }
-
-
 def cmd_sweep(args) -> int:
     if args.points < 1:
         raise CliError(f"--points must be at least 1, got {args.points}")
     table = _table_for(args)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.points)
-    if np.abs(lams).max() > LAMBDA_HARD_CAP:
-        raise CliError(
-            f"grid reaches |lambda_tilde| {np.abs(lams).max():.3f} > {LAMBDA_HARD_CAP}"
-        )
     fock = [int(s) for s in args.fock.split(",") if s.strip() != ""]
     if not fock:
         raise CliError("--fock must name at least one level")
-    rows = []
-    for n in fock:
-        for lam in lams:
-            row = {"lambda_tilde": lam, "fock_n": n}
-            row.update(_sweep_predicted_row(table, n, lam))
-            rows.append(row)
-
+    # One predictor pass each over the (level, lambda) grid; the CSV is
+    # written from (level, lambda) columns, level-major.
+    pops = predict_populations(fock, lams, table)
+    coh = predict_coherence(fock, lams, table)
+    grid = coh.shape
+    columns = {
+        "lambda_tilde": np.broadcast_to(lams, grid),
+        "fock_n": np.broadcast_to(np.array(fock)[:, None], grid),
+        "pred_phase": predict_phase(fock, lams, table),
+        **{f"pred_p_{q}": pops[..., i] for i, q in enumerate(QUBIT_LABELS)},
+        # hypot, as Python's abs of a complex: np.abs differs in the last bit.
+        "pred_coherence_abs": np.hypot(coh.real, coh.imag),
+        "pred_fidelity": predict_fidelity(fock, lams, table),
+        "pred_purity": predict_purity(fock, lams, table),
+        "pred_population_sum": pops.sum(axis=-1),
+    }
     if args.oracle:
-        # The table's gate, in the same (n, lambda) grid order as the rows.
-        oracle_rows = oracle_sweep(lams, fock, table.params, FockCutoff(args.cutoff_n_max))
-        for row, src in zip(rows, oracle_rows, strict=True):
-            row.update((f"oracle_{k}", v) for k, v in src.items()
-                       if k not in ("lambda_tilde", "fock_n"))
-    columns = list(rows[0])  # the CSV columns, in row-key order
+        # The table's gate, on the same (level, lambda) grid.
+        oracle = oracle_sweep(lams, fock, table.params, FockCutoff(args.cutoff_n_max))
+        columns.update((f"oracle_{k}", v) for k, v in oracle.items())
+    cells = [[repr(v) for v in np.ravel(col).tolist()] for col in columns.values()]
+    rows = [",".join(row) for row in zip(*cells)]
 
     out = Path(args.out)
-    lines = [f"# schema={SWEEP_REPORT_SCHEMA}", ",".join(columns)]
-    for row in rows:
-        cells = [
-            str(int(row[c])) if c == "fock_n" else _float_fmt(row[c])
-            for c in columns
-        ]
-        lines.append(",".join(cells))
+    lines = [f"# schema={SWEEP_REPORT_SCHEMA}", ",".join(columns), *rows]
     outputs = {out: "\n".join(lines) + "\n"}
     if args.plot_script:
         outputs[Path(args.plot_script)] = _sweep_plot_text(

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import FockCutoff, ThermalDistribution, level_weights
-from .magnus import LAMBDA_HARD_CAP, CoefficientTable, _scalars_for
+from .magnus import LAMBDA_HARD_CAP, CoefficientTable, _checked
 from .oracle import _basis_columns, propagate_ramped_axis
 
 __all__ = [
@@ -107,7 +107,7 @@ def effective_phase_slope(
     To first order the thermal fringe is a phasor average of per-level
     fringes, so its fitted phase corresponds to the weighted mean slope.
     """
-    levels, weights = _scalars_for(n, table)
+    levels, weights, _ = _checked(n, table, thermal=True)
     return float(weights @ table.derived().a[levels])
 
 
@@ -121,7 +121,7 @@ def phi_seq_prediction(qubit_shift: float, detuning: float, slope: float) -> flo
 def _model_fringe(
     config: SequenceConfig, phi_d: np.ndarray, table: CoefficientTable
 ) -> np.ndarray:
-    levels, weights = _scalars_for(config.mode, table)
+    levels, weights, _ = _checked(config.mode, table, thermal=True)
     slips = 2.0 * config.lambda_tilde * table.derived().a[levels]
     terms = (weights * 0.5)[:, None] * (1.0 + np.cos(2.0 * phi_d + slips[:, None]))
     # A sum down the level axis adds the levels in order, unlike a BLAS dot,

@@ -29,7 +29,6 @@ import numpy as np
 __all__ = [
     "FockCutoff",
     "CompositeState",
-    "QubitDensityMatrix",
     "ThermalDistribution",
     "SIGMA_X",
     "SIGMA_Y",
@@ -125,57 +124,6 @@ class CompositeState:
         if other.cutoff != self.cutoff:
             raise ValueError("states live on different cutoffs")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-@dataclass
-class QubitDensityMatrix:
-    """4x4 reduced state of the qubit pair (computational order gg,ge,eg,ee).
-
-    Not necessarily trace-one: reduced states of truncated or perturbative
-    kets keep their raw trace so that normalization loss stays visible.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        self.matrix = m
-
-    def validate(self, atol: float = 1e-10) -> None:
-        """Raise unless Hermitian, positive semidefinite and trace <= 1."""
-        m = self.matrix
-        if not np.allclose(m, m.conj().T, atol=atol):
-            raise ValueError("density matrix is not Hermitian")
-        eigs = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        if eigs.min() < -atol:
-            raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
-        if self.trace > 1.0 + max(atol, 1e-9):
-            raise ValueError(f"density matrix trace {self.trace} exceeds 1")
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
-    def population(self, qubit: int | str) -> float:
-        if isinstance(qubit, str):
-            qubit = QUBIT_LABELS.index(qubit)
-        return float(np.real(self.matrix[qubit, qubit]))
-
-    def coherence(self, bra: int | str, ket: int | str) -> complex:
-        """Off-diagonal element <bra|rho|ket> by index or label."""
-        if isinstance(bra, str):
-            bra = QUBIT_LABELS.index(bra)
-        if isinstance(ket, str):
-            ket = QUBIT_LABELS.index(ket)
-        return complex(self.matrix[bra, ket])
-
-    def normalized(self) -> "QubitDensityMatrix":
-        tr = self.trace
-        if tr <= 0.0:
-            raise ValueError("cannot normalize a trace<=0 matrix")
-        return QubitDensityMatrix(self.matrix / tr)
 
 
 def displacement_matrix(alpha: complex, cutoff: FockCutoff | int) -> np.ndarray:

@@ -27,8 +27,12 @@ Derived per-level scalars (n-th diagonal &c.):
 * b[n]    -- second-order coherence coefficient (complex).
 * c_gg[n], c_ee[n], c_eg[n] -- second-order population curvatures.
 
-Predictors return *raw* perturbative quantities: populations need not sum
-to one and the density matrix keeps its O(lam^2) trace defect visible.
+Predictors evaluate a grid: ``n`` is a Fock level or a 1-D sequence of
+levels, ``lambda_tilde`` a float or a 1-D array, and the result has shape
+``np.shape(n) + np.shape(lambda_tilde)`` (populations add ``(4,)``, the
+density matrix ``(4, 4)``); scalar inputs give numpy scalars.  They return
+*raw* perturbative quantities: populations need not sum to one and the
+density matrix keeps its O(lam^2) trace defect visible.
 
 Construction: no integral is evaluated.  Over a closed loop, T = 2*pi*L, the
 gate is U(lam) = e^{-iT H'(lam)} with H' = lam*S_z - omega*(a + a^dag)*S_y + N
@@ -63,7 +67,6 @@ from .hilbert import (
     SIGMA_Y_BASIS,
     CompositeState,
     FockCutoff,
-    QubitDensityMatrix,
     ThermalDistribution,
     displacement_matrix,
     level_weights,
@@ -633,159 +636,179 @@ def predicted_state(
 
 
 # --------------------------------------------------------------------------
-# Scalar predictors
+# Closed-form predictors
 # --------------------------------------------------------------------------
 
-def _check_lambda(lambda_tilde: float) -> None:
-    if not math.isfinite(lambda_tilde):
-        raise ValueError(f"lambda_tilde must be finite, got {lambda_tilde}")
-    if abs(lambda_tilde) > LAMBDA_HARD_CAP:
+def _check_lambda(lambda_tilde) -> np.ndarray:
+    """``lambda_tilde`` (a float or a 1-D array) as an array, every value
+    finite and inside the hard cap."""
+    lam = np.asarray(lambda_tilde, dtype=float)
+    if lam.ndim > 1:
+        raise ValueError("lambda_tilde must be a float or a 1-D array")
+    bad = lam[~np.isfinite(lam)]
+    if bad.size:
+        raise ValueError(f"lambda_tilde must be finite, got {bad[0]}")
+    worst = np.abs(lam).max(initial=0.0)
+    if worst > LAMBDA_HARD_CAP:
         raise ValueError(
-            f"|lambda_tilde| = {abs(lambda_tilde):.3f} exceeds the hard cap "
+            f"|lambda_tilde| = {worst:.3f} exceeds the hard cap "
             f"{LAMBDA_HARD_CAP}; the expansion is meaningless there"
         )
+    return lam
 
 
-def _scalars_for(
-    n: int | ThermalDistribution, table: CoefficientTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """(levels, weights) of a level or thermal mode; raises TruncationError
-    for the first level the table does not resolve."""
-    levels, weights = level_weights(n)
+# (row, column) of the pair coherence in the reduced state of each input
+# the reduced-state predictors cover.
+_COHERENCE = {"gg": (3, 0), "ee": (0, 3)}
+
+
+def _checked(
+    n, table: CoefficientTable, lambda_tilde=0.0, initial: str = "gg",
+    covers=tuple(_COHERENCE), thermal: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(levels, weights, lam) of one predictor call, every input checked.
+
+    ``lam`` is from :func:`_check_lambda`.  ``initial`` must be a qubit
+    label the predictor covers.  ``levels`` are the Fock levels of ``n`` (a
+    level, a 1-D sequence of levels, or with ``thermal`` a
+    ThermalDistribution) down a leading axis, shaped to broadcast against
+    ``lam``, and ``weights`` their probabilities (ones for Fock input).  A
+    level the table does not trust raises TruncationError, the first in order.
+    """
+    lam = _check_lambda(lambda_tilde)
+    if initial not in QUBIT_LABELS:
+        raise ValueError(f"unknown qubit label {initial!r}")
+    if initial not in covers:
+        raise ValueError(f"this predictor covers {' and '.join(map(repr, covers))} "
+                         f"inputs, not {initial!r}")
+    if thermal and isinstance(n, ThermalDistribution):
+        levels, weights = level_weights(n)
+    else:
+        levels = np.asarray(n)
+        if levels.ndim > 1 or levels.dtype.kind not in "iu":
+            raise ValueError(f"this predictor takes a Fock level or a 1-D sequence "
+                             f"of levels, not {n!r}")
+        levels = levels.ravel()
+        weights = np.ones(levels.size)
     der = table.derived()
-    for lev in levels:
-        der.require_trusted(int(lev))
-    return levels, weights
+    for level in dict.fromkeys(levels.tolist()):
+        der.require_trusted(level)
+    return levels.reshape((-1,) + (1,) * lam.ndim), weights, lam
+
+
+def _per_input(n, weights: np.ndarray, values: np.ndarray):
+    """Per-level ``values`` (level axis first) for the input ``n``: their
+    probability-weighted mean for a thermal mode, else the level axis
+    reshaped to ``np.shape(n)``.  A 0-d result is a numpy scalar."""
+    if isinstance(n, ThermalDistribution):
+        return (weights @ values)[()]
+    return values.reshape(np.shape(n) + values.shape[1:])[()]
+
+
+def _square(x):
+    """x**2 by libm's pow, as the closed forms have always been evaluated;
+    x * x differs in the last bit for about one value in 1,200."""
+    return np.float_power(x, 2)
+
+
+def predict_density_matrix(
+    n, lambda_tilde, table: CoefficientTable, initial: str = "gg"
+) -> np.ndarray:
+    """Second-order reduced qubit state, X-shaped in the computational basis.
+
+    Shape ``np.shape(n) + np.shape(lambda_tilde) + (4, 4)``.  Raw, like
+    every predictor here: the trace keeps its O(lam^2) defect.  The
+    populations are its diagonal and the pair coherence its (3, 0) entry for
+    a |gg> input, (0, 3) for |ee>.
+    """
+    levels, weights, lam = _checked(n, table, lambda_tilde, initial)
+    der = table.derived()
+    if initial == "gg":
+        sign, same, other = 1.0, der.c_gg, der.c_ee
+    else:
+        sign, same, other = -1.0, der.c_ee, der.c_gg
+    l2 = _square(lam)
+    coh = (-1j + sign * lam * der.a[levels] + l2 * der.b[levels]) / 2.0
+    rho = np.zeros(coh.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = 0.5 + l2 * same[levels]
+    rho[..., 3, 3] = 0.5 + l2 * other[levels]
+    rho[..., 1, 1] = rho[..., 2, 2] = rho[..., 1, 2] = rho[..., 2, 1] = l2 * der.c_eg[levels]
+    row, col = _COHERENCE[initial]
+    rho[..., row, col] = coh
+    rho[..., col, row] = np.conj(coh)
+    return _per_input(n, weights, rho)
+
+
+def predict_populations(
+    n, lambda_tilde, table: CoefficientTable, initial: str = "gg"
+) -> np.ndarray:
+    """Raw second-order populations (gg, ge, eg, ee), the diagonal of
+    :func:`predict_density_matrix`; their sum may differ from 1."""
+    rho = predict_density_matrix(n, lambda_tilde, table, initial)
+    return np.diagonal(rho, axis1=-2, axis2=-1).real.copy()
 
 
 def predict_coherence(
-    n: int, lambda_tilde: float, table: CoefficientTable, initial: str = "gg"
-) -> complex:
-    """Predicted pair coherence of the reduced state, to second order.
-
-    For a |gg> input this is <ee|rho|gg>; for |ee> it is <gg|rho|ee>.
-    """
-    _check_lambda(lambda_tilde)
-    der = table.derived()
-    der.require_trusted(n)
-    a = der.a[n]
-    b = der.b[n]
-    if initial == "gg":
-        return complex(-1j + lambda_tilde * a + lambda_tilde**2 * b) / 2.0
-    if initial == "ee":
-        return complex(-1j - lambda_tilde * a + lambda_tilde**2 * b) / 2.0
-    raise ValueError("coherence predictor covers 'gg' and 'ee' inputs")
+    n, lambda_tilde, table: CoefficientTable, initial: str = "gg"
+):
+    """Pair coherence of :func:`predict_density_matrix`: <ee|rho|gg> for a
+    |gg> input, <gg|rho|ee> for |ee>."""
+    rho = predict_density_matrix(n, lambda_tilde, table, initial)
+    return rho[(..., *_COHERENCE[initial])][()]
 
 
 def predict_phase(
     n: int | ThermalDistribution,
-    lambda_tilde: float,
+    lambda_tilde,
     table: CoefficientTable,
     initial: str = "gg",
     order: int = 2,
-) -> float:
+):
     """Relative phase of the pair coherence (ideal value -pi/2, or +pi/2
     for the idle pair of a |ge>/|eg> input, which has no first-order shift).
 
-    Thermal inputs are the probability-weighted mean of the per-level phase.
+    The expanded angle -pi/2 +- lam a + lam^2 Re b, not the argument of
+    :func:`predict_coherence`.  Thermal inputs are the probability-weighted
+    mean of the per-level phase.
     """
-    _check_lambda(lambda_tilde)
+    levels, weights, lam = _checked(n, table, lambda_tilde, initial, QUBIT_LABELS, True)
     if initial in ("ge", "eg"):
-        return math.pi / 2.0
+        return np.full(np.shape(n) + lam.shape, math.pi / 2.0)[()]
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    levels, weights = _scalars_for(n, table)
     der = table.derived()
     sign = 1.0 if initial == "gg" else -1.0
-    phases = -math.pi / 2.0 + sign * lambda_tilde * der.a[levels]
+    phases = -math.pi / 2.0 + sign * lam * der.a[levels]
     if order == 2:
-        phases = phases + lambda_tilde**2 * der.b[levels].real
-    return float(weights @ phases)
-
-
-def predict_populations(
-    n: int, lambda_tilde: float, table: CoefficientTable, initial: str = "gg"
-) -> np.ndarray:
-    """Raw second-order populations (gg, ge, eg, ee); sum may differ from 1."""
-    _check_lambda(lambda_tilde)
-    der = table.derived()
-    der.require_trusted(n)
-    l2 = lambda_tilde**2
-    if initial == "gg":
-        return np.array(
-            [
-                0.5 + l2 * der.c_gg[n],
-                l2 * der.c_eg[n],
-                l2 * der.c_eg[n],
-                0.5 + l2 * der.c_ee[n],
-            ]
-        )
-    if initial == "ee":
-        return np.array(
-            [
-                0.5 + l2 * der.c_ee[n],
-                l2 * der.c_eg[n],
-                l2 * der.c_eg[n],
-                0.5 + l2 * der.c_gg[n],
-            ]
-        )
-    raise ValueError("population predictor covers 'gg' and 'ee' inputs")
-
-
-def predict_density_matrix(
-    n: int,
-    lambda_tilde: float,
-    table: CoefficientTable,
-    initial: str = "gg",
-) -> QubitDensityMatrix:
-    """Second-order reduced qubit state (X-shaped in the computational basis).
-
-    Raw, like every predictor here; ``.normalized()`` rescales it to trace one.
-    """
-    pops = predict_populations(n, lambda_tilde, table, initial)
-    coh = predict_coherence(n, lambda_tilde, table, initial)
-    der = table.derived()
-    l2 = lambda_tilde**2
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = pops
-    rho[1, 2] = rho[2, 1] = l2 * der.c_eg[n]
-    if initial == "gg":
-        rho[3, 0] = coh
-        rho[0, 3] = np.conj(coh)
-    else:
-        rho[0, 3] = coh
-        rho[3, 0] = np.conj(coh)
-    return QubitDensityMatrix(rho)
+        phases = phases + _square(lam) * der.b[levels].real
+    return _per_input(n, weights, phases)
 
 
 def predict_fidelity(
-    n: int | ThermalDistribution, lambda_tilde: float, table: CoefficientTable
-) -> float:
+    n: int | ThermalDistribution, lambda_tilde, table: CoefficientTable
+):
     """Overlap of the reduced state with the ideal Bell output, to O(lam^2).
 
     1 + (lam^2/2)(c_gg + c_ee - Im b); same for gg and ee inputs.
     """
-    _check_lambda(lambda_tilde)
-    levels, weights = _scalars_for(n, table)
+    levels, weights, lam = _checked(n, table, lambda_tilde, thermal=True)
     der = table.derived()
-    vals = 1.0 + 0.5 * lambda_tilde**2 * (
+    vals = 1.0 + 0.5 * _square(lam) * (
         der.c_gg[levels] + der.c_ee[levels] - der.b[levels].imag
     )
-    return float(weights @ vals)
+    return _per_input(n, weights, vals)
 
 
-def predict_purity(
-    n: int, lambda_tilde: float, table: CoefficientTable
-) -> float:
-    """Tr(rho^2) of the reduced state to O(lam^2) (gg or ee input alike)."""
-    _check_lambda(lambda_tilde)
+def predict_purity(n, lambda_tilde, table: CoefficientTable):
+    """Tr(rho^2) of the reduced state truncated at O(lam^2) (gg or ee input
+    alike); it differs from Tr(rho^2) of :func:`predict_density_matrix` at
+    O(lam^3)."""
+    levels, weights, lam = _checked(n, table, lambda_tilde)
     der = table.derived()
-    der.require_trusted(n)
-    return float(
-        1.0
-        - lambda_tilde**2
-        * (der.b[n].imag - 0.5 * der.a[n] ** 2 - der.c_gg[n] - der.c_ee[n])
+    vals = 1.0 - _square(lam) * (
+        der.b[levels].imag - 0.5 * _square(der.a[levels]) - der.c_gg[levels] - der.c_ee[levels]
     )
+    return _per_input(n, weights, vals)
 
 
 # --------------------------------------------------------------------------

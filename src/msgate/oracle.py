@@ -353,23 +353,22 @@ def sweep(
     cutoff: FockCutoff,
     config: IntegratorConfig = IntegratorConfig(),
     initial_label: str = "gg",
-) -> list[dict]:
+) -> dict[str, np.ndarray]:
     """Propagate |initial_label, n> across a miscalibration grid.
 
-    All (lambda, n) pairs go through one batched propagation; rows come
-    back ordered by (n, lambda), one dict per pair with the lambda, the
-    level, then the columns of the sweep CSV: relative_phase, the
-    populations p_gg..p_ee, coherence_abs, fidelity, purity and the pair's
-    health numbers norm_drift and guard_band_mass.  One :func:`observables`
-    call scores the whole batch.  Raises GuardBandError for a level above
-    the cutoff, and GuardBandError or NormDriftError when any pair exceeds
-    the config's health tolerances.
+    All (n, lambda) pairs go through one batched propagation, scored by one
+    :func:`observables` call.  Returns the columns of the sweep CSV, each a
+    ``(len(fock_levels), len(lambda_values))`` array, keyed in CSV order:
+    relative_phase, the populations p_gg..p_ee, coherence_abs, fidelity,
+    purity and the pair's health numbers norm_drift and guard_band_mass.
+    Raises GuardBandError for a level above the cutoff, and GuardBandError
+    or NormDriftError when any pair exceeds the config's health tolerances.
     """
     lam = np.asarray(lambda_values, dtype=float)
-    pairs = [(n, l) for n in fock_levels for l in lam]
-    amps = _basis_columns(QUBIT_LABELS.index(initial_label), [n for n, _ in pairs], cutoff)
-    lam_cols = np.array([l for _, l in pairs])
-    final, drift, _ = propagate_batch(amps, cutoff, params, lam_cols, config)
+    grid = (len(fock_levels), lam.size)
+    amps = _basis_columns(QUBIT_LABELS.index(initial_label),
+                          np.repeat(fock_levels, lam.size), cutoff)
+    final, drift, _ = propagate_batch(amps, cutoff, params, np.tile(lam, grid[0]), config)
     obs = observables(final, initial_label, cutoff)
     columns = {
         "relative_phase": obs["relative_phase"],
@@ -378,8 +377,4 @@ def sweep(
         "norm_drift": drift,
         "guard_band_mass": _guard_band_mass(final, cutoff, config.guard_levels),
     }
-    values = np.column_stack(list(columns.values())).tolist()
-    return [
-        {"lambda_tilde": l, "fock_n": n, **dict(zip(columns, row))}
-        for (n, l), row in zip(pairs, values)
-    ]
+    return {key: value.reshape(grid) for key, value in columns.items()}

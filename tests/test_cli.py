@@ -232,19 +232,32 @@ class TestSweep:
         assert data.shape == (10,)
         last = data[-1]
         assert last["fock_n"] == 2 and last["lambda_tilde"] == pytest.approx(0.05)
-        assert last["pred_phase"] == pytest.approx(
-            predict_phase(2, 0.05, table), rel=1e-12
-        )
-        assert last["pred_purity"] == pytest.approx(
-            predict_purity(2, 0.05, table), rel=1e-12
-        )
+        # Every predicted cell is the point predictor's value, exactly.
+        lams = np.linspace(-0.05, 0.05, 5)
+        assert list(data["fock_n"]) == [0] * 5 + [2] * 5
+        pred = ["pred_phase", "pred_p_gg", "pred_p_ge", "pred_p_eg", "pred_p_ee",
+                "pred_coherence_abs", "pred_fidelity", "pred_purity", "pred_population_sum"]
+        assert [c for c in data.dtype.names if c.startswith("pred_")] == pred
+        for row, (n, lam) in zip(data, ((n, lam) for n in (0, 2) for lam in lams)):
+            assert row["lambda_tilde"] == lam
+            pops = predict_populations(n, lam, table)
+            want = {
+                "pred_phase": predict_phase(n, lam, table),
+                **{f"pred_p_{q}": p for q, p in zip(("gg", "ge", "eg", "ee"), pops)},
+                "pred_coherence_abs": abs(complex(predict_coherence(n, lam, table))),
+                "pred_fidelity": predict_fidelity(n, lam, table),
+                "pred_purity": predict_purity(n, lam, table),
+                "pred_population_sum": pops.sum(),
+            }
+            for column, value in want.items():
+                assert row[column] == value, (column, n, lam)
         assert "multiplot" in plot.read_text()
 
     def test_lambda_cap(self, table_file, tmp_path, capsys):
         rc = main(["sweep", "--table", table_file, "--lambda-max", "0.6",
                    "--out", str(tmp_path / "s.csv")])
         assert rc == EXIT_USAGE
-        assert "0.5" in capsys.readouterr().err
+        assert "|lambda_tilde| = 0.600 exceeds the hard cap 0.5" in capsys.readouterr().err
 
     def test_empty_fock_list(self, table_file, tmp_path):
         rc = main(["sweep", "--table", table_file, "--fock", ",",

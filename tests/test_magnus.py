@@ -515,12 +515,16 @@ class TestPredictors:
     def test_density_matrix(self, table):
         lam, n = 0.05, 1
         rho = predict_density_matrix(n, lam, table)
+        assert isinstance(rho, np.ndarray) and rho.shape == (4, 4)
         pops = predict_populations(n, lam, table)
-        np.testing.assert_allclose(np.diag(rho.matrix).real, pops, atol=1e-15)
-        assert rho.coherence(3, 0) == predict_coherence(n, lam, table)
-        np.testing.assert_allclose(rho.matrix, rho.matrix.conj().T, atol=1e-15)
-        renorm = predict_density_matrix(n, lam, table).normalized()
-        assert renorm.trace == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(np.diag(rho).real, pops, atol=1e-15)
+        assert rho[3, 0] == predict_coherence(n, lam, table)
+        assert predict_density_matrix(n, lam, table, "ee")[0, 3] == predict_coherence(
+            n, lam, table, "ee"
+        )
+        np.testing.assert_allclose(rho, rho.conj().T, atol=1e-15)
+        renorm = rho / np.trace(rho).real
+        assert np.trace(renorm).real == pytest.approx(1.0, abs=1e-14)
 
     def test_fidelity_purity_forms(self, table, derived):
         lam, n = 0.06, 3
@@ -565,6 +569,75 @@ class TestPredictors:
     def test_bad_initial(self, table):
         with pytest.raises(ValueError):
             predict_populations(0, 0.01, table, initial="ge")
+
+    @pytest.mark.parametrize("predictor", [predict_phase, predict_populations,
+                                           predict_coherence, predict_density_matrix])
+    def test_unknown_label_refused(self, table, predictor):
+        with pytest.raises(ValueError, match="unknown qubit label 'xx'"):
+            predictor(0, 0.01, table, initial="xx")
+
+
+class TestPredictorGrid:
+    """Every predictor over a (level x lambda) grid: shape ``np.shape(n) +
+    np.shape(lambda_tilde)``, each entry the scalar call's value."""
+
+    LEVELS = list(range(24))
+    LAMS = np.concatenate([np.linspace(-0.5, 0.5, 21), [-0.0371, 0.0023, 0.1234]])
+
+    @pytest.fixture(scope="class")
+    def table40(self):
+        table = compute_coefficient_table(n_max=40)
+        assert table.derived().trusted[self.LEVELS].all()
+        return table
+
+    @pytest.mark.parametrize("initial", ["gg", "ee"])
+    def test_grid_entries_equal_point_calls(self, table40, initial):
+        assert {0.0, -0.5, 0.5} <= set(self.LAMS.tolist())
+        labelled = (predict_phase, predict_populations, predict_coherence,
+                    predict_density_matrix)
+        for predictor in (*labelled, predict_fidelity, predict_purity):
+            extra = (initial,) if predictor in labelled else ()
+            grid = predictor(self.LEVELS, self.LAMS, table40, *extra)
+            assert grid.shape[:2] == (len(self.LEVELS), self.LAMS.size)
+            for i, n in enumerate(self.LEVELS):
+                for k, lam in enumerate(self.LAMS.tolist()):
+                    point = predictor(n, lam, table40, *extra)
+                    assert np.array_equal(grid[i, k], point), (predictor.__name__, n, lam)
+
+    @pytest.mark.parametrize("initial", ["gg", "ee"])
+    def test_fidelity_is_target_overlap(self, table40, initial):
+        rho = predict_density_matrix(self.LEVELS, self.LAMS, table40, initial)
+        target = ideal_output_state(initial, 0, FockCutoff(0)).amplitudes
+        overlap = np.einsum("i,...ij,j->...", target.conj(), rho, target)
+        fid = predict_fidelity(self.LEVELS, self.LAMS, table40)
+        assert np.abs(overlap.imag).max() <= 1e-15
+        assert np.abs(overlap.real - fid).max() <= 1e-15
+
+    def test_shapes_and_scalars(self, table40):
+        lams = self.LAMS[:5]
+        assert predict_populations([0, 3], lams, table40).shape == (2, 5, 4)
+        assert predict_density_matrix([0, 3], lams, table40).shape == (2, 5, 4, 4)
+        assert predict_phase(2, lams, table40).shape == (5,)
+        assert predict_populations(2, 0.01, table40).shape == (4,)
+        np.testing.assert_array_equal(predict_phase([0, 3], lams, table40, "ge"), math.pi / 2)
+        for value in (predict_phase(2, 0.01, table40), predict_fidelity(2, 0.01, table40),
+                      predict_purity(2, 0.01, table40), predict_coherence(2, 0.01, table40)):
+            assert isinstance(value, np.generic)
+        dist = ThermalDistribution(0.05)
+        thermal = predict_phase(dist, lams, table40)
+        assert thermal.shape == (5,)
+        for k, lam in enumerate(lams.tolist()):
+            assert thermal[k] == pytest.approx(predict_phase(dist, lam, table40), abs=1e-15)
+
+    def test_grid_checks_every_value(self, table40):
+        with pytest.raises(ValueError, match="hard cap"):
+            predict_purity([0, 1], [0.0, 0.51], table40)
+        with pytest.raises(ValueError, match="must be finite"):
+            predict_fidelity([0, 1], [0.0, math.nan], table40)
+        with pytest.raises(TruncationError, match="Fock level 38"):
+            predict_phase([0, 38, 39], 0.01, table40)
+        with pytest.raises(ValueError, match="Fock level"):
+            predict_purity(ThermalDistribution(0.05), 0.01, table40)
 
 
 class TestTracedUnitary:

@@ -437,14 +437,15 @@ class TestSweep:
     def test_rows_and_csv(self, oracle_cutoff, table, tmp_path):
         params = DimensionlessGateParams()
         lams = np.array([-0.02, 0.0, 0.02])
-        rows = sweep(lams, [0, 1], params, oracle_cutoff)
-        assert len(rows) == 6
-        assert [r["fock_n"] for r in rows] == [0, 0, 0, 1, 1, 1]
-        zero = rows[1]
-        assert zero["lambda_tilde"] == 0.0
-        assert zero["fidelity"] == pytest.approx(1.0, abs=1e-8)
-        assert all(r["guard_band_mass"] < 1e-10 for r in rows)
-        # The CLI's sweep CSV carries these rows exactly, in the same order.
+        columns = sweep(lams, [0, 1], params, oracle_cutoff)
+        assert list(columns) == ["relative_phase", "p_gg", "p_ge", "p_eg", "p_ee",
+                                 "coherence_abs", "fidelity", "purity", "norm_drift",
+                                 "guard_band_mass"]
+        assert all(col.shape == (2, 3) for col in columns.values())
+        assert lams[1] == 0.0
+        assert columns["fidelity"][:, 1] == pytest.approx(1.0, abs=1e-8)
+        assert (columns["guard_band_mass"] < 1e-10).all()
+        # The CLI's sweep CSV carries these columns exactly, level-major.
         table_path, out = tmp_path / "table.json", tmp_path / "sweep.csv"
         table.save(table_path)
         argv = ["sweep", "--table", str(table_path), "--lambda-min=-0.02",
@@ -454,9 +455,11 @@ class TestSweep:
         with open(out) as fh:
             assert fh.readline() == "# schema=msgate/sweep-report/1\n"
             written = list(csv.DictReader(fh))
-        for row, line in zip(rows, written, strict=True):
-            assert int(line["fock_n"]) == row["fock_n"]
-            for key in ("lambda_tilde", "p_ee", "relative_phase", "fidelity",
-                        "purity", "norm_drift", "guard_band_mass"):
-                column = key if key == "lambda_tilde" else f"oracle_{key}"
-                assert float(line[column]) == row[key]
+        assert len(written) == 6
+        for k, line in enumerate(written):
+            i, j = divmod(k, lams.size)
+            assert int(line["fock_n"]) == [0, 1][i]
+            assert float(line["lambda_tilde"]) == lams[j]
+            for key in ("p_ee", "relative_phase", "fidelity", "purity", "norm_drift",
+                        "guard_band_mass"):
+                assert float(line[f"oracle_{key}"]) == columns[key][i, j]

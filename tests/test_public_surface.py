@@ -1,6 +1,7 @@
 """Every public name of msgate has a caller inside the package, or is a named
 cross-check route; every CLI option is listed; every README command parses
-and the README's Python runs; the CLI needs numpy alone.
+and the README's Python runs; the CLI needs numpy alone; the benchmark's
+tracer finds every name it wraps.
 
 A module's public names are its ``__all__``.  A name counts as called when
 some statement under ``src/msgate`` other than its own top-level definition
@@ -27,7 +28,6 @@ SRC = ROOT / "src" / "msgate"
 CROSS_CHECK_ONLY = {
     "ideal.ideal_propagator": "full ideal gate, compared with the oracle at lam = 0",
     "magnus.predicted_state": "second-order state, compared with the oracle's final state",
-    "magnus.predict_density_matrix": "reduced density matrix behind the scalar predictors",
     "magnus.first_order_traced_unitary": "the paper's effective qubit map at first order",
     "magnus.traced_unitary_factored": "the same map in factored, exactly unitary form",
     "oracle.expectation_trajectory": "<a> along one gate, compared with the loop functions",
@@ -147,3 +147,19 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_finds_its_targets(monkeypatch):
+    # perfbench/tracing.py wraps msgate functions by the names its callers
+    # look them up under (cli.predict_phase, cli.oracle_sweep, ...); a
+    # renamed or removed one fails here, not only under --trace 1.
+    import msgate.cli as cli
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer({})
+    original = cli.predict_phase
+    with tracer.sequence_scope():
+        assert cli.predict_phase is not original
+    assert cli.predict_phase is original
