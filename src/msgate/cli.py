@@ -336,7 +336,7 @@ def cmd_calibrate(args) -> int:
             "engine": args.engine,
             "shots": config.shots,
             "phase_points": args.points,
-            "fock_initial": args.fock_initial or 0,
+            "fock_initial": config.mode if isinstance(config.mode, int) else None,
             "n_bar": args.nbar,
             "seed": args.seed,
             "table_provenance": table.provenance_hash,

@@ -44,8 +44,14 @@ derivatives are exact sums over the closed-form lam = 0 eigenbasis
 (Daleckii-Krein divided differences of f(x) = e^{-iTx}: Higham, *Functions of
 Matrices*, SIAM 2008, section 3.2; Najfeld & Havel, Adv. Appl. Math. 16,
 1995), cut at a Fock margin above the table that leaves every entry
-converged to roundoff.  ``QuadratureSpec`` is a recorded parameter of the
-table and changes no value.
+converged to roundoff.  The sums use the symmetries the oracle's blocks use:
+S_z reaches the idle branches only through their exchange-symmetric
+combination, and the parity (-1)^(N + S_z) splits what it reaches into two
+sectors that S_z never connects.  So each derivative is the sum of two
+independent sector sums, each over size displaced and about size/2 idle
+states (76 and 38 at n_max 40): a quarter of the state pairs that the four
+branches hold.  ``QuadratureSpec`` is a recorded parameter of the table and
+changes no value.
 """
 
 from __future__ import annotations
@@ -103,11 +109,6 @@ LAMBDA_HARD_CAP = 0.5
 
 # Complex line containing every first-order table entry on a square pulse.
 _LINE = -1.0 + 1.0j
-
-# Branches of SIGMA_Y_BASIS (rows ++, +-, -+, --) that the drive displaces
-# (S_y eigenvalue +1, -1) and that it leaves idle (S_y eigenvalue 0).
-_DISPLACED = (0, 3)
-_IDLE = (1, 2)
 
 # Largest Fock-sum weight a derived scalar may leave in the last table rows.
 _TAIL_TOLERANCE = 1e-8
@@ -213,38 +214,55 @@ def _confluent_difference(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _Sector:
+    """One parity sector of the lam = 0 eigenbasis: the displaced states
+    E_k = (|++, D(omega)k> + sigma (-1)^k |--, D(-omega)k>) / sqrt2, k < size,
+    and the idle states I_l = (|+-, l> + |-+, l>) / sqrt2 with (-1)^l = sigma.
+    S_z couples the two sides only, by <E_k|S_z|I_l> = conj(<l|D(omega)|k>)."""
+
+    e_idle: np.ndarray  # (h,) idle levels l, which are also their energies
+    b: np.ndarray  # S_z from idle to displaced states, (size, h)
+    g_di: np.ndarray  # dU/dlam at lam = 0 (Daleckii-Krein), F1 o B: idle to displaced
+    g_id: np.ndarray  # its other block, F1^T o B^dag: displaced to idle
+    ket_disp: np.ndarray  # inputs |gg,n>, |ge,n> (n < dim) on the displaced states
+    ket_idle: np.ndarray  # the same inputs on the idle states under dim, all they reach
+    bra_disp: np.ndarray  # displaced states -> computational rows (q, m < dim)
+    bra_idle: np.ndarray  # idle states under dim -> computational rows
+
+    def apply(self, disp_from_idle, idle_from_disp) -> np.ndarray:
+        """Columns of an operator that maps between the two sides."""
+        below = self.ket_idle.shape[0]
+        return (self.bra_disp @ (disp_from_idle[:, :below] @ self.ket_idle)
+                + self.bra_idle @ (idle_from_disp[:below] @ self.ket_disp))
+
+    def apply_within(self, disp, idle) -> np.ndarray:
+        """Columns of an operator that keeps each side."""
+        below = self.ket_idle.shape[0]
+        return (self.bra_disp @ (disp @ self.ket_disp)
+                + self.bra_idle @ (idle[:below, :below] @ self.ket_idle))
+
+
+@dataclass(frozen=True)
 class _Spectrum:
     """The lam = 0 rotating-frame gate in its closed-form eigenbasis.
 
     In the sigma_y product basis (``SIGMA_Y_BASIS``, branches ++, +-, -+, --
     with S_y eigenvalue s = 1, 0, 0, -1), H'(0) = N - s*omega*(a + a^dag) on
     branch s, with eigenvectors D(s*omega)|k> and energies k - s^2 omega^2.
-    S_z couples each displaced branch (++, --) to each idle one (+-, -+)
-    only.  Eigenvector index runs over (branch, k) with k < ``size``;
-    displaced and idle branches are kept as two blocks of 2*size each, with
-    the same k labels, which are also the idle energies.  One spectrum
-    serves both table orders of a build.
+    S_z couples the displaced branches (++, --) to the idle ones (+-, -+)
+    only, and reaches the idle ones through their symmetric sum alone: the
+    antisymmetric combination is never coupled and adds nothing to either
+    derivative.  Since D(-omega) = P D(omega) P with P = (-1)^N, the parity
+    (-1)^(N + S_z) splits the rest into two :class:`_Sector` objects that
+    S_z never connects, so each derivative is the sum of two independent
+    sector terms.  Paired states share their energies, k - omega^2 for the
+    displaced and l for the idle ones.  One spectrum serves both table
+    orders of a build.
     """
 
     t: float
-    e_disp: np.ndarray  # (2 size,) energies of the displaced eigenvectors
-    e_idle: np.ndarray  # (2 size,) energies of the idle eigenvectors
-    b: np.ndarray  # S_z from idle to displaced eigenvectors, (2 size, 2 size)
-    g_di: np.ndarray  # dU/dlam at lam = 0 (Daleckii-Krein), F1 o B: idle to displaced
-    g_id: np.ndarray  # its other block, F1^T o B^dag: displaced to idle
-    ket_disp: np.ndarray  # inputs |gg,n>, |ge,n> (n < dim) on the displaced ones
-    ket_idle: np.ndarray  # the same inputs on the idle eigenvectors
-    bra_disp: np.ndarray  # displaced eigenvectors -> computational rows (q, m < dim)
-    bra_idle: np.ndarray  # idle eigenvectors -> computational rows
-
-    def apply(self, disp_from_idle, idle_from_disp) -> np.ndarray:
-        """Columns of an operator that maps between the two blocks."""
-        return (self.bra_disp @ (disp_from_idle @ self.ket_idle)
-                + self.bra_idle @ (idle_from_disp @ self.ket_disp))
-
-    def apply_within(self, disp, idle) -> np.ndarray:
-        """Columns of an operator that keeps each block."""
-        return self.bra_disp @ (disp @ self.ket_disp) + self.bra_idle @ (idle @ self.ket_idle)
+    e_disp: np.ndarray  # (size,) energies of the displaced states of either sector
+    sectors: tuple[_Sector, _Sector]  # parity +1 (even idle levels), then -1
 
 
 def _spectrum(params: DimensionlessGateParams, cutoff: FockCutoff) -> _Spectrum:
@@ -252,36 +270,53 @@ def _spectrum(params: DimensionlessGateParams, cutoff: FockCutoff) -> _Spectrum:
     omega = params.omega_tilde
     dim = cutoff.dim
     size = dim + _fock_margin(cutoff.n_max, omega)
-    w = SIGMA_Y_BASIS
-    s_z = np.diag([1.0, 0.0, 0.0, -1.0])  # collective S_z, computational order
-    z = (w @ s_z @ w.conj().T)[np.ix_(_DISPLACED, _IDLE)]
-    # Rows m < dim of each eigenvector, per branch: D(+omega), D(-omega), 1, 1.
-    # D(-omega) = P D(omega) P with the parity P = (-1)^N: the recurrence run
-    # at -omega flips exactly these signs, so one run serves both branches.
-    d_plus = displacement_matrix(omega, size)
-    disp = (d_plus, np.where(_even_mask(size), d_plus, -d_plus))
-    eye = np.eye(size)
-
-    def lift(branches, vecs):
-        ket = np.vstack([np.kron(w[a, :2], v[:dim].conj().T) for a, v in zip(branches, vecs)])
-        bra = np.hstack([np.kron(w[a, :, None].conj(), v[:dim]) for a, v in zip(branches, vecs)])
-        return ket, bra
-
-    ket_disp, bra_disp = lift(_DISPLACED, disp)
-    ket_idle, bra_idle = lift(_IDLE, (eye, eye))
-    # <D(s omega) k| S_z |l> = z[s, idle] <k|D(-s omega)|l> = z conj(<l|D(s omega)|k>).
-    b = np.block([[z[i, j] * disp[i].conj().T for j in range(2)] for i in range(2)])
-    levels = np.tile(np.arange(size, dtype=float), 2)
+    w = SIGMA_Y_BASIS  # rows ++, +-, -+, --; columns gg, ge, eg, ee
+    d = displacement_matrix(omega, size)  # rows m, columns k: <m|D(omega)|k>
+    levels = np.arange(size, dtype=float)
     e_disp = levels - omega * omega
-    f1 = _divided_difference(e_disp[:, None], levels[None, :], params.tau_gate)
-    return _Spectrum(params.tau_gate, e_disp, levels, b, f1 * b, f1.T * b.conj().T,
-                     ket_disp, ket_idle, bra_disp, bra_idle)
+    parity = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)  # (-1)^n
+    idle = (w[1] + w[2]) / math.sqrt(2.0)  # <I_l|q, l> over q
+    sectors = []
+    for sigma, lowest in ((1.0, 0), (-1.0, 1)):
+        e_idle = levels[lowest::2]
+        b = d.conj().T[:, lowest::2]
+        f1 = _divided_difference(e_disp[:, None], e_idle[None, :], params.tau_gate)
+        # <E_k|q, n> = conj(<n|D(omega)|k>) (w[0, q] + sigma (-1)^n w[3, q]) / sqrt2
+        mix = (w[0, :, None] + sigma * parity * w[3, :, None]) / math.sqrt(2.0)
+        below = (dim - lowest + 1) // 2  # idle levels under dim, the only ones inputs touch
+        hit = e_idle[:below, None] == np.arange(dim)  # [l, n]: idle level l is input n
+        sectors.append(_Sector(
+            e_idle, b, f1 * b, f1.T * b.conj().T,
+            (d[:dim].conj().T[:, None, :] * mix[:2]).reshape(size, 2 * dim),
+            (hit[:, None, :] * idle[:2, None]).reshape(below, 2 * dim),
+            (mix.conj()[:, :, None] * d[:dim]).reshape(4 * dim, size),
+            (idle.conj()[:, None, None] * hit.T).reshape(4 * dim, below),
+        ))
+    return _Spectrum(params.tau_gate, e_disp, tuple(sectors))
 
 
 def _corrections(cols: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Blocks [q, m, n] of the correction states -cols for |gg,n> and |ge,n>."""
     psi = -cols.reshape(4, dim, 2, dim)
     return psi[:, :, 0, :], psi[:, :, 1, :]
+
+
+def _second_difference(levels, cross, x, y, hop, t: float) -> np.ndarray:
+    """One side of a sector of (1/2) d^2U/dlam^2 = sum_j f[E_i, E_j, E_k] B_ij B_jk.
+
+    Both hops cross between the sides, so i and k lie on the same one (energies
+    ``x``, integer ``levels``) and j on the other (energies ``y``); ``hop`` is
+    B from this side to the other.  Where i != k, f[E_i, E_j, E_k] =
+    (f[E_i, E_j] - f[E_j, E_k]) / (E_i - E_k): ``cross`` is the numerator
+    summed over j, and E_i - E_k is the integer gap.  A side's energies are
+    distinct, so the confluent terms f[x_i, x_i, y_j] make up its diagonal.
+    """
+    gap = np.subtract.outer(levels, levels)
+    np.fill_diagonal(gap, 1.0)
+    c = cross / gap
+    np.fill_diagonal(c, (_confluent_difference(x[:, None], y[None, :], t) * hop
+                         * hop.conj()).sum(axis=1))
+    return c
 
 
 def compute_first_order_table(
@@ -298,7 +333,7 @@ def compute_first_order_table(
     ``params`` and ``cutoff`` when the caller has built it already.
     """
     sp = _spectrum(params, cutoff) if spectrum is None else spectrum
-    gg, ge = _corrections(sp.apply(sp.g_di, sp.g_id), cutoff.dim)
+    gg, ge = _corrections(sum(s.apply(s.g_di, s.g_id) for s in sp.sectors), cutoff.dim)
     # Inverse of first_order_correction: even m - n from gg, odd from ge.
     return np.where(_even_mask(cutoff.dim), 0.5 * (gg[0] + gg[3]), 1j * ge[0])
 
@@ -317,26 +352,16 @@ def compute_second_order_tables(
     :func:`compute_first_order_table`.
     """
     sp = _spectrum(params, cutoff) if spectrum is None else spectrum
-    g_di, g_id = sp.g_di, sp.g_id
-    b_di, b_id = sp.b, sp.b.conj().T
-    # (1/2) d^2U/dlam^2 = sum_j f[E_i, E_j, E_k] B_ij B_jk.  Both hops cross
-    # blocks, so i and k share one; their gap is the integer k_i - k_k, and
-    # the confluent pairs are those of equal k: two per row i, at k_i and
-    # k_i + size, each one sum over j.
-    gap = np.subtract.outer(sp.e_idle, sp.e_idle)
-    inv_gap = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap != 0)
-    c_disp = inv_gap * (g_di @ b_id - b_di @ g_id)
-    c_idle = inv_gap * (g_id @ b_di - b_id @ g_di)
-    size = sp.e_idle.size // 2
-    rows = np.arange(2 * size)
-    level = rows % size
-    for c, x, y, hop in ((c_disp, sp.e_disp, sp.e_idle, b_di),
-                         (c_idle, sp.e_idle, sp.e_disp, b_id)):
-        first = _confluent_difference(x[:, None], y[None, :], sp.t) * hop
-        for k in (level, level + size):
-            # The second hop is hop^dag, so its column k is row k of hop, conjugated.
-            c[rows, k] = (first * hop[k].conj()).sum(axis=1)
-    gg, ge = _corrections(sp.apply_within(c_disp, c_idle), cutoff.dim)
+    levels = np.arange(sp.e_disp.size, dtype=float)
+    cols = 0.0
+    for s in sp.sectors:
+        b_id = s.b.conj().T
+        c_disp = _second_difference(levels, s.g_di @ b_id - s.b @ s.g_id,
+                                    sp.e_disp, s.e_idle, s.b, sp.t)
+        c_idle = _second_difference(s.e_idle, s.g_id @ s.b - b_id @ s.g_di,
+                                    s.e_idle, sp.e_disp, b_id, sp.t)
+        cols = cols + s.apply_within(c_disp, c_idle)
+    gg, ge = _corrections(cols, cutoff.dim)
     # Inverse of second_order_correction.
     even = _even_mask(cutoff.dim)
     j_sum = np.where(even, gg[0] - gg[3], 2j * ge[0])
@@ -772,10 +797,10 @@ def predict_phase(
     mean of the per-level phase.
     """
     levels, weights, lam = _checked(n, table, lambda_tilde, initial, QUBIT_LABELS, True)
-    if initial in ("ge", "eg"):
-        return np.full(np.shape(n) + lam.shape, math.pi / 2.0)[()]
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+    if initial in ("ge", "eg"):
+        return np.full(np.shape(n) + lam.shape, math.pi / 2.0)[()]
     der = table.derived()
     sign = 1.0 if initial == "gg" else -1.0
     phases = -math.pi / 2.0 + sign * lam * der.a[levels]

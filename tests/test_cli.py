@@ -324,6 +324,22 @@ class TestCalibrate:
         assert len(doc["scan"]["phi_d"]) == len(doc["scan"]["p_ee"]) == 16
         assert "+30.000 Hz" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode, fock, n_bar", [
+        ([], 0, None),
+        (["--fock-initial", "2"], 2, None),
+        (["--nbar", "0.05"], None, 0.05),
+    ], ids=["default", "fock", "thermal"])
+    def test_report_names_the_initial_mode(self, table_file, tmp_path, mode, fock, n_bar):
+        # A thermal run starts in no single Fock level, so it reports none.
+        out = tmp_path / "report.json"
+        rc = main(["calibrate", "--table", table_file, "--engine",
+                   "first_order_model", "--detuning-hz=-11e3", "--shift-hz", "30",
+                   "--shots", "0", "--out", str(out), *mode])
+        assert rc == EXIT_OK
+        inputs = json.loads(out.read_text())["inputs"]
+        assert inputs["fock_initial"] == fock
+        assert inputs["n_bar"] == n_bar
+
     def test_oracle_engine(self, table_file, capsys):
         rc = main(["calibrate", "--table", table_file, "--detuning-hz",
                    "-11000", "--shift-hz", "50", "--shots", "0", "--points",

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msgate.magnus as magnus
-from msgate.hilbert import FockCutoff, ThermalDistribution, displacement_matrix
+from msgate.hilbert import SIGMA_Y_BASIS, FockCutoff, ThermalDistribution, displacement_matrix
 from msgate.ideal import DimensionlessGateParams, ideal_output_state, loop_functions
 from msgate.magnus import (
     LAMBDA_HARD_CAP,
@@ -337,6 +337,43 @@ class TestSpectralTables:
         assert other.provenance_hash != table.provenance_hash
 
 
+class TestSectors:
+    """The two parity sectors the spectral sums run over (magnus._Sector)."""
+
+    def test_sz_couplings_split_by_sector(self):
+        # S_z between the lam = 0 eigenvectors, branch by branch: displaced
+        # |a, D(s omega)k> (a = ++, --) to idle |i, l> (i = +-, -+), with
+        # D(-omega) from its own recurrence run.
+        params, cutoff = DimensionlessGateParams(), FockCutoff(12)
+        sp = magnus._spectrum(params, cutoff)
+        size = sp.e_disp.size
+        w = SIGMA_Y_BASIS
+        z = w @ np.diag([1.0, 0.0, 0.0, -1.0]) @ w.conj().T
+        disp = {0: displacement_matrix(params.omega_tilde, size),
+                3: displacement_matrix(-params.omega_tilde, size)}
+        coupling = {(a, i): z[a, i] * disp[a].conj().T for a in (0, 3) for i in (1, 2)}
+        root2 = math.sqrt(2.0)
+        for a in (0, 3):
+            # The antisymmetric idle combination (|+-, l> - |-+, l>) / sqrt2.
+            assert (coupling[a, 1] - coupling[a, 2] == 0).all()
+        sym = {a: (coupling[a, 1] + coupling[a, 2]) / root2 for a in (0, 3)}
+        parity = (-1.0) ** np.arange(size)
+        for sigma, sector in zip((1.0, -1.0), sp.sectors):
+            # <E_k|S_z|I_l>, E_k = (|++, D(omega)k> + sigma (-1)^k |--, D(-omega)k>) / sqrt2.
+            e = (sym[0] + sigma * parity[:, None] * sym[3]) / root2
+            assert (e[:, parity != sigma] == 0).all()
+            np.testing.assert_array_equal(sector.e_idle, np.nonzero(parity == sigma)[0])
+            assert np.abs(e[:, parity == sigma] - sector.b).max() <= 1e-15
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+    def test_matches_van_loan_with_few_idle_inputs(self, n_max):
+        # At n_max 0 the odd sector has no idle level under dim, and at
+        # n_max 1 each sector has one.
+        table = compute_coefficient_table(n_max=n_max)
+        gap, scale = _van_loan_gap(table, range(n_max + 1))
+        assert gap <= 1e-13 * scale
+
+
 class TestComputeTable:
     def test_open_loop_rejected(self):
         with pytest.raises(ValueError, match="closed loops"):
@@ -569,6 +606,13 @@ class TestPredictors:
     def test_bad_initial(self, table):
         with pytest.raises(ValueError):
             predict_populations(0, 0.01, table, initial="ge")
+
+    @pytest.mark.parametrize("initial", ["gg", "ee", "ge", "eg"])
+    def test_phase_order_checked_for_every_label(self, table, initial):
+        # The idle pair of a |ge>/|eg> input has a fixed phase, but a bad
+        # order is refused for it as for the displaced pairs.
+        with pytest.raises(ValueError, match="order must be 1 or 2"):
+            predict_phase(0, 0.01, table, initial, order=7)
 
     @pytest.mark.parametrize("predictor", [predict_phase, predict_populations,
                                            predict_coherence, predict_density_matrix])
