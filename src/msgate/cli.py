@@ -196,17 +196,18 @@ def cmd_coefficients(args) -> int:
         raise CliError(f"{out} exists; pass --force to overwrite")
     table = _build(args, QuadratureSpec(args.panels_1d, args.panels_2d))
     out.parent.mkdir(parents=True, exist_ok=True)
-    table.save(out)
+    digest = table.save(out)
     der = table.derived()
     if der.trusted.any():
         trusted = f"0..{int(np.max(np.nonzero(der.trusted)[0]))}"
     else:
         trusted = "none (raise --n-max)"
     print(f"wrote {out}")
-    print(f"provenance {table.provenance_hash}")
+    print(f"provenance {digest}")
     print(f"n_max {table.n_max}  trusted levels {trusted}")
     print(f"structure residual {der.structure_residual:.3e}")
-    print(f"a[0..3] {' '.join(f'{v:.6f}' for v in der.a[:4])}")
+    shown = der.a[:4]
+    print(f"a[0..{shown.size - 1}] {' '.join(f'{v:.6f}' for v in shown)}")
     return EXIT_OK
 
 

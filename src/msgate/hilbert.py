@@ -8,15 +8,14 @@ Conventions used throughout the package
   Every amplitude vector and density matrix in the package uses it.
 * sigma_y eigenbasis: |+> = (|g> + i|e>)/sqrt(2), |-> = (|g> - i|e>)/sqrt(2)
   (eigenvalues +1 and -1); two-qubit order (++, +-, -+, --).
-  ``SIGMA_Y_BASIS`` maps computational coordinates to these.
 * Composite kets are stored qubit-major: flat index = q*(n_max+1) + n for
   qubit-pair index q and Fock level n, i.e. kron(qubit, phonon).
 
 Displacement matrix elements <m|D(beta)|n> come from one exact column
 recurrence, :func:`displacement_matrix`.  It gives the matrix elements of
 the infinite-dimensional operator: truncation affects only which rows are
-stored, not their values.  It builds the ideal propagator and, as the
-lam = 0 eigenvectors D(s*omega)|k>, every coefficient table.
+stored, not their values.  As the lam = 0 eigenvectors D(s*omega)|k>, it
+builds every coefficient table.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "SIGMA_Y",
     "SIGMA_Z",
     "QUBIT_LABELS",
-    "SIGMA_Y_BASIS",
     "displacement_matrix",
     "thermal_probabilities",
     "level_weights",
@@ -45,14 +43,6 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 QUBIT_LABELS = ("gg", "ge", "eg", "ee")
-
-# Single-qubit map from computational coordinates to sigma_y coordinates:
-# rows (+, -), columns (g, e).
-_W1 = np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / math.sqrt(2.0)
-
-# Two-qubit map: rows (++, +-, -+, --), columns (gg, ge, eg, ee).
-SIGMA_Y_BASIS = np.kron(_W1, _W1)
-
 
 @dataclass(frozen=True)
 class FockCutoff:

@@ -1,4 +1,4 @@
-"""Calibrated force gate: loop functions, exact propagator, target unitary.
+"""Calibrated force gate: loop functions, ideal output states, target unitary.
 
 The dimensionless Hamiltonian (time tau = epsilon * t, energies over epsilon)
 
@@ -26,17 +26,14 @@ import numpy as np
 from .hilbert import (
     SIGMA_X,
     SIGMA_Y,
-    SIGMA_Y_BASIS,
     CompositeState,
     FockCutoff,
-    displacement_matrix,
 )
 
 __all__ = [
     "DimensionlessGateParams",
     "collective_spin",
     "loop_functions",
-    "ideal_propagator",
     "ideal_output_state",
     "ms_target_unitary",
     "phase_space_trajectory",
@@ -141,30 +138,6 @@ def loop_functions(
     f = w * (np.exp(1j * tau) - 1.0)
     g = w * w * (tau - np.sin(tau))
     return f, g
-
-
-def ideal_propagator(
-    tau: float, params: DimensionlessGateParams, cutoff: FockCutoff
-) -> np.ndarray:
-    """Exact lam=0 propagator U_0(tau) in the computational frame.
-
-    Block-diagonal in the S_phi eigenbasis: the |++> and |--> branches are
-    displaced by +/- F(tau) with phase e^{i G(tau)}; |+-> and |-+> idle.
-    Currently restricted to phi = 0 (axis S_y), where the branch basis is the
-    sigma_y product basis.
-    """
-    if params.phi != 0.0:
-        raise NotImplementedError("ideal propagator implemented for phi=0 only")
-    f, g = loop_functions(tau, params)
-    d = cutoff.dim
-    u = np.zeros((4 * d, 4 * d), dtype=complex)
-    phase = np.exp(1j * float(g))
-    u[0:d, 0:d] = phase * displacement_matrix(complex(f), cutoff)
-    u[d : 2 * d, d : 2 * d] = np.eye(d)
-    u[2 * d : 3 * d, 2 * d : 3 * d] = np.eye(d)
-    u[3 * d :, 3 * d :] = phase * displacement_matrix(-complex(f), cutoff)
-    big_w = np.kron(SIGMA_Y_BASIS, np.eye(d, dtype=complex))
-    return big_w.conj().T @ u @ big_w
 
 
 def ms_target_unitary(theta: float = math.pi / 2.0, phi: float = 0.0) -> np.ndarray:

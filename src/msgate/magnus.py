@@ -50,8 +50,16 @@ combination, and the parity (-1)^(N + S_z) splits what it reaches into two
 sectors that S_z never connects.  So each derivative is the sum of two
 independent sector sums, each over size displaced and about size/2 idle
 states (76 and 38 at n_max 40): a quarter of the state pairs that the four
-branches hold.  ``QuadratureSpec`` is a recorded parameter of the table and
-changes no value.
+branches hold.  The tables need no computational-basis states: a displaced
+state's amplitude on |q, m> is <m|D(omega)|k> times a scalar set by q and
+the parity of m, and an idle state I_l sits on level l alone, so the
+inverses of the two corrections fold those scalars into signs and halves.
+A sector adds a D(omega) sandwich of its displaced block, D C D^dag, to j1
+and, with the sign (-1)^m, to j2; its idle block to j3 on the rows and
+columns of its parity; and its displaced-to-idle block of dU/dlam, times
+D^dag, to the i_table rows of its parity.
+``QuadratureSpec`` is a recorded parameter of the table and changes no
+value.
 """
 
 from __future__ import annotations
@@ -70,7 +78,6 @@ import numpy as np
 from . import __version__
 from .hilbert import (
     QUBIT_LABELS,
-    SIGMA_Y_BASIS,
     CompositeState,
     FockCutoff,
     ThermalDistribution,
@@ -218,37 +225,33 @@ class _Sector:
     """One parity sector of the lam = 0 eigenbasis: the displaced states
     E_k = (|++, D(omega)k> + sigma (-1)^k |--, D(-omega)k>) / sqrt2, k < size,
     and the idle states I_l = (|+-, l> + |-+, l>) / sqrt2 with (-1)^l = sigma.
-    S_z couples the two sides only, by <E_k|S_z|I_l> = conj(<l|D(omega)|k>)."""
+    S_z couples the two sides only, by <E_k|S_z|I_l> = conj(<l|D(omega)|k>).
+
+    In computational coordinates (q = gg, ge, eg, ee), <q, m|E_k> is
+    <m|D(omega)|k> times (1, 0, 0, -1)/sqrt2 where (-1)^m = sigma and
+    i (0, 1, 1, 0)/sqrt2 elsewhere, and <q, m|I_l> is [m == l] (1, 0, 0, 1)/sqrt2:
+    scalars per q and parity, which the table inverses fold into signs and
+    halves.  So a sector's displaced side reaches the tables through one
+    product with D(omega) each way, and its idle side lands on the table
+    rows (and columns) ``rows``, the levels of its parity under dim.
+    """
 
     e_idle: np.ndarray  # (h,) idle levels l, which are also their energies
     b: np.ndarray  # S_z from idle to displaced states, (size, h)
     g_di: np.ndarray  # dU/dlam at lam = 0 (Daleckii-Krein), F1 o B: idle to displaced
     g_id: np.ndarray  # its other block, F1^T o B^dag: displaced to idle
-    ket_disp: np.ndarray  # inputs |gg,n>, |ge,n> (n < dim) on the displaced states
-    ket_idle: np.ndarray  # the same inputs on the idle states under dim, all they reach
-    bra_disp: np.ndarray  # displaced states -> computational rows (q, m < dim)
-    bra_idle: np.ndarray  # idle states under dim -> computational rows
-
-    def apply(self, disp_from_idle, idle_from_disp) -> np.ndarray:
-        """Columns of an operator that maps between the two sides."""
-        below = self.ket_idle.shape[0]
-        return (self.bra_disp @ (disp_from_idle[:, :below] @ self.ket_idle)
-                + self.bra_idle @ (idle_from_disp[:below] @ self.ket_disp))
-
-    def apply_within(self, disp, idle) -> np.ndarray:
-        """Columns of an operator that keeps each side."""
-        below = self.ket_idle.shape[0]
-        return (self.bra_disp @ (disp @ self.ket_disp)
-                + self.bra_idle @ (idle[:below, :below] @ self.ket_idle))
+    rows: slice  # table rows of the idle parity, lowest::2 under dim
+    below: int  # idle levels under dim, the only ones the inputs touch
 
 
 @dataclass(frozen=True)
 class _Spectrum:
     """The lam = 0 rotating-frame gate in its closed-form eigenbasis.
 
-    In the sigma_y product basis (``SIGMA_Y_BASIS``, branches ++, +-, -+, --
-    with S_y eigenvalue s = 1, 0, 0, -1), H'(0) = N - s*omega*(a + a^dag) on
-    branch s, with eigenvectors D(s*omega)|k> and energies k - s^2 omega^2.
+    In the sigma_y product basis (branches ++, +-, -+, -- with S_y
+    eigenvalue s = 1, 0, 0, -1; see :mod:`msgate.hilbert`),
+    H'(0) = N - s*omega*(a + a^dag) on branch s, with eigenvectors
+    D(s*omega)|k> and energies k - s^2 omega^2.
     S_z couples the displaced branches (++, --) to the idle ones (+-, -+)
     only, and reaches the idle ones through their symmetric sum alone: the
     antisymmetric combination is never coupled and adds nothing to either
@@ -262,6 +265,7 @@ class _Spectrum:
 
     t: float
     e_disp: np.ndarray  # (size,) energies of the displaced states of either sector
+    d: np.ndarray  # (dim, size): <m|D(omega)|k> for the table rows m
     sectors: tuple[_Sector, _Sector]  # parity +1 (even idle levels), then -1
 
 
@@ -270,35 +274,17 @@ def _spectrum(params: DimensionlessGateParams, cutoff: FockCutoff) -> _Spectrum:
     omega = params.omega_tilde
     dim = cutoff.dim
     size = dim + _fock_margin(cutoff.n_max, omega)
-    w = SIGMA_Y_BASIS  # rows ++, +-, -+, --; columns gg, ge, eg, ee
     d = displacement_matrix(omega, size)  # rows m, columns k: <m|D(omega)|k>
     levels = np.arange(size, dtype=float)
     e_disp = levels - omega * omega
-    parity = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)  # (-1)^n
-    idle = (w[1] + w[2]) / math.sqrt(2.0)  # <I_l|q, l> over q
     sectors = []
-    for sigma, lowest in ((1.0, 0), (-1.0, 1)):
+    for lowest in (0, 1):
         e_idle = levels[lowest::2]
         b = d.conj().T[:, lowest::2]
         f1 = _divided_difference(e_disp[:, None], e_idle[None, :], params.tau_gate)
-        # <E_k|q, n> = conj(<n|D(omega)|k>) (w[0, q] + sigma (-1)^n w[3, q]) / sqrt2
-        mix = (w[0, :, None] + sigma * parity * w[3, :, None]) / math.sqrt(2.0)
-        below = (dim - lowest + 1) // 2  # idle levels under dim, the only ones inputs touch
-        hit = e_idle[:below, None] == np.arange(dim)  # [l, n]: idle level l is input n
-        sectors.append(_Sector(
-            e_idle, b, f1 * b, f1.T * b.conj().T,
-            (d[:dim].conj().T[:, None, :] * mix[:2]).reshape(size, 2 * dim),
-            (hit[:, None, :] * idle[:2, None]).reshape(below, 2 * dim),
-            (mix.conj()[:, :, None] * d[:dim]).reshape(4 * dim, size),
-            (idle.conj()[:, None, None] * hit.T).reshape(4 * dim, below),
-        ))
-    return _Spectrum(params.tau_gate, e_disp, tuple(sectors))
-
-
-def _corrections(cols: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks [q, m, n] of the correction states -cols for |gg,n> and |ge,n>."""
-    psi = -cols.reshape(4, dim, 2, dim)
-    return psi[:, :, 0, :], psi[:, :, 1, :]
+        sectors.append(_Sector(e_idle, b, f1 * b, f1.T * b.conj().T,
+                               slice(lowest, dim, 2), (dim - lowest + 1) // 2))
+    return _Spectrum(params.tau_gate, e_disp, d[:dim], tuple(sectors))
 
 
 def _second_difference(levels, cross, x, y, hop, t: float) -> np.ndarray:
@@ -333,9 +319,12 @@ def compute_first_order_table(
     ``params`` and ``cutoff`` when the caller has built it already.
     """
     sp = _spectrum(params, cutoff) if spectrum is None else spectrum
-    gg, ge = _corrections(sum(s.apply(s.g_di, s.g_id) for s in sp.sectors), cutoff.dim)
-    # Inverse of first_order_correction: even m - n from gg, odd from ge.
-    return np.where(_even_mask(cutoff.dim), 0.5 * (gg[0] + gg[3]), 1j * ge[0])
+    i_table = np.empty((cutoff.dim, cutoff.dim), dtype=complex)
+    for s in sp.sectors:
+        # Inverse of first_order_correction: row m is -1/2 of the
+        # displaced-to-idle block of the sector whose idle levels share its parity.
+        i_table[s.rows] = -0.5 * (s.g_id[:s.below] @ sp.d.conj().T)
+    return i_table
 
 
 def compute_second_order_tables(
@@ -353,21 +342,21 @@ def compute_second_order_tables(
     """
     sp = _spectrum(params, cutoff) if spectrum is None else spectrum
     levels = np.arange(sp.e_disp.size, dtype=float)
-    cols = 0.0
+    j3 = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
+    disp = []
     for s in sp.sectors:
         b_id = s.b.conj().T
         c_disp = _second_difference(levels, s.g_di @ b_id - s.b @ s.g_id,
                                     sp.e_disp, s.e_idle, s.b, sp.t)
-        c_idle = _second_difference(s.e_idle, s.g_id @ s.b - b_id @ s.g_di,
-                                    s.e_idle, sp.e_disp, b_id, sp.t)
-        cols = cols + s.apply_within(c_disp, c_idle)
-    gg, ge = _corrections(cols, cutoff.dim)
-    # Inverse of second_order_correction.
-    even = _even_mask(cutoff.dim)
-    j_sum = np.where(even, gg[0] - gg[3], 2j * ge[0])
-    j_dif = np.where(even, 2.0 * ge[1], -2j * gg[1])
-    j3 = np.where(even, 0.5 * (gg[0] + gg[3]), 0.0)
-    return 0.5 * (j_sum + j_dif), 0.5 * (j_sum - j_dif), j3
+        h = s.below  # the tables read the idle side only under dim
+        cross = s.g_id[:h] @ s.b[:, :h] - b_id[:h] @ s.g_di[:, :h]
+        c_idle = _second_difference(s.e_idle[:h], cross, s.e_idle[:h], sp.e_disp, b_id[:h], sp.t)
+        disp.append(sp.d @ c_disp @ sp.d.conj().T)
+        j3[s.rows, s.rows] = -0.5 * c_idle
+    # Inverse of second_order_correction: on the rows of its own parity a
+    # sector's D C D^dag is -(j1 + j2), on the others -(j1 - j2).
+    sign = np.where(np.arange(cutoff.dim) % 2 == 0, 1.0, -1.0)[:, None]  # (-1)^m
+    return -0.5 * (disp[0] + disp[1]), -0.5 * sign * (disp[0] - disp[1]), j3
 
 
 def _even_mask(dim: int) -> np.ndarray:
@@ -427,11 +416,15 @@ class CoefficientTable:
         """sha256 of the file schema, the parameters and the complex128 bytes
         of the four tables, so a file whose parameters or entries were altered
         no longer matches the digest it carries."""
+        return self._digest(_table_bytes(getattr(self, name)) for name in _TABLE_FIELDS.values())
+
+    def _digest(self, blobs) -> str:
+        """The provenance hash over ``blobs``, the stored bytes of the four
+        tables in file order (-0.0 folded into 0.0, :func:`_table_bytes`)."""
         doc = {"schema": TABLE_SCHEMA, **self.parameter_dict()}
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
-        for name in _TABLE_FIELDS.values():
-            # The bytes the file stores, -0.0 folded into 0.0 (_table_bytes).
-            digest.update(_table_bytes(getattr(self, name)))
+        for blob in blobs:
+            digest.update(blob)
         return digest.hexdigest()
 
     def check_health(self) -> None:
@@ -452,8 +445,8 @@ class CoefficientTable:
             self._derived = derived_scalars(self)
         return self._derived
 
-    def save(self, path) -> None:
-        save_coefficient_table(self, path)
+    def save(self, path) -> str:
+        return save_coefficient_table(self, path)
 
 
 def compute_coefficient_table(
@@ -914,8 +907,9 @@ def _table_from_text(text, name: str, dim: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c16").astype(complex).reshape(dim, dim)
 
 
-def save_coefficient_table(table: CoefficientTable, path) -> None:
-    """Write a versioned, byte-reproducible JSON dump of the tables.
+def save_coefficient_table(table: CoefficientTable, path) -> str:
+    """Write a versioned, byte-reproducible JSON dump of the tables, and
+    return the provenance digest written into it.
 
     The four tables are base64 strings of their little-endian complex128
     bytes (row-major, -0.0 written as 0.0), the bytes that
@@ -928,15 +922,13 @@ def save_coefficient_table(table: CoefficientTable, path) -> None:
     sees a partial table and a failed write leaves nothing.
     """
     der = table.derived()
+    blobs = {key: _table_bytes(getattr(table, name)) for key, name in _TABLE_FIELDS.items()}
+    digest = table._digest(blobs.values())
     doc = {
         "schema": TABLE_SCHEMA,
         "package_version": __version__,
         "params": table.parameter_dict(),
-        "provenance_sha256": table.provenance_hash,
-        "tables": {
-            key: base64.b64encode(_table_bytes(getattr(table, name))).decode("ascii")
-            for key, name in _TABLE_FIELDS.items()
-        },
+        "provenance_sha256": digest,
         "derived": {
             "a": der.a.tolist(),
             "b": _array_to_json(der.b),
@@ -948,9 +940,14 @@ def save_coefficient_table(table: CoefficientTable, path) -> None:
             "tail_tolerance": _TAIL_TOLERANCE,
         },
     }
-    # One write of the whole text: json.dump streams through the pure-Python
-    # encoder, about twice as slow for the same bytes.
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    # The text is json.dumps(doc with "tables", sort_keys=True) without running
+    # the base64 through the string escaper: it needs no escaping, and
+    # "tables" sorts after every other key.  One write of the whole text:
+    # json.dump streams through the pure-Python encoder, about twice as slow.
+    tables = ",".join(f'"{key}":"{base64.b64encode(blob).decode("ascii")}"'
+                      for key, blob in sorted(blobs.items()))
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))[:-1]
+    text += ',"tables":{' + tables + "}}\n"
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
@@ -960,6 +957,7 @@ def save_coefficient_table(table: CoefficientTable, path) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return digest
 
 
 def _check_stored_derived(stored: dict, der: DerivedScalars) -> None:

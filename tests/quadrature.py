@@ -13,7 +13,9 @@ summed over every node at once through the power moments of
 upper blocks are dU/dlam and (1/2) d^2U/dlam^2 of U = e^{-iT H'(lam)}
 (Van Loan 1978; Najfeld & Havel 1995), on a dense truncated Fock space.
 Its H' is :func:`frame_hamiltonian`, which the oracle tests use as their
-dense reference too.
+dense reference too, with :func:`ideal_propagator`, the exact lam = 0 gate
+built in the sigma_y product basis (``SIGMA_Y_BASIS`` maps computational
+coordinates to it).
 """
 
 from __future__ import annotations
@@ -25,13 +27,20 @@ from scipy.linalg import expm
 from scipy.linalg.blas import zgemm
 from scipy.special import gammaln
 
-from msgate.hilbert import FockCutoff
+from msgate.hilbert import FockCutoff, displacement_matrix
 from msgate.ideal import DimensionlessGateParams, collective_spin, loop_functions
 from msgate.magnus import CoefficientTable, QuadratureSpec
 from msgate.oracle import _diagonals
 
 # Outer-time rows of the 2D grid per moment call; bounds the workspace.
 CHUNK_ROWS = 16
+
+# Single-qubit map from computational coordinates to sigma_y coordinates:
+# rows (+, -), columns (g, e).
+_W1 = np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / math.sqrt(2.0)
+
+# Two-qubit map: rows (++, +-, -+, --), columns (gg, ge, eg, ee).
+SIGMA_Y_BASIS = np.kron(_W1, _W1)
 
 
 def simpson(n_panels: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -197,3 +206,27 @@ def van_loan_derivatives(params: DimensionlessGateParams, cutoff: FockCutoff):
         first[np.ix_(idx, idx)] = e[:k, k : 2 * k]
         second[np.ix_(idx, idx)] = e[:k, 2 * k :]
     return first, second
+
+
+def ideal_propagator(
+    tau: float, params: DimensionlessGateParams, cutoff: FockCutoff
+) -> np.ndarray:
+    """Exact lam=0 propagator U_0(tau) in the computational frame.
+
+    Block-diagonal in the S_phi eigenbasis: the |++> and |--> branches are
+    displaced by +/- F(tau) with phase e^{i G(tau)}; |+-> and |-+> idle.
+    Currently restricted to phi = 0 (axis S_y), where the branch basis is the
+    sigma_y product basis.
+    """
+    if params.phi != 0.0:
+        raise NotImplementedError("ideal propagator implemented for phi=0 only")
+    f, g = loop_functions(tau, params)
+    d = cutoff.dim
+    u = np.zeros((4 * d, 4 * d), dtype=complex)
+    phase = np.exp(1j * float(g))
+    u[0:d, 0:d] = phase * displacement_matrix(complex(f), cutoff)
+    u[d : 2 * d, d : 2 * d] = np.eye(d)
+    u[2 * d : 3 * d, 2 * d : 3 * d] = np.eye(d)
+    u[3 * d :, 3 * d :] = phase * displacement_matrix(-complex(f), cutoff)
+    big_w = np.kron(SIGMA_Y_BASIS, np.eye(d, dtype=complex))
+    return big_w.conj().T @ u @ big_w

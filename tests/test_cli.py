@@ -78,6 +78,15 @@ class TestCoefficients:
         # n_max 12 leaves no level within the tail tolerance.
         assert "none (raise --n-max)" in text
 
+    @pytest.mark.parametrize("n_max, shown", [(0, 1), (1, 2), (None, 4)])
+    def test_slope_line_names_the_levels_shown(self, tmp_path, capsys, n_max, shown):
+        extra = [] if n_max is None else ["--n-max", str(n_max)]
+        assert main(["coefficients", *extra, "--out", str(tmp_path / "c.json")]) == EXIT_OK
+        a = compute_coefficient_table(n_max=40 if n_max is None else n_max).derived().a
+        label, *values = capsys.readouterr().out.splitlines()[-1].split()
+        assert label == f"a[0..{shown - 1}]"
+        assert values == [f"{v:.6f}" for v in a[:shown]]
+
     def test_refuses_overwrite(self, tmp_path, capsys):
         out = tmp_path / "coef.json"
         assert main(self.ARGS + ["--out", str(out)]) == EXIT_OK

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from msgate.hilbert import (
-    SIGMA_Y_BASIS,
     CompositeState,
     FockCutoff,
     ThermalDistribution,
@@ -22,7 +21,7 @@ from msgate.hilbert import (
     thermal_probabilities,
 )
 from msgate.oracle import observables
-from quadrature import displacement_from_moments, power_moments
+from quadrature import SIGMA_Y_BASIS, displacement_from_moments, power_moments
 
 
 def expm_displacement(alpha: complex, dim: int, pad: int = 40) -> np.ndarray:

@@ -10,13 +10,13 @@ from msgate.ideal import (
     DimensionlessGateParams,
     collective_spin,
     ideal_output_state,
-    ideal_propagator,
     loop_functions,
     ms_target_unitary,
     phase_space_trajectory,
     trajectory_csv,
 )
 from msgate.oracle import observables
+from quadrature import ideal_propagator
 
 TAU_GATE = 2.0 * math.pi
 

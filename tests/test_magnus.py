@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msgate.magnus as magnus
-from msgate.hilbert import SIGMA_Y_BASIS, FockCutoff, ThermalDistribution, displacement_matrix
+from msgate.hilbert import FockCutoff, ThermalDistribution, displacement_matrix
 from msgate.ideal import DimensionlessGateParams, ideal_output_state, loop_functions
 from msgate.magnus import (
     LAMBDA_HARD_CAP,
@@ -52,7 +52,13 @@ from msgate.magnus import (
     second_order_correction,
     traced_unitary_factored,
 )
-from quadrature import quadrature_table, second_order_tables, simpson, van_loan_derivatives
+from quadrature import (
+    SIGMA_Y_BASIS,
+    quadrature_table,
+    second_order_tables,
+    simpson,
+    van_loan_derivatives,
+)
 
 TAU = 2.0 * math.pi
 
@@ -365,13 +371,16 @@ class TestSectors:
             np.testing.assert_array_equal(sector.e_idle, np.nonzero(parity == sigma)[0])
             assert np.abs(e[:, parity == sigma] - sector.b).max() <= 1e-15
 
-    @pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 5])
     def test_matches_van_loan_with_few_idle_inputs(self, n_max):
         # At n_max 0 the odd sector has no idle level under dim, and at
-        # n_max 1 each sector has one.
-        table = compute_coefficient_table(n_max=n_max)
-        gap, scale = _van_loan_gap(table, range(n_max + 1))
-        assert gap <= 1e-13 * scale
+        # n_max 1 each sector has one.  Odd and even dim put either sector's
+        # parity on the last table row, on the one-loop and two-loop gates.
+        for loops in (1, 2):
+            gate = DimensionlessGateParams.calibrated(loops)
+            table = compute_coefficient_table(gate.omega_tilde, n_max, tau_gate=gate.tau_gate)
+            gap, scale = _van_loan_gap(table, range(n_max + 1))
+            assert gap <= 1e-13 * scale, loops
 
 
 class TestComputeTable:
@@ -741,6 +750,18 @@ class TestPersistence:
         assert p1.read_bytes() == p2.read_bytes()
         load_coefficient_table(p1).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("n_max, loops", [(0, 1), (12, 1), (40, 1), (12, 2)])
+    def test_text_is_the_json_encoding(self, tmp_path, n_max, loops):
+        # The tables are spliced into the text rather than encoded with the
+        # rest; the file must still be the compact, key-sorted json.dumps of
+        # its own content, and the digest it returns the table's.
+        gate = DimensionlessGateParams.calibrated(loops)
+        table = compute_coefficient_table(gate.omega_tilde, n_max, tau_gate=gate.tau_gate)
+        path = tmp_path / "table.json"
+        assert table.save(path) == table.provenance_hash
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
 
     def test_failed_write_leaves_nothing(self, table, tmp_path, monkeypatch):
         # The temporary file is written in full, then the rename fails.

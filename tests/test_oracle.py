@@ -10,12 +10,11 @@ from scipy.linalg import expm
 
 from msgate.cli import main
 from msgate.experiment import SequenceConfig, simulate_fringe
-from msgate.hilbert import SIGMA_Y_BASIS, CompositeState, FockCutoff
+from msgate.hilbert import CompositeState, FockCutoff
 from msgate.ideal import (
     DimensionlessGateParams,
     collective_spin,
     ideal_output_state,
-    ideal_propagator,
     loop_functions,
     ms_target_unitary,
 )
@@ -34,7 +33,7 @@ from msgate.oracle import (
     relative_phase_pair,
     sweep,
 )
-from quadrature import frame_hamiltonian
+from quadrature import SIGMA_Y_BASIS, frame_hamiltonian, ideal_propagator
 
 TAU = 2.0 * math.pi
 

@@ -26,7 +26,6 @@ SRC = ROOT / "src" / "msgate"
 # Public names that only the tests call, each with the reason it stays.  The
 # list only shrinks: a name that gains a package caller must leave it.
 CROSS_CHECK_ONLY = {
-    "ideal.ideal_propagator": "full ideal gate, compared with the oracle at lam = 0",
     "magnus.predicted_state": "second-order state, compared with the oracle's final state",
     "magnus.first_order_traced_unitary": "the paper's effective qubit map at first order",
     "magnus.traced_unitary_factored": "the same map in factored, exactly unitary form",
