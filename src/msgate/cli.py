@@ -497,8 +497,9 @@ def _apply_config(parser, subparsers, config, args, argv):
         raise CliError(f"config section {args.command!r} must be an object")
     if not section:
         return args
+    options = {action.dest for action in subparsers[args.command]._actions} - {"help"}
     for key in section:
-        if not hasattr(args, key.replace("-", "_")):
+        if key.replace("-", "_") not in options:
             raise CliError(f"config key {key!r} is not an option of {args.command!r}")
     subparsers[args.command].set_defaults(
         **{k.replace("-", "_"): v for k, v in section.items()}

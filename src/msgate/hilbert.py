@@ -8,8 +8,10 @@ Conventions used throughout the package
   Every amplitude vector and density matrix in the package uses it.
 * sigma_y eigenbasis: |+> = (|g> + i|e>)/sqrt(2), |-> = (|g> - i|e>)/sqrt(2)
   (eigenvalues +1 and -1); two-qubit order (++, +-, -+, --).
-* Composite kets are stored qubit-major: flat index = q*(n_max+1) + n for
-  qubit-pair index q and Fock level n, i.e. kron(qubit, phonon).
+* Composite kets are plain complex amplitude arrays of length 4*(n_max+1)
+  (a batch is one column each), stored qubit-major: flat index =
+  q*(n_max+1) + n for qubit-pair index q and Fock level n, i.e.
+  kron(qubit, phonon).
 
 Displacement matrix elements <m|D(beta)|n> come from one exact column
 recurrence, :func:`displacement_matrix`.  It gives the matrix elements of
@@ -27,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "FockCutoff",
-    "CompositeState",
     "ThermalDistribution",
     "SIGMA_X",
     "SIGMA_Y",
@@ -69,51 +70,6 @@ class FockCutoff:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"Fock level {n} outside 0..{self.n_max}")
         return qubit * self.dim + n
-
-    def split(self, flat: int) -> tuple[int, int]:
-        """Inverse of :meth:`index`."""
-        return divmod(flat, self.dim)
-
-
-@dataclass
-class CompositeState:
-    """Pure state of two qubits and one mode as a flat amplitude vector."""
-
-    amplitudes: np.ndarray
-    cutoff: FockCutoff
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.cutoff.composite_dim,):
-            raise ValueError(
-                f"amplitude vector has shape {amps.shape}, expected "
-                f"({self.cutoff.composite_dim},)"
-            )
-        self.amplitudes = amps
-
-    @classmethod
-    def basis_state(cls, qubit: int | str, n: int, cutoff: FockCutoff) -> "CompositeState":
-        """|qubit-pair, n> with qubit given as index 0..3 or label like 'gg'."""
-        if isinstance(qubit, str):
-            qubit = QUBIT_LABELS.index(qubit)
-        amps = np.zeros(cutoff.composite_dim, dtype=complex)
-        amps[cutoff.index(qubit, n)] = 1.0
-        return cls(amps, cutoff)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def qubit_block(self, qubit: int) -> np.ndarray:
-        """Phonon amplitudes attached to one qubit-pair index (a view)."""
-        d = self.cutoff.dim
-        return self.amplitudes[qubit * d : (qubit + 1) * d]
-
-    def overlap(self, other: "CompositeState") -> complex:
-        """<self|other>."""
-        if other.cutoff != self.cutoff:
-            raise ValueError("states live on different cutoffs")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 def displacement_matrix(alpha: complex, cutoff: FockCutoff | int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Calibrated force gate: loop functions, ideal output states, target unitary.
+"""Calibrated force gate: loop functions and ideal output states.
 
 The dimensionless Hamiltonian (time tau = epsilon * t, energies over epsilon)
 
@@ -19,23 +19,17 @@ at omega = 1/(2 sqrt K), tau_g = 2*pi*K give the same gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    SIGMA_X,
-    SIGMA_Y,
-    CompositeState,
-    FockCutoff,
-)
+from .hilbert import SIGMA_X, SIGMA_Y, FockCutoff
 
 __all__ = [
     "DimensionlessGateParams",
     "collective_spin",
     "loop_functions",
     "ideal_output_state",
-    "ms_target_unitary",
     "phase_space_trajectory",
     "trajectory_csv",
 ]
@@ -54,13 +48,14 @@ def collective_spin(phi: float = 0.0) -> np.ndarray:
 class DimensionlessGateParams:
     """Gate parameters after rescaling time by the drive detuning.
 
+    The center-line error lam/epsilon is not one of them: every propagator,
+    table and fringe takes it as an argument.
+
     Attributes
     ----------
     omega_tilde:
         Sideband coupling over detuning, eta*Omega/epsilon.  1/2 when
         calibrated for a single-loop maximally entangling gate.
-    lambda_tilde:
-        Qubit-frequency miscalibration over detuning, lam/epsilon (signed).
     tau_gate:
         Dimensionless gate duration; 2*pi closes one loop.
     phi:
@@ -68,12 +63,11 @@ class DimensionlessGateParams:
     """
 
     omega_tilde: float = 0.5
-    lambda_tilde: float = 0.0
     tau_gate: float = TAU_GATE
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("omega_tilde", "lambda_tilde", "tau_gate", "phi"):
+        for name in ("omega_tilde", "tau_gate", "phi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.omega_tilde == 0.0:
@@ -96,24 +90,17 @@ class DimensionlessGateParams:
         lamb_dicke: float,
         rabi_rate: float,
         detuning: float,
-        qubit_shift: float = 0.0,
         phi: float = 0.0,
         n_loops: int = 1,
     ) -> "DimensionlessGateParams":
         """Build from lab-frame angular frequencies (rad/s).
 
         ``detuning`` is the (signed) gap between the drive beat note and the
-        motional sideband; ``qubit_shift`` is the center-line miscalibration.
-        The gate time is n_loops * 2*pi/|detuning|.
+        motional sideband.  The gate time is n_loops * 2*pi/|detuning|.
         """
         if detuning == 0.0:
             raise ValueError("detuning must be nonzero")
-        return cls(
-            omega_tilde=lamb_dicke * rabi_rate / detuning,
-            lambda_tilde=qubit_shift / detuning,
-            tau_gate=n_loops * TAU_GATE,
-            phi=phi,
-        )
+        return cls(lamb_dicke * rabi_rate / detuning, n_loops * TAU_GATE, phi)
 
     @property
     def is_calibrated(self) -> bool:
@@ -121,9 +108,6 @@ class DimensionlessGateParams:
         f, g = loop_functions(self.tau_gate, self)
         area = abs(abs(g) - math.pi / 2.0) < 1e-12
         return bool(abs(f) < 1e-12 and area)
-
-    def with_lambda(self, lambda_tilde: float) -> "DimensionlessGateParams":
-        return replace(self, lambda_tilde=lambda_tilde)
 
 
 def loop_functions(
@@ -140,17 +124,6 @@ def loop_functions(
     return f, g
 
 
-def ms_target_unitary(theta: float = math.pi / 2.0, phi: float = 0.0) -> np.ndarray:
-    """Qubit-only target exp(i theta S_phi^2) as a dense 4x4 matrix.
-
-    S_phi^2 is idempotent on the two-qubit space, so the exponential
-    collapses to 1 + (e^{i theta} - 1) S_phi^2.
-    """
-    s2 = collective_spin(phi)
-    s2 = s2 @ s2
-    return np.eye(4, dtype=complex) + (np.exp(1j * theta) - 1.0) * s2
-
-
 _IDEAL_COMBOS = {
     # label -> ((qubit index, coefficient), ...), overall e^{i pi/4}/sqrt(2)
     "gg": ((0, 1.0), (3, -1.0j)),
@@ -160,10 +133,9 @@ _IDEAL_COMBOS = {
 }
 
 
-def ideal_output_state(
-    label: str, n: int, cutoff: FockCutoff
-) -> CompositeState:
-    """Final state of the calibrated gate on |label, n>, phonons untouched.
+def ideal_output_state(label: str, n: int, cutoff: FockCutoff) -> np.ndarray:
+    """Amplitudes of the calibrated gate's final state on |label, n>,
+    phonons untouched.
 
     exp(i (pi/2) S_y^2) maps each computational pair to an equal-weight Bell
     combination with overall phase e^{i pi/4}.
@@ -174,7 +146,7 @@ def ideal_output_state(
     pref = np.exp(0.25j * math.pi) / math.sqrt(2.0)
     for q, coeff in _IDEAL_COMBOS[label]:
         amps[cutoff.index(q, n)] = pref * coeff
-    return CompositeState(amps, cutoff)
+    return amps
 
 
 def phase_space_trajectory(

@@ -78,7 +78,6 @@ import numpy as np
 from . import __version__
 from .hilbert import (
     QUBIT_LABELS,
-    CompositeState,
     FockCutoff,
     ThermalDistribution,
     displacement_matrix,
@@ -105,8 +104,6 @@ __all__ = [
     "predict_density_matrix",
     "predict_fidelity",
     "predict_purity",
-    "first_order_traced_unitary",
-    "traced_unitary_factored",
     "save_coefficient_table",
     "load_coefficient_table",
 ]
@@ -390,6 +387,7 @@ class CoefficientTable:
     j2: np.ndarray
     j3: np.ndarray
     _derived: "DerivedScalars | None" = field(default=None, repr=False, compare=False)
+    _provenance: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_max(self) -> int:
@@ -415,7 +413,10 @@ class CoefficientTable:
     def provenance_hash(self) -> str:
         """sha256 of the file schema, the parameters and the complex128 bytes
         of the four tables, so a file whose parameters or entries were altered
-        no longer matches the digest it carries."""
+        no longer matches the digest it carries.  A loaded table returns the
+        digest its load verified."""
+        if self._provenance is not None:
+            return self._provenance
         return self._digest(_table_bytes(getattr(self, name)) for name in _TABLE_FIELDS.values())
 
     def _digest(self, blobs) -> str:
@@ -563,10 +564,9 @@ def _check_input(label: str, n: int, table: CoefficientTable) -> None:
         raise ValueError(f"Fock level {n} outside table range 0..{table.n_max}")
 
 
-def first_order_correction(
-    label: str, n: int, table: CoefficientTable
-) -> CompositeState:
-    """State correction psi1; the full state is psi0 - lam*psi1 - lam^2*psi2.
+def first_order_correction(label: str, n: int, table: CoefficientTable) -> np.ndarray:
+    """Amplitudes of the state correction psi1; the full state is
+    psi0 - lam*psi1 - lam^2*psi2.
 
     Column n of the first-order table feeds the diagonal-in-qubit blocks;
     row n (through the conjugate-route hops) feeds the odd-parity blocks.
@@ -592,14 +592,10 @@ def first_order_correction(
     else:  # ge / eg behave identically
         blocks[0][odd] = (-1j * col)[odd]
         blocks[3][odd] = (-1j * col)[odd]
-    cut = table.cutoff
-    amps = np.concatenate([blocks[q] for q in range(4)])
-    return CompositeState(amps, cut)
+    return np.concatenate([blocks[q] for q in range(4)])
 
 
-def second_order_correction(
-    label: str, n: int, table: CoefficientTable
-) -> CompositeState:
+def second_order_correction(label: str, n: int, table: CoefficientTable) -> np.ndarray:
     """State correction psi2 (see :func:`first_order_correction`).
 
     The drive conserves the parity of (qubit excitation + phonon number),
@@ -630,8 +626,7 @@ def second_order_correction(
         blocks[3][odd] = (0.5j * sum_col)[odd]
         blocks[1][even] = (0.5 * diff_col)[even]
         blocks[2][even] = (0.5 * diff_col)[even]
-    amps = np.concatenate([blocks[q] for q in range(4)])
-    return CompositeState(amps, table.cutoff)
+    return np.concatenate([blocks[q] for q in range(4)])
 
 
 def predicted_state(
@@ -640,17 +635,18 @@ def predicted_state(
     lambda_tilde: float,
     table: CoefficientTable,
     order: int = 2,
-) -> CompositeState:
-    """Perturbative final state psi0 - lam*psi1 - lam^2*psi2 (unnormalized)."""
+) -> np.ndarray:
+    """Amplitudes of the perturbative final state psi0 - lam*psi1 - lam^2*psi2
+    (unnormalized)."""
     _check_lambda(lambda_tilde)
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    amps = ideal_output_state(label, n, table.cutoff).amplitudes.copy()
+    amps = ideal_output_state(label, n, table.cutoff)
     if order >= 1:
-        amps -= lambda_tilde * first_order_correction(label, n, table).amplitudes
+        amps -= lambda_tilde * first_order_correction(label, n, table)
     if order >= 2:
-        amps -= lambda_tilde**2 * second_order_correction(label, n, table).amplitudes
-    return CompositeState(amps, table.cutoff)
+        amps -= lambda_tilde**2 * second_order_correction(label, n, table)
+    return amps
 
 
 # --------------------------------------------------------------------------
@@ -830,44 +826,6 @@ def predict_purity(n, lambda_tilde, table: CoefficientTable):
 
 
 # --------------------------------------------------------------------------
-# Effective qubit unitary to first order
-# --------------------------------------------------------------------------
-
-def first_order_traced_unitary(a_n: float, lambda_tilde: float) -> np.ndarray:
-    """Fixed-phase effective qubit map to first order in the miscalibration.
-
-    (1/sqrt2) [[1 - i a lam, 0, 0, -i], [0, 1, i, 0], [0, i, 1, 0],
-               [-i, 0, 0, 1 + i a lam]];
-    the factored product (:func:`traced_unitary_factored`) carries an extra
-    overall phase e^{i pi/4} relative to this matrix.
-    """
-    al = a_n * lambda_tilde
-    m = np.array(
-        [
-            [1.0 - 1j * al, 0, 0, -1j],
-            [0, 1.0, 1j, 0],
-            [0, 1j, 1.0, 0],
-            [-1j, 0, 0, 1.0 + 1j * al],
-        ],
-        dtype=complex,
-    )
-    return m / math.sqrt(2.0)
-
-
-def traced_unitary_factored(a_n: float, lambda_tilde: float) -> np.ndarray:
-    """The same map written as rotation * ideal gate * rotation.
-
-    exp(-i th S_z) exp(i (pi/2) S_y^2) exp(-i th S_z) with th = a*lam/2;
-    equals e^{i pi/4} * first_order_traced_unitary + O(lam^2).
-    """
-    from .ideal import ms_target_unitary
-
-    theta = 0.5 * a_n * lambda_tilde
-    rot = np.diag(np.exp(-1j * theta * np.array([1.0, 0.0, 0.0, -1.0])))
-    return rot @ ms_target_unitary() @ rot
-
-
-# --------------------------------------------------------------------------
 # Persistence
 # --------------------------------------------------------------------------
 
@@ -984,7 +942,8 @@ def load_coefficient_table(path) -> CoefficientTable:
     :attr:`CoefficientTable.provenance_hash`.  A file that is not a JSON
     object, lacks an entry, holds one of the wrong type or fails any check
     but health raises ``ValueError``.  The recomputed scalars are kept for
-    the predictors.
+    the predictors, and the verified digest for
+    :attr:`CoefficientTable.provenance_hash`.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -1025,4 +984,5 @@ def _validated_table(doc: dict) -> CoefficientTable:
             "coefficient file provenance hash does not match its parameters and "
             "tables: rebuild the table with 'msgate coefficients'"
         )
+    table._provenance = doc["provenance_sha256"]
     return table

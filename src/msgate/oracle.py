@@ -25,8 +25,8 @@ e^{i(pi/2 - phi) S_z} turns S_phi into the real S_x, and H' commutes with
 qubit exchange and with the parity (-1)^(N + S_z).  The singlet evolves by
 e^{-iN dt}; the triplet splits by the parity of n + m into two real
 blocks, one ``eigh`` each (49 and 50 states at n_max 32, against one
-complex 132-state ``eigh``).  The RK4 integrator :func:`_rk4` is kept as
-the tests' independent reference route.
+complex 132-state ``eigh``).  The tests check these propagators against
+an independent RK4 route on :func:`hamiltonian_matrix`, kept beside them.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import SIGMA_Z, QUBIT_LABELS, CompositeState, FockCutoff
+from .hilbert import SIGMA_Z, QUBIT_LABELS, FockCutoff
 from .ideal import DimensionlessGateParams, collective_spin, ideal_output_state
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "propagate_ramped_axis",
     "observables",
     "relative_phase_pair",
-    "expectation_trajectory",
     "sweep",
 ]
 
@@ -95,41 +94,20 @@ class IntegratorConfig:
             raise NormDriftError(f"norm drift {drift:.3e} exceeds {self.norm_tolerance:.1e}")
 
 
-def _ladder(dim: int) -> np.ndarray:
-    """Annihilation operator a on 0..dim-1."""
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
-
-
 def hamiltonian_matrix(
-    tau: float, params: DimensionlessGateParams, cutoff: FockCutoff
+    tau: float, params: DimensionlessGateParams, cutoff: FockCutoff, lambda_tilde: float
 ) -> np.ndarray:
-    """Dense static-axis Hamiltonian at dimensionless time tau."""
+    """Dense static-axis Hamiltonian at dimensionless time tau and
+    miscalibration ``lambda_tilde``."""
     d = cutoff.dim
-    a = _ladder(d)
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)  # annihilation
     eye2 = np.eye(2, dtype=complex)
     s_z = 0.5 * (np.kron(SIGMA_Z, eye2) + np.kron(eye2, SIGMA_Z))
     s_phi = collective_spin(params.phi)
     drive = np.exp(1j * tau) * a.conj().T + np.exp(-1j * tau) * a
-    return params.lambda_tilde * np.kron(s_z, np.eye(d)) - params.omega_tilde * np.kron(
+    return lambda_tilde * np.kron(s_z, np.eye(d)) - params.omega_tilde * np.kron(
         s_phi, drive
     )
-
-
-def _rk4(apply_h, psi: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
-    """Classic RK4 for i dpsi/dt = H(t) psi; apply_h(t, psi) -> H(t) psi.
-
-    Not used by the propagators: it is the independent reference route the
-    tests check them against.
-    """
-    h = (t1 - t0) / steps
-    for k in range(steps):
-        t = t0 + k * h
-        k1 = -1j * apply_h(t, psi)
-        k2 = -1j * apply_h(t + 0.5 * h, psi + 0.5 * h * k1)
-        k3 = -1j * apply_h(t + 0.5 * h, psi + 0.5 * h * k2)
-        k4 = -1j * apply_h(t + h, psi + h * k3)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return psi
 
 
 def _diagonals(cutoff: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +135,7 @@ def _symmetry_blocks(n_max: int):
     basis = np.kron(qubit, np.eye(d))[:, np.argsort(block, kind="stable")]
     number, sz = (np.diag(basis.T @ (diag * basis)).copy() for diag in _diagonals(cutoff))
     drive = DimensionlessGateParams(omega_tilde=1.0, phi=np.pi / 2)
-    coupled = basis.T @ hamiltonian_matrix(0.0, drive, cutoff).real @ basis
+    coupled = basis.T @ hamiltonian_matrix(0.0, drive, cutoff, 0.0).real @ basis
     even = np.count_nonzero(block == 0)
     blocks = [(sl, coupled[sl, sl]) for sl in (slice(0, even), slice(even, 3 * d))]
     out = basis.astype(complex), number, sz, blocks
@@ -304,7 +282,7 @@ def observables(final: np.ndarray, initial_label: str, cutoff: FockCutoff) -> di
     rho = v @ np.conj(v.transpose(0, 2, 1))
     row, col = relative_phase_pair(initial_label)
     coh = rho[:, row, col]
-    target = ideal_output_state(initial_label, 0, FockCutoff(0)).amplitudes
+    target = ideal_output_state(initial_label, 0, FockCutoff(0))
     scores = {
         "populations": np.real(np.diagonal(rho, axis1=1, axis2=2)),
         "relative_phase": np.angle(coh),
@@ -318,32 +296,6 @@ def observables(final: np.ndarray, initial_label: str, cutoff: FockCutoff) -> di
     if amps.ndim == 1:
         return {key: value[0] for key, value in scores.items()}
     return scores
-
-
-def expectation_trajectory(
-    initial: CompositeState,
-    params: DimensionlessGateParams,
-    n_records: int = 64,
-    config: IntegratorConfig = IntegratorConfig(),
-) -> dict[str, np.ndarray]:
-    """Record <a>, norm and guard mass at evenly spaced times over the gate.
-
-    One diagonalisation of H' serves every record time.  Raises GuardBandError
-    or NormDriftError when any record exceeds the config's tolerances.
-    """
-    if n_records < 2:
-        raise ValueError("need at least two record points")
-    cutoff = initial.cutoff
-    a_op = np.kron(np.eye(4, dtype=complex), _ladder(cutoff.dim))
-    taus = np.linspace(0.0, params.tau_gate, n_records)
-    chi = _exact_evolve(params.lambda_tilde, params.omega_tilde, params.phi, cutoff,
-                        initial.amplitudes[:, None], taus)
-    psi = np.exp(1j * _diagonals(cutoff)[0] * taus[None, :]) * chi
-    norms = np.linalg.norm(psi, axis=0)
-    a_exp = np.einsum("ij,ij->j", psi.conj(), a_op @ psi) / np.maximum(norms**2, 1e-300)
-    guard = _guard_band_mass(psi, cutoff, config.guard_levels)
-    config.check(np.abs(norms - initial.norm), float(guard.max()))
-    return {"tau": taus, "a_expect": a_exp, "norm": norms, "guard_band_mass": guard}
 
 
 def sweep(

@@ -19,7 +19,8 @@ from scipy import sparse
 from msgate.hilbert import FockCutoff
 from msgate.ideal import DimensionlessGateParams
 from msgate.magnus import QuadratureSpec, compute_coefficient_table
-from msgate.oracle import IntegratorConfig, _rk4, hamiltonian_matrix
+from msgate.oracle import IntegratorConfig, hamiltonian_matrix
+from quadrature import rk4
 
 
 def rk4_static_axis(amps, params, cutoff, lambda_values, steps):
@@ -32,17 +33,16 @@ def rk4_static_axis(amps, params, cutoff, lambda_values, steps):
     at an off-grid point); sparse pieces keep 8192-step runs cheap.
     """
     amps = np.asarray(amps, dtype=complex)
-    drive = params.with_lambda(0.0)
     h0, h1, h2 = (
-        hamiltonian_matrix(t, drive, cutoff) for t in (0.0, math.pi / 2, math.pi)
+        hamiltonian_matrix(t, params, cutoff, 0.0) for t in (0.0, math.pi / 2, math.pi)
     )
     const = (h0 + h2) / 2.0
     up = ((h0 - h2) / 2.0 - 1j * (h1 - const)) / 2.0
-    z = hamiltonian_matrix(0.0, params.with_lambda(1.0), cutoff) - h0
+    z = hamiltonian_matrix(0.0, params, cutoff, 1.0) - h0
     tau, lam = 1.234, 0.37
     rebuilt = const + lam * z + np.exp(1j * tau) * up + np.exp(-1j * tau) * up.conj().T
     np.testing.assert_allclose(
-        rebuilt, hamiltonian_matrix(tau, params.with_lambda(lam), cutoff), atol=1e-14
+        rebuilt, hamiltonian_matrix(tau, params, cutoff, lam), atol=1e-14
     )
     stacked = sparse.csr_matrix(np.vstack([const, z, up, up.conj().T]))
     lam_row = np.broadcast_to(
@@ -53,7 +53,7 @@ def rk4_static_axis(amps, params, cutoff, lambda_values, steps):
         c, zp, u, dn = (stacked @ psi).reshape(4, len(psi), -1)
         return c + lam_row * zp + np.exp(1j * t) * u + np.exp(-1j * t) * dn
 
-    return _rk4(apply_h, amps, 0.0, params.tau_gate, steps)
+    return rk4(apply_h, amps, 0.0, params.tau_gate, steps)
 
 
 def edit_stored_entry(doc, key, part, m, n, change):

@@ -1,4 +1,5 @@
-"""Reference routes for the coefficient tables, used only by the tests.
+"""Reference routes for the coefficient tables and the oracle, used only by
+the tests.
 
 ``quadrature_table`` builds the tables from their integral definitions (see
 the :mod:`msgate.magnus` docstring) by composite Simpson quadrature over one
@@ -16,6 +17,13 @@ Its H' is :func:`frame_hamiltonian`, which the oracle tests use as their
 dense reference too, with :func:`ideal_propagator`, the exact lam = 0 gate
 built in the sigma_y product basis (``SIGMA_Y_BASIS`` maps computational
 coordinates to it).
+
+:func:`rk4` is the fixed-step integrator the oracle's exact propagators are
+checked against, and :func:`expectation_trajectory` records <a> along one
+gate.  :func:`ms_target_unitary` is the qubit-only target gate, and
+:func:`first_order_traced_unitary` / :func:`traced_unitary_factored` the
+paper's effective qubit map to first order in lam.  :func:`basis_state`
+builds the amplitude column of |label, n>.
 """
 
 from __future__ import annotations
@@ -27,10 +35,10 @@ from scipy.linalg import expm
 from scipy.linalg.blas import zgemm
 from scipy.special import gammaln
 
-from msgate.hilbert import FockCutoff, displacement_matrix
+from msgate.hilbert import QUBIT_LABELS, FockCutoff, displacement_matrix
 from msgate.ideal import DimensionlessGateParams, collective_spin, loop_functions
 from msgate.magnus import CoefficientTable, QuadratureSpec
-from msgate.oracle import _diagonals
+from msgate.oracle import IntegratorConfig, _diagonals, _exact_evolve, _guard_band_mass
 
 # Outer-time rows of the 2D grid per moment call; bounds the workspace.
 CHUNK_ROWS = 16
@@ -230,3 +238,94 @@ def ideal_propagator(
     u[3 * d :, 3 * d :] = phase * displacement_matrix(-complex(f), cutoff)
     big_w = np.kron(SIGMA_Y_BASIS, np.eye(d, dtype=complex))
     return big_w.conj().T @ u @ big_w
+
+
+def basis_state(label: str, n: int, cutoff: FockCutoff) -> np.ndarray:
+    """Amplitudes of |label, n>, the qubit pair given as 'gg', 'ge', 'eg' or 'ee'."""
+    amps = np.zeros(cutoff.composite_dim, dtype=complex)
+    amps[cutoff.index(QUBIT_LABELS.index(label), n)] = 1.0
+    return amps
+
+
+def rk4(apply_h, psi: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
+    """Classic RK4 for i dpsi/dt = H(t) psi; apply_h(t, psi) -> H(t) psi."""
+    h = (t1 - t0) / steps
+    for k in range(steps):
+        t = t0 + k * h
+        k1 = -1j * apply_h(t, psi)
+        k2 = -1j * apply_h(t + 0.5 * h, psi + 0.5 * h * k1)
+        k3 = -1j * apply_h(t + 0.5 * h, psi + 0.5 * h * k2)
+        k4 = -1j * apply_h(t + h, psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return psi
+
+
+def expectation_trajectory(
+    initial: np.ndarray,
+    cutoff: FockCutoff,
+    params: DimensionlessGateParams,
+    lambda_tilde: float,
+    n_records: int = 64,
+    config: IntegratorConfig = IntegratorConfig(),
+) -> dict[str, np.ndarray]:
+    """Record <a>, norm and guard mass at evenly spaced times over the gate.
+
+    ``initial`` is one amplitude column on ``cutoff``.  One diagonalisation
+    of H' serves every record time.  Raises GuardBandError or NormDriftError
+    when any record exceeds the config's tolerances.
+    """
+    if n_records < 2:
+        raise ValueError("need at least two record points")
+    a_op = np.kron(np.eye(4), np.diag(np.sqrt(np.arange(1.0, cutoff.dim)), 1))
+    taus = np.linspace(0.0, params.tau_gate, n_records)
+    chi = _exact_evolve(lambda_tilde, params.omega_tilde, params.phi, cutoff,
+                        initial[:, None], taus)
+    psi = np.exp(1j * _diagonals(cutoff)[0] * taus[None, :]) * chi
+    norms = np.linalg.norm(psi, axis=0)
+    a_exp = np.einsum("ij,ij->j", psi.conj(), a_op @ psi) / np.maximum(norms**2, 1e-300)
+    guard = _guard_band_mass(psi, cutoff, config.guard_levels)
+    config.check(np.abs(norms - np.linalg.norm(initial)), float(guard.max()))
+    return {"tau": taus, "a_expect": a_exp, "norm": norms, "guard_band_mass": guard}
+
+
+def ms_target_unitary(theta: float = math.pi / 2.0, phi: float = 0.0) -> np.ndarray:
+    """Qubit-only target exp(i theta S_phi^2) as a dense 4x4 matrix.
+
+    S_phi^2 is idempotent on the two-qubit space, so the exponential
+    collapses to 1 + (e^{i theta} - 1) S_phi^2.
+    """
+    s2 = collective_spin(phi)
+    s2 = s2 @ s2
+    return np.eye(4, dtype=complex) + (np.exp(1j * theta) - 1.0) * s2
+
+
+def first_order_traced_unitary(a_n: float, lambda_tilde: float) -> np.ndarray:
+    """Fixed-phase effective qubit map to first order in the miscalibration.
+
+    (1/sqrt2) [[1 - i a lam, 0, 0, -i], [0, 1, i, 0], [0, i, 1, 0],
+               [-i, 0, 0, 1 + i a lam]];
+    the factored product (:func:`traced_unitary_factored`) carries an extra
+    overall phase e^{i pi/4} relative to this matrix.
+    """
+    al = a_n * lambda_tilde
+    m = np.array(
+        [
+            [1.0 - 1j * al, 0, 0, -1j],
+            [0, 1.0, 1j, 0],
+            [0, 1j, 1.0, 0],
+            [-1j, 0, 0, 1.0 + 1j * al],
+        ],
+        dtype=complex,
+    )
+    return m / math.sqrt(2.0)
+
+
+def traced_unitary_factored(a_n: float, lambda_tilde: float) -> np.ndarray:
+    """The same map written as rotation * ideal gate * rotation.
+
+    exp(-i th S_z) exp(i (pi/2) S_y^2) exp(-i th S_z) with th = a*lam/2;
+    equals e^{i pi/4} * first_order_traced_unitary + O(lam^2).
+    """
+    theta = 0.5 * a_n * lambda_tilde
+    rot = np.diag(np.exp(-1j * theta * np.array([1.0, 0.0, 0.0, -1.0])))
+    return rot @ ms_target_unitary() @ rot

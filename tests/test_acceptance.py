@@ -24,7 +24,7 @@ from msgate.experiment import (
     sample_fringe,
     simulate_fringe,
 )
-from msgate.hilbert import CompositeState, displacement_matrix
+from msgate.hilbert import displacement_matrix
 from msgate.ideal import DimensionlessGateParams, ideal_output_state
 from msgate.magnus import (
     QuadratureSpec,
@@ -41,7 +41,7 @@ from msgate.oracle import (
     propagate_batch,
     relative_phase_pair,
 )
-from quadrature import quadrature_table
+from quadrature import basis_state, quadrature_table
 
 EPSILON = -2.0 * math.pi * 11e3  # rad/s
 H = 0.01
@@ -119,7 +119,7 @@ def test_2_ideal_gate_regression(capsys, oracle_cutoff, fast_integrator):
     )
     assert drift.max() < 1e-9 and guard < 1e-9
     worst_entry = max(
-        np.abs(final[:, j] - ideal_output_state(label, n, oracle_cutoff).amplitudes).max()
+        np.abs(final[:, j] - ideal_output_state(label, n, oracle_cutoff)).max()
         for j, (_, label, n) in enumerate(pairs)
     )
     # Columns 4q..4q+3 hold the four Fock inputs of label q.
@@ -325,15 +325,13 @@ def test_8_closed_loop_calibration(capsys, table):
 
 
 def test_9_numerical_hygiene(capsys, oracle_cutoff, rk4_static, tmp_path):
-    params = DimensionlessGateParams(lambda_tilde=0.05)
-    initial = CompositeState.basis_state("gg", 1, oracle_cutoff)
-    exact, drift, _ = propagate_batch(
-        initial.amplitudes, oracle_cutoff, params, 0.05, IntegratorConfig()
-    )
+    params = DimensionlessGateParams()
+    initial = basis_state("gg", 1, oracle_cutoff)
+    exact, drift, _ = propagate_batch(initial, oracle_cutoff, params, 0.05, IntegratorConfig())
     drift = float(drift.max())
     drift_ok = drift <= 1e-9
 
-    column = initial.amplitudes[:, None]
+    column = initial[:, None]
     errors = [
         np.abs(
             rk4_static(column, params, oracle_cutoff, [0.05], s)[:, 0]

@@ -10,6 +10,7 @@ from msgate.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from msgate.experiment import SequenceConfig, run_calibration
 from msgate.hilbert import ThermalDistribution
 from msgate.magnus import (
+    CoefficientTable,
     QuadratureSpec,
     compute_coefficient_table,
     load_coefficient_table,
@@ -149,7 +150,7 @@ class TestPredict:
         assert "n_max" not in err
 
     def test_schema_1_table_file_refused(self, table_file, tmp_path, capsys):
-        doc = json.loads(open(table_file).read())
+        doc = json.loads(Path(table_file).read_text())
         doc["schema"] = "msgate/coefficients/1"
         path = tmp_path / "v1.json"
         path.write_text(json.dumps(doc))
@@ -160,7 +161,7 @@ class TestPredict:
 
     def test_schema_2_table_file_refused(self, table_file, table, tmp_path, capsys):
         # Version 2 stored each table as nested re/im float lists.
-        doc = json.loads(open(table_file).read())
+        doc = json.loads(Path(table_file).read_text())
         doc["schema"] = "msgate/coefficients/2"
         doc["tables"] = {
             key: {"re": arr.real.tolist(), "im": arr.imag.tolist()}
@@ -176,7 +177,7 @@ class TestPredict:
 
     def test_non_finite_table_file_refused(self, table_file, tmp_path, capsys,
                                            edit_table_entry):
-        doc = json.loads(open(table_file).read())
+        doc = json.loads(Path(table_file).read_text())
         edit_table_entry(doc, "i", "re", 0, 0, lambda x: float("inf"))
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(doc))
@@ -333,6 +334,25 @@ class TestCalibrate:
         assert len(doc["scan"]["phi_d"]) == len(doc["scan"]["p_ee"]) == 16
         assert "+30.000 Hz" in capsys.readouterr().out
 
+    def test_table_is_hashed_once(self, table, table_file, tmp_path, monkeypatch):
+        # The load verifies the stored digest; the report's provenance reuses
+        # it instead of hashing the tables again.
+        expected, calls = table.provenance_hash, []
+        digest = CoefficientTable._digest
+
+        def counted(self, blobs):
+            calls.append(1)
+            return digest(self, blobs)
+
+        monkeypatch.setattr(CoefficientTable, "_digest", counted)
+        out = tmp_path / "report.json"
+        rc = main(["calibrate", "--table", table_file, "--engine",
+                   "first_order_model", "--detuning-hz", "-11000",
+                   "--shift-hz", "30", "--shots", "0", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert len(calls) == 1
+        assert json.loads(out.read_text())["inputs"]["table_provenance"] == expected
+
     @pytest.mark.parametrize("mode, fock, n_bar", [
         ([], 0, None),
         (["--fock-initial", "2"], 2, None),
@@ -486,6 +506,18 @@ class TestConfigFile:
         rc = main(["--config", str(path), "calibrate"])
         assert rc == EXIT_USAGE
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", [{"func": 1}, {"command": "sweep"}])
+    def test_key_that_is_not_an_option(self, tmp_path, capsys, section):
+        # Namespace attributes that no option sets (the handler, the
+        # subcommand name) are not config keys either.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"trajectory": section}))
+        rc = main(["--config", str(path), "trajectory"])
+        assert rc == EXIT_USAGE
+        key, = section
+        assert f"config key {key!r} is not an option of 'trajectory'" in capsys.readouterr().err
+        assert not Path("trajectory.csv").exists()
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from msgate.hilbert import (
-    CompositeState,
     FockCutoff,
     ThermalDistribution,
     displacement_matrix,
     level_weights,
     thermal_probabilities,
 )
+from msgate.ideal import ideal_output_state
 from msgate.oracle import observables
 from quadrature import SIGMA_Y_BASIS, displacement_from_moments, power_moments
 
@@ -159,22 +159,18 @@ class TestFrames:
 
 
 class TestCompositeState:
+    """A composite state is a plain amplitude column, qubit-major."""
+
     def test_indexing(self):
         cutoff = FockCutoff(4)
         assert cutoff.dim == 5
         assert cutoff.composite_dim == 20
         assert cutoff.index(2, 3) == 13
-        assert cutoff.split(13) == (2, 3)
-
-    def test_basis_state_by_label(self):
-        cutoff = FockCutoff(2)
-        state = CompositeState.basis_state("eg", 1, cutoff)
-        assert state.amplitudes[cutoff.index(2, 1)] == 1.0
-        assert state.norm == pytest.approx(1.0)
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError, match="amplitude vector"):
-            CompositeState(np.zeros(7), FockCutoff(2))
+        assert [divmod(cutoff.index(q, n), cutoff.dim) for q in range(4)
+                for n in range(5)] == [(q, n) for q in range(4) for n in range(5)]
+        for q, n in ((4, 0), (-1, 0), (0, 5), (0, -1)):
+            with pytest.raises(ValueError):
+                cutoff.index(q, n)
 
 
 def assert_density_matrix(rho, atol=1e-10):
@@ -207,11 +203,15 @@ class TestReducedState:
         assert obs["purity"] == pytest.approx(0.5, abs=1e-12)
 
     def test_fidelity_bounds(self):
+        # Against the ideal gg output: 1 for that output, 0 for the ideal ee
+        # output (orthogonal to it), 1/2 for the untouched input |gg, 0>.
         cutoff = FockCutoff(2)
-        a = CompositeState.basis_state("gg", 0, cutoff)
-        b = CompositeState.basis_state("ee", 0, cutoff)
-        assert abs(a.overlap(a)) ** 2 == pytest.approx(1.0)
-        assert abs(a.overlap(b)) ** 2 == 0.0
+        gg, ee = (ideal_output_state(label, 0, cutoff) for label in ("gg", "ee"))
+        assert observables(gg, "gg", cutoff)["fidelity"] == pytest.approx(1.0, abs=1e-15)
+        assert observables(ee, "gg", cutoff)["fidelity"] == pytest.approx(0.0, abs=1e-15)
+        start = np.zeros(cutoff.composite_dim, dtype=complex)
+        start[cutoff.index(0, 0)] = 1.0
+        assert observables(start, "gg", cutoff)["fidelity"] == pytest.approx(0.5, abs=1e-15)
 
 
 class TestThermal:

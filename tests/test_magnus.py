@@ -40,7 +40,6 @@ from msgate.magnus import (
     compute_second_order_tables,
     derived_scalars,
     first_order_correction,
-    first_order_traced_unitary,
     load_coefficient_table,
     predict_coherence,
     predict_density_matrix,
@@ -50,13 +49,14 @@ from msgate.magnus import (
     predict_purity,
     predicted_state,
     second_order_correction,
-    traced_unitary_factored,
 )
 from quadrature import (
     SIGMA_Y_BASIS,
+    first_order_traced_unitary,
     quadrature_table,
     second_order_tables,
     simpson,
+    traced_unitary_factored,
     van_loan_derivatives,
 )
 
@@ -254,7 +254,7 @@ def _van_loan_gap(table, levels, pad=30):
             for deriv, correction in ((first, first_order_correction),
                                       (second, second_order_correction)):
                 want = -deriv[:, col].reshape(4, big.dim)[:, :dim].ravel()
-                got = correction(label, n, table).amplitudes
+                got = correction(label, n, table)
                 gaps.append(np.abs(got - want).max())
                 scales.append(np.abs(want).max())
     return float(np.max(gaps)), float(np.max(scales))  # np.max keeps a nan
@@ -458,54 +458,52 @@ class TestDerivedScalars:
 class TestCorrectionStates:
     def test_first_order_parity_structure(self, table):
         n = 2
-        psi1 = first_order_correction("gg", n, table)
+        psi1 = first_order_correction("gg", n, table).reshape(4, -1)
         dim = table.cutoff.dim
         m = np.arange(dim)
         even = (m - n) % 2 == 0
         for q in (0, 3):
-            assert np.all(psi1.qubit_block(q)[~even] == 0.0)
+            assert np.all(psi1[q][~even] == 0.0)
         for q in (1, 2):
-            assert np.all(psi1.qubit_block(q)[even] == 0.0)
-            assert np.abs(psi1.qubit_block(q)[~even]).max() > 0
+            assert np.all(psi1[q][even] == 0.0)
+            assert np.abs(psi1[q][~even]).max() > 0
 
     def test_second_order_cross_blocks(self, table):
         # A |gg,n> input leaves odd-parity second-order weight on the ge/eg
         # blocks; a |ge,n> input leaves odd-parity weight on gg/ee.
-        psi2 = second_order_correction("gg", 1, table)
-        assert np.abs(psi2.qubit_block(1)).max() > 1e-3
+        psi2 = second_order_correction("gg", 1, table).reshape(4, -1)
+        assert np.abs(psi2[1]).max() > 1e-3
         np.testing.assert_allclose(
-            psi2.qubit_block(1), psi2.qubit_block(2), atol=1e-15
+            psi2[1], psi2[2], atol=1e-15
         )
-        psi2_mid = second_order_correction("ge", 1, table)
-        assert np.abs(psi2_mid.qubit_block(0)).max() > 1e-3
+        psi2_mid = second_order_correction("ge", 1, table).reshape(4, -1)
+        assert np.abs(psi2_mid[0]).max() > 1e-3
         np.testing.assert_allclose(
-            psi2_mid.qubit_block(0), -psi2_mid.qubit_block(3), atol=1e-15
+            psi2_mid[0], -psi2_mid[3], atol=1e-15
         )
 
     def test_ee_mirrors_gg(self, table):
         # Swapping g<->e on both qubits swaps the roles of the gg/ee blocks
         # and flips the sign of the first-order diagonal pieces.
         n = 2
-        gg1 = first_order_correction("gg", n, table)
-        ee1 = first_order_correction("ee", n, table)
+        gg1 = first_order_correction("gg", n, table).reshape(4, -1)
+        ee1 = first_order_correction("ee", n, table).reshape(4, -1)
         np.testing.assert_allclose(
-            ee1.qubit_block(3), -gg1.qubit_block(0), atol=1e-15
+            ee1[3], -gg1[0], atol=1e-15
         )
         np.testing.assert_allclose(
-            ee1.qubit_block(0), -gg1.qubit_block(3), atol=1e-15
+            ee1[0], -gg1[3], atol=1e-15
         )
 
     def test_predicted_state_orders(self, table):
         lam = 0.05
         psi0 = predicted_state("gg", 0, lam, table, order=0)
-        np.testing.assert_allclose(
-            psi0.amplitudes, ideal_output_state("gg", 0, table.cutoff).amplitudes
-        )
+        np.testing.assert_allclose(psi0, ideal_output_state("gg", 0, table.cutoff))
         psi1 = predicted_state("gg", 0, lam, table, order=1)
         psi2 = predicted_state("gg", 0, lam, table, order=2)
-        diff = np.linalg.norm(psi2.amplitudes - psi1.amplitudes)
+        diff = np.linalg.norm(psi2 - psi1)
         assert diff == pytest.approx(
-            lam**2 * second_order_correction("gg", 0, table).norm, rel=1e-12
+            lam**2 * np.linalg.norm(second_order_correction("gg", 0, table)), rel=1e-12
         )
         with pytest.raises(ValueError, match="order"):
             predicted_state("gg", 0, lam, table, order=3)
@@ -660,7 +658,7 @@ class TestPredictorGrid:
     @pytest.mark.parametrize("initial", ["gg", "ee"])
     def test_fidelity_is_target_overlap(self, table40, initial):
         rho = predict_density_matrix(self.LEVELS, self.LAMS, table40, initial)
-        target = ideal_output_state(initial, 0, FockCutoff(0)).amplitudes
+        target = ideal_output_state(initial, 0, FockCutoff(0))
         overlap = np.einsum("i,...ij,j->...", target.conj(), rho, target)
         fid = predict_fidelity(self.LEVELS, self.LAMS, table40)
         assert np.abs(overlap.imag).max() <= 1e-15

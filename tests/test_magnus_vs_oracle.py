@@ -97,12 +97,7 @@ class TestStateResidualScaling:
             residuals = []
             for j, lam in enumerate(lams):
                 pred = predicted_state(label, n, float(lam), table, order=order)
-                padded = np.concatenate(
-                    [
-                        np.pad(pred.qubit_block(q), (0, pad // 4))
-                        for q in range(4)
-                    ]
-                )
+                padded = np.pad(pred.reshape(4, -1), ((0, 0), (0, pad // 4))).ravel()
                 residuals.append(np.linalg.norm(final[:, j] - padded))
             slopes[order] = np.polyfit(np.log(lams), np.log(residuals), 1)[0]
 

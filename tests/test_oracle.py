@@ -10,22 +10,19 @@ from scipy.linalg import expm
 
 from msgate.cli import main
 from msgate.experiment import SequenceConfig, simulate_fringe
-from msgate.hilbert import CompositeState, FockCutoff
+from msgate.hilbert import FockCutoff
 from msgate.ideal import (
     DimensionlessGateParams,
     collective_spin,
     ideal_output_state,
     loop_functions,
-    ms_target_unitary,
 )
 from msgate.oracle import (
     GuardBandError,
     IntegratorConfig,
     NormDriftError,
     _exact_evolve,
-    _rk4,
     _symmetry_blocks,
-    expectation_trajectory,
     hamiltonian_matrix,
     observables,
     propagate_batch,
@@ -33,22 +30,29 @@ from msgate.oracle import (
     relative_phase_pair,
     sweep,
 )
-from quadrature import SIGMA_Y_BASIS, frame_hamiltonian, ideal_propagator
+from quadrature import (
+    SIGMA_Y_BASIS,
+    basis_state,
+    expectation_trajectory,
+    frame_hamiltonian,
+    ideal_propagator,
+    ms_target_unitary,
+    rk4,
+)
 
 TAU = 2.0 * math.pi
 
 
 class TestHamiltonian:
     def test_hermitian(self):
-        params = DimensionlessGateParams(lambda_tilde=0.07)
+        params = DimensionlessGateParams()
         for tau in (0.0, 1.1, 4.5):
-            h = hamiltonian_matrix(tau, params, FockCutoff(5))
+            h = hamiltonian_matrix(tau, params, FockCutoff(5), 0.07)
             np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
 
     def test_sz_sign_on_gg(self):
         # <gg,0| H |gg,0> = lambda * <gg|S_z|gg> = +lambda in this frame.
-        params = DimensionlessGateParams(lambda_tilde=0.3)
-        h = hamiltonian_matrix(0.0, params, FockCutoff(2))
+        h = hamiltonian_matrix(0.0, DimensionlessGateParams(), FockCutoff(2), 0.3)
         assert h[0, 0] == pytest.approx(0.3)
         ee = FockCutoff(2).index(3, 0)
         assert h[ee, ee] == pytest.approx(-0.3)
@@ -56,13 +60,13 @@ class TestHamiltonian:
     def test_rotating_frame_hamiltonian_is_constant(self, oracle_cutoff):
         # e^{-iN tau} H(tau) e^{iN tau} + N is the same matrix at every tau:
         # the H' whose eigendecomposition the exact propagator uses.
-        params = DimensionlessGateParams(lambda_tilde=0.04, phi=0.3)
+        params = DimensionlessGateParams(phi=0.3)
         number = np.tile(np.arange(oracle_cutoff.dim, dtype=float), 4)
         expected = frame_hamiltonian(0.04, 0.5, 0.3, oracle_cutoff)
         for tau in (0.0, 0.7, 2.9, 5.1):
             rot = np.exp(-1j * tau * number)
             framed = (
-                rot[:, None] * hamiltonian_matrix(tau, params, oracle_cutoff) * rot.conj()
+                rot[:, None] * hamiltonian_matrix(tau, params, oracle_cutoff, 0.04) * rot.conj()
                 + np.diag(number)
             )
             np.testing.assert_allclose(framed, expected, atol=1e-14)
@@ -92,20 +96,19 @@ class TestSymmetryBlocks:
         # One input column at many durations, directly and through the
         # trajectory recorder (<a> in the lab frame at every record).
         cutoff = FockCutoff(n_max)
-        params = DimensionlessGateParams(omega_tilde=GRID_OMEGA[1], lambda_tilde=0.07, phi=2.0)
+        params, lam = DimensionlessGateParams(omega_tilde=GRID_OMEGA[1], phi=2.0), 0.07
         rng = np.random.default_rng(n_max)
         psi0 = rng.normal(size=cutoff.composite_dim) + 1j * rng.normal(size=cutoff.composite_dim)
         psi0 /= np.linalg.norm(psi0)
-        h = frame_hamiltonian(params.lambda_tilde, params.omega_tilde, params.phi, cutoff)
+        h = frame_hamiltonian(lam, params.omega_tilde, params.phi, cutoff)
         taus = np.linspace(0.0, params.tau_gate, 9)
         dense = np.stack([expm(-1j * t * h) @ psi0 for t in taus], axis=1)
-        chi = _exact_evolve(params.lambda_tilde, params.omega_tilde, params.phi, cutoff,
-                            psi0[:, None], taus)
+        chi = _exact_evolve(lam, params.omega_tilde, params.phi, cutoff, psi0[:, None], taus)
         assert np.abs(chi - dense).max() <= 1e-12
 
         # Small cutoffs fill the guard band; only the amplitudes are checked.
         permissive = IntegratorConfig(guard_tolerance=np.inf)
-        traj = expectation_trajectory(CompositeState(psi0, cutoff), params, 9, permissive)
+        traj = expectation_trajectory(psi0, cutoff, params, lam, 9, permissive)
         lab = np.exp(1j * np.tile(np.arange(cutoff.dim), 4)[:, None] * taus) * dense
         a_op = np.kron(np.eye(4), np.diag(np.sqrt(np.arange(1.0, cutoff.dim)), 1))
         a_dense = np.einsum("ij,ij->j", lab.conj(), a_op @ lab)
@@ -168,7 +171,7 @@ class TestExactVsRK4:
                     e * x + np.conj(e) * x_dag
                 )
 
-            return _rk4(apply_h, amps, span[0], span[1], self.STEPS)
+            return rk4(apply_h, amps, span[0], span[1], self.STEPS)
 
         init = np.zeros((4 * d, 2), dtype=complex)
         init[oracle_cutoff.index(0, 0), 0] = init[oracle_cutoff.index(0, 1), 1] = 1.0
@@ -197,21 +200,17 @@ class TestCalibratedPoint:
         params = DimensionlessGateParams()
         u = ideal_propagator(TAU, params, oracle_cutoff)
         for label, n in (("gg", 0), ("ge", 1), ("ee", 2)):
-            initial = CompositeState.basis_state(label, n, oracle_cutoff)
-            final, _, _ = propagate_batch(
-                initial.amplitudes, oracle_cutoff, params, 0.0, fast_integrator
-            )
-            expected = u @ initial.amplitudes
+            initial = basis_state(label, n, oracle_cutoff)
+            final, _, _ = propagate_batch(initial, oracle_cutoff, params, 0.0, fast_integrator)
+            expected = u @ initial
             np.testing.assert_allclose(final, expected, atol=1e-9)
 
     def test_full_gate_fidelity(self, oracle_cutoff, fast_integrator):
         params = DimensionlessGateParams()
-        initial = CompositeState.basis_state("gg", 1, oracle_cutoff)
-        final, drift, _ = propagate_batch(
-            initial.amplitudes, oracle_cutoff, params, 0.0, fast_integrator
-        )
+        initial = basis_state("gg", 1, oracle_cutoff)
+        final, drift, _ = propagate_batch(initial, oracle_cutoff, params, 0.0, fast_integrator)
         target = ideal_output_state("gg", 1, oracle_cutoff)
-        fidelity = abs(CompositeState(final, oracle_cutoff).overlap(target)) ** 2
+        fidelity = abs(np.vdot(final, target)) ** 2
         assert fidelity == pytest.approx(1.0, abs=1e-10)
         assert drift.max() < 1e-10
 
@@ -220,14 +219,14 @@ class TestHealthChecks:
     def test_guard_band_raises_on_small_cutoff(self):
         params = DimensionlessGateParams()
         cutoff = FockCutoff(4)
-        initial = CompositeState.basis_state("gg", 0, cutoff)
+        initial = basis_state("gg", 0, cutoff)
         with pytest.raises(GuardBandError, match="guard-band"):
-            propagate_batch(initial.amplitudes, cutoff, params, 0.0)
+            propagate_batch(initial, cutoff, params, 0.0)
 
     def test_norm_drift_reported(self, oracle_cutoff, rk4_static):
-        params = DimensionlessGateParams(lambda_tilde=0.05)
-        initial = CompositeState.basis_state("gg", 0, oracle_cutoff)
-        column = initial.amplitudes[:, None]
+        params = DimensionlessGateParams()
+        initial = basis_state("gg", 0, oracle_cutoff)
+        column = initial[:, None]
 
         def rk4_drift(steps):
             final = rk4_static(column, params, oracle_cutoff, [0.05], steps)
@@ -236,7 +235,7 @@ class TestHealthChecks:
         coarse, fine = rk4_drift(64), rk4_drift(4096)
         assert fine < coarse
         assert fine < 1e-9
-        _, drift, _ = propagate_batch(initial.amplitudes, oracle_cutoff, params, 0.05)
+        _, drift, _ = propagate_batch(initial, oracle_cutoff, params, 0.05)
         assert drift.max() < 1e-12
 
     def test_norm_tolerance_enforced(self, oracle_cutoff):
@@ -247,14 +246,14 @@ class TestHealthChecks:
         # Every propagator applies the check itself: no drift, however
         # small, passes a negative tolerance.
         strict = IntegratorConfig(norm_tolerance=-1.0)
-        state = CompositeState.basis_state("gg", 0, oracle_cutoff)
-        params = DimensionlessGateParams(lambda_tilde=0.01)
+        state = basis_state("gg", 0, oracle_cutoff)
+        params = DimensionlessGateParams()
         calls = [
-            lambda: propagate_batch(state.amplitudes, oracle_cutoff, params, 0.01, strict),
+            lambda: propagate_batch(state, oracle_cutoff, params, 0.01, strict),
             lambda: propagate_ramped_axis(
-                state.amplitudes, oracle_cutoff, 0.5, 0.01, 0.0, (0.0, TAU), strict
+                state, oracle_cutoff, 0.5, 0.01, 0.0, (0.0, TAU), strict
             ),
-            lambda: expectation_trajectory(state, params, config=strict),
+            lambda: expectation_trajectory(state, oracle_cutoff, params, 0.01, config=strict),
         ]
         for call in calls:
             with pytest.raises(NormDriftError, match="norm drift"):
@@ -268,9 +267,9 @@ class TestHealthChecks:
 class TestConvergence:
     def test_rk4_fourth_order(self, rk4_static):
         # Global error should drop ~16x per step doubling.
-        params = DimensionlessGateParams(lambda_tilde=0.1)
+        params = DimensionlessGateParams()
         cutoff = FockCutoff(16)
-        initial = CompositeState.basis_state("gg", 0, cutoff).amplitudes[:, None]
+        initial = basis_state("gg", 0, cutoff)[:, None]
         ref = rk4_static(initial, params, cutoff, [0.1], 8192)
         errors = []
         for steps in (64, 128, 256):
@@ -287,13 +286,12 @@ class TestRampedAxis:
         self, oracle_cutoff, fast_integrator
     ):
         params = DimensionlessGateParams()
-        initial = CompositeState.basis_state("gg", 0, oracle_cutoff)
+        initial = basis_state("gg", 0, oracle_cutoff)
         static, _, _ = propagate_batch(
-            initial.amplitudes, oracle_cutoff, params, np.array([0.0]),
-            fast_integrator,
+            initial, oracle_cutoff, params, np.array([0.0]), fast_integrator,
         )
         ramped, _, _ = propagate_ramped_axis(
-            initial.amplitudes, oracle_cutoff, 0.5, 0.0, np.array([0.0]),
+            initial, oracle_cutoff, 0.5, 0.0, np.array([0.0]),
             (0.0, TAU), fast_integrator,
         )
         np.testing.assert_allclose(ramped, static, atol=1e-9)
@@ -302,14 +300,13 @@ class TestRampedAxis:
         # The two frames differ by a qubit-diagonal rotation, so populations
         # agree even away from calibration.
         lam = 0.05
-        params = DimensionlessGateParams(lambda_tilde=lam)
-        initial = CompositeState.basis_state("gg", 0, oracle_cutoff)
+        params = DimensionlessGateParams()
+        initial = basis_state("gg", 0, oracle_cutoff)
         static, _, _ = propagate_batch(
-            initial.amplitudes, oracle_cutoff, params, np.array([lam]),
-            fast_integrator,
+            initial, oracle_cutoff, params, np.array([lam]), fast_integrator,
         )
         ramped, _, _ = propagate_ramped_axis(
-            initial.amplitudes, oracle_cutoff, 0.5, lam, np.array([0.0]),
+            initial, oracle_cutoff, 0.5, lam, np.array([0.0]),
             (0.0, TAU), fast_integrator,
         )
         pop_static = (np.abs(static.reshape(4, -1)) ** 2).sum(axis=1)
@@ -321,16 +318,16 @@ class TestRampedAxis:
         # the axis angle depends on absolute s, not time since gate start.
         lam = 0.02
         config = IntegratorConfig(steps_per_gate=2048)
-        initial = CompositeState.basis_state("gg", 0, oracle_cutoff)
+        initial = basis_state("gg", 0, oracle_cutoff)
         mid, _, _ = propagate_ramped_axis(
-            initial.amplitudes, oracle_cutoff, 0.5, lam, np.array([0.0]),
+            initial, oracle_cutoff, 0.5, lam, np.array([0.0]),
             (0.0, TAU), config,
         )
         two_step, _, _ = propagate_ramped_axis(
             mid, oracle_cutoff, 0.5, lam, np.array([0.0]), (TAU, 2 * TAU), config
         )
         single, _, _ = propagate_ramped_axis(
-            initial.amplitudes, oracle_cutoff, 0.5, lam, np.array([0.0]),
+            initial, oracle_cutoff, 0.5, lam, np.array([0.0]),
             (0.0, 2 * TAU), IntegratorConfig(steps_per_gate=4096),
         )
         np.testing.assert_allclose(two_step, single, atol=1e-9)
@@ -339,10 +336,8 @@ class TestRampedAxis:
 class TestObservables:
     def test_ideal_scorecard(self, oracle_cutoff, fast_integrator):
         params = DimensionlessGateParams()
-        initial = CompositeState.basis_state("gg", 0, oracle_cutoff)
-        final, _, _ = propagate_batch(
-            initial.amplitudes, oracle_cutoff, params, 0.0, fast_integrator
-        )
+        initial = basis_state("gg", 0, oracle_cutoff)
+        final, _, _ = propagate_batch(initial, oracle_cutoff, params, 0.0, fast_integrator)
         obs = observables(final, "gg", oracle_cutoff)
         np.testing.assert_allclose(
             obs["populations"], [0.5, 0.0, 0.0, 0.5], atol=1e-9
@@ -392,11 +387,9 @@ class TestObservables:
         assert relative_phase_pair("ge") == (2, 1)
 
     def test_idle_pair_phase(self, oracle_cutoff, fast_integrator):
-        params = DimensionlessGateParams(lambda_tilde=0.03)
-        initial = CompositeState.basis_state("ge", 0, oracle_cutoff)
-        final, _, _ = propagate_batch(
-            initial.amplitudes, oracle_cutoff, params, 0.03, fast_integrator
-        )
+        params = DimensionlessGateParams()
+        initial = basis_state("ge", 0, oracle_cutoff)
+        final, _, _ = propagate_batch(initial, oracle_cutoff, params, 0.03, fast_integrator)
         obs = observables(final, "ge", oracle_cutoff)
         # No first-order phase shift on the idle pair: +pi/2 to O(lam^2).
         assert obs["relative_phase"] == pytest.approx(math.pi / 2, abs=1e-2)
@@ -408,11 +401,11 @@ class TestTrajectory:
         def plus_plus(n_max):
             plus_plus_qubits = SIGMA_Y_BASIS.conj().T[:, 0]
             vacuum = np.eye(n_max + 1)[0]
-            return CompositeState(np.kron(plus_plus_qubits, vacuum), FockCutoff(n_max))
+            return np.kron(plus_plus_qubits, vacuum), FockCutoff(n_max)
 
         params = DimensionlessGateParams()
         traj = expectation_trajectory(
-            plus_plus(20), params, n_records=17, config=fast_integrator
+            *plus_plus(20), params, 0.0, n_records=17, config=fast_integrator
         )
         f, _ = loop_functions(traj["tau"], params)
         np.testing.assert_allclose(traj["a_expect"], f, atol=1e-6)
@@ -420,12 +413,14 @@ class TestTrajectory:
         assert traj["guard_band_mass"].max() <= fast_integrator.guard_tolerance
         # At cutoff 16 the loop leaves about 8e-10 in the guard band.
         with pytest.raises(GuardBandError, match="guard-band"):
-            expectation_trajectory(plus_plus(16), params, n_records=17, config=fast_integrator)
+            expectation_trajectory(*plus_plus(16), params, 0.0, n_records=17,
+                                   config=fast_integrator)
 
     def test_requires_two_records(self, oracle_cutoff):
-        initial = CompositeState.basis_state("gg", 0, oracle_cutoff)
+        initial = basis_state("gg", 0, oracle_cutoff)
         with pytest.raises(ValueError):
-            expectation_trajectory(initial, DimensionlessGateParams(), n_records=1)
+            expectation_trajectory(initial, oracle_cutoff, DimensionlessGateParams(), 0.0,
+                                   n_records=1)
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 """Every public name of msgate has a caller inside the package, or is a named
-cross-check route; every CLI option is listed; every README command parses
+cross-check route; every CLI option and every field of the configuration
+dataclasses is listed; every README command parses
 and the README's Python runs; the CLI needs numpy alone; the benchmark's
 tracer finds every name it wraps.
 
@@ -9,6 +10,7 @@ reads it as a ``Name`` or an ``Attribute``, or imports it.
 """
 
 import ast
+import dataclasses
 import os
 import re
 import shlex
@@ -19,6 +21,10 @@ from pathlib import Path
 import pytest
 
 from msgate.cli import build_parser
+from msgate.experiment import SequenceConfig
+from msgate.ideal import DimensionlessGateParams
+from msgate.magnus import QuadratureSpec
+from msgate.oracle import IntegratorConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "msgate"
@@ -27,9 +33,6 @@ SRC = ROOT / "src" / "msgate"
 # list only shrinks: a name that gains a package caller must leave it.
 CROSS_CHECK_ONLY = {
     "magnus.predicted_state": "second-order state, compared with the oracle's final state",
-    "magnus.first_order_traced_unitary": "the paper's effective qubit map at first order",
-    "magnus.traced_unitary_factored": "the same map in factored, exactly unitary form",
-    "oracle.expectation_trajectory": "<a> along one gate, compared with the loop functions",
 }
 
 # The option dests of each command ("msgate" is the top level, without
@@ -46,6 +49,18 @@ CLI_OPTIONS = {
     "trajectory": ("loops", "samples", "out"),
     "predict": ("table", "n_max", "loops", "lambda_tilde", "fock_initial", "nbar",
                 "initial"),
+}
+
+# The init fields of the configuration dataclasses, the settable values of
+# the library as CLI_OPTIONS are of the CLI: adding or removing one must
+# show up here too.
+CONFIG_FIELDS = {
+    "DimensionlessGateParams": ("omega_tilde", "tau_gate", "phi"),
+    "IntegratorConfig": ("steps_per_gate", "guard_levels", "guard_tolerance",
+                         "norm_tolerance"),
+    "SequenceConfig": ("detuning", "qubit_shift", "mode", "phase_points", "shots",
+                       "engine", "cutoff_n_max"),
+    "QuadratureSpec": ("panels_1d", "panels_2d"),
 }
 
 
@@ -102,6 +117,13 @@ def test_cli_options_are_listed():
         return tuple(a.dest for a in p._actions if a.dest not in ("help", "version", "command"))
 
     assert {name: dests(p) for name, p in commands.items()} == CLI_OPTIONS
+
+
+def test_config_fields_are_listed():
+    classes = (DimensionlessGateParams, IntegratorConfig, SequenceConfig, QuadratureSpec)
+    fields = {cls.__name__: tuple(f.name for f in dataclasses.fields(cls) if f.init)
+              for cls in classes}
+    assert fields == CONFIG_FIELDS
 
 
 def _readme_commands():
