@@ -637,7 +637,10 @@ def predicted_state(
     order: int = 2,
 ) -> np.ndarray:
     """Amplitudes of the perturbative final state psi0 - lam*psi1 - lam^2*psi2
-    (unnormalized)."""
+    (unnormalized), at one lambda."""
+    if np.ndim(lambda_tilde):
+        raise ValueError(f"predicted_state takes one lambda_tilde, not an array of "
+                         f"shape {np.shape(lambda_tilde)}")
     _check_lambda(lambda_tilde)
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")

@@ -18,15 +18,15 @@ Two drive frames are provided:
 Both are the constant H' = lam*S_z - omega*(a + a^dag)*S_phi + N (N the
 phonon number) in a rotating frame: psi = e^{i N tau} chi for the static
 axis; psi = e^{i (N + lam*S_z) s} chi for the ramped axis at phi = 0, with
-the start angle phi0 entering as conjugation by e^{i phi0 S_z}.  So one
-diagonalisation of H' per lam is the exact propagator for any span, scan
-phase and record time.  It is done per symmetry block: the diagonal
-e^{i(pi/2 - phi) S_z} turns S_phi into the real S_x, and H' commutes with
-qubit exchange and with the parity (-1)^(N + S_z).  The singlet evolves by
-e^{-iN dt}; the triplet splits by the parity of n + m into two real
-blocks, one ``eigh`` each (49 and 50 states at n_max 32, against one
-complex 132-state ``eigh``).  The tests check these propagators against
-an independent RK4 route on :func:`hamiltonian_matrix`, kept beside them.
+the start angle phi0 entering as conjugation by e^{i phi0 S_z}.  So the
+spectrum of H' at one lam is the exact propagator for any span, scan phase
+and record time.  It is taken per symmetry block: e^{i(pi/2 - phi) S_z}
+turns S_phi into the real S_x, and H' commutes with qubit exchange and
+with the parity (-1)^(N + S_z).  The singlet evolves by e^{-iN dt}; the
+triplet splits by the parity of n + m into two real blocks (49 and 50
+states at n_max 32), and a batch calls ``eigh`` once per lam and block its
+columns occupy.  The tests check these propagators against an
+independent RK4 route on :func:`hamiltonian_matrix`.
 """
 
 from __future__ import annotations
@@ -145,23 +145,32 @@ def _symmetry_blocks(n_max: int):
 
 
 def _exact_evolve(lam, omega, phi, cutoff, cols: np.ndarray, dt) -> np.ndarray:
-    """e^{-i H' dt} on each column, one real eigh per triplet parity block
-    of the e^{i(pi/2 - phi) S_z}-rotated H' (see the module docstring).
+    """e^{-i H' dt} on each column, in the parity blocks of the rotated H'
+    (module docstring), with one basis change each way for the batch.
 
-    ``dt`` is one duration, or one per column (``cols`` may then be a single
-    column, evaluated at every duration).
+    ``lam`` and ``dt`` are one value or one per column (``cols`` may be one
+    column, evaluated at every duration).  Per lam, a block that is zero in
+    those columns gets no ``eigh``; the real eigenvectors act on (re, im).
     """
     basis, number, sz, blocks = _symmetry_blocks(cutoff.n_max)
     rot = np.exp(1j * (np.pi / 2 - phi) * _diagonals(cutoff)[1])
-    x = basis.T @ (rot * cols)
     dt = np.reshape(dt, (1, -1))
-    diagonal = number + lam * sz
-    # The singlet rows keep this diagonal evolution; the triplet rows are
-    # overwritten by their blocks below.
-    y = np.exp(-1j * diagonal[:, None] * dt) * x
-    for sl, coupling in blocks:
-        energies, vecs = np.linalg.eigh(omega * coupling + np.diag(diagonal[sl]))
-        y[sl] = vecs @ (np.exp(-1j * energies[:, None] * dt) * (vecs.T @ x[sl]))
+    x, _ = np.broadcast_arrays(basis.T @ (rot * cols), dt)
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), x.shape[1:])
+    singlet = slice(blocks[-1][0].stop, None)  # S_z = 0 there: lam drops out
+    y = np.zeros(x.shape, dtype=complex)
+    y[singlet] = np.exp(-1j * number[singlet, None] * dt) * x[singlet]
+    for value in np.unique(lam):
+        same = lam == value
+        span = dt if dt.size == 1 else dt.compress(same, axis=1)
+        for sl, coupling in blocks:
+            part = x[sl].compress(same, axis=1)
+            if part.any():
+                h = omega * coupling + np.diag(number[sl] + value * sz[sl])
+                energies, vecs = np.linalg.eigh(h)
+                z = (vecs.T @ part.view(float)).view(complex)
+                z *= np.exp(-1j * energies[:, None] * span)
+                y[sl, same] = (vecs @ z.view(float)).view(complex)
     return np.conj(rot) * (basis @ y)
 
 
@@ -208,23 +217,15 @@ def propagate_batch(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Propagate many columns at once in the static-axis frame.
 
-    Each column j evolves under the Hamiltonian with miscalibration
-    ``lambda_values[j]``; all other parameters are shared.  Columns with
-    the same lambda share one diagonalisation of H' (two real block
-    ``eigh``).  Returns (final amplitudes, per-column norm drift, worst
-    guard-band mass).
+    Each column j evolves under miscalibration ``lambda_values[j]``, all
+    other parameters shared, in one :func:`_exact_evolve` call.  Returns
+    (final amplitudes, per-column norm drift, worst guard-band mass).
     """
     cols = np.asarray(amps, dtype=complex).reshape(cutoff.composite_dim, -1)
-    lam = np.broadcast_to(np.asarray(lambda_values, dtype=float), (cols.shape[1],))
     t0, t1 = (0.0, params.tau_gate) if span is None else span
     number, _ = _diagonals(cutoff)
     chi = np.exp(-1j * t0 * number) * cols
-    final = np.empty_like(chi)
-    for value in np.unique(lam):
-        same = lam == value
-        final[:, same] = _exact_evolve(
-            value, params.omega_tilde, params.phi, cutoff, chi[:, same], t1 - t0
-        )
+    final = _exact_evolve(lambda_values, params.omega_tilde, params.phi, cutoff, chi, t1 - t0)
     final *= np.exp(1j * t1 * number)
     return _with_health(cols, final, cutoff, config, np.shape(amps))
 
@@ -241,9 +242,9 @@ def propagate_ramped_axis(
     """Propagate columns under the ramped-axis Hamiltonian.
 
     Column j sees the spin axis at angle phi_values[j] + lambda_tilde * s
-    (s is global, so a later span continues the same ramp).  The whole
-    batch shares one diagonalisation of H' at phi = 0 (two real block
-    ``eigh``); each column's start angle enters as the diagonal
+    (s is global, so a later span continues the same ramp).  It is one
+    :func:`_exact_evolve` call at phi = 0 (one ``eigh`` per parity block the
+    columns occupy); each column's start angle enters as the diagonal
     e^{i phi S_z}.  Returns and raises as :func:`propagate_batch`.
     """
     cols = np.asarray(amps, dtype=complex).reshape(cutoff.composite_dim, -1)

@@ -19,6 +19,7 @@ are frozen here as regression anchors.
 import base64
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -507,6 +508,15 @@ class TestCorrectionStates:
         )
         with pytest.raises(ValueError, match="order"):
             predicted_state("gg", 0, lam, table, order=3)
+
+    def test_predicted_state_refuses_lambda_array(self, table):
+        # One state per call: a lambda array is refused by name, not left to
+        # fail in numpy broadcasting.
+        for lams in (np.array([0.01, 0.02]), [0.01], np.zeros((1, 1))):
+            shape = re.escape(str(np.shape(lams)))
+            with pytest.raises(ValueError, match=f"predicted_state takes one lambda_tilde, "
+                                                 f"not an array of shape {shape}"):
+                predicted_state("gg", 0, lams, table)
 
     def test_bad_label_and_level(self, table):
         with pytest.raises(ValueError, match="label"):

@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import expm
 
 from msgate.cli import main
 from msgate.experiment import SequenceConfig, simulate_fringe
-from msgate.hilbert import FockCutoff
+from msgate.hilbert import FockCutoff, ThermalDistribution
 from msgate.ideal import (
     DimensionlessGateParams,
     collective_spin,
@@ -193,6 +195,84 @@ class TestExactVsRK4:
         _, fringe = simulate_fringe(config, table, phis)
         p_ee_ref = (np.abs(fin_ref[3 * d :, phis.size :]) ** 2).sum(axis=0)
         assert np.abs(fringe - p_ee_ref).max() <= 1e-10
+
+
+# Mixed batches: single-block columns |gg,0> (odd parity), |gg,1> (even)
+# and |ee,2> (odd), |ge,0> (even triplet plus singlet), and |gg,0> + |gg,1>
+# across both blocks, drawn with repeats at unsorted lambdas.
+MIXED_LAMBDAS = (0.02, -0.03, 0.0)
+MIXED_INPUTS = (("gg", 0), ("gg", 1), ("ee", 2), ("ge", 0))
+
+
+@pytest.fixture(scope="module")
+def mixed_pool(oracle_cutoff, rk4_static):
+    """(inputs, finals): column k of inputs is input k, and finals[:, i, k]
+    its RK4 final state at MIXED_LAMBDAS[i]."""
+    kets = np.stack([basis_state(q, n, oracle_cutoff) for q, n in MIXED_INPUTS], axis=1)
+    lams = np.repeat(MIXED_LAMBDAS, len(MIXED_INPUTS))
+    finals = rk4_static(np.tile(kets, len(MIXED_LAMBDAS)), DimensionlessGateParams(),
+                        oracle_cutoff, lams, TestExactVsRK4.STEPS)
+    finals = finals.reshape(-1, len(MIXED_LAMBDAS), len(MIXED_INPUTS))
+    # The last input, |gg,0> + |gg,1>, spans both parity blocks; by
+    # linearity its final state is the same sum of finals.
+    both = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
+    return np.c_[kets, kets @ both], np.concatenate([finals, (finals @ both)[..., None]], 2)
+
+
+class TestMixedBatches:
+    """One propagate_batch call over columns at repeated, unsorted lambdas in
+    groups of unequal size, some groups occupying one parity block."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, len(MIXED_INPUTS)),
+                              st.integers(0, len(MIXED_LAMBDAS) - 1)),
+                    min_size=1, max_size=10))
+    @example([(0, 1), (4, 2), (0, 0), (1, 1), (3, 0), (2, 1), (0, 2)])
+    @example([(0, 0), (1, 0), (2, 2)])
+    def test_matches_columns_and_rk4(self, oracle_cutoff, mixed_pool, picks):
+        inputs, reference = mixed_pool
+        kinds, which = np.array(picks).T
+        params, lams = DimensionlessGateParams(), np.take(MIXED_LAMBDAS, which)
+        final, _, _ = propagate_batch(inputs[:, kinds], oracle_cutoff, params, lams)
+        for j, (k, i) in enumerate(picks):
+            alone, _, _ = propagate_batch(inputs[:, k], oracle_cutoff, params, lams[j])
+            assert np.abs(final[:, j] - alone).max() <= 1e-15, (j, picks)
+            assert np.abs(final[:, j] - reference[:, i, k]).max() <= 1e-10, (j, picks)
+
+
+class TestEighCalls:
+    """The oracle calls ``eigh`` once per lambda and parity block occupied:
+    |gg, n> lies in the odd block for even n and the even block for odd n."""
+
+    @pytest.fixture()
+    def eigh_sizes(self, monkeypatch):
+        sizes, eigh = [], np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            sizes.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return sizes
+
+    @pytest.mark.parametrize("levels, sizes", [([0], [50] * 3), ([0, 1], [49, 50] * 3)])
+    def test_sweep(self, oracle_cutoff, eigh_sizes, levels, sizes):
+        sweep(np.array([-0.02, 0.0, 0.02]), levels, DimensionlessGateParams(), oracle_cutoff)
+        assert sorted(eigh_sizes) == sorted(sizes)
+
+    def test_each_lambda_group_on_its_own(self, oracle_cutoff, eigh_sizes):
+        amps = np.stack([basis_state("gg", n, oracle_cutoff) for n in (0, 1, 2)], axis=1)
+        propagate_batch(amps, oracle_cutoff, DimensionlessGateParams(), [0.01, 0.02, 0.01])
+        assert sorted(eigh_sizes) == [49, 50]
+
+    @pytest.mark.parametrize("mode, calls", [(0, 2), (ThermalDistribution(0.05), 4)])
+    def test_oracle_fringe(self, table, eigh_sizes, mode, calls):
+        # Two gates; a thermal mixture has both parities, so each gate needs both.
+        detuning = -2.0 * math.pi * 11e3
+        config = SequenceConfig(detuning=detuning, qubit_shift=0.02 * detuning, mode=mode,
+                                shots=None)
+        simulate_fringe(config, table)
+        assert len(eigh_sizes) == calls
 
 
 class TestCalibratedPoint:
