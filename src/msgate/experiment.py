@@ -297,10 +297,6 @@ class LambdaEstimate:
     detuning: float
     caveats: list[str] = field(default_factory=list)
 
-    @property
-    def lambda_tilde_hat(self) -> float:
-        return self.lambda_hat / self.detuning
-
 
 def estimate_lambda(
     fit: FringeFit, slope: float, detuning: float

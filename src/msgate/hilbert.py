@@ -72,8 +72,8 @@ class FockCutoff:
         return qubit * self.dim + n
 
 
-def displacement_matrix(alpha: complex, cutoff: FockCutoff | int) -> np.ndarray:
-    """Dense [<m|D(alpha)|n>] for m, n = 0..n_max, by column recurrence.
+def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
+    """Dense [<m|D(alpha)|n>] for m, n = 0..dim-1, by column recurrence.
 
     From D a^dag D^dag = a^dag - conj(alpha):
 
@@ -85,7 +85,6 @@ def displacement_matrix(alpha: complex, cutoff: FockCutoff | int) -> np.ndarray:
     Rounding grows along the columns, to about 2e-14 at alpha = 0.5 and
     2e-10 at alpha = 1.1 - 0.3j by column 75.
     """
-    dim = cutoff.dim if isinstance(cutoff, FockCutoff) else int(cutoff)
     alpha = np.complex128(alpha)
     out = np.empty((dim, dim), dtype=complex)
     sqrt_m = np.sqrt(np.arange(dim))
@@ -152,10 +151,6 @@ class ThermalDistribution:
                 )
             self.n_max = max(4, math.ceil(n_tail))
         self.probabilities = thermal_probabilities(self.n_bar, self.n_max)
-
-    @property
-    def truncated_mass(self) -> float:
-        return float(1.0 - self.probabilities.sum())
 
 
 def level_weights(target: int | ThermalDistribution) -> tuple[np.ndarray, np.ndarray]:

@@ -84,31 +84,6 @@ class DimensionlessGateParams:
             raise ValueError(f"loops must be an integer >= 1, got {loops!r}")
         return cls(omega_tilde=1.0 / (2.0 * math.sqrt(loops)), tau_gate=loops * TAU_GATE)
 
-    @classmethod
-    def from_physical(
-        cls,
-        lamb_dicke: float,
-        rabi_rate: float,
-        detuning: float,
-        phi: float = 0.0,
-        n_loops: int = 1,
-    ) -> "DimensionlessGateParams":
-        """Build from lab-frame angular frequencies (rad/s).
-
-        ``detuning`` is the (signed) gap between the drive beat note and the
-        motional sideband.  The gate time is n_loops * 2*pi/|detuning|.
-        """
-        if detuning == 0.0:
-            raise ValueError("detuning must be nonzero")
-        return cls(lamb_dicke * rabi_rate / detuning, n_loops * TAU_GATE, phi)
-
-    @property
-    def is_calibrated(self) -> bool:
-        """Loop closes (F(tau_gate)=0) and the enclosed area is +/- pi/2."""
-        f, g = loop_functions(self.tau_gate, self)
-        area = abs(abs(g) - math.pi / 2.0) < 1e-12
-        return bool(abs(f) < 1e-12 and area)
-
 
 def loop_functions(
     tau: float | np.ndarray, params: DimensionlessGateParams

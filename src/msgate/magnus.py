@@ -143,10 +143,6 @@ class QuadratureSpec:
             if v < 2 or v & (v - 1):
                 raise ValueError(f"{name} must be a power of two >= 2, got {v}")
 
-    def refined(self) -> "QuadratureSpec":
-        """Same spec with both panel counts doubled (for convergence checks)."""
-        return QuadratureSpec(2 * self.panels_1d, 2 * self.panels_2d)
-
 
 def _require_closed_loop(params: DimensionlessGateParams) -> None:
     f_end, _ = loop_functions(params.tau_gate, params)
@@ -634,22 +630,18 @@ def predicted_state(
     n: int,
     lambda_tilde: float,
     table: CoefficientTable,
-    order: int = 2,
 ) -> np.ndarray:
-    """Amplitudes of the perturbative final state psi0 - lam*psi1 - lam^2*psi2
-    (unnormalized), at one lambda."""
+    """Amplitudes of the second-order final state psi0 - lam*psi1 - lam^2*psi2
+    (unnormalized), at one lambda.  Its lower orders are sums of the public
+    pieces: psi0 is :func:`~msgate.ideal.ideal_output_state`, and the
+    first-order state subtracts lam times :func:`first_order_correction`."""
     if np.ndim(lambda_tilde):
         raise ValueError(f"predicted_state takes one lambda_tilde, not an array of "
                          f"shape {np.shape(lambda_tilde)}")
     _check_lambda(lambda_tilde)
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    amps = ideal_output_state(label, n, table.cutoff)
-    if order >= 1:
-        amps -= lambda_tilde * first_order_correction(label, n, table)
-    if order >= 2:
-        amps -= lambda_tilde**2 * second_order_correction(label, n, table)
-    return amps
+    return (ideal_output_state(label, n, table.cutoff)
+            - lambda_tilde * first_order_correction(label, n, table)
+            - lambda_tilde**2 * second_order_correction(label, n, table))
 
 
 # --------------------------------------------------------------------------
@@ -675,19 +667,19 @@ def _check_lambda(lambda_tilde) -> np.ndarray:
 
 
 # (row, column) of the pair coherence in the reduced state of each input
-# the reduced-state predictors cover.
+# the predictors cover.
 _COHERENCE = {"gg": (3, 0), "ee": (0, 3)}
 
 
 def _checked(
     n, table: CoefficientTable, lambda_tilde=0.0, initial: str = "gg",
-    covers=tuple(_COHERENCE), thermal: bool = False,
+    thermal: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(levels, weights, lam) of one predictor call, every input checked.
 
-    ``lam`` is from :func:`_check_lambda`.  ``initial`` must be a qubit
-    label the predictor covers.  ``levels`` are the Fock levels of ``n`` (a
-    level, a 1-D sequence of levels, or with ``thermal`` a
+    ``lam`` is from :func:`_check_lambda`.  ``initial`` must be gg or ee,
+    the inputs every predictor covers.  ``levels`` are the Fock levels of
+    ``n`` (a level, a 1-D sequence of levels, or with ``thermal`` a
     ThermalDistribution) down a leading axis, shaped to broadcast against
     ``lam``, and ``weights`` their probabilities (ones for Fock input).  A
     level the table does not trust raises TruncationError, the first in order.
@@ -695,9 +687,8 @@ def _checked(
     lam = _check_lambda(lambda_tilde)
     if initial not in QUBIT_LABELS:
         raise ValueError(f"unknown qubit label {initial!r}")
-    if initial not in covers:
-        raise ValueError(f"this predictor covers {' and '.join(map(repr, covers))} "
-                         f"inputs, not {initial!r}")
+    if initial not in _COHERENCE:
+        raise ValueError(f"this predictor covers 'gg' and 'ee' inputs, not {initial!r}")
     if thermal and isinstance(n, ThermalDistribution):
         levels, weights = level_weights(n)
     else:
@@ -779,25 +770,18 @@ def predict_phase(
     lambda_tilde,
     table: CoefficientTable,
     initial: str = "gg",
-    order: int = 2,
 ):
-    """Relative phase of the pair coherence (ideal value -pi/2, or +pi/2
-    for the idle pair of a |ge>/|eg> input, which has no first-order shift).
+    """Relative phase of the pair coherence of a |gg> or |ee> input (ideal
+    value -pi/2), to second order.
 
     The expanded angle -pi/2 +- lam a + lam^2 Re b, not the argument of
     :func:`predict_coherence`.  Thermal inputs are the probability-weighted
     mean of the per-level phase.
     """
-    levels, weights, lam = _checked(n, table, lambda_tilde, initial, QUBIT_LABELS, True)
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if initial in ("ge", "eg"):
-        return np.full(np.shape(n) + lam.shape, math.pi / 2.0)[()]
+    levels, weights, lam = _checked(n, table, lambda_tilde, initial, thermal=True)
     der = table.derived()
     sign = 1.0 if initial == "gg" else -1.0
-    phases = -math.pi / 2.0 + sign * lam * der.a[levels]
-    if order == 2:
-        phases = phases + _square(lam) * der.b[levels].real
+    phases = -math.pi / 2.0 + sign * lam * der.a[levels] + _square(lam) * der.b[levels].real
     return _per_input(n, weights, phases)
 
 

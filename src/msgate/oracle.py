@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import SIGMA_Z, QUBIT_LABELS, FockCutoff
+from .hilbert import SIGMA_Z, FockCutoff
 from .ideal import DimensionlessGateParams, collective_spin, ideal_output_state
 
 __all__ = [
@@ -83,14 +83,15 @@ class IntegratorConfig:
             raise ValueError("guard_levels must be positive")
 
     def check(self, norm_drift, guard_band_mass: float) -> None:
-        """Raise when the (worst) norm drift or guard mass exceeds tolerance."""
-        if guard_band_mass > self.guard_tolerance:
+        """Raise when the (worst) norm drift or guard mass exceeds tolerance
+        or is NaN (written ``not x <= tol``, since ``nan > tol`` is False)."""
+        if not guard_band_mass <= self.guard_tolerance:
             raise GuardBandError(
                 f"guard-band occupation {guard_band_mass:.3e} exceeds "
                 f"{self.guard_tolerance:.1e}; raise the Fock cutoff"
             )
         drift = float(np.max(norm_drift))
-        if drift > self.norm_tolerance:
+        if not drift <= self.norm_tolerance:
             raise NormDriftError(f"norm drift {drift:.3e} exceeds {self.norm_tolerance:.1e}")
 
 
@@ -144,6 +145,16 @@ def _symmetry_blocks(n_max: int):
     return out
 
 
+def _finite_lambda(lam) -> np.ndarray:
+    """``lam`` as a float array, refused with ``ValueError`` unless finite:
+    a NaN matches no lambda group and an inf makes NaN amplitudes."""
+    lam = np.asarray(lam, dtype=float)
+    bad = lam[~np.isfinite(lam)]
+    if bad.size:
+        raise ValueError(f"lambda_tilde must be finite, got {bad[0]}")
+    return lam
+
+
 def _exact_evolve(lam, omega, phi, cutoff, cols: np.ndarray, dt) -> np.ndarray:
     """e^{-i H' dt} on each column, in the parity blocks of the rotated H'
     (module docstring), with one basis change each way for the batch.
@@ -151,12 +162,14 @@ def _exact_evolve(lam, omega, phi, cutoff, cols: np.ndarray, dt) -> np.ndarray:
     ``lam`` and ``dt`` are one value or one per column (``cols`` may be one
     column, evaluated at every duration).  Per lam, a block that is zero in
     those columns gets no ``eigh``; the real eigenvectors act on (re, im).
+    A non-finite ``lam`` raises ``ValueError``.
     """
+    lam = _finite_lambda(lam)
     basis, number, sz, blocks = _symmetry_blocks(cutoff.n_max)
     rot = np.exp(1j * (np.pi / 2 - phi) * _diagonals(cutoff)[1])
     dt = np.reshape(dt, (1, -1))
     x, _ = np.broadcast_arrays(basis.T @ (rot * cols), dt)
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), x.shape[1:])
+    lam = np.broadcast_to(lam, x.shape[1:])
     singlet = slice(blocks[-1][0].stop, None)  # S_z = 0 there: lam drops out
     y = np.zeros(x.shape, dtype=complex)
     y[singlet] = np.exp(-1j * number[singlet, None] * dt) * x[singlet]
@@ -219,7 +232,8 @@ def propagate_batch(
 
     Each column j evolves under miscalibration ``lambda_values[j]``, all
     other parameters shared, in one :func:`_exact_evolve` call.  Returns
-    (final amplitudes, per-column norm drift, worst guard-band mass).
+    (final amplitudes, per-column norm drift, worst guard-band mass).  A
+    non-finite lambda raises ``ValueError``.
     """
     cols = np.asarray(amps, dtype=complex).reshape(cutoff.composite_dim, -1)
     t0, t1 = (0.0, params.tau_gate) if span is None else span
@@ -251,7 +265,8 @@ def propagate_ramped_axis(
     phi = np.broadcast_to(np.asarray(phi_values, dtype=float), (cols.shape[1],))
     s0, s1 = span
     number, sz = _diagonals(cutoff)
-    gen = number + lambda_tilde * sz
+    # Checked before the frame, where an inf would meet S_z = 0.
+    gen = number + _finite_lambda(lambda_tilde) * sz
     scan = np.exp(1j * sz * phi[None, :])
     chi = np.conj(scan) * np.exp(-1j * s0 * gen) * cols
     evolved = _exact_evolve(lambda_tilde, omega_tilde, 0.0, cutoff, chi, s1 - s0)
@@ -304,30 +319,29 @@ def sweep(
     fock_levels: list[int],
     params: DimensionlessGateParams,
     cutoff: FockCutoff,
-    config: IntegratorConfig = IntegratorConfig(),
-    initial_label: str = "gg",
 ) -> dict[str, np.ndarray]:
-    """Propagate |initial_label, n> across a miscalibration grid.
+    """Propagate |gg, n> across a miscalibration grid.
 
     All (n, lambda) pairs go through one batched propagation, scored by one
     :func:`observables` call.  Returns the columns of the sweep CSV, each a
     ``(len(fock_levels), len(lambda_values))`` array, keyed in CSV order:
     relative_phase, the populations p_gg..p_ee, coherence_abs, fidelity,
     purity and the pair's health numbers norm_drift and guard_band_mass.
-    Raises GuardBandError for a level above the cutoff, and GuardBandError
-    or NormDriftError when any pair exceeds the config's health tolerances.
+    Raises GuardBandError for a level above the cutoff, GuardBandError or
+    NormDriftError when any pair exceeds the default
+    :class:`IntegratorConfig` tolerances, and ValueError for a non-finite
+    lambda.
     """
     lam = np.asarray(lambda_values, dtype=float)
     grid = (len(fock_levels), lam.size)
-    amps = _basis_columns(QUBIT_LABELS.index(initial_label),
-                          np.repeat(fock_levels, lam.size), cutoff)
-    final, drift, _ = propagate_batch(amps, cutoff, params, np.tile(lam, grid[0]), config)
-    obs = observables(final, initial_label, cutoff)
+    amps = _basis_columns(0, np.repeat(fock_levels, lam.size), cutoff)
+    final, drift, _ = propagate_batch(amps, cutoff, params, np.tile(lam, grid[0]))
+    obs = observables(final, "gg", cutoff)
     columns = {
         "relative_phase": obs["relative_phase"],
         **dict(zip(("p_gg", "p_ge", "p_eg", "p_ee"), obs["populations"].T)),
         **{k: obs[k] for k in ("coherence_abs", "fidelity", "purity")},
         "norm_drift": drift,
-        "guard_band_mass": _guard_band_mass(final, cutoff, config.guard_levels),
+        "guard_band_mass": _guard_band_mass(final, cutoff, IntegratorConfig.guard_levels),
     }
     return {key: value.reshape(grid) for key, value in columns.items()}

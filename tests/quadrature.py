@@ -232,10 +232,10 @@ def ideal_propagator(
     d = cutoff.dim
     u = np.zeros((4 * d, 4 * d), dtype=complex)
     phase = np.exp(1j * float(g))
-    u[0:d, 0:d] = phase * displacement_matrix(complex(f), cutoff)
+    u[0:d, 0:d] = phase * displacement_matrix(complex(f), d)
     u[d : 2 * d, d : 2 * d] = np.eye(d)
     u[2 * d : 3 * d, 2 * d : 3 * d] = np.eye(d)
-    u[3 * d :, 3 * d :] = phase * displacement_matrix(-complex(f), cutoff)
+    u[3 * d :, 3 * d :] = phase * displacement_matrix(-complex(f), d)
     big_w = np.kron(SIGMA_Y_BASIS, np.eye(d, dtype=complex))
     return big_w.conj().T @ u @ big_w
 

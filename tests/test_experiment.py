@@ -353,9 +353,6 @@ class TestEstimator:
         estimate = estimate_lambda(fit, 5.68, EPSILON)
         expected = abs(EPSILON / (2 * 5.68)) * fit.phase_err
         assert estimate.lambda_err == pytest.approx(expected)
-        assert estimate.lambda_tilde_hat == pytest.approx(
-            estimate.lambda_hat / EPSILON
-        )
 
     def test_engines_constant(self):
         assert ENGINES == ("first_order_model", "oracle")

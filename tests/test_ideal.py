@@ -20,23 +20,21 @@ from quadrature import basis_state, ideal_propagator, ms_target_unitary
 TAU_GATE = 2.0 * math.pi
 
 
+def closes_with_quarter_area(params: DimensionlessGateParams) -> bool:
+    """The loop closes (F(tau_gate) = 0) and encloses the area +/- pi/2."""
+    f, g = loop_functions(params.tau_gate, params)
+    return bool(abs(f) < 1e-12 and abs(abs(g) - math.pi / 2.0) < 1e-12)
+
+
 class TestParams:
     def test_defaults_are_calibrated(self):
         params = DimensionlessGateParams()
         assert params.omega_tilde == 0.5
-        assert params.is_calibrated
-
-    def test_from_physical(self):
-        eps = -2.0 * math.pi * 11e3
-        params = DimensionlessGateParams.from_physical(
-            lamb_dicke=0.1, rabi_rate=eps / (2 * 0.1), detuning=eps
-        )
-        assert params.omega_tilde == pytest.approx(0.5)
-        assert params.tau_gate == TAU_GATE
+        assert closes_with_quarter_area(params)
 
     def test_detuned_coupling_not_calibrated(self):
-        assert not DimensionlessGateParams(omega_tilde=0.4).is_calibrated
-        assert not DimensionlessGateParams(tau_gate=0.7 * TAU_GATE).is_calibrated
+        assert not closes_with_quarter_area(DimensionlessGateParams(omega_tilde=0.4))
+        assert not closes_with_quarter_area(DimensionlessGateParams(tau_gate=0.7 * TAU_GATE))
 
     def test_calibrated_loops(self):
         # One loop is the default gate exactly; K loops enclose the same area.
@@ -45,7 +43,7 @@ class TestParams:
             params = DimensionlessGateParams.calibrated(loops)
             assert params.omega_tilde == pytest.approx(0.5 / math.sqrt(loops), rel=1e-15)
             assert params.tau_gate == loops * TAU_GATE
-            assert params.is_calibrated
+            assert closes_with_quarter_area(params)
 
     @pytest.mark.parametrize("loops", [0, -1, 1.5, 2.0, True])
     def test_calibrated_rejects_non_positive_or_non_integer(self, loops):

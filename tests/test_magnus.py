@@ -96,11 +96,6 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError, match="power of two"):
             QuadratureSpec(panels_1d=1000)
 
-    def test_refined_doubles(self):
-        spec = QuadratureSpec(panels_1d=64, panels_2d=16)
-        ref = spec.refined()
-        assert (ref.panels_1d, ref.panels_2d) == (128, 32)
-
     def test_simpson_integrates_cubics_exactly(self):
         x, w = simpson(8, 0.0, 2.0)
         assert w @ x**3 == pytest.approx(4.0, abs=1e-13)
@@ -497,17 +492,17 @@ class TestCorrectionStates:
         )
 
     def test_predicted_state_orders(self, table):
+        # The lower orders are the public pieces: psi0 is the ideal output,
+        # and the first-order state subtracts lam psi1.
         lam = 0.05
-        psi0 = predicted_state("gg", 0, lam, table, order=0)
-        np.testing.assert_allclose(psi0, ideal_output_state("gg", 0, table.cutoff))
-        psi1 = predicted_state("gg", 0, lam, table, order=1)
-        psi2 = predicted_state("gg", 0, lam, table, order=2)
+        psi0 = ideal_output_state("gg", 0, table.cutoff)
+        psi1 = psi0 - lam * first_order_correction("gg", 0, table)
+        psi2 = predicted_state("gg", 0, lam, table)
+        np.testing.assert_allclose(predicted_state("gg", 0, 0.0, table), psi0)
         diff = np.linalg.norm(psi2 - psi1)
         assert diff == pytest.approx(
             lam**2 * np.linalg.norm(second_order_correction("gg", 0, table)), rel=1e-12
         )
-        with pytest.raises(ValueError, match="order"):
-            predicted_state("gg", 0, lam, table, order=3)
 
     def test_predicted_state_refuses_lambda_array(self, table):
         # One state per call: a lambda array is refused by name, not left to
@@ -528,7 +523,6 @@ class TestCorrectionStates:
 class TestPredictors:
     def test_calibrated_point(self, table):
         assert predict_phase(0, 0.0, table) == pytest.approx(-math.pi / 2)
-        assert predict_phase(0, 0.0, table, initial="ge") == math.pi / 2
         np.testing.assert_allclose(
             predict_populations(0, 0.0, table), [0.5, 0.0, 0.0, 0.5], atol=1e-15
         )
@@ -543,10 +537,6 @@ class TestPredictors:
         flipped = -math.pi / 2 - lam * derived.a[n] + lam**2 * derived.b[n].real
         assert predict_phase(n, lam, table, initial="ee") == pytest.approx(
             flipped, abs=1e-14
-        )
-        first = -math.pi / 2 + lam * derived.a[n]
-        assert predict_phase(n, lam, table, order=1) == pytest.approx(
-            first, abs=1e-14
         )
 
     def test_phase_matches_coherence_angle(self, table):
@@ -621,15 +611,13 @@ class TestPredictors:
             predict_fidelity(ThermalDistribution(2.0), 0.01, table)
 
     def test_bad_initial(self, table):
-        with pytest.raises(ValueError):
-            predict_populations(0, 0.01, table, initial="ge")
-
-    @pytest.mark.parametrize("initial", ["gg", "ee", "ge", "eg"])
-    def test_phase_order_checked_for_every_label(self, table, initial):
-        # The idle pair of a |ge>/|eg> input has a fixed phase, but a bad
-        # order is refused for it as for the displaced pairs.
-        with pytest.raises(ValueError, match="order must be 1 or 2"):
-            predict_phase(0, 0.01, table, initial, order=7)
+        # Every predictor with an ``initial`` covers the displaced pairs only.
+        for predictor in (predict_phase, predict_populations, predict_coherence,
+                          predict_density_matrix):
+            for initial in ("ge", "eg"):
+                with pytest.raises(ValueError, match=f"covers 'gg' and 'ee' inputs, "
+                                                     f"not '{initial}'"):
+                    predictor(0, 0.01, table, initial=initial)
 
     @pytest.mark.parametrize("predictor", [predict_phase, predict_populations,
                                            predict_coherence, predict_density_matrix])
@@ -680,7 +668,7 @@ class TestPredictorGrid:
         assert predict_density_matrix([0, 3], lams, table40).shape == (2, 5, 4, 4)
         assert predict_phase(2, lams, table40).shape == (5,)
         assert predict_populations(2, 0.01, table40).shape == (4,)
-        np.testing.assert_array_equal(predict_phase([0, 3], lams, table40, "ge"), math.pi / 2)
+        assert predict_phase([0, 3], lams, table40, "ee").shape == (2, 5)
         for value in (predict_phase(2, 0.01, table40), predict_fidelity(2, 0.01, table40),
                       predict_purity(2, 0.01, table40), predict_coherence(2, 0.01, table40)):
             assert isinstance(value, np.generic)

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from msgate.hilbert import FockCutoff
-from msgate.ideal import DimensionlessGateParams
+from msgate.ideal import DimensionlessGateParams, ideal_output_state
 from msgate.magnus import (
     compute_coefficient_table,
+    first_order_correction,
     predict_coherence,
     predict_fidelity,
     predict_phase,
@@ -92,11 +93,16 @@ class TestStateResidualScaling:
         final = _oracle_states(table, oracle_cutoff, fast_integrator, label, n, lams)
         pad = oracle_cutoff.composite_dim - table.cutoff.composite_dim
 
+        states = {
+            1: lambda lam: (ideal_output_state(label, n, table.cutoff)
+                            - lam * first_order_correction(label, n, table)),
+            2: lambda lam: predicted_state(label, n, lam, table),
+        }
         slopes = {}
-        for order in (1, 2):
+        for order, state in states.items():
             residuals = []
             for j, lam in enumerate(lams):
-                pred = predicted_state(label, n, float(lam), table, order=order)
+                pred = state(float(lam))
                 padded = np.pad(pred.reshape(4, -1), ((0, 0), (0, pad // 4))).ravel()
                 residuals.append(np.linalg.norm(final[:, j] - padded))
             slopes[order] = np.polyfit(np.log(lams), np.log(residuals), 1)[0]

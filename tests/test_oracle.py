@@ -343,6 +343,31 @@ class TestHealthChecks:
         with pytest.raises(GuardBandError, match="guard-band"):
             sweep(np.array([0.0, 0.05]), [0], DimensionlessGateParams(), FockCutoff(3))
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_refused(self, oracle_cutoff, lam):
+        # Refused as a value, not reported as a health failure of the
+        # columns it spoils, and never returned as NaN amplitudes.
+        state = basis_state("gg", 0, oracle_cutoff)
+        params = DimensionlessGateParams()
+        calls = [
+            lambda: propagate_batch(np.stack([state, state], axis=1), oracle_cutoff,
+                                    params, [lam, 0.01]),
+            lambda: propagate_ramped_axis(state, oracle_cutoff, 0.5, lam, [0.0], (0.0, TAU)),
+            lambda: sweep(np.array([0.0, lam]), [0], params, oracle_cutoff),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"lambda_tilde must be finite, got {lam}"):
+                call()
+
+    @pytest.mark.parametrize("drift,guard,error", [
+        (np.array([0.0, math.nan]), 0.0, NormDriftError),
+        (np.array([0.0]), math.nan, GuardBandError),
+    ])
+    def test_nan_health_number_fails(self, drift, guard, error):
+        # A NaN compares False against any tolerance; the check still fails.
+        with pytest.raises(error):
+            IntegratorConfig().check(drift, guard)
+
 
 class TestConvergence:
     def test_rk4_fourth_order(self, rk4_static):

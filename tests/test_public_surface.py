@@ -1,16 +1,25 @@
-"""Every public name of msgate has a caller inside the package, or is a named
-cross-check route; every CLI option and every field of the configuration
-dataclasses is listed; every README command parses
-and the README's Python runs; the CLI needs numpy alone; the benchmark's
-tracer finds every name it wraps.
+"""Every public name and public member of msgate has a caller inside the
+package, or is a named cross-check route; every CLI option, every field of
+the configuration dataclasses and every optional parameter of a public
+function is listed; every README command parses and the README's Python
+runs; the CLI needs numpy alone; the benchmark's tracer finds every name it
+wraps, and its hooks run on real commands.
 
 A module's public names are its ``__all__``.  A name counts as called when
 some statement under ``src/msgate`` other than its own top-level definition
-reads it as a ``Name`` or an ``Attribute``, or imports it.
+reads it as a ``Name`` or an ``Attribute``, or imports it.  A public member
+is a method or property, not named with a leading underscore, of a class in
+``__all__``; it counts as called when some code under ``src/msgate`` outside
+its own definition reads it as an ``Attribute``.  ``OPTIONAL_PARAMETERS`` is
+a snapshot of the defaulted parameters of every ``__all__`` function, read
+with ``inspect.signature``: each keyword knob is settable surface, as the
+CLI options are.
 """
 
 import ast
 import dataclasses
+import importlib
+import inspect
 import os
 import re
 import shlex
@@ -29,8 +38,9 @@ from msgate.oracle import IntegratorConfig
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "msgate"
 
-# Public names that only the tests call, each with the reason it stays.  The
-# list only shrinks: a name that gains a package caller must leave it.
+# Public names and members that only the tests call, each with the reason
+# it stays.  The list only shrinks: a name that gains a package caller must
+# leave it.
 CROSS_CHECK_ONLY = {
     "magnus.predicted_state": "second-order state, compared with the oracle's final state",
 }
@@ -61,6 +71,26 @@ CONFIG_FIELDS = {
     "SequenceConfig": ("detuning", "qubit_shift", "mode", "phase_points", "shots",
                        "engine", "cutoff_n_max"),
     "QuadratureSpec": ("panels_1d", "panels_2d"),
+}
+
+# The defaulted parameters of each public function that has any, the
+# settable values of the library's calls: adding or removing one must show
+# up here too.
+OPTIONAL_PARAMETERS = {
+    "ideal.collective_spin": ("phi",),
+    "ideal.phase_space_trajectory": ("n_samples",),
+    "magnus.compute_first_order_table": ("quad", "spectrum"),
+    "magnus.compute_second_order_tables": ("quad", "spectrum"),
+    "magnus.compute_coefficient_table": ("omega_tilde", "n_max", "quad", "tau_gate"),
+    "magnus.predict_phase": ("initial",),
+    "magnus.predict_populations": ("initial",),
+    "magnus.predict_coherence": ("initial",),
+    "magnus.predict_density_matrix": ("initial",),
+    "oracle.propagate_batch": ("config", "span"),
+    "oracle.propagate_ramped_axis": ("config",),
+    "experiment.simulate_fringe": ("phi_d",),
+    "experiment.fit_fringe": ("shots",),
+    "experiment.run_calibration": ("rng",),
 }
 
 
@@ -98,14 +128,43 @@ def _called_names(modules):
     return called
 
 
+def _public_members(modules):
+    """Qualified public methods and properties of the public classes, each
+    mapped to the node of its own definition."""
+    public = _public_names(modules)
+    return {
+        f"{stem}.{cls.name}.{node.name}": node
+        for stem, tree in modules.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and f"{stem}.{cls.name}" in public
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+
+
+def _called_members(modules):
+    """Qualified public members read as an attribute outside their own
+    definitions."""
+    loads = [node for tree in modules.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    called = set()
+    for qualified, definition in _public_members(modules).items():
+        own = {id(node) for node in ast.walk(definition)}
+        if any(node.attr == definition.name and id(node) not in own for node in loads):
+            called.add(qualified)
+    return called
+
+
 def test_every_public_name_has_a_caller_or_a_reason():
     modules = _modules()
-    uncalled = _public_names(modules) - _called_names(modules)
+    uncalled = ((_public_names(modules) - _called_names(modules))
+                | (set(_public_members(modules)) - _called_members(modules)))
     assert uncalled == set(CROSS_CHECK_ONLY)
 
 
 def test_cross_check_list_names_public_names():
-    assert set(CROSS_CHECK_ONLY) <= _public_names(_modules())
+    modules = _modules()
+    assert set(CROSS_CHECK_ONLY) <= _public_names(modules) | set(_public_members(modules))
     assert all(reason for reason in CROSS_CHECK_ONLY.values())
 
 
@@ -124,6 +183,20 @@ def test_config_fields_are_listed():
     fields = {cls.__name__: tuple(f.name for f in dataclasses.fields(cls) if f.init)
               for cls in classes}
     assert fields == CONFIG_FIELDS
+
+
+def test_optional_parameters_are_listed():
+    found = {}
+    for qualified in _public_names(_modules()):
+        stem, name = qualified.split(".")
+        obj = getattr(importlib.import_module("msgate" if stem == "__init__" else
+                                              f"msgate.{stem}"), name)
+        if inspect.isfunction(obj):
+            optional = tuple(p.name for p in inspect.signature(obj).parameters.values()
+                             if p.default is not p.empty)
+            if optional:
+                found[qualified] = optional
+    assert found == OPTIONAL_PARAMETERS
 
 
 def _readme_commands():
@@ -170,17 +243,40 @@ def test_cli_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_benchmark_tracer_finds_its_targets(monkeypatch):
+def test_benchmark_tracer_finds_its_targets(monkeypatch, tmp_path):
     # perfbench/tracing.py wraps msgate functions by the names its callers
-    # look them up under (cli.predict_phase, cli.oracle_sweep, ...); a
-    # renamed or removed one fails here, not only under --trace 1.
+    # look them up under (cli.predict_phase, cli.oracle_sweep, ...), and its
+    # hooks read their arguments (quad.panels_2d, table.quad,
+    # config.steps_per_gate); a renamed or removed one fails here, not only
+    # under --trace 1.  The commands are small copies of the benchmark's.
     import msgate.cli as cli
 
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.chdir(tmp_path)
     import tracing
 
     tracer = tracing.Tracer({})
+    commands = [
+        ["coefficients", "--n-max", "16", "--out", "table.json"],
+        ["sweep", "--table", "table.json", "--oracle", "--steps", "8", "--points", "5",
+         "--fock", "0,1", "--cutoff-n-max", "16", "--out", "sweep.csv"],
+        ["calibrate", "--table", "table.json", "--engine", "oracle", "--steps", "8",
+         "--points", "8", "--detuning-hz", "11000", "--shift-hz", "30",
+         "--cutoff-n-max", "16", "--out", "report.json"],
+    ]
+    run = tracer.traced_main(cli.main)
     original = cli.predict_phase
     with tracer.sequence_scope():
         assert cli.predict_phase is not original
+        assert [run(argv) for argv in commands] == [0, 0, 0]
     assert cli.predict_phase is original
+    # Each wrapper closes over its span name; cli.main's span is made by
+    # traced_main, outside the plan.
+    planned = {inspect.getclosurevars(wrapped).nonlocals["name"]
+               for *_, wrapped in tracer._targets}
+    assert planned - {span[0] for span in tracer.spans} == set()
+    assert "cli.main" not in planned
+    # The hooks ran: the ones that read panels_2d and steps_per_gate count
+    # work, and the derived-scalars hook keeps each table it saw.
+    assert tracer.totals["nodes"] and tracer.derived_seen
+    assert tracer.totals["static_column_steps"] and tracer.totals["ramped_column_steps"]
