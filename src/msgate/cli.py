@@ -11,10 +11,14 @@ trajectory     sampled phase-space loop of the driven mode, as CSV
 predict        print every closed-form predictor for one operating point
 
 A JSON config file (``--config``) may hold a section per subcommand whose
-keys mirror the long option names; explicit flags always win. Exit codes: 0
-success, 2 usage/configuration error (including a nan or inf float option,
-a ``predict --lambda-tilde`` or a ``sweep`` grid past the hard cap
-|lambda_tilde| <= 0.5, a ``--loops`` that is not an integer >= 1, an
+keys mirror the long option names; explicit flags always win.  A flag takes
+JSON true or false, any other option a string or a number, which goes
+through the option's own type and choices. Exit codes: 0 success, 2
+usage/configuration error (including a config section that names no
+subcommand, a key that is not an option of its subcommand or a value that
+its option refuses, a nan or inf float option, a ``predict
+--lambda-tilde`` or a ``sweep`` grid past the hard cap |lambda_tilde| <=
+0.5, a ``--loops`` that is not an integer >= 1, an
 ``--nbar`` that needs more than 10^4 Fock levels, an output path that
 cannot be written, which leaves any earlier file there untouched and after
 which ``sweep`` writes neither its CSV nor its plot script, and a table
@@ -56,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiment import SequenceConfig, phi_seq_prediction, run_calibration
+from .experiment import ENGINES, SequenceConfig, phi_seq_prediction, run_calibration
 from .hilbert import QUBIT_LABELS, FockCutoff, ThermalDistribution
 from .ideal import DimensionlessGateParams, phase_space_trajectory, trajectory_csv
 from .magnus import (
@@ -467,7 +471,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_initial_mode(p)
     p.add_argument("--points", type=int, default=16)
     p.add_argument("--shots", type=int, default=200, help="0 means exact probabilities")
-    p.add_argument("--engine", choices=["oracle", "first_order_model"], default="oracle")
+    p.add_argument("--engine", choices=ENGINES, default="oracle")
     p.add_argument("--steps", type=int, default=4096, help="ignored (propagation is exact)")
     p.add_argument("--cutoff-n-max", type=int, default=32, help="too low exits 3")
     p.add_argument("--seed", type=int, default=0)
@@ -490,20 +494,48 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, dict(sub.choices)
 
 
+def _config_value(command: str, key: str, value, action: argparse.Action):
+    """A config value parsed as its option parses a command-line value.
+
+    argparse converts only string defaults and checks no flag, so the value
+    goes through the option's own ``type`` and ``choices`` here: a flag
+    takes JSON true or false, any other option a string or a number."""
+    where = f"config key {key!r} of {command!r}"
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise CliError(f"{where} is a flag: it takes true or false, not {json.dumps(value)}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise CliError(f"{where} takes a string or a number, not {json.dumps(value)}")
+    convert = action.type or str
+    try:
+        parsed = convert(str(value))
+    except ValueError:
+        raise CliError(f"{where}: invalid {convert.__name__} value {json.dumps(value)}") from None
+    if action.choices is not None and parsed not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise CliError(f"{where}: invalid choice {parsed!r} (choose from {choices})")
+    return parsed
+
+
 def _apply_config(parser, subparsers, config, args, argv):
     """Fold config-file values in as subcommand defaults; flags still win."""
+    for name in config:
+        if name not in subparsers:
+            raise CliError(f"config section {name!r} names no subcommand")
     section = config.get(args.command, {})
     if not isinstance(section, dict):
         raise CliError(f"config section {args.command!r} must be an object")
     if not section:
         return args
-    options = {action.dest for action in subparsers[args.command]._actions} - {"help"}
-    for key in section:
-        if key.replace("-", "_") not in options:
+    actions = {a.dest: a for a in subparsers[args.command]._actions if a.dest != "help"}
+    defaults = {}
+    for key, value in section.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise CliError(f"config key {key!r} is not an option of {args.command!r}")
-    subparsers[args.command].set_defaults(
-        **{k.replace("-", "_"): v for k, v in section.items()}
-    )
+        defaults[action.dest] = _config_value(args.command, key, value, action)
+    subparsers[args.command].set_defaults(**defaults)
     return parser.parse_args(argv)
 
 

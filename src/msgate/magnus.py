@@ -39,7 +39,7 @@ gate is U(lam) = e^{-iT H'(lam)} with H' = lam*S_z - omega*(a + a^dag)*S_y + N
 (the oracle's rotating frame, which meets the static one at T), and the
 tables are read off the corrections psi1 = -dU/dlam|q,n> and
 psi2 = -(1/2) d^2U/dlam^2|q,n> at lam = 0 for q = gg and ge, by inverting
-:func:`first_order_correction` and :func:`second_order_correction`.  Both
+:func:`_corrections`, the one fold from the tables to those states.  Both
 derivatives are exact sums over the closed-form lam = 0 eigenbasis
 (Daleckii-Krein divided differences of f(x) = e^{-iTx}: Higham, *Functions of
 Matrices*, SIAM 2008, section 3.2; Najfeld & Havel, Adv. Appl. Math. 16,
@@ -314,7 +314,7 @@ def compute_first_order_table(
     sp = _spectrum(params, cutoff) if spectrum is None else spectrum
     i_table = np.empty((cutoff.dim, cutoff.dim), dtype=complex)
     for s in sp.sectors:
-        # Inverse of first_order_correction: row m is -1/2 of the
+        # Inverse of _corrections' first order: row m is -1/2 of the
         # displaced-to-idle block of the sector whose idle levels share its parity.
         i_table[s.rows] = -0.5 * (s.g_id[:s.below] @ sp.d.conj().T)
     return i_table
@@ -346,7 +346,7 @@ def compute_second_order_tables(
         c_idle = _second_difference(s.e_idle[:h], cross, s.e_idle[:h], sp.e_disp, b_id[:h], sp.t)
         disp.append(sp.d @ c_disp @ sp.d.conj().T)
         j3[s.rows, s.rows] = -0.5 * c_idle
-    # Inverse of second_order_correction: on the rows of its own parity a
+    # Inverse of _corrections' second order: on the rows of its own parity a
     # sector's D C D^dag is -(j1 + j2), on the others -(j1 - j2).
     sign = np.where(np.arange(cutoff.dim) % 2 == 0, 1.0, -1.0)[:, None]  # (-1)^m
     return -0.5 * (disp[0] + disp[1]), -0.5 * sign * (disp[0] - disp[1]), j3
@@ -498,38 +498,46 @@ class DerivedScalars:
 
 
 def derived_scalars(table: CoefficientTable) -> DerivedScalars:
-    """Reduce the coefficient tables to the scalar coefficient arrays."""
-    it = table.i_table
-    dim = it.shape[0]
-    even = _even_mask(dim)
-    odd = ~even
-    jp = table.j_plus
-    jm = table.j_minus
+    """Reduce the coefficient tables to the scalar coefficient arrays.
 
-    diag_i = np.diag(it)
+    ``a`` is read off the first-order diagonal.  The rest are the O(lam^2)
+    moments of the reduced state of a |gg, n> input, whose psi0 has the
+    amplitudes e^{i pi/4}/sqrt2 on |gg, n> and -i times that on |ee, n>,
+    summed over the row m of the blocks of :func:`_corrections`:
+
+    * c_gg = sum_m |psi1_gg|^2 - Re psi2_gg[n, n] - Im psi2_gg[n, n];
+    * c_ee = sum_m |psi1_ee|^2 - Re psi2_ee[n, n] + Im psi2_ee[n, n];
+    * c_eg = sum_m |psi1_ge|^2 (the eg block is the same);
+    * b = 2 sum_m psi1_ee conj(psi1_gg) - (1 - i)(conj psi2_gg[n, n] + psi2_ee[n, n]).
+    """
+    (p1_gg, p1_ge, _, p1_ee), (p2_gg, _, _, p2_ee) = _corrections("gg", table)
+    dim = p1_gg.shape[0]
+
+    diag_i = np.diag(table.i_table)
     a = np.real(4.0 * diag_i / _LINE)
     a_imag = float(np.abs(np.imag(4.0 * diag_i / _LINE)).max())
 
-    sym = it + it.T  # [m, n]: I^n_m + I^m_n
-    dif = it - it.T  # [m, n]: I^n_m - I^m_n
-    sym2 = even * np.abs(sym) ** 2
-    dif2 = even * np.abs(dif) ** 2
-    cross = even * (dif * sym.conj())  # [m, n], zero on the diagonal
+    gg2 = np.abs(p1_gg) ** 2
+    ee2 = np.abs(p1_ee) ** 2
+    # [n, m]: each level's sum runs along a contiguous row, the order (and
+    # so the rounding) in which stored c_eg values were summed.
+    eg2 = np.ascontiguousarray((np.abs(p1_ge) ** 2).T)
+    ee_gg = p1_ee * p1_gg.conj()  # zero on the diagonal
 
-    jp_d = np.diag(jp)
-    jm_d = np.diag(jm)
-    c_gg = -jp_d.real - jp_d.imag + sym2.sum(axis=0)
-    c_ee = jm_d.real - jm_d.imag + dif2.sum(axis=0)
-    c_eg = (odd * np.abs(it) ** 2).sum(axis=1)  # row n: sum_m odd |I^m_n|^2
-    b = -(1.0 - 1.0j) * (jp_d.conj() - jm_d) + 2.0 * cross.sum(axis=0)
+    d_gg = np.diag(p2_gg)
+    d_ee = np.diag(p2_ee)
+    c_gg = -d_gg.real - d_gg.imag + gg2.sum(axis=0)
+    c_ee = -d_ee.real + d_ee.imag + ee2.sum(axis=0)
+    c_eg = eg2.sum(axis=1)
+    b = -(1.0 - 1.0j) * (d_gg.conj() + d_ee) + 2.0 * ee_gg.sum(axis=0)
 
     guard = 5
     lo = max(0, dim - guard)
     tails = {
-        "c_gg": sym2[lo:, :].sum(axis=0),
-        "c_ee": dif2[lo:, :].sum(axis=0),
-        "c_eg": (odd * np.abs(it) ** 2)[:, lo:].sum(axis=1),
-        "b": 2.0 * np.abs(cross[lo:, :].sum(axis=0)),
+        "c_gg": gg2[lo:, :].sum(axis=0),
+        "c_ee": ee2[lo:, :].sum(axis=0),
+        "c_eg": eg2[:, lo:].sum(axis=1),
+        "b": 2.0 * np.abs(ee_gg[lo:, :].sum(axis=0)),
         # Relative to the slopes, which grow with the loop count (about 8K).
         "a_structure": np.full(dim, a_imag / max(1.0, float(np.abs(a).max()))),
     }
@@ -553,76 +561,64 @@ def derived_scalars(table: CoefficientTable) -> DerivedScalars:
 # Correction states
 # --------------------------------------------------------------------------
 
-def _check_input(label: str, n: int, table: CoefficientTable) -> None:
+def _corrections(label: str, table: CoefficientTable):
+    """psi1 and psi2 of |label, n> for every level n at once.
+
+    Each order is a tuple of its four qubit blocks (gg, ge, eg, ee), each
+    ``(dim, dim)`` with [m, n] the amplitude on |q, m> of the correction to
+    |label, n>.  The drive conserves the parity of (qubit excitation +
+    phonon number), so a block is masked to even m - n (E) or odd (O).  For
+    gg, with I the first-order table, psi1 is
+    (E(I + I^T), O iI^T, O iI^T, E(I - I^T)): column n of I feeds the
+    diagonal-in-qubit blocks, row n (the conjugate-route hops) all four.
+    psi2 is (E J+, O (i/2)(J1 - J2), the same, -E J-): the two-hop paths that
+    visit the idle branch pair leave odd-parity weight on the cross blocks.
+    ee mirrors gg, and ge and eg swap the masks.  This is the one fold from
+    the tables to states: the two corrections read column n of it,
+    :func:`derived_scalars` sums over it, and the table builders invert it.
+    """
     if label not in QUBIT_LABELS:
         raise ValueError(f"unknown qubit label {label!r}")
+    it, j1, j2 = table.i_table, table.j1, table.j2
+    outer = _even_mask(it.shape[0])  # mask of the gg and ee blocks; ge and eg take ~outer
+    if label == "gg":
+        first = (it + it.T, 1j * it.T, it - it.T)
+        second = (table.j_plus, 0.5j * (j1 - j2), -table.j_minus)
+    elif label == "ee":
+        first = (-(it - it.T), 1j * it.T, -(it + it.T))
+        second = (-table.j_minus, -0.5j * (j1 - j2), table.j_plus)
+    else:  # ge / eg behave identically
+        outer = ~outer
+        first = (-1j * it, np.zeros_like(it), -1j * it)
+        second = (-0.5j * (j1 + j2), 0.5 * (j1 - j2), 0.5j * (j1 + j2))
+
+    def blocks(gg, cross, ee):
+        mid = np.where(outer, 0.0, cross)
+        return np.where(outer, gg, 0.0), mid, mid, np.where(outer, ee, 0.0)
+
+    return blocks(*first), blocks(*second)
+
+
+def _column(blocks, n: int, table: CoefficientTable) -> np.ndarray:
+    """Column n of the four qubit blocks, qubit-major: the state amplitudes."""
     if not 0 <= n <= table.n_max:
         raise ValueError(f"Fock level {n} outside table range 0..{table.n_max}")
+    return np.concatenate([block[:, n] for block in blocks])
 
 
 def first_order_correction(label: str, n: int, table: CoefficientTable) -> np.ndarray:
-    """Amplitudes of the state correction psi1; the full state is
-    psi0 - lam*psi1 - lam^2*psi2.
-
-    Column n of the first-order table feeds the diagonal-in-qubit blocks;
-    row n (through the conjugate-route hops) feeds the odd-parity blocks.
+    """Amplitudes of the state correction psi1 on |label, n>; the full state
+    is psi0 - lam*psi1 - lam^2*psi2.  Column n of the first-order blocks of
+    :func:`_corrections`.
     """
-    _check_input(label, n, table)
-    it = table.i_table
-    dim = it.shape[0]
-    even = (np.arange(dim) - n) % 2 == 0
-    odd = ~even
-    col = it[:, n]  # I^n_m over m
-    row = it[n, :]  # I^m_n over m
-    blocks = {q: np.zeros(dim, dtype=complex) for q in range(4)}
-    if label == "gg":
-        blocks[0][even] = (col + row)[even]
-        blocks[3][even] = (col - row)[even]
-        blocks[1][odd] = (1j * row)[odd]
-        blocks[2][odd] = (1j * row)[odd]
-    elif label == "ee":
-        blocks[0][even] = -(col - row)[even]
-        blocks[3][even] = -(col + row)[even]
-        blocks[1][odd] = (1j * row)[odd]
-        blocks[2][odd] = (1j * row)[odd]
-    else:  # ge / eg behave identically
-        blocks[0][odd] = (-1j * col)[odd]
-        blocks[3][odd] = (-1j * col)[odd]
-    return np.concatenate([blocks[q] for q in range(4)])
+    return _column(_corrections(label, table)[0], n, table)
 
 
 def second_order_correction(label: str, n: int, table: CoefficientTable) -> np.ndarray:
-    """State correction psi2 (see :func:`first_order_correction`).
-
-    The drive conserves the parity of (qubit excitation + phonon number),
-    so each block carries a parity mask; the two-hop paths that visit the
-    idle branch pair also leave odd-parity weight on the cross blocks.
+    """State correction psi2 on |label, n> (see :func:`first_order_correction`):
+    column n of the second-order blocks of :func:`_corrections`.
     """
-    _check_input(label, n, table)
-    dim = table.cutoff.dim
-    even = (np.arange(dim) - n) % 2 == 0
-    odd = ~even
-    jp_col = table.j_plus[:, n]
-    jm_col = table.j_minus[:, n]
-    diff_col = table.j1[:, n] - table.j2[:, n]
-    sum_col = table.j1[:, n] + table.j2[:, n]
-    blocks = {q: np.zeros(dim, dtype=complex) for q in range(4)}
-    if label == "gg":
-        blocks[0][even] = jp_col[even]
-        blocks[3][even] = -jm_col[even]
-        blocks[1][odd] = (0.5j * diff_col)[odd]
-        blocks[2][odd] = (0.5j * diff_col)[odd]
-    elif label == "ee":
-        blocks[0][even] = -jm_col[even]
-        blocks[3][even] = jp_col[even]
-        blocks[1][odd] = (-0.5j * diff_col)[odd]
-        blocks[2][odd] = (-0.5j * diff_col)[odd]
-    else:
-        blocks[0][odd] = (-0.5j * sum_col)[odd]
-        blocks[3][odd] = (0.5j * sum_col)[odd]
-        blocks[1][even] = (0.5 * diff_col)[even]
-        blocks[2][even] = (0.5 * diff_col)[even]
-    return np.concatenate([blocks[q] for q in range(4)])
+    return _column(_corrections(label, table)[1], n, table)
 
 
 def predicted_state(

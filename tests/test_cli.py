@@ -531,6 +531,40 @@ class TestConfigFile:
         assert rc == EXIT_USAGE
         assert "object" in capsys.readouterr().err
 
+    # Each value goes through its option's own parsing: argparse converts
+    # only string defaults and checks no flag, so unparsed, "false" would
+    # set --force and 2.5 would reach the command as a sample count.
+    @pytest.mark.parametrize("command, config, message", [
+        (["coefficients", "--n-max", "8"], {"coefficients": {"force": "false"}},
+         "config key 'force' of 'coefficients' is a flag: it takes true or false, not \"false\""),
+        (["sweep", "--n-max", "12", "--points", "3", "--fock", "0"], {"sweep": {"oracle": "no"}},
+         "config key 'oracle' of 'sweep' is a flag: it takes true or false, not \"no\""),
+        (["trajectory"], {"trajectory": {"samples": 2.5}},
+         "config key 'samples' of 'trajectory': invalid int value 2.5"),
+        (["sweep", "--n-max", "12"], {"sweep": {"points": 3.0}},
+         "config key 'points' of 'sweep': invalid int value 3.0"),
+        (["sweep", "--n-max", "12"], {"sweep": {"fock": [0, 1]}},
+         "config key 'fock' of 'sweep' takes a string or a number, not [0, 1]"),
+        (["predict", "--n-max", "12", "--lambda-tilde", "0.01"], {"predict": {"initial": "ge"}},
+         "config key 'initial' of 'predict': invalid choice 'ge' (choose from 'gg', 'ee')"),
+        (["sweep", "--n-max", "12"], {"sweeep": {"points": 3}},
+         "config section 'sweeep' names no subcommand"),
+    ], ids=["flag-string", "boolean-flag-string", "int-fraction", "int-float",
+            "list", "choice", "unknown-section"])
+    def test_value_refused(self, workdir, capsys, command, config, message):
+        Path("c.json").write_text(json.dumps(config))
+        Path("coefficients.json").write_text("earlier table")
+        assert main(["--config", "c.json", *command]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert _files(workdir) == [Path("c.json"), Path("coefficients.json")]
+        assert Path("coefficients.json").read_text() == "earlier table"
+
+    def test_flag_takes_true(self, workdir, capsys):
+        Path("c.json").write_text(json.dumps({"coefficients": {"force": True, "n-max": 8}}))
+        Path("coefficients.json").write_text("earlier table")
+        assert main(["--config", "c.json", "coefficients"]) == EXIT_OK
+        assert load_coefficient_table("coefficients.json").n_max == 8
+
 
 class TestTrajectory:
     def test_writes_csv(self, tmp_path, capsys):
@@ -576,7 +610,7 @@ class TestLoops:
         Path("c.json").write_text(json.dumps({command[0]: {"loops": 1.5}}))
         assert main(["--config", "c.json", *command]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(
-            "error: loops must be an integer >= 1, got 1.5")
+            f"error: config key 'loops' of {command[0]!r}: invalid int value 1.5")
         assert _files(workdir) == [Path("c.json")]
 
 

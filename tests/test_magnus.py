@@ -20,6 +20,7 @@ import base64
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,6 +451,28 @@ class TestDerivedScalars:
     def test_tail_keys(self, derived):
         assert set(derived.tails) == {"c_gg", "c_ee", "c_eg", "b", "a_structure"}
 
+    @pytest.mark.parametrize("gate", ["table", "two_loop_table"])
+    def test_match_partial_trace_of_van_loan(self, request, gate):
+        # An independent reduction: the Van Loan columns on |gg, n>, traced
+        # over phonons to O(lam^2), read as predict_density_matrix reads its
+        # scalars.  Three loops stay out: Van Loan's own roundoff reaches
+        # 1.5e-12 there.
+        table = request.getfixturevalue(gate)
+        der = derived_scalars(table)
+        dim, big = table.cutoff.dim, FockCutoff(table.n_max + 30)
+        first, second = van_loan_derivatives(table.params, big)
+        for n in np.flatnonzero(der.trusted):
+            psi0 = ideal_output_state("gg", n, table.cutoff).reshape(4, dim)
+            d1, d2 = (deriv[:, big.index(0, n)].reshape(4, big.dim)[:, :dim]
+                      for deriv in (first, second))
+            rho1 = psi0 @ d1.conj().T + d1 @ psi0.conj().T
+            rho2 = d1 @ d1.conj().T + psi0 @ d2.conj().T + d2 @ psi0.conj().T
+            traced = {"a": 2.0 * rho1[3, 0], "b": 2.0 * rho2[3, 0],
+                      "c_gg": rho2[0, 0], "c_ee": rho2[3, 3], "c_eg": rho2[1, 1]}
+            for name, got in traced.items():
+                want = getattr(der, name)[n]
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, n)
+
 
 class TestCorrectionStates:
     def test_first_order_parity_structure(self, table):
@@ -720,6 +743,18 @@ class TestPersistence:
             np.testing.assert_array_equal(getattr(loaded, name), getattr(table, name))
         assert loaded.params == table.params
         assert loaded.provenance_hash == table.provenance_hash
+
+    def test_earlier_file_loads(self):
+        # Written by an earlier msgate ('msgate coefficients --loops 3
+        # --n-max 8').  Its stored derived scalars hold at 1e-12 only if the
+        # reduction sums the cancelling three-loop terms as it did then.
+        path = Path(__file__).parent / "data" / "coefficients_k3_n8_schema3.json"
+        loaded = load_coefficient_table(path)
+        gate = DimensionlessGateParams.calibrated(3)
+        assert loaded.n_max == 8
+        assert (loaded.params.omega_tilde, loaded.params.tau_gate) == (
+            gate.omega_tilde, gate.tau_gate)
+        assert loaded.provenance_hash == json.loads(path.read_text())["provenance_sha256"]
 
     def test_signed_zero_round_trip(self, table, tmp_path):
         # A -0.0 is stored and hashed as 0.0, so the reloaded table equals
