@@ -49,10 +49,8 @@ and ``--nbar`` are exclusive.
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -68,6 +66,7 @@ from .magnus import (
     QuadratureSpec,
     TruncationError,
     UnhealthyTableError,
+    _write_all,
     compute_coefficient_table,
     load_coefficient_table,
     predict_coherence,
@@ -199,7 +198,6 @@ def cmd_coefficients(args) -> int:
     if out.exists() and not args.force:
         raise CliError(f"{out} exists; pass --force to overwrite")
     table = _build(args, QuadratureSpec(args.panels_1d, args.panels_2d))
-    out.parent.mkdir(parents=True, exist_ok=True)
     digest = table.save(out)
     der = table.derived()
     if der.trusted.any():
@@ -258,27 +256,6 @@ def cmd_sweep(args) -> int:
     if args.plot_script:
         print(f"wrote {args.plot_script}")
     return EXIT_OK
-
-
-def _write_all(outputs: dict[Path, str]) -> None:
-    """Write every file or none, creating missing parent directories: each
-    text goes to a temporary file beside its path, and the temporaries
-    replace their paths only once all are written, so a path that cannot be
-    written leaves the others untouched."""
-    tmps = {}
-    try:
-        for path, text in outputs.items():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            if path.is_dir():  # os.replace would fail only after earlier renames
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-            tmps[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            with open(tmps[path], "w", newline="") as fh:
-                fh.write(text)
-        for path, tmp in tmps.items():
-            os.replace(tmp, path)
-    finally:
-        for tmp in tmps.values():
-            tmp.unlink(missing_ok=True)
 
 
 def _sweep_plot_text(csv_path, fock, oracle_tag) -> str:

@@ -237,8 +237,11 @@ def fit_fringe(
     with the noise and understate the parameter covariance.  The
     covariance of (c, s, offset) maps to (A, phase, offset) through the
     Jacobian of A = hypot(c, s), phase = atan2(s, c).  Raises ValueError on
-    non-finite data or scan phases that do not determine the fringe.
+    ``shots`` that is neither None nor a whole number >= 1, non-finite data or
+    scan phases that do not determine the fringe.
     """
+    if shots is not None and not (shots >= 1 and float(shots).is_integer()):
+        raise ValueError("shots must be positive")
     phi_d = np.asarray(phi_d, dtype=float)
     p_obs = np.asarray(p_obs, dtype=float)
     if phi_d.shape != p_obs.shape or phi_d.ndim != 1 or phi_d.size < 5:

@@ -65,6 +65,7 @@ value.
 from __future__ import annotations
 
 import base64
+import errno
 import hashlib
 import json
 import math
@@ -173,35 +174,19 @@ def _divided_difference(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
     return -1j * t * phase * np.sinc(t * (x - y) / (2.0 * math.pi))
 
 
-def _split(a):
-    """Veltkamp split of a float64 into halves of 26 bits: a == hi + lo."""
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _exp_i(t: float, x: np.ndarray) -> np.ndarray:
-    """e^{i t x} with the rounding error of t * x put back (Dekker's exact
-    product, to first order): the phase is exact even where |t x| is large."""
-    p = t * x
-    t_hi, t_lo = _split(t)
-    x_hi, x_lo = _split(x)
-    err = ((t_hi * x_hi - p) + t_hi * x_lo + t_lo * x_hi) + t_lo * x_lo
-    return np.exp(1j * p) * (1.0 + 1j * err)
-
-
 def _confluent_difference(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
     """f[x, x, y] of f(x) = e^{-i t x} for a column x and a row y:
-    e^{-itx} (-t^2) phi2(z) with z = -it(y - x) and phi2(z) = (e^z - 1 - z) / z^2.
+    e^{-itx} (-t^2) phi2(z) with z = -it(y - x) and phi2(z) = (e^z - 1 - z) / z^2
+    (Hochbruck & Ostermann, "Exponential integrators", Acta Numerica 19, 2010).
 
-    e^z is the outer product e^{itx} e^{-ity} of two 1-D exponentials.  Those
-    keep their phases exact (:func:`_exp_i`), because e^z - 1 - z cancels: an
-    ulp of t*x left in e^z costs 4e-12 relative where |z| is just over 0.1,
-    and moves two-loop tables by 3e-13.  Where |z| < 0.1 (z == 0 included)
-    phi2 is its Taylor series, in Horner form.
+    e^z - 1 - z cancels, so e^z and z are read off one gap w = t(y - x).
+    The numerator then carries only the rounding of w and of one
+    exponential, a few 1e-14 relative where |z| is just over 0.1, however
+    large t*x is, and needs no exact-product correction.  Where |z| < 0.1
+    (z == 0 included) phi2 is its Taylor series, in Horner form.
     """
     w = t * (y - x)  # z = -iw, z^2 = -w^2
-    phi2 = np.divide(1.0 - 1j * w - _exp_i(t, x) * _exp_i(-t, y), w * w,
+    phi2 = np.divide(1.0 - 1j * w - np.exp(-1j * w), w * w,
                      out=np.empty(w.shape, dtype=complex), where=w != 0)
     small = np.abs(w) < 0.1
     if small.any():
@@ -301,15 +286,14 @@ def _second_difference(levels, cross, x, y, hop, t: float) -> np.ndarray:
 def compute_first_order_table(
     params: DimensionlessGateParams,
     cutoff: FockCutoff,
-    quad: QuadratureSpec = QuadratureSpec(),
     *,
     spectrum: _Spectrum | None = None,
 ) -> np.ndarray:
     """First-order table; i_table[m, n] = (i/2) Int e^{iG} <m|D(F)|n> dt.
 
     Read off dU/dlam at lam = 0 on the |gg, n> and |ge, n> columns.
-    ``quad`` is recorded only.  ``spectrum`` is the lam = 0 eigenbasis of
-    ``params`` and ``cutoff`` when the caller has built it already.
+    ``spectrum`` is the lam = 0 eigenbasis of ``params`` and ``cutoff``
+    when the caller has built it already.
     """
     sp = _spectrum(params, cutoff) if spectrum is None else spectrum
     i_table = np.empty((cutoff.dim, cutoff.dim), dtype=complex)
@@ -462,7 +446,7 @@ def compute_coefficient_table(
     params = DimensionlessGateParams(omega_tilde=omega_tilde, tau_gate=tau_gate)
     cutoff = FockCutoff(n_max)
     sp = _spectrum(params, cutoff)
-    i_table = compute_first_order_table(params, cutoff, quad, spectrum=sp)
+    i_table = compute_first_order_table(params, cutoff, spectrum=sp)
     j1, j2, j3 = compute_second_order_tables(params, cutoff, quad, spectrum=sp)
     return CoefficientTable(params, cutoff, quad, i_table, j1, j2, j3)
 
@@ -519,16 +503,14 @@ def derived_scalars(table: CoefficientTable) -> DerivedScalars:
 
     gg2 = np.abs(p1_gg) ** 2
     ee2 = np.abs(p1_ee) ** 2
-    # [n, m]: each level's sum runs along a contiguous row, the order (and
-    # so the rounding) in which stored c_eg values were summed.
-    eg2 = np.ascontiguousarray((np.abs(p1_ge) ** 2).T)
+    eg2 = np.abs(p1_ge) ** 2
     ee_gg = p1_ee * p1_gg.conj()  # zero on the diagonal
 
     d_gg = np.diag(p2_gg)
     d_ee = np.diag(p2_ee)
     c_gg = -d_gg.real - d_gg.imag + gg2.sum(axis=0)
     c_ee = -d_ee.real + d_ee.imag + ee2.sum(axis=0)
-    c_eg = eg2.sum(axis=1)
+    c_eg = eg2.sum(axis=0)
     b = -(1.0 - 1.0j) * (d_gg.conj() + d_ee) + 2.0 * ee_gg.sum(axis=0)
 
     guard = 5
@@ -536,7 +518,7 @@ def derived_scalars(table: CoefficientTable) -> DerivedScalars:
     tails = {
         "c_gg": gg2[lo:, :].sum(axis=0),
         "c_ee": ee2[lo:, :].sum(axis=0),
-        "c_eg": eg2[:, lo:].sum(axis=1),
+        "c_eg": eg2[lo:, :].sum(axis=0),
         "b": 2.0 * np.abs(ee_gg[lo:, :].sum(axis=0)),
         # Relative to the slopes, which grow with the loop count (about 8K).
         "a_structure": np.full(dim, a_imag / max(1.0, float(np.abs(a).max()))),
@@ -637,7 +619,7 @@ def predicted_state(
     _check_lambda(lambda_tilde)
     return (ideal_output_state(label, n, table.cutoff)
             - lambda_tilde * first_order_correction(label, n, table)
-            - lambda_tilde**2 * second_order_correction(label, n, table))
+            - lambda_tilde * lambda_tilde * second_order_correction(label, n, table))
 
 
 # --------------------------------------------------------------------------
@@ -709,12 +691,6 @@ def _per_input(n, weights: np.ndarray, values: np.ndarray):
     return values.reshape(np.shape(n) + values.shape[1:])[()]
 
 
-def _square(x):
-    """x**2 by libm's pow, as the closed forms have always been evaluated;
-    x * x differs in the last bit for about one value in 1,200."""
-    return np.float_power(x, 2)
-
-
 def predict_density_matrix(
     n, lambda_tilde, table: CoefficientTable, initial: str = "gg"
 ) -> np.ndarray:
@@ -731,7 +707,7 @@ def predict_density_matrix(
         sign, same, other = 1.0, der.c_gg, der.c_ee
     else:
         sign, same, other = -1.0, der.c_ee, der.c_gg
-    l2 = _square(lam)
+    l2 = lam * lam
     coh = (-1j + sign * lam * der.a[levels] + l2 * der.b[levels]) / 2.0
     rho = np.zeros(coh.shape + (4, 4), dtype=complex)
     rho[..., 0, 0] = 0.5 + l2 * same[levels]
@@ -777,7 +753,7 @@ def predict_phase(
     levels, weights, lam = _checked(n, table, lambda_tilde, initial, thermal=True)
     der = table.derived()
     sign = 1.0 if initial == "gg" else -1.0
-    phases = -math.pi / 2.0 + sign * lam * der.a[levels] + _square(lam) * der.b[levels].real
+    phases = -math.pi / 2.0 + sign * lam * der.a[levels] + lam * lam * der.b[levels].real
     return _per_input(n, weights, phases)
 
 
@@ -790,7 +766,7 @@ def predict_fidelity(
     """
     levels, weights, lam = _checked(n, table, lambda_tilde, thermal=True)
     der = table.derived()
-    vals = 1.0 + 0.5 * _square(lam) * (
+    vals = 1.0 + 0.5 * lam * lam * (
         der.c_gg[levels] + der.c_ee[levels] - der.b[levels].imag
     )
     return _per_input(n, weights, vals)
@@ -802,8 +778,9 @@ def predict_purity(n, lambda_tilde, table: CoefficientTable):
     O(lam^3)."""
     levels, weights, lam = _checked(n, table, lambda_tilde)
     der = table.derived()
-    vals = 1.0 - _square(lam) * (
-        der.b[levels].imag - 0.5 * _square(der.a[levels]) - der.c_gg[levels] - der.c_ee[levels]
+    a = der.a[levels]
+    vals = 1.0 - lam * lam * (
+        der.b[levels].imag - 0.5 * a * a - der.c_gg[levels] - der.c_ee[levels]
     )
     return _per_input(n, weights, vals)
 
@@ -848,6 +825,28 @@ def _table_from_text(text, name: str, dim: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c16").astype(complex).reshape(dim, dim)
 
 
+def _write_all(outputs: dict[Path, str]) -> None:
+    """Write every file or none, creating missing parent directories: each
+    text goes to a temporary file beside its path, and the temporaries
+    replace their paths only once all are written, so a reader never sees a
+    partial file and a path that cannot be written leaves the others, and
+    any earlier file there, untouched."""
+    tmps = {}
+    try:
+        for path, text in outputs.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if path.is_dir():  # os.replace would fail only after earlier renames
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            tmps[path] = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+            with open(tmps[path], "w", newline="") as fh:
+                fh.write(text)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
+
+
 def save_coefficient_table(table: CoefficientTable, path) -> str:
     """Write a versioned, byte-reproducible JSON dump of the tables, and
     return the provenance digest written into it.
@@ -858,9 +857,10 @@ def save_coefficient_table(table: CoefficientTable, path) -> str:
     bit for bit.  The schema, parameters, digest and ``derived`` block stay
     plain JSON that can be read as text.  No timestamps: identical
     parameters produce identical bytes, and the digest in the file pins the
-    parameters and every table entry.  The bytes go to a temporary file
-    beside ``path`` that replaces it only once complete, so a reader never
-    sees a partial table and a failed write leaves nothing.
+    parameters and every table entry.  Missing parent directories of
+    ``path`` are created.  The bytes go to a temporary file beside ``path``
+    that replaces it only once complete (:func:`_write_all`), so a reader
+    never sees a partial table and a failed write leaves nothing.
     """
     der = table.derived()
     blobs = {key: _table_bytes(getattr(table, name)) for key, name in _TABLE_FIELDS.items()}
@@ -889,15 +889,7 @@ def save_coefficient_table(table: CoefficientTable, path) -> str:
                       for key, blob in sorted(blobs.items()))
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))[:-1]
     text += ',"tables":{' + tables + "}}\n"
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    _write_all({Path(path): text})
     return digest
 
 

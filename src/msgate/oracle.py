@@ -278,6 +278,8 @@ def relative_phase_pair(initial_label: str) -> tuple[int, int]:
     """(row, column) of the reduced-matrix coherence whose argument is the
     gate's relative phase for a given computational input."""
     pairs = {"gg": (3, 0), "ee": (0, 3), "ge": (2, 1), "eg": (1, 2)}
+    if initial_label not in pairs:
+        raise ValueError(f"unknown qubit label {initial_label!r}")
     return pairs[initial_label]
 
 

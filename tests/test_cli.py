@@ -422,7 +422,7 @@ class TestCalibrate:
         def refuse(src, dst):
             raise PermissionError(13, "Permission denied", str(dst))
 
-        monkeypatch.setattr("msgate.cli.os.replace", refuse)
+        monkeypatch.setattr("msgate.magnus.os.replace", refuse)
         rc = main(["calibrate", "--table", table_file, "--engine", "first_order_model",
                    "--detuning-hz=-11e3", "--shift-hz", "30", "--out", "report.json"])
         assert rc == EXIT_USAGE

@@ -194,6 +194,16 @@ class TestFringeFit:
         with pytest.raises(ValueError, match=message):
             fit_fringe(phi, p)
 
+    @pytest.mark.parametrize("shots", [0, -3, 2.5, math.nan, math.inf])
+    def test_rejects_bad_shots(self, shots):
+        # Refused before any arithmetic: 0 used to divide by zero and -3 to
+        # fail inside the SVD.
+        phi = phase_scan(8)
+        p = 0.5 + 0.4 * np.cos(2 * phi)
+        with pytest.raises(ValueError, match="shots must be positive"):
+            fit_fringe(phi, p, shots)
+        assert fit_fringe(phi, p, 200.0).phase == fit_fringe(phi, p, 200).phase
+
     @pytest.mark.parametrize("level", [0.0, 0.5])
     @pytest.mark.parametrize("shots", [None, 200])
     def test_flat_data_warns_nothing(self, shots, level):

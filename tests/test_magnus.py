@@ -307,17 +307,21 @@ class TestSpectralTables:
         for name in ("i_table", "j1", "j2", "j3"):
             assert np.abs(getattr(doubled, name) - getattr(base, name)).max() <= 1e-13
 
-    @pytest.mark.parametrize("omega2, t, regime", [
-        (1.0, TAU, "z == 0"),
-        (0.0999 / TAU, TAU, "under"),
-        (0.1001 / TAU, TAU, "over"),
-        (0.125, 2.0 * TAU, "two loops"),
-    ], ids=["z-zero", "z-under-0.1", "z-over-0.1", "two-loops"])
-    def test_confluent_difference_matches_mpmath(self, omega2, t, regime):
+    @pytest.mark.parametrize("omega2, t, size, regime, bound", [
+        (1.0, TAU, 41, "z == 0", 1e-13),
+        (0.0999 / TAU, TAU, 41, "under", 1e-13),
+        (0.1001 / TAU, TAU, 41, "over", 1e-13),
+        (0.125, 2.0 * TAU, 41, "two loops", 1e-13),
+        # Large t*x: the shared prefactor e^{-itx} carries the rounding of
+        # t*x, 4.6e-13 relative at the worst entry.
+        (0.1001 / (8.0 * TAU), 8.0 * TAU, 121, "over", 1e-12),
+    ], ids=["z-zero", "z-under-0.1", "z-over-0.1", "two-loops", "eight-loops-over-0.1"])
+    def test_confluent_difference_matches_mpmath(self, omega2, t, size, regime, bound):
         # f[x, x, y] of e^{-itx} at the energies of a spectrum (levels k and
-        # k - omega^2 below 41), against 30-digit arithmetic on the same floats.
+        # k - omega^2 below ``size``), against 30-digit arithmetic on the
+        # same floats.
         mpmath = pytest.importorskip("mpmath")
-        levels = np.arange(41.0)
+        levels = np.arange(float(size))
         for x, y in ((levels - omega2, levels), (levels, levels - omega2)):
             w = np.abs(t * np.subtract.outer(y, x)).min()
             assert {"z == 0": w == 0.0, "under": 0.099 < w < 0.1,
@@ -331,7 +335,7 @@ class TestSpectralTables:
                         z = -1j * tm * (mpmath.mpf(yj) - mpmath.mpf(xi))
                         phi2 = 0.5 if z == 0 else (mpmath.exp(z) - 1 - z) / z**2
                         want = complex(pre * phi2)
-                        assert abs(got[i, j] - want) <= 1e-13 * abs(want)
+                        assert abs(got[i, j] - want) <= bound * abs(want)
 
     def test_quadrature_ignored(self, table):
         other = compute_coefficient_table(n_max=table.n_max, quad=QuadratureSpec(64, 16))

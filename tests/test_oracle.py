@@ -491,6 +491,13 @@ class TestObservables:
         assert relative_phase_pair("ee") == (0, 3)
         assert relative_phase_pair("ge") == (2, 1)
 
+    def test_unknown_label_refused(self, oracle_cutoff):
+        final = basis_state("gg", 0, oracle_cutoff)
+        with pytest.raises(ValueError, match="unknown qubit label 'xx'"):
+            relative_phase_pair("xx")
+        with pytest.raises(ValueError, match="unknown qubit label 'xx'"):
+            observables(final, "xx", oracle_cutoff)
+
     def test_idle_pair_phase(self, oracle_cutoff, fast_integrator):
         params = DimensionlessGateParams()
         initial = basis_state("ge", 0, oracle_cutoff)

@@ -79,7 +79,7 @@ CONFIG_FIELDS = {
 OPTIONAL_PARAMETERS = {
     "ideal.collective_spin": ("phi",),
     "ideal.phase_space_trajectory": ("n_samples",),
-    "magnus.compute_first_order_table": ("quad", "spectrum"),
+    "magnus.compute_first_order_table": ("spectrum",),
     "magnus.compute_second_order_tables": ("quad", "spectrum"),
     "magnus.compute_coefficient_table": ("omega_tilde", "n_max", "quad", "tau_gate"),
     "magnus.predict_phase": ("initial",),
