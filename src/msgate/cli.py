@@ -18,7 +18,8 @@ usage/configuration error (including a config section that names no
 subcommand, a key that is not an option of its subcommand or a value that
 its option refuses, a nan or inf float option, a ``predict
 --lambda-tilde`` or a ``sweep`` grid past the hard cap |lambda_tilde| <=
-0.5, a ``--loops`` that is not an integer >= 1, an
+0.5, a ``sweep --fock`` list that names a level twice, a negative
+``calibrate --shots``, a ``--loops`` that is not an integer >= 1, an
 ``--nbar`` that needs more than 10^4 Fock levels, an output path that
 cannot be written, which leaves any earlier file there untouched and after
 which ``sweep`` writes neither its CSV nor its plot script, and a table
@@ -44,11 +45,16 @@ are refused with ``--table``.  The table owns the gate: ``sweep --oracle``
 and both ``calibrate`` engines run its ``omega_tilde`` and ``tau_gate``.
 ``trajectory`` draws the loop of the ``--loops`` gate.  ``--fock-initial``
 and ``--nbar`` are exclusive.
+
+``main(argv)`` may be called repeatedly in one process.  It builds its
+parser once, on the first call, and a ``--config`` section applies to its
+own call only: it never carries into a later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -221,6 +227,9 @@ def cmd_sweep(args) -> int:
     fock = [int(s) for s in args.fock.split(",") if s.strip() != ""]
     if not fock:
         raise CliError("--fock must name at least one level")
+    for i, n in enumerate(fock):
+        if n in fock[:i]:
+            raise CliError(f"--fock names level {n} more than once")
     # One predictor pass each over the (level, lambda) grid; the CSV is
     # written from (level, lambda) columns, level-major.
     pops = predict_populations(fock, lams, table)
@@ -471,6 +480,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, dict(sub.choices)
 
 
+@functools.cache
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser that every main() call parses with, built once per process.
+    Nothing may change it: _apply_config folds a config into its own."""
+    return build_parser()
+
+
 def _config_value(command: str, key: str, value, action: argparse.Action):
     """A config value parsed as its option parses a command-line value.
 
@@ -495,8 +511,10 @@ def _config_value(command: str, key: str, value, action: argparse.Action):
     return parsed
 
 
-def _apply_config(parser, subparsers, config, args, argv):
-    """Fold config-file values in as subcommand defaults; flags still win."""
+def _apply_config(subparsers, config, args, argv):
+    """Fold config-file values in as subcommand defaults; flags still win.
+    The defaults go on a parser built for this call alone, so the shared
+    one never carries them into a later call."""
     for name in config:
         if name not in subparsers:
             raise CliError(f"config section {name!r} names no subcommand")
@@ -512,18 +530,19 @@ def _apply_config(parser, subparsers, config, args, argv):
         if action is None:
             raise CliError(f"config key {key!r} is not an option of {args.command!r}")
         defaults[action.dest] = _config_value(args.command, key, value, action)
-    subparsers[args.command].set_defaults(**defaults)
+    parser, private = build_parser()
+    private[args.command].set_defaults(**defaults)
     return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
+    parser, subparsers = _shared_parser()
     try:
         args = parser.parse_args(argv)
         config = _load_config(args.config)
         if config:
-            args = _apply_config(parser, subparsers, config, args, argv)
+            args = _apply_config(subparsers, config, args, argv)
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,6 +52,12 @@ __all__ = [
 ENGINES = ("first_order_model", "oracle")
 
 
+def _check_shots(shots: int | None) -> None:
+    """Refuse a shot count that is neither None nor a whole number >= 1."""
+    if shots is not None and not (shots >= 1 and float(shots).is_integer()):
+        raise ValueError("shots must be positive")
+
+
 @dataclass(frozen=True)
 class SequenceConfig:
     """Physical and numerical settings for one calibration run.
@@ -60,7 +66,8 @@ class SequenceConfig:
     ``tau_gate``/|detuning|, with ``tau_gate`` that of the coefficient table
     the run is given.  ``qubit_shift`` is the center-line error lam (rad/s)
     being estimated.  ``mode`` is the initial mode of the motion: a Fock
-    level or a thermal distribution.
+    level or a thermal distribution.  ``shots`` per scan point is a whole
+    number >= 1, or None to fit exact probabilities.
     """
 
     detuning: float
@@ -88,6 +95,7 @@ class SequenceConfig:
             raise ValueError("need at least 5 phase points to fit 3 parameters")
         if isinstance(self.mode, int) and self.mode < 0:
             raise ValueError(f"the initial Fock level must be >= 0, got {self.mode}")
+        _check_shots(self.shots)
 
     @property
     def lambda_tilde(self) -> float:
@@ -240,8 +248,7 @@ def fit_fringe(
     ``shots`` that is neither None nor a whole number >= 1, non-finite data or
     scan phases that do not determine the fringe.
     """
-    if shots is not None and not (shots >= 1 and float(shots).is_integer()):
-        raise ValueError("shots must be positive")
+    _check_shots(shots)
     phi_d = np.asarray(phi_d, dtype=float)
     p_obs = np.asarray(p_obs, dtype=float)
     if phi_d.shape != p_obs.shape or phi_d.ndim != 1 or phi_d.size < 5:

@@ -1,11 +1,14 @@
 """CLI coverage through main(argv): exit codes, files, reports, config."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msgate.cli as cli
 from msgate.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from msgate.experiment import SequenceConfig, run_calibration
 from msgate.hilbert import ThermalDistribution
@@ -305,6 +308,15 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "Fock level 8" in err and "--cutoff-n-max" in err
 
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["model", "oracle"])
+    def test_repeated_level_refused(self, table_file, workdir, capsys, oracle):
+        # A repeated level would write its rows, and propagate its columns, twice.
+        rc = main(["sweep", "--table", table_file, "--points", "3", "--fock", "0,1,2,1",
+                   *oracle, "--plot-script", "sweep.gp"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --fock names level 1 more than once\n"
+        assert _files(workdir) == []
+
     def test_guard_band_exit(self, table_file, tmp_path, capsys):
         rc = main(["sweep", "--table", table_file, "--lambda-min", "-0.05",
                    "--lambda-max", "0.05", "--points", "2", "--fock", "0",
@@ -429,6 +441,18 @@ class TestCalibrate:
         assert "cannot write output" in capsys.readouterr().err
         assert Path("report.json").read_text() == "earlier report\n"
         assert _files(workdir) == [Path("report.json")]  # no temporary left
+
+    def test_negative_shots_refused_before_simulation(self, table_file, workdir,
+                                                      capsys, monkeypatch):
+        def simulate(*args, **kwargs):
+            raise AssertionError("the fringe was simulated")
+
+        monkeypatch.setattr("msgate.experiment.simulate_fringe", simulate)
+        rc = main(["calibrate", "--table", table_file, "--detuning-hz=-11e3",
+                   "--shift-hz", "30", "--shots", "-1", "--out", "report.json"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == "error: shots must be positive\n"
+        assert _files(workdir) == []
 
     def test_truncated_cutoff_exit(self, table_file, capsys):
         rc = main(["calibrate", "--table", table_file, "--detuning-hz",
@@ -564,6 +588,86 @@ class TestConfigFile:
         Path("coefficients.json").write_text("earlier table")
         assert main(["--config", "c.json", "coefficients"]) == EXIT_OK
         assert load_coefficient_table("coefficients.json").n_max == 8
+
+
+class TestSharedParser:
+    """main(argv) parses with one parser per process; a config never
+    changes it, so no call sees an earlier call's config."""
+
+    @pytest.fixture(autouse=True)
+    def builds(self, monkeypatch):
+        """Count build_parser() calls, from a process that has built no parser."""
+        calls = []
+        build = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._shared_parser.cache_clear()
+        yield calls
+        cli._shared_parser.cache_clear()
+
+    @staticmethod
+    def _run(capsys, argv, *outputs):
+        """Exit code, stdout, stderr and the bytes of the named outputs."""
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        return rc, out, err, [Path(p).read_bytes() for p in outputs]
+
+    def test_built_once(self, table_file, builds):
+        for argv in (["trajectory", "--samples", "5"],
+                     ["predict", "--table", table_file, "--lambda-tilde", "0.02"],
+                     ["trajectory", "--samples", "9", "--out", "t.csv"]):
+            assert main(argv) == EXIT_OK
+        assert len(builds) == 1
+
+    def test_config_does_not_carry(self, table_file, capsys, builds):
+        plain = {
+            "calibrate": (["calibrate", "--table", table_file, "--detuning-hz=-11e3",
+                           "--shift-hz", "30", "--cutoff-n-max", "24", "--out", "r.json"],
+                          "r.json"),
+            "predict": (["predict", "--table", table_file, "--lambda-tilde", "0.02"],),
+        }
+        before = {name: self._run(capsys, *run) for name, run in plain.items()}
+        assert [b[0] for b in before.values()] == [EXIT_OK, EXIT_OK]
+        Path("c.json").write_text(json.dumps({
+            "calibrate": {"points": 7, "engine": "first_order_model", "nbar": 0.05},
+            "predict": {"nbar": 0.05, "initial": "ee"},
+        }))
+        # Refused part-way: the keys before the bad one are valid.
+        Path("bad.json").write_text(json.dumps({
+            "calibrate": {"points": 7, "nbar": 0.05, "engine": "exact"},
+            "predict": {"nbar": 0.05, "initial": "ge"},
+        }))
+        for name, (argv, *outputs) in plain.items():
+            rc, out, _, _ = self._run(capsys, ["--config", "c.json", *argv], *outputs)
+            assert rc == EXIT_OK and out != before[name][1], name
+            assert self._run(capsys, ["--config", "bad.json", *argv])[0] == EXIT_USAGE
+        after = {name: self._run(capsys, *run) for name, run in plain.items()}
+        assert after == before
+        assert len(builds) == 1 + 2  # the shared parser, and one per config applied
+
+    def test_error_paths_leave_it_unchanged(self, table_file, capsys):
+        argv = ["predict", "--table", table_file, "--lambda-tilde", "0.02",
+                "--fock-initial", "1"]
+        first = io.StringIO()
+        with contextlib.redirect_stdout(first):  # the parser is built here
+            assert main(argv) == EXIT_OK
+        for call, code in ((["--version"], 0), (["sweep", "--help"], 0),
+                           (["predict", "--bogus"], 2),
+                           (["predict", "--fock-initial", "1", "--nbar", "0.1"], 2)):
+            with pytest.raises(SystemExit) as exc:
+                main(call)
+            assert exc.value.code == code
+        out, err = capsys.readouterr()
+        # Help and errors go to the streams current at each call.
+        assert out.startswith("msgate ") and "usage: msgate sweep" in out
+        assert "unrecognized arguments: --bogus" in err
+        assert "not allowed with argument --fock-initial" in err
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == first.getvalue()
 
 
 class TestTrajectory:

@@ -64,6 +64,17 @@ class TestSequenceConfig:
         with pytest.raises(ValueError, match="initial Fock level must be >= 0"):
             _config(mode=-1)
 
+    @pytest.mark.parametrize("shots", [0, -1, 2.5])
+    def test_bad_shots_refused(self, shots):
+        # Refused with fit_fringe's message when the config is made, not
+        # after the fringe has been simulated.
+        with pytest.raises(ValueError, match="shots must be positive"):
+            _config(shots=shots)
+
+    @pytest.mark.parametrize("shots", [None, 1, 200, 200.0])
+    def test_shots_accepted(self, shots):
+        assert _config(shots=shots).shots == shots
+
     def test_thermal_levels_scaling(self, table):
         # The model fringe of a thermal mode is the weighted sum of the
         # fringes of its levels 0..n_max, whose count grows with n_bar.
