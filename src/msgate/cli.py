@@ -18,16 +18,17 @@ usage/configuration error (including a config section that names no
 subcommand, a key that is not an option of its subcommand or a value that
 its option refuses, a nan or inf float option, a ``predict
 --lambda-tilde`` or a ``sweep`` grid past the hard cap |lambda_tilde| <=
-0.5, a ``sweep --fock`` list that names a level twice, a negative
-``calibrate --shots``, a ``--loops`` that is not an integer >= 1, an
-``--nbar`` that needs more than 10^4 Fock levels, an output path that
-cannot be written, which leaves any earlier file there untouched and after
-which ``sweep`` writes neither its CSV nor its plot script, and a table
-file whose schema is not the current ``msgate/coefficients/3`` (schema 1
-and 2 files get a message to rebuild the table), that cannot be read, lacks
-an entry or holds one of the wrong type, holds a table that is not base64
-of exactly (n_max + 1)^2 little-endian complex128 values, or whose stored
-derived scalars or provenance digest do not match its contents), 3
+0.5, a ``sweep --fock`` list that is not comma-separated integer levels
+or names a level twice, a negative ``calibrate --shots``, a ``--loops``
+that is not an integer >= 1, an ``--nbar`` that needs more than 10^4 Fock
+levels, an output path that cannot be written, which leaves any earlier
+file there untouched and after which ``sweep`` writes neither its CSV nor
+its plot script, and a table file whose schema is not the current
+``msgate/coefficients/3`` (schema 1 and 2 files get a message to rebuild
+the table), that cannot be read, lacks an entry or holds one of the wrong
+type, holds a table that is not base64 of exactly (n_max + 1)^2
+little-endian complex128 values, or whose stored derived scalars or
+provenance digest do not match its contents), 3
 numerical-health failure (Fock truncation, an initial level above the
 oracle cutoff, guard-band occupation, norm drift, a table with non-finite
 entries or a structure residual past 1e-6: a built one is not written, a
@@ -219,17 +220,26 @@ def cmd_coefficients(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    if args.points < 1:
-        raise CliError(f"--points must be at least 1, got {args.points}")
-    table = _table_for(args)
-    lams = np.linspace(args.lambda_min, args.lambda_max, args.points)
-    fock = [int(s) for s in args.fock.split(",") if s.strip() != ""]
+def _fock_levels(text: str) -> list[int]:
+    """The distinct levels of a ``sweep --fock`` list, in its order."""
+    try:
+        fock = [int(s) for s in text.split(",") if s.strip() != ""]
+    except ValueError:
+        raise CliError(f"--fock takes comma-separated integer levels, got {text!r}") from None
     if not fock:
         raise CliError("--fock must name at least one level")
     for i, n in enumerate(fock):
         if n in fock[:i]:
             raise CliError(f"--fock names level {n} more than once")
+    return fock
+
+
+def cmd_sweep(args) -> int:
+    if args.points < 1:
+        raise CliError(f"--points must be at least 1, got {args.points}")
+    fock = _fock_levels(args.fock)
+    table = _table_for(args)
+    lams = np.linspace(args.lambda_min, args.lambda_max, args.points)
     # One predictor pass each over the (level, lambda) grid; the CSV is
     # written from (level, lambda) columns, level-major.
     pops = predict_populations(fock, lams, table)

@@ -44,7 +44,11 @@ derivatives are exact sums over the closed-form lam = 0 eigenbasis
 (Daleckii-Krein divided differences of f(x) = e^{-iTx}: Higham, *Functions of
 Matrices*, SIAM 2008, section 3.2; Najfeld & Havel, Adv. Appl. Math. 16,
 1995), cut at a Fock margin above the table that leaves every entry
-converged to roundoff.  The sums use the symmetries the oracle's blocks use:
+converged to roundoff.  Every displaced energy is k - omega^2 and every
+idle one an integer l, so the divided differences of a displaced and an
+idle state depend on the pair only through the integer gap k - l, up to
+1-D phases: they are evaluated once per gap and gathered onto the pairs
+(a Toeplitz fill).  The sums use the symmetries the oracle's blocks use:
 S_z reaches the idle branches only through their exchange-symmetric
 combination, and the parity (-1)^(N + S_z) splits what it reaches into two
 sectors that S_z never connects.  So each derivative is the sum of two
@@ -168,24 +172,33 @@ def _fock_margin(n_max: int, omega: float) -> int:
     return math.ceil((4.0 * w + 0.5) * math.sqrt(n_max + 1) + 17.0 * w) + 10
 
 
-def _divided_difference(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
-    """f[x, y] of f(x) = e^{-i t x}, and f'(x) where x == y, without cancellation."""
-    phase = np.exp(-0.5j * t * x) * np.exp(-0.5j * t * y)
-    return -1j * t * phase * np.sinc(t * (x - y) / (2.0 * math.pi))
+def _divided_difference(gaps: np.ndarray, offset: float, t: float) -> np.ndarray:
+    """The sinc factor of f[x, y] of f(x) = e^{-i t x}, once per energy gap.
+
+    f[x, y] = -it e^{-itx/2} e^{-ity/2} sinc(t w / 2 pi) with w = x - y, and
+    the same expression is f'(x) where w == 0, so it needs no cancellation.
+    Where x and y are lam = 0 energies, w = gap - offset for an integer gap
+    and the offset omega^2: the sinc is evaluated once per entry of
+    ``gaps`` and gathered onto the state pairs, and the phases stay 1-D.
+    """
+    return np.sinc(t * (gaps - offset) / (2.0 * math.pi))
 
 
-def _confluent_difference(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
-    """f[x, x, y] of f(x) = e^{-i t x} for a column x and a row y:
-    e^{-itx} (-t^2) phi2(z) with z = -it(y - x) and phi2(z) = (e^z - 1 - z) / z^2
-    (Hochbruck & Ostermann, "Exponential integrators", Acta Numerica 19, 2010).
+def _confluent_difference(gaps: np.ndarray, offset: float, t: float) -> np.ndarray:
+    """The phi2 factor of f[x, x, y] of f(x) = e^{-i t x}, once per energy gap:
+    f[x, x, y] = e^{-itx} (-t^2) phi2(z) with z = -it(y - x) and
+    phi2(z) = (e^z - 1 - z) / z^2 (Hochbruck & Ostermann, "Exponential
+    integrators", Acta Numerica 19, 2010), where y - x = gap - offset for an
+    integer gap and the offset omega^2.  phi2 is evaluated once per entry of
+    ``gaps`` and gathered onto the state pairs; the prefactor stays 1-D.
 
-    e^z - 1 - z cancels, so e^z and z are read off one gap w = t(y - x).
+    e^z - 1 - z cancels, so e^z and z are read off one gap w = t(gap - offset).
     The numerator then carries only the rounding of w and of one
     exponential, a few 1e-14 relative where |z| is just over 0.1, however
     large t*x is, and needs no exact-product correction.  Where |z| < 0.1
     (z == 0 included) phi2 is its Taylor series, in Horner form.
     """
-    w = t * (y - x)  # z = -iw, z^2 = -w^2
+    w = t * (gaps - offset)  # z = -iw, z^2 = -w^2
     phi2 = np.divide(1.0 - 1j * w - np.exp(-1j * w), w * w,
                      out=np.empty(w.shape, dtype=complex), where=w != 0)
     small = np.abs(w) < 0.1
@@ -195,7 +208,7 @@ def _confluent_difference(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
         for k in range(8, 1, -1):
             acc = acc * zs + 1.0 / math.factorial(k)
         phi2[small] = acc
-    return -t * t * np.exp(-1j * t * x) * phi2
+    return phi2
 
 
 @dataclass(frozen=True)
@@ -215,6 +228,7 @@ class _Sector:
     """
 
     e_idle: np.ndarray  # (h,) idle levels l, which are also their energies
+    gap_index: np.ndarray  # (size, h) index of the gap k - l in the spectrum's gaps
     b: np.ndarray  # S_z from idle to displaced states, (size, h)
     g_di: np.ndarray  # dU/dlam at lam = 0 (Daleckii-Krein), F1 o B: idle to displaced
     g_id: np.ndarray  # its other block, F1^T o B^dag: displaced to idle
@@ -237,11 +251,16 @@ class _Spectrum:
     (-1)^(N + S_z) splits the rest into two :class:`_Sector` objects that
     S_z never connects, so each derivative is the sum of two independent
     sector terms.  Paired states share their energies, k - omega^2 for the
-    displaced and l for the idle ones.  One spectrum serves both table
-    orders of a build.
+    displaced and l for the idle ones, so a displaced and an idle energy
+    differ by an integer gap k - l less the offset omega^2, and every
+    divided difference is a function of that gap: a sector's (size, h)
+    grid of them is one gather, through ``gap_index``, from the 2 size - 1 gaps.
+    One spectrum serves both table orders of a build.
     """
 
     t: float
+    offset: float  # omega^2
+    gaps: np.ndarray  # (2 size - 1,) integer gaps k - l as floats, ascending from 1 - size
     e_disp: np.ndarray  # (size,) energies of the displaced states of either sector
     d: np.ndarray  # (dim, size): <m|D(omega)|k> for the table rows m
     sectors: tuple[_Sector, _Sector]  # parity +1 (even idle levels), then -1
@@ -253,33 +272,40 @@ def _spectrum(params: DimensionlessGateParams, cutoff: FockCutoff) -> _Spectrum:
     dim = cutoff.dim
     size = dim + _fock_margin(cutoff.n_max, omega)
     d = displacement_matrix(omega, size)  # rows m, columns k: <m|D(omega)|k>
+    t, offset = params.tau_gate, omega * omega
     levels = np.arange(size, dtype=float)
-    e_disp = levels - omega * omega
+    e_disp = levels - offset
+    gaps = np.arange(1.0 - size, size)
+    sinc = _divided_difference(gaps, offset, t)
+    phase_disp = np.exp(-0.5j * t * e_disp)[:, None]
     sectors = []
     for lowest in (0, 1):
         e_idle = levels[lowest::2]
+        gap_index = np.subtract.outer(np.arange(size), np.arange(lowest, size, 2)) + (size - 1)
         b = d.conj().T[:, lowest::2]
-        f1 = _divided_difference(e_disp[:, None], e_idle[None, :], params.tau_gate)
-        sectors.append(_Sector(e_idle, b, f1 * b, f1.T * b.conj().T,
+        f1 = -1j * t * (phase_disp * np.exp(-0.5j * t * e_idle)) * sinc[gap_index]
+        sectors.append(_Sector(e_idle, gap_index, b, f1 * b, f1.T * b.conj().T,
                                slice(lowest, dim, 2), (dim - lowest + 1) // 2))
-    return _Spectrum(params.tau_gate, e_disp, d[:dim], tuple(sectors))
+    return _Spectrum(t, offset, gaps, e_disp, d[:dim], tuple(sectors))
 
 
-def _second_difference(levels, cross, x, y, hop, t: float) -> np.ndarray:
+def _second_difference(levels, cross, x, phi2, hop, t: float) -> np.ndarray:
     """One side of a sector of (1/2) d^2U/dlam^2 = sum_j f[E_i, E_j, E_k] B_ij B_jk.
 
     Both hops cross between the sides, so i and k lie on the same one (energies
-    ``x``, integer ``levels``) and j on the other (energies ``y``); ``hop`` is
-    B from this side to the other.  Where i != k, f[E_i, E_j, E_k] =
+    ``x``, integer ``levels``) and j on the other; ``hop`` is B from this side
+    to the other.  Where i != k, f[E_i, E_j, E_k] =
     (f[E_i, E_j] - f[E_j, E_k]) / (E_i - E_k): ``cross`` is the numerator
     summed over j, and E_i - E_k is the integer gap.  A side's energies are
-    distinct, so the confluent terms f[x_i, x_i, y_j] make up its diagonal.
+    distinct, so the confluent terms f[x_i, x_i, y_j] make up its diagonal:
+    e^{-itx_i} (-t^2) phi2_ij, with ``phi2`` gathered from
+    :func:`_confluent_difference`.
     """
     gap = np.subtract.outer(levels, levels)
     np.fill_diagonal(gap, 1.0)
     c = cross / gap
-    np.fill_diagonal(c, (_confluent_difference(x[:, None], y[None, :], t) * hop
-                         * hop.conj()).sum(axis=1))
+    confluent = -t * t * np.exp(-1j * t * x)[:, None] * phi2
+    np.fill_diagonal(c, (confluent * hop * hop.conj()).sum(axis=1))
     return c
 
 
@@ -319,15 +345,19 @@ def compute_second_order_tables(
     """
     sp = _spectrum(params, cutoff) if spectrum is None else spectrum
     levels = np.arange(sp.e_disp.size, dtype=float)
+    # y - x is l - k + omega^2 from a displaced row, k - l - omega^2 from an idle one.
+    phi2_disp = _confluent_difference(-sp.gaps, -sp.offset, sp.t)
+    phi2_idle = _confluent_difference(sp.gaps, sp.offset, sp.t)
     j3 = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
     disp = []
     for s in sp.sectors:
         b_id = s.b.conj().T
         c_disp = _second_difference(levels, s.g_di @ b_id - s.b @ s.g_id,
-                                    sp.e_disp, s.e_idle, s.b, sp.t)
+                                    sp.e_disp, phi2_disp[s.gap_index], s.b, sp.t)
         h = s.below  # the tables read the idle side only under dim
         cross = s.g_id[:h] @ s.b[:, :h] - b_id[:h] @ s.g_di[:, :h]
-        c_idle = _second_difference(s.e_idle[:h], cross, s.e_idle[:h], sp.e_disp, b_id[:h], sp.t)
+        c_idle = _second_difference(s.e_idle[:h], cross, s.e_idle[:h],
+                                    phi2_idle[s.gap_index.T[:h]], b_id[:h], sp.t)
         disp.append(sp.d @ c_disp @ sp.d.conj().T)
         j3[s.rows, s.rows] = -0.5 * c_idle
     # Inverse of _corrections' second order: on the rows of its own parity a

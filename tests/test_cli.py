@@ -317,6 +317,13 @@ class TestSweep:
         assert capsys.readouterr().err == "error: --fock names level 1 more than once\n"
         assert _files(workdir) == []
 
+    def test_non_integer_level_refused(self, table_file, workdir, capsys):
+        rc = main(["sweep", "--table", table_file, "--points", "3", "--fock", "0,1.5"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: --fock takes comma-separated integer levels, got '0,1.5'\n")
+        assert _files(workdir) == []
+
     def test_guard_band_exit(self, table_file, tmp_path, capsys):
         rc = main(["sweep", "--table", table_file, "--lambda-min", "-0.05",
                    "--lambda-max", "0.05", "--points", "2", "--fock", "0",

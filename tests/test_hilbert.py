@@ -128,6 +128,15 @@ class TestDisplacementMatrix:
         np.testing.assert_array_equal(displacement_matrix(-alpha, 76),
                                       parity * displacement_matrix(alpha, 76))
 
+    @pytest.mark.parametrize("dim", [1, 6, 41])
+    @pytest.mark.parametrize("alpha", [0.5, -0.35, 0.3 + 0.4j, 1.1 - 0.3j])
+    def test_truncation_changes_no_entry(self, alpha, dim):
+        # The recurrence reads only lower rows, so a smaller matrix is the
+        # leading block of a larger one, bit for bit (signed zeros included).
+        small = displacement_matrix(alpha, dim)
+        block = np.ascontiguousarray(displacement_matrix(alpha, 76)[:dim, :dim])
+        np.testing.assert_array_equal(small.view(np.uint64), block.view(np.uint64))
+
     def test_column_norms_unitary(self):
         # Low columns of the exact (untruncated) operator have unit norm once
         # the row cutoff comfortably exceeds n + |alpha|^2.

@@ -312,30 +312,36 @@ class TestSpectralTables:
         (0.0999 / TAU, TAU, 41, "under", 1e-13),
         (0.1001 / TAU, TAU, 41, "over", 1e-13),
         (0.125, 2.0 * TAU, 41, "two loops", 1e-13),
-        # Large t*x: the shared prefactor e^{-itx} carries the rounding of
-        # t*x, 4.6e-13 relative at the worst entry.
+        # Eight loops, w up to 6e3: the bound is the one the whole f[x, x, y]
+        # needed, as its 1-D prefactor e^{-itx} carries the rounding of t*x
+        # (4.6e-13 relative); the gap factors alone stay near 1e-14.
         (0.1001 / (8.0 * TAU), 8.0 * TAU, 121, "over", 1e-12),
     ], ids=["z-zero", "z-under-0.1", "z-over-0.1", "two-loops", "eight-loops-over-0.1"])
     def test_confluent_difference_matches_mpmath(self, omega2, t, size, regime, bound):
-        # f[x, x, y] of e^{-itx} at the energies of a spectrum (levels k and
-        # k - omega^2 below ``size``), against 30-digit arithmetic on the
-        # same floats.
+        # The gap factors of f[x, y] (the sinc) and of f[x, x, y] (phi2) of
+        # e^{-itx} at the gaps of a spectrum, y - x = gap - offset for the
+        # integer gaps below ``size`` and the offset +-omega^2, against
+        # 30-digit arithmetic on the same floats.
         mpmath = pytest.importorskip("mpmath")
-        levels = np.arange(float(size))
-        for x, y in ((levels - omega2, levels), (levels, levels - omega2)):
-            w = np.abs(t * np.subtract.outer(y, x)).min()
+        gaps = np.arange(1.0 - size, size)
+        for offset in (omega2, -omega2):
+            w = np.abs(t * (gaps - offset)).min()
             assert {"z == 0": w == 0.0, "under": 0.099 < w < 0.1,
                     "over": 0.1 <= w < 0.101, "two loops": w > 1.0}[regime]
-            got = magnus._confluent_difference(x[:, None], y[None, :], t)
+            sinc = magnus._divided_difference(gaps, offset, t)
+            phi2 = magnus._confluent_difference(gaps, offset, t)
             with mpmath.workdps(30):
-                tm = mpmath.mpf(t)
-                for i, xi in enumerate(x):
-                    pre = -tm * tm * mpmath.expj(-tm * xi)
-                    for j, yj in enumerate(y):
-                        z = -1j * tm * (mpmath.mpf(yj) - mpmath.mpf(xi))
-                        phi2 = 0.5 if z == 0 else (mpmath.exp(z) - 1 - z) / z**2
-                        want = complex(pre * phi2)
-                        assert abs(got[i, j] - want) <= bound * abs(want)
+                for gap, got_sinc, got_phi2 in zip(gaps, sinc, phi2):
+                    half = mpmath.mpf(t) * (mpmath.mpf(gap) - mpmath.mpf(offset)) / 2
+                    z = -2j * half
+                    want = complex(0.5 if z == 0 else (mpmath.exp(z) - 1 - z) / z**2)
+                    assert abs(got_phi2 - want) <= bound * abs(want)
+                    # f[x, y] = -it e^{-itx/2} e^{-ity/2} sinc, where the sinc is
+                    # 1 at x == y (the derivative branch) and vanishes wherever
+                    # t(x - y) is a nonzero multiple of 2 pi: it is held to
+                    # ``bound`` of its largest value, 1.
+                    want = float(1 if half == 0 else mpmath.sin(half) / half)
+                    assert abs(got_sinc - want) <= bound
 
     def test_quadrature_ignored(self, table):
         other = compute_coefficient_table(n_max=table.n_max, quad=QuadratureSpec(64, 16))
