@@ -24,11 +24,11 @@ that is not an integer >= 1, an ``--nbar`` that needs more than 10^4 Fock
 levels, an output path that cannot be written, which leaves any earlier
 file there untouched and after which ``sweep`` writes neither its CSV nor
 its plot script, and a table file whose schema is not the current
-``msgate/coefficients/3`` (schema 1 and 2 files get a message to rebuild
+``msgate/coefficients/4`` (schema 1, 2 and 3 files get a message to rebuild
 the table), that cannot be read, lacks an entry or holds one of the wrong
-type, holds a table that is not base64 of exactly (n_max + 1)^2
-little-endian complex128 values, or whose stored derived scalars or
-provenance digest do not match its contents), 3
+type, whose provenance digest does not match its parameters, whose
+parameters are not those of a table ``coefficients`` builds, or whose
+stored derived scalars do not match the tables rebuilt from them), 3
 numerical-health failure (Fock truncation, an initial level above the
 oracle cutoff, guard-band occupation, norm drift, a table with non-finite
 entries or a structure residual past 1e-6: a built one is not written, a

@@ -27,6 +27,7 @@ its ``tau_gate``, so the fringe and the slope a_n always describe one gate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,10 +92,16 @@ class SequenceConfig:
                 f"|qubit_shift/detuning| = {abs(self.lambda_tilde):.3f} "
                 f"exceeds {LAMBDA_HARD_CAP}"
             )
+        if not isinstance(self.phase_points, numbers.Integral):
+            raise ValueError(f"phase_points must be an integer, got {self.phase_points!r}")
         if self.phase_points < 5:
             raise ValueError("need at least 5 phase points to fit 3 parameters")
-        if isinstance(self.mode, int) and self.mode < 0:
-            raise ValueError(f"the initial Fock level must be >= 0, got {self.mode}")
+        if not isinstance(self.mode, ThermalDistribution):
+            if not isinstance(self.mode, numbers.Integral):
+                raise ValueError("mode must be an integer Fock level or a "
+                                 f"ThermalDistribution, got {self.mode!r}")
+            if self.mode < 0:
+                raise ValueError(f"the initial Fock level must be >= 0, got {self.mode}")
         _check_shots(self.shots)
 
     @property
@@ -178,9 +185,9 @@ def simulate_fringe(
 def sample_fringe(
     p_ee: np.ndarray, shots: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Binomial shot noise: observed excitation fractions."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    """Binomial shot noise: observed excitation fractions of ``shots``
+    draws, a whole number >= 1."""
+    _check_shots(shots)
     p = np.clip(np.asarray(p_ee, dtype=float), 0.0, 1.0)
     return rng.binomial(shots, p) / shots
 

@@ -6,10 +6,8 @@ and builds in a few milliseconds.  Its panel counts are recorded only.
 omega_tilde = 1/(2 sqrt 2), built through ``DimensionlessGateParams.calibrated``)
 for checks that every route runs the table's gate rather than the one-loop
 default.
-``edit_table_entry`` changes one stored entry of a parsed table file.
 """
 
-import base64
 import math
 
 import numpy as np
@@ -54,23 +52,6 @@ def rk4_static_axis(amps, params, cutoff, lambda_values, steps):
         return c + lam_row * zp + np.exp(1j * t) * u + np.exp(-1j * t) * dn
 
     return rk4(apply_h, amps, 0.0, params.tau_gate, steps)
-
-
-def edit_stored_entry(doc, key, part, m, n, change):
-    """Replace the real or imaginary part ("re"/"im") x of entry [m, n] of
-    table ``key`` in a parsed table file by change(x), re-encoding the
-    table as the file stores it: base64 of little-endian complex128 bytes."""
-    arr = np.frombuffer(base64.b64decode(doc["tables"][key]), dtype="<c16").copy()
-    dim = math.isqrt(arr.size)
-    arr = arr.reshape(dim, dim)
-    view = arr.real if part == "re" else arr.imag
-    view[m, n] = change(view[m, n])
-    doc["tables"][key] = base64.b64encode(arr.astype("<c16").tobytes()).decode("ascii")
-
-
-@pytest.fixture(scope="session")
-def edit_table_entry():
-    return edit_stored_entry
 
 
 @pytest.fixture(scope="session")

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import msgate.cli as cli
+import msgate.magnus as magnus
 from msgate.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from msgate.experiment import SequenceConfig, run_calibration
 from msgate.hilbert import ThermalDistribution
 from msgate.magnus import (
-    CoefficientTable,
     QuadratureSpec,
     compute_coefficient_table,
     load_coefficient_table,
@@ -178,15 +178,23 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "msgate/coefficients/2" in err and "msgate coefficients" in err
 
-    def test_non_finite_table_file_refused(self, table_file, tmp_path, capsys,
-                                           edit_table_entry):
+    def test_schema_3_table_file_refused(self, capsys):
+        # Written by an earlier msgate, with the tables stored as base64.
+        path = Path(__file__).parent / "data" / "coefficients_k3_n8_schema3.json"
+        rc = main(["predict", "--table", str(path), "--lambda-tilde", "0.01"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "msgate/coefficients/3" in err and "msgate coefficients" in err
+
+    def test_non_finite_table_file_refused(self, table_file, tmp_path, capsys):
+        # A stored nan matches no rebuilt scalar.
         doc = json.loads(Path(table_file).read_text())
-        edit_table_entry(doc, "i", "re", 0, 0, lambda x: float("inf"))
-        path = tmp_path / "inf.json"
+        doc["derived"]["a"][0] = float("nan")
+        path = tmp_path / "nan.json"
         path.write_text(json.dumps(doc))
         rc = main(["predict", "--table", str(path), "--lambda-tilde", "0.01"])
-        assert rc == EXIT_NUMERICAL
-        assert "non-finite" in capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert "derived 'a' does not match" in capsys.readouterr().err
 
     def test_matches_library(self, table_file, table, capsys):
         rc = main(["predict", "--table", table_file, "--lambda-tilde", "0.02",
@@ -352,25 +360,6 @@ class TestCalibrate:
         )
         assert len(doc["scan"]["phi_d"]) == len(doc["scan"]["p_ee"]) == 16
         assert "+30.000 Hz" in capsys.readouterr().out
-
-    def test_table_is_hashed_once(self, table, table_file, tmp_path, monkeypatch):
-        # The load verifies the stored digest; the report's provenance reuses
-        # it instead of hashing the tables again.
-        expected, calls = table.provenance_hash, []
-        digest = CoefficientTable._digest
-
-        def counted(self, blobs):
-            calls.append(1)
-            return digest(self, blobs)
-
-        monkeypatch.setattr(CoefficientTable, "_digest", counted)
-        out = tmp_path / "report.json"
-        rc = main(["calibrate", "--table", table_file, "--engine",
-                   "first_order_model", "--detuning-hz", "-11000",
-                   "--shift-hz", "30", "--shots", "0", "--out", str(out)])
-        assert rc == EXIT_OK
-        assert len(calls) == 1
-        assert json.loads(out.read_text())["inputs"]["table_provenance"] == expected
 
     @pytest.mark.parametrize("mode, fock, n_bar", [
         ([], 0, None),
@@ -888,7 +877,7 @@ class TestBadTableFile:
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read table file"),
-        ('{"schema": "msgate/coefficients/3"}', "no 'params' entry"),
+        ('{"schema": "msgate/coefficients/4"}', "no 'params' entry"),
         ("[1, 2]", "not a JSON object"),
     ])
     def test_exit_usage(self, workdir, capsys, content, message):
@@ -898,15 +887,16 @@ class TestBadTableFile:
         assert rc == EXIT_USAGE
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stored, message", [
-        (lambda text: text[:-4], "j3 has the wrong shape"),
-        (lambda text: "*" + text[1:], "j3 is not valid base64"),
-        (lambda text: 0, "j3 is not a base64 string"),
-        (lambda text: [], "j3 is not a base64 string"),
-    ], ids=["truncated", "invalid", "number", "list"])
-    def test_bad_table_encoding(self, table_file, workdir, capsys, stored, message):
+    @pytest.mark.parametrize("value, message", [
+        (8.5, "n_max must be an integer, got 8.5"),
+        ("8", "entry of the wrong type"),
+    ], ids=["fraction", "string"])
+    def test_bad_parameter_value(self, table_file, workdir, capsys, value, message):
+        # Parameters that match their digest still go through the build's
+        # own checks, with a message and no traceback.
         doc = json.loads(Path(table_file).read_text())
-        doc["tables"]["j3"] = stored(doc["tables"]["j3"])
+        doc["params"]["n_max"] = value
+        doc["provenance_sha256"] = magnus._digest(doc["params"])
         Path("t.json").write_text(json.dumps(doc))
         rc = main(["predict", "--table", "t.json", "--lambda-tilde", "0.01"])
         assert rc == EXIT_USAGE
@@ -914,7 +904,7 @@ class TestBadTableFile:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("entry", ["params", "tables"])
+    @pytest.mark.parametrize("entry", ["params", "derived"])
     def test_wrong_typed_entry(self, table_file, workdir, capsys, entry):
         doc = json.loads(Path(table_file).read_text())
         doc[entry] = []

@@ -75,6 +75,21 @@ class TestSequenceConfig:
     def test_shots_accepted(self, shots):
         assert _config(shots=shots).shots == shots
 
+    @pytest.mark.parametrize("name, value", [
+        ("phase_points", 5.5), ("phase_points", 6.0), ("phase_points", "6"),
+        ("mode", 1.5), ("mode", 1.0), ("mode", None),
+    ])
+    def test_non_integer_refused(self, name, value):
+        # Unrefused, phase_points 5.5 would scan 6 points pi/5.5 apart, and
+        # mode 1.5 would reach the oracle.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            _config(**{name: value})
+
+    def test_numpy_integers_accepted(self, table):
+        config = _config(phase_points=np.int64(6), mode=np.int32(1))
+        phi, p = simulate_fringe(config, table)
+        assert phi.shape == p.shape == (6,)
+
     def test_thermal_levels_scaling(self, table):
         # The model fringe of a thermal mode is the weighted sum of the
         # fringes of its levels 0..n_max, whose count grows with n_bar.
@@ -246,6 +261,11 @@ class TestSampling:
     def test_rejects_zero_shots(self, rng):
         with pytest.raises(ValueError):
             sample_fringe(np.array([0.5]), 0, rng)
+
+    def test_rejects_fractional_shots(self, rng):
+        # Unrefused, 2.5 shots would draw binomial(2, p) and divide by 2.5.
+        with pytest.raises(ValueError, match="shots must be positive"):
+            sample_fringe(np.array([0.5, 0.2]), 2.5, rng)
 
 
 class TestModelEngine:

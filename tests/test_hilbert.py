@@ -181,6 +181,16 @@ class TestCompositeState:
             with pytest.raises(ValueError):
                 cutoff.index(q, n)
 
+    @pytest.mark.parametrize("n_max", [32.5, 32.0, "32", None])
+    def test_non_integer_cutoff_refused(self, n_max):
+        # Unrefused, 32.5 would fail later with a bare TypeError; a table
+        # file's n_max reaches here on load.
+        with pytest.raises(ValueError, match=f"n_max must be an integer, got {n_max!r}"):
+            FockCutoff(n_max)
+
+    def test_numpy_integer_cutoff_accepted(self):
+        assert FockCutoff(np.int64(4)).dim == 5
+
 
 def assert_density_matrix(rho, atol=1e-10):
     """Hermitian, positive semidefinite, trace at most 1."""
