@@ -19,7 +19,9 @@ subcommand, a key that is not an option of its subcommand or a value that
 its option refuses, a nan or inf float option, a ``predict
 --lambda-tilde`` or a ``sweep`` grid past the hard cap |lambda_tilde| <=
 0.5, a ``sweep --fock`` list that is not comma-separated integer levels
-or names a level twice, a negative ``calibrate --shots``, a ``--loops``
+or names a level twice, a negative ``calibrate --shots``, a negative
+``--cutoff-n-max`` (on ``sweep`` with or without ``--oracle``, on
+``calibrate`` with either engine, before any simulation), a ``--loops``
 that is not an integer >= 1, an ``--nbar`` that needs more than 10^4 Fock
 levels, an output path that cannot be written, which leaves any earlier
 file there untouched and after which ``sweep`` writes neither its CSV nor
@@ -27,8 +29,10 @@ its plot script, and a table file whose schema is not the current
 ``msgate/coefficients/4`` (schema 1, 2 and 3 files get a message to rebuild
 the table), that cannot be read, lacks an entry or holds one of the wrong
 type, whose provenance digest does not match its parameters, whose
-parameters are not those of a table ``coefficients`` builds, or whose
-stored derived scalars do not match the tables rebuilt from them), 3
+parameters are not those of a table ``coefficients`` builds (a count such
+as ``n_max`` must be an integer, not ``true`` or 8.0), or whose stored
+derived scalars, or the tail tolerance ``trusted`` is computed at, do not
+match the tables rebuilt from them), 3
 numerical-health failure (Fock truncation, an initial level above the
 oracle cutoff, guard-band occupation, norm drift, a table with non-finite
 entries or a structure residual past 1e-6: a built one is not written, a
@@ -238,6 +242,7 @@ def cmd_sweep(args) -> int:
     if args.points < 1:
         raise CliError(f"--points must be at least 1, got {args.points}")
     fock = _fock_levels(args.fock)
+    cutoff = FockCutoff(args.cutoff_n_max)  # checked with or without --oracle
     table = _table_for(args)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.points)
     # One predictor pass each over the (level, lambda) grid; the CSV is
@@ -258,7 +263,7 @@ def cmd_sweep(args) -> int:
     }
     if args.oracle:
         # The table's gate, on the same (level, lambda) grid.
-        oracle = oracle_sweep(lams, fock, table.params, FockCutoff(args.cutoff_n_max))
+        oracle = oracle_sweep(lams, fock, table.params, cutoff)
         columns.update((f"oracle_{k}", v) for k, v in oracle.items())
     cells = [[repr(v) for v in np.ravel(col).tolist()] for col in columns.values()]
     rows = [",".join(row) for row in zip(*cells)]

@@ -27,13 +27,12 @@ its ``tau_gate``, so the fringe and the slope a_n always describe one gate.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import FockCutoff, ThermalDistribution, level_weights
-from .magnus import LAMBDA_HARD_CAP, CoefficientTable, _checked
+from .hilbert import FockCutoff, ThermalDistribution, _count, _finite, level_weights
+from .magnus import CoefficientTable, _check_lambda, _checked
 from .oracle import _basis_columns, propagate_ramped_axis
 
 __all__ = [
@@ -53,12 +52,6 @@ __all__ = [
 ENGINES = ("first_order_model", "oracle")
 
 
-def _check_shots(shots: int | None) -> None:
-    """Refuse a shot count that is neither None nor a whole number >= 1."""
-    if shots is not None and not (shots >= 1 and float(shots).is_integer()):
-        raise ValueError("shots must be positive")
-
-
 @dataclass(frozen=True)
 class SequenceConfig:
     """Physical and numerical settings for one calibration run.
@@ -66,9 +59,14 @@ class SequenceConfig:
     ``detuning`` (signed, rad/s) sets the gate clock; each gate lasts
     ``tau_gate``/|detuning|, with ``tau_gate`` that of the coefficient table
     the run is given.  ``qubit_shift`` is the center-line error lam (rad/s)
-    being estimated.  ``mode`` is the initial mode of the motion: a Fock
-    level or a thermal distribution.  ``shots`` per scan point is a whole
-    number >= 1, or None to fit exact probabilities.
+    being estimated; |qubit_shift/detuning| is held to the predictors' hard
+    cap.  ``mode`` is the initial mode of the motion: a Fock level or a
+    thermal distribution.  ``shots`` per scan point is at least 1, or None
+    to fit exact probabilities, and ``phase_points`` at least 5, for the
+    three fringe parameters.  Counts (``phase_points``, ``shots``, a Fock
+    level ``mode`` and ``cutoff_n_max``, whichever engine runs) are integers,
+    numpy integers included but not bools or floats such as 6.0; anything
+    else raises ``ValueError`` naming the field.
     """
 
     detuning: float
@@ -81,28 +79,18 @@ class SequenceConfig:
 
     def __post_init__(self) -> None:
         for name in ("detuning", "qubit_shift"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            _finite(name, getattr(self, name))
         if self.detuning == 0.0:
             raise ValueError("detuning must be nonzero")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
-        if abs(self.lambda_tilde) > LAMBDA_HARD_CAP:
-            raise ValueError(
-                f"|qubit_shift/detuning| = {abs(self.lambda_tilde):.3f} "
-                f"exceeds {LAMBDA_HARD_CAP}"
-            )
-        if not isinstance(self.phase_points, numbers.Integral):
-            raise ValueError(f"phase_points must be an integer, got {self.phase_points!r}")
-        if self.phase_points < 5:
-            raise ValueError("need at least 5 phase points to fit 3 parameters")
+        _check_lambda(self.lambda_tilde)
+        _count("phase_points", self.phase_points, 5)
         if not isinstance(self.mode, ThermalDistribution):
-            if not isinstance(self.mode, numbers.Integral):
-                raise ValueError("mode must be an integer Fock level or a "
-                                 f"ThermalDistribution, got {self.mode!r}")
-            if self.mode < 0:
-                raise ValueError(f"the initial Fock level must be >= 0, got {self.mode}")
-        _check_shots(self.shots)
+            _count("mode", self.mode)
+        if self.shots is not None:
+            _count("shots", self.shots, 1)
+        _count("cutoff_n_max", self.cutoff_n_max)
 
     @property
     def lambda_tilde(self) -> float:
@@ -186,8 +174,8 @@ def sample_fringe(
     p_ee: np.ndarray, shots: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Binomial shot noise: observed excitation fractions of ``shots``
-    draws, a whole number >= 1."""
-    _check_shots(shots)
+    draws, an integer >= 1."""
+    _count("shots", shots, 1)
     p = np.clip(np.asarray(p_ee, dtype=float), 0.0, 1.0)
     return rng.binomial(shots, p) / shots
 
@@ -252,16 +240,15 @@ def fit_fringe(
     with the noise and understate the parameter covariance.  The
     covariance of (c, s, offset) maps to (A, phase, offset) through the
     Jacobian of A = hypot(c, s), phase = atan2(s, c).  Raises ValueError on
-    ``shots`` that is neither None nor a whole number >= 1, non-finite data or
+    ``shots`` that is neither None nor an integer >= 1, non-finite data or
     scan phases that do not determine the fringe.
     """
-    _check_shots(shots)
-    phi_d = np.asarray(phi_d, dtype=float)
-    p_obs = np.asarray(p_obs, dtype=float)
+    if shots is not None:
+        _count("shots", shots, 1)
+    phi_d = _finite("phi_d", phi_d)
+    p_obs = _finite("p_obs", p_obs)
     if phi_d.shape != p_obs.shape or phi_d.ndim != 1 or phi_d.size < 5:
         raise ValueError("need matching 1-D phase/population arrays, >= 5 points")
-    if not (np.isfinite(phi_d).all() and np.isfinite(p_obs).all()):
-        raise ValueError("fringe data must be finite")
     design = np.column_stack(
         [np.cos(2.0 * phi_d), -np.sin(2.0 * phi_d), np.ones_like(phi_d)]
     )

@@ -46,17 +46,53 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 QUBIT_LABELS = ("gg", "ge", "eg", "ee")
 
+
+# The input rules every module checks its arguments by, each in one place.
+
+def _count(name: str, value, least: int = 0, most: int | None = None) -> int:
+    """``value`` as an int, if it is an integer (a numpy integer too, but not
+    a bool, a float such as 6.0, a string or None) in least..most (unbounded
+    above when ``most`` is None); else ``ValueError`` naming ``name``."""
+    whole = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if whole and least <= value and (most is None or value <= most):
+        return int(value)
+    span = f">= {least}" if most is None else f"in {least}..{most}"
+    raise ValueError(f"{name} must be an integer {span}, got {int(value) if whole else value!r}")
+
+
+def _finite(name: str, value) -> np.ndarray:
+    """``value``, a real number or an array of them, as a float array; else
+    ``ValueError`` naming ``name``.  nan, inf, bools, complex numbers and
+    strings are refused."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    arr = np.asarray(arr, dtype=float)
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {bad[0]}")
+    return arr
+
+
+def _label(label: str) -> str:
+    """``label`` if it is one of :data:`QUBIT_LABELS`, else ``ValueError``."""
+    if label not in QUBIT_LABELS:
+        raise ValueError(f"unknown qubit label {label!r}")
+    return label
+
+
 @dataclass(frozen=True)
 class FockCutoff:
-    """Phonon truncation at levels 0..n_max inclusive."""
+    """Phonon truncation at levels 0..n_max inclusive.
+
+    ``n_max`` and the Fock levels :meth:`index` takes are counts: integers,
+    numpy integers included but not bools or floats such as 32.0; anything
+    else raises ``ValueError`` naming the parameter."""
 
     n_max: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_max, numbers.Integral):
-            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
+        _count("n_max", self.n_max)
 
     @property
     def dim(self) -> int:
@@ -68,11 +104,7 @@ class FockCutoff:
 
     def index(self, qubit: int, n: int) -> int:
         """Flat index of |qubit-pair q, Fock n> (qubit-major)."""
-        if not 0 <= qubit < 4:
-            raise ValueError(f"qubit-pair index must be 0..3, got {qubit}")
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"Fock level {n} outside 0..{self.n_max}")
-        return qubit * self.dim + n
+        return _count("qubit", qubit, 0, 3) * self.dim + _count("Fock level n", n, 0, self.n_max)
 
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
@@ -111,8 +143,9 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
 
 def thermal_probabilities(n_bar: float, n_max: int) -> np.ndarray:
     """Geometric thermal weights p_n = n_bar^n / (1+n_bar)^{n+1}, n=0..n_max."""
-    if n_bar < 0:
+    if _finite("n_bar", n_bar) < 0:
         raise ValueError("mean occupation must be >= 0")
+    n_max = _count("n_max", n_max)
     if n_bar == 0.0:
         p = np.zeros(n_max + 1)
         p[0] = 1.0
@@ -145,8 +178,7 @@ class ThermalDistribution:
     probabilities: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.n_bar):
-            raise ValueError(f"n_bar must be finite, got {self.n_bar}")
+        _finite("n_bar", self.n_bar)
         self.n_max = 0
         if self.n_bar > 0.0:
             # r^n = 1e-9 at n = log(1e-9) / log(r).  log(r) = -log1p(1 / n_bar)
@@ -166,4 +198,4 @@ def level_weights(target: int | ThermalDistribution) -> tuple[np.ndarray, np.nda
     """(Fock levels, probabilities) of a pure level or a thermal mode."""
     if isinstance(target, ThermalDistribution):
         return np.arange(target.n_max + 1), target.probabilities
-    return np.array([int(target)]), np.array([1.0])
+    return np.array([_count("Fock level n", target)]), np.array([1.0])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import SIGMA_X, SIGMA_Y, FockCutoff
+from .hilbert import SIGMA_X, SIGMA_Y, FockCutoff, _count, _finite, _label
 
 __all__ = [
     "DimensionlessGateParams",
@@ -68,8 +68,7 @@ class DimensionlessGateParams:
 
     def __post_init__(self) -> None:
         for name in ("omega_tilde", "tau_gate", "phi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            _finite(name, getattr(self, name))
         if self.omega_tilde == 0.0:
             raise ValueError("omega_tilde must be nonzero")
         if self.tau_gate <= 0.0:
@@ -80,8 +79,7 @@ class DimensionlessGateParams:
         """The calibrated gate of ``loops`` closed loops: omega_tilde =
         1/(2 sqrt(loops)) for tau_gate = 2*pi*loops, which encloses the area
         pi/2.  Raises ``ValueError`` unless ``loops`` is an integer >= 1."""
-        if not isinstance(loops, int) or isinstance(loops, bool) or loops < 1:
-            raise ValueError(f"loops must be an integer >= 1, got {loops!r}")
+        loops = _count("loops", loops, 1)
         return cls(omega_tilde=1.0 / (2.0 * math.sqrt(loops)), tau_gate=loops * TAU_GATE)
 
 
@@ -115,11 +113,9 @@ def ideal_output_state(label: str, n: int, cutoff: FockCutoff) -> np.ndarray:
     exp(i (pi/2) S_y^2) maps each computational pair to an equal-weight Bell
     combination with overall phase e^{i pi/4}.
     """
-    if label not in _IDEAL_COMBOS:
-        raise ValueError(f"unknown qubit label {label!r}")
     amps = np.zeros(cutoff.composite_dim, dtype=complex)
     pref = np.exp(0.25j * math.pi) / math.sqrt(2.0)
-    for q, coeff in _IDEAL_COMBOS[label]:
+    for q, coeff in _IDEAL_COMBOS[_label(label)]:
         amps[cutoff.index(q, n)] = pref * coeff
     return amps
 
@@ -132,9 +128,7 @@ def phase_space_trajectory(
     Returns arrays ``tau``, ``alpha_plus``, ``alpha_minus`` (complex), and
     ``area_phase`` = G(tau).
     """
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
-    tau = np.linspace(0.0, params.tau_gate, n_samples)
+    tau = np.linspace(0.0, params.tau_gate, _count("n_samples", n_samples, 2))
     f, g = loop_functions(tau, params)
     return {
         "tau": tau,

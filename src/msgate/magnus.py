@@ -81,9 +81,11 @@ import numpy as np
 
 from . import __version__
 from .hilbert import (
-    QUBIT_LABELS,
     FockCutoff,
     ThermalDistribution,
+    _count,
+    _finite,
+    _label,
     displacement_matrix,
     level_weights,
 )
@@ -143,8 +145,8 @@ class QuadratureSpec:
 
     def __post_init__(self) -> None:
         for name in ("panels_1d", "panels_2d"):
-            v = getattr(self, name)
-            if v < 2 or v & (v - 1):
+            v = _count(name, getattr(self, name), 2)
+            if v & (v - 1):
                 raise ValueError(f"{name} must be a power of two >= 2, got {v}")
 
 
@@ -493,8 +495,7 @@ class DerivedScalars:
     structure_residual: float
 
     def require_trusted(self, n: int) -> None:
-        if not 0 <= n < self.a.size:
-            raise ValueError(f"Fock level {n} outside the table (0..{self.a.size - 1})")
+        n = _count("Fock level n", n, 0, self.a.size - 1)
         if not self.trusted[n]:
             worst = max(float(t[n]) for t in self.tails.values())
             raise TruncationError(
@@ -582,8 +583,7 @@ def _corrections(label: str, table: CoefficientTable):
     the tables to states: the two corrections read column n of it,
     :func:`derived_scalars` sums over it, and the table builders invert it.
     """
-    if label not in QUBIT_LABELS:
-        raise ValueError(f"unknown qubit label {label!r}")
+    _label(label)
     it, j1, j2 = table.i_table, table.j1, table.j2
     outer = _even_mask(it.shape[0])  # mask of the gg and ee blocks; ge and eg take ~outer
     if label == "gg":
@@ -606,8 +606,7 @@ def _corrections(label: str, table: CoefficientTable):
 
 def _column(blocks, n: int, table: CoefficientTable) -> np.ndarray:
     """Column n of the four qubit blocks, qubit-major: the state amplitudes."""
-    if not 0 <= n <= table.n_max:
-        raise ValueError(f"Fock level {n} outside table range 0..{table.n_max}")
+    n = _count("Fock level n", n, 0, table.n_max)
     return np.concatenate([block[:, n] for block in blocks])
 
 
@@ -652,12 +651,9 @@ def predicted_state(
 def _check_lambda(lambda_tilde) -> np.ndarray:
     """``lambda_tilde`` (a float or a 1-D array) as an array, every value
     finite and inside the hard cap."""
-    lam = np.asarray(lambda_tilde, dtype=float)
+    lam = _finite("lambda_tilde", lambda_tilde)
     if lam.ndim > 1:
         raise ValueError("lambda_tilde must be a float or a 1-D array")
-    bad = lam[~np.isfinite(lam)]
-    if bad.size:
-        raise ValueError(f"lambda_tilde must be finite, got {bad[0]}")
     worst = np.abs(lam).max(initial=0.0)
     if worst > LAMBDA_HARD_CAP:
         raise ValueError(
@@ -686,9 +682,7 @@ def _checked(
     level the table does not trust raises TruncationError, the first in order.
     """
     lam = _check_lambda(lambda_tilde)
-    if initial not in QUBIT_LABELS:
-        raise ValueError(f"unknown qubit label {initial!r}")
-    if initial not in _COHERENCE:
+    if _label(initial) not in _COHERENCE:
         raise ValueError(f"this predictor covers 'gg' and 'ee' inputs, not {initial!r}")
     if thermal and isinstance(n, ThermalDistribution):
         levels, weights = level_weights(n)
@@ -890,6 +884,9 @@ def _check_stored_derived(stored: dict, der: DerivedScalars) -> None:
                 f"coefficient file derived {name!r} does not match its rebuilt tables")
     if not np.array_equal(np.asarray(stored["trusted"]), der.trusted.astype(int)):
         raise ValueError("coefficient file derived 'trusted' does not match its rebuilt tables")
+    if stored["tail_tolerance"] != _TAIL_TOLERANCE:
+        raise ValueError("coefficient file derived 'tail_tolerance' is not the "
+                         f"{_TAIL_TOLERANCE:.0e} that 'trusted' is computed at")
 
 
 def load_coefficient_table(path) -> CoefficientTable:
@@ -904,8 +901,9 @@ def load_coefficient_table(path) -> CoefficientTable:
     :meth:`CoefficientTable.check_health` (else
     :class:`UnhealthyTableError`), and last the stored ``derived`` block
     against the scalars of the rebuilt tables (1e-12 relative, ``trusted``
-    exactly).  A file that is not a JSON object, lacks an entry, holds one
-    of the wrong type or fails any check but health raises ``ValueError``.
+    and the ``tail_tolerance`` it is computed at exactly).  A file that is
+    not a JSON object, lacks an entry, holds one of the wrong type or fails
+    any check but health raises ``ValueError``.
     The rebuilt scalars are kept for the predictors.  A load costs a build:
     about 1.8 ms at n_max 40 (best in-process time on 2 cores).
     """

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import SIGMA_Z, FockCutoff
+from .hilbert import SIGMA_Z, FockCutoff, _count, _finite, _label
 from .ideal import DimensionlessGateParams, collective_spin, ideal_output_state
 
 __all__ = [
@@ -70,7 +70,9 @@ class IntegratorConfig:
 
     Every propagator checks its result against them and raises
     :class:`GuardBandError` or :class:`NormDriftError`.  ``steps_per_gate``
-    is still accepted but no longer changes any result.
+    is still accepted but no longer changes any result.  ``guard_levels`` is
+    a count, at least 1: an integer, numpy integers included but not bools
+    or floats such as 5.0; anything else raises ``ValueError`` naming it.
     """
 
     steps_per_gate: int = 50_000
@@ -79,8 +81,7 @@ class IntegratorConfig:
     norm_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.guard_levels < 1:
-            raise ValueError("guard_levels must be positive")
+        _count("guard_levels", self.guard_levels, 1)
 
     def check(self, norm_drift, guard_band_mass: float) -> None:
         """Raise when the (worst) norm drift or guard mass exceeds tolerance
@@ -145,16 +146,6 @@ def _symmetry_blocks(n_max: int):
     return out
 
 
-def _finite_lambda(lam) -> np.ndarray:
-    """``lam`` as a float array, refused with ``ValueError`` unless finite:
-    a NaN matches no lambda group and an inf makes NaN amplitudes."""
-    lam = np.asarray(lam, dtype=float)
-    bad = lam[~np.isfinite(lam)]
-    if bad.size:
-        raise ValueError(f"lambda_tilde must be finite, got {bad[0]}")
-    return lam
-
-
 def _exact_evolve(lam, omega, phi, cutoff, cols: np.ndarray, dt) -> np.ndarray:
     """e^{-i H' dt} on each column, in the parity blocks of the rotated H'
     (module docstring), with one basis change each way for the batch.
@@ -162,9 +153,10 @@ def _exact_evolve(lam, omega, phi, cutoff, cols: np.ndarray, dt) -> np.ndarray:
     ``lam`` and ``dt`` are one value or one per column (``cols`` may be one
     column, evaluated at every duration).  Per lam, a block that is zero in
     those columns gets no ``eigh``; the real eigenvectors act on (re, im).
-    A non-finite ``lam`` raises ``ValueError``.
+    A non-finite ``lam`` raises ``ValueError``: a NaN matches no lambda
+    group and an inf makes NaN amplitudes.
     """
-    lam = _finite_lambda(lam)
+    lam = _finite("lambda_tilde", lam)
     basis, number, sz, blocks = _symmetry_blocks(cutoff.n_max)
     rot = np.exp(1j * (np.pi / 2 - phi) * _diagonals(cutoff)[1])
     dt = np.reshape(dt, (1, -1))
@@ -266,7 +258,7 @@ def propagate_ramped_axis(
     s0, s1 = span
     number, sz = _diagonals(cutoff)
     # Checked before the frame, where an inf would meet S_z = 0.
-    gen = number + _finite_lambda(lambda_tilde) * sz
+    gen = number + _finite("lambda_tilde", lambda_tilde) * sz
     scan = np.exp(1j * sz * phi[None, :])
     chi = np.conj(scan) * np.exp(-1j * s0 * gen) * cols
     evolved = _exact_evolve(lambda_tilde, omega_tilde, 0.0, cutoff, chi, s1 - s0)
@@ -278,9 +270,7 @@ def relative_phase_pair(initial_label: str) -> tuple[int, int]:
     """(row, column) of the reduced-matrix coherence whose argument is the
     gate's relative phase for a given computational input."""
     pairs = {"gg": (3, 0), "ee": (0, 3), "ge": (2, 1), "eg": (1, 2)}
-    if initial_label not in pairs:
-        raise ValueError(f"unknown qubit label {initial_label!r}")
-    return pairs[initial_label]
+    return pairs[_label(initial_label)]
 
 
 def observables(final: np.ndarray, initial_label: str, cutoff: FockCutoff) -> dict:

@@ -291,6 +291,15 @@ class TestSweep:
         assert rc == EXIT_USAGE
         assert "--points must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("oracle", ["--oracle", "--no-oracle"])
+    def test_negative_cutoff_refused(self, table_file, workdir, capsys, oracle):
+        # Without --oracle the cutoff is unused, and -1 used to pass.
+        rc = main(["sweep", "--table", table_file, "--points", "3", "--fock", "0",
+                   "--cutoff-n-max", "-1", oracle])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == "error: n_max must be an integer >= 0, got -1\n"
+        assert _files(workdir) == []
+
     def test_oracle_columns_and_repeat_determinism(self, table_file, tmp_path):
         base = ["sweep", "--table", table_file, "--lambda-min", "-0.02",
                 "--lambda-max", "0.02", "--points", "3", "--fock", "0,1",
@@ -447,7 +456,22 @@ class TestCalibrate:
         rc = main(["calibrate", "--table", table_file, "--detuning-hz=-11e3",
                    "--shift-hz", "30", "--shots", "-1", "--out", "report.json"])
         assert rc == EXIT_USAGE
-        assert capsys.readouterr().err == "error: shots must be positive\n"
+        assert capsys.readouterr().err == "error: shots must be an integer >= 1, got -1\n"
+        assert _files(workdir) == []
+
+    @pytest.mark.parametrize("engine", ["first_order_model", "oracle"])
+    def test_negative_cutoff_refused_before_simulation(self, table_file, workdir, capsys,
+                                                      monkeypatch, engine):
+        # The model engine never builds the cutoff, and used to run with it.
+        def simulate(*args, **kwargs):
+            raise AssertionError("the fringe was simulated")
+
+        monkeypatch.setattr("msgate.experiment.simulate_fringe", simulate)
+        rc = main(["calibrate", "--table", table_file, "--detuning-hz=-11e3",
+                   "--shift-hz", "30", "--engine", engine, "--cutoff-n-max", "-1",
+                   "--out", "report.json"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == "error: cutoff_n_max must be an integer >= 0, got -1\n"
         assert _files(workdir) == []
 
     def test_truncated_cutoff_exit(self, table_file, capsys):
@@ -888,7 +912,7 @@ class TestBadTableFile:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("value, message", [
-        (8.5, "n_max must be an integer, got 8.5"),
+        (8.5, "n_max must be an integer >= 0, got 8.5"),
         ("8", "entry of the wrong type"),
     ], ids=["fraction", "string"])
     def test_bad_parameter_value(self, table_file, workdir, capsys, value, message):

@@ -45,7 +45,7 @@ class TestSequenceConfig:
             _config(engine="exact")
         with pytest.raises(ValueError, match="exceeds"):
             _config(qubit_shift=EPSILON)
-        with pytest.raises(ValueError, match="phase points"):
+        with pytest.raises(ValueError, match="phase_points must be an integer >= 5, got 3"):
             _config(phase_points=3)
 
     @pytest.mark.parametrize("name", ["detuning", "qubit_shift"])
@@ -61,29 +61,37 @@ class TestSequenceConfig:
         assert _config(mode=dist).mode is dist
 
     def test_negative_level_refused(self):
-        with pytest.raises(ValueError, match="initial Fock level must be >= 0"):
+        with pytest.raises(ValueError, match="mode must be an integer >= 0, got -1"):
             _config(mode=-1)
 
-    @pytest.mark.parametrize("shots", [0, -1, 2.5])
+    @pytest.mark.parametrize("shots", [0, -1, 2.5, 200.0, True])
     def test_bad_shots_refused(self, shots):
         # Refused with fit_fringe's message when the config is made, not
-        # after the fringe has been simulated.
-        with pytest.raises(ValueError, match="shots must be positive"):
+        # after the fringe has been simulated.  A count is an integer, so
+        # 200.0 and True are refused like 2.5.
+        with pytest.raises(ValueError, match="shots must be an integer >= 1"):
             _config(shots=shots)
 
-    @pytest.mark.parametrize("shots", [None, 1, 200, 200.0])
+    @pytest.mark.parametrize("shots", [None, 1, 200])
     def test_shots_accepted(self, shots):
         assert _config(shots=shots).shots == shots
 
     @pytest.mark.parametrize("name, value", [
         ("phase_points", 5.5), ("phase_points", 6.0), ("phase_points", "6"),
         ("mode", 1.5), ("mode", 1.0), ("mode", None),
+        ("phase_points", True), ("mode", True), ("cutoff_n_max", 1.5), ("cutoff_n_max", True),
     ])
     def test_non_integer_refused(self, name, value):
         # Unrefused, phase_points 5.5 would scan 6 points pi/5.5 apart, and
         # mode 1.5 would reach the oracle.
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             _config(**{name: value})
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_negative_cutoff_refused_with_either_engine(self, engine):
+        # The model engine never builds the cutoff, and used to accept it.
+        with pytest.raises(ValueError, match="cutoff_n_max must be an integer >= 0, got -1"):
+            _config(engine=engine, cutoff_n_max=-1)
 
     def test_numpy_integers_accepted(self, table):
         config = _config(phase_points=np.int64(6), mode=np.int32(1))
@@ -220,15 +228,15 @@ class TestFringeFit:
         with pytest.raises(ValueError, match=message):
             fit_fringe(phi, p)
 
-    @pytest.mark.parametrize("shots", [0, -3, 2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("shots", [0, -3, 2.5, math.nan, math.inf, 200.0, True])
     def test_rejects_bad_shots(self, shots):
         # Refused before any arithmetic: 0 used to divide by zero and -3 to
         # fail inside the SVD.
         phi = phase_scan(8)
         p = 0.5 + 0.4 * np.cos(2 * phi)
-        with pytest.raises(ValueError, match="shots must be positive"):
+        with pytest.raises(ValueError, match="shots must be an integer >= 1"):
             fit_fringe(phi, p, shots)
-        assert fit_fringe(phi, p, 200.0).phase == fit_fringe(phi, p, 200).phase
+        assert fit_fringe(phi, p, np.int64(200)).phase == fit_fringe(phi, p, 200).phase
 
     @pytest.mark.parametrize("level", [0.0, 0.5])
     @pytest.mark.parametrize("shots", [None, 200])
@@ -263,9 +271,11 @@ class TestSampling:
             sample_fringe(np.array([0.5]), 0, rng)
 
     def test_rejects_fractional_shots(self, rng):
-        # Unrefused, 2.5 shots would draw binomial(2, p) and divide by 2.5.
-        with pytest.raises(ValueError, match="shots must be positive"):
-            sample_fringe(np.array([0.5, 0.2]), 2.5, rng)
+        # Unrefused, 2.5 shots would draw binomial(2, p) and divide by 2.5,
+        # and None would fail inside numpy: sampling has no exact mode.
+        for shots in (2.5, True, None):
+            with pytest.raises(ValueError, match=f"shots must be an integer >= 1, got {shots}"):
+                sample_fringe(np.array([0.5, 0.2]), shots, rng)
 
 
 class TestModelEngine:

@@ -177,15 +177,16 @@ class TestCompositeState:
         assert cutoff.index(2, 3) == 13
         assert [divmod(cutoff.index(q, n), cutoff.dim) for q in range(4)
                 for n in range(5)] == [(q, n) for q in range(4) for n in range(5)]
-        for q, n in ((4, 0), (-1, 0), (0, 5), (0, -1)):
+        for q, n in ((4, 0), (-1, 0), (0, 5), (0, -1), (0, True), (True, 0), (0, 1.5)):
             with pytest.raises(ValueError):
                 cutoff.index(q, n)
+        assert cutoff.index(np.int64(2), np.int32(3)) == 13
 
-    @pytest.mark.parametrize("n_max", [32.5, 32.0, "32", None])
+    @pytest.mark.parametrize("n_max", [32.5, 32.0, "32", None, True])
     def test_non_integer_cutoff_refused(self, n_max):
-        # Unrefused, 32.5 would fail later with a bare TypeError; a table
-        # file's n_max reaches here on load.
-        with pytest.raises(ValueError, match=f"n_max must be an integer, got {n_max!r}"):
+        # Unrefused, 32.5 would fail later with a bare TypeError, and True
+        # would pass as 1; a table file's n_max reaches here on load.
+        with pytest.raises(ValueError, match=f"n_max must be an integer >= 0, got {n_max!r}"):
             FockCutoff(n_max)
 
     def test_numpy_integer_cutoff_accepted(self):
@@ -241,6 +242,12 @@ class TestThermal:
         # Geometric ratio between successive levels.
         np.testing.assert_allclose(p[1:] / p[:-1], 0.2 / 1.2, atol=1e-12)
 
+    @pytest.mark.parametrize("n_max", [2.5, True])
+    def test_non_integer_levels_refused(self, n_max):
+        # Unrefused, 2.5 gave 4 weights, for levels 0..3.
+        with pytest.raises(ValueError, match=f"n_max must be an integer >= 0, got {n_max}"):
+            thermal_probabilities(0.1, n_max)
+
     def test_zero_temperature(self):
         p = thermal_probabilities(0.0, 5)
         assert p[0] == 1.0
@@ -260,6 +267,9 @@ class TestThermal:
     def test_non_finite_refused(self, n_bar):
         with pytest.raises(ValueError, match="n_bar must be finite"):
             ThermalDistribution(n_bar)
+        # Unrefused, the weights came out all nan.
+        with pytest.raises(ValueError, match="n_bar must be finite"):
+            thermal_probabilities(n_bar, 3)
 
     def test_level_ceiling(self):
         # Refused from the level count alone: 5e4 would need about 10^6 levels.

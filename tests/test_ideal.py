@@ -50,6 +50,10 @@ class TestParams:
         with pytest.raises(ValueError, match="loops must be an integer >= 1"):
             DimensionlessGateParams.calibrated(loops)
 
+    def test_calibrated_accepts_numpy_integers(self):
+        assert DimensionlessGateParams.calibrated(np.int64(2)) == \
+            DimensionlessGateParams.calibrated(2)
+
     def test_rejects_zero_drive(self):
         with pytest.raises(ValueError):
             DimensionlessGateParams(omega_tilde=0.0)
@@ -113,6 +117,12 @@ class TestIdealPropagator:
                     1.0, abs=1e-12
                 ), (label, n)
 
+    @pytest.mark.parametrize("n", [1.5, True])
+    def test_non_integer_level_refused(self, n):
+        # Unrefused, 1.5 ended in a bare IndexError and True was read as 1.
+        with pytest.raises(ValueError, match=f"Fock level n must be an integer in 0..4, got {n}"):
+            ideal_output_state("gg", n, FockCutoff(4))
+
     def test_phi_not_implemented(self):
         with pytest.raises(NotImplementedError):
             ideal_propagator(1.0, DimensionlessGateParams(phi=0.2), FockCutoff(2))
@@ -169,3 +179,10 @@ class TestTrajectory:
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
             phase_space_trajectory(DimensionlessGateParams(), 1)
+
+    @pytest.mark.parametrize("n_samples", [2.5, 4.0])
+    def test_rejects_non_integer_samples(self, n_samples):
+        # Unrefused, these ended in a bare TypeError from numpy.
+        message = f"n_samples must be an integer >= 2, got {n_samples}"
+        with pytest.raises(ValueError, match=message):
+            phase_space_trajectory(DimensionlessGateParams(), n_samples)

@@ -96,6 +96,12 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError, match="power of two"):
             QuadratureSpec(panels_1d=1000)
 
+    @pytest.mark.parametrize("panels", [4.0, "64"])
+    def test_rejects_non_integer_panels(self, panels):
+        # Unrefused, these ended in a bare TypeError.
+        with pytest.raises(ValueError, match=f"panels_1d must be an integer >= 2, got {panels!r}"):
+            QuadratureSpec(panels, 4)
+
     def test_simpson_integrates_cubics_exactly(self):
         x, w = simpson(8, 0.0, 2.0)
         assert w @ x**3 == pytest.approx(4.0, abs=1e-13)
@@ -548,8 +554,13 @@ class TestCorrectionStates:
     def test_bad_label_and_level(self, table):
         with pytest.raises(ValueError, match="label"):
             first_order_correction("xx", 0, table)
-        with pytest.raises(ValueError, match="outside"):
+        message = f"Fock level n must be an integer in 0..{table.n_max}"
+        with pytest.raises(ValueError, match=message):
             second_order_correction("gg", table.n_max + 1, table)
+        # Unrefused, True indexed the blocks as a mask: a (36, 1, 9) array.
+        for correction in (first_order_correction, second_order_correction):
+            with pytest.raises(ValueError, match="Fock level n must be an integer"):
+                correction("gg", True, table)
 
 
 class TestPredictors:
@@ -838,7 +849,7 @@ class TestPersistence:
         ("spare", 1, ValueError, "parameters are not those"),
         ("omega_tilde", 0.5 + 1e-9, ValueError, "derived 'a'"),
         ("n_max", 23, ValueError, "derived 'a'"),
-        ("n_max", 24.5, ValueError, "n_max must be an integer, got 24.5"),
+        ("n_max", 24.5, ValueError, "n_max must be an integer >= 0, got 24.5"),
         ("n_max", "24", ValueError, "entry of the wrong type"),
         ("n_max", 150, ValueError, "Fock margin"),
         ("panels_1d", 100, ValueError, "power of two"),
@@ -867,20 +878,35 @@ class TestPersistence:
             ("derived", "c_ee", (5,), "'c_ee'"),
             ("derived", "c_eg", (1,), "'c_eg'"),
             ("derived", "trusted", (0,), "'trusted'"),
+            ("derived", "tail_tolerance", (), "'tail_tolerance'"),
         ],
     )
     def test_tampered_content_rejected(self, table, tmp_path, block, field, entry, name):
         # The stored derived block is compared with the scalars of the
         # rebuilt tables: 1e-9 relative is far past the 1e-12 allowed, and
-        # 'trusted' must match exactly.
+        # 'trusted' and the tail tolerance it depends on must match exactly.
         path = tmp_path / "table.json"
         doc = _saved_doc(table, path)
-        stored = doc[block][field]
-        for key in entry[:-1]:
-            stored = stored[key]
-        stored[entry[-1]] *= 1.0 + 1e-9
+        stored, key = doc[block], field
+        for index in entry:
+            stored, key = stored[key], index
+        stored[key] *= 1.0 + 1e-9
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"derived {name}"):
+            load_coefficient_table(path)
+
+    @pytest.mark.parametrize("value", [0.5, "x", None, "missing"])
+    def test_tail_tolerance_checked(self, table, tmp_path, value):
+        # 'trusted' is computed at the build's tail tolerance, so a file that
+        # states another one, or none, is refused.
+        path = tmp_path / "table.json"
+        doc = _saved_doc(table, path)
+        if value == "missing":
+            del doc["derived"]["tail_tolerance"]
+        else:
+            doc["derived"]["tail_tolerance"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="'tail_tolerance'"):
             load_coefficient_table(path)
 
     def test_load_keeps_recomputed_scalars(self, table, tmp_path, monkeypatch):

@@ -368,6 +368,14 @@ class TestHealthChecks:
         with pytest.raises(error):
             IntegratorConfig().check(drift, guard)
 
+    @pytest.mark.parametrize("levels", [True, 2.5, 5.0])
+    def test_non_integer_guard_levels_refused(self, levels):
+        # Unrefused, True passed as 1 and a float failed in the first
+        # propagation with a bare TypeError.
+        message = f"guard_levels must be an integer >= 1, got {levels}"
+        with pytest.raises(ValueError, match=message):
+            IntegratorConfig(guard_levels=levels)
+
 
 class TestConvergence:
     def test_rk4_fourth_order(self, rk4_static):
@@ -539,6 +547,11 @@ class TestSweep:
     def test_level_above_cutoff_raises(self):
         with pytest.raises(GuardBandError, match="Fock level 8 .*--cutoff-n-max"):
             sweep(np.array([0.0]), [0, 8], DimensionlessGateParams(), FockCutoff(6))
+
+    def test_non_integer_level_refused(self):
+        # Unrefused, 1.5 ended in a bare IndexError.
+        with pytest.raises(ValueError, match="Fock level n must be an integer in 0..6, got"):
+            sweep(np.array([0.0]), [1.5], DimensionlessGateParams(), FockCutoff(6))
 
     def test_rows_and_csv(self, oracle_cutoff, table, tmp_path):
         params = DimensionlessGateParams()

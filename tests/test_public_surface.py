@@ -199,6 +199,24 @@ def test_optional_parameters_are_listed():
     assert found == OPTIONAL_PARAMETERS
 
 
+def test_input_rules_have_one_owner():
+    # hilbert's _count, _finite and _label own the count, finite-value and
+    # qubit-label rules, and magnus._check_lambda the lambda cap: a copy of
+    # a rule elsewhere drifts from them, as copies of the count rule did.
+    for stem, tree in _modules().items():
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        text = (SRC / f"{stem}.py").read_text()
+        if stem != "hilbert":
+            assert "numbers" not in imported, stem
+            assert "must be finite" not in text, stem
+            assert "unknown qubit label" not in text, stem
+        if stem != "magnus":
+            assert "LAMBDA_HARD_CAP" not in text, stem
+
+
 def _readme_commands():
     """The argv of every ``msgate`` command in the README's sh blocks, with
     continuation lines joined and comments dropped."""
