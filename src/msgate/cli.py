@@ -35,8 +35,8 @@ derived scalars, or the tail tolerance ``trusted`` is computed at, do not
 match the tables rebuilt from them), 3
 numerical-health failure (Fock truncation, an initial level above the
 oracle cutoff, guard-band occupation, norm drift, a table with non-finite
-entries or a structure residual past 1e-6: a built one is not written, a
-loaded one is refused).
+entries or a structure residual past 1e-6: ``coefficients`` does not
+write it and says so, the other commands refuse one they build or load).
 Float options take negative values in exponent form either as a separate
 token (``--shift-hz -3e1``) or as ``--shift-hz=-3e1``.
 
@@ -70,7 +70,7 @@ import numpy as np
 
 from . import __version__
 from .experiment import ENGINES, SequenceConfig, phi_seq_prediction, run_calibration
-from .hilbert import QUBIT_LABELS, FockCutoff, ThermalDistribution
+from .hilbert import QUBIT_LABELS, FockCutoff, ThermalDistribution, _count
 from .ideal import DimensionlessGateParams, phase_space_trajectory, trajectory_csv
 from .magnus import (
     CoefficientTable,
@@ -133,10 +133,7 @@ def _build(args, quad: QuadratureSpec | None = None) -> CoefficientTable:
     grid = {"omega_tilde": gate.omega_tilde, "tau_gate": gate.tau_gate,
             "n_max": args.n_max, "quad": quad}
     table = compute_coefficient_table(**{k: v for k, v in grid.items() if v is not None})
-    try:
-        table.check_health()
-    except UnhealthyTableError as exc:
-        raise UnhealthyTableError(f"{exc}; the table was not written") from None
+    table.check_health()
     return table
 
 
@@ -208,7 +205,10 @@ def cmd_coefficients(args) -> int:
     out = Path(args.out)
     if out.exists() and not args.force:
         raise CliError(f"{out} exists; pass --force to overwrite")
-    table = _build(args, QuadratureSpec(args.panels_1d, args.panels_2d))
+    try:
+        table = _build(args, QuadratureSpec(args.panels_1d, args.panels_2d))
+    except UnhealthyTableError as exc:
+        raise UnhealthyTableError(f"{exc}; the table was not written") from None
     digest = table.save(out)
     der = table.derived()
     if der.trusted.any():
@@ -242,7 +242,8 @@ def cmd_sweep(args) -> int:
     if args.points < 1:
         raise CliError(f"--points must be at least 1, got {args.points}")
     fock = _fock_levels(args.fock)
-    cutoff = FockCutoff(args.cutoff_n_max)  # checked with or without --oracle
+    # Checked under the option's name, with or without --oracle.
+    cutoff = FockCutoff(_count("--cutoff-n-max", args.cutoff_n_max))
     table = _table_for(args)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.points)
     # One predictor pass each over the (level, lambda) grid; the CSV is

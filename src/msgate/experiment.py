@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import FockCutoff, ThermalDistribution, _count, _finite, level_weights
-from .magnus import CoefficientTable, _check_lambda, _checked
+from .hilbert import FockCutoff, ThermalDistribution, _count, _finite, _level_sum, level_weights
+from .magnus import CoefficientTable, _check_lambda, _checked, _per_input
 from .oracle import _basis_columns, propagate_ramped_axis
 
 __all__ = [
@@ -50,6 +50,15 @@ __all__ = [
 ]
 
 ENGINES = ("first_order_model", "oracle")
+
+
+def _detuning(detuning: float) -> float:
+    """``detuning`` if it is a finite, nonzero real number; else
+    ``ValueError`` naming it.  SequenceConfig, phi_seq_prediction and
+    estimate_lambda all check the detuning here."""
+    if _finite("detuning", detuning) == 0.0:
+        raise ValueError("detuning must be nonzero")
+    return detuning
 
 
 @dataclass(frozen=True)
@@ -78,10 +87,8 @@ class SequenceConfig:
     cutoff_n_max: int = 32
 
     def __post_init__(self) -> None:
-        for name in ("detuning", "qubit_shift"):
-            _finite(name, getattr(self, name))
-        if self.detuning == 0.0:
-            raise ValueError("detuning must be nonzero")
+        _detuning(self.detuning)
+        _finite("qubit_shift", self.qubit_shift)
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
         _check_lambda(self.lambda_tilde)
@@ -110,36 +117,35 @@ def effective_phase_slope(
     To first order the thermal fringe is a phasor average of per-level
     fringes, so its fitted phase corresponds to the weighted mean slope.
     """
-    levels, weights, _ = _checked(n, table, thermal=True)
-    return float(weights @ table.derived().a[levels])
+    levels, _ = _checked(n, table, thermal=True)
+    return float(_per_input(n, table.derived().a[levels]))
 
 
 def phi_seq_prediction(qubit_shift: float, detuning: float, slope: float) -> float:
     """First-order fringe phase 2*lam*a/detuning (radians)."""
-    if detuning == 0.0:
-        raise ValueError("detuning must be nonzero")
-    return 2.0 * qubit_shift * slope / detuning
+    _finite("slope", slope)
+    return 2.0 * qubit_shift * slope / _detuning(detuning)
 
+
+# The fringe engines: each returns one fringe per initial level (rows, in
+# the order of ``levels``), after its own check that it can run them.
 
 def _model_fringe(
-    config: SequenceConfig, phi_d: np.ndarray, table: CoefficientTable
+    config: SequenceConfig, table: CoefficientTable, levels: np.ndarray, phi_d: np.ndarray
 ) -> np.ndarray:
-    levels, weights, _ = _checked(config.mode, table, thermal=True)
+    _checked(levels, table)  # each level trusted by the table
     slips = 2.0 * config.lambda_tilde * table.derived().a[levels]
-    terms = (weights * 0.5)[:, None] * (1.0 + np.cos(2.0 * phi_d + slips[:, None]))
-    # A sum down the level axis adds the levels in order, unlike a BLAS dot,
-    # so a thermal fringe does not move with the BLAS build.
-    return terms.sum(axis=0)
+    return 0.5 * (1.0 + np.cos(2.0 * phi_d + slips[:, None]))
 
 
 def _oracle_fringe(
-    config: SequenceConfig, table: CoefficientTable, phi_d: np.ndarray
+    config: SequenceConfig, table: CoefficientTable, levels: np.ndarray, phi_d: np.ndarray
 ) -> np.ndarray:
     cutoff = FockCutoff(config.cutoff_n_max)
-    levels, weights = level_weights(config.mode)
     lam = config.lambda_tilde
     omega, tau = table.params.omega_tilde, table.params.tau_gate
-    # Gate 1 at drive phase 0, one column per initial Fock level.
+    # Gate 1 at drive phase 0, one column per initial Fock level; a level
+    # above the cutoff raises GuardBandError.
     init = _basis_columns(0, levels, cutoff)
     mid, _, _ = propagate_ramped_axis(
         init, cutoff, omega, lam, np.zeros(len(levels)), (0.0, tau)
@@ -151,8 +157,7 @@ def _oracle_fringe(
     fin, _, _ = propagate_ramped_axis(cols, cutoff, omega, lam, phis, (tau, 2.0 * tau))
     d = cutoff.dim
     p_ee = (np.abs(fin[3 * d :, :]) ** 2).sum(axis=0)
-    p_ee = p_ee.reshape(len(levels), phi_d.size)
-    return weights @ p_ee
+    return p_ee.reshape(len(levels), phi_d.size)
 
 
 def simulate_fringe(
@@ -161,13 +166,14 @@ def simulate_fringe(
     phi_d: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact fringe probabilities P(ee)(phi_d) of the configured engine,
-    which runs the gate of ``table``."""
+    which runs the gate of ``table``: one fringe per initial level, averaged
+    over a thermal mode's levels by their probabilities."""
     if phi_d is None:
         phi_d = phase_scan(config.phase_points)
     phi_d = np.asarray(phi_d, dtype=float)
-    if config.engine == "first_order_model":
-        return phi_d, _model_fringe(config, phi_d, table)
-    return phi_d, _oracle_fringe(config, table, phi_d)
+    levels, weights = level_weights(config.mode)
+    engine = _model_fringe if config.engine == "first_order_model" else _oracle_fringe
+    return phi_d, _level_sum(weights, engine(config, table, levels, phi_d))
 
 
 def sample_fringe(
@@ -306,12 +312,12 @@ def estimate_lambda(
     fit: FringeFit, slope: float, detuning: float
 ) -> LambdaEstimate:
     """Invert the fitted fringe phase through phi_seq = 2*lam*slope/detuning."""
-    if abs(slope) < 1e-6:
+    if abs(_finite("slope", slope)) < 1e-6:
         raise ValueError(
             f"phase slope {slope:.2e} is too small to invert; the sequence "
             "is insensitive to the center-line error at this Fock level"
         )
-    lam_hat = detuning * fit.phase / (2.0 * slope)
+    lam_hat = _detuning(detuning) * fit.phase / (2.0 * slope)
     lam_err = abs(detuning / (2.0 * slope)) * fit.phase_err
     caveats = []
     if abs(lam_hat / detuning) > 0.1:
@@ -343,15 +349,13 @@ def run_calibration(
 
     Returns (fit, estimate, phi_d, observed fractions).  Sampling is skipped
     when ``config.shots`` is None, in which case the fit sees exact
-    probabilities.
+    probabilities.  Without ``rng`` the shots are drawn from
+    ``np.random.default_rng(0)``, so repeated calls agree.
     """
-    phi_d, p_exact = simulate_fringe(config, table)
-    if config.shots is None:
-        p_obs = p_exact
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        p_obs = sample_fringe(p_exact, config.shots, rng)
+    phi_d, p_obs = simulate_fringe(config, table)
+    if config.shots is not None:
+        rng = np.random.default_rng(0) if rng is None else rng
+        p_obs = sample_fringe(p_obs, config.shots, rng)
     fit = fit_fringe(phi_d, p_obs, config.shots)
     slope = effective_phase_slope(table, config.mode)
     estimate = estimate_lambda(fit, slope, config.detuning)

@@ -57,7 +57,8 @@ def _count(name: str, value, least: int = 0, most: int | None = None) -> int:
     if whole and least <= value and (most is None or value <= most):
         return int(value)
     span = f">= {least}" if most is None else f"in {least}..{most}"
-    raise ValueError(f"{name} must be an integer {span}, got {int(value) if whole else value!r}")
+    # tolist() spells a numpy scalar as a plain number: 1.5, not np.float64(1.5).
+    raise ValueError(f"{name} must be an integer {span}, got {np.asarray(value).tolist()!r}")
 
 
 def _finite(name: str, value) -> np.ndarray:
@@ -144,7 +145,7 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
 def thermal_probabilities(n_bar: float, n_max: int) -> np.ndarray:
     """Geometric thermal weights p_n = n_bar^n / (1+n_bar)^{n+1}, n=0..n_max."""
     if _finite("n_bar", n_bar) < 0:
-        raise ValueError("mean occupation must be >= 0")
+        raise ValueError(f"n_bar must be >= 0, got {n_bar:g}")
     n_max = _count("n_max", n_max)
     if n_bar == 0.0:
         p = np.zeros(n_max + 1)
@@ -169,8 +170,8 @@ class ThermalDistribution:
 
     With r = n_bar / (1 + n_bar), ``n_max`` is the smallest n >= 4 with
     r^n <= 1e-9 (0 for the ground state), so the truncated tail r^(n_max+1)
-    stays below 1e-9.  A non-finite ``n_bar``, or one that needs more than
-    10^4 levels (n_bar above about 480), raises ``ValueError``.
+    stays below 1e-9.  A negative or non-finite ``n_bar``, or one that needs
+    more than 10^4 levels (n_bar above about 480), raises ``ValueError``.
     """
 
     n_bar: float
@@ -199,3 +200,17 @@ def level_weights(target: int | ThermalDistribution) -> tuple[np.ndarray, np.nda
     if isinstance(target, ThermalDistribution):
         return np.arange(target.n_max + 1), target.probabilities
     return np.array([_count("Fock level n", target)]), np.array([1.0])
+
+
+def _level_sum(weights: np.ndarray, values: np.ndarray):
+    """sum_k weights[k] * values[k] over the level axis (``values``' first),
+    added left to right, level 0 first.
+
+    Every level average in the package is this sum.  The loop fixes the
+    order of the additions, unlike a BLAS dot or a reduction whose order
+    numpy picks, so a thermal result does not move with the BLAS build; and
+    a single weight of 1.0 returns its values exactly."""
+    total = weights[0] * values[0]
+    for weight, value in zip(weights[1:], values[1:]):
+        total = total + weight * value
+    return total

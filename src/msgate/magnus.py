@@ -86,6 +86,7 @@ from .hilbert import (
     _count,
     _finite,
     _label,
+    _level_sum,
     displacement_matrix,
     level_weights,
 )
@@ -671,40 +672,40 @@ _COHERENCE = {"gg": (3, 0), "ee": (0, 3)}
 def _checked(
     n, table: CoefficientTable, lambda_tilde=0.0, initial: str = "gg",
     thermal: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(levels, weights, lam) of one predictor call, every input checked.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, lam) of one predictor call, every input checked.
 
     ``lam`` is from :func:`_check_lambda`.  ``initial`` must be gg or ee,
     the inputs every predictor covers.  ``levels`` are the Fock levels of
     ``n`` (a level, a 1-D sequence of levels, or with ``thermal`` a
     ThermalDistribution) down a leading axis, shaped to broadcast against
-    ``lam``, and ``weights`` their probabilities (ones for Fock input).  A
-    level the table does not trust raises TruncationError, the first in order.
+    ``lam``.  A level the table does not trust raises TruncationError, the
+    first in order.
     """
     lam = _check_lambda(lambda_tilde)
     if _label(initial) not in _COHERENCE:
         raise ValueError(f"this predictor covers 'gg' and 'ee' inputs, not {initial!r}")
     if thermal and isinstance(n, ThermalDistribution):
-        levels, weights = level_weights(n)
+        levels, _ = level_weights(n)
     else:
         levels = np.asarray(n)
         if levels.ndim > 1 or levels.dtype.kind not in "iu":
             raise ValueError(f"this predictor takes a Fock level or a 1-D sequence "
                              f"of levels, not {n!r}")
         levels = levels.ravel()
-        weights = np.ones(levels.size)
     der = table.derived()
     for level in dict.fromkeys(levels.tolist()):
         der.require_trusted(level)
-    return levels.reshape((-1,) + (1,) * lam.ndim), weights, lam
+    return levels.reshape((-1,) + (1,) * lam.ndim), lam
 
 
-def _per_input(n, weights: np.ndarray, values: np.ndarray):
+def _per_input(n, values: np.ndarray):
     """Per-level ``values`` (level axis first) for the input ``n``: their
-    probability-weighted mean for a thermal mode, else the level axis
-    reshaped to ``np.shape(n)``.  A 0-d result is a numpy scalar."""
+    probability-weighted mean for a thermal mode (:func:`_level_sum`), else
+    the level axis reshaped to ``np.shape(n)``.  A 0-d result is a numpy
+    scalar."""
     if isinstance(n, ThermalDistribution):
-        return (weights @ values)[()]
+        return _level_sum(n.probabilities, values)[()]
     return values.reshape(np.shape(n) + values.shape[1:])[()]
 
 
@@ -718,7 +719,7 @@ def predict_density_matrix(
     populations are its diagonal and the pair coherence its (3, 0) entry for
     a |gg> input, (0, 3) for |ee>.
     """
-    levels, weights, lam = _checked(n, table, lambda_tilde, initial)
+    levels, lam = _checked(n, table, lambda_tilde, initial)
     der = table.derived()
     if initial == "gg":
         sign, same, other = 1.0, der.c_gg, der.c_ee
@@ -733,7 +734,7 @@ def predict_density_matrix(
     row, col = _COHERENCE[initial]
     rho[..., row, col] = coh
     rho[..., col, row] = np.conj(coh)
-    return _per_input(n, weights, rho)
+    return _per_input(n, rho)
 
 
 def predict_populations(
@@ -767,11 +768,11 @@ def predict_phase(
     :func:`predict_coherence`.  Thermal inputs are the probability-weighted
     mean of the per-level phase.
     """
-    levels, weights, lam = _checked(n, table, lambda_tilde, initial, thermal=True)
+    levels, lam = _checked(n, table, lambda_tilde, initial, thermal=True)
     der = table.derived()
     sign = 1.0 if initial == "gg" else -1.0
     phases = -math.pi / 2.0 + sign * lam * der.a[levels] + lam * lam * der.b[levels].real
-    return _per_input(n, weights, phases)
+    return _per_input(n, phases)
 
 
 def predict_fidelity(
@@ -781,25 +782,25 @@ def predict_fidelity(
 
     1 + (lam^2/2)(c_gg + c_ee - Im b); same for gg and ee inputs.
     """
-    levels, weights, lam = _checked(n, table, lambda_tilde, thermal=True)
+    levels, lam = _checked(n, table, lambda_tilde, thermal=True)
     der = table.derived()
     vals = 1.0 + 0.5 * lam * lam * (
         der.c_gg[levels] + der.c_ee[levels] - der.b[levels].imag
     )
-    return _per_input(n, weights, vals)
+    return _per_input(n, vals)
 
 
 def predict_purity(n, lambda_tilde, table: CoefficientTable):
     """Tr(rho^2) of the reduced state truncated at O(lam^2) (gg or ee input
     alike); it differs from Tr(rho^2) of :func:`predict_density_matrix` at
     O(lam^3)."""
-    levels, weights, lam = _checked(n, table, lambda_tilde)
+    levels, lam = _checked(n, table, lambda_tilde)
     der = table.derived()
     a = der.a[levels]
     vals = 1.0 - lam * lam * (
         der.b[levels].imag - 0.5 * a * a - der.c_gg[levels] - der.c_ee[levels]
     )
-    return _per_input(n, weights, vals)
+    return _per_input(n, vals)
 
 
 # --------------------------------------------------------------------------

@@ -115,13 +115,16 @@ class TestCoefficients:
     def test_unhealthy_table_not_written(self, workdir, capsys, to_out):
         extra = ["--out", "sub/coef.json"] if to_out else []
         assert main(["coefficients", *self.OFF_LINE, *extra]) == EXIT_NUMERICAL
-        assert "structure residual" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "structure residual" in err and err.endswith("; the table was not written\n")
         assert _files(workdir) == []
 
     def test_unhealthy_auto_build_not_cached(self, workdir, capsys):
         argv = ["predict", "--lambda-tilde", "0.01", "--n-max", "24", "--loops", "100000"]
         assert main(argv) == EXIT_NUMERICAL
-        assert "not written" in capsys.readouterr().err
+        # predict writes no table, so its refusal does not say it left one unwritten.
+        err = capsys.readouterr().err
+        assert "structure residual" in err and "not written" not in err
         assert _files(workdir) == []
 
     def test_two_loops_match_library(self, two_loop_table, workdir, capsys):
@@ -297,7 +300,7 @@ class TestSweep:
         rc = main(["sweep", "--table", table_file, "--points", "3", "--fock", "0",
                    "--cutoff-n-max", "-1", oracle])
         assert rc == EXIT_USAGE
-        assert capsys.readouterr().err == "error: n_max must be an integer >= 0, got -1\n"
+        assert capsys.readouterr().err == "error: --cutoff-n-max must be an integer >= 0, got -1\n"
         assert _files(workdir) == []
 
     def test_oracle_columns_and_repeat_determinism(self, table_file, tmp_path):
@@ -324,6 +327,20 @@ class TestSweep:
         assert rc == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "Fock level 8" in err and "--cutoff-n-max" in err
+
+    def test_oracle_plot_series(self, table_file, workdir):
+        # With --oracle each panel plots the oracle column beside the model,
+        # per level; without it, the model alone.
+        for oracle, plots in (("--oracle", 4), ("--no-oracle", 2)):
+            rc = main(["sweep", "--table", table_file, "--points", "3", "--fock", "0,1",
+                       oracle, "--plot-script", "sweep.gp"])
+            assert rc == EXIT_OK
+            text = Path("sweep.gp").read_text()
+            assert text.count("plot csv using") == 4
+            assert text.count("csv using") == 4 * plots
+            for column in ("relative_phase", "p_ee", "fidelity", "purity"):
+                assert (f"column('oracle_{column}')" in text) == (oracle == "--oracle")
+        assert "title 'n=1 oracle'" not in text
 
     @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["model", "oracle"])
     def test_repeated_level_refused(self, table_file, workdir, capsys, oracle):
@@ -567,6 +584,18 @@ class TestConfigFile:
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         assert main(["--config", str(path), "trajectory"]) == EXIT_USAGE
+
+    def test_file_must_hold_object(self, workdir, capsys):
+        Path("c.json").write_text('[{"trajectory": {}}]')
+        assert main(["--config", "c.json", "trajectory"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
+        assert _files(workdir) == [Path("c.json")]
+
+    def test_empty_section_changes_nothing(self, workdir):
+        Path("c.json").write_text('{"trajectory": {}, "sweep": {"points": 3}}')
+        assert main(["--config", "c.json", "trajectory", "--out", "a.csv"]) == EXIT_OK
+        assert main(["trajectory", "--out", "b.csv"]) == EXIT_OK
+        assert Path("a.csv").read_text() == Path("b.csv").read_text()
 
     def test_section_must_be_object(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

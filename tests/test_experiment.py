@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msgate.experiment as experiment
 from msgate.experiment import (
     ENGINES,
     SequenceConfig,
@@ -21,6 +22,7 @@ from msgate.experiment import (
     simulate_fringe,
 )
 from msgate.hilbert import ThermalDistribution
+from msgate.magnus import compute_coefficient_table, predict_fidelity, predict_phase
 from msgate.oracle import GuardBandError
 
 EPSILON = -2.0 * math.pi * 11e3  # rad/s
@@ -131,8 +133,19 @@ class TestScanAndSlope:
         assert phi_seq_prediction(100.0, EPSILON, 5.68) == pytest.approx(
             2.0 * 100.0 * 5.68 / EPSILON
         )
-        with pytest.raises(ValueError):
-            phi_seq_prediction(1.0, 0.0, 5.0)
+
+    # One rule for the calibration inputs, shared with SequenceConfig and
+    # estimate_lambda: the detuning is finite and nonzero, the slope finite.
+    # Unrefused, a nan or inf came back as a nan or inf phase.
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 0.0, 5.0), "detuning must be nonzero"),
+        ((1.0, math.nan, 5.0), "detuning must be finite"),
+        ((1.0, math.inf, 5.0), "detuning must be finite"),
+        ((1.0, EPSILON, math.nan), "slope must be finite"),
+    ])
+    def test_phi_seq_prediction_refusals(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            phi_seq_prediction(*args)
 
 
 class TestFringeFit:
@@ -296,6 +309,14 @@ class TestModelEngine:
             assert len(estimate.caveats) == 1
             assert "covariance undetermined" in estimate.caveats[0]
 
+    def test_default_rng_is_repeatable(self, table):
+        # Without an rng the shots are drawn from a fixed seed.
+        config = _config(qubit_shift=40.0, shots=200)
+        first, again = run_calibration(config, table), run_calibration(config, table)
+        assert np.array_equal(first[3], again[3])
+        assert first[1].lambda_hat == again[1].lambda_hat
+        assert not np.array_equal(first[3], simulate_fringe(config, table)[1])
+
     def test_thermal_round_trip(self, table):
         config = _config(qubit_shift=40.0, mode=ThermalDistribution(0.05))
         fit, estimate, _, _ = run_calibration(config, table)
@@ -381,6 +402,20 @@ class TestEstimator:
         with pytest.raises(ValueError, match="too small"):
             estimate_lambda(fit, 1e-9, EPSILON)
 
+    @pytest.mark.parametrize("slope, detuning, message", [
+        (1.0, 0.0, "detuning must be nonzero"),
+        (1.0, math.nan, "detuning must be finite"),
+        (1.0, -math.inf, "detuning must be finite"),
+        (math.nan, EPSILON, "slope must be finite"),
+        (math.inf, EPSILON, "slope must be finite"),
+    ])
+    def test_bad_inputs_refused(self, slope, detuning, message):
+        # Unrefused, a zero detuning raised ZeroDivisionError, and a nan or
+        # inf came back as a nan or inf estimate.
+        fit = fit_fringe(phase_scan(8), 0.5 + 0.4 * np.cos(2 * phase_scan(8) + 0.1))
+        with pytest.raises(ValueError, match=message):
+            estimate_lambda(fit, slope, detuning)
+
     def test_caveats(self):
         phi = phase_scan(12)
         weak = 0.5 + 0.05 * np.cos(2 * phi + 1.2)
@@ -407,3 +442,44 @@ class TestEstimator:
 
     def test_engines_constant(self):
         assert ENGINES == ("first_order_model", "oracle")
+
+
+class TestLevelAverage:
+    """Every thermal output is its levels' values summed in level order,
+    w_0 v_0 + w_1 v_1 + ..., whatever numpy or BLAS would pick."""
+
+    @pytest.fixture(scope="class")
+    def table80(self):
+        # Trusts levels 0..59, past the 52 that n_bar = 2 needs.
+        return compute_coefficient_table(n_max=80)
+
+    @staticmethod
+    def ordered(weights, rows):
+        """The left-to-right weighted sum, in Python floats."""
+        rows = np.asarray(rows, dtype=float)
+        total = [0.0] * rows[0].size
+        for weight, row in zip(weights.tolist(), rows.reshape(len(rows), -1).tolist()):
+            total = [acc + weight * value for acc, value in zip(total, row)]
+        return np.reshape(total, rows.shape[1:])
+
+    @pytest.mark.parametrize("n_bar", [0.05, 0.3, 2.0])
+    def test_equals_ordered_sum(self, table80, n_bar):
+        dist = ThermalDistribution(n_bar)
+        levels, weights = np.arange(dist.n_max + 1), dist.probabilities
+        lams = np.array([-0.03, 0.004, 0.02])
+        for predictor in (predict_phase, predict_fidelity):
+            for lam in (0.013, lams):
+                want = self.ordered(weights, predictor(levels.tolist(), lam, table80))
+                assert np.array_equal(predictor(dist, lam, table80), want), predictor
+        want = self.ordered(weights, table80.derived().a[levels])
+        assert effective_phase_slope(table80, dist) == want
+        # The engines' per-level fringes, each row one Fock level.
+        phi_d = phase_scan(8)
+        for engine, rows in (("first_order_model", experiment._model_fringe),
+                             ("oracle", experiment._oracle_fringe)):
+            config = _config(engine=engine, mode=dist, qubit_shift=EPSILON * 0.01,
+                             phase_points=8, cutoff_n_max=88)
+            per_level = rows(config, table80, levels, phi_d)
+            assert per_level.shape == (levels.size, phi_d.size)
+            _, fringe = simulate_fringe(config, table80)
+            assert np.array_equal(fringe, self.ordered(weights, per_level)), engine

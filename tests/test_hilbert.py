@@ -15,6 +15,7 @@ from scipy.linalg import expm
 from msgate.hilbert import (
     FockCutoff,
     ThermalDistribution,
+    _level_sum,
     displacement_matrix,
     level_weights,
     thermal_probabilities,
@@ -260,7 +261,7 @@ class TestThermal:
             assert dist.n_max == n_max
             assert dist.probabilities.shape == (n_max + 1,)
             assert 1.0 - dist.probabilities.sum() <= 1e-9
-        with pytest.raises(ValueError, match="mean occupation"):
+        with pytest.raises(ValueError, match=r"n_bar must be >= 0, got -0\.1"):
             ThermalDistribution(-0.1)
 
     @pytest.mark.parametrize("n_bar", [math.nan, math.inf])
@@ -289,6 +290,16 @@ class TestThermal:
         levels, weights = level_weights(dist)
         np.testing.assert_array_equal(levels, np.arange(dist.n_max + 1))
         assert weights is dist.probabilities
+
+    def test_level_sum_runs_in_level_order(self):
+        # Left to right: 1e16 + 1 rounds back to 1e16 before -1e16 cancels it.
+        assert _level_sum(np.ones(3), np.array([1e16, 1.0, -1e16])) == 0.0
+        assert _level_sum(np.ones(3), np.array([1e16, -1e16, 1.0])) == 1.0
+        rows = np.array([[0.25, 1.5], [2.0, -3.0]])
+        assert np.array_equal(_level_sum(np.array([0.5, 2.0]), rows), [4.125, -5.25])
+        # A single weight of 1.0 returns its values exactly.
+        values = np.array([[0.1, 1.0 / 3.0, -2.5e-300]])
+        assert np.array_equal(_level_sum(np.array([1.0]), values), values[0])
 
     @given(n_bar=st.floats(0.0, 0.5))
     @settings(max_examples=25, deadline=None)

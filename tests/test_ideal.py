@@ -58,6 +58,17 @@ class TestParams:
         with pytest.raises(ValueError):
             DimensionlessGateParams(omega_tilde=0.0)
 
+    @pytest.mark.parametrize("tau_gate", [0.0, -TAU_GATE])
+    def test_rejects_non_positive_duration(self, tau_gate):
+        with pytest.raises(ValueError, match="tau_gate must be positive"):
+            DimensionlessGateParams(tau_gate=tau_gate)
+
+    @pytest.mark.parametrize("name", ["omega_tilde", "tau_gate", "phi"])
+    @pytest.mark.parametrize("value", [1j, True, "0.5"], ids=["complex", "bool", "str"])
+    def test_rejects_non_real(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a real number, got {value!r}"):
+            DimensionlessGateParams(**{name: value})
+
     @pytest.mark.parametrize("name", ["omega_tilde", "tau_gate", "phi"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, name, value):

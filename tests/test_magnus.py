@@ -16,6 +16,7 @@ displacement.  Scalar values adjudicated against the RK4 oracle elsewhere
 are frozen here as regression anchors.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -645,6 +646,15 @@ class TestPredictors:
         with pytest.raises(ValueError, match="lambda_tilde must be finite"):
             predict_phase(0, lam, table)
 
+    @pytest.mark.parametrize("lam", [True, 0.01j, "0.01"], ids=["bool", "complex", "str"])
+    def test_non_real_lambda(self, table, lam):
+        with pytest.raises(ValueError, match="lambda_tilde must be a real number"):
+            predict_phase(0, lam, table)
+
+    def test_two_dimensional_lambda_refused(self, table):
+        with pytest.raises(ValueError, match="lambda_tilde must be a float or a 1-D array"):
+            predict_fidelity(0, np.zeros((2, 2)), table)
+
     def test_untrusted_level_refused(self, table):
         with pytest.raises(TruncationError):
             predict_populations(table.n_max - 1, 0.01, table)
@@ -941,6 +951,13 @@ class TestPersistence:
             load_coefficient_table(path)
         with pytest.raises(UnhealthyTableError, match="structure residual"):
             off.check_health()
+
+    @pytest.mark.parametrize("name", ["i_table", "j1", "j2", "j3"])
+    def test_non_finite_table_unhealthy(self, table, name):
+        entries = getattr(table, name).copy()
+        entries[2, 1] = math.nan
+        with pytest.raises(UnhealthyTableError, match=f"table {name} has non-finite entries"):
+            dataclasses.replace(table, **{name: entries}).check_health()
 
     def test_schema_1_file_rejected(self, table, tmp_path):
         # Version-1 files hold quadrature tables; the message says how to

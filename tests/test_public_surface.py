@@ -13,18 +13,21 @@ is a method or property, not named with a leading underscore, of a class in
 its own definition reads it as an ``Attribute``.  ``OPTIONAL_PARAMETERS`` is
 a snapshot of the defaulted parameters of every ``__all__`` function, read
 with ``inspect.signature``: each keyword knob is settable surface, as the
-CLI options are.
+CLI options are.  ``SOURCE_CODE_LINES`` is a snapshot of each module's code
+lines, so that every change shows its net line count.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import io
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -91,6 +94,21 @@ OPTIONAL_PARAMETERS = {
     "experiment.simulate_fringe": ("phi_d",),
     "experiment.fit_fringe": ("shots",),
     "experiment.run_calibration": ("rng",),
+}
+
+
+# The code lines of each module under src/msgate: lines that hold a token,
+# counted with tokenize, leaving out docstrings, comments and blank lines.
+# Net source lines are a tracked number: a change that adds or removes code
+# must show up here.
+SOURCE_CODE_LINES = {
+    "__init__": 2,
+    "cli": 416,
+    "experiment": 214,
+    "hilbert": 109,
+    "ideal": 80,
+    "magnus": 515,
+    "oracle": 188,
 }
 
 
@@ -199,6 +217,44 @@ def test_optional_parameters_are_listed():
     assert found == OPTIONAL_PARAMETERS
 
 
+def _code_lines(text: str) -> int:
+    """Lines of ``text`` that hold a token other than a comment, outside
+    docstrings (any statement that is a bare string)."""
+    docstrings = {line for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                  and isinstance(node.value.value, str)
+                  for line in range(node.lineno, node.end_lineno + 1)}
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    code = {line for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+            if tok.type not in layout for line in range(tok.start[0], tok.end[0] + 1)}
+    return len(code - docstrings)
+
+
+def test_source_code_lines_are_listed():
+    found = {path.stem: _code_lines(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert found == SOURCE_CODE_LINES
+
+
+def test_code_line_count_skips_docstrings_and_comments():
+    text = '''"""Module docstring,
+    over two lines."""
+
+x = 1  # a comment
+# a comment line
+y = ("a"
+     "b")
+
+
+def f():
+    """Docstring."""
+    return """not a
+docstring"""
+'''
+    # x, the two lines of y, def f and the three lines of its return.
+    assert _code_lines(text) == 6
+
+
 def test_input_rules_have_one_owner():
     # hilbert's _count, _finite and _label own the count, finite-value and
     # qubit-label rules, and magnus._check_lambda the lambda cap: a copy of
@@ -215,6 +271,16 @@ def test_input_rules_have_one_owner():
             assert "unknown qubit label" not in text, stem
         if stem != "magnus":
             assert "LAMBDA_HARD_CAP" not in text, stem
+
+
+def test_level_average_has_one_owner():
+    # hilbert._level_sum owns the average over Fock levels, a sum in level
+    # order; a dot product of the weights elsewhere would add the levels in
+    # whatever order the BLAS build picks.
+    for stem in _modules():
+        text = (SRC / f"{stem}.py").read_text()
+        assert re.search(r"(weights|probabilities)\)?\s*@", text) is None, stem
+        assert (re.search(r"def _level_sum\b", text) is not None) == (stem == "hilbert"), stem
 
 
 def _readme_commands():
