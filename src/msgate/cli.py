@@ -7,7 +7,7 @@ sweep          closed-form predictions (and optional exact full-Hamiltonian
                oracle curves) across a miscalibration grid, as versioned CSV
 calibrate      simulate a two-gate calibration scan, fit the fringe, and
                invert it for the center-line error
-trajectory     sampled phase-space loop of the driven mode, as CSV
+trajectory     sampled phase-space loop of the driven mode, as versioned CSV
 predict        print every closed-form predictor for one operating point
 
 A JSON config file (``--config``) may hold a section per subcommand whose
@@ -19,9 +19,11 @@ subcommand, a key that is not an option of its subcommand or a value that
 its option refuses, a nan or inf float option, a ``predict
 --lambda-tilde`` or a ``sweep`` grid past the hard cap |lambda_tilde| <=
 0.5, a ``sweep --fock`` list that is not comma-separated integer levels
-or names a level twice, a negative ``calibrate --shots``, a negative
+or names a level twice, a negative ``calibrate --shots``, a ``--points``
+below 1 on ``sweep`` or below 5 on ``calibrate``, a negative
 ``--cutoff-n-max`` (on ``sweep`` with or without ``--oracle``, on
-``calibrate`` with either engine, before any simulation), a ``--loops``
+``calibrate`` with either engine; these two counts are refused under their
+option names, before any table or simulation), a ``--loops``
 that is not an integer >= 1, an ``--nbar`` that needs more than 10^4 Fock
 levels, an output path that cannot be written, which leaves any earlier
 file there untouched and after which ``sweep`` writes neither its CSV nor
@@ -71,7 +73,7 @@ import numpy as np
 from . import __version__
 from .experiment import ENGINES, SequenceConfig, phi_seq_prediction, run_calibration
 from .hilbert import QUBIT_LABELS, FockCutoff, ThermalDistribution, _count
-from .ideal import DimensionlessGateParams, phase_space_trajectory, trajectory_csv
+from .ideal import DimensionlessGateParams, phase_space_trajectory
 from .magnus import (
     CoefficientTable,
     QuadratureSpec,
@@ -93,6 +95,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 SWEEP_REPORT_SCHEMA = "msgate/sweep-report/1"
+TRAJECTORY_SCHEMA = "msgate/trajectory/1"
 CALIBRATION_SCHEMA = "msgate/calibration-report/1"
 
 
@@ -192,6 +195,14 @@ def _finite_or_null(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def _csv_text(schema: str, columns: dict) -> str:
+    """Versioned CSV text: a schema line, a header of the column names, and
+    one row per entry of the equally sized columns, each value its repr."""
+    cells = [[repr(v) for v in np.ravel(col).tolist()] for col in columns.values()]
+    lines = [f"# schema={schema}", ",".join(columns), *map(",".join, zip(*cells))]
+    return "\n".join(lines) + "\n"
+
+
 def _require(args, *names: str) -> None:
     missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
     if missing:
@@ -239,8 +250,7 @@ def _fock_levels(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    if args.points < 1:
-        raise CliError(f"--points must be at least 1, got {args.points}")
+    _count("--points", args.points, 1)
     fock = _fock_levels(args.fock)
     # Checked under the option's name, with or without --oracle.
     cutoff = FockCutoff(_count("--cutoff-n-max", args.cutoff_n_max))
@@ -266,18 +276,14 @@ def cmd_sweep(args) -> int:
         # The table's gate, on the same (level, lambda) grid.
         oracle = oracle_sweep(lams, fock, table.params, cutoff)
         columns.update((f"oracle_{k}", v) for k, v in oracle.items())
-    cells = [[repr(v) for v in np.ravel(col).tolist()] for col in columns.values()]
-    rows = [",".join(row) for row in zip(*cells)]
-
     out = Path(args.out)
-    lines = [f"# schema={SWEEP_REPORT_SCHEMA}", ",".join(columns), *rows]
-    outputs = {out: "\n".join(lines) + "\n"}
+    outputs = {out: _csv_text(SWEEP_REPORT_SCHEMA, columns)}
     if args.plot_script:
         outputs[Path(args.plot_script)] = _sweep_plot_text(
             out, fock, "oracle" if args.oracle else None
         )
     _write_all(outputs)
-    print(f"wrote {out} ({len(rows)} rows)")
+    print(f"wrote {out} ({coh.size} rows)")
     if args.plot_script:
         print(f"wrote {args.plot_script}")
     return EXIT_OK
@@ -320,6 +326,9 @@ def _sweep_plot_text(csv_path, fock, oracle_tag) -> str:
 
 def cmd_calibrate(args) -> int:
     _require(args, "detuning-hz", "shift-hz")
+    # Counts are checked under their option names, before any table is made.
+    _count("--points", args.points, 5)
+    _count("--cutoff-n-max", args.cutoff_n_max)
     table = _table_for(args)
     detuning = 2.0 * math.pi * args.detuning_hz
     shift = 2.0 * math.pi * args.shift_hz
@@ -384,7 +393,11 @@ def cmd_calibrate(args) -> int:
 
 def cmd_trajectory(args) -> int:
     traj = phase_space_trajectory(_gate(args), args.samples)
-    _write_all({Path(args.out): trajectory_csv(traj)})
+    plus, minus = traj["alpha_plus"], traj["alpha_minus"]
+    columns = {"tau": traj["tau"], "re_alpha_plus": plus.real, "im_alpha_plus": plus.imag,
+               "re_alpha_minus": minus.real, "im_alpha_minus": minus.imag,
+               "area_phase": traj["area_phase"]}
+    _write_all({Path(args.out): _csv_text(TRAJECTORY_SCHEMA, columns)})
     print(f"wrote {args.out} ({args.samples} samples)")
     return EXIT_OK
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import FockCutoff, ThermalDistribution, _count, _finite, _level_sum, level_weights
-from .magnus import CoefficientTable, _check_lambda, _checked, _per_input
+from .magnus import CoefficientTable, _check_lambda, _checked
 from .oracle import _basis_columns, propagate_ramped_axis
 
 __all__ = [
@@ -116,13 +116,18 @@ def effective_phase_slope(
 
     To first order the thermal fringe is a phasor average of per-level
     fringes, so its fitted phase corresponds to the weighted mean slope.
+    ``n`` is read as :func:`simulate_fringe` reads a mode: anything but a
+    Fock level or a ThermalDistribution raises ``ValueError``, and a level
+    the table does not trust raises TruncationError.
     """
-    levels, _ = _checked(n, table, thermal=True)
-    return float(_per_input(n, table.derived().a[levels]))
+    levels, weights = level_weights(n)
+    _checked(levels, table)  # each level trusted by the table
+    return float(_level_sum(weights, table.derived().a[levels]))
 
 
 def phi_seq_prediction(qubit_shift: float, detuning: float, slope: float) -> float:
     """First-order fringe phase 2*lam*a/detuning (radians)."""
+    _finite("qubit_shift", qubit_shift)
     _finite("slope", slope)
     return 2.0 * qubit_shift * slope / _detuning(detuning)
 
@@ -161,16 +166,13 @@ def _oracle_fringe(
 
 
 def simulate_fringe(
-    config: SequenceConfig,
-    table: CoefficientTable,
-    phi_d: np.ndarray | None = None,
+    config: SequenceConfig, table: CoefficientTable
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact fringe probabilities P(ee)(phi_d) of the configured engine,
-    which runs the gate of ``table``: one fringe per initial level, averaged
-    over a thermal mode's levels by their probabilities."""
-    if phi_d is None:
-        phi_d = phase_scan(config.phase_points)
-    phi_d = np.asarray(phi_d, dtype=float)
+    """Scan phases ``phase_scan(config.phase_points)`` and the exact fringe
+    probabilities P(ee)(phi_d) there of the configured engine, which runs
+    the gate of ``table``: one fringe per initial level, averaged over a
+    thermal mode's levels by their probabilities."""
+    phi_d = phase_scan(config.phase_points)
     levels, weights = level_weights(config.mode)
     engine = _model_fringe if config.engine == "first_order_model" else _oracle_fringe
     return phi_d, _level_sum(weights, engine(config, table, levels, phi_d))

@@ -30,8 +30,8 @@ __all__ = [
     "collective_spin",
     "loop_functions",
     "ideal_output_state",
+    "relative_phase_pair",
     "phase_space_trajectory",
-    "trajectory_csv",
 ]
 
 TAU_GATE = 2.0 * math.pi
@@ -120,6 +120,15 @@ def ideal_output_state(label: str, n: int, cutoff: FockCutoff) -> np.ndarray:
     return amps
 
 
+def relative_phase_pair(initial_label: str) -> tuple[int, int]:
+    """(row, column) of the reduced-matrix coherence whose argument is the
+    gate's relative phase for a given computational input.  It couples the
+    two qubit states of the input's :data:`_IDEAL_COMBOS` entry; the oracle
+    and the predictors both read the phase there."""
+    pairs = {"gg": (3, 0), "ee": (0, 3), "ge": (2, 1), "eg": (1, 2)}
+    return pairs[_label(initial_label)]
+
+
 def phase_space_trajectory(
     params: DimensionlessGateParams, n_samples: int = 256
 ) -> dict[str, np.ndarray]:
@@ -137,20 +146,3 @@ def phase_space_trajectory(
         "area_phase": g,
     }
 
-
-def trajectory_csv(trajectory: dict[str, np.ndarray]) -> str:
-    """A phase-space trajectory as versioned CSV text, one row per sample."""
-    lines = [
-        "# schema=msgate/trajectory/1",
-        "tau,re_alpha_plus,im_alpha_plus,re_alpha_minus,im_alpha_minus,area_phase",
-    ]
-    columns = (
-        trajectory["tau"],
-        trajectory["alpha_plus"].real,
-        trajectory["alpha_plus"].imag,
-        trajectory["alpha_minus"].real,
-        trajectory["alpha_minus"].imag,
-        trajectory["area_phase"],
-    )
-    lines += [",".join(repr(float(x)) for x in row) for row in zip(*columns)]
-    return "\n".join(lines) + "\n"

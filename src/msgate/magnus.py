@@ -90,7 +90,8 @@ from .hilbert import (
     displacement_matrix,
     level_weights,
 )
-from .ideal import DimensionlessGateParams, ideal_output_state, loop_functions
+from .ideal import (DimensionlessGateParams, ideal_output_state, loop_functions,
+                     relative_phase_pair)
 
 __all__ = [
     "QuadratureSpec",
@@ -664,11 +665,6 @@ def _check_lambda(lambda_tilde) -> np.ndarray:
     return lam
 
 
-# (row, column) of the pair coherence in the reduced state of each input
-# the predictors cover.
-_COHERENCE = {"gg": (3, 0), "ee": (0, 3)}
-
-
 def _checked(
     n, table: CoefficientTable, lambda_tilde=0.0, initial: str = "gg",
     thermal: bool = False,
@@ -683,7 +679,7 @@ def _checked(
     first in order.
     """
     lam = _check_lambda(lambda_tilde)
-    if _label(initial) not in _COHERENCE:
+    if _label(initial) not in ("gg", "ee"):
         raise ValueError(f"this predictor covers 'gg' and 'ee' inputs, not {initial!r}")
     if thermal and isinstance(n, ThermalDistribution):
         levels, _ = level_weights(n)
@@ -731,7 +727,7 @@ def predict_density_matrix(
     rho[..., 0, 0] = 0.5 + l2 * same[levels]
     rho[..., 3, 3] = 0.5 + l2 * other[levels]
     rho[..., 1, 1] = rho[..., 2, 2] = rho[..., 1, 2] = rho[..., 2, 1] = l2 * der.c_eg[levels]
-    row, col = _COHERENCE[initial]
+    row, col = relative_phase_pair(initial)
     rho[..., row, col] = coh
     rho[..., col, row] = np.conj(coh)
     return _per_input(n, rho)
@@ -752,7 +748,7 @@ def predict_coherence(
     """Pair coherence of :func:`predict_density_matrix`: <ee|rho|gg> for a
     |gg> input, <gg|rho|ee> for |ee>."""
     rho = predict_density_matrix(n, lambda_tilde, table, initial)
-    return rho[(..., *_COHERENCE[initial])][()]
+    return rho[(..., *relative_phase_pair(initial))][()]
 
 
 def predict_phase(

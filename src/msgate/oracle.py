@@ -36,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import SIGMA_Z, FockCutoff, _count, _finite, _label
-from .ideal import DimensionlessGateParams, collective_spin, ideal_output_state
+from .hilbert import SIGMA_Z, FockCutoff, _finite
+from .ideal import (DimensionlessGateParams, collective_spin, ideal_output_state,
+                     relative_phase_pair)
 
 __all__ = [
     "IntegratorConfig",
@@ -47,7 +48,6 @@ __all__ = [
     "propagate_batch",
     "propagate_ramped_axis",
     "observables",
-    "relative_phase_pair",
     "sweep",
 ]
 
@@ -63,37 +63,37 @@ class NormDriftError(RuntimeError):
 # Pair coherence below which observables flag the relative phase unreliable.
 _COHERENCE_FLOOR = 1e-6
 
+# Numerical health of every propagated column: at most _GUARD_TOLERANCE of
+# its probability in the top _GUARD_LEVELS Fock levels, and a norm that
+# moves by at most _NORM_TOLERANCE.
+_GUARD_LEVELS = 5
+_GUARD_TOLERANCE = 1e-10
+_NORM_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Numerical-health thresholds for oracle propagation.
+    """Settings of oracle propagation.
 
-    Every propagator checks its result against them and raises
-    :class:`GuardBandError` or :class:`NormDriftError`.  ``steps_per_gate``
-    is still accepted but no longer changes any result.  ``guard_levels`` is
-    a count, at least 1: an integer, numpy integers included but not bools
-    or floats such as 5.0; anything else raises ``ValueError`` naming it.
+    ``steps_per_gate`` is still accepted but no longer changes any result.
+    Every propagator checks its result by :meth:`check`, against the fixed
+    health thresholds of this module.
     """
 
     steps_per_gate: int = 50_000
-    guard_levels: int = 5
-    guard_tolerance: float = 1e-10
-    norm_tolerance: float = 1e-6
-
-    def __post_init__(self) -> None:
-        _count("guard_levels", self.guard_levels, 1)
 
     def check(self, norm_drift, guard_band_mass: float) -> None:
-        """Raise when the (worst) norm drift or guard mass exceeds tolerance
-        or is NaN (written ``not x <= tol``, since ``nan > tol`` is False)."""
-        if not guard_band_mass <= self.guard_tolerance:
+        """Raise :class:`GuardBandError` or :class:`NormDriftError` when the
+        guard mass or the (worst) norm drift exceeds its tolerance or is NaN
+        (written ``not x <= tol``, since ``nan > tol`` is False)."""
+        if not guard_band_mass <= _GUARD_TOLERANCE:
             raise GuardBandError(
                 f"guard-band occupation {guard_band_mass:.3e} exceeds "
-                f"{self.guard_tolerance:.1e}; raise the Fock cutoff"
+                f"{_GUARD_TOLERANCE:.1e}; raise the Fock cutoff"
             )
         drift = float(np.max(norm_drift))
-        if not drift <= self.norm_tolerance:
-            raise NormDriftError(f"norm drift {drift:.3e} exceeds {self.norm_tolerance:.1e}")
+        if not drift <= _NORM_TOLERANCE:
+            raise NormDriftError(f"norm drift {drift:.3e} exceeds {_NORM_TOLERANCE:.1e}")
 
 
 def hamiltonian_matrix(
@@ -207,7 +207,7 @@ def _guard_band_mass(amps: np.ndarray, cutoff: FockCutoff, levels: int) -> np.nd
 def _with_health(cols, final, cutoff, config, shape):
     """(final reshaped, per-column norm drift, worst guard-band mass), checked."""
     drift = np.abs(np.linalg.norm(final, axis=0) - np.linalg.norm(cols, axis=0))
-    guard = float(_guard_band_mass(final, cutoff, config.guard_levels).max())
+    guard = float(_guard_band_mass(final, cutoff, _GUARD_LEVELS).max())
     config.check(drift, guard)
     return final.reshape(shape), drift, guard
 
@@ -266,13 +266,6 @@ def propagate_ramped_axis(
     return _with_health(cols, final, cutoff, config, np.shape(amps))
 
 
-def relative_phase_pair(initial_label: str) -> tuple[int, int]:
-    """(row, column) of the reduced-matrix coherence whose argument is the
-    gate's relative phase for a given computational input."""
-    pairs = {"gg": (3, 0), "ee": (0, 3), "ge": (2, 1), "eg": (1, 2)}
-    return pairs[_label(initial_label)]
-
-
 def observables(final: np.ndarray, initial_label: str, cutoff: FockCutoff) -> dict:
     """Standard scorecard of final states for a computational-basis input.
 
@@ -320,9 +313,8 @@ def sweep(
     relative_phase, the populations p_gg..p_ee, coherence_abs, fidelity,
     purity and the pair's health numbers norm_drift and guard_band_mass.
     Raises GuardBandError for a level above the cutoff, GuardBandError or
-    NormDriftError when any pair exceeds the default
-    :class:`IntegratorConfig` tolerances, and ValueError for a non-finite
-    lambda.
+    NormDriftError when any pair exceeds the health thresholds, and
+    ValueError for a non-finite lambda.
     """
     lam = np.asarray(lambda_values, dtype=float)
     grid = (len(fock_levels), lam.size)
@@ -334,6 +326,6 @@ def sweep(
         **dict(zip(("p_gg", "p_ge", "p_eg", "p_ee"), obs["populations"].T)),
         **{k: obs[k] for k in ("coherence_abs", "fidelity", "purity")},
         "norm_drift": drift,
-        "guard_band_mass": _guard_band_mass(final, cutoff, IntegratorConfig.guard_levels),
+        "guard_band_mass": _guard_band_mass(final, cutoff, _GUARD_LEVELS),
     }
     return {key: value.reshape(grid) for key, value in columns.items()}

@@ -88,7 +88,8 @@ def oracle_cutoff():
 
 @pytest.fixture(scope="session")
 def fast_integrator():
-    # Oracle health tolerances; the exact propagator takes no step count.
+    # The oracle's default settings; its health thresholds are module
+    # constants, and the exact propagator takes no step count.
     return IntegratorConfig()
 
 

@@ -38,7 +38,8 @@ from scipy.special import gammaln
 from msgate.hilbert import QUBIT_LABELS, FockCutoff, displacement_matrix
 from msgate.ideal import DimensionlessGateParams, collective_spin, loop_functions
 from msgate.magnus import CoefficientTable, QuadratureSpec
-from msgate.oracle import IntegratorConfig, _diagonals, _exact_evolve, _guard_band_mass
+from msgate.oracle import (_GUARD_LEVELS, IntegratorConfig, _diagonals, _exact_evolve,
+                           _guard_band_mass)
 
 # Outer-time rows of the 2D grid per moment call; bounds the workspace.
 CHUNK_ROWS = 16
@@ -266,13 +267,12 @@ def expectation_trajectory(
     params: DimensionlessGateParams,
     lambda_tilde: float,
     n_records: int = 64,
-    config: IntegratorConfig = IntegratorConfig(),
 ) -> dict[str, np.ndarray]:
     """Record <a>, norm and guard mass at evenly spaced times over the gate.
 
     ``initial`` is one amplitude column on ``cutoff``.  One diagonalisation
     of H' serves every record time.  Raises GuardBandError or NormDriftError
-    when any record exceeds the config's tolerances.
+    when any record fails the oracle's health check.
     """
     if n_records < 2:
         raise ValueError("need at least two record points")
@@ -283,8 +283,8 @@ def expectation_trajectory(
     psi = np.exp(1j * _diagonals(cutoff)[0] * taus[None, :]) * chi
     norms = np.linalg.norm(psi, axis=0)
     a_exp = np.einsum("ij,ij->j", psi.conj(), a_op @ psi) / np.maximum(norms**2, 1e-300)
-    guard = _guard_band_mass(psi, cutoff, config.guard_levels)
-    config.check(np.abs(norms - np.linalg.norm(initial)), float(guard.max()))
+    guard = _guard_band_mass(psi, cutoff, _GUARD_LEVELS)
+    IntegratorConfig().check(np.abs(norms - np.linalg.norm(initial)), float(guard.max()))
     return {"tau": taus, "a_expect": a_exp, "norm": norms, "guard_band_mass": guard}
 
 

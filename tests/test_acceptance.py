@@ -25,7 +25,7 @@ from msgate.experiment import (
     simulate_fringe,
 )
 from msgate.hilbert import displacement_matrix
-from msgate.ideal import DimensionlessGateParams, ideal_output_state
+from msgate.ideal import DimensionlessGateParams, ideal_output_state, relative_phase_pair
 from msgate.magnus import (
     QuadratureSpec,
     compute_coefficient_table,
@@ -35,12 +35,7 @@ from msgate.magnus import (
     predict_populations,
     predict_purity,
 )
-from msgate.oracle import (
-    IntegratorConfig,
-    observables,
-    propagate_batch,
-    relative_phase_pair,
-)
+from msgate.oracle import IntegratorConfig, observables, propagate_batch
 from quadrature import basis_state, quadrature_table
 
 EPSILON = -2.0 * math.pi * 11e3  # rad/s

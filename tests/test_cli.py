@@ -13,6 +13,7 @@ import msgate.magnus as magnus
 from msgate.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from msgate.experiment import SequenceConfig, run_calibration
 from msgate.hilbert import ThermalDistribution
+from msgate.ideal import DimensionlessGateParams, phase_space_trajectory
 from msgate.magnus import (
     QuadratureSpec,
     compute_coefficient_table,
@@ -292,7 +293,18 @@ class TestSweep:
         rc = main(["sweep", "--table", table_file, "--points", "0",
                    "--out", str(tmp_path / "s.csv")])
         assert rc == EXIT_USAGE
-        assert "--points must be at least 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --points must be an integer >= 1, got 0\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--points", "-2"], "--points must be an integer >= 1, got -2"),
+        (["--cutoff-n-max", "-1"], "--cutoff-n-max must be an integer >= 0, got -1"),
+    ])
+    def test_counts_refused_before_table(self, workdir, capsys, argv, message):
+        # The table file does not exist: a count is refused before it is read.
+        rc = main(["sweep", "--table", "missing.json", "--fock", "0", *argv])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert _files(workdir) == []
 
     @pytest.mark.parametrize("oracle", ["--oracle", "--no-oracle"])
     def test_negative_cutoff_refused(self, table_file, workdir, capsys, oracle):
@@ -488,7 +500,21 @@ class TestCalibrate:
                    "--shift-hz", "30", "--engine", engine, "--cutoff-n-max", "-1",
                    "--out", "report.json"])
         assert rc == EXIT_USAGE
-        assert capsys.readouterr().err == "error: cutoff_n_max must be an integer >= 0, got -1\n"
+        assert capsys.readouterr().err == "error: --cutoff-n-max must be an integer >= 0, got -1\n"
+        assert _files(workdir) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--points", "4"], "--points must be an integer >= 5, got 4"),
+        (["--points", "0"], "--points must be an integer >= 5, got 0"),
+        (["--cutoff-n-max", "-1"], "--cutoff-n-max must be an integer >= 0, got -1"),
+    ])
+    def test_counts_refused_before_table(self, workdir, capsys, argv, message):
+        # Named by their options, not by SequenceConfig's fields, and refused
+        # before the (missing) table file is read.
+        rc = main(["calibrate", "--table", "missing.json", "--detuning-hz=-11e3",
+                   "--shift-hz", "30", "--engine", "first_order_model", *argv])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert _files(workdir) == []
 
     def test_truncated_cutoff_exit(self, table_file, capsys):
@@ -727,6 +753,19 @@ class TestTrajectory:
             assert fh.readline() == "# schema=msgate/trajectory/1\n"
         data = np.genfromtxt(out, delimiter=",", names=True, skip_header=1)
         assert data.shape == (65,)
+
+    def test_csv_round_trip(self, workdir):
+        assert main(["trajectory", "--samples", "9", "--out", "traj.csv"]) == EXIT_OK
+        text = Path("traj.csv").read_text()
+        assert text.count("\n") == 11
+        assert text.splitlines()[0] == "# schema=msgate/trajectory/1"
+        traj = phase_space_trajectory(DimensionlessGateParams(), 9)
+        data = np.genfromtxt("traj.csv", delimiter=",", names=True, skip_header=1)
+        # Each value is written as its repr, so it reads back exactly.
+        for name, column in [("tau", traj["tau"]), ("re_alpha_plus", traj["alpha_plus"].real),
+                             ("im_alpha_minus", traj["alpha_minus"].imag),
+                             ("area_phase", traj["area_phase"])]:
+            assert np.array_equal(data[name], column), name
 
     def test_new_directory_and_line_ends(self, workdir):
         assert main(["trajectory", "--samples", "9", "--out", "new/loop.csv"]) == EXIT_OK

@@ -129,6 +129,13 @@ class TestScanAndSlope:
         expected = dist.probabilities @ derived.a[:8]
         assert effective_phase_slope(table, dist) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("mode", [[0, 1], np.array([0, 1]), 1.5, True])
+    def test_effective_slope_takes_one_mode(self, table, mode):
+        # Read as simulate_fringe reads a mode.  A list used to pass the
+        # predictors' level-grid check and end in a bare TypeError.
+        with pytest.raises(ValueError, match="Fock level n must be an integer >= 0, got"):
+            effective_phase_slope(table, mode)
+
     def test_phi_seq_prediction(self):
         assert phi_seq_prediction(100.0, EPSILON, 5.68) == pytest.approx(
             2.0 * 100.0 * 5.68 / EPSILON
@@ -142,6 +149,7 @@ class TestScanAndSlope:
         ((1.0, math.nan, 5.0), "detuning must be finite"),
         ((1.0, math.inf, 5.0), "detuning must be finite"),
         ((1.0, EPSILON, math.nan), "slope must be finite"),
+        ((math.nan, EPSILON, 5.0), "qubit_shift must be finite"),
     ])
     def test_phi_seq_prediction_refusals(self, args, message):
         with pytest.raises(ValueError, match=message):

@@ -12,7 +12,6 @@ from msgate.ideal import (
     ideal_output_state,
     loop_functions,
     phase_space_trajectory,
-    trajectory_csv,
 )
 from msgate.oracle import observables
 from quadrature import basis_state, ideal_propagator, ms_target_unitary
@@ -173,19 +172,6 @@ class TestTrajectory:
         np.testing.assert_allclose(traj["alpha_plus"], -traj["alpha_minus"])
         assert abs(traj["alpha_plus"][-1]) < 1e-14
         assert traj["area_phase"][-1] == pytest.approx(math.pi / 2)
-
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "traj.csv"
-        traj = phase_space_trajectory(DimensionlessGateParams(), 9)
-        text = trajectory_csv(traj)
-        assert text.count("\n") == 11 and "\r" not in text
-        assert text.splitlines()[0] == "# schema=msgate/trajectory/1"
-        path.write_text(text)
-        data = np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
-        np.testing.assert_allclose(data["tau"], traj["tau"], atol=1e-15)
-        np.testing.assert_allclose(
-            data["re_alpha_plus"], traj["alpha_plus"].real, atol=1e-15
-        )
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from msgate.hilbert import FockCutoff
-from msgate.ideal import DimensionlessGateParams, ideal_output_state
+from msgate.ideal import DimensionlessGateParams, ideal_output_state, relative_phase_pair
 from msgate.magnus import (
     compute_coefficient_table,
     first_order_correction,
@@ -21,7 +21,7 @@ from msgate.magnus import (
     predict_purity,
     predicted_state,
 )
-from msgate.oracle import observables, propagate_batch, relative_phase_pair
+from msgate.oracle import observables, propagate_batch
 
 
 def _oracle_states(table, oracle_cutoff, fast_integrator, label, n, lams):

@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import expm
 
+import msgate.oracle as oracle
 from msgate.cli import main
-from msgate.experiment import SequenceConfig, simulate_fringe
+from msgate.experiment import SequenceConfig, phase_scan, simulate_fringe
 from msgate.hilbert import FockCutoff, ThermalDistribution
 from msgate.ideal import (
     DimensionlessGateParams,
     collective_spin,
     ideal_output_state,
     loop_functions,
+    relative_phase_pair,
 )
 from msgate.oracle import (
     GuardBandError,
@@ -29,7 +31,6 @@ from msgate.oracle import (
     observables,
     propagate_batch,
     propagate_ramped_axis,
-    relative_phase_pair,
     sweep,
 )
 from quadrature import (
@@ -94,7 +95,7 @@ class TestSymmetryBlocks:
                     assert np.abs(blocks - dense).max() <= 1e-12, (phi, omega, lam)
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 32])
-    def test_per_column_durations(self, n_max):
+    def test_per_column_durations(self, n_max, monkeypatch):
         # One input column at many durations, directly and through the
         # trajectory recorder (<a> in the lab frame at every record).
         cutoff = FockCutoff(n_max)
@@ -109,8 +110,8 @@ class TestSymmetryBlocks:
         assert np.abs(chi - dense).max() <= 1e-12
 
         # Small cutoffs fill the guard band; only the amplitudes are checked.
-        permissive = IntegratorConfig(guard_tolerance=np.inf)
-        traj = expectation_trajectory(psi0, cutoff, params, lam, 9, permissive)
+        monkeypatch.setattr(oracle, "_GUARD_TOLERANCE", np.inf)
+        traj = expectation_trajectory(psi0, cutoff, params, lam, 9)
         lab = np.exp(1j * np.tile(np.arange(cutoff.dim), 4)[:, None] * taus) * dense
         a_op = np.kron(np.eye(4), np.diag(np.sqrt(np.arange(1.0, cutoff.dim)), 1))
         a_dense = np.einsum("ij,ij->j", lab.conj(), a_op @ lab)
@@ -177,7 +178,11 @@ class TestExactVsRK4:
 
         init = np.zeros((4 * d, 2), dtype=complex)
         init[oracle_cutoff.index(0, 0), 0] = init[oracle_cutoff.index(0, 1), 1] = 1.0
-        phis = np.array([0.0, 0.9, 2.1])
+        detuning = -2.0 * math.pi * 11e3
+        config = SequenceConfig(
+            detuning=detuning, qubit_shift=lam * detuning, mode=1, phase_points=5, shots=None
+        )
+        phis = phase_scan(config.phase_points)
         gate1, gate2 = (0.0, TAU), (TAU, 2 * TAU)
         mid, _, _ = propagate_ramped_axis(init, oracle_cutoff, omega, lam, np.zeros(2), gate1)
         mid_ref = rk4_ramped(init, np.zeros(2), gate1)
@@ -188,11 +193,7 @@ class TestExactVsRK4:
         fin_ref = rk4_ramped(cols, col_phis, gate2)
         assert np.abs(fin - fin_ref).max() <= 1e-10
 
-        detuning = -2.0 * math.pi * 11e3
-        config = SequenceConfig(
-            detuning=detuning, qubit_shift=lam * detuning, mode=1, shots=None
-        )
-        _, fringe = simulate_fringe(config, table, phis)
+        _, fringe = simulate_fringe(config, table)
         p_ee_ref = (np.abs(fin_ref[3 * d :, phis.size :]) ** 2).sum(axis=0)
         assert np.abs(fringe - p_ee_ref).max() <= 1e-10
 
@@ -318,22 +319,21 @@ class TestHealthChecks:
         _, drift, _ = propagate_batch(initial, oracle_cutoff, params, 0.05)
         assert drift.max() < 1e-12
 
-    def test_norm_tolerance_enforced(self, oracle_cutoff):
-        config = IntegratorConfig(norm_tolerance=1e-6)
+    def test_norm_tolerance_enforced(self, oracle_cutoff, monkeypatch):
+        config = IntegratorConfig()
         config.check(np.array([1e-7, 0.0]), 0.0)
-        with pytest.raises(NormDriftError, match="norm drift"):
+        with pytest.raises(NormDriftError, match="norm drift 1.000e-05 exceeds 1.0e-06"):
             config.check(np.array([1e-7, 1e-5]), 0.0)
         # Every propagator applies the check itself: no drift, however
         # small, passes a negative tolerance.
-        strict = IntegratorConfig(norm_tolerance=-1.0)
+        monkeypatch.setattr(oracle, "_NORM_TOLERANCE", -1.0)
         state = basis_state("gg", 0, oracle_cutoff)
         params = DimensionlessGateParams()
         calls = [
-            lambda: propagate_batch(state, oracle_cutoff, params, 0.01, strict),
-            lambda: propagate_ramped_axis(
-                state, oracle_cutoff, 0.5, 0.01, 0.0, (0.0, TAU), strict
-            ),
-            lambda: expectation_trajectory(state, oracle_cutoff, params, 0.01, config=strict),
+            lambda: propagate_batch(state, oracle_cutoff, params, 0.01),
+            lambda: propagate_ramped_axis(state, oracle_cutoff, 0.5, 0.01, 0.0, (0.0, TAU)),
+            lambda: expectation_trajectory(state, oracle_cutoff, params, 0.01),
+            lambda: sweep(np.array([0.01]), [0], params, oracle_cutoff),
         ]
         for call in calls:
             with pytest.raises(NormDriftError, match="norm drift"):
@@ -367,14 +367,6 @@ class TestHealthChecks:
         # A NaN compares False against any tolerance; the check still fails.
         with pytest.raises(error):
             IntegratorConfig().check(drift, guard)
-
-    @pytest.mark.parametrize("levels", [True, 2.5, 5.0])
-    def test_non_integer_guard_levels_refused(self, levels):
-        # Unrefused, True passed as 1 and a float failed in the first
-        # propagation with a bare TypeError.
-        message = f"guard_levels must be an integer >= 1, got {levels}"
-        with pytest.raises(ValueError, match=message):
-            IntegratorConfig(guard_levels=levels)
 
 
 class TestConvergence:
@@ -516,7 +508,7 @@ class TestObservables:
 
 
 class TestTrajectory:
-    def test_branch_circle(self, fast_integrator):
+    def test_branch_circle(self):
         # A |++,0> input (computational amplitudes) follows alpha(tau) = F(tau).
         def plus_plus(n_max):
             plus_plus_qubits = SIGMA_Y_BASIS.conj().T[:, 0]
@@ -524,17 +516,14 @@ class TestTrajectory:
             return np.kron(plus_plus_qubits, vacuum), FockCutoff(n_max)
 
         params = DimensionlessGateParams()
-        traj = expectation_trajectory(
-            *plus_plus(20), params, 0.0, n_records=17, config=fast_integrator
-        )
+        traj = expectation_trajectory(*plus_plus(20), params, 0.0, n_records=17)
         f, _ = loop_functions(traj["tau"], params)
         np.testing.assert_allclose(traj["a_expect"], f, atol=1e-6)
         np.testing.assert_allclose(traj["norm"], 1.0, atol=1e-10)
-        assert traj["guard_band_mass"].max() <= fast_integrator.guard_tolerance
+        assert traj["guard_band_mass"].max() <= oracle._GUARD_TOLERANCE
         # At cutoff 16 the loop leaves about 8e-10 in the guard band.
         with pytest.raises(GuardBandError, match="guard-band"):
-            expectation_trajectory(*plus_plus(16), params, 0.0, n_records=17,
-                                   config=fast_integrator)
+            expectation_trajectory(*plus_plus(16), params, 0.0, n_records=17)
 
     def test_requires_two_records(self, oracle_cutoff):
         initial = basis_state("gg", 0, oracle_cutoff)

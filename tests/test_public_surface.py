@@ -69,8 +69,7 @@ CLI_OPTIONS = {
 # show up here too.
 CONFIG_FIELDS = {
     "DimensionlessGateParams": ("omega_tilde", "tau_gate", "phi"),
-    "IntegratorConfig": ("steps_per_gate", "guard_levels", "guard_tolerance",
-                         "norm_tolerance"),
+    "IntegratorConfig": ("steps_per_gate",),
     "SequenceConfig": ("detuning", "qubit_shift", "mode", "phase_points", "shots",
                        "engine", "cutoff_n_max"),
     "QuadratureSpec": ("panels_1d", "panels_2d"),
@@ -91,7 +90,6 @@ OPTIONAL_PARAMETERS = {
     "magnus.predict_density_matrix": ("initial",),
     "oracle.propagate_batch": ("config", "span"),
     "oracle.propagate_ramped_axis": ("config",),
-    "experiment.simulate_fringe": ("phi_d",),
     "experiment.fit_fringe": ("shots",),
     "experiment.run_calibration": ("rng",),
 }
@@ -103,12 +101,12 @@ OPTIONAL_PARAMETERS = {
 # must show up here.
 SOURCE_CODE_LINES = {
     "__init__": 2,
-    "cli": 416,
-    "experiment": 214,
+    "cli": 423,
+    "experiment": 212,
     "hilbert": 109,
-    "ideal": 80,
+    "ideal": 68,
     "magnus": 515,
-    "oracle": 188,
+    "oracle": 183,
 }
 
 
@@ -281,6 +279,31 @@ def test_level_average_has_one_owner():
         text = (SRC / f"{stem}.py").read_text()
         assert re.search(r"(weights|probabilities)\)?\s*@", text) is None, stem
         assert (re.search(r"def _level_sum\b", text) is not None) == (stem == "hilbert"), stem
+
+
+def _is_coherence_pair(node) -> bool:
+    """A dict literal mapping a qubit label to a (row, column) pair."""
+    return isinstance(node, ast.Dict) and any(
+        isinstance(key, ast.Constant) and key.value in ("gg", "ee")
+        and isinstance(value, ast.Tuple) and len(value.elts) == 2
+        and all(isinstance(e, ast.Constant) and type(e.value) is int for e in value.elts)
+        for key, value in zip(node.keys, node.values))
+
+
+def test_conventions_have_one_owner():
+    # cli owns the versioned CSV text, ideal the coherence each input's
+    # relative phase is read from, and oracle its health thresholds, as
+    # module constants that no caller can set: a second copy drifts.
+    health = {"guard_levels", "guard_tolerance", "norm_tolerance"}
+    for stem, tree in _modules().items():
+        assert ("# schema=" in (SRC / f"{stem}.py").read_text()) == (stem == "cli"), stem
+        pairs = [node.lineno for node in ast.walk(tree) if _is_coherence_pair(node)]
+        assert len(pairs) == (stem == "ideal"), (stem, pairs)
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                fields = {node.target.id for node in cls.body
+                          if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+                assert not fields & health, (stem, cls.name)
 
 
 def _readme_commands():
