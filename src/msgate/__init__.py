@@ -3,7 +3,7 @@
 Subpackage map:
 
 * :mod:`msgate.hilbert`    -- Fock-space utilities, displacement operators.
-* :mod:`msgate.ideal`      -- calibrated gate: loop functions, propagator.
+* :mod:`msgate.ideal`      -- calibrated gate: loop functions, ideal output states.
 * :mod:`msgate.magnus`     -- detuning-error coefficient tables, predictors.
 * :mod:`msgate.oracle`     -- independent exact full-Hamiltonian propagator.
 * :mod:`msgate.experiment` -- two-gate calibration sequence and fringe fit.

@@ -19,11 +19,12 @@ subcommand, a key that is not an option of its subcommand or a value that
 its option refuses, a nan or inf float option, a ``predict
 --lambda-tilde`` or a ``sweep`` grid past the hard cap |lambda_tilde| <=
 0.5, a ``sweep --fock`` list that is not comma-separated integer levels
-or names a level twice, a negative ``calibrate --shots``, a ``--points``
-below 1 on ``sweep`` or below 5 on ``calibrate``, a negative
-``--cutoff-n-max`` (on ``sweep`` with or without ``--oracle``, on
-``calibrate`` with either engine; these two counts are refused under their
-option names, before any table or simulation), a ``--loops``
+or names a level twice, a negative ``calibrate --shots`` or ``--seed``,
+a ``trajectory --samples`` below 2, a ``--points`` below 1 on ``sweep`` or
+below 5 on ``calibrate``, a negative ``--cutoff-n-max`` (on ``sweep`` with
+or without ``--oracle``, on ``calibrate`` with either engine; these counts
+are refused under their option names, before any table, simulation or
+trajectory), a ``--loops``
 that is not an integer >= 1, an ``--nbar`` that needs more than 10^4 Fock
 levels, an output path that cannot be written, which leaves any earlier
 file there untouched and after which ``sweep`` writes neither its CSV nor
@@ -329,6 +330,8 @@ def cmd_calibrate(args) -> int:
     # Counts are checked under their option names, before any table is made.
     _count("--points", args.points, 5)
     _count("--cutoff-n-max", args.cutoff_n_max)
+    _count("--shots", args.shots)
+    _count("--seed", args.seed)
     table = _table_for(args)
     detuning = 2.0 * math.pi * args.detuning_hz
     shift = 2.0 * math.pi * args.shift_hz
@@ -367,7 +370,7 @@ def cmd_calibrate(args) -> int:
         "estimate": {
             "shift_hz": estimate.lambda_hat / (2.0 * math.pi),
             "shift_err_hz": _finite_or_null(estimate.lambda_err / (2.0 * math.pi)),
-            "phi_seq": estimate.phi_seq,
+            "phi_seq": fit.phase,
             "phi_seq_predicted": phi_seq_prediction(shift, detuning, estimate.slope),
             "slope": estimate.slope,
             "caveats": estimate.caveats,
@@ -392,6 +395,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
+    _count("--samples", args.samples, 2)
     traj = phase_space_trajectory(_gate(args), args.samples)
     plus, minus = traj["alpha_plus"], traj["alpha_minus"]
     columns = {"tau": traj["tau"], "re_alpha_plus": plus.real, "im_alpha_plus": plus.imag,

@@ -121,8 +121,8 @@ def effective_phase_slope(
     the table does not trust raises TruncationError.
     """
     levels, weights = level_weights(n)
-    _checked(levels, table)  # each level trusted by the table
-    return float(_level_sum(weights, table.derived().a[levels]))
+    _, _, der = _checked(levels, table)  # each level trusted by the table
+    return float(_level_sum(weights, der.a[levels]))
 
 
 def phi_seq_prediction(qubit_shift: float, detuning: float, slope: float) -> float:
@@ -138,8 +138,8 @@ def phi_seq_prediction(qubit_shift: float, detuning: float, slope: float) -> flo
 def _model_fringe(
     config: SequenceConfig, table: CoefficientTable, levels: np.ndarray, phi_d: np.ndarray
 ) -> np.ndarray:
-    _checked(levels, table)  # each level trusted by the table
-    slips = 2.0 * config.lambda_tilde * table.derived().a[levels]
+    _, _, der = _checked(levels, table)  # each level trusted by the table
+    slips = 2.0 * config.lambda_tilde * der.a[levels]
     return 0.5 * (1.0 + np.cos(2.0 * phi_d + slips[:, None]))
 
 
@@ -207,8 +207,6 @@ class FringeFit:
     offset_err: float
     covariance: np.ndarray
     residual_rms: float
-    n_points: int
-    shots: int | None
 
 
 # Residual RMS at or below which a fit without shots has no scale for its
@@ -292,8 +290,6 @@ def fit_fringe(
         offset_err=float(errs[2]),
         covariance=cov,
         residual_rms=rms,
-        n_points=phi_d.size,
-        shots=shots,
     )
 
 
@@ -303,10 +299,7 @@ class LambdaEstimate:
 
     lambda_hat: float
     lambda_err: float
-    phi_seq: float
-    phi_seq_err: float
     slope: float
-    detuning: float
     caveats: list[str] = field(default_factory=list)
 
 
@@ -334,10 +327,7 @@ def estimate_lambda(
     return LambdaEstimate(
         lambda_hat=float(lam_hat),
         lambda_err=float(lam_err),
-        phi_seq=fit.phase,
-        phi_seq_err=fit.phase_err,
         slope=slope,
-        detuning=detuning,
         caveats=caveats,
     )
 

@@ -316,20 +316,19 @@ def compute_first_order_table(
     params: DimensionlessGateParams,
     cutoff: FockCutoff,
     *,
-    spectrum: _Spectrum | None = None,
+    spectrum: _Spectrum,
 ) -> np.ndarray:
     """First-order table; i_table[m, n] = (i/2) Int e^{iG} <m|D(F)|n> dt.
 
     Read off dU/dlam at lam = 0 on the |gg, n> and |ge, n> columns.
-    ``spectrum`` is the lam = 0 eigenbasis of ``params`` and ``cutoff``
-    when the caller has built it already.
+    ``spectrum`` is the lam = 0 eigenbasis of ``params`` and ``cutoff``,
+    which :func:`compute_coefficient_table` builds once for both orders.
     """
-    sp = _spectrum(params, cutoff) if spectrum is None else spectrum
     i_table = np.empty((cutoff.dim, cutoff.dim), dtype=complex)
-    for s in sp.sectors:
+    for s in spectrum.sectors:
         # Inverse of _corrections' first order: row m is -1/2 of the
         # displaced-to-idle block of the sector whose idle levels share its parity.
-        i_table[s.rows] = -0.5 * (s.g_id[:s.below] @ sp.d.conj().T)
+        i_table[s.rows] = -0.5 * (s.g_id[:s.below] @ spectrum.d.conj().T)
     return i_table
 
 
@@ -338,7 +337,7 @@ def compute_second_order_tables(
     cutoff: FockCutoff,
     quad: QuadratureSpec = QuadratureSpec(),
     *,
-    spectrum: _Spectrum | None = None,
+    spectrum: _Spectrum,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Second-order tables (j1, j2, j3) over the time-ordered triangle.
 
@@ -346,46 +345,26 @@ def compute_second_order_tables(
     columns.  ``quad`` is recorded only; ``spectrum`` as in
     :func:`compute_first_order_table`.
     """
-    sp = _spectrum(params, cutoff) if spectrum is None else spectrum
-    levels = np.arange(sp.e_disp.size, dtype=float)
+    levels = np.arange(spectrum.e_disp.size, dtype=float)
     # y - x is l - k + omega^2 from a displaced row, k - l - omega^2 from an idle one.
-    phi2_disp = _confluent_difference(-sp.gaps, -sp.offset, sp.t)
-    phi2_idle = _confluent_difference(sp.gaps, sp.offset, sp.t)
+    phi2_disp = _confluent_difference(-spectrum.gaps, -spectrum.offset, spectrum.t)
+    phi2_idle = _confluent_difference(spectrum.gaps, spectrum.offset, spectrum.t)
     j3 = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
     disp = []
-    for s in sp.sectors:
+    for s in spectrum.sectors:
         b_id = s.b.conj().T
         c_disp = _second_difference(levels, s.g_di @ b_id - s.b @ s.g_id,
-                                    sp.e_disp, phi2_disp[s.gap_index], s.b, sp.t)
+                                    spectrum.e_disp, phi2_disp[s.gap_index], s.b, spectrum.t)
         h = s.below  # the tables read the idle side only under dim
         cross = s.g_id[:h] @ s.b[:, :h] - b_id[:h] @ s.g_di[:, :h]
         c_idle = _second_difference(s.e_idle[:h], cross, s.e_idle[:h],
-                                    phi2_idle[s.gap_index.T[:h]], b_id[:h], sp.t)
-        disp.append(sp.d @ c_disp @ sp.d.conj().T)
+                                    phi2_idle[s.gap_index.T[:h]], b_id[:h], spectrum.t)
+        disp.append(spectrum.d @ c_disp @ spectrum.d.conj().T)
         j3[s.rows, s.rows] = -0.5 * c_idle
     # Inverse of _corrections' second order: on the rows of its own parity a
     # sector's D C D^dag is -(j1 + j2), on the others -(j1 - j2).
     sign = np.where(np.arange(cutoff.dim) % 2 == 0, 1.0, -1.0)[:, None]  # (-1)^m
     return -0.5 * (disp[0] + disp[1]), -0.5 * sign * (disp[0] - disp[1]), j3
-
-
-def _even_mask(dim: int) -> np.ndarray:
-    """[m, n] is True where m - n is even."""
-    return np.add.outer(np.arange(dim), -np.arange(dim)) % 2 == 0
-
-
-def _parameter_dict(
-    params: DimensionlessGateParams, cutoff: FockCutoff, quad: QuadratureSpec
-) -> dict:
-    return {
-        "n_max": cutoff.n_max,
-        "omega_tilde": params.omega_tilde,
-        "tau_gate": params.tau_gate,
-        "phi": params.phi,
-        "pulse": "square",
-        "panels_1d": quad.panels_1d,
-        "panels_2d": quad.panels_2d,
-    }
 
 
 def _digest(params: dict) -> str:
@@ -412,20 +391,20 @@ class CoefficientTable:
         return self.cutoff.n_max
 
     @property
-    def j_plus(self) -> np.ndarray:
-        return 0.5 * (self.j1 + self.j2 + 2.0 * self.j3)
-
-    @property
-    def j_minus(self) -> np.ndarray:
-        return 0.5 * (self.j1 + self.j2 - 2.0 * self.j3)
-
-    @property
     def structure_residual(self) -> float:
         """Max |Re + Im| over the first-order table (exactly 0 on the line)."""
         return float(np.abs(self.i_table.real + self.i_table.imag).max())
 
     def parameter_dict(self) -> dict:
-        return _parameter_dict(self.params, self.cutoff, self.quad)
+        return {
+            "n_max": self.n_max,
+            "omega_tilde": self.params.omega_tilde,
+            "tau_gate": self.params.tau_gate,
+            "phi": self.params.phi,
+            "pulse": "square",
+            "panels_1d": self.quad.panels_1d,
+            "panels_2d": self.quad.panels_2d,
+        }
 
     @property
     def provenance_hash(self) -> str:
@@ -579,31 +558,39 @@ def _corrections(label: str, table: CoefficientTable):
     gg, with I the first-order table, psi1 is
     (E(I + I^T), O iI^T, O iI^T, E(I - I^T)): column n of I feeds the
     diagonal-in-qubit blocks, row n (the conjugate-route hops) all four.
-    psi2 is (E J+, O (i/2)(J1 - J2), the same, -E J-): the two-hop paths that
-    visit the idle branch pair leave odd-parity weight on the cross blocks.
-    ee mirrors gg, and ge and eg swap the masks.  This is the one fold from
-    the tables to states: the two corrections read column n of it,
-    :func:`derived_scalars` sums over it, and the table builders invert it.
+    psi2 is (E J+, O (i/2)(J1 - J2), the same, -E J-) with
+    J+- = (J1 + J2)/2 +- J3: the two-hop paths that visit the idle branch
+    pair leave odd-parity weight on the cross blocks.  ge and eg swap the
+    masks and have the same blocks.  ee follows from gg by the qubit-flip
+    symmetry (X (x) (-1)^N) U(lam) (X (x) (-1)^N) = U(-lam), X flipping both
+    qubits: at order k the ee blocks are the gg blocks with the qubits
+    flipped (its gg block is gg's ee block), times (-1)^k on the
+    diagonal-in-qubit blocks and -(-1)^k on the cross blocks, whose m - n
+    is odd.  This is the one fold from the tables to states: the two
+    corrections read column n of it, :func:`derived_scalars` sums over it,
+    and the table builders invert it.
     """
-    _label(label)
-    it, j1, j2 = table.i_table, table.j1, table.j2
-    outer = _even_mask(it.shape[0])  # mask of the gg and ee blocks; ge and eg take ~outer
-    if label == "gg":
-        first = (it + it.T, 1j * it.T, it - it.T)
-        second = (table.j_plus, 0.5j * (j1 - j2), -table.j_minus)
-    elif label == "ee":
-        first = (-(it - it.T), 1j * it.T, -(it + it.T))
-        second = (-table.j_minus, -0.5j * (j1 - j2), table.j_plus)
-    else:  # ge / eg behave identically
-        outer = ~outer
-        first = (-1j * it, np.zeros_like(it), -1j * it)
-        second = (-0.5j * (j1 + j2), 0.5 * (j1 - j2), 0.5j * (j1 + j2))
+    it, j1, j2, j3 = table.i_table, table.j1, table.j2, table.j3
+    dim = it.shape[0]
+    cross_input = _label(label) in ("ge", "eg")
+    # Mask of the diagonal-in-qubit blocks: even m - n for gg and ee inputs,
+    # odd for ge and eg.  The cross blocks take its complement.
+    outer = np.add.outer(np.arange(dim), -np.arange(dim)) % 2 == int(cross_input)
+    if cross_input:
+        orders = ((-1j * it, np.zeros_like(it), -1j * it),
+                  (-0.5j * (j1 + j2), 0.5 * (j1 - j2), 0.5j * (j1 + j2)))
+    else:
+        half = 0.5 * (j1 + j2)
+        orders = ((it + it.T, 1j * it.T, it - it.T), (half + j3, 0.5j * (j1 - j2), -(half - j3)))
+    if label == "ee":
+        orders = tuple((sign * ee, -sign * cross, sign * gg)
+                       for sign, (gg, cross, ee) in zip((-1.0, 1.0), orders))
 
     def blocks(gg, cross, ee):
         mid = np.where(outer, 0.0, cross)
         return np.where(outer, gg, 0.0), mid, mid, np.where(outer, ee, 0.0)
 
-    return blocks(*first), blocks(*second)
+    return tuple(blocks(*order) for order in orders)
 
 
 def _column(blocks, n: int, table: CoefficientTable) -> np.ndarray:
@@ -668,8 +655,9 @@ def _check_lambda(lambda_tilde) -> np.ndarray:
 def _checked(
     n, table: CoefficientTable, lambda_tilde=0.0, initial: str = "gg",
     thermal: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(levels, lam) of one predictor call, every input checked.
+) -> tuple[np.ndarray, np.ndarray, DerivedScalars]:
+    """(levels, lam, the table's derived scalars) of one predictor call,
+    every input checked.
 
     ``lam`` is from :func:`_check_lambda`.  ``initial`` must be gg or ee,
     the inputs every predictor covers.  ``levels`` are the Fock levels of
@@ -692,7 +680,7 @@ def _checked(
     der = table.derived()
     for level in dict.fromkeys(levels.tolist()):
         der.require_trusted(level)
-    return levels.reshape((-1,) + (1,) * lam.ndim), lam
+    return levels.reshape((-1,) + (1,) * lam.ndim), lam, der
 
 
 def _per_input(n, values: np.ndarray):
@@ -715,8 +703,7 @@ def predict_density_matrix(
     populations are its diagonal and the pair coherence its (3, 0) entry for
     a |gg> input, (0, 3) for |ee>.
     """
-    levels, lam = _checked(n, table, lambda_tilde, initial)
-    der = table.derived()
+    levels, lam, der = _checked(n, table, lambda_tilde, initial)
     if initial == "gg":
         sign, same, other = 1.0, der.c_gg, der.c_ee
     else:
@@ -764,8 +751,7 @@ def predict_phase(
     :func:`predict_coherence`.  Thermal inputs are the probability-weighted
     mean of the per-level phase.
     """
-    levels, lam = _checked(n, table, lambda_tilde, initial, thermal=True)
-    der = table.derived()
+    levels, lam, der = _checked(n, table, lambda_tilde, initial, thermal=True)
     sign = 1.0 if initial == "gg" else -1.0
     phases = -math.pi / 2.0 + sign * lam * der.a[levels] + lam * lam * der.b[levels].real
     return _per_input(n, phases)
@@ -778,8 +764,7 @@ def predict_fidelity(
 
     1 + (lam^2/2)(c_gg + c_ee - Im b); same for gg and ee inputs.
     """
-    levels, lam = _checked(n, table, lambda_tilde, thermal=True)
-    der = table.derived()
+    levels, lam, der = _checked(n, table, lambda_tilde, thermal=True)
     vals = 1.0 + 0.5 * lam * lam * (
         der.c_gg[levels] + der.c_ee[levels] - der.b[levels].imag
     )
@@ -790,8 +775,7 @@ def predict_purity(n, lambda_tilde, table: CoefficientTable):
     """Tr(rho^2) of the reduced state truncated at O(lam^2) (gg or ee input
     alike); it differs from Tr(rho^2) of :func:`predict_density_matrix` at
     O(lam^3)."""
-    levels, lam = _checked(n, table, lambda_tilde)
-    der = table.derived()
+    levels, lam, der = _checked(n, table, lambda_tilde)
     a = der.a[levels]
     vals = 1.0 - lam * lam * (
         der.b[levels].imag - 0.5 * a * a - der.c_gg[levels] - der.c_ee[levels]

@@ -76,24 +76,25 @@ class IntegratorConfig:
     """Settings of oracle propagation.
 
     ``steps_per_gate`` is still accepted but no longer changes any result.
-    Every propagator checks its result by :meth:`check`, against the fixed
-    health thresholds of this module.
+    Every propagator checks its result by :func:`_check_health`, against
+    the fixed health thresholds of this module.
     """
 
     steps_per_gate: int = 50_000
 
-    def check(self, norm_drift, guard_band_mass: float) -> None:
-        """Raise :class:`GuardBandError` or :class:`NormDriftError` when the
-        guard mass or the (worst) norm drift exceeds its tolerance or is NaN
-        (written ``not x <= tol``, since ``nan > tol`` is False)."""
-        if not guard_band_mass <= _GUARD_TOLERANCE:
-            raise GuardBandError(
-                f"guard-band occupation {guard_band_mass:.3e} exceeds "
-                f"{_GUARD_TOLERANCE:.1e}; raise the Fock cutoff"
-            )
-        drift = float(np.max(norm_drift))
-        if not drift <= _NORM_TOLERANCE:
-            raise NormDriftError(f"norm drift {drift:.3e} exceeds {_NORM_TOLERANCE:.1e}")
+
+def _check_health(norm_drift, guard_band_mass: float) -> None:
+    """Raise :class:`GuardBandError` or :class:`NormDriftError` when the
+    guard mass or the (worst) norm drift exceeds its tolerance or is NaN
+    (written ``not x <= tol``, since ``nan > tol`` is False)."""
+    if not guard_band_mass <= _GUARD_TOLERANCE:
+        raise GuardBandError(
+            f"guard-band occupation {guard_band_mass:.3e} exceeds "
+            f"{_GUARD_TOLERANCE:.1e}; raise the Fock cutoff"
+        )
+    drift = float(np.max(norm_drift))
+    if not drift <= _NORM_TOLERANCE:
+        raise NormDriftError(f"norm drift {drift:.3e} exceeds {_NORM_TOLERANCE:.1e}")
 
 
 def hamiltonian_matrix(
@@ -204,11 +205,11 @@ def _guard_band_mass(amps: np.ndarray, cutoff: FockCutoff, levels: int) -> np.nd
     return (np.abs(blocks[:, d - levels :, :]) ** 2).sum(axis=(0, 1))
 
 
-def _with_health(cols, final, cutoff, config, shape):
+def _with_health(cols, final, cutoff, shape):
     """(final reshaped, per-column norm drift, worst guard-band mass), checked."""
     drift = np.abs(np.linalg.norm(final, axis=0) - np.linalg.norm(cols, axis=0))
     guard = float(_guard_band_mass(final, cutoff, _GUARD_LEVELS).max())
-    config.check(drift, guard)
+    _check_health(drift, guard)
     return final.reshape(shape), drift, guard
 
 
@@ -225,7 +226,7 @@ def propagate_batch(
     Each column j evolves under miscalibration ``lambda_values[j]``, all
     other parameters shared, in one :func:`_exact_evolve` call.  Returns
     (final amplitudes, per-column norm drift, worst guard-band mass).  A
-    non-finite lambda raises ``ValueError``.
+    non-finite lambda raises ``ValueError``.  ``config`` changes no result.
     """
     cols = np.asarray(amps, dtype=complex).reshape(cutoff.composite_dim, -1)
     t0, t1 = (0.0, params.tau_gate) if span is None else span
@@ -233,7 +234,7 @@ def propagate_batch(
     chi = np.exp(-1j * t0 * number) * cols
     final = _exact_evolve(lambda_values, params.omega_tilde, params.phi, cutoff, chi, t1 - t0)
     final *= np.exp(1j * t1 * number)
-    return _with_health(cols, final, cutoff, config, np.shape(amps))
+    return _with_health(cols, final, cutoff, np.shape(amps))
 
 
 def propagate_ramped_axis(
@@ -263,7 +264,7 @@ def propagate_ramped_axis(
     chi = np.conj(scan) * np.exp(-1j * s0 * gen) * cols
     evolved = _exact_evolve(lambda_tilde, omega_tilde, 0.0, cutoff, chi, s1 - s0)
     final = scan * np.exp(1j * s1 * gen) * evolved
-    return _with_health(cols, final, cutoff, config, np.shape(amps))
+    return _with_health(cols, final, cutoff, np.shape(amps))
 
 
 def observables(final: np.ndarray, initial_label: str, cutoff: FockCutoff) -> dict:

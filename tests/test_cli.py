@@ -485,7 +485,7 @@ class TestCalibrate:
         rc = main(["calibrate", "--table", table_file, "--detuning-hz=-11e3",
                    "--shift-hz", "30", "--shots", "-1", "--out", "report.json"])
         assert rc == EXIT_USAGE
-        assert capsys.readouterr().err == "error: shots must be an integer >= 1, got -1\n"
+        assert capsys.readouterr().err == "error: --shots must be an integer >= 0, got -1\n"
         assert _files(workdir) == []
 
     @pytest.mark.parametrize("engine", ["first_order_model", "oracle"])
@@ -507,9 +507,12 @@ class TestCalibrate:
         (["--points", "4"], "--points must be an integer >= 5, got 4"),
         (["--points", "0"], "--points must be an integer >= 5, got 0"),
         (["--cutoff-n-max", "-1"], "--cutoff-n-max must be an integer >= 0, got -1"),
+        (["--shots", "-1"], "--shots must be an integer >= 0, got -1"),
+        (["--seed", "-1"], "--seed must be an integer >= 0, got -1"),
     ])
     def test_counts_refused_before_table(self, workdir, capsys, argv, message):
-        # Named by their options, not by SequenceConfig's fields, and refused
+        # Named by their options, not by SequenceConfig's fields or numpy's
+        # seed rule, and refused
         # before the (missing) table file is read.
         rc = main(["calibrate", "--table", "missing.json", "--detuning-hz=-11e3",
                    "--shift-hz", "30", "--engine", "first_order_model", *argv])
@@ -780,6 +783,18 @@ class TestTrajectory:
         assert abs(complex(last["re_alpha_plus"], last["im_alpha_plus"])) < 1e-15
         assert last["area_phase"] == pytest.approx(np.pi / 2, abs=1e-15)
 
+    @pytest.mark.parametrize("samples", ["1", "-3"])
+    def test_samples_refused_before_sampling(self, workdir, capsys, monkeypatch, samples):
+        # Named by the option, not by phase_space_trajectory's parameter, and
+        # refused before the loop is sampled.
+        def sampled(*args, **kwargs):
+            raise AssertionError("the loop was sampled")
+
+        monkeypatch.setattr("msgate.cli.phase_space_trajectory", sampled)
+        assert main(["trajectory", "--samples", samples]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --samples must be an integer >= 2, got {samples}\n"
+        assert _files(workdir) == []
+
 
 class TestLoops:
     """--loops names a calibrated gate, so it must be an integer >= 1; a bad
@@ -841,8 +856,8 @@ class TestTableOnDemand:
         config = SequenceConfig(detuning=2.0 * np.pi * -11000.0,
                                 qubit_shift=2.0 * np.pi * 30.0, shots=None,
                                 engine="first_order_model")
-        _, estimate, _, _ = run_calibration(config, built, np.random.default_rng(0))
-        assert doc["estimate"]["phi_seq"] == pytest.approx(estimate.phi_seq, rel=1e-12)
+        fit, _, _, _ = run_calibration(config, built, np.random.default_rng(0))
+        assert doc["estimate"]["phi_seq"] == pytest.approx(fit.phase, rel=1e-12)
         assert doc["inputs"]["table_provenance"] == built.provenance_hash
 
 

@@ -235,14 +235,6 @@ class TestSecondOrderTables:
         ) % 2
         assert np.all(table.j3[parity == 1] == 0.0)
 
-    def test_plus_minus_decomposition(self, table):
-        np.testing.assert_allclose(
-            table.j_plus + table.j_minus, table.j1 + table.j2, atol=1e-14
-        )
-        np.testing.assert_allclose(
-            table.j_plus - table.j_minus, 2.0 * table.j3, atol=1e-14
-        )
-
 
 def _van_loan_gap(table, levels, pad=30):
     """(largest |correction state - Van Loan column|, largest |Van Loan entry|)
@@ -265,10 +257,11 @@ def _van_loan_gap(table, levels, pad=30):
 
 def _spectral_table(params, cutoff):
     """The library's tables for any closed loop, without the calibrated defaults."""
+    sp = magnus._spectrum(params, cutoff)
     return CoefficientTable(
         params, cutoff, QuadratureSpec(),
-        compute_first_order_table(params, cutoff),
-        *compute_second_order_tables(params, cutoff),
+        compute_first_order_table(params, cutoff, spectrum=sp),
+        *compute_second_order_tables(params, cutoff, spectrum=sp),
     )
 
 
@@ -413,14 +406,6 @@ class TestComputeTable:
         monkeypatch.setattr(magnus, "_spectrum", counted)
         compute_coefficient_table(n_max=12)
         assert len(calls) == 1
-
-    def test_standalone_tables_match_build(self, table):
-        # Built alone, each order is the same table bit for bit.
-        np.testing.assert_array_equal(
-            compute_first_order_table(table.params, table.cutoff), table.i_table)
-        for got, want in zip(compute_second_order_tables(table.params, table.cutoff),
-                             (table.j1, table.j2, table.j3)):
-            np.testing.assert_array_equal(got, want)
 
     def test_cutoff_overflow_guard(self):
         with pytest.raises(ValueError, match="Fock margin"):

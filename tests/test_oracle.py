@@ -320,10 +320,9 @@ class TestHealthChecks:
         assert drift.max() < 1e-12
 
     def test_norm_tolerance_enforced(self, oracle_cutoff, monkeypatch):
-        config = IntegratorConfig()
-        config.check(np.array([1e-7, 0.0]), 0.0)
+        oracle._check_health(np.array([1e-7, 0.0]), 0.0)
         with pytest.raises(NormDriftError, match="norm drift 1.000e-05 exceeds 1.0e-06"):
-            config.check(np.array([1e-7, 1e-5]), 0.0)
+            oracle._check_health(np.array([1e-7, 1e-5]), 0.0)
         # Every propagator applies the check itself: no drift, however
         # small, passes a negative tolerance.
         monkeypatch.setattr(oracle, "_NORM_TOLERANCE", -1.0)
@@ -366,7 +365,7 @@ class TestHealthChecks:
     def test_nan_health_number_fails(self, drift, guard, error):
         # A NaN compares False against any tolerance; the check still fails.
         with pytest.raises(error):
-            IntegratorConfig().check(drift, guard)
+            oracle._check_health(drift, guard)
 
 
 class TestConvergence:
