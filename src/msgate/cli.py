@@ -24,11 +24,11 @@ a ``trajectory --samples`` below 2, a ``--points`` below 1 on ``sweep`` or
 below 5 on ``calibrate``, a negative ``--cutoff-n-max`` (on ``sweep`` with
 or without ``--oracle``, on ``calibrate`` with either engine; these counts
 are refused under their option names, before any table, simulation or
-trajectory), a ``--loops``
-that is not an integer >= 1, an ``--nbar`` that needs more than 10^4 Fock
-levels, an output path that cannot be written, which leaves any earlier
-file there untouched and after which ``sweep`` writes neither its CSV nor
-its plot script, and a table file whose schema is not the current
+trajectory), a ``--loops`` that is not an integer >= 1 (refused under its
+option name, before a table is built or the loop drawn), an ``--nbar``
+that needs more than 10^4 Fock levels, an output path that cannot be
+written, which leaves any earlier file there untouched and after which
+``sweep`` writes neither its CSV nor its plot script, and a table file whose schema is not the current
 ``msgate/coefficients/4`` (schema 1, 2 and 3 files get a message to rebuild
 the table), that cannot be read, lacks an entry or holds one of the wrong
 type, whose provenance digest does not match its parameters, whose
@@ -125,8 +125,10 @@ _GRID_OPTIONS = ("n_max", "loops")
 
 
 def _gate(args) -> DimensionlessGateParams:
-    """The calibrated gate of ``--loops`` (one loop when unset)."""
-    return DimensionlessGateParams.calibrated(1 if args.loops is None else args.loops)
+    """The calibrated gate of ``--loops`` (one loop when unset), whose
+    count is refused under the option's name."""
+    loops = 1 if args.loops is None else _count("--loops", args.loops, 1)
+    return DimensionlessGateParams.calibrated(loops)
 
 
 def _build(args, quad: QuadratureSpec | None = None) -> CoefficientTable:

@@ -17,7 +17,9 @@ Two engines produce fringes: ``first_order_model`` evaluates the cosine
 model above (thermally weighted when asked), and ``oracle`` propagates the
 full ramped-axis Hamiltonian exactly (see :mod:`msgate.oracle`) with the
 axis angle continuing across both gates, as drive-phase bookkeeping works
-on hardware, and raises when either gate fails its health checks.
+on hardware.  A scan phase is then a diagonal S_z factor around gate 2, so
+gate 2 runs once for the whole scan; the engine raises when either gate
+fails its health checks.
 Populations are frame-independent, so the two may be compared directly.
 
 The coefficient table owns the gate: the oracle runs its ``omega_tilde`` for
@@ -33,7 +35,7 @@ import numpy as np
 
 from .hilbert import FockCutoff, ThermalDistribution, _count, _finite, _level_sum, level_weights
 from .magnus import CoefficientTable, _check_lambda, _checked
-from .oracle import _basis_columns, propagate_ramped_axis
+from .oracle import _basis_columns, _diagonals, propagate_ramped_axis
 
 __all__ = [
     "SequenceConfig",
@@ -152,17 +154,20 @@ def _oracle_fringe(
     # Gate 1 at drive phase 0, one column per initial Fock level; a level
     # above the cutoff raises GuardBandError.
     init = _basis_columns(0, levels, cutoff)
-    mid, _, _ = propagate_ramped_axis(
-        init, cutoff, omega, lam, np.zeros(len(levels)), (0.0, tau)
+    mid, _, _ = propagate_ramped_axis(init, cutoff, omega, lam, 0.0, (0.0, tau))
+    # Gate 2 spans s in [tau, 2 tau], the axis ramp continuing through it.
+    # A scan phase phi_d is the frame factor e^{i phi_d S_z} around it (see
+    # msgate.oracle), so gate 2 runs once at phase 0 on the S_z = m parts
+    # of mid (3 columns per level).  Up to a phase, the |ee> rows at phi_d
+    # are the sum over m of e^{-i m phi_d} times gate 2's output on part m.
+    m = np.array([1.0, 0.0, -1.0])
+    parts = np.where(_diagonals(cutoff)[1][:, :, None] == m, mid[:, :, None], 0.0)
+    fin, _, _ = propagate_ramped_axis(
+        parts.reshape(len(mid), -1), cutoff, omega, lam, 0.0, (tau, 2.0 * tau)
     )
-    # Gate 2 spans s in [tau, 2 tau]; the axis ramp continues through it, so
-    # the scan phase enters on top of the accumulated slip.
-    cols = np.repeat(mid, phi_d.size, axis=1)
-    phis = np.tile(phi_d, len(levels))
-    fin, _, _ = propagate_ramped_axis(cols, cutoff, omega, lam, phis, (tau, 2.0 * tau))
     d = cutoff.dim
-    p_ee = (np.abs(fin[3 * d :, :]) ** 2).sum(axis=0)
-    return p_ee.reshape(len(levels), phi_d.size)
+    ee = fin[3 * d :].reshape(d, len(levels), 3) @ np.exp(-1j * np.outer(m, phi_d))
+    return (np.abs(ee) ** 2).sum(axis=0)
 
 
 def simulate_fringe(

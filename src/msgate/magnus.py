@@ -312,16 +312,11 @@ def _second_difference(levels, cross, x, phi2, hop, t: float) -> np.ndarray:
     return c
 
 
-def compute_first_order_table(
-    params: DimensionlessGateParams,
-    cutoff: FockCutoff,
-    *,
-    spectrum: _Spectrum,
-) -> np.ndarray:
+def compute_first_order_table(cutoff: FockCutoff, *, spectrum: _Spectrum) -> np.ndarray:
     """First-order table; i_table[m, n] = (i/2) Int e^{iG} <m|D(F)|n> dt.
 
     Read off dU/dlam at lam = 0 on the |gg, n> and |ge, n> columns.
-    ``spectrum`` is the lam = 0 eigenbasis of ``params`` and ``cutoff``,
+    ``spectrum`` is the lam = 0 eigenbasis of the gate on ``cutoff``,
     which :func:`compute_coefficient_table` builds once for both orders.
     """
     i_table = np.empty((cutoff.dim, cutoff.dim), dtype=complex)
@@ -333,7 +328,6 @@ def compute_first_order_table(
 
 
 def compute_second_order_tables(
-    params: DimensionlessGateParams,
     cutoff: FockCutoff,
     quad: QuadratureSpec = QuadratureSpec(),
     *,
@@ -452,8 +446,8 @@ def compute_coefficient_table(
     params = DimensionlessGateParams(omega_tilde=omega_tilde, tau_gate=tau_gate)
     cutoff = FockCutoff(n_max)
     sp = _spectrum(params, cutoff)
-    i_table = compute_first_order_table(params, cutoff, spectrum=sp)
-    j1, j2, j3 = compute_second_order_tables(params, cutoff, quad, spectrum=sp)
+    i_table = compute_first_order_table(cutoff, spectrum=sp)
+    j1, j2, j3 = compute_second_order_tables(cutoff, quad, spectrum=sp)
     return CoefficientTable(params, cutoff, quad, i_table, j1, j2, j3)
 
 

@@ -5,28 +5,29 @@ This module deliberately shares no derivation machinery with
 truncated Fock space and propagates it exactly.  Agreement between the two
 routes is the package's core evidence.
 
-Two drive frames are provided:
+One frame carries every propagation.  The static-axis Hamiltonian
+H(tau) = lam*S_z - omega*(a^dag e^{i tau} + a e^{-i tau})*S_phi, the frame
+in which the perturbative coefficients are defined, is the constant
+H' = lam*S_z - omega*(a + a^dag)*S_phi + N (N the phonon number) in the
+frame psi = e^{i N tau} chi, which :func:`propagate_batch` alone builds.
+Every other angle is a diagonal S_z factor around it.  The ramped axis,
+H(s) = -omega*(a^dag e^{i s} + a e^{-i s})*S_{phi0 + lam*s}, has the
+miscalibration term rotated away: the hardware's bookkeeping between gates
+(drive phase counted against the qubit frame), used by the two-gate
+calibration sequence.  Over a span (s0, s1) it is
 
-* ``static_axis`` -- H(tau) = lam*S_z - omega*(a^dag e^{i tau} + a e^{-i tau})*S_phi,
-  the frame in which the perturbative coefficients are defined.
-* ``ramped_axis`` -- the miscalibration term rotated away, leaving
-  H(s) = -omega*(a^dag e^{i s} + a e^{-i s})*S_{phi0 + lam*s}.  This is the
-  hardware's bookkeeping between gates (drive phase counted against the
-  qubit frame), used by the two-gate calibration sequence.  Populations are
-  frame-independent, so no de-rotation is needed before measuring.
+    U_ramped = e^{i (phi0 + lam*s1) S_z} U_static e^{-i (phi0 + lam*s0) S_z},
 
-Both are the constant H' = lam*S_z - omega*(a + a^dag)*S_phi + N (N the
-phonon number) in a rotating frame: psi = e^{i N tau} chi for the static
-axis; psi = e^{i (N + lam*S_z) s} chi for the ramped axis at phi = 0, with
-the start angle phi0 entering as conjugation by e^{i phi0 S_z}.  So the
-spectrum of H' at one lam is the exact propagator for any span, scan phase
-and record time.  It is taken per symmetry block: e^{i(pi/2 - phi) S_z}
-turns S_phi into the real S_x, and H' commutes with qubit exchange and
-with the parity (-1)^(N + S_z).  The singlet evolves by e^{-iN dt}; the
-triplet splits by the parity of n + m into two real blocks (49 and 50
-states at n_max 32), and a batch calls ``eigh`` once per lam and block its
-columns occupy.  The tests check these propagators against an
-independent RK4 route on :func:`hamiltonian_matrix`.
+U_static at drive phase 0 over the same span, so a scan phase phi0 is a
+frame factor too.  Populations are frame-independent, so no de-rotation is
+needed before measuring.  The spectrum of H' at one lam is thus the exact
+propagator for any span, scan phase and record time.  It is taken per
+symmetry block: e^{i(pi/2 - phi) S_z} turns S_phi into the real S_x, and
+H' commutes with qubit exchange and with the parity (-1)^(N + S_z).  The
+singlet evolves by e^{-iN dt}; the triplet splits by the parity of n + m
+into two real blocks (49 and 50 states at n_max 32), and a batch calls
+``eigh`` once per lam and block its columns occupy.  The tests check these
+propagators against an independent RK4 route on :func:`hamiltonian_matrix`.
 """
 
 from __future__ import annotations
@@ -147,35 +148,33 @@ def _symmetry_blocks(n_max: int):
     return out
 
 
-def _exact_evolve(lam, omega, phi, cutoff, cols: np.ndarray, dt) -> np.ndarray:
+def _exact_evolve(lam, omega, phi, cutoff, cols: np.ndarray, dt: float) -> np.ndarray:
     """e^{-i H' dt} on each column, in the parity blocks of the rotated H'
     (module docstring), with one basis change each way for the batch.
 
-    ``lam`` and ``dt`` are one value or one per column (``cols`` may be one
-    column, evaluated at every duration).  Per lam, a block that is zero in
-    those columns gets no ``eigh``; the real eigenvectors act on (re, im).
-    A non-finite ``lam`` raises ``ValueError``: a NaN matches no lambda
-    group and an inf makes NaN amplitudes.
+    ``lam`` is one value or one per column, ``dt`` one duration.  Per lam,
+    a block that is zero in those columns gets no ``eigh``; the real
+    eigenvectors act on (re, im).  A non-finite ``lam`` raises
+    ``ValueError``: a NaN matches no lambda group and an inf makes NaN
+    amplitudes.
     """
     lam = _finite("lambda_tilde", lam)
     basis, number, sz, blocks = _symmetry_blocks(cutoff.n_max)
     rot = np.exp(1j * (np.pi / 2 - phi) * _diagonals(cutoff)[1])
-    dt = np.reshape(dt, (1, -1))
-    x, _ = np.broadcast_arrays(basis.T @ (rot * cols), dt)
+    x = basis.T @ (rot * cols)
     lam = np.broadcast_to(lam, x.shape[1:])
     singlet = slice(blocks[-1][0].stop, None)  # S_z = 0 there: lam drops out
     y = np.zeros(x.shape, dtype=complex)
     y[singlet] = np.exp(-1j * number[singlet, None] * dt) * x[singlet]
     for value in np.unique(lam):
         same = lam == value
-        span = dt if dt.size == 1 else dt.compress(same, axis=1)
         for sl, coupling in blocks:
             part = x[sl].compress(same, axis=1)
             if part.any():
                 h = omega * coupling + np.diag(number[sl] + value * sz[sl])
                 energies, vecs = np.linalg.eigh(h)
                 z = (vecs.T @ part.view(float)).view(complex)
-                z *= np.exp(-1j * energies[:, None] * span)
+                z *= np.exp(-1j * energies[:, None] * dt)
                 y[sl, same] = (vecs @ z.view(float)).view(complex)
     return np.conj(rot) * (basis @ y)
 
@@ -205,14 +204,6 @@ def _guard_band_mass(amps: np.ndarray, cutoff: FockCutoff, levels: int) -> np.nd
     return (np.abs(blocks[:, d - levels :, :]) ** 2).sum(axis=(0, 1))
 
 
-def _with_health(cols, final, cutoff, shape):
-    """(final reshaped, per-column norm drift, worst guard-band mass), checked."""
-    drift = np.abs(np.linalg.norm(final, axis=0) - np.linalg.norm(cols, axis=0))
-    guard = float(_guard_band_mass(final, cutoff, _GUARD_LEVELS).max())
-    _check_health(drift, guard)
-    return final.reshape(shape), drift, guard
-
-
 def propagate_batch(
     amps: np.ndarray,
     cutoff: FockCutoff,
@@ -221,11 +212,13 @@ def propagate_batch(
     config: IntegratorConfig = IntegratorConfig(),
     span: tuple[float, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Propagate many columns at once in the static-axis frame.
+    """Propagate many columns at once under the static-axis Hamiltonian.
 
     Each column j evolves under miscalibration ``lambda_values[j]``, all
-    other parameters shared, in one :func:`_exact_evolve` call.  Returns
-    (final amplitudes, per-column norm drift, worst guard-band mass).  A
+    other parameters shared, over ``span`` (the gate, (0, tau_gate), when
+    None): one :func:`_exact_evolve` call in the frame e^{i N tau}, the
+    only frame the oracle builds.  Returns (final amplitudes, per-column
+    norm drift, worst guard-band mass), after :func:`_check_health`.  A
     non-finite lambda raises ``ValueError``.  ``config`` changes no result.
     """
     cols = np.asarray(amps, dtype=complex).reshape(cutoff.composite_dim, -1)
@@ -234,7 +227,10 @@ def propagate_batch(
     chi = np.exp(-1j * t0 * number) * cols
     final = _exact_evolve(lambda_values, params.omega_tilde, params.phi, cutoff, chi, t1 - t0)
     final *= np.exp(1j * t1 * number)
-    return _with_health(cols, final, cutoff, np.shape(amps))
+    drift = np.abs(np.linalg.norm(final, axis=0) - np.linalg.norm(cols, axis=0))
+    guard = float(_guard_band_mass(final, cutoff, _GUARD_LEVELS).max())
+    _check_health(drift, guard)
+    return final.reshape(np.shape(amps)), drift, guard
 
 
 def propagate_ramped_axis(
@@ -250,21 +246,24 @@ def propagate_ramped_axis(
 
     Column j sees the spin axis at angle phi_values[j] + lambda_tilde * s
     (s is global, so a later span continues the same ramp).  It is one
-    :func:`_exact_evolve` call at phi = 0 (one ``eigh`` per parity block the
-    columns occupy); each column's start angle enters as the diagonal
-    e^{i phi S_z}.  Returns and raises as :func:`propagate_batch`.
+    :func:`propagate_batch` call at drive phase 0 over ``span``, between
+    the frame factors e^{-i(phi + lam s0) S_z} and e^{i(phi + lam s1) S_z}
+    of the module docstring.  Those are diagonal phases, so that call's
+    norm drift and guard mass are returned with the final amplitudes.
+    Raises as :func:`propagate_batch`.
     """
     cols = np.asarray(amps, dtype=complex).reshape(cutoff.composite_dim, -1)
     phi = np.broadcast_to(np.asarray(phi_values, dtype=float), (cols.shape[1],))
     s0, s1 = span
-    number, sz = _diagonals(cutoff)
+    sz = _diagonals(cutoff)[1]
     # Checked before the frame, where an inf would meet S_z = 0.
-    gen = number + _finite("lambda_tilde", lambda_tilde) * sz
-    scan = np.exp(1j * sz * phi[None, :])
-    chi = np.conj(scan) * np.exp(-1j * s0 * gen) * cols
-    evolved = _exact_evolve(lambda_tilde, omega_tilde, 0.0, cutoff, chi, s1 - s0)
-    final = scan * np.exp(1j * s1 * gen) * evolved
-    return _with_health(cols, final, cutoff, np.shape(amps))
+    lam = _finite("lambda_tilde", lambda_tilde)
+    chi = np.exp(-1j * (phi + lam * s0) * sz) * cols
+    static, drift, guard = propagate_batch(
+        chi, cutoff, DimensionlessGateParams(omega_tilde), lam, config, span
+    )
+    final = np.exp(1j * (phi + lam * s1) * sz) * static
+    return final.reshape(np.shape(amps)), drift, guard
 
 
 def observables(final: np.ndarray, initial_label: str, cutoff: FockCutoff) -> dict:

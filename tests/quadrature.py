@@ -270,16 +270,16 @@ def expectation_trajectory(
 ) -> dict[str, np.ndarray]:
     """Record <a>, norm and guard mass at evenly spaced times over the gate.
 
-    ``initial`` is one amplitude column on ``cutoff``.  One diagonalisation
-    of H' serves every record time.  Raises GuardBandError or NormDriftError
+    ``initial`` is one amplitude column on ``cutoff``, propagated by one
+    exact call per record time.  Raises GuardBandError or NormDriftError
     when any record fails the oracle's health check.
     """
     if n_records < 2:
         raise ValueError("need at least two record points")
     a_op = np.kron(np.eye(4), np.diag(np.sqrt(np.arange(1.0, cutoff.dim)), 1))
     taus = np.linspace(0.0, params.tau_gate, n_records)
-    chi = _exact_evolve(lambda_tilde, params.omega_tilde, params.phi, cutoff,
-                        initial[:, None], taus)
+    chi = np.hstack([_exact_evolve(lambda_tilde, params.omega_tilde, params.phi, cutoff,
+                                   initial[:, None], t) for t in taus])
     psi = np.exp(1j * _diagonals(cutoff)[0] * taus[None, :]) * chi
     norms = np.linalg.norm(psi, axis=0)
     a_exp = np.einsum("ij,ij->j", psi.conj(), a_op @ psi) / np.maximum(norms**2, 1e-300)

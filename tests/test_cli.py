@@ -804,12 +804,16 @@ class TestLoops:
         ["coefficients", "--n-max", "12"],
         ["predict", "--lambda-tilde", "0.01", "--n-max", "12"],
         ["trajectory"],
+        ["sweep", "--fock", "0", "--n-max", "12"],
+        ["calibrate", "--detuning-hz=-11e3", "--shift-hz", "30", "--n-max", "12"],
     ]
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
     def test_zero_loops_refused(self, workdir, capsys, command):
+        # Named by the option, not by DimensionlessGateParams.calibrated's
+        # parameter.
         assert main([*command, "--loops", "0"]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: loops must be an integer >= 1")
+        assert capsys.readouterr().err == "error: --loops must be an integer >= 1, got 0\n"
         assert _files(workdir) == []
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])

@@ -260,8 +260,8 @@ def _spectral_table(params, cutoff):
     sp = magnus._spectrum(params, cutoff)
     return CoefficientTable(
         params, cutoff, QuadratureSpec(),
-        compute_first_order_table(params, cutoff, spectrum=sp),
-        *compute_second_order_tables(params, cutoff, spectrum=sp),
+        compute_first_order_table(cutoff, spectrum=sp),
+        *compute_second_order_tables(cutoff, spectrum=sp),
     )
 
 

@@ -13,7 +13,7 @@ from scipy.linalg import expm
 import msgate.oracle as oracle
 from msgate.cli import main
 from msgate.experiment import SequenceConfig, phase_scan, simulate_fringe
-from msgate.hilbert import FockCutoff, ThermalDistribution
+from msgate.hilbert import FockCutoff, ThermalDistribution, level_weights
 from msgate.ideal import (
     DimensionlessGateParams,
     collective_spin,
@@ -96,8 +96,8 @@ class TestSymmetryBlocks:
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 32])
     def test_per_column_durations(self, n_max, monkeypatch):
-        # One input column at many durations, directly and through the
-        # trajectory recorder (<a> in the lab frame at every record).
+        # One input column at many durations, one call each, directly and
+        # through the trajectory recorder (<a> in the lab frame at every record).
         cutoff = FockCutoff(n_max)
         params, lam = DimensionlessGateParams(omega_tilde=GRID_OMEGA[1], phi=2.0), 0.07
         rng = np.random.default_rng(n_max)
@@ -106,7 +106,8 @@ class TestSymmetryBlocks:
         h = frame_hamiltonian(lam, params.omega_tilde, params.phi, cutoff)
         taus = np.linspace(0.0, params.tau_gate, 9)
         dense = np.stack([expm(-1j * t * h) @ psi0 for t in taus], axis=1)
-        chi = _exact_evolve(lam, params.omega_tilde, params.phi, cutoff, psi0[:, None], taus)
+        chi = np.hstack([_exact_evolve(lam, params.omega_tilde, params.phi, cutoff,
+                                       psi0[:, None], t) for t in taus])
         assert np.abs(chi - dense).max() <= 1e-12
 
         # Small cutoffs fill the guard band; only the amplitudes are checked.
@@ -138,6 +139,30 @@ class TestSymmetryBlocks:
         assert np.abs(k - expected).max() <= 1e-14
 
 
+DETUNING = -2.0 * math.pi * 11e3
+RAMP_LAM = 0.02
+
+
+def rk4_ramped_axis(amps, cutoff, phi, span, steps, lam=RAMP_LAM, omega=0.5):
+    """The ramped-axis Hamiltonian by fixed-step RK4: column j sees the spin
+    axis at phi[j] + lam*s, with s the global time over ``span``."""
+    d = cutoff.dim
+    raise_op = np.diag(np.sqrt(np.arange(1.0, d)), -1).astype(complex)
+    k_y = sparse.csr_matrix(-omega * np.kron(collective_spin(0.0), raise_op))
+    k_x = sparse.csr_matrix(-omega * np.kron(collective_spin(math.pi / 2), raise_op))
+    stacked = sparse.vstack([k_y, k_y.conj().T, k_x, k_x.conj().T]).tocsr()
+
+    def apply_h(s, psi):
+        y, y_dag, x, x_dag = (stacked @ psi).reshape(4, 4 * d, -1)
+        e = np.exp(1j * s)
+        angle = phi + lam * s
+        return np.cos(angle) * (e * y + np.conj(e) * y_dag) + np.sin(angle) * (
+            e * x + np.conj(e) * x_dag
+        )
+
+    return rk4(apply_h, amps, span[0], span[1], steps)
+
+
 class TestExactVsRK4:
     """The exact propagator against the RK4 reference route at 8192 steps."""
 
@@ -158,44 +183,64 @@ class TestExactVsRK4:
     def test_two_gate_ramped_fringe(self, oracle_cutoff, table):
         # Gate 1 over [0, 2pi] at axis 0, gate 2 over [2pi, 4pi] at each scan
         # phase, with the axis ramp lam*s carried across both.
-        lam, omega = 0.02, 0.5
         d = oracle_cutoff.dim
-        raise_op = np.diag(np.sqrt(np.arange(1.0, d)), -1).astype(complex)
-        k_y = sparse.csr_matrix(-omega * np.kron(collective_spin(0.0), raise_op))
-        k_x = sparse.csr_matrix(-omega * np.kron(collective_spin(math.pi / 2), raise_op))
-        stacked = sparse.vstack([k_y, k_y.conj().T, k_x, k_x.conj().T]).tocsr()
-
-        def rk4_ramped(amps, phi, span):
-            def apply_h(s, psi):
-                y, y_dag, x, x_dag = (stacked @ psi).reshape(4, 4 * d, -1)
-                e = np.exp(1j * s)
-                angle = phi + lam * s
-                return np.cos(angle) * (e * y + np.conj(e) * y_dag) + np.sin(angle) * (
-                    e * x + np.conj(e) * x_dag
-                )
-
-            return rk4(apply_h, amps, span[0], span[1], self.STEPS)
-
         init = np.zeros((4 * d, 2), dtype=complex)
         init[oracle_cutoff.index(0, 0), 0] = init[oracle_cutoff.index(0, 1), 1] = 1.0
-        detuning = -2.0 * math.pi * 11e3
-        config = SequenceConfig(
-            detuning=detuning, qubit_shift=lam * detuning, mode=1, phase_points=5, shots=None
-        )
+        config = SequenceConfig(detuning=DETUNING, qubit_shift=RAMP_LAM * DETUNING, mode=1,
+                                phase_points=5, shots=None)
         phis = phase_scan(config.phase_points)
         gate1, gate2 = (0.0, TAU), (TAU, 2 * TAU)
-        mid, _, _ = propagate_ramped_axis(init, oracle_cutoff, omega, lam, np.zeros(2), gate1)
-        mid_ref = rk4_ramped(init, np.zeros(2), gate1)
+        mid, _, _ = propagate_ramped_axis(init, oracle_cutoff, 0.5, RAMP_LAM, np.zeros(2), gate1)
+        mid_ref = rk4_ramped_axis(init, oracle_cutoff, np.zeros(2), gate1, self.STEPS)
         assert np.abs(mid - mid_ref).max() <= 1e-10
 
         cols, col_phis = np.repeat(mid_ref, phis.size, axis=1), np.tile(phis, 2)
-        fin, _, _ = propagate_ramped_axis(cols, oracle_cutoff, omega, lam, col_phis, gate2)
-        fin_ref = rk4_ramped(cols, col_phis, gate2)
+        fin, _, _ = propagate_ramped_axis(cols, oracle_cutoff, 0.5, RAMP_LAM, col_phis, gate2)
+        fin_ref = rk4_ramped_axis(cols, oracle_cutoff, col_phis, gate2, self.STEPS)
         assert np.abs(fin - fin_ref).max() <= 1e-10
 
         _, fringe = simulate_fringe(config, table)
         p_ee_ref = (np.abs(fin_ref[3 * d :, phis.size :]) ** 2).sum(axis=0)
         assert np.abs(fringe - p_ee_ref).max() <= 1e-10
+
+    def test_two_gate_thermal_fringe(self, oracle_cutoff, table):
+        # The oracle assembles the fringe from the S_z parts of gate 1's
+        # output; the reference runs gate 2 at every scan phase.  A thermal
+        # mode occupies both parity blocks.  Its 56 gate-2 columns run at
+        # 2048 steps, where the RK4 fringe is off by 1.6e-13 (6e-15 at 8192).
+        mode = ThermalDistribution(0.05)
+        config = SequenceConfig(detuning=DETUNING, qubit_shift=RAMP_LAM * DETUNING, mode=mode,
+                                phase_points=7, shots=None)
+        phis = phase_scan(config.phase_points)
+        levels, weights = level_weights(mode)
+        init = np.stack([basis_state("gg", n, oracle_cutoff) for n in levels], axis=1)
+        steps = self.STEPS // 4
+        mid = rk4_ramped_axis(init, oracle_cutoff, np.zeros(len(levels)), (0.0, TAU), steps)
+        fin = rk4_ramped_axis(np.repeat(mid, phis.size, axis=1), oracle_cutoff,
+                              np.tile(phis, len(levels)), (TAU, 2 * TAU), steps)
+        p_ee = (np.abs(fin[3 * oracle_cutoff.dim :]) ** 2).sum(axis=0)
+        _, fringe = simulate_fringe(config, table)
+        assert np.abs(fringe - weights @ p_ee.reshape(len(levels), phis.size)).max() <= 1e-10
+
+
+class TestFringeColumns:
+    @pytest.mark.parametrize("points", [5, 16])
+    @pytest.mark.parametrize("mode", [0, ThermalDistribution(0.05)], ids=["fock", "thermal"])
+    def test_gate_two_takes_three_columns_per_level(self, table, monkeypatch, points, mode):
+        # The scan phase is a frame factor, so gate 2 runs on the three S_z
+        # parts of each level's state whatever the number of scan phases.
+        columns, ramped = [], oracle.propagate_ramped_axis
+
+        def spy(amps, *args, **kwargs):
+            columns.append(np.shape(amps)[1])
+            return ramped(amps, *args, **kwargs)
+
+        monkeypatch.setattr("msgate.experiment.propagate_ramped_axis", spy)
+        config = SequenceConfig(detuning=DETUNING, qubit_shift=RAMP_LAM * DETUNING, mode=mode,
+                                phase_points=points, shots=None)
+        simulate_fringe(config, table)
+        levels = len(level_weights(mode)[0])
+        assert columns == [levels, 3 * levels]
 
 
 # Mixed batches: single-block columns |gg,0> (odd parity), |gg,1> (even)

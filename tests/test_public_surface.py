@@ -113,12 +113,12 @@ OPTIONAL_PARAMETERS = {
 # must show up here.
 SOURCE_CODE_LINES = {
     "__init__": 2,
-    "cli": 426,
+    "cli": 427,
     "experiment": 202,
     "hilbert": 109,
     "ideal": 68,
-    "magnus": 497,
-    "oracle": 183,
+    "magnus": 491,
+    "oracle": 180,
 }
 
 
