@@ -129,10 +129,10 @@ def relative_phase_pair(initial_label: str) -> tuple[int, int]:
     return pairs[_label(initial_label)]
 
 
-def phase_space_trajectory(
-    params: DimensionlessGateParams, n_samples: int = 256
-) -> dict[str, np.ndarray]:
-    """Sampled +/- branch trajectories of the driven mode over one gate.
+def phase_space_trajectory(params: DimensionlessGateParams,
+                           n_samples: int) -> dict[str, np.ndarray]:
+    """Sampled +/- branch trajectories of the driven mode over one gate, at
+    ``n_samples`` (at least 2) evenly spaced times from 0 to tau_gate.
 
     Returns arrays ``tau``, ``alpha_plus``, ``alpha_minus`` (complex), and
     ``area_phase`` = G(tau).

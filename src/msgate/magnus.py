@@ -58,10 +58,16 @@ branches hold.  The tables need no computational-basis states: a displaced
 state's amplitude on |q, m> is <m|D(omega)|k> times a scalar set by q and
 the parity of m, and an idle state I_l sits on level l alone, so the
 inverses of the two corrections fold those scalars into signs and halves.
-A sector adds a D(omega) sandwich of its displaced block, D C D^dag, to j1
+The coupling omega is real, so D(omega) and every S_z hop between the sides
+are real: the displaced-to-idle block of dU/dlam is the transpose of the
+idle-to-displaced one, which is all a sector keeps; the second-order
+numerator of each side is the antisymmetric part of one matrix product; and
+phi2 of a displaced row is the conjugate of phi2 of an idle one, so one
+evaluation over the gaps serves both sides.
+A sector adds a D(omega) sandwich of its displaced block, D C D^T, to j1
 and, with the sign (-1)^m, to j2; its idle block to j3 on the rows and
 columns of its parity; and its displaced-to-idle block of dU/dlam, times
-D^dag, to the i_table rows of its parity.
+D^T, to the i_table rows of its parity.
 ``QuadratureSpec`` is a recorded parameter of the table and changes no
 value.
 """
@@ -219,7 +225,10 @@ class _Sector:
     """One parity sector of the lam = 0 eigenbasis: the displaced states
     E_k = (|++, D(omega)k> + sigma (-1)^k |--, D(-omega)k>) / sqrt2, k < size,
     and the idle states I_l = (|+-, l> + |-+, l>) / sqrt2 with (-1)^l = sigma.
-    S_z couples the two sides only, by <E_k|S_z|I_l> = conj(<l|D(omega)|k>).
+    S_z couples the two sides only, by <E_k|S_z|I_l> = <l|D(omega)|k>, which
+    is real for the real coupling omega: the hop from the displaced side to
+    the idle one is its transpose, and dU/dlam's displaced-to-idle block is
+    the transpose of ``g_di``.
 
     In computational coordinates (q = gg, ge, eg, ee), <q, m|E_k> is
     <m|D(omega)|k> times (1, 0, 0, -1)/sqrt2 where (-1)^m = sigma and
@@ -232,9 +241,8 @@ class _Sector:
 
     e_idle: np.ndarray  # (h,) idle levels l, which are also their energies
     gap_index: np.ndarray  # (size, h) index of the gap k - l in the spectrum's gaps
-    b: np.ndarray  # S_z from idle to displaced states, (size, h)
+    b: np.ndarray  # S_z from idle to displaced states, (size, h), real valued
     g_di: np.ndarray  # dU/dlam at lam = 0 (Daleckii-Krein), F1 o B: idle to displaced
-    g_id: np.ndarray  # its other block, F1^T o B^dag: displaced to idle
     rows: slice  # table rows of the idle parity, lowest::2 under dim
     below: int  # idle levels under dim, the only ones the inputs touch
 
@@ -258,7 +266,8 @@ class _Spectrum:
     differ by an integer gap k - l less the offset omega^2, and every
     divided difference is a function of that gap: a sector's (size, h)
     grid of them is one gather, through ``gap_index``, from the 2 size - 1 gaps.
-    One spectrum serves both table orders of a build.
+    ``d`` is real valued, as omega is real, though complex typed.  One
+    spectrum serves both table orders of a build.
     """
 
     t: float
@@ -285,30 +294,35 @@ def _spectrum(params: DimensionlessGateParams, cutoff: FockCutoff) -> _Spectrum:
     for lowest in (0, 1):
         e_idle = levels[lowest::2]
         gap_index = np.subtract.outer(np.arange(size), np.arange(lowest, size, 2)) + (size - 1)
-        b = d.conj().T[:, lowest::2]
+        b = d.T[:, lowest::2]
         f1 = -1j * t * (phase_disp * np.exp(-0.5j * t * e_idle)) * sinc[gap_index]
-        sectors.append(_Sector(e_idle, gap_index, b, f1 * b, f1.T * b.conj().T,
+        # Column-major, so g_di.T has unit-stride rows: at n_max 0 the
+        # first-order product is a BLAS dot, whose rounding depends on the
+        # operand stride.
+        sectors.append(_Sector(e_idle, gap_index, b, np.multiply(f1, b, order="F"),
                                slice(lowest, dim, 2), (dim - lowest + 1) // 2))
     return _Spectrum(t, offset, gaps, e_disp, d[:dim], tuple(sectors))
 
 
-def _second_difference(levels, cross, x, phi2, hop, t: float) -> np.ndarray:
+def _second_difference(levels, product, x, phi2, hop, t: float) -> np.ndarray:
     """One side of a sector of (1/2) d^2U/dlam^2 = sum_j f[E_i, E_j, E_k] B_ij B_jk.
 
     Both hops cross between the sides, so i and k lie on the same one (energies
     ``x``, integer ``levels``) and j on the other; ``hop`` is B from this side
-    to the other.  Where i != k, f[E_i, E_j, E_k] =
-    (f[E_i, E_j] - f[E_j, E_k]) / (E_i - E_k): ``cross`` is the numerator
-    summed over j, and E_i - E_k is the integer gap.  A side's energies are
-    distinct, so the confluent terms f[x_i, x_i, y_j] make up its diagonal:
-    e^{-itx_i} (-t^2) phi2_ij, with ``phi2`` gathered from
+    to the other, real.  Where i != k, f[E_i, E_j, E_k] =
+    (f[E_i, E_j] - f[E_j, E_k]) / (E_i - E_k), and E_i - E_k is the integer
+    gap.  The numerator summed over j is (G B - B G)_ik with G = F1 o B the
+    first derivative; B and G are symmetric, so it is the antisymmetric part
+    ``product - product.T`` of the one ``product`` (G B)_ik.  A side's
+    energies are distinct, so the confluent terms f[x_i, x_i, y_j] make up
+    its diagonal: e^{-itx_i} (-t^2) phi2_ij, with ``phi2`` gathered from
     :func:`_confluent_difference`.
     """
     gap = np.subtract.outer(levels, levels)
     np.fill_diagonal(gap, 1.0)
-    c = cross / gap
+    c = (product - product.T) / gap
     confluent = -t * t * np.exp(-1j * t * x)[:, None] * phi2
-    np.fill_diagonal(c, (confluent * hop * hop.conj()).sum(axis=1))
+    np.fill_diagonal(c, (confluent * hop * hop).sum(axis=1))
     return c
 
 
@@ -322,8 +336,9 @@ def compute_first_order_table(cutoff: FockCutoff, *, spectrum: _Spectrum) -> np.
     i_table = np.empty((cutoff.dim, cutoff.dim), dtype=complex)
     for s in spectrum.sectors:
         # Inverse of _corrections' first order: row m is -1/2 of the
-        # displaced-to-idle block of the sector whose idle levels share its parity.
-        i_table[s.rows] = -0.5 * (s.g_id[:s.below] @ spectrum.d.conj().T)
+        # displaced-to-idle block, g_di's transpose, of the sector whose idle
+        # levels share its parity.
+        i_table[s.rows] = -0.5 * (s.g_di[:, :s.below].T @ spectrum.d.T)
     return i_table
 
 
@@ -340,23 +355,23 @@ def compute_second_order_tables(
     :func:`compute_first_order_table`.
     """
     levels = np.arange(spectrum.e_disp.size, dtype=float)
-    # y - x is l - k + omega^2 from a displaced row, k - l - omega^2 from an idle one.
-    phi2_disp = _confluent_difference(-spectrum.gaps, -spectrum.offset, spectrum.t)
+    # y - x is k - l - omega^2 from an idle row and its negative from a
+    # displaced one, where phi2 takes the conjugate value (w is real).
     phi2_idle = _confluent_difference(spectrum.gaps, spectrum.offset, spectrum.t)
+    phi2_disp = np.conj(phi2_idle)
     j3 = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
     disp = []
     for s in spectrum.sectors:
-        b_id = s.b.conj().T
-        c_disp = _second_difference(levels, s.g_di @ b_id - s.b @ s.g_id,
-                                    spectrum.e_disp, phi2_disp[s.gap_index], s.b, spectrum.t)
+        c_disp = _second_difference(levels, s.g_di @ s.b.T, spectrum.e_disp,
+                                    phi2_disp[s.gap_index], s.b, spectrum.t)
         h = s.below  # the tables read the idle side only under dim
-        cross = s.g_id[:h] @ s.b[:, :h] - b_id[:h] @ s.g_di[:, :h]
-        c_idle = _second_difference(s.e_idle[:h], cross, s.e_idle[:h],
-                                    phi2_idle[s.gap_index.T[:h]], b_id[:h], spectrum.t)
-        disp.append(spectrum.d @ c_disp @ spectrum.d.conj().T)
+        b = s.b[:, :h]
+        c_idle = _second_difference(s.e_idle[:h], s.g_di[:, :h].T @ b, s.e_idle[:h],
+                                    phi2_idle[s.gap_index.T[:h]], b.T, spectrum.t)
+        disp.append(spectrum.d @ c_disp @ spectrum.d.T)
         j3[s.rows, s.rows] = -0.5 * c_idle
     # Inverse of _corrections' second order: on the rows of its own parity a
-    # sector's D C D^dag is -(j1 + j2), on the others -(j1 - j2).
+    # sector's D C D^T is -(j1 + j2), on the others -(j1 - j2).
     sign = np.where(np.arange(cutoff.dim) % 2 == 0, 1.0, -1.0)[:, None]  # (-1)^m
     return -0.5 * (disp[0] + disp[1]), -0.5 * sign * (disp[0] - disp[1]), j3
 
@@ -880,7 +895,7 @@ def load_coefficient_table(path) -> CoefficientTable:
     not a JSON object, lacks an entry, holds one of the wrong type or fails
     any check but health raises ``ValueError``.
     The rebuilt scalars are kept for the predictors.  A load costs a build:
-    about 1.8 ms at n_max 40 (best in-process time on 2 cores).
+    about 1.5 ms at n_max 40 (best in-process time of 300 on 2 shared cores).
     """
     with open(path) as fh:
         doc = json.load(fh)

@@ -229,6 +229,27 @@ class TestSecondOrderTables:
             atol=5e-8,
         )
 
+    @staticmethod
+    def _transpose_gap(table) -> float:
+        """Largest departure of j1, j2 and j3 from their transpose symmetries,
+        relative to each table's largest entry.  With the lam = 0 hops real,
+        j1 and j3 are complex-symmetric and j2[m, n] = (-1)^(m - n) j2[n, m]."""
+        dim = table.cutoff.dim
+        sign = (-1.0) ** np.add.outer(np.arange(dim), np.arange(dim))
+        return max(float(np.abs(j - s * j.T).max() / np.abs(j).max())
+                   for j, s in ((table.j1, 1.0), (table.j2, sign), (table.j3, 1.0)))
+
+    @pytest.mark.parametrize("loops", [1, 2, 3, 8])
+    def test_transpose_symmetries(self, loops):
+        gate = DimensionlessGateParams.calibrated(loops)
+        table = compute_coefficient_table(gate.omega_tilde, 24, tau_gate=gate.tau_gate)
+        assert self._transpose_gap(table) <= 1e-15
+
+    def test_transpose_symmetries_by_quadrature(self):
+        # The integral definitions meet them too, to the quadrature's accuracy.
+        table = quadrature_table(n_max=16, quad=QuadratureSpec(2**12, 2**8))
+        assert self._transpose_gap(table) <= 1e-8
+
     def test_j3_parity_zeros(self, table):
         parity = np.add.outer(
             np.arange(table.cutoff.dim), -np.arange(table.cutoff.dim)
@@ -329,6 +350,10 @@ class TestSpectralTables:
                     "over": 0.1 <= w < 0.101, "two loops": w > 1.0}[regime]
             sinc = magnus._divided_difference(gaps, offset, t)
             phi2 = magnus._confluent_difference(gaps, offset, t)
+            # The displaced side's phi2 is read as the conjugate of the idle
+            # side's: flipping the gaps and the offset flips w exactly.
+            np.testing.assert_array_equal(magnus._confluent_difference(-gaps, -offset, t),
+                                          np.conj(phi2))
             with mpmath.workdps(30):
                 for gap, got_sinc, got_phi2 in zip(gaps, sinc, phi2):
                     half = mpmath.mpf(t) * (mpmath.mpf(gap) - mpmath.mpf(offset)) / 2
@@ -376,6 +401,8 @@ class TestSectors:
             assert (e[:, parity != sigma] == 0).all()
             np.testing.assert_array_equal(sector.e_idle, np.nonzero(parity == sigma)[0])
             assert np.abs(e[:, parity == sigma] - sector.b).max() <= 1e-15
+            # Real hops: the builders use B's transpose as the hop back.
+            assert (sector.b.imag == 0).all()
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 5])
     def test_matches_van_loan_with_few_idle_inputs(self, n_max):
@@ -404,6 +431,19 @@ class TestComputeTable:
             return spectrum(*args)
 
         monkeypatch.setattr(magnus, "_spectrum", counted)
+        compute_coefficient_table(n_max=12)
+        assert len(calls) == 1
+
+    def test_one_confluent_difference_per_build(self, monkeypatch):
+        # The displaced side's phi2 is the conjugate of the idle side's.
+        calls = []
+        confluent = magnus._confluent_difference
+
+        def counted(*args):
+            calls.append(args)
+            return confluent(*args)
+
+        monkeypatch.setattr(magnus, "_confluent_difference", counted)
         compute_coefficient_table(n_max=12)
         assert len(calls) == 1
 
@@ -797,6 +837,19 @@ class TestPersistence:
         path = Path(__file__).parent / "data" / "coefficients_k3_n8_schema3.json"
         with pytest.raises(ValueError, match="'msgate/coefficients/3'.*msgate coefficients"):
             load_coefficient_table(path)
+
+    def test_schema_4_file_loads(self):
+        # Written by an earlier msgate ('msgate coefficients --loops 3
+        # --n-max 24'): a user's file survives a change to the build that
+        # keeps its numbers.  K = 3 holds the 1e-12 stored-scalar check
+        # tightest.
+        path = Path(__file__).parent / "data" / "coefficients_k3_n24_schema4.json"
+        gate = DimensionlessGateParams.calibrated(3)
+        built = compute_coefficient_table(gate.omega_tilde, 24, tau_gate=gate.tau_gate)
+        loaded = load_coefficient_table(path)
+        assert loaded.provenance_hash == built.provenance_hash
+        assert json.loads(path.read_text())["provenance_sha256"] == built.provenance_hash
+        np.testing.assert_array_equal(loaded.derived().trusted, built.derived().trusted)
 
     def test_byte_reproducible(self, table, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -93,7 +93,6 @@ CONFIG_FIELDS = {
 # up here too.
 OPTIONAL_PARAMETERS = {
     "ideal.collective_spin": ("phi",),
-    "ideal.phase_space_trajectory": ("n_samples",),
     "magnus.compute_second_order_tables": ("quad",),
     "magnus.compute_coefficient_table": ("omega_tilde", "n_max", "quad", "tau_gate"),
     "magnus.predict_phase": ("initial",),
@@ -116,8 +115,8 @@ SOURCE_CODE_LINES = {
     "cli": 427,
     "experiment": 202,
     "hilbert": 109,
-    "ideal": 68,
-    "magnus": 491,
+    "ideal": 67,
+    "magnus": 489,
     "oracle": 180,
 }
 
