@@ -13,33 +13,9 @@ predict        print every closed-form predictor for one operating point
 A JSON config file (``--config``) may hold a section per subcommand whose
 keys mirror the long option names; explicit flags always win.  A flag takes
 JSON true or false, any other option a string or a number, which goes
-through the option's own type and choices. Exit codes: 0 success, 2
-usage/configuration error (including a config section that names no
-subcommand, a key that is not an option of its subcommand or a value that
-its option refuses, a nan or inf float option, a ``predict
---lambda-tilde`` or a ``sweep`` grid past the hard cap |lambda_tilde| <=
-0.5, a ``sweep --fock`` list that is not comma-separated integer levels
-or names a level twice, a negative ``calibrate --shots`` or ``--seed``,
-a ``trajectory --samples`` below 2, a ``--points`` below 1 on ``sweep`` or
-below 5 on ``calibrate``, a negative ``--cutoff-n-max`` (on ``sweep`` with
-or without ``--oracle``, on ``calibrate`` with either engine; these counts
-are refused under their option names, before any table, simulation or
-trajectory), a ``--loops`` that is not an integer >= 1 (refused under its
-option name, before a table is built or the loop drawn), an ``--nbar``
-that needs more than 10^4 Fock levels, an output path that cannot be
-written, which leaves any earlier file there untouched and after which
-``sweep`` writes neither its CSV nor its plot script, and a table file whose schema is not the current
-``msgate/coefficients/4`` (schema 1, 2 and 3 files get a message to rebuild
-the table), that cannot be read, lacks an entry or holds one of the wrong
-type, whose provenance digest does not match its parameters, whose
-parameters are not those of a table ``coefficients`` builds (a count such
-as ``n_max`` must be an integer, not ``true`` or 8.0), or whose stored
-derived scalars, or the tail tolerance ``trusted`` is computed at, do not
-match the tables rebuilt from them), 3
-numerical-health failure (Fock truncation, an initial level above the
-oracle cutoff, guard-band occupation, norm drift, a table with non-finite
-entries or a structure residual past 1e-6: ``coefficients`` does not
-write it and says so, the other commands refuse one they build or load).
+through the option's own type and choices.  Exit codes: 0 success, 2
+usage or configuration error, 3 numerical-health failure; the README's
+"Exit codes" note lists every case of each.
 Float options take negative values in exponent form either as a separate
 token (``--shift-hz -3e1``) or as ``--shift-hz=-3e1``.
 
@@ -461,8 +437,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("coefficients", help="build and save coefficient tables")
     _add_grid_options(p)
-    p.add_argument("--panels-1d", type=int, default=2**14, help="recorded only; tables are exact")
-    p.add_argument("--panels-2d", type=int, default=2**10, help="recorded only; tables are exact")
+    p.add_argument("--panels-1d", type=int, default=QuadratureSpec.panels_1d,
+                   help="recorded only; tables are exact")
+    p.add_argument("--panels-2d", type=int, default=QuadratureSpec.panels_2d,
+                   help="recorded only; tables are exact")
     p.add_argument("--out", default="coefficients.json", help="output JSON path")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_coefficients)
@@ -476,7 +454,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=False,
                    help="also propagate the full Hamiltonian exactly at each grid point")
     p.add_argument("--steps", type=int, default=4096, help="ignored (propagation is exact)")
-    p.add_argument("--cutoff-n-max", type=int, default=32)
+    p.add_argument("--cutoff-n-max", type=int, default=SequenceConfig.cutoff_n_max)
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--plot-script", help="write a gnuplot script next to the CSV")
     p.set_defaults(func=cmd_sweep)
@@ -490,11 +468,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--shift-hz", type=float,
                    help="true injected center-line error in Hz")
     _add_initial_mode(p)
-    p.add_argument("--points", type=int, default=16)
-    p.add_argument("--shots", type=int, default=200, help="0 means exact probabilities")
-    p.add_argument("--engine", choices=ENGINES, default="oracle")
+    p.add_argument("--points", type=int, default=SequenceConfig.phase_points)
+    p.add_argument("--shots", type=int, default=SequenceConfig.shots,
+                   help="0 means exact probabilities")
+    p.add_argument("--engine", choices=ENGINES, default=SequenceConfig.engine)
     p.add_argument("--steps", type=int, default=4096, help="ignored (propagation is exact)")
-    p.add_argument("--cutoff-n-max", type=int, default=32, help="too low exits 3")
+    p.add_argument("--cutoff-n-max", type=int, default=SequenceConfig.cutoff_n_max,
+                   help="too low exits 3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(func=cmd_calibrate)

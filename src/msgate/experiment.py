@@ -51,8 +51,6 @@ __all__ = [
     "run_calibration",
 ]
 
-ENGINES = ("first_order_model", "oracle")
-
 
 def _detuning(detuning: float) -> float:
     """``detuning`` if it is a finite, nonzero real number; else
@@ -170,6 +168,10 @@ def _oracle_fringe(
     return (np.abs(ee) ** 2).sum(axis=0)
 
 
+_FRINGE_ENGINES = {"first_order_model": _model_fringe, "oracle": _oracle_fringe}
+ENGINES = tuple(_FRINGE_ENGINES)
+
+
 def simulate_fringe(
     config: SequenceConfig, table: CoefficientTable
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +181,7 @@ def simulate_fringe(
     thermal mode's levels by their probabilities."""
     phi_d = phase_scan(config.phase_points)
     levels, weights = level_weights(config.mode)
-    engine = _model_fringe if config.engine == "first_order_model" else _oracle_fringe
+    engine = _FRINGE_ENGINES[config.engine]
     return phi_d, _level_sum(weights, engine(config, table, levels, phi_d))
 
 

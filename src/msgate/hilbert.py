@@ -36,7 +36,6 @@ __all__ = [
     "SIGMA_Z",
     "QUBIT_LABELS",
     "displacement_matrix",
-    "thermal_probabilities",
     "level_weights",
 ]
 
@@ -142,20 +141,6 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     return cols.T.copy()
 
 
-def thermal_probabilities(n_bar: float, n_max: int) -> np.ndarray:
-    """Geometric thermal weights p_n = n_bar^n / (1+n_bar)^{n+1}, n=0..n_max."""
-    if _finite("n_bar", n_bar) < 0:
-        raise ValueError(f"n_bar must be >= 0, got {n_bar:g}")
-    n_max = _count("n_max", n_max)
-    if n_bar == 0.0:
-        p = np.zeros(n_max + 1)
-        p[0] = 1.0
-        return p
-    n = np.arange(n_max + 1)
-    ratio = n_bar / (1.0 + n_bar)
-    return np.exp(n * np.log(ratio) - np.log1p(n_bar))
-
-
 # Probability a thermal distribution may leave beyond its last level.
 _THERMAL_TAIL = 1e-9
 
@@ -168,6 +153,8 @@ _THERMAL_MAX_LEVELS = 10_000
 class ThermalDistribution:
     """Thermal phonon distribution over 0..n_max, the levels it needs.
 
+    ``probabilities`` holds the geometric weights
+    p_n = n_bar^n / (1+n_bar)^{n+1}, n = 0..n_max.
     With r = n_bar / (1 + n_bar), ``n_max`` is the smallest n >= 4 with
     r^n <= 1e-9 (0 for the ground state), so the truncated tail r^(n_max+1)
     stays below 1e-9.  A negative or non-finite ``n_bar``, or one that needs
@@ -179,8 +166,10 @@ class ThermalDistribution:
     probabilities: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        _finite("n_bar", self.n_bar)
+        if _finite("n_bar", self.n_bar) < 0:
+            raise ValueError(f"n_bar must be >= 0, got {self.n_bar:g}")
         self.n_max = 0
+        self.probabilities = np.ones(1)
         if self.n_bar > 0.0:
             # r^n = 1e-9 at n = log(1e-9) / log(r).  log(r) = -log1p(1 / n_bar)
             # stays nonzero where r itself rounds to 1 (n_bar above 1e16).
@@ -192,7 +181,8 @@ class ThermalDistribution:
                     f"{_THERMAL_MAX_LEVELS} are supported"
                 )
             self.n_max = max(4, math.ceil(n_tail))
-        self.probabilities = thermal_probabilities(self.n_bar, self.n_max)
+            log_r = np.log(self.n_bar / (1.0 + self.n_bar))
+            self.probabilities = np.exp(np.arange(self.n_max + 1) * log_r - np.log1p(self.n_bar))
 
 
 def level_weights(target: int | ThermalDistribution) -> tuple[np.ndarray, np.ndarray]:

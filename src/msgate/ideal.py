@@ -37,7 +37,7 @@ __all__ = [
 TAU_GATE = 2.0 * math.pi
 
 
-def collective_spin(phi: float = 0.0) -> np.ndarray:
+def collective_spin(phi: float) -> np.ndarray:
     """4x4 collective spin S_phi = S_y cos(phi) + S_x sin(phi)."""
     s1 = SIGMA_Y * math.cos(phi) + SIGMA_X * math.sin(phi)
     eye = np.eye(2, dtype=complex)

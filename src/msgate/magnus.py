@@ -446,10 +446,10 @@ class CoefficientTable:
 
 
 def compute_coefficient_table(
-    omega_tilde: float = 0.5,
+    omega_tilde: float = DimensionlessGateParams.omega_tilde,
     n_max: int = 40,
     quad: QuadratureSpec = QuadratureSpec(),
-    tau_gate: float = 2.0 * math.pi,
+    tau_gate: float = DimensionlessGateParams.tau_gate,
 ) -> CoefficientTable:
     """Build all tables for a calibrated square-pulse gate from one
     lam = 0 eigenbasis, shared by both table orders."""
@@ -894,8 +894,8 @@ def load_coefficient_table(path) -> CoefficientTable:
     and the ``tail_tolerance`` it is computed at exactly).  A file that is
     not a JSON object, lacks an entry, holds one of the wrong type or fails
     any check but health raises ``ValueError``.
-    The rebuilt scalars are kept for the predictors.  A load costs a build:
-    about 1.5 ms at n_max 40 (best in-process time of 300 on 2 shared cores).
+    The rebuilt scalars are kept for the predictors.  A load costs a build
+    (the README gives the time of each).
     """
     with open(path) as fh:
         doc = json.load(fh)

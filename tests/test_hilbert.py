@@ -18,7 +18,6 @@ from msgate.hilbert import (
     _level_sum,
     displacement_matrix,
     level_weights,
-    thermal_probabilities,
 )
 from msgate.ideal import ideal_output_state
 from msgate.oracle import observables
@@ -236,23 +235,14 @@ class TestReducedState:
 
 
 class TestThermal:
-    def test_probabilities_sum(self):
-        p = thermal_probabilities(0.2, 60)
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    def test_geometric_ratio(self):
+        p = ThermalDistribution(0.2).probabilities
         assert (p >= 0).all()
         # Geometric ratio between successive levels.
         np.testing.assert_allclose(p[1:] / p[:-1], 0.2 / 1.2, atol=1e-12)
 
-    @pytest.mark.parametrize("n_max", [2.5, True])
-    def test_non_integer_levels_refused(self, n_max):
-        # Unrefused, 2.5 gave 4 weights, for levels 0..3.
-        with pytest.raises(ValueError, match=f"n_max must be an integer >= 0, got {n_max}"):
-            thermal_probabilities(0.1, n_max)
-
     def test_zero_temperature(self):
-        p = thermal_probabilities(0.0, 5)
-        assert p[0] == 1.0
-        assert p[1:].sum() == 0.0
+        assert ThermalDistribution(0.0).probabilities.tolist() == [1.0]
 
     def test_distribution_guards_tail(self):
         # n_max is the smallest n >= 4 with (n_bar / (1 + n_bar))^n <= 1e-9.
@@ -268,9 +258,6 @@ class TestThermal:
     def test_non_finite_refused(self, n_bar):
         with pytest.raises(ValueError, match="n_bar must be finite"):
             ThermalDistribution(n_bar)
-        # Unrefused, the weights came out all nan.
-        with pytest.raises(ValueError, match="n_bar must be finite"):
-            thermal_probabilities(n_bar, 3)
 
     def test_level_ceiling(self):
         # Refused from the level count alone: 5e4 would need about 10^6 levels.
@@ -304,5 +291,6 @@ class TestThermal:
     @given(n_bar=st.floats(0.0, 0.5))
     @settings(max_examples=25, deadline=None)
     def test_mean_occupation(self, n_bar):
-        p = thermal_probabilities(n_bar, 200)
-        assert p @ np.arange(201) == pytest.approx(n_bar, abs=1e-7)
+        # The tail beyond n_max, at most 1e-9, costs the mean under 1e-8.
+        dist = ThermalDistribution(n_bar)
+        assert dist.probabilities @ np.arange(dist.n_max + 1) == pytest.approx(n_bar, abs=1e-7)

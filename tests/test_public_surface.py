@@ -35,7 +35,7 @@ from pathlib import Path
 import pytest
 
 from msgate.cli import build_parser
-from msgate.experiment import SequenceConfig
+from msgate.experiment import ENGINES, SequenceConfig
 from msgate.ideal import DimensionlessGateParams
 from msgate.magnus import QuadratureSpec
 from msgate.oracle import IntegratorConfig
@@ -92,7 +92,6 @@ CONFIG_FIELDS = {
 # settable values of the library's calls: adding or removing one must show
 # up here too.
 OPTIONAL_PARAMETERS = {
-    "ideal.collective_spin": ("phi",),
     "magnus.compute_second_order_tables": ("quad",),
     "magnus.compute_coefficient_table": ("omega_tilde", "n_max", "quad", "tau_gate"),
     "magnus.predict_phase": ("initial",),
@@ -112,9 +111,9 @@ OPTIONAL_PARAMETERS = {
 # must show up here.
 SOURCE_CODE_LINES = {
     "__init__": 2,
-    "cli": 427,
-    "experiment": 202,
-    "hilbert": 109,
+    "cli": 431,
+    "experiment": 203,
+    "hilbert": 100,
     "ideal": 67,
     "magnus": 489,
     "oracle": 180,
@@ -319,6 +318,55 @@ def test_level_average_has_one_owner():
         text = (SRC / f"{stem}.py").read_text()
         assert re.search(r"(weights|probabilities)\)?\s*@", text) is None, stem
         assert (re.search(r"def _level_sum\b", text) is not None) == (stem == "hilbert"), stem
+
+
+def _function(tree, name):
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_defaults_have_one_owner():
+    # SequenceConfig owns the calibration-run defaults, QuadratureSpec the
+    # recorded panel counts, DimensionlessGateParams the default gate and
+    # experiment's engine map the engine names: the CLI and the table build
+    # read them there, since a restated literal drifts from its owner.
+    field_defaults = {f"{cls.__name__}.{f.name}": f.default
+                      for cls in (SequenceConfig, QuadratureSpec) for f in dataclasses.fields(cls)}
+    owned = {
+        ("coefficients", "--panels-1d"): "QuadratureSpec.panels_1d",
+        ("coefficients", "--panels-2d"): "QuadratureSpec.panels_2d",
+        ("sweep", "--cutoff-n-max"): "SequenceConfig.cutoff_n_max",
+        ("calibrate", "--points"): "SequenceConfig.phase_points",
+        ("calibrate", "--shots"): "SequenceConfig.shots",
+        ("calibrate", "--engine"): "SequenceConfig.engine",
+        ("calibrate", "--cutoff-n-max"): "SequenceConfig.cutoff_n_max",
+    }
+    modules = _modules()
+    found, command = {}, None
+    for stmt in _function(modules["cli"], "build_parser").body:
+        call = getattr(stmt, "value", None)
+        if not isinstance(call, ast.Call) or not isinstance(call.func, ast.Attribute):
+            continue
+        if call.func.attr == "add_parser":
+            command = call.args[0].value
+        elif call.func.attr == "add_argument" and (command, call.args[0].value) in owned:
+            default = next(k.value for k in call.keywords if k.arg == "default")
+            found[command, call.args[0].value] = ast.unparse(default)
+    assert found == owned
+    _, subparsers = build_parser()
+    for (command, flag), owner in owned.items():
+        action = next(a for a in subparsers[command]._actions if flag in a.option_strings)
+        assert action.default == field_defaults[owner], (command, flag)
+
+    build = _function(modules["magnus"], "compute_coefficient_table")
+    names = [a.arg for a in build.args.args]
+    defaults = dict(zip(names[len(names) - len(build.args.defaults):], build.args.defaults))
+    for name in ("omega_tilde", "tau_gate"):
+        assert ast.unparse(defaults[name]) == f"DimensionlessGateParams.{name}"
+
+    strings = {node.value for node in ast.walk(_function(modules["experiment"], "simulate_fringe"))
+               if isinstance(node, ast.Constant)}
+    assert not strings & set(ENGINES)
 
 
 def _is_coherence_pair(node) -> bool:
