@@ -22,10 +22,10 @@ token (``--shift-hz -3e1``) or as ``--shift-hz=-3e1``.
 ``--loops K`` (default 1) names the calibrated gate of K closed loops:
 coupling over detuning 1/(2 sqrt K) for a gate time of 2 pi K.
 ``coefficients`` is the only command that writes a table; its ``--panels-*``
-are recorded but change no value (the tables are exact).  ``predict``,
-``sweep`` and ``calibrate`` load ``--table``, or else build in memory
-(milliseconds) the table that ``--n-max``/``--loops`` describe; those two
-are refused with ``--table``.  The table owns the gate: ``sweep --oracle``
+are validated, then neither written nor digested: they change no value (the
+tables are exact).  ``predict``, ``sweep`` and ``calibrate`` load
+``--table``, or else build in memory (milliseconds) the table that
+``--n-max``/``--loops`` describe; those two are refused with ``--table``.  The table owns the gate: ``sweep --oracle``
 and both ``calibrate`` engines run its ``omega_tilde`` and ``tau_gate``.
 ``trajectory`` draws the loop of the ``--loops`` gate.  ``--fock-initial``
 and ``--nbar`` are exclusive.
@@ -438,9 +438,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("coefficients", help="build and save coefficient tables")
     _add_grid_options(p)
     p.add_argument("--panels-1d", type=int, default=QuadratureSpec.panels_1d,
-                   help="recorded only; tables are exact")
+                   help="validated only; tables are exact")
     p.add_argument("--panels-2d", type=int, default=QuadratureSpec.panels_2d,
-                   help="recorded only; tables are exact")
+                   help="validated only; tables are exact")
     p.add_argument("--out", default="coefficients.json", help="output JSON path")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_coefficients)

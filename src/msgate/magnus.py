@@ -68,8 +68,8 @@ A sector adds a D(omega) sandwich of its displaced block, D C D^T, to j1
 and, with the sign (-1)^m, to j2; its idle block to j3 on the rows and
 columns of its parity; and its displaced-to-idle block of dU/dlam, times
 D^T, to the i_table rows of its parity.
-``QuadratureSpec`` is a recorded parameter of the table and changes no
-value.
+A table is named by the three numbers that build it: ``n_max``,
+``omega_tilde`` and ``tau_gate``.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ __all__ = [
     "load_coefficient_table",
 ]
 
-TABLE_SCHEMA = "msgate/coefficients/4"
+TABLE_SCHEMA = "msgate/coefficients/5"
 LAMBDA_HARD_CAP = 0.5
 
 # Complex line containing every first-order table entry on a square pulse.
@@ -145,8 +145,9 @@ class UnhealthyTableError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Panel counts, validated and recorded with a table (file, provenance
-    hash).  No table value depends on them: the tables are exact."""
+    """Panel counts of the quadrature route, validated and kept as
+    ``CoefficientTable.quad``.  No table value, file or digest depends on
+    them: the tables are exact."""
 
     panels_1d: int = 2**14
     panels_2d: int = 2**10
@@ -351,7 +352,7 @@ def compute_second_order_tables(
     """Second-order tables (j1, j2, j3) over the time-ordered triangle.
 
     Read off (1/2) d^2U/dlam^2 at lam = 0 on the |gg, n> and |ge, n>
-    columns.  ``quad`` is recorded only; ``spectrum`` as in
+    columns.  ``quad`` changes nothing; ``spectrum`` as in
     :func:`compute_first_order_table`.
     """
     levels = np.arange(spectrum.e_disp.size, dtype=float)
@@ -393,7 +394,7 @@ class CoefficientTable:
     j1: np.ndarray
     j2: np.ndarray
     j3: np.ndarray
-    _derived: "DerivedScalars | None" = field(default=None, repr=False, compare=False)
+    _derived: "DerivedScalars | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_max(self) -> int:
@@ -405,15 +406,9 @@ class CoefficientTable:
         return float(np.abs(self.i_table.real + self.i_table.imag).max())
 
     def parameter_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "omega_tilde": self.params.omega_tilde,
-            "tau_gate": self.params.tau_gate,
-            "phi": self.params.phi,
-            "pulse": "square",
-            "panels_1d": self.quad.panels_1d,
-            "panels_2d": self.quad.panels_2d,
-        }
+        """The three numbers that build the tables, and so name them."""
+        return {"n_max": self.n_max, "omega_tilde": self.params.omega_tilde,
+                "tau_gate": self.params.tau_gate}
 
     @property
     def provenance_hash(self) -> str:
@@ -453,13 +448,13 @@ def compute_coefficient_table(
 ) -> CoefficientTable:
     """Build all tables for a calibrated square-pulse gate from one
     lam = 0 eigenbasis, shared by both table orders."""
-    if n_max > 120:
+    cutoff = FockCutoff(n_max)
+    if cutoff.n_max > 120:
         raise ValueError(
             "n_max beyond 120 is past the range where the Fock margin of the "
             "spectral sums is checked (doubling it moves no entry by over 1e-13)"
         )
     params = DimensionlessGateParams(omega_tilde=omega_tilde, tau_gate=tau_gate)
-    cutoff = FockCutoff(n_max)
     sp = _spectrum(params, cutoff)
     i_table = compute_first_order_table(cutoff, spectrum=sp)
     j1, j2, j3 = compute_second_order_tables(cutoff, quad, spectrum=sp)
@@ -831,15 +826,16 @@ def save_coefficient_table(table: CoefficientTable, path) -> str:
     return the provenance digest written into it.
 
     The file names the gate, not its tables: the schema, the package
-    version, the parameter dict, its digest
-    (:attr:`CoefficientTable.provenance_hash`) and the ``derived`` block of
-    per-level scalars, one compact, key-sorted JSON object (about 5 kB at
-    n_max 40).  A load rebuilds the tables from the parameters.  No
-    timestamps: identical parameters produce identical bytes.  Missing
-    parent directories of ``path`` are created.  The bytes go to a
-    temporary file beside ``path`` that replaces it only once complete
-    (:func:`_write_all`), so a reader never sees a partial file and a
-    failed write leaves nothing.
+    version, the parameter dict (``n_max``, ``omega_tilde`` and
+    ``tau_gate``), its digest (:attr:`CoefficientTable.provenance_hash`) and
+    the ``derived`` block of per-level scalars, one compact, key-sorted JSON
+    object (about 5 kB at n_max 40).  ``table.quad`` is not written: tables
+    built with any panel counts save the same bytes.  A load rebuilds the
+    tables from the parameters.  No timestamps: identical parameters
+    produce identical bytes.  Missing parent directories of ``path`` are
+    created.  The bytes go to a temporary file beside ``path`` that
+    replaces it only once complete (:func:`_write_all`), so a reader never
+    sees a partial file and a failed write leaves nothing.
     """
     der = table.derived()
     digest = table.provenance_hash
@@ -883,19 +879,21 @@ def load_coefficient_table(path) -> CoefficientTable:
     """Load a table written by :func:`save_coefficient_table`: rebuild it
     from the stored parameters and check it against the file.
 
-    Checked in order: the schema (only the current one, schema 4, loads; a
-    file of schema 1, 2 or 3 is refused with a message to rebuild it), the
+    Checked in order: the schema (only the current one, schema 5, loads; a
+    file of schema 1 to 4 is refused with a message to rebuild it), the
     stored digest against the stored parameters, then the rebuild by
     :func:`compute_coefficient_table`, whose parameter dict must equal the
-    stored one (so a ``phi``, ``pulse`` or key it does not make is refused),
+    stored one (so a key other than ``n_max``, ``omega_tilde`` and
+    ``tau_gate``, such as schema 4's ``phi`` or ``panels_1d``, is refused),
     :meth:`CoefficientTable.check_health` (else
     :class:`UnhealthyTableError`), and last the stored ``derived`` block
     against the scalars of the rebuilt tables (1e-12 relative, ``trusted``
     and the ``tail_tolerance`` it is computed at exactly).  A file that is
     not a JSON object, lacks an entry, holds one of the wrong type or fails
     any check but health raises ``ValueError``.
-    The rebuilt scalars are kept for the predictors.  A load costs a build
-    (the README gives the time of each).
+    The rebuilt scalars are kept for the predictors, and the rebuilt table
+    carries the default ``quad``.  A load costs a build (the README gives
+    the time of each).
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -921,10 +919,7 @@ def _validated_table(doc: dict) -> CoefficientTable:
             "coefficient file provenance hash does not match its parameters: "
             "rebuild the table with 'msgate coefficients'"
         )
-    table = compute_coefficient_table(
-        p["omega_tilde"], p["n_max"], QuadratureSpec(p["panels_1d"], p["panels_2d"]),
-        p["tau_gate"],
-    )
+    table = compute_coefficient_table(p["omega_tilde"], p["n_max"], tau_gate=p["tau_gate"])
     if table.parameter_dict() != p:
         raise ValueError("coefficient file parameters are not those of a table "
                          "'msgate coefficients' builds")

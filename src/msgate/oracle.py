@@ -76,7 +76,7 @@ _NORM_TOLERANCE = 1e-6
 class IntegratorConfig:
     """Settings of oracle propagation.
 
-    ``steps_per_gate`` is still accepted but no longer changes any result.
+    ``steps_per_gate`` changes no result.
     Every propagator checks its result by :func:`_check_health`, against
     the fixed health thresholds of this module.
     """

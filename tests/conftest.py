@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 The coefficient table is session-scoped: n_max=24 trusts Fock levels 0..9
-and builds in a few milliseconds.  Its panel counts are recorded only.
+and builds in a few milliseconds.  Its panel counts change nothing.
 ``two_loop_table`` is a second calibrated gate (two loops at
 omega_tilde = 1/(2 sqrt 2), built through ``DimensionlessGateParams.calibrated``)
 for checks that every route runs the table's gate rather than the one-loop

@@ -134,6 +134,12 @@ class TestCoefficients:
         doc = json.loads(Path("coefficients.json").read_text())
         assert doc["provenance_sha256"] == two_loop_table.provenance_hash
 
+    def test_panels_write_the_default_file(self, workdir):
+        # --panels-* are checked, then change no byte of the file.
+        assert main(self.ARGS + ["--out", "panels.json"]) == EXIT_OK
+        assert main(["coefficients", "--n-max", "12", "--out", "default.json"]) == EXIT_OK
+        assert Path("panels.json").read_bytes() == Path("default.json").read_bytes()
+
     def test_one_loop_is_the_default_gate(self, workdir):
         # --loops 1 gives omega_tilde 0.5 and tau_gate 2 pi exactly, so the
         # file equals the library's default table byte for byte.
@@ -189,6 +195,15 @@ class TestPredict:
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
         assert "msgate/coefficients/3" in err and "msgate coefficients" in err
+
+    def test_schema_4_table_file_refused(self, capsys):
+        # Written by an earlier msgate, with phi, pulse and the panel counts
+        # in its parameter dict.
+        path = Path(__file__).parent / "data" / "coefficients_k3_n24_schema4.json"
+        rc = main(["predict", "--table", str(path), "--lambda-tilde", "0.01"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "msgate/coefficients/4" in err and "msgate coefficients" in err
 
     def test_non_finite_table_file_refused(self, table_file, tmp_path, capsys):
         # A stored nan matches no rebuilt scalar.
@@ -988,7 +1003,7 @@ class TestBadTableFile:
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read table file"),
-        ('{"schema": "msgate/coefficients/4"}', "no 'params' entry"),
+        ('{"schema": "msgate/coefficients/5"}', "no 'params' entry"),
         ("[1, 2]", "not a JSON object"),
     ])
     def test_exit_usage(self, workdir, capsys, content, message):
@@ -1000,7 +1015,7 @@ class TestBadTableFile:
 
     @pytest.mark.parametrize("value, message", [
         (8.5, "n_max must be an integer >= 0, got 8.5"),
-        ("8", "entry of the wrong type"),
+        ("8", "n_max must be an integer >= 0, got '8'"),
     ], ids=["fraction", "string"])
     def test_bad_parameter_value(self, table_file, workdir, capsys, value, message):
         # Parameters that match their digest still go through the build's

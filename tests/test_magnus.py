@@ -367,11 +367,17 @@ class TestSpectralTables:
                     want = float(1 if half == 0 else mpmath.sin(half) / half)
                     assert abs(got_sinc - want) <= bound
 
-    def test_quadrature_ignored(self, table):
+    def test_quadrature_ignored(self, table, tmp_path):
+        # The panel counts change no entry, so they name neither the table
+        # nor its file.
         other = compute_coefficient_table(n_max=table.n_max, quad=QuadratureSpec(64, 16))
         for name in ("i_table", "j1", "j2", "j3"):
             np.testing.assert_array_equal(getattr(other, name), getattr(table, name))
-        assert other.provenance_hash != table.provenance_hash
+        assert other.provenance_hash == table.provenance_hash
+        default = compute_coefficient_table(n_max=table.n_max)
+        other.save(tmp_path / "coarse.json")
+        default.save(tmp_path / "default.json")
+        assert (tmp_path / "coarse.json").read_bytes() == (tmp_path / "default.json").read_bytes()
 
 
 class TestSectors:
@@ -450,6 +456,14 @@ class TestComputeTable:
     def test_cutoff_overflow_guard(self):
         with pytest.raises(ValueError, match="Fock margin"):
             compute_coefficient_table(n_max=150)
+
+    @pytest.mark.parametrize("n_max", ["x", None, 150.5, 24.0, True])
+    def test_n_max_is_a_count(self, n_max):
+        # The count rule comes before the range check: a string or None is
+        # not compared with 120, and 150.5 is refused as a fraction.
+        message = f"n_max must be an integer >= 0, got {n_max!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compute_coefficient_table(n_max=n_max)
 
     def test_parameter_hash_covers_schema(self, table, monkeypatch):
         same = table.provenance_hash
@@ -790,7 +804,10 @@ class TestTracedUnitary:
 
 # The keys of a table file, and of its parameter dict.
 FILE_KEYS = {"schema", "package_version", "params", "provenance_sha256", "derived"}
-PARAM_KEYS = ["n_max", "omega_tilde", "tau_gate", "phi", "pulse", "panels_1d", "panels_2d"]
+PARAM_KEYS = ["n_max", "omega_tilde", "tau_gate"]
+# The keys a schema-4 parameter dict held beside them, none of which builds
+# the table, at the values every schema-4 build wrote.
+SCHEMA_4_KEYS = {"phi": 0.0, "pulse": "square", "panels_1d": 2**14, "panels_2d": 2**10}
 
 
 def _saved_doc(table, path) -> dict:
@@ -838,12 +855,19 @@ class TestPersistence:
         with pytest.raises(ValueError, match="'msgate/coefficients/3'.*msgate coefficients"):
             load_coefficient_table(path)
 
-    def test_schema_4_file_loads(self):
+    def test_schema_4_file_refused(self):
         # Written by an earlier msgate ('msgate coefficients --loops 3
-        # --n-max 24'): a user's file survives a change to the build that
-        # keeps its numbers.  K = 3 holds the 1e-12 stored-scalar check
-        # tightest.
+        # --n-max 24'), whose parameter dict also held phi, pulse and the
+        # panel counts, none of which builds the table.
         path = Path(__file__).parent / "data" / "coefficients_k3_n24_schema4.json"
+        with pytest.raises(ValueError, match="'msgate/coefficients/4'.*msgate coefficients"):
+            load_coefficient_table(path)
+
+    def test_schema_5_file_loads(self):
+        # Written by 'msgate coefficients --loops 3 --n-max 24': a user's
+        # file survives a change to the build that keeps its numbers.
+        # K = 3 holds the 1e-12 stored-scalar check tightest.
+        path = Path(__file__).parent / "data" / "coefficients_k3_n24_schema5.json"
         gate = DimensionlessGateParams.calibrated(3)
         built = compute_coefficient_table(gate.omega_tilde, 24, tau_gate=gate.tau_gate)
         loaded = load_coefficient_table(path)
@@ -880,13 +904,16 @@ class TestPersistence:
             table.save(tmp_path / "table.json")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("key", PARAM_KEYS)
+    @pytest.mark.parametrize("key", PARAM_KEYS + list(SCHEMA_4_KEYS))
     def test_tampered_parameters_rejected(self, table, tmp_path, key):
+        # A parameter changed, or a schema-4 key added, without a new digest.
         path = tmp_path / "table.json"
         doc = _saved_doc(table, path)
         assert list(doc["params"]) == sorted(PARAM_KEYS)  # every key is covered
-        value = doc["params"][key]
-        doc["params"][key] = value + ("-shaped" if isinstance(value, str) else 1)
+        if key in SCHEMA_4_KEYS:
+            doc["params"][key] = SCHEMA_4_KEYS[key]
+        else:
+            doc["params"][key] += 1
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="provenance hash does not match its parameters"):
             load_coefficient_table(path)
@@ -898,9 +925,9 @@ class TestPersistence:
         ("omega_tilde", 0.5 + 1e-9, ValueError, "derived 'a'"),
         ("n_max", 23, ValueError, "derived 'a'"),
         ("n_max", 24.5, ValueError, "n_max must be an integer >= 0, got 24.5"),
-        ("n_max", "24", ValueError, "entry of the wrong type"),
+        ("n_max", "24", ValueError, "n_max must be an integer >= 0, got '24'"),
         ("n_max", 150, ValueError, "Fock margin"),
-        ("panels_1d", 100, ValueError, "power of two"),
+        ("panels_1d", 4096, ValueError, "parameters are not those"),
         ("omega_tilde", 0.4, UnhealthyTableError, "structure residual"),
     ], ids=["phi", "pulse", "extra-key", "omega", "n_max", "n_max-fraction",
             "n_max-string", "n_max-range", "panels", "off-line"])
@@ -997,10 +1024,18 @@ class TestPersistence:
         with pytest.raises(UnhealthyTableError, match=f"table {name} has non-finite entries"):
             dataclasses.replace(table, **{name: entries}).check_health()
 
+    def test_replace_reduces_its_own_scalars(self, table):
+        # The scalar cache is no init field, so a copy with other tables
+        # does not carry the original's scalars across.
+        table.derived()
+        doubled = dataclasses.replace(table, i_table=2.0 * table.i_table)
+        np.testing.assert_array_equal(doubled.derived().a, derived_scalars(doubled).a)
+        np.testing.assert_array_equal(doubled.derived().a, 2.0 * table.derived().a)
+
     def test_schema_1_file_rejected(self, table, tmp_path):
         # Version-1 files hold quadrature tables; the message says how to
         # replace them.
-        assert TABLE_SCHEMA == "msgate/coefficients/4"
+        assert TABLE_SCHEMA == "msgate/coefficients/5"
         path = tmp_path / "table.json"
         doc = _saved_doc(table, path)
         doc["schema"] = "msgate/coefficients/1"

@@ -56,6 +56,8 @@ CROSS_CHECK_ONLY = {
 UNREAD_FIELDS = {
     "oracle.IntegratorConfig.steps_per_gate":
         "changes no result; read only by the benchmark tracer, perfbench/tracing.py",
+    "magnus.CoefficientTable.quad":
+        "changes no value; read only by the benchmark tracer and the tests' quadrature reference",
     "experiment.FringeFit.amplitude_err": "fit health number, kept for a run record",
     "experiment.FringeFit.offset_err": "fit health number, kept for a run record",
     "experiment.FringeFit.covariance": "fit health number, kept for a run record",
@@ -115,7 +117,7 @@ SOURCE_CODE_LINES = {
     "experiment": 203,
     "hilbert": 100,
     "ideal": 67,
-    "magnus": 489,
+    "magnus": 479,
     "oracle": 180,
 }
 
@@ -475,3 +477,20 @@ def test_benchmark_tracer_finds_its_targets(monkeypatch, tmp_path):
     # work, and the derived-scalars hook keeps each table it saw.
     assert tracer.totals["nodes"] and tracer.derived_seen
     assert tracer.totals["static_column_steps"] and tracer.totals["ramped_column_steps"]
+
+
+def test_benchmark_reference_generator_binds_its_calls(monkeypatch):
+    # perfbench/make_refs.py builds tables with compute_coefficient_table(quad=)
+    # and reads table.derived(); it propagates with IntegratorConfig(steps_per_gate=)
+    # and the positional propagate_batch and propagate_ramped_axis, with a
+    # phase per column.  A renamed or removed binding fails here, not only
+    # when refs.json is regenerated.  Nothing is written.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import make_refs
+    import reference
+
+    scalars = make_refs.table_scalars(8, 4, 2)
+    ref = reference.Scalars(scalars)
+    assert ref.a.shape == ref.b.shape == ref.trusted.shape == (9,)
+    check = make_refs.exact_vs_rk4(steps=8, n_max=24)
+    assert check["static_max_abs"] <= 1e-10 and check["ramped_max_abs"] <= 1e-10
