@@ -19,7 +19,9 @@ full ramped-axis Hamiltonian exactly (see :mod:`msgate.oracle`) with the
 axis angle continuing across both gates, as drive-phase bookkeeping works
 on hardware.  A scan phase is then a diagonal S_z factor around gate 2, so
 gate 2 runs once for the whole scan; the engine raises when either gate
-fails its health checks.
+fails its health checks.  Each engine first checks that the table trusts
+every initial level (TruncationError), the oracle after its cutoff check
+and before it propagates either gate.
 Populations are frame-independent, so the two may be compared directly.
 
 The coefficient table owns the gate: the oracle runs its ``omega_tilde`` for
@@ -29,7 +31,7 @@ its ``tau_gate``, so the fringe and the slope a_n always describe one gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,6 +154,7 @@ def _oracle_fringe(
     # Gate 1 at drive phase 0, one column per initial Fock level; a level
     # above the cutoff raises GuardBandError.
     init = _basis_columns(0, levels, cutoff)
+    _checked(levels, table)  # each level trusted by the table, before any gate runs
     mid, _, _ = propagate_ramped_axis(init, cutoff, omega, lam, 0.0, (0.0, tau))
     # Gate 2 spans s in [tau, 2 tau], the axis ramp continuing through it.
     # A scan phase phi_d is the frame factor e^{i phi_d S_z} around it (see
@@ -195,7 +198,7 @@ def sample_fringe(
     return rng.binomial(shots, p) / shots
 
 
-@dataclass
+@dataclass(frozen=True)
 class FringeFit:
     """Result of fitting A*cos(2*phi_d + phase) + offset, with A >= 0 and
     phase in (-pi, pi].
@@ -300,14 +303,14 @@ def fit_fringe(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LambdaEstimate:
     """Inverted center-line error with its propagated uncertainty."""
 
     lambda_hat: float
     lambda_err: float
     slope: float
-    caveats: list[str] = field(default_factory=list)
+    caveats: tuple[str, ...] = ()
 
 
 def estimate_lambda(
@@ -335,7 +338,7 @@ def estimate_lambda(
         lambda_hat=float(lam_hat),
         lambda_err=float(lam_err),
         slope=slope,
-        caveats=caveats,
+        caveats=tuple(caveats),
     )
 
 

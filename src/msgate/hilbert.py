@@ -149,7 +149,7 @@ _THERMAL_TAIL = 1e-9
 _THERMAL_MAX_LEVELS = 10_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThermalDistribution:
     """Thermal phonon distribution over 0..n_max, the levels it needs.
 
@@ -159,17 +159,18 @@ class ThermalDistribution:
     r^n <= 1e-9 (0 for the ground state), so the truncated tail r^(n_max+1)
     stays below 1e-9.  A negative or non-finite ``n_bar``, or one that needs
     more than 10^4 levels (n_bar above about 480), raises ``ValueError``.
+    A value: ``n_max`` and the read-only ``probabilities`` are computed
+    once from ``n_bar``, so two modes compare and hash by ``n_bar`` alone.
     """
 
     n_bar: float
-    n_max: int = field(init=False)
-    probabilities: np.ndarray = field(init=False)
+    n_max: int = field(init=False, compare=False)
+    probabilities: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if _finite("n_bar", self.n_bar) < 0:
             raise ValueError(f"n_bar must be >= 0, got {self.n_bar:g}")
-        self.n_max = 0
-        self.probabilities = np.ones(1)
+        n_max, weights = 0, np.ones(1)
         if self.n_bar > 0.0:
             # r^n = 1e-9 at n = log(1e-9) / log(r).  log(r) = -log1p(1 / n_bar)
             # stays nonzero where r itself rounds to 1 (n_bar above 1e16).
@@ -180,9 +181,12 @@ class ThermalDistribution:
                     f"hold all but {_THERMAL_TAIL:.0e} of its probability; at most "
                     f"{_THERMAL_MAX_LEVELS} are supported"
                 )
-            self.n_max = max(4, math.ceil(n_tail))
+            n_max = max(4, math.ceil(n_tail))
             log_r = np.log(self.n_bar / (1.0 + self.n_bar))
-            self.probabilities = np.exp(np.arange(self.n_max + 1) * log_r - np.log1p(self.n_bar))
+            weights = np.exp(np.arange(n_max + 1) * log_r - np.log1p(self.n_bar))
+        weights.flags.writeable = False
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "probabilities", weights)
 
 
 def level_weights(target: int | ThermalDistribution) -> tuple[np.ndarray, np.ndarray]:

@@ -383,9 +383,17 @@ def _digest(params: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientTable:
-    """Coefficient tables for one calibrated gate, plus their provenance."""
+    """Coefficient tables for one calibrated gate, plus their provenance.
+
+    A value, read-only once built.  The constructor refuses a non-finite
+    entry with :class:`UnhealthyTableError`, marks the four tables
+    read-only and reduces them once, by :func:`derived_scalars`, to the
+    scalars :meth:`derived` returns.  The structure policy is not applied
+    here but by :meth:`check_health`: an off-line gate builds a legitimate
+    table that no predictor should read.
+    """
 
     params: DimensionlessGateParams
     cutoff: FockCutoff
@@ -394,16 +402,19 @@ class CoefficientTable:
     j1: np.ndarray
     j2: np.ndarray
     j3: np.ndarray
-    _derived: "DerivedScalars | None" = field(default=None, init=False, repr=False, compare=False)
+    _derived: DerivedScalars = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name in ("i_table", "j1", "j2", "j3"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise UnhealthyTableError(f"table {name} has non-finite entries")
+        for entries in (self.i_table, self.j1, self.j2, self.j3):
+            entries.flags.writeable = False
+        object.__setattr__(self, "_derived", derived_scalars(self))
 
     @property
     def n_max(self) -> int:
         return self.cutoff.n_max
-
-    @property
-    def structure_residual(self) -> float:
-        """Max |Re + Im| over the first-order table (exactly 0 on the line)."""
-        return float(np.abs(self.i_table.real + self.i_table.imag).max())
 
     def parameter_dict(self) -> dict:
         """The three numbers that build the tables, and so name them."""
@@ -419,21 +430,19 @@ class CoefficientTable:
         return _digest(self.parameter_dict())
 
     def check_health(self) -> None:
-        """Raise :class:`UnhealthyTableError` unless every entry is finite and
-        the structure residual is at most 1e-6.  Built and loaded tables alike
-        pass through here before any predictor reads them."""
-        for name in ("i_table", "j1", "j2", "j3"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise UnhealthyTableError(f"table {name} has non-finite entries")
-        if self.structure_residual > _STRUCTURE_TOLERANCE:
+        """Raise :class:`UnhealthyTableError` unless the structure residual
+        is at most 1e-6 (finiteness is checked at construction).  Built and
+        loaded tables alike pass through here before any predictor reads
+        them."""
+        residual = self._derived.structure_residual
+        if residual > _STRUCTURE_TOLERANCE:
             raise UnhealthyTableError(
-                f"structure residual {self.structure_residual:.3e} exceeds "
+                f"structure residual {residual:.3e} exceeds "
                 f"{_STRUCTURE_TOLERANCE:.0e}; the first-order table is off its line"
             )
 
-    def derived(self) -> "DerivedScalars":
-        if self._derived is None:
-            self._derived = derived_scalars(self)
+    def derived(self) -> DerivedScalars:
+        """The per-level scalars, reduced once at construction."""
         return self._derived
 
     def save(self, path) -> str:
@@ -461,13 +470,16 @@ def compute_coefficient_table(
     return CoefficientTable(params, cutoff, quad, i_table, j1, j2, j3)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DerivedScalars:
     """Per-Fock-level scalars entering every closed-form predictor.
 
     ``trusted[n]`` is False when the Fock sums feeding level n have visible
     weight in the last five table rows (tail estimate at or above
     ``_TAIL_TOLERANCE``) or n itself sits within five levels of the cutoff.
+    ``structure_residual`` is max |Re + Im| over the first-order table
+    (exactly 0 on its line).  A value: the constructor marks every array,
+    the tails' too, read-only.
     """
 
     a: np.ndarray
@@ -478,6 +490,11 @@ class DerivedScalars:
     tails: dict[str, np.ndarray]
     trusted: np.ndarray
     structure_residual: float
+
+    def __post_init__(self) -> None:
+        for arr in (self.a, self.b, self.c_gg, self.c_ee, self.c_eg, self.trusted,
+                    *self.tails.values()):
+            arr.flags.writeable = False
 
     def require_trusted(self, n: int) -> None:
         n = _count("Fock level n", n, 0, self.a.size - 1)
@@ -492,6 +509,9 @@ class DerivedScalars:
 
 def derived_scalars(table: CoefficientTable) -> DerivedScalars:
     """Reduce the coefficient tables to the scalar coefficient arrays.
+
+    A table's constructor runs this once, and :meth:`CoefficientTable.derived`
+    returns the result.
 
     ``a`` is read off the first-order diagonal.  The rest are the O(lam^2)
     moments of the reduced state of a |gg, n> input, whose psi0 has the
@@ -536,16 +556,8 @@ def derived_scalars(table: CoefficientTable) -> DerivedScalars:
     for t in tails.values():
         trusted &= t < _TAIL_TOLERANCE
     trusted[lo:] = False
-    return DerivedScalars(
-        a=a,
-        b=b,
-        c_gg=c_gg,
-        c_ee=c_ee,
-        c_eg=c_eg,
-        tails=tails,
-        trusted=trusted,
-        structure_residual=table.structure_residual,
-    )
+    residual = float(np.abs(table.i_table.real + table.i_table.imag).max())
+    return DerivedScalars(a, b, c_gg, c_ee, c_eg, tails, trusted, residual)
 
 
 # --------------------------------------------------------------------------
@@ -882,10 +894,11 @@ def load_coefficient_table(path) -> CoefficientTable:
     Checked in order: the schema (only the current one, schema 5, loads; a
     file of schema 1 to 4 is refused with a message to rebuild it), the
     stored digest against the stored parameters, then the rebuild by
-    :func:`compute_coefficient_table`, whose parameter dict must equal the
-    stored one (so a key other than ``n_max``, ``omega_tilde`` and
-    ``tau_gate``, such as schema 4's ``phi`` or ``panels_1d``, is refused),
-    :meth:`CoefficientTable.check_health` (else
+    :func:`compute_coefficient_table` (whose constructor refuses a
+    non-finite entry with :class:`UnhealthyTableError`), whose parameter
+    dict must equal the stored one (so a key other than ``n_max``,
+    ``omega_tilde`` and ``tau_gate``, such as schema 4's ``phi`` or
+    ``panels_1d``, is refused), :meth:`CoefficientTable.check_health` (else
     :class:`UnhealthyTableError`), and last the stored ``derived`` block
     against the scalars of the rebuilt tables (1e-12 relative, ``trusted``
     and the ``tail_tolerance`` it is computed at exactly).  A file that is

@@ -476,6 +476,25 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert f"Fock level {level}" in err and "--cutoff-n-max" in err
 
+    @pytest.mark.parametrize("engine", ["first_order_model", "oracle"])
+    def test_level_above_table_exit(self, table_file, capsys, engine):
+        # Either engine refuses a level the table lacks before it runs a
+        # gate, however wide the oracle's cutoff.
+        rc = main(["calibrate", "--table", table_file, "--engine", engine,
+                   "--detuning-hz=-11e3", "--shift-hz", "30", "--shots", "0",
+                   "--fock-initial", "30", "--cutoff-n-max", "40"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: Fock level n must be an integer in 0..24, got 30\n")
+
+    def test_untrusted_level_exit(self, table_file, capsys):
+        # Inside the table and the cutoff, but not trusted by the table.
+        rc = main(["calibrate", "--table", table_file, "--engine", "oracle",
+                   "--detuning-hz=-11e3", "--shift-hz", "30", "--shots", "0",
+                   "--fock-initial", "20", "--cutoff-n-max", "32"])
+        assert rc == EXIT_NUMERICAL
+        assert "Fock level 20 is not trusted" in capsys.readouterr().err
+
     def test_failed_report_write_keeps_earlier_report(self, table_file, workdir,
                                                       capsys, monkeypatch):
         Path("report.json").write_text("earlier report\n")

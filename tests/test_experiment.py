@@ -1,5 +1,6 @@
 """Two-gate calibration sequence: fringe synthesis, fitting, inversion."""
 
+import dataclasses
 import math
 import warnings
 
@@ -22,7 +23,8 @@ from msgate.experiment import (
     simulate_fringe,
 )
 from msgate.hilbert import ThermalDistribution
-from msgate.magnus import compute_coefficient_table, predict_fidelity, predict_phase
+from msgate.magnus import (TruncationError, compute_coefficient_table, predict_fidelity,
+                           predict_phase)
 from msgate.oracle import GuardBandError
 
 EPSILON = -2.0 * math.pi * 11e3  # rad/s
@@ -36,6 +38,13 @@ def _config(**kw):
 
 
 class TestSequenceConfig:
+    def test_thermal_config_hashes(self):
+        # A config is a value whichever mode it holds.
+        thermal = SequenceConfig(1e4, 1.0, mode=ThermalDistribution(0.3))
+        assert hash(thermal) == hash(SequenceConfig(1e4, 1.0, mode=ThermalDistribution(0.3)))
+        assert thermal == SequenceConfig(1e4, 1.0, mode=ThermalDistribution(0.3))
+        assert thermal != SequenceConfig(1e4, 1.0, mode=ThermalDistribution(2.0))
+
     def test_lambda_tilde(self):
         config = _config(qubit_shift=EPSILON * 0.01)
         assert config.lambda_tilde == pytest.approx(0.01)
@@ -380,6 +389,18 @@ class TestOracleEngine:
         with pytest.raises(GuardBandError, match="Fock level 52 .*--cutoff-n-max"):
             simulate_fringe(config, table)
 
+    def test_untrusted_mode_refused_before_any_gate(self, table, monkeypatch):
+        # Cutoff 88 holds levels 0..52 of n_bar 2, but the n_max 24 table
+        # trusts none above 9: neither gate runs.
+        calls = []
+        propagate = experiment.propagate_ramped_axis
+        monkeypatch.setattr(experiment, "propagate_ramped_axis",
+                            lambda *args: calls.append(args) or propagate(*args))
+        config = _config(engine="oracle", mode=ThermalDistribution(2.0), cutoff_n_max=88)
+        with pytest.raises(TruncationError, match="Fock level 10 is not trusted"):
+            run_calibration(config, table)
+        assert calls == []
+
 
 @pytest.mark.parametrize("engine", ENGINES)
 @given(
@@ -447,6 +468,14 @@ class TestEstimator:
         estimate = estimate_lambda(fit, 5.68, EPSILON)
         expected = abs(EPSILON / (2 * 5.68)) * fit.phase_err
         assert estimate.lambda_err == pytest.approx(expected)
+
+    def test_results_are_values(self, table):
+        fit, estimate, _, _ = run_calibration(_config(qubit_shift=0.0), table)
+        assert isinstance(estimate.caveats, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fit.phase = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            estimate.lambda_hat = 0.0
 
     def test_engines_constant(self):
         assert ENGINES == ("first_order_model", "oracle")

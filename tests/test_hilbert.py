@@ -4,6 +4,7 @@ The closed form <m|D|n> and its moment kernel live in the tests' quadrature
 reference (``quadrature.py``); they are checked here against the recurrence.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -287,6 +288,23 @@ class TestThermal:
         # A single weight of 1.0 returns its values exactly.
         values = np.array([[0.1, 1.0 / 3.0, -2.5e-300]])
         assert np.array_equal(_level_sum(np.array([1.0]), values), values[0])
+
+    def test_mode_is_a_value(self):
+        # n_max and the weights follow n_bar once: a reassigned n_bar would
+        # leave the 0.3 weights (n_max 15) under n_bar 2 (n_max 52).
+        mode = ThermalDistribution(0.3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mode.n_bar = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            mode.probabilities[0] = 1.0
+        assert mode.n_max == 15 and ThermalDistribution(2.0).n_max == 52
+        np.testing.assert_array_equal(mode.probabilities, ThermalDistribution(0.3).probabilities)
+
+    def test_modes_compare_and_hash_by_n_bar(self):
+        assert ThermalDistribution(0.3) == ThermalDistribution(0.3)
+        assert ThermalDistribution(0.3) != ThermalDistribution(2.0)
+        assert hash(ThermalDistribution(0.3)) == hash(ThermalDistribution(0.3))
+        assert len({ThermalDistribution(0.0), ThermalDistribution(0), ThermalDistribution(0.3)}) == 2
 
     @given(n_bar=st.floats(0.0, 0.5))
     @settings(max_examples=25, deadline=None)

@@ -113,7 +113,7 @@ class TestQuadratureSpec:
 class TestFirstOrderTable:
     def test_structure_line(self, table):
         # Every entry lies on the (-1 + i) ray: Re + Im = 0 identically.
-        assert table.structure_residual < 1e-12
+        assert table.derived().structure_residual < 1e-12
         np.testing.assert_allclose(
             -1j * np.conj(table.i_table), table.i_table, atol=1e-12
         )
@@ -1022,12 +1022,41 @@ class TestPersistence:
         entries = getattr(table, name).copy()
         entries[2, 1] = math.nan
         with pytest.raises(UnhealthyTableError, match=f"table {name} has non-finite entries"):
-            dataclasses.replace(table, **{name: entries}).check_health()
+            dataclasses.replace(table, **{name: entries})
+
+    @pytest.mark.parametrize("name", ["i_table", "j1", "j2", "j3"])
+    def test_inf_entry_refused_at_construction(self, table, name):
+        # Refused before the reduction, which would first warn ("invalid
+        # value encountered") on an inf.
+        entries = getattr(table, name).copy()
+        entries[2, 1] = math.inf
+        with pytest.raises(UnhealthyTableError, match=f"table {name} has non-finite entries"):
+            dataclasses.replace(table, **{name: entries})
+
+    @pytest.mark.parametrize("name", ["i_table", "j1", "j2", "j3"])
+    def test_tables_are_read_only(self, name):
+        # The scalars are reduced once, at construction, so the tables
+        # they came from cannot change after it.
+        table = compute_coefficient_table(n_max=8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(table, name, 2.0 * getattr(table, name))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(table, name)[0, 0] = 0.0
+        assert table.derived() is table.derived()
+
+    def test_scalars_are_read_only(self):
+        # A write into a table's scalars would move every later prediction.
+        der = compute_coefficient_table(n_max=8).derived()
+        for values in (der.a, der.b, der.c_gg, der.c_ee, der.c_eg, der.trusted,
+                       *der.tails.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            der.a = np.zeros_like(der.a)
 
     def test_replace_reduces_its_own_scalars(self, table):
-        # The scalar cache is no init field, so a copy with other tables
-        # does not carry the original's scalars across.
-        table.derived()
+        # The scalars are no init field, so a copy with other tables
+        # reduces its own instead of carrying the original's across.
         doubled = dataclasses.replace(table, i_table=2.0 * table.i_table)
         np.testing.assert_array_equal(doubled.derived().a, derived_scalars(doubled).a)
         np.testing.assert_array_equal(doubled.derived().a, 2.0 * table.derived().a)
