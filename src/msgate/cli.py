@@ -389,27 +389,21 @@ def cmd_predict(args) -> int:
     table = _table_for(args)
     lam = args.lambda_tilde
     mode = _initial_mode(args)
-    fock = mode if isinstance(mode, int) else None
+    pops = predict_populations(mode, lam, table, args.initial)
+    coh = predict_coherence(mode, lam, table, args.initial)
     doc = {
         "lambda_tilde": lam,
         "initial": args.initial,
-        "fock": fock,
+        "fock": mode if isinstance(mode, int) else None,
         "n_bar": args.nbar,
         "phase": predict_phase(mode, lam, table, args.initial),
         "fidelity": predict_fidelity(mode, lam, table),
+        "populations": [float(p) for p in pops],
+        "population_sum": float(pops.sum()),
+        "coherence_re": coh.real,
+        "coherence_im": coh.imag,
+        "purity": predict_purity(mode, lam, table),
     }
-    if fock is not None:  # these predictors take a single level only
-        pops = predict_populations(fock, lam, table, args.initial)
-        coh = predict_coherence(fock, lam, table, args.initial)
-        doc.update(
-            {
-                "populations": [float(p) for p in pops],
-                "population_sum": float(pops.sum()),
-                "coherence_re": coh.real,
-                "coherence_im": coh.imag,
-                "purity": predict_purity(fock, lam, table),
-            }
-        )
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import FockCutoff, ThermalDistribution, _count, _finite, _level_sum, level_weights
-from .magnus import CoefficientTable, _check_lambda, _checked
+from .magnus import CoefficientTable, _check_lambda, _scalars
 from .oracle import _basis_columns, _diagonals, propagate_ramped_axis
 
 __all__ = [
@@ -114,17 +114,18 @@ def phase_scan(n_points: int) -> np.ndarray:
 def effective_phase_slope(
     table: CoefficientTable, n: int | ThermalDistribution
 ) -> float:
-    """a_n, or the thermally weighted mean slope sum_n p_n a_n.
+    """a_n, or the thermally weighted mean slope sum_n p_n a_n: the ``a``
+    the predictors read (``magnus._scalars``).
 
     To first order the thermal fringe is a phasor average of per-level
     fringes, so its fitted phase corresponds to the weighted mean slope.
     ``n`` is read as :func:`simulate_fringe` reads a mode: anything but a
-    Fock level or a ThermalDistribution raises ``ValueError``, and a level
-    the table does not trust raises TruncationError.
+    Fock level or a ThermalDistribution (a list of levels too) raises
+    ``ValueError``, and a level the table does not trust raises
+    TruncationError.
     """
-    levels, weights = level_weights(n)
-    _, _, der = _checked(levels, table)  # each level trusted by the table
-    return float(_level_sum(weights, der.a[levels]))
+    level_weights(n)  # a level or a mode, as a fringe reads it
+    return float(_scalars(n, table)[1])
 
 
 def phi_seq_prediction(qubit_shift: float, detuning: float, slope: float) -> float:
@@ -140,8 +141,7 @@ def phi_seq_prediction(qubit_shift: float, detuning: float, slope: float) -> flo
 def _model_fringe(
     config: SequenceConfig, table: CoefficientTable, levels: np.ndarray, phi_d: np.ndarray
 ) -> np.ndarray:
-    _, _, der = _checked(levels, table)  # each level trusted by the table
-    slips = 2.0 * config.lambda_tilde * der.a[levels]
+    slips = 2.0 * config.lambda_tilde * _scalars(levels, table)[1]
     return 0.5 * (1.0 + np.cos(2.0 * phi_d + slips[:, None]))
 
 
@@ -154,7 +154,7 @@ def _oracle_fringe(
     # Gate 1 at drive phase 0, one column per initial Fock level; a level
     # above the cutoff raises GuardBandError.
     init = _basis_columns(0, levels, cutoff)
-    _checked(levels, table)  # each level trusted by the table, before any gate runs
+    _scalars(levels, table)  # each level trusted by the table, before any gate runs
     mid, _, _ = propagate_ramped_axis(init, cutoff, omega, lam, 0.0, (0.0, tau))
     # Gate 2 spans s in [tau, 2 tau], the axis ramp continuing through it.
     # A scan phase phi_d is the frame factor e^{i phi_d S_z} around it (see
@@ -206,7 +206,8 @@ class FringeFit:
     The errors and the covariance are inf when the fit leaves them
     undetermined: at an amplitude of zero or at the rounding level of the
     data, where the phase has no meaning, and without ``shots`` when the
-    residuals that would scale the covariance are at rounding level.
+    residuals that would scale the covariance are at rounding level.  A
+    value: the constructor marks ``covariance`` read-only.
     """
 
     amplitude: float
@@ -217,6 +218,9 @@ class FringeFit:
     offset_err: float
     covariance: np.ndarray
     residual_rms: float
+
+    def __post_init__(self) -> None:
+        self.covariance.flags.writeable = False
 
 
 # Residual RMS at or below which a fit without shots has no scale for its

@@ -27,12 +27,17 @@ Derived per-level scalars (n-th diagonal &c.):
 * b[n]    -- second-order coherence coefficient (complex).
 * c_gg[n], c_ee[n], c_eg[n] -- second-order population curvatures.
 
-Predictors evaluate a grid: ``n`` is a Fock level or a 1-D sequence of
-levels, ``lambda_tilde`` a float or a 1-D array, and the result has shape
-``np.shape(n) + np.shape(lambda_tilde)`` (populations add ``(4,)``, the
-density matrix ``(4, 4)``); scalar inputs give numpy scalars.  They return
-*raw* perturbative quantities: populations need not sum to one and the
-density matrix keeps its O(lam^2) trace defect visible.
+Predictors evaluate a grid: ``n`` is a Fock level, a 1-D sequence of
+levels or a ThermalDistribution, ``lambda_tilde`` a float or a 1-D array,
+and the result has shape ``np.shape(n) + np.shape(lambda_tilde)`` (a
+thermal mode adds no axis; populations add ``(4,)``, the density matrix
+``(4, 4)``); scalar inputs give numpy scalars.  Every predictor's reduced
+state is linear in the per-level scalars, so a thermal mode is its
+probability-weighted mean scalars, taken in level order by one helper,
+``_scalars``, and each closed form is evaluated once at them: the thermal
+purity is that of the mixture.  They return *raw* perturbative quantities:
+populations need not sum to one and the density matrix keeps its O(lam^2)
+trace defect visible.
 
 Construction: no integral is evaluated.  Over a closed loop, T = 2*pi*L, the
 gate is U(lam) = e^{-iT H'(lam)} with H' = lam*S_z - omega*(a + a^dag)*S_y + N
@@ -80,8 +85,10 @@ import json
 import math
 import os
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -383,11 +390,12 @@ def _digest(params: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientTable:
     """Coefficient tables for one calibrated gate, plus their provenance.
 
-    A value, read-only once built.  The constructor refuses a non-finite
+    A value, read-only once built, compared and hashed by identity (its
+    arrays have no single truth value).  The constructor refuses a non-finite
     entry with :class:`UnhealthyTableError`, marks the four tables
     read-only and reduces them once, by :func:`derived_scalars`, to the
     scalars :meth:`derived` returns.  The structure policy is not applied
@@ -479,7 +487,7 @@ class DerivedScalars:
     ``_TAIL_TOLERANCE``) or n itself sits within five levels of the cutoff.
     ``structure_residual`` is max |Re + Im| over the first-order table
     (exactly 0 on its line).  A value: the constructor marks every array,
-    the tails' too, read-only.
+    the tails' too, read-only, and keeps ``tails`` as a read-only mapping.
     """
 
     a: np.ndarray
@@ -487,11 +495,12 @@ class DerivedScalars:
     c_gg: np.ndarray
     c_ee: np.ndarray
     c_eg: np.ndarray
-    tails: dict[str, np.ndarray]
+    tails: Mapping[str, np.ndarray]
     trusted: np.ndarray
     structure_residual: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "tails", MappingProxyType(dict(self.tails)))
         for arr in (self.a, self.b, self.c_gg, self.c_ee, self.c_eg, self.trusted,
                     *self.tails.values()):
             arr.flags.writeable = False
@@ -668,45 +677,39 @@ def _check_lambda(lambda_tilde) -> np.ndarray:
     return lam
 
 
-def _checked(
-    n, table: CoefficientTable, lambda_tilde=0.0, initial: str = "gg",
-    thermal: bool = False,
-) -> tuple[np.ndarray, np.ndarray, DerivedScalars]:
-    """(levels, lam, the table's derived scalars) of one predictor call,
-    every input checked.
+def _scalars(n, table: CoefficientTable, lambda_tilde=0.0, initial: str = "gg"):
+    """(lam, a, b, c_gg, c_ee, c_eg) of one predictor call, every input
+    checked: the one place a thermal mode is averaged.
 
     ``lam`` is from :func:`_check_lambda`.  ``initial`` must be gg or ee,
-    the inputs every predictor covers.  ``levels`` are the Fock levels of
-    ``n`` (a level, a 1-D sequence of levels, or with ``thermal`` a
-    ThermalDistribution) down a leading axis, shaped to broadcast against
-    ``lam``.  A level the table does not trust raises TruncationError, the
-    first in order.
+    the inputs every predictor covers.  For a Fock level or a 1-D sequence
+    of levels ``n``, each scalar is gathered per level and shaped
+    ``np.shape(n) + (1,) * lam.ndim``, to broadcast against ``lam``.  For a
+    ThermalDistribution each is its probability-weighted mean over the
+    mode's levels (:func:`_level_sum`), a numpy scalar: every predictor's
+    reduced state is linear in the five, so the closed forms at the means
+    are the mixture's.  A level the table does not trust raises
+    TruncationError, the first in order.
     """
     lam = _check_lambda(lambda_tilde)
     if _label(initial) not in ("gg", "ee"):
         raise ValueError(f"this predictor covers 'gg' and 'ee' inputs, not {initial!r}")
-    if thermal and isinstance(n, ThermalDistribution):
-        levels, _ = level_weights(n)
+    thermal = isinstance(n, ThermalDistribution)
+    if thermal:
+        levels, weights = level_weights(n)
     else:
         levels = np.asarray(n)
         if levels.ndim > 1 or levels.dtype.kind not in "iu":
-            raise ValueError(f"this predictor takes a Fock level or a 1-D sequence "
-                             f"of levels, not {n!r}")
-        levels = levels.ravel()
+            raise ValueError(f"this predictor takes a Fock level, a 1-D sequence "
+                             f"of levels or a ThermalDistribution, not {n!r}")
     der = table.derived()
-    for level in dict.fromkeys(levels.tolist()):
+    for level in dict.fromkeys(levels.ravel().tolist()):
         der.require_trusted(level)
-    return levels.reshape((-1,) + (1,) * lam.ndim), lam, der
-
-
-def _per_input(n, values: np.ndarray):
-    """Per-level ``values`` (level axis first) for the input ``n``: their
-    probability-weighted mean for a thermal mode (:func:`_level_sum`), else
-    the level axis reshaped to ``np.shape(n)``.  A 0-d result is a numpy
-    scalar."""
-    if isinstance(n, ThermalDistribution):
-        return _level_sum(n.probabilities, values)[()]
-    return values.reshape(np.shape(n) + values.shape[1:])[()]
+    per_level = (der.a, der.b, der.c_gg, der.c_ee, der.c_eg)
+    if thermal:
+        return lam, *(_level_sum(weights, v[levels]) for v in per_level)
+    index = levels.reshape(levels.shape + (1,) * lam.ndim)
+    return lam, *(v[index] for v in per_level)
 
 
 def predict_density_matrix(
@@ -714,33 +717,35 @@ def predict_density_matrix(
 ) -> np.ndarray:
     """Second-order reduced qubit state, X-shaped in the computational basis.
 
-    Shape ``np.shape(n) + np.shape(lambda_tilde) + (4, 4)``.  Raw, like
-    every predictor here: the trace keeps its O(lam^2) defect.  The
-    populations are its diagonal and the pair coherence its (3, 0) entry for
-    a |gg> input, (0, 3) for |ee>.
+    Shape ``np.shape(n) + np.shape(lambda_tilde) + (4, 4)``, and
+    ``np.shape(lambda_tilde) + (4, 4)`` for a thermal mode, whose state is
+    the mixture of its levels' states.  Raw, like every predictor here: the
+    trace keeps its O(lam^2) defect.  The populations are its diagonal and
+    the pair coherence its (3, 0) entry for a |gg> input, (0, 3) for |ee>.
     """
-    levels, lam, der = _checked(n, table, lambda_tilde, initial)
+    lam, a, b, c_gg, c_ee, c_eg = _scalars(n, table, lambda_tilde, initial)
     if initial == "gg":
-        sign, same, other = 1.0, der.c_gg, der.c_ee
+        sign, same, other = 1.0, c_gg, c_ee
     else:
-        sign, same, other = -1.0, der.c_ee, der.c_gg
+        sign, same, other = -1.0, c_ee, c_gg
     l2 = lam * lam
-    coh = (-1j + sign * lam * der.a[levels] + l2 * der.b[levels]) / 2.0
+    coh = (-1j + sign * lam * a + l2 * b) / 2.0
     rho = np.zeros(coh.shape + (4, 4), dtype=complex)
-    rho[..., 0, 0] = 0.5 + l2 * same[levels]
-    rho[..., 3, 3] = 0.5 + l2 * other[levels]
-    rho[..., 1, 1] = rho[..., 2, 2] = rho[..., 1, 2] = rho[..., 2, 1] = l2 * der.c_eg[levels]
+    rho[..., 0, 0] = 0.5 + l2 * same
+    rho[..., 3, 3] = 0.5 + l2 * other
+    rho[..., 1, 1] = rho[..., 2, 2] = rho[..., 1, 2] = rho[..., 2, 1] = l2 * c_eg
     row, col = relative_phase_pair(initial)
     rho[..., row, col] = coh
     rho[..., col, row] = np.conj(coh)
-    return _per_input(n, rho)
+    return rho
 
 
 def predict_populations(
     n, lambda_tilde, table: CoefficientTable, initial: str = "gg"
 ) -> np.ndarray:
     """Raw second-order populations (gg, ge, eg, ee), the diagonal of
-    :func:`predict_density_matrix`; their sum may differ from 1."""
+    :func:`predict_density_matrix`, the mixture's for a thermal mode; their
+    sum may differ from 1."""
     rho = predict_density_matrix(n, lambda_tilde, table, initial)
     return np.diagonal(rho, axis1=-2, axis2=-1).real.copy()
 
@@ -748,55 +753,43 @@ def predict_populations(
 def predict_coherence(
     n, lambda_tilde, table: CoefficientTable, initial: str = "gg"
 ):
-    """Pair coherence of :func:`predict_density_matrix`: <ee|rho|gg> for a
-    |gg> input, <gg|rho|ee> for |ee>."""
+    """Pair coherence of :func:`predict_density_matrix`, the mixture's for a
+    thermal mode: <ee|rho|gg> for a |gg> input, <gg|rho|ee> for |ee>."""
     rho = predict_density_matrix(n, lambda_tilde, table, initial)
     return rho[(..., *relative_phase_pair(initial))][()]
 
 
-def predict_phase(
-    n: int | ThermalDistribution,
-    lambda_tilde,
-    table: CoefficientTable,
-    initial: str = "gg",
-):
+def predict_phase(n, lambda_tilde, table: CoefficientTable, initial: str = "gg"):
     """Relative phase of the pair coherence of a |gg> or |ee> input (ideal
     value -pi/2), to second order.
 
     The expanded angle -pi/2 +- lam a + lam^2 Re b, not the argument of
-    :func:`predict_coherence`.  Thermal inputs are the probability-weighted
-    mean of the per-level phase.
+    :func:`predict_coherence`.  A thermal mode's is the same expression at
+    its mean scalars, which is the mean of its levels' phases.
     """
-    levels, lam, der = _checked(n, table, lambda_tilde, initial, thermal=True)
+    lam, a, b, *_ = _scalars(n, table, lambda_tilde, initial)
     sign = 1.0 if initial == "gg" else -1.0
-    phases = -math.pi / 2.0 + sign * lam * der.a[levels] + lam * lam * der.b[levels].real
-    return _per_input(n, phases)
+    return -math.pi / 2.0 + sign * lam * a + lam * lam * b.real
 
 
-def predict_fidelity(
-    n: int | ThermalDistribution, lambda_tilde, table: CoefficientTable
-):
+def predict_fidelity(n, lambda_tilde, table: CoefficientTable):
     """Overlap of the reduced state with the ideal Bell output, to O(lam^2).
 
-    1 + (lam^2/2)(c_gg + c_ee - Im b); same for gg and ee inputs.
+    1 + (lam^2/2)(c_gg + c_ee - Im b); same for gg and ee inputs, and
+    linear in the scalars, so a thermal mode's is its levels' mean.
     """
-    levels, lam, der = _checked(n, table, lambda_tilde, thermal=True)
-    vals = 1.0 + 0.5 * lam * lam * (
-        der.c_gg[levels] + der.c_ee[levels] - der.b[levels].imag
-    )
-    return _per_input(n, vals)
+    lam, _, b, c_gg, c_ee, _ = _scalars(n, table, lambda_tilde)
+    return 1.0 + 0.5 * lam * lam * (c_gg + c_ee - b.imag)
 
 
 def predict_purity(n, lambda_tilde, table: CoefficientTable):
     """Tr(rho^2) of the reduced state truncated at O(lam^2) (gg or ee input
     alike); it differs from Tr(rho^2) of :func:`predict_density_matrix` at
-    O(lam^3)."""
-    levels, lam, der = _checked(n, table, lambda_tilde)
-    a = der.a[levels]
-    vals = 1.0 - lam * lam * (
-        der.b[levels].imag - 0.5 * a * a - der.c_gg[levels] - der.c_ee[levels]
-    )
-    return _per_input(n, vals)
+    O(lam^3).  1 - lam^2 (Im b - a^2/2 - c_gg - c_ee): for a thermal mode,
+    at its mean scalars, the purity of the mixture, not the mean of its
+    levels' purities (those differ at O(lam^2) through the a^2 term)."""
+    lam, a, b, c_gg, c_ee, _ = _scalars(n, table, lambda_tilde)
+    return 1.0 - lam * lam * (b.imag - 0.5 * a * a - c_gg - c_ee)
 
 
 # --------------------------------------------------------------------------

@@ -236,11 +236,18 @@ class TestPredict:
         assert rc == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["fock"] is None
-        assert "populations" not in doc
         dist = ThermalDistribution(0.05)
         assert doc["phase"] == pytest.approx(
             predict_phase(dist, 0.02, table), rel=1e-12
         )
+        # The mixture's populations, coherence and purity, as the library
+        # gives them (JSON floats round-trip exactly).
+        pops = predict_populations(dist, 0.02, table)
+        coh = predict_coherence(dist, 0.02, table)
+        assert doc["populations"] == pops.tolist()
+        assert doc["population_sum"] == float(pops.sum())
+        assert doc["coherence_re"] == coh.real and doc["coherence_im"] == coh.imag
+        assert doc["purity"] == predict_purity(dist, 0.02, table)
 
     def test_missing_lambda(self, table_file, capsys):
         assert main(["predict", "--table", table_file]) == EXIT_USAGE

@@ -24,7 +24,7 @@ from msgate.experiment import (
 )
 from msgate.hilbert import ThermalDistribution
 from msgate.magnus import (TruncationError, compute_coefficient_table, predict_fidelity,
-                           predict_phase)
+                           predict_phase, predict_purity)
 from msgate.oracle import GuardBandError
 
 EPSILON = -2.0 * math.pi * 11e3  # rad/s
@@ -477,13 +477,23 @@ class TestEstimator:
         with pytest.raises(dataclasses.FrozenInstanceError):
             estimate.lambda_hat = 0.0
 
+    def test_fit_covariance_is_read_only(self):
+        phi_d = phase_scan(8)
+        p_obs = 0.5 * (1.0 + 0.9 * np.cos(2.0 * phi_d + 0.3)) + 0.01 * np.sin(phi_d)
+        fit = fit_fringe(phi_d, p_obs)
+        assert np.isfinite(fit.covariance).all()
+        with pytest.raises(ValueError, match="read-only"):
+            fit.covariance[0, 0] = 5.0
+
     def test_engines_constant(self):
         assert ENGINES == ("first_order_model", "oracle")
 
 
 class TestLevelAverage:
-    """Every thermal output is its levels' values summed in level order,
-    w_0 v_0 + w_1 v_1 + ..., whatever numpy or BLAS would pick."""
+    """Every thermal level average is a sum in level order,
+    w_0 v_0 + w_1 v_1 + ..., whatever numpy or BLAS would pick: of the
+    per-level scalars for the predictors and the slope, of the per-level
+    fringes for the calibration fringe."""
 
     @pytest.fixture(scope="class")
     def table80(self):
@@ -503,13 +513,19 @@ class TestLevelAverage:
     def test_equals_ordered_sum(self, table80, n_bar):
         dist = ThermalDistribution(n_bar)
         levels, weights = np.arange(dist.n_max + 1), dist.probabilities
-        lams = np.array([-0.03, 0.004, 0.02])
-        for predictor in (predict_phase, predict_fidelity):
-            for lam in (0.013, lams):
-                want = self.ordered(weights, predictor(levels.tolist(), lam, table80))
-                assert np.array_equal(predictor(dist, lam, table80), want), predictor
-        want = self.ordered(weights, table80.derived().a[levels])
-        assert effective_phase_slope(table80, dist) == want
+        der = table80.derived()
+        a, b_re, b_im, c_gg, c_ee = (self.ordered(weights, v[levels]) for v in
+                                     (der.a, der.b.real, der.b.imag, der.c_gg, der.c_ee))
+        # Each closed form, evaluated once at the ordered means.
+        for lam in (0.013, np.array([-0.03, 0.004, 0.02])):
+            want = {
+                predict_phase: -math.pi / 2 + lam * a + lam * lam * b_re,
+                predict_fidelity: 1.0 + 0.5 * lam * lam * (c_gg + c_ee - b_im),
+                predict_purity: 1.0 - lam * lam * (b_im - 0.5 * a * a - c_gg - c_ee),
+            }
+            for predictor, value in want.items():
+                assert np.array_equal(predictor(dist, lam, table80), value), predictor
+        assert effective_phase_slope(table80, dist) == a
         # The engines' per-level fringes, each row one Fock level.
         phi_d = phase_scan(8)
         for engine, rows in (("first_order_model", experiment._model_fringe),

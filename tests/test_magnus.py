@@ -777,8 +777,26 @@ class TestPredictorGrid:
             predict_fidelity([0, 1], [0.0, math.nan], table40)
         with pytest.raises(TruncationError, match="Fock level 38"):
             predict_phase([0, 38, 39], 0.01, table40)
-        with pytest.raises(ValueError, match="Fock level"):
-            predict_purity(ThermalDistribution(0.05), 0.01, table40)
+
+    def test_thermal_mode_shapes(self, table40):
+        # A thermal mode adds no axis: its outputs are those of its mixture.
+        dist, lams = ThermalDistribution(0.3), self.LAMS[:5]
+        assert predict_density_matrix(dist, lams, table40, "ee").shape == (5, 4, 4)
+        assert predict_populations(dist, lams, table40).shape == (5, 4)
+        assert predict_density_matrix(dist, 0.01, table40).shape == (4, 4)
+        assert predict_populations(dist, 0.01, table40).shape == (4,)
+        for predictor in (predict_coherence, predict_purity, predict_fidelity, predict_phase):
+            assert predictor(dist, lams, table40).shape == (5,)
+            assert isinstance(predictor(dist, 0.01, table40), np.generic)
+
+    @pytest.mark.parametrize("n_bar", [0.05, 0.3])
+    def test_thermal_ideal_point_exact(self, table40, n_bar):
+        # The ideal constants are not summed with weights that fall short
+        # of 1 by the mode's truncated tail.
+        dist = ThermalDistribution(n_bar)
+        assert predict_fidelity(dist, 0.0, table40) == 1.0
+        assert predict_phase(dist, 0.0, table40) == -math.pi / 2
+        assert predict_phase(dist, 0.0, table40, "ee") == -math.pi / 2
 
 
 class TestTracedUnitary:
@@ -1053,6 +1071,22 @@ class TestPersistence:
                 values[0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             der.a = np.zeros_like(der.a)
+
+    def test_tails_are_read_only(self):
+        der = compute_coefficient_table(n_max=8).derived()
+        with pytest.raises(TypeError):
+            der.tails["b"] = None
+        with pytest.raises(TypeError):
+            del der.tails["b"]
+        assert set(der.tails) == {"c_gg", "c_ee", "c_eg", "b", "a_structure"}
+
+    def test_table_hashes_by_identity(self, table):
+        # Its arrays have no single truth value, so a table compares and
+        # hashes as one object: a set or a dict key holds it.
+        other = compute_coefficient_table(n_max=table.n_max)
+        assert table == table and table != other
+        assert {table, table} == {table} and len({table, other}) == 2
+        assert hash(table) == hash(table)
 
     def test_replace_reduces_its_own_scalars(self, table):
         # The scalars are no init field, so a copy with other tables

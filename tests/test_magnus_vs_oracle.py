@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from msgate.hilbert import FockCutoff
+from msgate.hilbert import FockCutoff, ThermalDistribution
 from msgate.ideal import DimensionlessGateParams, ideal_output_state, relative_phase_pair
 from msgate.magnus import (
     compute_coefficient_table,
@@ -21,7 +21,7 @@ from msgate.magnus import (
     predict_purity,
     predicted_state,
 )
-from msgate.oracle import observables, propagate_batch
+from msgate.oracle import _basis_columns, observables, propagate_batch
 
 
 def _oracle_states(table, oracle_cutoff, fast_integrator, label, n, lams):
@@ -135,3 +135,39 @@ class TestManyLoops:
         phase = observables(final, "gg", cutoff)["relative_phase"].reshape(3, 2)
         slopes = (phase[:, 1] - phase[:, 0]) / (2.0 * h)
         np.testing.assert_allclose(slopes, der.a[:3], rtol=1e-6)
+
+
+class TestThermalMixture:
+    """A thermal mode's predictors against the oracle's mixture
+    rho = sum_n p_n rho_n of its levels' reduced states.  Every predictor
+    evaluated at the mode's mean scalars misses it at O(lt^3); the mean of
+    the levels' purities is not the mixture's purity and misses at O(lt^2)."""
+
+    LTS = np.array([0.0025, 0.01, 0.03])
+
+    @pytest.fixture(scope="class", params=[1, 2], ids=["K1", "K2"])
+    def table80(self, request):
+        gate = DimensionlessGateParams.calibrated(request.param)
+        return compute_coefficient_table(omega_tilde=gate.omega_tilde,
+                                         tau_gate=gate.tau_gate, n_max=80)
+
+    @pytest.mark.parametrize("n_bar", [0.05, 0.3, 2.0])
+    def test_matches_oracle_mixture(self, table80, n_bar):
+        dist, cutoff, lts = ThermalDistribution(n_bar), FockCutoff(88), self.LTS
+        levels, weights = np.arange(dist.n_max + 1), dist.probabilities
+        amps = np.repeat(_basis_columns(0, levels, cutoff), lts.size, axis=1)
+        final, _, _ = propagate_batch(amps, cutoff, table80.params, np.tile(lts, levels.size))
+        rho = observables(final, "gg", cutoff)["rho"].reshape(levels.size, lts.size, 4, 4)
+        mix = np.tensordot(weights, rho, axes=1)
+        purity = np.einsum("kij,kji->k", mix, mix).real
+        errors = {
+            "purity": np.abs(predict_purity(dist, lts, table80) - purity),
+            "populations": np.abs(predict_populations(dist, lts, table80)
+                                  - np.diagonal(mix, axis1=1, axis2=2).real).max(axis=1),
+            "coherence": np.abs(predict_coherence(dist, lts, table80) - mix[:, 3, 0]),
+        }
+        for name, err in errors.items():
+            slope = np.polyfit(np.log(lts), np.log(err), 1)[0]
+            assert slope >= 2.5, (name, slope, err / lts**3)
+        mean_purity = weights @ predict_purity(levels.tolist(), lts, table80)
+        assert (np.abs(mean_purity - purity) > 0.1 * lts**2).all()
