@@ -56,6 +56,7 @@ from .magnus import (
     QuadratureSpec,
     TruncationError,
     UnhealthyTableError,
+    _read_json_object,
     _write_all,
     compute_coefficient_table,
     load_coefficient_table,
@@ -80,21 +81,13 @@ class CliError(Exception):
     """User/configuration problem (exit code 2)."""
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _read_input(read, path: str, what: str):
+    """``read(path)``, with an input file that cannot be opened refused as a
+    usage error naming ``what`` and ``path``."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"config file not found: {path}")
+        return read(path)
     except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise CliError("config file must hold a JSON object")
-    return doc
+        raise CliError(f"cannot read {what} {path}: {exc.strerror}") from None
 
 
 _GRID_OPTIONS = ("n_max", "loops")
@@ -110,13 +103,11 @@ def _gate(args) -> DimensionlessGateParams:
 def _build(args, quad: QuadratureSpec | None = None) -> CoefficientTable:
     """Build the table of the calibrated gate the grid options describe
     (an unset ``--n-max``, and ``quad``, take compute_coefficient_table's
-    defaults); refuse it unless healthy."""
+    defaults).  Its first predictor checks its health."""
     gate = _gate(args)
     grid = {"omega_tilde": gate.omega_tilde, "tau_gate": gate.tau_gate,
             "n_max": args.n_max, "quad": quad}
-    table = compute_coefficient_table(**{k: v for k, v in grid.items() if v is not None})
-    table.check_health()
-    return table
+    return compute_coefficient_table(**{k: v for k, v in grid.items() if v is not None})
 
 
 def _table_for(args) -> CoefficientTable:
@@ -128,10 +119,7 @@ def _table_for(args) -> CoefficientTable:
             flag = "--" + name.replace("_", "-")
             raise CliError(f"{flag} describes an in-memory build; it cannot be "
                            "given with --table, whose file fixes the gate")
-    try:
-        return load_coefficient_table(args.table)
-    except OSError as exc:
-        raise CliError(f"cannot read table file {args.table}: {exc.strerror}")
+    return _read_input(load_coefficient_table, args.table, "table file")
 
 
 def _add_loops(p: argparse.ArgumentParser) -> None:
@@ -197,6 +185,7 @@ def cmd_coefficients(args) -> int:
         raise CliError(f"{out} exists; pass --force to overwrite")
     try:
         table = _build(args, QuadratureSpec(args.panels_1d, args.panels_2d))
+        table.check_health()  # no predictor reads it before it is written
     except UnhealthyTableError as exc:
         raise UnhealthyTableError(f"{exc}; the table was not written") from None
     digest = table.save(out)
@@ -549,7 +538,8 @@ def main(argv: list[str] | None = None) -> int:
     parser, subparsers = _shared_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load_config(args.config)
+        config = args.config and _read_input(
+            functools.partial(_read_json_object, what="config file"), args.config, "config file")
         if config:
             args = _apply_config(subparsers, config, args, argv)
         return args.func(args)

@@ -19,9 +19,10 @@ full ramped-axis Hamiltonian exactly (see :mod:`msgate.oracle`) with the
 axis angle continuing across both gates, as drive-phase bookkeeping works
 on hardware.  A scan phase is then a diagonal S_z factor around gate 2, so
 gate 2 runs once for the whole scan; the engine raises when either gate
-fails its health checks.  Each engine first checks that the table trusts
-every initial level (TruncationError), the oracle after its cutoff check
-and before it propagates either gate.
+fails its health checks.  Each engine first checks the table's structure
+(UnhealthyTableError) and that it trusts every initial level
+(TruncationError), through ``magnus._scalars``, the oracle after its
+cutoff check and before it propagates either gate.
 Populations are frame-independent, so the two may be compared directly.
 
 The coefficient table owns the gate: the oracle runs its ``omega_tilde`` for
@@ -37,7 +38,7 @@ import numpy as np
 
 from .hilbert import FockCutoff, ThermalDistribution, _count, _finite, _level_sum, level_weights
 from .magnus import CoefficientTable, _check_lambda, _scalars
-from .oracle import _basis_columns, _diagonals, propagate_ramped_axis
+from .oracle import _basis_columns, propagate_ramped_axis
 
 __all__ = [
     "SequenceConfig",
@@ -107,8 +108,9 @@ class SequenceConfig:
 
 
 def phase_scan(n_points: int) -> np.ndarray:
-    """Evenly spaced scan phases covering one fringe period [0, pi)."""
-    return np.arange(n_points) * math.pi / n_points
+    """Evenly spaced scan phases covering one fringe period [0, pi);
+    ``n_points`` is a count >= 1, else ``ValueError``."""
+    return np.arange(_count("n_points", n_points, 1)) * math.pi / n_points
 
 
 def effective_phase_slope(
@@ -121,8 +123,8 @@ def effective_phase_slope(
     fringes, so its fitted phase corresponds to the weighted mean slope.
     ``n`` is read as :func:`simulate_fringe` reads a mode: anything but a
     Fock level or a ThermalDistribution (a list of levels too) raises
-    ``ValueError``, and a level the table does not trust raises
-    TruncationError.
+    ``ValueError``, an off-line table raises UnhealthyTableError, and a
+    level the table does not trust raises TruncationError.
     """
     level_weights(n)  # a level or a mode, as a fringe reads it
     return float(_scalars(n, table)[1])
@@ -162,13 +164,12 @@ def _oracle_fringe(
     # of mid (3 columns per level).  Up to a phase, the |ee> rows at phi_d
     # are the sum over m of e^{-i m phi_d} times gate 2's output on part m.
     m = np.array([1.0, 0.0, -1.0])
-    parts = np.where(_diagonals(cutoff)[1][:, :, None] == m, mid[:, :, None], 0.0)
+    parts = np.where(cutoff.s_z[:, :, None] == m, mid[:, :, None], 0.0)
     fin, _, _ = propagate_ramped_axis(
         parts.reshape(len(mid), -1), cutoff, omega, lam, 0.0, (tau, 2.0 * tau)
     )
-    d = cutoff.dim
-    ee = fin[3 * d :].reshape(d, len(levels), 3) @ np.exp(-1j * np.outer(m, phi_d))
-    return (np.abs(ee) ** 2).sum(axis=0)
+    ee = cutoff.blocks(fin)[3].reshape(cutoff.dim, len(levels), 3)
+    return (np.abs(ee @ np.exp(-1j * np.outer(m, phi_d))) ** 2).sum(axis=0)
 
 
 _FRINGE_ENGINES = {"first_order_model": _model_fringe, "oracle": _oracle_fringe}

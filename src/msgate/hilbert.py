@@ -11,7 +11,9 @@ Conventions used throughout the package
 * Composite kets are plain complex amplitude arrays of length 4*(n_max+1)
   (a batch is one column each), stored qubit-major: flat index =
   q*(n_max+1) + n for qubit-pair index q and Fock level n, i.e.
-  kron(qubit, phonon).
+  kron(qubit, phonon).  :class:`FockCutoff` owns this layout: its
+  members index it, give its two diagonals N and S_z, and split a ket into
+  its four qubit-pair blocks.
 
 Displacement matrix elements <m|D(beta)|n> come from one exact column
 recurrence, :func:`displacement_matrix`.  It gives the matrix elements of
@@ -83,7 +85,10 @@ def _label(label: str) -> str:
 
 @dataclass(frozen=True)
 class FockCutoff:
-    """Phonon truncation at levels 0..n_max inclusive.
+    """Phonon truncation at levels 0..n_max inclusive, and the owner of the
+    qubit-major composite layout (module docstring): :meth:`index`,
+    :attr:`number` and :attr:`s_z`, the composite basis' two diagonals, and
+    :meth:`blocks`, the four qubit-pair blocks of a ket or a batch.
 
     ``n_max`` and the Fock levels :meth:`index` takes are counts: integers,
     numpy integers included but not bools or floats such as 32.0; anything
@@ -106,6 +111,23 @@ class FockCutoff:
         """Flat index of |qubit-pair q, Fock n> (qubit-major)."""
         return _count("qubit", qubit, 0, 3) * self.dim + _count("Fock level n", n, 0, self.n_max)
 
+    @property
+    def number(self) -> np.ndarray:
+        """Phonon number N on the composite basis, as a (4 dim, 1) column."""
+        return np.tile(np.arange(self.dim, dtype=float), 4)[:, None]
+
+    @property
+    def s_z(self) -> np.ndarray:
+        """Collective S_z on the composite basis, (1, 0, 0, -1) over the
+        qubit pairs (gg, ge, eg, ee), as a (4 dim, 1) column."""
+        return np.repeat([1.0, 0.0, 0.0, -1.0], self.dim)[:, None]
+
+    def blocks(self, amps: np.ndarray) -> np.ndarray:
+        """A composite ket, or a batch of them as columns, as its four
+        qubit-pair blocks: shape (4, dim, columns), [q, n, j] the amplitude
+        of column j on |q, n>, a view wherever numpy's reshape gives one."""
+        return np.asarray(amps).reshape(4, self.dim, -1)
+
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     """Dense [<m|D(alpha)|n>] for m, n = 0..dim-1, by column recurrence.
@@ -120,8 +142,10 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     Rounding grows along the columns, to about 2e-14 at alpha = 0.5 and
     2e-10 at alpha = 1.1 - 0.3j by column 75.  Column n is built in place
     as row n of a transposed buffer, from the row before it, and the result
-    is a C-ordered copy of that buffer's transpose.
+    is a C-ordered copy of that buffer's transpose.  ``dim`` is a count
+    >= 1, else ``ValueError``.
     """
+    dim = _count("dim", dim, 1)
     alpha = np.complex128(alpha)
     cols = np.empty((dim, dim), dtype=complex)  # cols[n, m] = <m|D|n>
     sqrt_m = np.sqrt(np.arange(dim))

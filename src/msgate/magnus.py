@@ -399,8 +399,9 @@ class CoefficientTable:
     entry with :class:`UnhealthyTableError`, marks the four tables
     read-only and reduces them once, by :func:`derived_scalars`, to the
     scalars :meth:`derived` returns.  The structure policy is not applied
-    here but by :meth:`check_health`: an off-line gate builds a legitimate
-    table that no predictor should read.
+    here but by :meth:`check_health`, where the scalars are read: an
+    off-line gate builds, saves and loads a legitimate table that every
+    predictor refuses.
     """
 
     params: DimensionlessGateParams
@@ -439,9 +440,11 @@ class CoefficientTable:
 
     def check_health(self) -> None:
         """Raise :class:`UnhealthyTableError` unless the structure residual
-        is at most 1e-6 (finiteness is checked at construction).  Built and
-        loaded tables alike pass through here before any predictor reads
-        them."""
+        is at most 1e-6 (finiteness is checked at construction).  Called
+        where the scalars are read, by :func:`_scalars`, so every predictor,
+        the phase slope and both fringe engines refuse an off-line table
+        alike, built or loaded; and by ``msgate coefficients`` before it
+        writes one."""
         residual = self._derived.structure_residual
         if residual > _STRUCTURE_TOLERANCE:
             raise UnhealthyTableError(
@@ -506,8 +509,14 @@ class DerivedScalars:
             arr.flags.writeable = False
 
     def require_trusted(self, n: int) -> None:
+        """Raise unless the table trusts level ``n``: UnhealthyTableError when
+        the first-order diagonal is off its line past the tail tolerance,
+        which no n_max mends, else TruncationError."""
         n = _count("Fock level n", n, 0, self.a.size - 1)
         if not self.trusted[n]:
+            if (off := self.tails["a_structure"][n]) >= _TAIL_TOLERANCE:
+                raise UnhealthyTableError(f"the first-order diagonal is off its (-1 + i) "
+                                          f"line by {off:.3e} of the slopes")
             worst = max(float(t[n]) for t in self.tails.values())
             raise TruncationError(
                 f"Fock level {n} is not trusted at tolerance "
@@ -688,9 +697,13 @@ def _scalars(n, table: CoefficientTable, lambda_tilde=0.0, initial: str = "gg"):
     ThermalDistribution each is its probability-weighted mean over the
     mode's levels (:func:`_level_sum`), a numpy scalar: every predictor's
     reduced state is linear in the five, so the closed forms at the means
-    are the mixture's.  A level the table does not trust raises
-    TruncationError, the first in order.
+    are the mixture's.  The table's structure is checked first, by
+    :meth:`CoefficientTable.check_health`, so an off-line table raises
+    UnhealthyTableError here, however it was made.  A level the table
+    does not trust raises as :meth:`DerivedScalars.require_trusted`, the
+    first in order.
     """
+    table.check_health()
     lam = _check_lambda(lambda_tilde)
     if _label(initial) not in ("gg", "ee"):
         raise ValueError(f"this predictor covers 'gg' and 'ee' inputs, not {initial!r}")
@@ -826,6 +839,21 @@ def _write_all(outputs: dict[Path, str]) -> None:
             tmp.unlink(missing_ok=True)
 
 
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``, the one reader of every
+    input file.  Content that is not JSON (undecodable bytes included, and
+    nesting too deep for the decoder) or not an object raises ``ValueError``
+    naming the file as ``what`` and its path; a file that cannot be opened
+    raises its ``OSError``."""
+    try:
+        doc = json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} {path} is not a JSON object")
+    return doc
+
+
 def save_coefficient_table(table: CoefficientTable, path) -> str:
     """Write a versioned, byte-reproducible JSON record of the gate, and
     return the provenance digest written into it.
@@ -884,27 +912,28 @@ def load_coefficient_table(path) -> CoefficientTable:
     """Load a table written by :func:`save_coefficient_table`: rebuild it
     from the stored parameters and check it against the file.
 
-    Checked in order: the schema (only the current one, schema 5, loads; a
-    file of schema 1 to 4 is refused with a message to rebuild it), the
-    stored digest against the stored parameters, then the rebuild by
-    :func:`compute_coefficient_table` (whose constructor refuses a
-    non-finite entry with :class:`UnhealthyTableError`), whose parameter
-    dict must equal the stored one (so a key other than ``n_max``,
-    ``omega_tilde`` and ``tau_gate``, such as schema 4's ``phi`` or
-    ``panels_1d``, is refused), :meth:`CoefficientTable.check_health` (else
-    :class:`UnhealthyTableError`), and last the stored ``derived`` block
-    against the scalars of the rebuilt tables (1e-12 relative, ``trusted``
-    and the ``tail_tolerance`` it is computed at exactly).  A file that is
-    not a JSON object, lacks an entry, holds one of the wrong type or fails
-    any check but health raises ``ValueError``.
+    The file is read by :func:`_read_json_object`, which refuses content
+    that is not a JSON object and names the file.  Then, in order: the
+    schema (only the current one, schema 5, loads; a file of schema 1 to 4
+    is refused with a message to rebuild it), the stored digest against the
+    stored parameters, then the rebuild by :func:`compute_coefficient_table`
+    (whose constructor refuses a non-finite entry with
+    :class:`UnhealthyTableError`), whose parameter dict must equal the
+    stored one (so a key other than ``n_max``, ``omega_tilde`` and
+    ``tau_gate``, such as schema 4's ``phi`` or ``panels_1d``, is refused),
+    and last the stored ``derived`` block against the scalars of the
+    rebuilt tables (1e-12 relative, ``trusted`` and the ``tail_tolerance``
+    it is computed at exactly).  A file that fails any of these, lacks an
+    entry or holds one of the wrong type raises ``ValueError``; one that
+    cannot be opened, its ``OSError``.  The structure is not checked here:
+    an off-line file loads, as :func:`compute_coefficient_table` builds and
+    :func:`save_coefficient_table` writes it, and its first predictor
+    refuses it (:meth:`CoefficientTable.check_health`).
     The rebuilt scalars are kept for the predictors, and the rebuilt table
     carries the default ``quad``.  A load costs a build (the README gives
     the time of each).
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("coefficient file is not a JSON object")
+    doc = _read_json_object(path, "coefficient file")
     if doc.get("schema") != TABLE_SCHEMA:
         raise ValueError(
             f"unsupported coefficient file schema {doc.get('schema')!r}; "
@@ -929,6 +958,5 @@ def _validated_table(doc: dict) -> CoefficientTable:
     if table.parameter_dict() != p:
         raise ValueError("coefficient file parameters are not those of a table "
                          "'msgate coefficients' builds")
-    table.check_health()
     _check_stored_derived(doc["derived"], table.derived())
     return table

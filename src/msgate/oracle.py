@@ -28,6 +28,10 @@ singlet evolves by e^{-iN dt}; the triplet splits by the parity of n + m
 into two real blocks (49 and 50 states at n_max 32), and a batch calls
 ``eigh`` once per lam and block its columns occupy.  The tests check these
 propagators against an independent RK4 route on :func:`hamiltonian_matrix`.
+Kets are in :mod:`msgate.hilbert`'s qubit-major layout, read only through
+its owner: ``FockCutoff.number`` and ``s_z`` are the frame's diagonals, and
+``FockCutoff.blocks`` splits a batch into its qubit-pair blocks for the
+guard band and the reduced states.
 """
 
 from __future__ import annotations
@@ -87,13 +91,14 @@ class IntegratorConfig:
 def _check_health(norm_drift, guard_band_mass: float) -> None:
     """Raise :class:`GuardBandError` or :class:`NormDriftError` when the
     guard mass or the (worst) norm drift exceeds its tolerance or is NaN
-    (written ``not x <= tol``, since ``nan > tol`` is False)."""
+    (written ``not x <= tol``, since ``nan > tol`` is False).  An empty
+    batch has no drift, and passes."""
     if not guard_band_mass <= _GUARD_TOLERANCE:
         raise GuardBandError(
             f"guard-band occupation {guard_band_mass:.3e} exceeds "
             f"{_GUARD_TOLERANCE:.1e}; raise the Fock cutoff"
         )
-    drift = float(np.max(norm_drift))
+    drift = float(np.max(norm_drift, initial=0.0))
     if not drift <= _NORM_TOLERANCE:
         raise NormDriftError(f"norm drift {drift:.3e} exceeds {_NORM_TOLERANCE:.1e}")
 
@@ -114,12 +119,6 @@ def hamiltonian_matrix(
     )
 
 
-def _diagonals(cutoff: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
-    """Phonon number N and collective S_z on the composite basis, as columns."""
-    number = np.tile(np.arange(cutoff.dim, dtype=float), 4)
-    return number[:, None], np.repeat([1.0, 0.0, 0.0, -1.0], cutoff.dim)[:, None]
-
-
 @functools.lru_cache(maxsize=8)
 def _symmetry_blocks(n_max: int):
     """Real orthogonal basis in which H' at phi = pi/2 is block diagonal.
@@ -137,7 +136,7 @@ def _symmetry_blocks(n_max: int):
     triplet_parity = (np.tile(np.arange(d), 3) + np.repeat([1, 0, -1], d)) % 2
     block = np.concatenate([triplet_parity, np.full(d, 2)])
     basis = np.kron(qubit, np.eye(d))[:, np.argsort(block, kind="stable")]
-    number, sz = (np.diag(basis.T @ (diag * basis)).copy() for diag in _diagonals(cutoff))
+    number, sz = (np.diag(basis.T @ (x * basis)).copy() for x in (cutoff.number, cutoff.s_z))
     drive = DimensionlessGateParams(omega_tilde=1.0, phi=np.pi / 2)
     coupled = basis.T @ hamiltonian_matrix(0.0, drive, cutoff, 0.0).real @ basis
     even = np.count_nonzero(block == 0)
@@ -160,7 +159,7 @@ def _exact_evolve(lam, omega, phi, cutoff, cols: np.ndarray, dt: float) -> np.nd
     """
     lam = _finite("lambda_tilde", lam)
     basis, number, sz, blocks = _symmetry_blocks(cutoff.n_max)
-    rot = np.exp(1j * (np.pi / 2 - phi) * _diagonals(cutoff)[1])
+    rot = np.exp(1j * (np.pi / 2 - phi) * cutoff.s_z)
     x = basis.T @ (rot * cols)
     lam = np.broadcast_to(lam, x.shape[1:])
     singlet = slice(blocks[-1][0].stop, None)  # S_z = 0 there: lam drops out
@@ -198,10 +197,8 @@ def _basis_columns(qubit: int, levels, cutoff: FockCutoff) -> np.ndarray:
 
 def _guard_band_mass(amps: np.ndarray, cutoff: FockCutoff, levels: int) -> np.ndarray:
     """Per-column probability in the top Fock levels."""
-    d = cutoff.dim
-    levels = min(levels, d)
-    blocks = amps.reshape(4, d, -1)
-    return (np.abs(blocks[:, d - levels :, :]) ** 2).sum(axis=(0, 1))
+    levels = min(levels, cutoff.dim)
+    return (np.abs(cutoff.blocks(amps)[:, cutoff.dim - levels :, :]) ** 2).sum(axis=(0, 1))
 
 
 def propagate_batch(
@@ -218,17 +215,17 @@ def propagate_batch(
     other parameters shared, over ``span`` (the gate, (0, tau_gate), when
     None): one :func:`_exact_evolve` call in the frame e^{i N tau}, the
     only frame the oracle builds.  Returns (final amplitudes, per-column
-    norm drift, worst guard-band mass), after :func:`_check_health`.  A
+    norm drift, worst guard-band mass, 0.0 for no columns), after
+    :func:`_check_health`.  A
     non-finite lambda raises ``ValueError``.  ``config`` changes no result.
     """
     cols = np.asarray(amps, dtype=complex).reshape(cutoff.composite_dim, -1)
     t0, t1 = (0.0, params.tau_gate) if span is None else span
-    number, _ = _diagonals(cutoff)
-    chi = np.exp(-1j * t0 * number) * cols
+    chi = np.exp(-1j * t0 * cutoff.number) * cols
     final = _exact_evolve(lambda_values, params.omega_tilde, params.phi, cutoff, chi, t1 - t0)
-    final *= np.exp(1j * t1 * number)
+    final *= np.exp(1j * t1 * cutoff.number)
     drift = np.abs(np.linalg.norm(final, axis=0) - np.linalg.norm(cols, axis=0))
-    guard = float(_guard_band_mass(final, cutoff, _GUARD_LEVELS).max())
+    guard = float(_guard_band_mass(final, cutoff, _GUARD_LEVELS).max(initial=0.0))
     _check_health(drift, guard)
     return final.reshape(np.shape(amps)), drift, guard
 
@@ -255,14 +252,13 @@ def propagate_ramped_axis(
     cols = np.asarray(amps, dtype=complex).reshape(cutoff.composite_dim, -1)
     phi = np.broadcast_to(np.asarray(phi_values, dtype=float), (cols.shape[1],))
     s0, s1 = span
-    sz = _diagonals(cutoff)[1]
     # Checked before the frame, where an inf would meet S_z = 0.
     lam = _finite("lambda_tilde", lambda_tilde)
-    chi = np.exp(-1j * (phi + lam * s0) * sz) * cols
+    chi = np.exp(-1j * (phi + lam * s0) * cutoff.s_z) * cols
     static, drift, guard = propagate_batch(
         chi, cutoff, DimensionlessGateParams(omega_tilde), lam, config, span
     )
-    final = np.exp(1j * (phi + lam * s1) * sz) * static
+    final = np.exp(1j * (phi + lam * s1) * cutoff.s_z) * static
     return final.reshape(np.shape(amps)), drift, guard
 
 
@@ -279,7 +275,7 @@ def observables(final: np.ndarray, initial_label: str, cutoff: FockCutoff) -> di
     """
     amps = np.asarray(final, dtype=complex)
     # (k, 4, dim), so every reduced state comes from one stacked product.
-    v = np.ascontiguousarray(amps.reshape(4, cutoff.dim, -1).transpose(2, 0, 1))
+    v = np.ascontiguousarray(cutoff.blocks(amps).transpose(2, 0, 1))
     rho = v @ np.conj(v.transpose(0, 2, 1))
     row, col = relative_phase_pair(initial_label)
     coh = rho[:, row, col]
@@ -312,7 +308,8 @@ def sweep(
     ``(len(fock_levels), len(lambda_values))`` array, keyed in CSV order:
     relative_phase, the populations p_gg..p_ee, coherence_abs, fidelity,
     purity and the pair's health numbers norm_drift and guard_band_mass.
-    Raises GuardBandError for a level above the cutoff, GuardBandError or
+    An empty grid (no lambda or no level) gives empty columns.  Raises
+    GuardBandError for a level above the cutoff, GuardBandError or
     NormDriftError when any pair exceeds the health thresholds, and
     ValueError for a non-finite lambda.
     """

@@ -38,8 +38,7 @@ from scipy.special import gammaln
 from msgate.hilbert import QUBIT_LABELS, FockCutoff, displacement_matrix
 from msgate.ideal import DimensionlessGateParams, collective_spin, loop_functions
 from msgate.magnus import CoefficientTable, QuadratureSpec
-from msgate.oracle import (_GUARD_LEVELS, _check_health, _diagonals, _exact_evolve,
-                           _guard_band_mass)
+from msgate.oracle import _GUARD_LEVELS, _check_health, _exact_evolve, _guard_band_mass
 
 # Outer-time rows of the 2D grid per moment call; bounds the workspace.
 CHUNK_ROWS = 16
@@ -182,8 +181,8 @@ def frame_hamiltonian(lam: float, omega: float, phi: float, cutoff: FockCutoff) 
     Hamiltonian e^{-iN tau} H(tau) e^{iN tau} + N, written out here apart
     from :func:`msgate.oracle.hamiltonian_matrix`."""
     x = np.diag(np.sqrt(np.arange(1.0, cutoff.dim)), 1)
-    number, s_z = _diagonals(cutoff)
-    return -omega * np.kron(collective_spin(phi), x + x.T) + np.diag((number + lam * s_z)[:, 0])
+    diagonal = cutoff.number + lam * cutoff.s_z
+    return -omega * np.kron(collective_spin(phi), x + x.T) + np.diag(diagonal[:, 0])
 
 
 def van_loan_derivatives(params: DimensionlessGateParams, cutoff: FockCutoff):
@@ -195,7 +194,7 @@ def van_loan_derivatives(params: DimensionlessGateParams, cutoff: FockCutoff):
     """
     t = params.tau_gate
     h = frame_hamiltonian(0.0, params.omega_tilde, params.phi, cutoff)
-    s_z = np.diag(_diagonals(cutoff)[1][:, 0]).astype(complex)
+    s_z = np.diag(cutoff.s_z[:, 0]).astype(complex)
     excitations = np.array([0, 1, 1, 2])
     parity = (np.repeat(excitations, cutoff.dim) + np.tile(np.arange(cutoff.dim), 4)) % 2
     size = 4 * cutoff.dim
@@ -280,7 +279,7 @@ def expectation_trajectory(
     taus = np.linspace(0.0, params.tau_gate, n_records)
     chi = np.hstack([_exact_evolve(lambda_tilde, params.omega_tilde, params.phi, cutoff,
                                    initial[:, None], t) for t in taus])
-    psi = np.exp(1j * _diagonals(cutoff)[0] * taus[None, :]) * chi
+    psi = np.exp(1j * cutoff.number * taus[None, :]) * chi
     norms = np.linalg.norm(psi, axis=0)
     a_exp = np.einsum("ij,ij->j", psi.conj(), a_op @ psi) / np.maximum(norms**2, 1e-300)
     guard = _guard_band_mass(psi, cutoff, _GUARD_LEVELS)

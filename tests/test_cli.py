@@ -61,7 +61,9 @@ class TestTopLevel:
         rc = main(["--config", str(tmp_path / "nope.json"), "trajectory",
                    "--out", str(tmp_path / "t.csv")])
         assert rc == EXIT_USAGE
-        assert "not found" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file ") and "nope.json" in err
+        assert err.endswith(": No such file or directory\n")
 
     def test_unreadable_config_file(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path), "trajectory",
@@ -150,8 +152,9 @@ class TestCoefficients:
 
 class TestPredict:
     def test_off_line_table_file_refused(self, tmp_path, capsys):
-        # A file that fails the structure check is refused on load instead of
-        # reaching the predictors, which would blame n_max.
+        # A file that fails the structure check loads, and its first
+        # predictor refuses it by the same check as an in-memory build:
+        # exit 3, and the message blames the line, not n_max.
         path = tmp_path / "off.json"
         compute_coefficient_table(
             omega_tilde=0.4, n_max=24, quad=QuadratureSpec(256, 32)
@@ -658,7 +661,7 @@ class TestConfigFile:
     def test_file_must_hold_object(self, workdir, capsys):
         Path("c.json").write_text('[{"trajectory": {}}]')
         assert main(["--config", "c.json", "trajectory"]) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
+        assert capsys.readouterr().err == "error: config file c.json is not a JSON object\n"
         assert _files(workdir) == [Path("c.json")]
 
     def test_empty_section_changes_nothing(self, workdir):
@@ -1026,6 +1029,26 @@ class TestUnwritableOutput:
 
 class TestBadTableFile:
     """A --table file that cannot serve as a table exits 2 with a message."""
+
+    @pytest.mark.parametrize("option", ["--table", "--config"])
+    @pytest.mark.parametrize("content, message", [
+        (b"\x80\xffPK\x03\x04", "is not valid JSON: 'utf-8' codec can't decode"),
+        (b'{"schema": "msgate/coeffi', "is not valid JSON: Unterminated string"),
+        (b"", "is not valid JSON: Expecting value"),
+        (b"[" * 100_000, "is not valid JSON: maximum recursion depth exceeded"),
+        (b'"text"', "is not a JSON object"),
+    ], ids=["binary", "truncated", "empty", "deep", "non-object"])
+    def test_unreadable_content_names_the_file(self, workdir, capsys, option, content,
+                                               message):
+        # Both input files go through one reader, which names the file.
+        Path("bad.json").write_bytes(content)
+        argv = ["predict", "--lambda-tilde", "0.01"]
+        argv = [option, "bad.json", *argv] if option == "--config" else [*argv, option, "bad.json"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        what = "coefficient file" if option == "--table" else "config file"
+        assert err.startswith(f"error: {what} bad.json {message}")
+        assert "Traceback" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read table file"),

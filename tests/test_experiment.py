@@ -132,6 +132,12 @@ class TestScanAndSlope:
         assert phi[-1] == pytest.approx(math.pi * 15 / 16)
         np.testing.assert_allclose(np.diff(phi), math.pi / 16)
 
+    @pytest.mark.parametrize("n_points", [0, -1, 4.0])
+    def test_phase_scan_takes_a_positive_count(self, n_points):
+        # Unrefused, 0 and -1 gave an empty scan.
+        with pytest.raises(ValueError, match="n_points must be an integer >= 1"):
+            phase_scan(n_points)
+
     def test_effective_slope(self, table, derived):
         assert effective_phase_slope(table, 2) == derived.a[2]
         dist = ThermalDistribution(0.05)

@@ -104,6 +104,15 @@ class TestPowerMoments:
 
 
 class TestDisplacementMatrix:
+    @pytest.mark.parametrize("dim", [0, -1, 2.0, True])
+    def test_dim_is_a_positive_count(self, dim):
+        # Unrefused, dim 0 ended in a bare IndexError.
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            displacement_matrix(0.5, dim)
+
+    def test_one_level(self):
+        assert displacement_matrix(0.5, 1) == pytest.approx(math.exp(-0.125))
+
     def test_batch_matches_expm(self):
         for alpha in (0.2, -0.9j, 0.5 + 0.5j):
             ref = expm_displacement(alpha, 12)
@@ -192,6 +201,21 @@ class TestCompositeState:
 
     def test_numpy_integer_cutoff_accepted(self):
         assert FockCutoff(np.int64(4)).dim == 5
+
+    def test_diagonals_and_blocks_follow_the_index(self):
+        # number, s_z and blocks read the layout that index() states.
+        cutoff = FockCutoff(4)
+        amps = np.arange(2 * cutoff.composite_dim, dtype=float).reshape(-1, 2)
+        blocks = cutoff.blocks(amps)
+        assert blocks.shape == (4, 5, 2) and np.shares_memory(blocks, amps)
+        for q in range(4):
+            for n in range(5):
+                row = cutoff.index(q, n)
+                assert cutoff.number[row, 0] == n
+                assert cutoff.s_z[row, 0] == (1.0, 0.0, 0.0, -1.0)[q]
+                np.testing.assert_array_equal(blocks[q, n], amps[row])
+        assert cutoff.number.shape == cutoff.s_z.shape == (20, 1)
+        assert cutoff.blocks(amps[:, 0]).shape == (4, 5, 1)
 
 
 def assert_density_matrix(rho, atol=1e-10):

@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msgate.magnus as magnus
+from msgate.experiment import effective_phase_slope
 from msgate.hilbert import FockCutoff, ThermalDistribution, displacement_matrix
 from msgate.ideal import DimensionlessGateParams, ideal_output_state, loop_functions
 from msgate.magnus import (
@@ -631,6 +632,32 @@ class TestPredictors:
             float(np.angle(coh)), predict_phase(n, lam, table), abs_tol=5e-6
         )
 
+    @pytest.mark.parametrize("predictor", [
+        lambda t: predict_phase(0, 0.01, t),
+        lambda t: predict_fidelity(ThermalDistribution(0.1), 0.01, t),
+        lambda t: predict_density_matrix([0, 1], [0.0, 0.01], t, "ee"),
+        lambda t: effective_phase_slope(t, 0),
+    ], ids=["phase", "thermal-fidelity", "grid", "slope"])
+    def test_off_line_table_refused(self, predictor):
+        # Every reader of the scalars checks the structure, as the CLI does:
+        # the table is off its line, which no larger n_max mends.
+        off = compute_coefficient_table(omega_tilde=0.4, n_max=24)
+        with pytest.raises(UnhealthyTableError, match="structure residual") as exc:
+            predictor(off)
+        assert "n_max" not in str(exc.value)
+
+    def test_near_line_table_blames_the_line(self):
+        # 1e-7 off the calibrated coupling, the structure residual (8.9e-7)
+        # passes check_health, but the first-order diagonal's own departure
+        # from its line (3.1e-7 of the slopes) untrusts every level.  That
+        # is the line's fault, not n_max's.
+        near = compute_coefficient_table(omega_tilde=0.5 + 1e-7, n_max=24)
+        near.check_health()
+        assert not near.derived().trusted.any()
+        with pytest.raises(UnhealthyTableError, match=r"off its \(-1 \+ i\) line by 3\.14") as exc:
+            predict_phase(0, 0.01, near)
+        assert "n_max" not in str(exc.value)
+
     def test_population_symmetry(self, table):
         lam, n = 0.04, 2
         pops_gg = predict_populations(n, lam, table, initial="gg")
@@ -946,14 +973,16 @@ class TestPersistence:
         ("n_max", "24", ValueError, "n_max must be an integer >= 0, got '24'"),
         ("n_max", 150, ValueError, "Fock margin"),
         ("panels_1d", 4096, ValueError, "parameters are not those"),
-        ("omega_tilde", 0.4, UnhealthyTableError, "structure residual"),
+        # The structure is checked by the predictors, not on load: this file
+        # is refused by its stored scalars, those of the on-line table.
+        ("omega_tilde", 0.4, ValueError, "derived 'a'"),
     ], ids=["phi", "pulse", "extra-key", "omega", "n_max", "n_max-fraction",
             "n_max-string", "n_max-range", "panels", "off-line"])
     def test_redigested_parameters_checked(self, table, tmp_path, key, value, error,
                                            message):
         # A file whose parameters were changed and whose digest was
         # recomputed to match is refused by the rebuild: by its parameter
-        # dict, its own checks, its health or the stored scalars.
+        # dict, its own checks or the stored scalars.
         path = tmp_path / "table.json"
         doc = _saved_doc(table, path)
         doc["params"][key] = value
@@ -1023,17 +1052,28 @@ class TestPersistence:
         with pytest.raises(ValueError, match="derived 'c_gg'"):
             load_coefficient_table(path)
 
+    @pytest.mark.parametrize("content", [b"\x80\xff", b'{"schema": ', b"[" * 100_000, b"[1]"])
+    def test_unreadable_content_names_the_file(self, tmp_path, content):
+        # Undecodable bytes, truncated JSON, nesting past the decoder's
+        # recursion limit and a non-object alike.
+        path = tmp_path / "t.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"^coefficient file {re.escape(str(path))} is not"):
+            load_coefficient_table(path)
+
     def test_off_line_table_rejected(self, tmp_path):
         # omega_tilde 0.4 closes the loop with the wrong area; the library
-        # still builds and saves such a table, but loading refuses it.
+        # builds, saves and loads such a table, and its predictors refuse it.
         off = compute_coefficient_table(omega_tilde=0.4, n_max=8,
                                         quad=QuadratureSpec(64, 16))
         path = tmp_path / "table.json"
         off.save(path)
+        loaded = load_coefficient_table(path)
+        assert loaded.provenance_hash == off.provenance_hash
         with pytest.raises(UnhealthyTableError, match="structure residual"):
-            load_coefficient_table(path)
+            predict_phase(0, 0.01, loaded)
         with pytest.raises(UnhealthyTableError, match="structure residual"):
-            off.check_health()
+            loaded.check_health()
 
     @pytest.mark.parametrize("name", ["i_table", "j1", "j2", "j3"])
     def test_non_finite_table_unhealthy(self, table, name):

@@ -581,6 +581,16 @@ class TestSweep:
         with pytest.raises(GuardBandError, match="Fock level 8 .*--cutoff-n-max"):
             sweep(np.array([0.0]), [0, 8], DimensionlessGateParams(), FockCutoff(6))
 
+    @pytest.mark.parametrize("lams, levels, grid", [
+        (np.array([]), [0, 1], (2, 0)), ([0.0], [], (0, 1)), ([], [], (0, 0))],
+        ids=["no-lambda", "no-level", "neither"])
+    def test_empty_grid(self, lams, levels, grid):
+        # An empty grid gives empty columns, as observables and the
+        # predictors do; the health maxima used to raise numpy's
+        # "zero-size array to reduction operation maximum".
+        columns = sweep(lams, levels, DimensionlessGateParams(), FockCutoff(12))
+        assert {key: col.shape for key, col in columns.items()} == dict.fromkeys(columns, grid)
+
     def test_non_integer_level_refused(self):
         # Unrefused, 1.5 ended in a bare IndexError.
         # The level reaches the check as a numpy float, shown as a plain number.

@@ -112,12 +112,12 @@ OPTIONAL_PARAMETERS = {
 # must show up here.
 SOURCE_CODE_LINES = {
     "__init__": 2,
-    "cli": 425,
-    "experiment": 204,
-    "hilbert": 102,
+    "cli": 413,
+    "experiment": 203,
+    "hilbert": 111,
     "ideal": 67,
-    "magnus": 460,
-    "oracle": 180,
+    "magnus": 468,
+    "oracle": 173,
 }
 
 
@@ -405,6 +405,62 @@ def test_defaults_have_one_owner():
     strings = {node.value for node in ast.walk(_function(modules["experiment"], "simulate_fringe"))
                if isinstance(node, ast.Constant)}
     assert not strings & set(ENGINES)
+
+
+def _callers(is_call):
+    """(module, function) of every call under src/msgate that ``is_call``
+    picks out, the function being the innermost enclosing def (None at
+    module level)."""
+    found = set()
+
+    def visit(node, stem, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and is_call(child):
+                found.add((stem, owner))
+            visit(child, stem, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    for stem, tree in _modules().items():
+        visit(tree, stem, None)
+    return found
+
+
+def _method_call(name):
+    return lambda call: isinstance(call.func, ast.Attribute) and call.func.attr == name
+
+
+def test_input_files_have_one_reader():
+    # magnus._read_json_object reads every input file, the table and the
+    # config alike, and names the file when its content is not a JSON
+    # object; a second reader drifts from it, as the config's did.
+    def json_read(call):
+        return (isinstance(call.func, ast.Attribute) and call.func.attr in ("load", "loads")
+                and getattr(call.func.value, "id", None) == "json")
+
+    assert _callers(json_read) == {("magnus", "_read_json_object")}
+
+
+def test_table_structure_is_checked_where_it_is_read():
+    # _scalars serves every predictor, the phase slope and both fringe
+    # engines, so they refuse an off-line table alike; the coefficients
+    # command checks the table it is about to write.  A check at load or
+    # build would refuse tables the library builds and saves.
+    assert _callers(_method_call("check_health")) == {
+        ("magnus", "_scalars"), ("cli", "cmd_coefficients")}
+
+
+def test_composite_layout_has_one_owner():
+    # hilbert.FockCutoff owns the qubit-major layout: index, number, s_z and
+    # blocks.  A second module that splits a ket into its four qubit pairs
+    # by hand restates it.
+    def splits_pairs(call):
+        first = call.args[0] if call.args else None
+        return (_method_call("reshape")(call) and isinstance(first, ast.Constant)
+                and first.value == 4)
+
+    assert {stem for stem, _ in _callers(splits_pairs)} == {"hilbert"}
+    for stem, tree in _modules().items():
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "_diagonals" not in defined, stem
 
 
 def _is_coherence_pair(node) -> bool:
