@@ -218,6 +218,8 @@ def _fock_levels(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
+    if args.plot_script and Path(args.plot_script).resolve() == Path(args.out).resolve():
+        raise CliError(f"--plot-script names the --out file {args.out}; give it its own path")
     _count("--points", args.points, 1)
     fock = _fock_levels(args.fock)
     # Checked under the option's name, with or without --oracle.

@@ -143,9 +143,12 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     2e-10 at alpha = 1.1 - 0.3j by column 75.  Column n is built in place
     as row n of a transposed buffer, from the row before it, and the result
     is a C-ordered copy of that buffer's transpose.  ``dim`` is a count
-    >= 1, else ``ValueError``.
+    >= 1 and ``alpha`` a finite real or complex number (its real and
+    imaginary parts checked by :func:`_finite`), else ``ValueError``.
     """
     dim = _count("dim", dim, 1)
+    z = np.asarray(alpha)
+    _finite("alpha", [z.real, z.imag] if z.dtype.kind == "c" else alpha)
     alpha = np.complex128(alpha)
     cols = np.empty((dim, dim), dtype=complex)  # cols[n, m] = <m|D|n>
     sqrt_m = np.sqrt(np.arange(dim))

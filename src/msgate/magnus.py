@@ -135,11 +135,10 @@ LAMBDA_HARD_CAP = 0.5
 # Complex line containing every first-order table entry on a square pulse.
 _LINE = -1.0 + 1.0j
 
-# Largest Fock-sum weight a derived scalar may leave in the last table rows.
+# Largest Fock-sum weight a derived scalar may leave in the last table rows,
+# and largest departure of the first-order table from its line, relative to
+# the slopes, that a usable table may have.
 _TAIL_TOLERANCE = 1e-8
-
-# Largest structure residual a usable table may have.
-_STRUCTURE_TOLERANCE = 1e-6
 
 
 class TruncationError(RuntimeError):
@@ -439,17 +438,23 @@ class CoefficientTable:
         return _digest(self.parameter_dict())
 
     def check_health(self) -> None:
-        """Raise :class:`UnhealthyTableError` unless the structure residual
-        is at most 1e-6 (finiteness is checked at construction).  Called
-        where the scalars are read, by :func:`_scalars`, so every predictor,
-        the phase slope and both fringe engines refuse an off-line table
-        alike, built or loaded; and by ``msgate coefficients`` before it
-        writes one."""
-        residual = self._derived.structure_residual
-        if residual > _STRUCTURE_TOLERANCE:
+        """Raise :class:`UnhealthyTableError` unless the first-order table
+        is on its (-1 + i) line: twice the structure residual, relative to
+        the slopes (``max(1, max|a|)``; they grow with the loop count, about
+        8K), must be below ``_TAIL_TOLERANCE``.  Twice, because the slope
+        4 i_nn / (-1 + i) leaves the real axis by 2 |Re + Im| of i_nn.
+        Finiteness is checked at construction.  The one structure rule, and
+        no n_max mends a table it refuses.  Called where the scalars are
+        read, by :func:`_scalars`, so every predictor, the phase slope and
+        both fringe engines refuse an off-line table alike, built or loaded;
+        and by ``msgate coefficients`` before it writes one."""
+        der = self._derived
+        off = 2.0 * der.structure_residual / max(1.0, float(np.abs(der.a).max()))
+        if off >= _TAIL_TOLERANCE:
             raise UnhealthyTableError(
-                f"structure residual {residual:.3e} exceeds "
-                f"{_STRUCTURE_TOLERANCE:.0e}; the first-order table is off its line"
+                f"structure residual {der.structure_residual:.3e} takes the slopes {off:.3e} "
+                f"of their size off the real axis, not below {_TAIL_TOLERANCE:.0e}; "
+                "the first-order table is off its line"
             )
 
     def derived(self) -> DerivedScalars:
@@ -486,11 +491,14 @@ class DerivedScalars:
     """Per-Fock-level scalars entering every closed-form predictor.
 
     ``trusted[n]`` is False when the Fock sums feeding level n have visible
-    weight in the last five table rows (tail estimate at or above
-    ``_TAIL_TOLERANCE``) or n itself sits within five levels of the cutoff.
-    ``structure_residual`` is max |Re + Im| over the first-order table
-    (exactly 0 on its line).  A value: the constructor marks every array,
-    the tails' too, read-only, and keeps ``tails`` as a read-only mapping.
+    weight in the last five table rows (one of the four ``tails``, c_gg,
+    c_ee, c_eg and b, at or above ``_TAIL_TOLERANCE``) or n itself sits
+    within five levels of the cutoff: the Fock edge alone, which a larger
+    n_max mends.  ``structure_residual`` is max |Re + Im| over the
+    first-order table (exactly 0 on its line), the absolute number that
+    :meth:`CoefficientTable.check_health` reads against the slopes ``a``.
+    A value: the constructor marks every array, the tails' too, read-only,
+    and keeps ``tails`` as a read-only mapping.
     """
 
     a: np.ndarray
@@ -509,14 +517,11 @@ class DerivedScalars:
             arr.flags.writeable = False
 
     def require_trusted(self, n: int) -> None:
-        """Raise unless the table trusts level ``n``: UnhealthyTableError when
-        the first-order diagonal is off its line past the tail tolerance,
-        which no n_max mends, else TruncationError."""
+        """Raise :class:`TruncationError` unless the table trusts level
+        ``n``: a larger n_max mends it.  The line is checked first, by
+        :meth:`CoefficientTable.check_health`."""
         n = _count("Fock level n", n, 0, self.a.size - 1)
         if not self.trusted[n]:
-            if (off := self.tails["a_structure"][n]) >= _TAIL_TOLERANCE:
-                raise UnhealthyTableError(f"the first-order diagonal is off its (-1 + i) "
-                                          f"line by {off:.3e} of the slopes")
             worst = max(float(t[n]) for t in self.tails.values())
             raise TruncationError(
                 f"Fock level {n} is not trusted at tolerance "
@@ -529,7 +534,9 @@ def derived_scalars(table: CoefficientTable) -> DerivedScalars:
     """Reduce the coefficient tables to the scalar coefficient arrays.
 
     A table's constructor runs this once, and :meth:`CoefficientTable.derived`
-    returns the result.
+    returns the result.  Any table reduces, on its line or off it: the
+    structure is judged by :meth:`CoefficientTable.check_health`, and
+    ``trusted`` holds the Fock-edge rule alone.
 
     ``a`` is read off the first-order diagonal.  The rest are the O(lam^2)
     moments of the reduced state of a |gg, n> input, whose psi0 has the
@@ -544,9 +551,7 @@ def derived_scalars(table: CoefficientTable) -> DerivedScalars:
     (p1_gg, p1_ge, _, p1_ee), (p2_gg, _, _, p2_ee) = _corrections("gg", table)
     dim = p1_gg.shape[0]
 
-    diag_i = np.diag(table.i_table)
-    a = np.real(4.0 * diag_i / _LINE)
-    a_imag = float(np.abs(np.imag(4.0 * diag_i / _LINE)).max())
+    a = np.real(4.0 * np.diag(table.i_table) / _LINE)
 
     gg2 = np.abs(p1_gg) ** 2
     ee2 = np.abs(p1_ee) ** 2
@@ -567,8 +572,6 @@ def derived_scalars(table: CoefficientTable) -> DerivedScalars:
         "c_ee": ee2[lo:, :].sum(axis=0),
         "c_eg": eg2[lo:, :].sum(axis=0),
         "b": 2.0 * np.abs(ee_gg[lo:, :].sum(axis=0)),
-        # Relative to the slopes, which grow with the loop count (about 8K).
-        "a_structure": np.full(dim, a_imag / max(1.0, float(np.abs(a).max()))),
     }
     trusted = np.ones(dim, dtype=bool)
     for t in tails.values():
@@ -637,13 +640,21 @@ def first_order_correction(label: str, n: int, table: CoefficientTable) -> np.nd
     """Amplitudes of the state correction psi1 on |label, n>; the full state
     is psi0 - lam*psi1 - lam^2*psi2.  Column n of the first-order blocks of
     :func:`_corrections`.
+
+    The two corrections and :func:`predicted_state` are the cross-check
+    route: by design they check neither the table's structure nor its
+    trusted levels, so that any closed loop, off-calibration ones included,
+    can be compared with the Van Loan derivatives of the exact gate at
+    every level up to ``n_max``.  A check here would close that
+    independent route; the predictors check both, through :func:`_scalars`.
     """
     return _column(_corrections(label, table)[0], n, table)
 
 
 def second_order_correction(label: str, n: int, table: CoefficientTable) -> np.ndarray:
     """State correction psi2 on |label, n> (see :func:`first_order_correction`):
-    column n of the second-order blocks of :func:`_corrections`.
+    column n of the second-order blocks of :func:`_corrections`.  Like it,
+    a cross-check route that checks neither structure nor trust.
     """
     return _column(_corrections(label, table)[1], n, table)
 
@@ -657,7 +668,9 @@ def predicted_state(
     """Amplitudes of the second-order final state psi0 - lam*psi1 - lam^2*psi2
     (unnormalized), at one lambda.  Its lower orders are sums of the public
     pieces: psi0 is :func:`~msgate.ideal.ideal_output_state`, and the
-    first-order state subtracts lam times :func:`first_order_correction`."""
+    first-order state subtracts lam times :func:`first_order_correction`.
+    A cross-check route, compared with the oracle's final state: like the
+    two corrections it checks neither structure nor trust, by design."""
     if np.ndim(lambda_tilde):
         raise ValueError(f"predicted_state takes one lambda_tilde, not an array of "
                          f"shape {np.shape(lambda_tilde)}")
@@ -693,15 +706,16 @@ def _scalars(n, table: CoefficientTable, lambda_tilde=0.0, initial: str = "gg"):
     ``lam`` is from :func:`_check_lambda`.  ``initial`` must be gg or ee,
     the inputs every predictor covers.  For a Fock level or a 1-D sequence
     of levels ``n``, each scalar is gathered per level and shaped
-    ``np.shape(n) + (1,) * lam.ndim``, to broadcast against ``lam``.  For a
-    ThermalDistribution each is its probability-weighted mean over the
-    mode's levels (:func:`_level_sum`), a numpy scalar: every predictor's
-    reduced state is linear in the five, so the closed forms at the means
-    are the mixture's.  The table's structure is checked first, by
+    ``np.shape(n) + (1,) * lam.ndim``, to broadcast against ``lam`` (an
+    empty sequence gives an empty grid).  For a ThermalDistribution each
+    is its probability-weighted mean over the mode's levels
+    (:func:`_level_sum`), a numpy scalar: every predictor's reduced state
+    is linear in the five, so the closed forms at the means are the
+    mixture's.  The table's structure is checked first, by
     :meth:`CoefficientTable.check_health`, so an off-line table raises
     UnhealthyTableError here, however it was made.  A level the table
-    does not trust raises as :meth:`DerivedScalars.require_trusted`, the
-    first in order.
+    does not trust raises TruncationError, as
+    :meth:`DerivedScalars.require_trusted`, the first in order.
     """
     table.check_health()
     lam = _check_lambda(lambda_tilde)
@@ -711,7 +725,8 @@ def _scalars(n, table: CoefficientTable, lambda_tilde=0.0, initial: str = "gg"):
     if thermal:
         levels, weights = level_weights(n)
     else:
-        levels = np.asarray(n)
+        # An empty sequence is an empty level array, though numpy makes it float.
+        levels = np.asarray(n, dtype=int) if np.shape(n) == (0,) else np.asarray(n)
         if levels.ndim > 1 or levels.dtype.kind not in "iu":
             raise ValueError(f"this predictor takes a Fock level, a 1-D sequence "
                              f"of levels or a ThermalDistribution, not {n!r}")

@@ -109,21 +109,36 @@ class TestCoefficients:
         assert main(self.ARGS + ["--force"]) == EXIT_OK
         assert _files(workdir) == [Path("coefficients.json")]
 
-    # At 100000 loops the first-order table leaves the (-1 + i) line by a
-    # structure residual of about 8.8e-4 (1e-7 at 1000 loops, 3e-6 at 10000).
+    # The structure residual is read against the slopes, which grow with the
+    # loop count (about 8K).  At 10,000,000 loops twice the residual (4.8) is
+    # 1.2e-7 of them, past the 1e-8 tolerance: the first-order table is off
+    # its (-1 + i) line.  At 10,000 loops it is 7.7e-11, and at 100,000 2.2e-9.
     OFF_LINE = ["--n-max", "24", "--panels-1d", "256", "--panels-2d", "32",
-                "--loops", "100000"]
+                "--loops", "10000000"]
 
     @pytest.mark.parametrize("to_out", [True, False])
     def test_unhealthy_table_not_written(self, workdir, capsys, to_out):
         extra = ["--out", "sub/coef.json"] if to_out else []
         assert main(["coefficients", *self.OFF_LINE, *extra]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
-        assert "structure residual" in err and err.endswith("; the table was not written\n")
+        assert "structure residual" in err and "off its line" in err
+        assert err.endswith("; the table was not written\n") and "n_max" not in err
         assert _files(workdir) == []
 
+    @pytest.mark.parametrize("loops, trusted", [("10000", 15), ("100000", 16)])
+    def test_many_loop_table_written(self, workdir, capsys, loops, trusted):
+        # On its line relative to the slopes, though its absolute residual
+        # (3.1e-6 at 10,000 loops, 8.8e-4 at 100,000) is above 1e-6.
+        assert main(["coefficients", "--loops", loops, "--n-max", "24"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"n_max 24  trusted levels 0..{trusted}\n" in out
+        doc = json.loads(Path("coefficients.json").read_text())
+        assert doc["derived"]["structure_residual"] > 1e-6
+        argv = ["predict", "--table", "coefficients.json", "--lambda-tilde", "1e-7"]
+        assert main(argv) == EXIT_OK
+
     def test_unhealthy_auto_build_not_cached(self, workdir, capsys):
-        argv = ["predict", "--lambda-tilde", "0.01", "--n-max", "24", "--loops", "100000"]
+        argv = ["predict", "--lambda-tilde", "0.01", "--n-max", "24", "--loops", "10000000"]
         assert main(argv) == EXIT_NUMERICAL
         # predict writes no table, so its refusal does not say it left one unwritten.
         err = capsys.readouterr().err
@@ -313,6 +328,19 @@ class TestSweep:
         rc = main(["sweep", "--table", table_file, "--fock", ",",
                    "--out", str(tmp_path / "s.csv")])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("plot", ["s.csv", "sub/../s.csv"])
+    def test_plot_script_cannot_share_the_csv_path(self, workdir, capsys, plot):
+        # The gnuplot text used to replace the CSV under the one path, and
+        # the command still reported its rows.  Refused before any table:
+        # the table file does not exist.
+        (workdir / "sub").mkdir()
+        rc = main(["sweep", "--table", "missing.json", "--fock", "0", "--points", "3",
+                   "--out", "s.csv", "--plot-script", plot])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: --plot-script names the --out file s.csv; give it its own path\n")
+        assert _files(workdir) == []
 
     def test_zero_points(self, table_file, tmp_path, capsys):
         rc = main(["sweep", "--table", table_file, "--points", "0",

@@ -6,6 +6,7 @@ reference (``quadrature.py``); they are checked here against the recurrence.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,20 @@ class TestDisplacementMatrix:
 
     def test_one_level(self):
         assert displacement_matrix(0.5, 1) == pytest.approx(math.exp(-0.125))
+
+    @pytest.mark.parametrize("alpha, message", [
+        (math.nan, "alpha must be finite, got nan"),
+        (math.inf, "alpha must be finite, got inf"),
+        (complex(0.5, math.nan), "alpha must be finite, got nan"),
+        (complex(-math.inf, 0.1), "alpha must be finite, got -inf"),
+        (True, "alpha must be a real number, got True"),
+        ("0.5", "alpha must be a real number, got '0.5'"),
+        (None, "alpha must be a real number, got None"),
+    ])
+    def test_alpha_is_a_finite_number(self, alpha, message):
+        # Unrefused, nan gave a nan matrix without a word, and inf warned.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            displacement_matrix(alpha, 4)
 
     def test_batch_matches_expm(self):
         for alpha in (0.2, -0.9j, 0.5 + 0.5j):

@@ -496,8 +496,7 @@ class TestDerivedScalars:
 
     def test_trusted_band(self, table, derived):
         assert derived.trusted[:4].all()
-        # The one-loop range at n_max 24: the a_structure tail, taken
-        # relative to max|a|, must not move it.
+        # The one-loop range at n_max 24: the Fock-edge rule alone sets it.
         assert np.flatnonzero(derived.trusted).tolist() == list(range(10))
         # Levels within the five-row guard band are never trusted.
         assert not derived.trusted[table.n_max - 4 :].any()
@@ -505,7 +504,8 @@ class TestDerivedScalars:
             derived.require_trusted(table.n_max)
 
     def test_tail_keys(self, derived):
-        assert set(derived.tails) == {"c_gg", "c_ee", "c_eg", "b", "a_structure"}
+        # The four Fock sums; the line is check_health's, not a tail.
+        assert set(derived.tails) == {"c_gg", "c_ee", "c_eg", "b"}
 
     @pytest.mark.parametrize("gate", ["table", "two_loop_table"])
     def test_match_partial_trace_of_van_loan(self, request, gate):
@@ -646,17 +646,47 @@ class TestPredictors:
             predictor(off)
         assert "n_max" not in str(exc.value)
 
+    OFF_LINE_MESSAGE = (r"^structure residual \S+ takes the slopes \S+ of their size off the "
+                        r"real axis, not below 1e-08; the first-order table is off its line$")
+
+    def _refused_alike(self, delta, residual, off):
+        near = compute_coefficient_table(omega_tilde=0.5 + delta, n_max=24)
+        with pytest.raises(UnhealthyTableError, match=self.OFF_LINE_MESSAGE) as exc:
+            near.check_health()
+        message = str(exc.value)
+        assert f"residual {residual} takes the slopes {off} " in message
+        assert "n_max" not in message
+        for reader in (lambda: predict_phase(0, 0.01, near),
+                       lambda: effective_phase_slope(near, 0)):
+            with pytest.raises(UnhealthyTableError) as exc:
+                reader()
+            assert str(exc.value) == message
+
     def test_near_line_table_blames_the_line(self):
-        # 1e-7 off the calibrated coupling, the structure residual (8.9e-7)
-        # passes check_health, but the first-order diagonal's own departure
-        # from its line (3.1e-7 of the slopes) untrusts every level.  That
-        # is the line's fault, not n_max's.
-        near = compute_coefficient_table(omega_tilde=0.5 + 1e-7, n_max=24)
-        near.check_health()
-        assert not near.derived().trusted.any()
-        with pytest.raises(UnhealthyTableError, match=r"off its \(-1 \+ i\) line by 3\.14") as exc:
-            predict_phase(0, 0.01, near)
-        assert "n_max" not in str(exc.value)
+        # 1e-7 off the calibrated coupling, twice the structure residual is
+        # 3.1e-7 of the slopes (pi times the offset): check_health refuses
+        # the table itself, and every reader of the scalars raises the same
+        # message, which blames the line, not n_max.
+        self._refused_alike(1e-7, "8.925e-07", "3.142e-07")
+
+    def test_barely_off_line_table_refused(self):
+        # Twice the structure residual (8.9e-8) is 3.1e-8 of the slopes, past
+        # the 1e-8 tolerance, however small it is in absolute terms.
+        self._refused_alike(1e-8, "8.925e-08", "3.142e-08")
+
+    @pytest.mark.parametrize("loops, residual", [(10_000, 3.09e-6), (100_000, 8.84e-4)])
+    def test_many_loop_table_served(self, loops, residual):
+        # The slopes grow with the loop count (about 8K), and the structure
+        # residual is read against them: twice it is 7.7e-11 of the slopes
+        # at 10,000 loops and 2.2e-9 at 100,000, so the table is on its line.
+        gate = DimensionlessGateParams.calibrated(loops)
+        table = compute_coefficient_table(gate.omega_tilde, 24, tau_gate=gate.tau_gate)
+        der = table.derived()
+        assert der.structure_residual == pytest.approx(residual, rel=1e-2)
+        table.check_health()
+        assert der.trusted[0]
+        want = -math.pi / 2 + 1e-7 * der.a[0] + 1e-7 * 1e-7 * der.b[0].real
+        assert predict_phase(0, 1e-7, table) == want
 
     def test_population_symmetry(self, table):
         lam, n = 0.04, 2
@@ -804,6 +834,18 @@ class TestPredictorGrid:
             predict_fidelity([0, 1], [0.0, math.nan], table40)
         with pytest.raises(TruncationError, match="Fock level 38"):
             predict_phase([0, 38, 39], 0.01, table40)
+
+    def test_empty_level_list_gives_an_empty_grid(self, table40):
+        # [] is a 1-D sequence of no levels, though numpy makes it float.
+        lams = self.LAMS[:2]
+        assert predict_phase([], lams, table40).shape == (0, 2)
+        assert predict_populations([], lams, table40, "ee").shape == (0, 2, 4)
+        assert predict_density_matrix([], 0.01, table40).shape == (0, 4, 4)
+        for predictor in (predict_coherence, predict_fidelity, predict_purity):
+            assert predictor([], lams, table40).shape == (0, 2)
+        for levels in ([1.5], [[0]], [[]]):
+            with pytest.raises(ValueError, match="takes a Fock level, a 1-D sequence"):
+                predict_phase(levels, lams, table40)
 
     def test_thermal_mode_shapes(self, table40):
         # A thermal mode adds no axis: its outputs are those of its mixture.
@@ -1118,7 +1160,7 @@ class TestPersistence:
             der.tails["b"] = None
         with pytest.raises(TypeError):
             del der.tails["b"]
-        assert set(der.tails) == {"c_gg", "c_ee", "c_eg", "b", "a_structure"}
+        assert set(der.tails) == {"c_gg", "c_ee", "c_eg", "b"}
 
     def test_table_hashes_by_identity(self, table):
         # Its arrays have no single truth value, so a table compares and

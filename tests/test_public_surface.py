@@ -112,11 +112,11 @@ OPTIONAL_PARAMETERS = {
 # must show up here.
 SOURCE_CODE_LINES = {
     "__init__": 2,
-    "cli": 413,
+    "cli": 415,
     "experiment": 203,
-    "hilbert": 111,
+    "hilbert": 113,
     "ideal": 67,
-    "magnus": 468,
+    "magnus": 463,
     "oracle": 173,
 }
 
@@ -446,6 +446,30 @@ def test_table_structure_is_checked_where_it_is_read():
     # build would refuse tables the library builds and saves.
     assert _callers(_method_call("check_health")) == {
         ("magnus", "_scalars"), ("cli", "cmd_coefficients")}
+
+
+def test_unhealthy_table_has_one_rule():
+    # The line has one rule, check_health's; the constructor refuses a
+    # non-finite entry, and the coefficients command re-raises the rule's
+    # message with its own ending.  Trust (the Fock edge) raises
+    # TruncationError only, so a second structure rule cannot hide there.
+    found = set()
+
+    def visit(node, stem, owner):
+        for child in ast.iter_child_nodes(node):
+            exc = getattr(child, "exc", None) if isinstance(child, ast.Raise) else None
+            if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "UnhealthyTableError":
+                found.add((stem, owner))
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, stem, f"{owner}.{child.name}" if owner else child.name)
+            else:
+                visit(child, stem, owner)
+
+    for stem, tree in _modules().items():
+        visit(tree, stem, None)
+    assert found == {("magnus", "CoefficientTable.__post_init__"),
+                     ("magnus", "CoefficientTable.check_health"),
+                     ("cli", "cmd_coefficients")}
 
 
 def test_composite_layout_has_one_owner():
