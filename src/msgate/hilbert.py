@@ -141,31 +141,43 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     is the untruncated operator's matrix element: truncation changes none.
     Rounding grows along the columns, to about 2e-14 at alpha = 0.5 and
     2e-10 at alpha = 1.1 - 0.3j by column 75.  Column n is built in place
-    as row n of a transposed buffer, from the row before it, and the result
-    is a C-ordered copy of that buffer's transpose.  ``dim`` is a count
-    >= 1 and ``alpha`` a finite real or complex number (its real and
-    imaginary parts checked by :func:`_finite`), else ``ValueError``.
+    as row n of a transposed buffer, from the row before it, in real
+    arithmetic for a real ``alpha`` (the matrix is then real) and complex
+    otherwise, by one loop; the division by sqrt(n+1) is a product with its
+    reciprocal, which is what numpy's complex-by-real division computes, so
+    a real ``alpha`` gives the complex recurrence's real parts bit for bit
+    (and +0 imaginary parts, where that route may leave -0).  The result
+    is a C-ordered complex copy of the buffer's transpose, whatever
+    ``alpha``: the table products' rounding depends on the operand layout.
+    ``dim`` is a count >= 1 and ``alpha`` one finite real or complex number
+    (its real and imaginary parts checked by :func:`_finite`), else
+    ``ValueError``.
     """
     dim = _count("dim", dim, 1)
     z = np.asarray(alpha)
+    if z.ndim:
+        raise ValueError(f"alpha must be a single number, got {alpha!r}")
     _finite("alpha", [z.real, z.imag] if z.dtype.kind == "c" else alpha)
-    alpha = np.complex128(alpha)
-    cols = np.empty((dim, dim), dtype=complex)  # cols[n, m] = <m|D|n>
+    alpha = np.complex128(alpha) if z.dtype.kind == "c" else np.float64(alpha)
+    cols = np.empty((dim, dim), dtype=alpha.dtype)  # cols[n, m] = <m|D|n>
     sqrt_m = np.sqrt(np.arange(dim))
-    # Coherent-state column.
-    cols[0, 0] = np.exp(-0.5 * np.abs(alpha) ** 2)
-    for m in range(1, dim):
-        cols[0, m] = cols[0, m - 1] * alpha / sqrt_m[m]
+    scale = 1.0 / sqrt_m[1:]  # scale[n] = 1 / sqrt(n+1)
+    # Coherent-state column, in Python scalars: numpy's IEEE products, faster.
+    entry, a = np.exp(-0.5 * np.abs(alpha) ** 2).item(), alpha.item()
+    cols[0, 0] = entry
+    for m, s in enumerate(scale.tolist(), start=1):
+        entry = entry * a * s
+        cols[0, m] = entry
     cols[1:, 0] = 0.0  # <0|D|n+1> has no sqrt(m) <m-1|D|n> term
     conj_alpha = alpha.conj()
-    hop = np.empty(dim, dtype=complex)
-    for n in range(dim - 1):
-        col, nxt = cols[n], cols[n + 1]
-        np.multiply(col[:-1], sqrt_m[1:], out=nxt[1:])
+    hop = np.empty(dim, dtype=alpha.dtype)
+    # Row n+1 from row n; ``shifted`` is row n+1 from level 1 on.
+    for col, nxt, shifted, s in zip(cols, cols[1:], cols[1:, 1:], scale):
+        np.multiply(col[:-1], sqrt_m[1:], out=shifted)
         np.multiply(conj_alpha, col, out=hop)
         np.subtract(nxt, hop, out=nxt)
-        np.divide(nxt, sqrt_m[n + 1], out=nxt)
-    return cols.T.copy()
+        np.multiply(nxt, s, out=nxt)
+    return cols.T.astype(complex, order="C")
 
 
 # Probability a thermal distribution may leave beyond its last level.

@@ -311,25 +311,22 @@ def _spectrum(params: DimensionlessGateParams, cutoff: FockCutoff) -> _Spectrum:
     return _Spectrum(t, offset, gaps, e_disp, d[:dim], tuple(sectors))
 
 
-def _second_difference(levels, product, x, phi2, hop, t: float) -> np.ndarray:
-    """One side of a sector of (1/2) d^2U/dlam^2 = sum_j f[E_i, E_j, E_k] B_ij B_jk.
+def _second_difference(c, phase, phi2, hop) -> np.ndarray:
+    """One side of a sector of (1/2) d^2U/dlam^2 = sum_j f[E_i, E_j, E_k] B_ij B_jk,
+    ``c`` with its diagonal filled in place.
 
-    Both hops cross between the sides, so i and k lie on the same one (energies
-    ``x``, integer ``levels``) and j on the other; ``hop`` is B from this side
-    to the other, real.  Where i != k, f[E_i, E_j, E_k] =
-    (f[E_i, E_j] - f[E_j, E_k]) / (E_i - E_k), and E_i - E_k is the integer
-    gap.  The numerator summed over j is (G B - B G)_ik with G = F1 o B the
-    first derivative; B and G are symmetric, so it is the antisymmetric part
-    ``product - product.T`` of the one ``product`` (G B)_ik.  A side's
-    energies are distinct, so the confluent terms f[x_i, x_i, y_j] make up
-    its diagonal: e^{-itx_i} (-t^2) phi2_ij, with ``phi2`` gathered from
-    :func:`_confluent_difference`.
+    Both hops cross between the sides, so i and k lie on the same one and j
+    on the other; ``hop`` is B from this side to the other, real.  Where
+    i != k, f[E_i, E_j, E_k] = (f[E_i, E_j] - f[E_j, E_k]) / (E_i - E_k), and
+    E_i - E_k is an integer gap.  The numerator summed over j is
+    (G B - B G)_ik with G = F1 o B the first derivative; B and G are
+    symmetric, so it is the antisymmetric part P - P^T of the one product
+    P = G B, and the caller gives ``c`` as that part over the gaps.  A side's
+    energies x are distinct, so the confluent terms f[x_i, x_i, y_j] make up
+    its diagonal: ``phase`` (-t^2) e^{-itx_i} times phi2_ij, with ``phi2``
+    gathered from :func:`_confluent_difference`.
     """
-    gap = np.subtract.outer(levels, levels)
-    np.fill_diagonal(gap, 1.0)
-    c = (product - product.T) / gap
-    confluent = -t * t * np.exp(-1j * t * x)[:, None] * phi2
-    np.fill_diagonal(c, (confluent * hop * hop).sum(axis=1))
+    np.fill_diagonal(c, (phase[:, None] * phi2 * hop * hop).sum(axis=1))
     return c
 
 
@@ -359,22 +356,37 @@ def compute_second_order_tables(
 
     Read off (1/2) d^2U/dlam^2 at lam = 0 on the |gg, n> and |ge, n>
     columns.  ``quad`` changes nothing; ``spectrum`` as in
-    :func:`compute_first_order_table`.
+    :func:`compute_first_order_table`.  What the two sectors share, the
+    level gaps and the phases of the confluent terms, is formed once.
     """
-    levels = np.arange(spectrum.e_disp.size, dtype=float)
+    t, levels = spectrum.t, np.arange(spectrum.e_disp.size, dtype=float)
+    # Formed once for both sectors: the level gaps and their reciprocals,
+    # whose idle blocks are those of the levels the idle states sit on, and
+    # the phases (-t^2) e^{-itx} of the displaced energies and of the idle
+    # ones, which are their levels.
+    gap = np.subtract.outer(levels, levels)
+    np.fill_diagonal(gap, 1.0)
+    inv_gap = 1.0 / gap
+    phase_disp = -t * t * np.exp(-1j * t * spectrum.e_disp)
+    phase_idle = -t * t * np.exp(-1j * t * levels)
     # y - x is k - l - omega^2 from an idle row and its negative from a
     # displaced one, where phi2 takes the conjugate value (w is real).
-    phi2_idle = _confluent_difference(spectrum.gaps, spectrum.offset, spectrum.t)
+    phi2_idle = _confluent_difference(spectrum.gaps, spectrum.offset, t)
     phi2_disp = np.conj(phi2_idle)
     j3 = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
     disp = []
     for s in spectrum.sectors:
-        c_disp = _second_difference(levels, s.g_di @ s.b.T, spectrum.e_disp,
-                                    phi2_disp[s.gap_index], s.b, spectrum.t)
+        # A product with the real reciprocal is what numpy's complex-by-real
+        # division computes, away from zero.
+        p = s.g_di @ s.b.T
+        c_disp = _second_difference((p - p.T) * inv_gap, phase_disp, phi2_disp[s.gap_index], s.b)
         h = s.below  # the tables read the idle side only under dim
         b = s.b[:, :h]
-        c_idle = _second_difference(s.e_idle[:h], s.g_di[:, :h].T @ b, s.e_idle[:h],
-                                    phi2_idle[s.gap_index.T[:h]], b.T, spectrum.t)
+        # j3 keeps the idle block as it is, exact zeros too, so it keeps the
+        # division, whose zero signs the product does not always give.
+        q = s.g_di[:, :h].T @ b
+        c_idle = _second_difference((q - q.T) / gap[s.rows, s.rows], phase_idle[s.rows],
+                                    phi2_idle[s.gap_index.T[:h]], b.T)
         disp.append(spectrum.d @ c_disp @ spectrum.d.T)
         j3[s.rows, s.rows] = -0.5 * c_idle
     # Inverse of _corrections' second order: on the rows of its own parity a
@@ -541,15 +553,18 @@ def derived_scalars(table: CoefficientTable) -> DerivedScalars:
     ``a`` is read off the first-order diagonal.  The rest are the O(lam^2)
     moments of the reduced state of a |gg, n> input, whose psi0 has the
     amplitudes e^{i pi/4}/sqrt2 on |gg, n> and -i times that on |ee, n>,
-    summed over the row m of the blocks of :func:`_corrections`:
+    read off the blocks of :func:`_corrections`, the first order's summed
+    over the row m and the second order's diagonal, the only entries of it
+    that are read:
 
     * c_gg = sum_m |psi1_gg|^2 - Re psi2_gg[n, n] - Im psi2_gg[n, n];
     * c_ee = sum_m |psi1_ee|^2 - Re psi2_ee[n, n] + Im psi2_ee[n, n];
     * c_eg = sum_m |psi1_ge|^2 (the eg block is the same);
     * b = 2 sum_m psi1_ee conj(psi1_gg) - (1 - i)(conj psi2_gg[n, n] + psi2_ee[n, n]).
     """
-    (p1_gg, p1_ge, _, p1_ee), (p2_gg, _, _, p2_ee) = _corrections("gg", table)
-    dim = p1_gg.shape[0]
+    dim = table.n_max + 1
+    p1_gg, p1_ge, _, p1_ee = _corrections("gg", table, 1, np.asarray)
+    d_gg, _, _, d_ee = _corrections("gg", table, 2, np.diagonal)
 
     a = np.real(4.0 * np.diag(table.i_table) / _LINE)
 
@@ -558,8 +573,6 @@ def derived_scalars(table: CoefficientTable) -> DerivedScalars:
     eg2 = np.abs(p1_ge) ** 2
     ee_gg = p1_ee * p1_gg.conj()  # zero on the diagonal
 
-    d_gg = np.diag(p2_gg)
-    d_ee = np.diag(p2_ee)
     c_gg = -d_gg.real - d_gg.imag + gg2.sum(axis=0)
     c_ee = -d_ee.real + d_ee.imag + ee2.sum(axis=0)
     c_eg = eg2.sum(axis=0)
@@ -585,16 +598,21 @@ def derived_scalars(table: CoefficientTable) -> DerivedScalars:
 # Correction states
 # --------------------------------------------------------------------------
 
-def _corrections(label: str, table: CoefficientTable):
-    """psi1 and psi2 of |label, n> for every level n at once.
+def _corrections(label: str, table: CoefficientTable, order: int, entries):
+    """psi1 (``order`` 1) or psi2 (``order`` 2) of |label, n>, at the
+    ``entries`` of its blocks.
 
-    Each order is a tuple of its four qubit blocks (gg, ge, eg, ee), each
-    ``(dim, dim)`` with [m, n] the amplitude on |q, m> of the correction to
-    |label, n>.  The drive conserves the parity of (qubit excitation +
-    phonon number), so a block is masked to even m - n (E) or odd (O).  For
-    gg, with I the first-order table, psi1 is
-    (E(I + I^T), O iI^T, O iI^T, E(I - I^T)): column n of I feeds the
-    diagonal-in-qubit blocks, row n (the conjugate-route hops) all four.
+    The order is a tuple of its four qubit blocks (gg, ge, eg, ee), [m, n]
+    the amplitude on |q, m> of the correction to |label, n>, evaluated only
+    where ``entries`` picks from a (dim, dim) array: all of it
+    (``np.asarray``), its diagonal (``np.diagonal``) or one column.  It
+    picks from the tables, the transposed first-order one and the parity
+    mask, and every block entry is a function of the entries picked at its
+    place, so it holds the bits of the whole block's.  The drive conserves
+    the parity of (qubit excitation + phonon number), so a block is masked
+    to even m - n (E) or odd (O).  For gg, with I the first-order table,
+    psi1 is (E(I + I^T), O iI^T, O iI^T, E(I - I^T)): column n of I feeds
+    the diagonal-in-qubit blocks, row n (the conjugate-route hops) all four.
     psi2 is (E J+, O (i/2)(J1 - J2), the same, -E J-) with
     J+- = (J1 + J2)/2 +- J3: the two-hop paths that visit the idle branch
     pair leave odd-parity weight on the cross blocks.  ge and eg swap the
@@ -604,36 +622,36 @@ def _corrections(label: str, table: CoefficientTable):
     flipped (its gg block is gg's ee block), times (-1)^k on the
     diagonal-in-qubit blocks and -(-1)^k on the cross blocks, whose m - n
     is odd.  This is the one fold from the tables to states: the two
-    corrections read column n of it, :func:`derived_scalars` sums over it,
-    and the table builders invert it.
+    corrections read a column of it, :func:`derived_scalars` the first
+    order whole and the second order's diagonal, and the table builders
+    invert it.
     """
-    it, j1, j2, j3 = table.i_table, table.j1, table.j2, table.j3
-    dim = it.shape[0]
     cross_input = _label(label) in ("ge", "eg")
     # Mask of the diagonal-in-qubit blocks: even m - n for gg and ee inputs,
     # odd for ge and eg.  The cross blocks take its complement.
-    outer = np.add.outer(np.arange(dim), -np.arange(dim)) % 2 == int(cross_input)
-    if cross_input:
-        orders = ((-1j * it, np.zeros_like(it), -1j * it),
-                  (-0.5j * (j1 + j2), 0.5 * (j1 - j2), 0.5j * (j1 + j2)))
+    parity = np.arange(table.n_max + 1) & 1
+    outer = entries(np.equal.outer(parity, parity ^ int(cross_input)))
+    if order == 1:
+        it, it_t = entries(table.i_table), entries(table.i_table.T)
+        gg, cross, ee = ((-1j * it, np.zeros_like(it), -1j * it) if cross_input
+                         else (it + it_t, 1j * it_t, it - it_t))
     else:
+        j1, j2, j3 = entries(table.j1), entries(table.j2), entries(table.j3)
         half = 0.5 * (j1 + j2)
-        orders = ((it + it.T, 1j * it.T, it - it.T), (half + j3, 0.5j * (j1 - j2), -(half - j3)))
+        gg, cross, ee = ((-0.5j * (j1 + j2), 0.5 * (j1 - j2), 0.5j * (j1 + j2)) if cross_input
+                         else (half + j3, 0.5j * (j1 - j2), -(half - j3)))
     if label == "ee":
-        orders = tuple((sign * ee, -sign * cross, sign * gg)
-                       for sign, (gg, cross, ee) in zip((-1.0, 1.0), orders))
-
-    def blocks(gg, cross, ee):
-        mid = np.where(outer, 0.0, cross)
-        return np.where(outer, gg, 0.0), mid, mid, np.where(outer, ee, 0.0)
-
-    return tuple(blocks(*order) for order in orders)
+        sign = (-1.0) ** order
+        gg, cross, ee = sign * ee, -sign * cross, sign * gg
+    mid = np.where(outer, 0.0, cross)
+    return np.where(outer, gg, 0.0), mid, mid, np.where(outer, ee, 0.0)
 
 
-def _column(blocks, n: int, table: CoefficientTable) -> np.ndarray:
-    """Column n of the four qubit blocks, qubit-major: the state amplitudes."""
+def _column(label: str, order: int, n: int, table: CoefficientTable) -> np.ndarray:
+    """Column n of the four qubit blocks of :func:`_corrections`, qubit-major:
+    the amplitudes of the correction to |label, n>."""
     n = _count("Fock level n", n, 0, table.n_max)
-    return np.concatenate([block[:, n] for block in blocks])
+    return np.concatenate(_corrections(label, table, order, lambda x: x[:, n]))
 
 
 def first_order_correction(label: str, n: int, table: CoefficientTable) -> np.ndarray:
@@ -648,7 +666,7 @@ def first_order_correction(label: str, n: int, table: CoefficientTable) -> np.nd
     every level up to ``n_max``.  A check here would close that
     independent route; the predictors check both, through :func:`_scalars`.
     """
-    return _column(_corrections(label, table)[0], n, table)
+    return _column(label, 1, n, table)
 
 
 def second_order_correction(label: str, n: int, table: CoefficientTable) -> np.ndarray:
@@ -656,7 +674,7 @@ def second_order_correction(label: str, n: int, table: CoefficientTable) -> np.n
     column n of the second-order blocks of :func:`_corrections`.  Like it,
     a cross-check route that checks neither structure nor trust.
     """
-    return _column(_corrections(label, table)[1], n, table)
+    return _column(label, 2, n, table)
 
 
 def predicted_state(

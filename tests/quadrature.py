@@ -18,6 +18,11 @@ dense reference too, with :func:`ideal_propagator`, the exact lam = 0 gate
 built in the sigma_y product basis (``SIGMA_Y_BASIS`` maps computational
 coordinates to it).
 
+:func:`complex_displacement_matrix` is the column recurrence of
+:func:`msgate.hilbert.displacement_matrix` in complex arithmetic whatever
+``alpha``, dividing by sqrt(n+1): the route the package ran before it took
+real arithmetic for a real ``alpha``, kept to pin that path's bits.
+
 :func:`rk4` is the fixed-step integrator the oracle's exact propagators are
 checked against, and :func:`expectation_trajectory` records <a> along one
 gate.  :func:`ms_target_unitary` is the qubit-only target gate, and
@@ -214,6 +219,27 @@ def van_loan_derivatives(params: DimensionlessGateParams, cutoff: FockCutoff):
         first[np.ix_(idx, idx)] = e[:k, k : 2 * k]
         second[np.ix_(idx, idx)] = e[:k, 2 * k :]
     return first, second
+
+
+def complex_displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
+    """[<m|D(alpha)|n>] by the column recurrence of
+    :func:`msgate.hilbert.displacement_matrix`, all in complex arithmetic:
+    <m|D|n+1> = (sqrt(m) <m-1|D|n> - conj(alpha) <m|D|n>) / sqrt(n+1)."""
+    alpha = np.complex128(alpha)
+    cols = np.empty((dim, dim), dtype=complex)  # cols[n, m] = <m|D|n>
+    sqrt_m = np.sqrt(np.arange(dim))
+    cols[0, 0] = np.exp(-0.5 * np.abs(alpha) ** 2)
+    for m in range(1, dim):
+        cols[0, m] = cols[0, m - 1] * alpha / sqrt_m[m]
+    cols[1:, 0] = 0.0
+    hop = np.empty(dim, dtype=complex)
+    for n in range(dim - 1):
+        col, nxt = cols[n], cols[n + 1]
+        np.multiply(col[:-1], sqrt_m[1:], out=nxt[1:])
+        np.multiply(alpha.conj(), col, out=hop)
+        np.subtract(nxt, hop, out=nxt)
+        np.divide(nxt, sqrt_m[n + 1], out=nxt)
+    return cols.T.copy()
 
 
 def ideal_propagator(

@@ -23,7 +23,12 @@ from msgate.hilbert import (
 )
 from msgate.ideal import ideal_output_state
 from msgate.oracle import observables
-from quadrature import SIGMA_Y_BASIS, displacement_from_moments, power_moments
+from quadrature import (
+    SIGMA_Y_BASIS,
+    complex_displacement_matrix,
+    displacement_from_moments,
+    power_moments,
+)
 
 
 def expm_displacement(alpha: complex, dim: int, pad: int = 40) -> np.ndarray:
@@ -122,11 +127,34 @@ class TestDisplacementMatrix:
         (True, "alpha must be a real number, got True"),
         ("0.5", "alpha must be a real number, got '0.5'"),
         (None, "alpha must be a real number, got None"),
+        ([0.5, 0.6], "alpha must be a single number, got [0.5, 0.6]"),
+        ([0.5], "alpha must be a single number, got [0.5]"),
     ])
     def test_alpha_is_a_finite_number(self, alpha, message):
-        # Unrefused, nan gave a nan matrix without a word, and inf warned.
+        # Unrefused, nan gave a nan matrix without a word, and inf warned;
+        # an array alpha met numpy's bare TypeError.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             displacement_matrix(alpha, 4)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.3 + 0.4j, 1.1 - 0.3j])
+    def test_c_ordered_complex(self, alpha):
+        # The table products' rounding depends on the operand layout, so a
+        # real alpha, computed in real arithmetic, still gives a C-ordered
+        # complex128 matrix.
+        mat = displacement_matrix(alpha, 12)
+        assert mat.dtype == np.complex128
+        assert mat.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("loops", range(1, 9))
+    @pytest.mark.parametrize("dim", [1, 76, 228])
+    def test_real_alpha_has_the_complex_recurrence_bits(self, loops, dim):
+        # At the couplings the tables are built at, 1/(2 sqrt K), the real
+        # arithmetic gives the complex recurrence's matrix bit for bit, up
+        # to the n_max 120 spectrum's size.
+        alpha = 1.0 / (2.0 * math.sqrt(loops))
+        got, want = displacement_matrix(alpha, dim), complex_displacement_matrix(alpha, dim)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_batch_matches_expm(self):
         for alpha in (0.2, -0.9j, 0.5 + 0.5j):

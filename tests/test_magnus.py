@@ -962,6 +962,19 @@ class TestPersistence:
         assert json.loads(path.read_text())["provenance_sha256"] == built.provenance_hash
         np.testing.assert_array_equal(loaded.derived().trusted, built.derived().trusted)
 
+    def test_cli_default_file_loads(self, tmp_path):
+        # Written by 'msgate coefficients' at its defaults (n_max 40, one
+        # loop), the file users hold most.  Its rebuild saves the same
+        # derived block, every scalar to the bit (JSON floats round-trip).
+        path = Path(__file__).parent / "data" / "coefficients_k1_n40_schema5.json"
+        gate = DimensionlessGateParams.calibrated(1)
+        built = compute_coefficient_table(gate.omega_tilde, 40, tau_gate=gate.tau_gate)
+        loaded = load_coefficient_table(path)
+        assert loaded.provenance_hash == built.provenance_hash
+        loaded.save(tmp_path / "again.json")
+        stored = json.loads(path.read_text())
+        assert json.loads((tmp_path / "again.json").read_text())["derived"] == stored["derived"]
+
     def test_byte_reproducible(self, table, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         table.save(p1)

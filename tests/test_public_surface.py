@@ -114,9 +114,9 @@ SOURCE_CODE_LINES = {
     "__init__": 2,
     "cli": 415,
     "experiment": 203,
-    "hilbert": 113,
+    "hilbert": 117,
     "ideal": 67,
-    "magnus": 463,
+    "magnus": 464,
     "oracle": 173,
 }
 
