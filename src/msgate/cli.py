@@ -90,9 +90,6 @@ def _read_input(read, path: str, what: str):
         raise CliError(f"cannot read {what} {path}: {exc.strerror}") from None
 
 
-_GRID_OPTIONS = ("n_max", "loops")
-
-
 def _gate(args) -> DimensionlessGateParams:
     """The calibrated gate of ``--loops`` (one loop when unset), whose
     count is refused under the option's name."""
@@ -100,26 +97,23 @@ def _gate(args) -> DimensionlessGateParams:
     return DimensionlessGateParams.calibrated(loops)
 
 
-def _build(args, quad: QuadratureSpec | None = None) -> CoefficientTable:
-    """Build the table of the calibrated gate the grid options describe
-    (an unset ``--n-max``, and ``quad``, take compute_coefficient_table's
-    defaults).  Its first predictor checks its health."""
+def _table_for(args, quad: QuadratureSpec | None = None) -> CoefficientTable:
+    """The table of a command: the file ``--table`` names, or else the
+    table of the calibrated gate that ``--n-max`` and ``--loops`` describe,
+    built in memory (unset, they and ``quad`` take compute_coefficient_table's
+    defaults).  The grid options are refused beside ``--table``, whose file
+    fixes the gate.  ``coefficients`` has no ``--table`` and passes its
+    validated ``quad``.  The table's first predictor checks its health."""
+    if getattr(args, "table", None):
+        for flag, value in (("--n-max", args.n_max), ("--loops", args.loops)):
+            if value is not None:
+                raise CliError(f"{flag} describes an in-memory build; it cannot be "
+                               "given with --table, whose file fixes the gate")
+        return _read_input(load_coefficient_table, args.table, "table file")
     gate = _gate(args)
     grid = {"omega_tilde": gate.omega_tilde, "tau_gate": gate.tau_gate,
             "n_max": args.n_max, "quad": quad}
     return compute_coefficient_table(**{k: v for k, v in grid.items() if v is not None})
-
-
-def _table_for(args) -> CoefficientTable:
-    """Load the named table, or build one in memory from the grid options."""
-    if not args.table:
-        return _build(args)
-    for name in _GRID_OPTIONS:
-        if getattr(args, name) is not None:
-            flag = "--" + name.replace("_", "-")
-            raise CliError(f"{flag} describes an in-memory build; it cannot be "
-                           "given with --table, whose file fixes the gate")
-    return _read_input(load_coefficient_table, args.table, "table file")
 
 
 def _add_loops(p: argparse.ArgumentParser) -> None:
@@ -184,7 +178,7 @@ def cmd_coefficients(args) -> int:
     if out.exists() and not args.force:
         raise CliError(f"{out} exists; pass --force to overwrite")
     try:
-        table = _build(args, QuadratureSpec(args.panels_1d, args.panels_2d))
+        table = _table_for(args, QuadratureSpec(args.panels_1d, args.panels_2d))
         table.check_health()  # no predictor reads it before it is written
     except UnhealthyTableError as exc:
         raise UnhealthyTableError(f"{exc}; the table was not written") from None
@@ -315,6 +309,8 @@ def cmd_calibrate(args) -> int:
     )
     rng = np.random.default_rng(args.seed)
     fit, estimate, phi_d, p_obs = run_calibration(config, table, rng)
+    shift_hz = estimate.lambda_hat / (2.0 * math.pi)
+    err_hz = estimate.lambda_err / (2.0 * math.pi)
     report = {
         "schema": CALIBRATION_SCHEMA,
         "package_version": __version__,
@@ -333,12 +329,14 @@ def cmd_calibrate(args) -> int:
             "amplitude": fit.amplitude,
             "phase": fit.phase,
             "offset": fit.offset,
+            "amplitude_err": _finite_or_null(fit.amplitude_err),
             "phase_err": _finite_or_null(fit.phase_err),
+            "offset_err": _finite_or_null(fit.offset_err),
             "residual_rms": fit.residual_rms,
         },
         "estimate": {
-            "shift_hz": estimate.lambda_hat / (2.0 * math.pi),
-            "shift_err_hz": _finite_or_null(estimate.lambda_err / (2.0 * math.pi)),
+            "shift_hz": shift_hz,
+            "shift_err_hz": _finite_or_null(err_hz),
             "phi_seq": fit.phase,
             "phi_seq_predicted": phi_seq_prediction(shift, detuning, estimate.slope),
             "slope": estimate.slope,
@@ -352,11 +350,9 @@ def cmd_calibrate(args) -> int:
     if args.out:
         _write_all({Path(args.out): json.dumps(report, indent=2, sort_keys=True) + "\n"})
         print(f"wrote {args.out}")
-    err = estimate.lambda_err / (2.0 * math.pi)
     print(
-        f"phi_seq = {fit.phase:+.6f} rad -> shift = "
-        f"{estimate.lambda_hat / (2 * math.pi):+.3f} Hz "
-        f"(1 sigma {err:.3f} Hz; true {args.shift_hz:+.3f} Hz)"
+        f"phi_seq = {fit.phase:+.6f} rad -> shift = {shift_hz:+.3f} Hz "
+        f"(1 sigma {err_hz:.3f} Hz; true {args.shift_hz:+.3f} Hz)"
     )
     for caveat in estimate.caveats:
         print(f"caveat: {caveat}")

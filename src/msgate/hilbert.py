@@ -13,7 +13,9 @@ Conventions used throughout the package
   q*(n_max+1) + n for qubit-pair index q and Fock level n, i.e.
   kron(qubit, phonon).  :class:`FockCutoff` owns this layout: its
   members index it, give its two diagonals N and S_z, and split a ket into
-  its four qubit-pair blocks.
+  its four qubit-pair blocks.  Every S_z in the package, the oracle's
+  Hamiltonian included, is that diagonal; no Pauli-z matrix is kept, and
+  ``SIGMA_X`` and ``SIGMA_Y`` serve the collective spin S_phi alone.
 
 Displacement matrix elements <m|D(beta)|n> come from one exact column
 recurrence, :func:`displacement_matrix`.  It gives the matrix elements of
@@ -35,7 +37,6 @@ __all__ = [
     "ThermalDistribution",
     "SIGMA_X",
     "SIGMA_Y",
-    "SIGMA_Z",
     "QUBIT_LABELS",
     "displacement_matrix",
     "level_weights",
@@ -43,7 +44,6 @@ __all__ = [
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 QUBIT_LABELS = ("gg", "ge", "eg", "ee")
 

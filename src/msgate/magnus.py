@@ -246,7 +246,6 @@ class _Sector:
     rows (and columns) ``rows``, the levels of its parity under dim.
     """
 
-    e_idle: np.ndarray  # (h,) idle levels l, which are also their energies
     gap_index: np.ndarray  # (size, h) index of the gap k - l in the spectrum's gaps
     b: np.ndarray  # S_z from idle to displaced states, (size, h), real valued
     g_di: np.ndarray  # dU/dlam at lam = 0 (Daleckii-Krein), F1 o B: idle to displaced
@@ -306,7 +305,7 @@ def _spectrum(params: DimensionlessGateParams, cutoff: FockCutoff) -> _Spectrum:
         # Column-major, so g_di.T has unit-stride rows: at n_max 0 the
         # first-order product is a BLAS dot, whose rounding depends on the
         # operand stride.
-        sectors.append(_Sector(e_idle, gap_index, b, np.multiply(f1, b, order="F"),
+        sectors.append(_Sector(gap_index, b, np.multiply(f1, b, order="F"),
                                slice(lowest, dim, 2), (dim - lowest + 1) // 2))
     return _Spectrum(t, offset, gaps, e_disp, d[:dim], tuple(sectors))
 
@@ -734,6 +733,14 @@ def _scalars(n, table: CoefficientTable, lambda_tilde=0.0, initial: str = "gg"):
     UnhealthyTableError here, however it was made.  A level the table
     does not trust raises TruncationError, as
     :meth:`DerivedScalars.require_trusted`, the first in order.
+
+    Last, the expansion's domain: with kappa_n = -(c_gg + c_ee - Im b)/2
+    (a thermal mode's at its mean scalars), x = |lam| sqrt(kappa_n) must
+    not exceed 1/sqrt2 at any requested level and lam, or ``ValueError``
+    names the worst level, its x and the largest |lam| served there,
+    sqrt(0.5 / kappa_n).  x^2 is the predicted infidelity, and past 1/2 the
+    Taylor populations, fidelity and purity can leave [0, 1].  The phase
+    slope and both fringe engines read the scalars at lam = 0, where x is 0.
     """
     table.check_health()
     lam = _check_lambda(lambda_tilde)
@@ -753,9 +760,25 @@ def _scalars(n, table: CoefficientTable, lambda_tilde=0.0, initial: str = "gg"):
         der.require_trusted(level)
     per_level = (der.a, der.b, der.c_gg, der.c_ee, der.c_eg)
     if thermal:
-        return lam, *(_level_sum(weights, v[levels]) for v in per_level)
-    index = levels.reshape(levels.shape + (1,) * lam.ndim)
-    return lam, *(v[index] for v in per_level)
+        scalars = [_level_sum(weights, v[levels]) for v in per_level]
+    else:
+        index = levels.reshape(levels.shape + (1,) * lam.ndim)
+        scalars = [v[index] for v in per_level]
+    _, b, c_gg, c_ee, _ = scalars
+    kappa = 0.5 * (b.imag - c_gg - c_ee)
+    x2 = lam * lam * kappa
+    if (x2 > 0.5).any():
+        grid = np.shape(x2)
+        worst = np.unravel_index(np.argmax(x2), grid)
+        lam_w, kappa_w, x2_w = (np.broadcast_to(v, grid)[worst] for v in (lam, kappa, x2))
+        where = (f"the thermal mode n_bar = {n.n_bar:g}" if thermal
+                 else f"Fock level {np.broadcast_to(index, grid)[worst]}")
+        raise ValueError(
+            f"|lambda_tilde| = {abs(lam_w):g} takes {where} to x = |lambda_tilde| "
+            f"sqrt(kappa_n) = {math.sqrt(x2_w):.3f}, past 1/sqrt(2), where the "
+            "second-order expansion is meaningless; it serves |lambda_tilde| up to "
+            f"{math.sqrt(0.5 / kappa_w):.3g} there")
+    return lam, *scalars
 
 
 def predict_density_matrix(
@@ -842,12 +865,26 @@ def predict_purity(n, lambda_tilde, table: CoefficientTable):
 # Persistence
 # --------------------------------------------------------------------------
 
-def _array_to_json(arr: np.ndarray) -> dict:
-    return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
+# The scalars a table file stores, each compared on load with the rebuilt
+# tables' at 1e-12 relative; ``trusted`` and ``tail_tolerance`` are stored
+# beside them and compared exactly.
+_STORED = ("a", "b", "c_gg", "c_ee", "c_eg", "structure_residual")
 
 
-def _array_from_json(obj: dict) -> np.ndarray:
-    return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+def _to_json(value):
+    """A stored scalar as JSON: a real array or number as itself, a complex
+    array as its "re" and "im" parts."""
+    if np.iscomplexobj(value):
+        return {"re": value.real.tolist(), "im": value.imag.tolist()}
+    return np.asarray(value).tolist()
+
+
+def _from_json(value, like: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`_to_json` for a scalar stored as ``like`` is,
+    read back as an array of ``like``'s dtype."""
+    if np.iscomplexobj(like):
+        value = np.asarray(value["re"], dtype=float) + 1j * np.asarray(value["im"], dtype=float)
+    return np.asarray(value, dtype=like.dtype)
 
 
 def _write_all(outputs: dict[Path, str]) -> None:
@@ -894,9 +931,11 @@ def save_coefficient_table(table: CoefficientTable, path) -> str:
     The file names the gate, not its tables: the schema, the package
     version, the parameter dict (``n_max``, ``omega_tilde`` and
     ``tau_gate``), its digest (:attr:`CoefficientTable.provenance_hash`) and
-    the ``derived`` block of per-level scalars, one compact, key-sorted JSON
-    object (about 5 kB at n_max 40).  ``table.quad`` is not written: tables
-    built with any panel counts save the same bytes.  A load rebuilds the
+    the ``derived`` block: the scalars named in ``_STORED``, each written
+    by :func:`_to_json`, with ``trusted`` and the ``tail_tolerance`` it is
+    computed at; one compact, key-sorted JSON object (about 5 kB at n_max
+    40).  ``table.quad`` is not written: tables built with any panel counts
+    save the same bytes.  A load rebuilds the
     tables from the parameters.  No timestamps: identical parameters
     produce identical bytes.  Missing parent directories of ``path`` are
     created.  The bytes go to a temporary file beside ``path`` that
@@ -911,12 +950,7 @@ def save_coefficient_table(table: CoefficientTable, path) -> str:
         "params": table.parameter_dict(),
         "provenance_sha256": digest,
         "derived": {
-            "a": der.a.tolist(),
-            "b": _array_to_json(der.b),
-            "c_gg": der.c_gg.tolist(),
-            "c_ee": der.c_ee.tolist(),
-            "c_eg": der.c_eg.tolist(),
-            "structure_residual": der.structure_residual,
+            **{name: _to_json(getattr(der, name)) for name in _STORED},
             "trusted": der.trusted.astype(int).tolist(),
             "tail_tolerance": _TAIL_TOLERANCE,
         },
@@ -926,11 +960,14 @@ def save_coefficient_table(table: CoefficientTable, path) -> str:
 
 
 def _check_stored_derived(stored: dict, der: DerivedScalars) -> None:
-    """Compare a file's ``derived`` block with the scalars of the rebuilt tables."""
-    for name in ("a", "b", "c_gg", "c_ee", "c_eg", "structure_residual"):
-        value = stored[name]
-        got = _array_from_json(value) if name == "b" else np.asarray(value, dtype=float)
+    """Compare a file's ``derived`` block with the scalars of the rebuilt
+    tables: each scalar named in ``_STORED``, read back by :func:`_from_json`
+    as the rebuilt one is stored (``b`` as a complex number), within 1e-12
+    relative; ``trusted`` and ``tail_tolerance`` exactly.  A mismatch raises
+    ``ValueError`` naming the entry."""
+    for name in _STORED:
         want = np.asarray(getattr(der, name))
+        got = _from_json(stored[name], want)
         if got.shape != want.shape or not np.all(np.abs(got - want) <= 1e-12 * np.abs(want)):
             raise ValueError(
                 f"coefficient file derived {name!r} does not match its rebuilt tables")

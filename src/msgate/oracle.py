@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import SIGMA_Z, FockCutoff, _finite
+from .hilbert import FockCutoff, _finite
 from .ideal import (DimensionlessGateParams, collective_spin, ideal_output_state,
                      relative_phase_pair)
 
@@ -107,16 +107,13 @@ def hamiltonian_matrix(
     tau: float, params: DimensionlessGateParams, cutoff: FockCutoff, lambda_tilde: float
 ) -> np.ndarray:
     """Dense static-axis Hamiltonian at dimensionless time tau and
-    miscalibration ``lambda_tilde``."""
-    d = cutoff.dim
-    a = np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)  # annihilation
-    eye2 = np.eye(2, dtype=complex)
-    s_z = 0.5 * (np.kron(SIGMA_Z, eye2) + np.kron(eye2, SIGMA_Z))
+    miscalibration ``lambda_tilde``, on the qubit-major composite basis:
+    ``lambda_tilde`` times the diagonal ``FockCutoff.s_z`` of the layout's
+    owner, less ``omega_tilde`` times S_phi (x) (a^dag e^{i tau} + a e^{-i tau})."""
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff.dim)), 1).astype(complex)  # annihilation
     s_phi = collective_spin(params.phi)
     drive = np.exp(1j * tau) * a.conj().T + np.exp(-1j * tau) * a
-    return lambda_tilde * np.kron(s_z, np.eye(d)) - params.omega_tilde * np.kron(
-        s_phi, drive
-    )
+    return lambda_tilde * np.diagflat(cutoff.s_z) - params.omega_tilde * np.kron(s_phi, drive)
 
 
 @functools.lru_cache(maxsize=8)
@@ -214,10 +211,10 @@ def propagate_batch(
     Each column j evolves under miscalibration ``lambda_values[j]``, all
     other parameters shared, over ``span`` (the gate, (0, tau_gate), when
     None): one :func:`_exact_evolve` call in the frame e^{i N tau}, the
-    only frame the oracle builds.  Returns (final amplitudes, per-column
-    norm drift, worst guard-band mass, 0.0 for no columns), after
-    :func:`_check_health`.  A
-    non-finite lambda raises ``ValueError``.  ``config`` changes no result.
+    only frame the oracle builds.  Returns the final amplitudes, the
+    per-column norm drift and the worst guard-band mass (0.0 for no
+    columns), once :func:`_check_health` has passed them.  A non-finite
+    lambda raises ``ValueError``.  ``config`` changes no result.
     """
     cols = np.asarray(amps, dtype=complex).reshape(cutoff.composite_dim, -1)
     t0, t1 = (0.0, params.tau_gate) if span is None else span

@@ -11,7 +11,7 @@ import pytest
 import msgate.cli as cli
 import msgate.magnus as magnus
 from msgate.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from msgate.experiment import SequenceConfig, run_calibration
+from msgate.experiment import SequenceConfig, fit_fringe, run_calibration
 from msgate.hilbert import ThermalDistribution
 from msgate.ideal import DimensionlessGateParams, phase_space_trajectory
 from msgate.magnus import (
@@ -267,6 +267,18 @@ class TestPredict:
         assert doc["coherence_re"] == coh.real and doc["coherence_im"] == coh.imag
         assert doc["purity"] == predict_purity(dist, 0.02, table)
 
+    @pytest.mark.parametrize("argv", [
+        ["--loops", "10000", "--n-max", "24", "--lambda-tilde", "0.01"],
+        ["--loops", "4", "--n-max", "30", "--lambda-tilde", "0.1"],
+    ])
+    def test_outside_the_expansion_domain(self, argv, capsys):
+        # Inside the 0.5 cap, x = |lambda_tilde| sqrt(kappa_n) is 400 and 1.55
+        # at Fock 0, where the fidelity would print as -159995 and -1.40.
+        assert main(["predict", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "takes Fock level 0 to x = " in captured.err and "1/sqrt(2)" in captured.err
+
     def test_missing_lambda(self, table_file, capsys):
         assert main(["predict", "--table", table_file]) == EXIT_USAGE
         assert "--lambda-tilde" in capsys.readouterr().err
@@ -495,10 +507,26 @@ class TestCalibrate:
             raise ValueError(f"non-standard JSON constant {constant}")
 
         doc = json.loads(out.read_text(), parse_constant=reject)
-        assert doc["fit"]["phase_err"] is None
+        assert doc["fit"]["amplitude_err"] is doc["fit"]["phase_err"] is None
+        assert doc["fit"]["offset_err"] is None
         assert doc["estimate"]["shift_err_hz"] is None
         assert any("covariance undetermined" in c for c in doc["estimate"]["caveats"])
         assert "caveat: fringe covariance undetermined" in capsys.readouterr().out
+
+    def test_report_writes_the_fit_errors(self, table_file, tmp_path):
+        # Every health number of the fringe fit is written: refitting the
+        # reported scan gives each of them (JSON floats round-trip exactly).
+        out = tmp_path / "report.json"
+        rc = main(["calibrate", "--table", table_file, "--engine", "first_order_model",
+                   "--detuning-hz=-11e3", "--shift-hz", "30", "--shots", "200",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        doc = json.loads(out.read_text())
+        refit = fit_fringe(np.array(doc["scan"]["phi_d"]), np.array(doc["scan"]["p_ee"]), 200)
+        assert doc["fit"] == {name: getattr(refit, name) for name in (
+            "amplitude", "phase", "offset", "amplitude_err", "phase_err", "offset_err",
+            "residual_rms")}
+        assert 0.0 < doc["fit"]["amplitude_err"] and 0.0 < doc["fit"]["offset_err"]
 
     @pytest.mark.parametrize("mode, level", [
         (["--nbar", "2.0"], 52),

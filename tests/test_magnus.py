@@ -406,7 +406,9 @@ class TestSectors:
             # <E_k|S_z|I_l>, E_k = (|++, D(omega)k> + sigma (-1)^k |--, D(-omega)k>) / sqrt2.
             e = (sym[0] + sigma * parity[:, None] * sym[3]) / root2
             assert (e[:, parity != sigma] == 0).all()
-            np.testing.assert_array_equal(sector.e_idle, np.nonzero(parity == sigma)[0])
+            idle = np.nonzero(parity == sigma)[0]
+            assert (sector.rows.start, sector.rows.step) == (idle[0], 2)
+            assert sector.below == np.count_nonzero(idle < cutoff.dim)
             assert np.abs(e[:, parity == sigma] - sector.b).max() <= 1e-15
             # Real hops: the builders use B's transpose as the hop back.
             assert (sector.b.imag == 0).all()
@@ -780,7 +782,9 @@ class TestPredictorGrid:
     np.shape(lambda_tilde)``, each entry the scalar call's value."""
 
     LEVELS = list(range(24))
-    LAMS = np.concatenate([np.linspace(-0.5, 0.5, 21), [-0.0371, 0.0023, 0.1234]])
+    # Inside the expansion's domain, x = |lam| sqrt(kappa_n) <= 1/sqrt2, at
+    # every level: level 0's kappa (12.48) serves |lam| up to 0.2001.
+    LAMS = np.concatenate([np.linspace(-0.2, 0.2, 21), [-0.0371, 0.0023, 0.1234]])
 
     @pytest.fixture(scope="class")
     def table40(self):
@@ -790,7 +794,7 @@ class TestPredictorGrid:
 
     @pytest.mark.parametrize("initial", ["gg", "ee"])
     def test_grid_entries_equal_point_calls(self, table40, initial):
-        assert {0.0, -0.5, 0.5} <= set(self.LAMS.tolist())
+        assert {0.0, -0.2, 0.2} <= set(self.LAMS.tolist())
         labelled = (predict_phase, predict_populations, predict_coherence,
                     predict_density_matrix)
         for predictor in (*labelled, predict_fidelity, predict_purity):
@@ -826,6 +830,29 @@ class TestPredictorGrid:
         assert thermal.shape == (5,)
         for k, lam in enumerate(lams.tolist()):
             assert thermal[k] == pytest.approx(predict_phase(dist, lam, table40), abs=1e-15)
+
+    def test_grid_refuses_past_the_domain(self, table40):
+        # The grid above reaches level 0's edge; at +-0.5 every predictor
+        # refuses the whole call, naming the worst level and its x.
+        der = table40.derived()
+        reach = np.sqrt(0.5 / (0.5 * (der.b.imag - der.c_gg - der.c_ee)[self.LEVELS]))
+        assert np.abs(self.LAMS).max() <= reach.min() == reach[0]
+        labelled = (predict_phase, predict_populations, predict_coherence,
+                    predict_density_matrix)
+        for predictor in (*labelled, predict_fidelity, predict_purity):
+            for initial in ("gg", "ee") if predictor in labelled else (None,):
+                extra = (initial,) if initial else ()
+                with pytest.raises(ValueError, match=r"= 0\.5 takes Fock level 0 to x = .* = 1\.767"):
+                    predictor(self.LEVELS, [-0.5, 0.0, 0.5], table40, *extra)
+                with pytest.raises(ValueError, match="thermal mode n_bar = 0.3 to x = "):
+                    predictor(ThermalDistribution(0.3), [0.0, 0.5], table40, *extra)
+        # Each level is served up to its own reach (or the 0.5 cap) and
+        # refused just past it.
+        for n in self.LEVELS:
+            predict_fidelity(n, min(0.999 * reach[n], 0.5), table40)
+            if 1.001 * reach[n] <= 0.5:
+                with pytest.raises(ValueError, match=rf"Fock level {n} to x = .* = 0\.708,"):
+                    predict_fidelity([n], [0.0, 1.001 * reach[n]], table40)
 
     def test_grid_checks_every_value(self, table40):
         with pytest.raises(ValueError, match="hard cap"):
@@ -974,6 +1001,16 @@ class TestPersistence:
         loaded.save(tmp_path / "again.json")
         stored = json.loads(path.read_text())
         assert json.loads((tmp_path / "again.json").read_text())["derived"] == stored["derived"]
+
+    @pytest.mark.parametrize("name", ["coefficients_k1_n40_schema5.json",
+                                      "coefficients_k3_n24_schema5.json"])
+    def test_committed_file_saves_back_byte_for_byte(self, tmp_path, name):
+        # The stored scalars go out and come back through one field list and
+        # one encoder/decoder pair: a file that msgate wrote loads and saves
+        # back to the same bytes, not only the same derived block.
+        path = Path(__file__).parent / "data" / name
+        load_coefficient_table(path).save(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == path.read_bytes()
 
     def test_byte_reproducible(self, table, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
