@@ -48,7 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiment import ENGINES, SequenceConfig, phi_seq_prediction, run_calibration
+from .experiment import (ENGINES, _MIN_PHASE_POINTS, SequenceConfig, phi_seq_prediction,
+                         run_calibration)
 from .hilbert import QUBIT_LABELS, FockCutoff, ThermalDistribution, _count
 from .ideal import DimensionlessGateParams, phase_space_trajectory
 from .magnus import (
@@ -291,7 +292,7 @@ def _sweep_plot_text(csv_path, fock, oracle_tag) -> str:
 def cmd_calibrate(args) -> int:
     _require(args, "detuning-hz", "shift-hz")
     # Counts are checked under their option names, before any table is made.
-    _count("--points", args.points, 5)
+    _count("--points", args.points, _MIN_PHASE_POINTS)
     _count("--cutoff-n-max", args.cutoff_n_max)
     _count("--shots", args.shots)
     _count("--seed", args.seed)

@@ -55,6 +55,10 @@ __all__ = [
 ]
 
 
+# Fewest scan phases of a fringe scan, for its three fitted parameters.
+_MIN_PHASE_POINTS = 5
+
+
 def _detuning(detuning: float) -> float:
     """``detuning`` if it is a finite, nonzero real number; else
     ``ValueError`` naming it.  SequenceConfig, phi_seq_prediction and
@@ -74,9 +78,10 @@ class SequenceConfig:
     being estimated; |qubit_shift/detuning| is held to the predictors' hard
     cap.  ``mode`` is the initial mode of the motion: a Fock level or a
     thermal distribution.  ``shots`` per scan point is at least 1, or None
-    to fit exact probabilities, and ``phase_points`` at least 5, for the
-    three fringe parameters.  Counts (``phase_points``, ``shots``, a Fock
-    level ``mode`` and ``cutoff_n_max``, whichever engine runs) are integers,
+    to fit exact probabilities, and ``phase_points`` at least
+    ``_MIN_PHASE_POINTS`` (5), for the three fringe parameters.  Counts
+    (``phase_points``, ``shots``, a Fock level ``mode`` and
+    ``cutoff_n_max``, whichever engine runs) are integers,
     numpy integers included but not bools or floats such as 6.0; anything
     else raises ``ValueError`` naming the field.
     """
@@ -95,7 +100,7 @@ class SequenceConfig:
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
         _check_lambda(self.lambda_tilde)
-        _count("phase_points", self.phase_points, 5)
+        _count("phase_points", self.phase_points, _MIN_PHASE_POINTS)
         if not isinstance(self.mode, ThermalDistribution):
             _count("mode", self.mode)
         if self.shots is not None:
@@ -268,8 +273,9 @@ def fit_fringe(
         _count("shots", shots, 1)
     phi_d = _finite("phi_d", phi_d)
     p_obs = _finite("p_obs", p_obs)
-    if phi_d.shape != p_obs.shape or phi_d.ndim != 1 or phi_d.size < 5:
-        raise ValueError("need matching 1-D phase/population arrays, >= 5 points")
+    if phi_d.shape != p_obs.shape or phi_d.ndim != 1 or phi_d.size < _MIN_PHASE_POINTS:
+        raise ValueError(
+            f"need matching 1-D phase/population arrays, >= {_MIN_PHASE_POINTS} points")
     design = np.column_stack(
         [np.cos(2.0 * phi_d), -np.sin(2.0 * phi_d), np.ones_like(phi_d)]
     )

@@ -140,10 +140,15 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     The recurrence only references lower row indices, so every stored entry
     is the untruncated operator's matrix element: truncation changes none.
     Rounding grows along the columns, to about 2e-14 at alpha = 0.5 and
-    2e-10 at alpha = 1.1 - 0.3j by column 75.  Column n is built in place
-    as row n of a transposed buffer, from the row before it, in real
-    arithmetic for a real ``alpha`` (the matrix is then real) and complex
-    otherwise, by one loop; the division by sqrt(n+1) is a product with its
+    2e-10 at alpha = 1.1 - 0.3j by column 75.  Against the same recurrence
+    in 50 digits, on the rows 0..n_max of a table build's spectrum (sizes
+    of n_max 40 and 120), the error is 2.7e-13 at alpha = 1/2 and n_max
+    120 and at most 4.4e-15 otherwise for alpha = 1/(2 sqrt K), K in
+    {1, 4, 100}.  At alpha = 1.5 and size 228 it reaches 15 in the last
+    rows (see :func:`msgate.magnus.compute_coefficient_table`).
+    Column n is built in place as row n of a transposed buffer, from the
+    row before it, in real arithmetic for a real ``alpha`` (the matrix is
+    then real) and complex otherwise, by one loop; the division by sqrt(n+1) is a product with its
     reciprocal, which is what numpy's complex-by-real division computes, so
     a real ``alpha`` gives the complex recurrence's real parts bit for bit
     (and +0 imaginary parts, where that route may leave -0).  The result
@@ -239,11 +244,11 @@ def _level_sum(weights: np.ndarray, values: np.ndarray):
     """sum_k weights[k] * values[k] over the level axis (``values``' first),
     added left to right, level 0 first.
 
-    Every level average in the package is this sum.  The loop fixes the
-    order of the additions, unlike a BLAS dot or a reduction whose order
-    numpy picks, so a thermal result does not move with the BLAS build; and
-    a single weight of 1.0 returns its values exactly."""
-    total = weights[0] * values[0]
-    for weight, value in zip(weights[1:], values[1:]):
-        total = total + weight * value
-    return total
+    Every level average in the package is this sum.  It is the last row of
+    one running sum along the level axis: ``np.cumsum`` adds each row to the
+    total of the rows before it, so the order of the additions is fixed,
+    unlike a BLAS dot or a reduction whose order numpy picks (pairwise
+    summation), and a thermal result does not move with the BLAS build; a
+    single weight of 1.0 returns its values exactly."""
+    terms = weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values
+    return np.cumsum(terms, axis=0)[-1]

@@ -65,9 +65,6 @@ class NormDriftError(RuntimeError):
     """Propagation changed a state's norm; results untrusted."""
 
 
-# Pair coherence below which observables flag the relative phase unreliable.
-_COHERENCE_FLOOR = 1e-6
-
 # Numerical health of every propagated column: at most _GUARD_TOLERANCE of
 # its probability in the top _GUARD_LEVELS Fock levels, and a norm that
 # moves by at most _NORM_TOLERANCE.
@@ -178,7 +175,11 @@ def _exact_evolve(lam, omega, phi, cutoff, cols: np.ndarray, dt: float) -> np.nd
 def _basis_columns(qubit: int, levels, cutoff: FockCutoff) -> np.ndarray:
     """One column |qubit, n> per initial level n.
 
-    A level past the cutoff is a truncation, so it raises GuardBandError.
+    A level past the cutoff is a truncation, so it raises GuardBandError,
+    before any other level is checked.  Then each distinct level, in order
+    of first appearance, gets its flat index from :meth:`FockCutoff.index`,
+    which raises ``ValueError`` for a qubit or level that is not a count in
+    range, and one fancy assignment places every column.
     """
     top = max(levels, default=0)
     if top > cutoff.n_max:
@@ -186,9 +187,9 @@ def _basis_columns(qubit: int, levels, cutoff: FockCutoff) -> np.ndarray:
             f"initial Fock level {top} is above the oracle cutoff {cutoff.n_max}; "
             "raise --cutoff-n-max"
         )
+    index = {n: cutoff.index(qubit, n) for n in dict.fromkeys(levels)}
     amps = np.zeros((cutoff.composite_dim, len(levels)), dtype=complex)
-    for j, n in enumerate(levels):
-        amps[cutoff.index(qubit, n), j] = 1.0
+    amps[[index[n] for n in levels], np.arange(len(levels))] = 1.0
     return amps
 
 
@@ -264,8 +265,9 @@ def observables(final: np.ndarray, initial_label: str, cutoff: FockCutoff) -> di
 
     ``final`` is one propagated column (4*dim,) or a batch (4*dim, k).  Keys:
     populations (gg, ge, eg, ee order), relative_phase, coherence_abs,
-    phase_reliable, fidelity, purity, norm and rho, the reduced qubit-pair
-    density matrix.  A batch gives one value per column along a leading
+    fidelity, purity and rho, the reduced qubit-pair density matrix.  The
+    health numbers (norm drift, guard-band mass) are the propagator's, not
+    recomputed here.  A batch gives one value per column along a leading
     axis (rho is (k, 4, 4)); one column gives scalars, (4,) populations and
     a (4, 4) rho.  Fidelity is against the ideal *qubit* output, which is
     the same for every Fock level.
@@ -281,10 +283,8 @@ def observables(final: np.ndarray, initial_label: str, cutoff: FockCutoff) -> di
         "populations": np.real(np.diagonal(rho, axis1=1, axis2=2)),
         "relative_phase": np.angle(coh),
         "coherence_abs": np.abs(coh),
-        "phase_reliable": np.abs(coh) > _COHERENCE_FLOOR,
         "fidelity": np.real(np.sum(np.outer(target.conj(), target) * rho, axis=(1, 2))),
         "purity": np.real(np.sum(rho * rho.transpose(0, 2, 1), axis=(1, 2))),
-        "norm": np.linalg.norm(v, axis=(1, 2)),
         "rho": rho,
     }
     if amps.ndim == 1:

@@ -8,6 +8,7 @@ for checks that every route runs the table's gate rather than the one-loop
 default.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -69,6 +70,17 @@ def two_loop_table():
     )
     table.check_health()
     return table
+
+
+@pytest.fixture(scope="session")
+def loop_table():
+    """``loop_table(K, n_max)``: the calibrated gate of K loops, each table
+    built once per session."""
+    @functools.cache
+    def build(loops: int, n_max: int):
+        gate = DimensionlessGateParams.calibrated(loops)
+        return compute_coefficient_table(gate.omega_tilde, n_max, tau_gate=gate.tau_gate)
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import msgate.magnus as magnus
@@ -893,6 +893,41 @@ class TestPredictorGrid:
         assert predict_fidelity(dist, 0.0, table40) == 1.0
         assert predict_phase(dist, 0.0, table40) == -math.pi / 2
         assert predict_phase(dist, 0.0, table40, "ee") == -math.pi / 2
+
+
+class TestTrustRegion:
+    """Inside the expansion's domain, x = |lam| sqrt(kappa_n) <= 1/sqrt2,
+    every served prediction is a probability."""
+
+    @given(data=st.data(), loops=st.sampled_from([1, 2, 3, 4, 16, 100, 10**4]),
+           initial=st.sampled_from(["gg", "ee"]), thermal=st.booleans(),
+           fraction=st.floats(-1.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_served_predictions_are_probabilities(self, loop_table, data, loops, initial,
+                                                  thermal, fraction):
+        # n_max 80 trusts every level of a thermal mode up to n_bar = 2 at
+        # each loop count.
+        table = loop_table(loops, 80)
+        trusted = table.derived().trusted
+        if thermal:
+            mode = ThermalDistribution(data.draw(st.floats(0.05, 2.0), label="n_bar"))
+            assume(trusted[:mode.n_max + 1].all())
+        else:
+            mode = data.draw(st.sampled_from(np.flatnonzero(trusted).tolist()), label="n")
+        # The level's (or the mode's mean) kappa, and its reach.
+        _, _, b, c_gg, c_ee, _ = magnus._scalars(mode, table)
+        kappa = 0.5 * (b.imag - c_gg - c_ee)
+        lam = fraction * min(LAMBDA_HARD_CAP, math.sqrt(0.5 / kappa))
+        try:
+            pops = predict_populations(mode, lam, table, initial)
+            fidelity = predict_fidelity(mode, lam, table)
+            purity = predict_purity(mode, lam, table)
+        except ValueError:
+            # Refused only where the reach rounds past the edge.
+            assert lam * lam * kappa > 0.5
+            return
+        for value in (*pops, fidelity, purity):
+            assert 0.0 <= value <= 1.0, (pops, fidelity, purity)
 
 
 class TestTracedUnitary:

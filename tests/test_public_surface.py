@@ -110,12 +110,12 @@ OPTIONAL_PARAMETERS = {
 # must show up here.
 SOURCE_CODE_LINES = {
     "__init__": 2,
-    "cli": 413,
-    "experiment": 203,
-    "hilbert": 115,
+    "cli": 414,
+    "experiment": 205,
+    "hilbert": 113,
     "ideal": 67,
     "magnus": 478,
-    "oracle": 168,
+    "oracle": 165,
 }
 
 
