@@ -50,7 +50,7 @@ import numpy as np
 from . import __version__
 from .experiment import (ENGINES, _MIN_PHASE_POINTS, SequenceConfig, phi_seq_prediction,
                          run_calibration)
-from .hilbert import QUBIT_LABELS, FockCutoff, ThermalDistribution, _count
+from .hilbert import QUBIT_LABELS, FockCutoff, ThermalDistribution, _count, _finite
 from .ideal import DimensionlessGateParams, phase_space_trajectory
 from .magnus import (
     CoefficientTable,
@@ -291,17 +291,21 @@ def _sweep_plot_text(csv_path, fock, oracle_tag) -> str:
 
 def cmd_calibrate(args) -> int:
     _require(args, "detuning-hz", "shift-hz")
-    # Counts are checked under their option names, before any table is made.
+    # Counts and frequencies are checked under their option names, before
+    # any table is made.
     _count("--points", args.points, _MIN_PHASE_POINTS)
     _count("--cutoff-n-max", args.cutoff_n_max)
     _count("--shots", args.shots)
     _count("--seed", args.seed)
+    if _finite("--detuning-hz", args.detuning_hz) == 0.0:
+        raise CliError("--detuning-hz must be nonzero")
+    _finite("--shift-hz", args.shift_hz)
     table = _table_for(args)
-    detuning = 2.0 * math.pi * args.detuning_hz
-    shift = 2.0 * math.pi * args.shift_hz
+    # The library is dimensionless, so Hz stops at this command: the run
+    # takes lambda_tilde, lam over the detuning with both in rad/s, and its
+    # estimate goes back to Hz through the detuning.
     config = SequenceConfig(
-        detuning=detuning,
-        qubit_shift=shift,
+        lambda_tilde=(2.0 * math.pi * args.shift_hz) / (2.0 * math.pi * args.detuning_hz),
         mode=_initial_mode(args),
         phase_points=args.points,
         shots=None if args.shots == 0 else args.shots,
@@ -310,8 +314,8 @@ def cmd_calibrate(args) -> int:
     )
     rng = np.random.default_rng(args.seed)
     fit, estimate, phi_d, p_obs = run_calibration(config, table, rng)
-    shift_hz = estimate.lambda_hat / (2.0 * math.pi)
-    err_hz = estimate.lambda_err / (2.0 * math.pi)
+    shift_hz = estimate.lambda_tilde * args.detuning_hz
+    err_hz = estimate.lambda_tilde_err * abs(args.detuning_hz)
     report = {
         "schema": CALIBRATION_SCHEMA,
         "package_version": __version__,
@@ -339,7 +343,7 @@ def cmd_calibrate(args) -> int:
             "shift_hz": shift_hz,
             "shift_err_hz": _finite_or_null(err_hz),
             "phi_seq": fit.phase,
-            "phi_seq_predicted": phi_seq_prediction(shift, detuning, estimate.slope),
+            "phi_seq_predicted": phi_seq_prediction(config.lambda_tilde, estimate.slope),
             "slope": estimate.slope,
             "caveats": estimate.caveats,
         },

@@ -6,11 +6,14 @@ error lam makes the qubit frame slip against the drive between and during
 the gates; to first order the excited-pair population traces
 
     P(ee)(phi_d) = (1 + cos(2*phi_d + phi_seq)) / 2,
-    phi_seq      = 2 * lam * a_n / detuning,
+    phi_seq      = 2 * lambda_tilde * a_n,
 
-with a_n the per-Fock-level phase slope from the coefficient table.  The
-fitted fringe phase therefore measures lam directly.  The fringe is linear
-in (A cos phi_seq, A sin phi_seq, offset), so the fit is a weighted linear
+with lambda_tilde = lam / detuning the gate's own unit of the error and a_n
+the per-Fock-level phase slope from the coefficient table.  The fitted
+fringe phase therefore measures lambda_tilde directly.  Every value here
+is dimensionless: a caller working in Hz or rad/s converts at its own
+edge, as the ``calibrate`` command does.  The fringe is linear in
+(A cos phi_seq, A sin phi_seq, offset), so the fit is a weighted linear
 least-squares solve with no iteration and no starting guess.
 
 Two engines produce fringes: ``first_order_model`` evaluates the cosine
@@ -59,26 +62,17 @@ __all__ = [
 _MIN_PHASE_POINTS = 5
 
 
-def _detuning(detuning: float) -> float:
-    """``detuning`` if it is a finite, nonzero real number; else
-    ``ValueError`` naming it.  SequenceConfig, phi_seq_prediction and
-    estimate_lambda all check the detuning here."""
-    if _finite("detuning", detuning) == 0.0:
-        raise ValueError("detuning must be nonzero")
-    return detuning
-
-
 @dataclass(frozen=True)
 class SequenceConfig:
     """Physical and numerical settings for one calibration run.
 
-    ``detuning`` (signed, rad/s) sets the gate clock; each gate lasts
-    ``tau_gate``/|detuning|, with ``tau_gate`` that of the coefficient table
-    the run is given.  ``qubit_shift`` is the center-line error lam (rad/s)
-    being estimated; |qubit_shift/detuning| is held to the predictors' hard
-    cap.  ``mode`` is the initial mode of the motion: a Fock level or a
-    thermal distribution.  ``shots`` per scan point is at least 1, or None
-    to fit exact probabilities, and ``phase_points`` at least
+    ``lambda_tilde`` is the center-line error being estimated, lam over the
+    signed detuning: one finite real number inside the predictors' hard
+    cap, else ``ValueError`` naming it.  Each gate is the gate of the
+    coefficient table the run is given, its ``tau_gate`` in units of
+    1/|detuning|.  ``mode`` is the initial mode of the motion: a Fock level
+    or a thermal distribution.  ``shots`` per scan point is at least 1, or
+    None to fit exact probabilities, and ``phase_points`` at least
     ``_MIN_PHASE_POINTS`` (5), for the three fringe parameters.  Counts
     (``phase_points``, ``shots``, a Fock level ``mode`` and
     ``cutoff_n_max``, whichever engine runs) are integers,
@@ -86,8 +80,7 @@ class SequenceConfig:
     else raises ``ValueError`` naming the field.
     """
 
-    detuning: float
-    qubit_shift: float
+    lambda_tilde: float
     mode: int | ThermalDistribution = 0
     phase_points: int = 16
     shots: int | None = 200
@@ -95,21 +88,17 @@ class SequenceConfig:
     cutoff_n_max: int = 32
 
     def __post_init__(self) -> None:
-        _detuning(self.detuning)
-        _finite("qubit_shift", self.qubit_shift)
+        if _check_lambda(self.lambda_tilde).ndim:
+            raise ValueError("lambda_tilde must be a single number, "
+                             f"got {np.asarray(self.lambda_tilde).tolist()!r}")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
-        _check_lambda(self.lambda_tilde)
         _count("phase_points", self.phase_points, _MIN_PHASE_POINTS)
         if not isinstance(self.mode, ThermalDistribution):
             _count("mode", self.mode)
         if self.shots is not None:
             _count("shots", self.shots, 1)
         _count("cutoff_n_max", self.cutoff_n_max)
-
-    @property
-    def lambda_tilde(self) -> float:
-        return self.qubit_shift / self.detuning
 
 
 def phase_scan(n_points: int) -> np.ndarray:
@@ -135,11 +124,15 @@ def effective_phase_slope(
     return float(_scalars(n, table)[1])
 
 
-def phi_seq_prediction(qubit_shift: float, detuning: float, slope: float) -> float:
-    """First-order fringe phase 2*lam*a/detuning (radians)."""
-    _finite("qubit_shift", qubit_shift)
+def phi_seq_prediction(lambda_tilde: float, slope):
+    """First-order fringe phase 2*lambda_tilde*a (radians) for the phase
+    slope ``a`` = ``slope``, the one forward formula of the fringe: the
+    model engine passes an array of per-level slopes and gets their
+    phases.  ``lambda_tilde`` is checked as the predictors check it, and a
+    non-finite ``slope`` raises ``ValueError``."""
+    _check_lambda(lambda_tilde)
     _finite("slope", slope)
-    return 2.0 * qubit_shift * slope / _detuning(detuning)
+    return 2.0 * lambda_tilde * slope
 
 
 # The fringe engines: each returns one fringe per initial level (rows, in
@@ -148,7 +141,7 @@ def phi_seq_prediction(qubit_shift: float, detuning: float, slope: float) -> flo
 def _model_fringe(
     config: SequenceConfig, table: CoefficientTable, levels: np.ndarray, phi_d: np.ndarray
 ) -> np.ndarray:
-    slips = 2.0 * config.lambda_tilde * _scalars(levels, table)[1]
+    slips = phi_seq_prediction(config.lambda_tilde, _scalars(levels, table)[1])
     return 0.5 * (1.0 + np.cos(2.0 * phi_d + slips[:, None]))
 
 
@@ -316,27 +309,31 @@ def fit_fringe(
 
 @dataclass(frozen=True)
 class LambdaEstimate:
-    """Inverted center-line error with its propagated uncertainty."""
+    """Inverted center-line error ``lambda_tilde`` (lam over the detuning)
+    with its propagated one-sigma uncertainty ``lambda_tilde_err``, the
+    phase slope it was inverted through, and the caveats of the
+    inversion."""
 
-    lambda_hat: float
-    lambda_err: float
+    lambda_tilde: float
+    lambda_tilde_err: float
     slope: float
     caveats: tuple[str, ...] = ()
 
 
-def estimate_lambda(
-    fit: FringeFit, slope: float, detuning: float
-) -> LambdaEstimate:
-    """Invert the fitted fringe phase through phi_seq = 2*lam*slope/detuning."""
+def estimate_lambda(fit: FringeFit, slope: float) -> LambdaEstimate:
+    """Invert the fitted fringe phase through phi_seq = 2*lambda_tilde*slope.
+
+    A ``slope`` that is not finite or below 1e-6 in magnitude raises
+    ``ValueError``.  The error is inf when the fit's phase error is."""
     if abs(_finite("slope", slope)) < 1e-6:
         raise ValueError(
             f"phase slope {slope:.2e} is too small to invert; the sequence "
             "is insensitive to the center-line error at this Fock level"
         )
-    lam_hat = _detuning(detuning) * fit.phase / (2.0 * slope)
-    lam_err = abs(detuning / (2.0 * slope)) * fit.phase_err
+    lam_hat = fit.phase / (2.0 * slope)
+    lam_err = fit.phase_err / abs(2.0 * slope)
     caveats = []
-    if abs(lam_hat / detuning) > 0.1:
+    if abs(lam_hat) > 0.1:
         caveats.append(
             "estimated |shift/detuning| exceeds 0.1; the first-order "
             "inversion is biased this far out"
@@ -346,8 +343,8 @@ def estimate_lambda(
     if not math.isfinite(fit.phase_err):
         caveats.append("fringe covariance undetermined; the error bars are not meaningful")
     return LambdaEstimate(
-        lambda_hat=float(lam_hat),
-        lambda_err=float(lam_err),
+        lambda_tilde=float(lam_hat),
+        lambda_tilde_err=float(lam_err),
         slope=slope,
         caveats=tuple(caveats),
     )
@@ -371,5 +368,5 @@ def run_calibration(
         p_obs = sample_fringe(p_obs, config.shots, rng)
     fit = fit_fringe(phi_d, p_obs, config.shots)
     slope = effective_phase_slope(table, config.mode)
-    estimate = estimate_lambda(fit, slope, config.detuning)
+    estimate = estimate_lambda(fit, slope)
     return fit, estimate, phi_d, p_obs

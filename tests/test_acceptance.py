@@ -259,24 +259,24 @@ def test_6_sweep_figure_properties(capsys, table_file, tmp_path):
 
 
 def test_7_two_gate_fringe_slope(capsys, table, derived):
-    shift = 50.0  # rad/s
+    lt = 50.0 / EPSILON  # a 50 rad/s shift
     worst = 0.0
     for n in range(4):
         fitted = {}
         for sign in (1.0, -1.0):
             config = SequenceConfig(
-                detuning=EPSILON, qubit_shift=sign * shift, mode=n,
+                lambda_tilde=sign * lt, mode=n,
                 shots=None, engine="oracle", cutoff_n_max=32, phase_points=8,
             )
             phi_d, p = simulate_fringe(config, table)
             fitted[sign] = fit_fringe(phi_d, p).phase
-        slope = (fitted[1.0] - fitted[-1.0]) / (2.0 * shift)
-        expected = 2.0 * derived.a[n] / EPSILON
+        slope = (fitted[1.0] - fitted[-1.0]) / (2.0 * lt)
+        expected = 2.0 * derived.a[n]
         worst = max(worst, abs(slope - expected) / abs(expected))
     _report(
         capsys, 7, worst <= 1e-2,
-        f"two-gate fringe phase slope vs 2 a_n / detuning at "
-        f"{EPSILON / (2 * math.pi):.0f} Hz: worst rel err {worst:.2e} "
+        f"two-gate fringe phase slope in lambda_tilde vs 2 a_n at "
+        f"|lambda_tilde| {abs(lt):.2e}: worst rel err {worst:.2e} "
         f"(tol 1e-2, n = 0..3)",
     )
 
@@ -284,20 +284,19 @@ def test_7_two_gate_fringe_slope(capsys, table, derived):
 def test_8_closed_loop_calibration(capsys, table):
     worst_rel = 0.0
     for lam_tilde in (-0.01, 0.003, 0.03):
-        shift = lam_tilde * EPSILON
         config = SequenceConfig(
-            detuning=EPSILON, qubit_shift=shift, shots=None, engine="oracle",
+            lambda_tilde=lam_tilde, shots=None, engine="oracle",
             cutoff_n_max=32, phase_points=16,
         )
         _, estimate, _, _ = run_calibration(config, table)
-        worst_rel = max(worst_rel, abs(estimate.lambda_hat - shift) / abs(shift))
+        worst_rel = max(worst_rel, abs(estimate.lambda_tilde - lam_tilde) / abs(lam_tilde))
     noiseless_ok = worst_rel <= 0.05
 
     # A 32-point scan keeps the fitted-weight noise small at 200 shots, so
     # the reported error bars are calibrated to the few-percent level.
-    truth = 0.01 * EPSILON
+    truth = 0.01
     config = SequenceConfig(
-        detuning=EPSILON, qubit_shift=truth, shots=None, engine="oracle",
+        lambda_tilde=truth, shots=None, engine="oracle",
         cutoff_n_max=32, phase_points=32,
     )
     phi_d, p_exact = simulate_fringe(config, table)
@@ -307,14 +306,14 @@ def test_8_closed_loop_calibration(capsys, table):
     for _ in range(trials):
         observed = sample_fringe(p_exact, 200, rng)
         fit = fit_fringe(phi_d, observed, shots=200)
-        estimate = estimate_lambda(fit, slope, EPSILON)
-        hits += abs(estimate.lambda_hat - truth) <= 3.0 * estimate.lambda_err
+        estimate = estimate_lambda(fit, slope)
+        hits += abs(estimate.lambda_tilde - truth) <= 3.0 * estimate.lambda_tilde_err
     coverage = hits / trials
     coverage_ok = coverage >= 0.99
     _report(
         capsys, 8, noiseless_ok and coverage_ok,
         f"noiseless recovery worst rel err {worst_rel:.2%} (tol 5%, "
-        f"|shift/detuning| <= 0.03); 3-sigma coverage {coverage:.1%} over "
+        f"|lambda_tilde| <= 0.03); 3-sigma coverage {coverage:.1%} over "
         f"{trials} trials at 200 shots (need >= 99%)",
     )
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -609,16 +610,43 @@ class TestCalibrate:
         (["--cutoff-n-max", "-1"], "--cutoff-n-max must be an integer >= 0, got -1"),
         (["--shots", "-1"], "--shots must be an integer >= 0, got -1"),
         (["--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+        # The library takes lambda_tilde alone, so the command checks the
+        # two frequencies it converts.
+        (["--detuning-hz", "0"], "--detuning-hz must be nonzero"),
+        (["--detuning-hz", "nan"], "--detuning-hz must be finite, got nan"),
+        (["--detuning-hz", "inf"], "--detuning-hz must be finite, got inf"),
+        (["--shift-hz", "nan"], "--shift-hz must be finite, got nan"),
+        (["--shift-hz=-inf"], "--shift-hz must be finite, got -inf"),
     ])
     def test_counts_refused_before_table(self, workdir, capsys, argv, message):
         # Named by their options, not by SequenceConfig's fields or numpy's
-        # seed rule, and refused
-        # before the (missing) table file is read.
+        # seed rule, and refused before the (missing) table file is read;
+        # the frequencies too.
         rc = main(["calibrate", "--table", "missing.json", "--detuning-hz=-11e3",
                    "--shift-hz", "30", "--engine", "first_order_model", *argv])
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
         assert _files(workdir) == []
+
+    @pytest.mark.parametrize("engine", ["first_order_model", "oracle"])
+    @pytest.mark.parametrize("detuning_hz", [11e3, -11e3])
+    @pytest.mark.parametrize("shift_hz", [75.0, -75.0])
+    def test_shift_recovered_with_its_sign(self, table_file, tmp_path, engine,
+                                           detuning_hz, shift_hz):
+        # The command divides the shift by the detuning and multiplies the
+        # estimate back, so each sign of either comes back as it went in.
+        out = tmp_path / "report.json"
+        rc = main(["calibrate", "--table", table_file, "--engine", engine,
+                   f"--detuning-hz={detuning_hz!r}", f"--shift-hz={shift_hz!r}",
+                   "--shots", "0", "--out", str(out)])
+        assert rc == EXIT_OK
+        estimate = json.loads(out.read_text())["estimate"]
+        # The oracle's first-order bias is below 0.15 |lambda_tilde| (see
+        # test_recovery_at_both_detuning_signs).
+        rel = 1e-9 if engine == "first_order_model" else 0.15 * abs(shift_hz / detuning_hz)
+        assert estimate["shift_hz"] == pytest.approx(shift_hz, rel=rel)
+        assert math.copysign(1.0, estimate["phi_seq"]) == math.copysign(
+            1.0, estimate["phi_seq_predicted"])
 
     def test_truncated_cutoff_exit(self, table_file, capsys):
         rc = main(["calibrate", "--table", table_file, "--detuning-hz",
@@ -957,9 +985,8 @@ class TestTableOnDemand:
         assert rc == EXIT_OK
         assert _files(workdir) == [Path("r.json")]
         doc = json.loads(Path("r.json").read_text())
-        config = SequenceConfig(detuning=2.0 * np.pi * -11000.0,
-                                qubit_shift=2.0 * np.pi * 30.0, shots=None,
-                                engine="first_order_model")
+        config = SequenceConfig(lambda_tilde=(2.0 * np.pi * 30.0) / (2.0 * np.pi * -11000.0),
+                                shots=None, engine="first_order_model")
         fit, _, _, _ = run_calibration(config, built, np.random.default_rng(0))
         assert doc["estimate"]["phi_seq"] == pytest.approx(fit.phase, rel=1e-12)
         assert doc["inputs"]["table_provenance"] == built.provenance_hash
@@ -1027,9 +1054,9 @@ class TestNonFiniteInput:
         (["sweep", "--table", "T", "--lambda-min", "nan", "--points", "3"],
          "lambda_tilde must be finite"),
         (["calibrate", "--table", "T", "--detuning-hz", "inf", "--shift-hz", "30",
-          "--out", "r.json"], "detuning must be finite"),
+          "--out", "r.json"], "--detuning-hz must be finite"),
         (["calibrate", "--table", "T", "--detuning-hz=-11e3", "--shift-hz", "nan",
-          "--out", "r.json"], "qubit_shift must be finite"),
+          "--out", "r.json"], "--shift-hz must be finite"),
         (["predict", "--table", "T", "--lambda-tilde", "0.01", "--nbar", "inf"],
          "n_bar must be finite"),
         (["calibrate", "--table", "T", "--detuning-hz=-11e3", "--shift-hz", "30",

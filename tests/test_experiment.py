@@ -27,12 +27,13 @@ from msgate.magnus import (TruncationError, compute_coefficient_table, predict_f
                            predict_phase, predict_purity)
 from msgate.oracle import GuardBandError
 
-EPSILON = -2.0 * math.pi * 11e3  # rad/s
+# The library is dimensionless; a shift stated in rad/s below is divided
+# by this detuning, -11 kHz in rad/s, to give its lambda_tilde.
+EPSILON = -2.0 * math.pi * 11e3
 
 
 def _config(**kw):
-    base = dict(detuning=EPSILON, qubit_shift=100.0, engine="first_order_model",
-                shots=None)
+    base = dict(lambda_tilde=100.0 / EPSILON, engine="first_order_model", shots=None)
     base.update(kw)
     return SequenceConfig(**base)
 
@@ -40,30 +41,35 @@ def _config(**kw):
 class TestSequenceConfig:
     def test_thermal_config_hashes(self):
         # A config is a value whichever mode it holds.
-        thermal = SequenceConfig(1e4, 1.0, mode=ThermalDistribution(0.3))
-        assert hash(thermal) == hash(SequenceConfig(1e4, 1.0, mode=ThermalDistribution(0.3)))
-        assert thermal == SequenceConfig(1e4, 1.0, mode=ThermalDistribution(0.3))
-        assert thermal != SequenceConfig(1e4, 1.0, mode=ThermalDistribution(2.0))
-
-    def test_lambda_tilde(self):
-        config = _config(qubit_shift=EPSILON * 0.01)
-        assert config.lambda_tilde == pytest.approx(0.01)
+        thermal = SequenceConfig(1e-4, mode=ThermalDistribution(0.3))
+        assert hash(thermal) == hash(SequenceConfig(1e-4, mode=ThermalDistribution(0.3)))
+        assert thermal == SequenceConfig(1e-4, mode=ThermalDistribution(0.3))
+        assert thermal != SequenceConfig(1e-4, mode=ThermalDistribution(2.0))
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            _config(detuning=0.0)
         with pytest.raises(ValueError, match="engine"):
             _config(engine="exact")
         with pytest.raises(ValueError, match="exceeds"):
-            _config(qubit_shift=EPSILON)
+            _config(lambda_tilde=1.0)
         with pytest.raises(ValueError, match="phase_points must be an integer >= 5, got 3"):
             _config(phase_points=3)
 
-    @pytest.mark.parametrize("name", ["detuning", "qubit_shift"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_rejects_non_finite(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            _config(**{name: value})
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="lambda_tilde must be finite"):
+            _config(lambda_tilde=value)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("lambda_tilde", [
+        np.array([0.01, 0.02]), np.array([0.01]), [0.01, 0.02],
+    ], ids=["two", "one", "list"])
+    def test_array_lambda_tilde_refused(self, engine, lambda_tilde):
+        # Unrefused, a two-element shift ran the model engine on it and
+        # returned one estimate for both, and a one-element one reached the
+        # oracle and ended in numpy's bare TypeError.
+        with pytest.raises(ValueError, match="lambda_tilde must be a single number, got "
+                                             r"\[0\.01"):
+            _config(engine=engine, lambda_tilde=lambda_tilde)
 
     def test_thermal(self):
         assert _config().mode == 0
@@ -151,20 +157,24 @@ class TestScanAndSlope:
         with pytest.raises(ValueError, match="Fock level n must be an integer >= 0, got"):
             effective_phase_slope(table, mode)
 
-    def test_phi_seq_prediction(self):
-        assert phi_seq_prediction(100.0, EPSILON, 5.68) == pytest.approx(
-            2.0 * 100.0 * 5.68 / EPSILON
-        )
+    def test_phi_seq_prediction(self, table, derived):
+        assert phi_seq_prediction(0.01, 5.68) == 2.0 * 0.01 * 5.68
+        # The model engine's per-level phases are this formula's.
+        levels = np.arange(4)
+        phases = phi_seq_prediction(0.01, derived.a[levels])
+        rows = experiment._model_fringe(_config(lambda_tilde=0.01), table, levels,
+                                        np.zeros(1))
+        assert np.array_equal(rows[:, 0], 0.5 * (1.0 + np.cos(phases)))
 
-    # One rule for the calibration inputs, shared with SequenceConfig and
-    # estimate_lambda: the detuning is finite and nonzero, the slope finite.
-    # Unrefused, a nan or inf came back as a nan or inf phase.
+    # lambda_tilde is checked as SequenceConfig and the predictors check it,
+    # and the slope must be finite.  Unrefused, a nan or inf came back as a
+    # nan or inf phase.
     @pytest.mark.parametrize("args, message", [
-        ((1.0, 0.0, 5.0), "detuning must be nonzero"),
-        ((1.0, math.nan, 5.0), "detuning must be finite"),
-        ((1.0, math.inf, 5.0), "detuning must be finite"),
-        ((1.0, EPSILON, math.nan), "slope must be finite"),
-        ((math.nan, EPSILON, 5.0), "qubit_shift must be finite"),
+        ((math.nan, 5.0), "lambda_tilde must be finite"),
+        ((math.inf, 5.0), "lambda_tilde must be finite"),
+        ((0.7, 5.0), "exceeds the hard cap"),
+        ((0.01, math.nan), "slope must be finite"),
+        ((0.01, math.inf), "slope must be finite"),
     ])
     def test_phi_seq_prediction_refusals(self, args, message):
         with pytest.raises(ValueError, match=message):
@@ -239,7 +249,7 @@ class TestFringeFit:
         fit = fit_fringe(phi, 0.5 + 0.4 * np.cos(2 * phi + phase))
         assert fit.phase == pytest.approx(phase, abs=1e-12)
         assert np.isinf([fit.amplitude_err, fit.phase_err, fit.offset_err]).all()
-        estimate = estimate_lambda(fit, 5.68, EPSILON)
+        estimate = estimate_lambda(fit, 5.68)
         assert any("covariance undetermined" in c for c in estimate.caveats)
 
     def test_errors_match_closed_form(self, rng):
@@ -290,7 +300,7 @@ class TestFringeFit:
             if level == 0.0:
                 assert fit.amplitude == 0.0
             assert np.isinf([fit.amplitude_err, fit.phase_err, fit.offset_err]).all()
-            estimate = estimate_lambda(fit, 5.68, EPSILON)
+            estimate = estimate_lambda(fit, 5.68)
             assert any("covariance undetermined" in c for c in estimate.caveats)
 
 
@@ -325,65 +335,65 @@ class TestModelEngine:
         # Model-engine data inverted with the model slope returns the input
         # shift to machine precision.
         for shift in (25.0, -70.0, 300.0):
-            config = _config(qubit_shift=shift)
+            config = _config(lambda_tilde=shift / EPSILON)
             fit, estimate, _, _ = run_calibration(config, table)
-            assert estimate.lambda_hat == pytest.approx(shift, rel=1e-9)
+            assert estimate.lambda_tilde == pytest.approx(shift / EPSILON, rel=1e-9)
             # Exact data leaves no residual to scale the covariance by.
             assert len(estimate.caveats) == 1
             assert "covariance undetermined" in estimate.caveats[0]
 
     def test_default_rng_is_repeatable(self, table):
         # Without an rng the shots are drawn from a fixed seed.
-        config = _config(qubit_shift=40.0, shots=200)
+        config = _config(lambda_tilde=40.0 / EPSILON, shots=200)
         first, again = run_calibration(config, table), run_calibration(config, table)
         assert np.array_equal(first[3], again[3])
-        assert first[1].lambda_hat == again[1].lambda_hat
+        assert first[1].lambda_tilde == again[1].lambda_tilde
         assert not np.array_equal(first[3], simulate_fringe(config, table)[1])
 
     def test_thermal_round_trip(self, table):
-        config = _config(qubit_shift=40.0, mode=ThermalDistribution(0.05))
+        config = _config(lambda_tilde=40.0 / EPSILON, mode=ThermalDistribution(0.05))
         fit, estimate, _, _ = run_calibration(config, table)
         # Thermal fringe phase is a phasor average; the weighted-slope
         # inversion leaves only the O(lam^2) phasor-vs-mean residue.
-        assert estimate.lambda_hat == pytest.approx(40.0, rel=1e-3)
+        assert estimate.lambda_tilde == pytest.approx(40.0 / EPSILON, rel=1e-3)
 
 
 class TestOracleEngine:
     def test_phi_seq_matches_prediction(self, table, derived):
-        shift = 50.0
+        lt = 50.0 / EPSILON
         config = _config(
-            engine="oracle", qubit_shift=shift, cutoff_n_max=24, phase_points=8,
+            engine="oracle", lambda_tilde=lt, cutoff_n_max=24, phase_points=8,
         )
         fit, estimate, _, _ = run_calibration(config, table)
-        predicted = phi_seq_prediction(shift, EPSILON, derived.a[0])
+        predicted = phi_seq_prediction(lt, derived.a[0])
         assert fit.phase == pytest.approx(predicted, rel=5e-3)
-        assert estimate.lambda_hat == pytest.approx(shift, rel=5e-3)
+        assert estimate.lambda_tilde == pytest.approx(lt, rel=5e-3)
         assert fit.amplitude == pytest.approx(0.5, abs=1e-3)
 
     def test_sampled_estimate_covers_truth(self, table, rng):
-        shift = 150.0
+        lt = 150.0 / EPSILON
         config = _config(
-            engine="oracle", qubit_shift=shift, shots=200, cutoff_n_max=24,
+            engine="oracle", lambda_tilde=lt, shots=200, cutoff_n_max=24,
             phase_points=8,
         )
         fit, estimate, _, p_obs = run_calibration(config, table, rng)
-        assert estimate.lambda_err > 0
-        assert abs(estimate.lambda_hat - shift) < 5.0 * estimate.lambda_err
+        assert estimate.lambda_tilde_err > 0
+        assert abs(estimate.lambda_tilde - lt) < 5.0 * estimate.lambda_tilde_err
         assert len(p_obs) == 8
 
     def test_runs_the_tables_gate(self, two_loop_table):
         # A two-loop table: the oracle must run two loops at its omega_tilde,
         # or the fringe it fits is not the gate whose slope inverts it.
-        shift = 2.0 * math.pi * 100.0
-        config = _config(engine="oracle", qubit_shift=shift)
+        lt = 2.0 * math.pi * 100.0 / EPSILON
+        config = _config(engine="oracle", lambda_tilde=lt)
         _, estimate, _, _ = run_calibration(config, two_loop_table)
-        assert estimate.lambda_hat == pytest.approx(shift, rel=5e-3)
+        assert estimate.lambda_tilde == pytest.approx(lt, rel=5e-3)
 
     def test_truncated_cutoff_raises(self, table):
         # At 3 phonons the drive pushes probability into the guard band and
         # the fringe is visibly wrong, so the engine must refuse it.
         config = _config(
-            engine="oracle", qubit_shift=2.0 * math.pi * 300.0, cutoff_n_max=3,
+            engine="oracle", lambda_tilde=2.0 * math.pi * 300.0 / EPSILON, cutoff_n_max=3,
             phase_points=8,
         )
         with pytest.raises(GuardBandError, match="guard-band"):
@@ -416,72 +426,64 @@ class TestOracleEngine:
 )
 @settings(max_examples=20, deadline=None)
 def test_recovery_at_both_detuning_signs(table, engine, detuning_sign, shift_hz, shift_sign):
-    config = SequenceConfig(
-        detuning=detuning_sign * 2.0 * math.pi * 11e3,
-        qubit_shift=shift_sign * 2.0 * math.pi * shift_hz,
-        engine=engine, shots=None,
-    )
+    # Both signs of the detuning and of the shift, so both of lambda_tilde.
+    lt = (shift_sign * shift_hz) / (detuning_sign * 11e3)
+    config = SequenceConfig(lambda_tilde=lt, engine=engine, shots=None)
     _, estimate, _, _ = run_calibration(config, table)
-    rel = abs(estimate.lambda_hat - config.qubit_shift) / abs(config.qubit_shift)
+    rel = abs(estimate.lambda_tilde - lt) / abs(lt)
     if engine == "first_order_model":
         assert rel <= 1e-9
     else:
         # The first-order inversion's bias on the exact fringe grows like
         # 0.12 |lambda_tilde| (3.2e-3 at 300 Hz against 11 kHz).
-        assert rel <= 0.15 * abs(config.lambda_tilde)
+        assert rel <= 0.15 * abs(lt)
 
 
 class TestEstimator:
     def test_insensitive_slope_refused(self):
         fit = fit_fringe(phase_scan(8), 0.5 + 0.4 * np.cos(2 * phase_scan(8)))
         with pytest.raises(ValueError, match="too small"):
-            estimate_lambda(fit, 1e-9, EPSILON)
+            estimate_lambda(fit, 1e-9)
 
-    @pytest.mark.parametrize("slope, detuning, message", [
-        (1.0, 0.0, "detuning must be nonzero"),
-        (1.0, math.nan, "detuning must be finite"),
-        (1.0, -math.inf, "detuning must be finite"),
-        (math.nan, EPSILON, "slope must be finite"),
-        (math.inf, EPSILON, "slope must be finite"),
-    ])
-    def test_bad_inputs_refused(self, slope, detuning, message):
-        # Unrefused, a zero detuning raised ZeroDivisionError, and a nan or
-        # inf came back as a nan or inf estimate.
+    @pytest.mark.parametrize("slope", [math.nan, math.inf, -math.inf])
+    def test_bad_inputs_refused(self, slope):
+        # Unrefused, a nan or inf came back as a nan or inf estimate.
         fit = fit_fringe(phase_scan(8), 0.5 + 0.4 * np.cos(2 * phase_scan(8) + 0.1))
-        with pytest.raises(ValueError, match=message):
-            estimate_lambda(fit, slope, detuning)
+        with pytest.raises(ValueError, match="slope must be finite"):
+            estimate_lambda(fit, slope)
 
     def test_caveats(self):
         phi = phase_scan(12)
         weak = 0.5 + 0.05 * np.cos(2 * phi + 1.2)
         fit = fit_fringe(phi, weak)
-        estimate = estimate_lambda(fit, 5.68, EPSILON)
+        estimate = estimate_lambda(fit, 5.68)
         assert any("contrast" in c for c in estimate.caveats)
         big = 0.5 + 0.5 * np.cos(2 * phi + 2.0)
         fit = fit_fringe(phi, big, shots=400)
-        estimate = estimate_lambda(fit, 5.68, EPSILON)
+        estimate = estimate_lambda(fit, 5.68)
         assert any("first-order" in c for c in estimate.caveats)
         assert not any("covariance" in c for c in estimate.caveats)
         exact = fit_fringe(phase_scan(8), 0.5 + 0.5 * np.cos(2 * phase_scan(8)))
-        estimate = estimate_lambda(exact, 5.68, EPSILON)
+        estimate = estimate_lambda(exact, 5.68)
         assert any("covariance undetermined" in c for c in estimate.caveats)
-        assert math.isinf(estimate.lambda_err)
+        assert math.isinf(estimate.lambda_tilde_err)
 
     def test_error_propagation(self):
         phi = phase_scan(16)
         p = 0.5 + 0.5 * np.cos(2 * phi - 0.1)
         fit = fit_fringe(phi, p, shots=400)
-        estimate = estimate_lambda(fit, 5.68, EPSILON)
-        expected = abs(EPSILON / (2 * 5.68)) * fit.phase_err
-        assert estimate.lambda_err == pytest.approx(expected)
+        estimate = estimate_lambda(fit, 5.68)
+        expected = fit.phase_err / (2 * 5.68)
+        assert estimate.lambda_tilde_err == pytest.approx(expected)
+        assert estimate.lambda_tilde == pytest.approx(fit.phase / (2 * 5.68))
 
     def test_results_are_values(self, table):
-        fit, estimate, _, _ = run_calibration(_config(qubit_shift=0.0), table)
+        fit, estimate, _, _ = run_calibration(_config(lambda_tilde=0.0), table)
         assert isinstance(estimate.caveats, tuple)
         with pytest.raises(dataclasses.FrozenInstanceError):
             fit.phase = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            estimate.lambda_hat = 0.0
+            estimate.lambda_tilde = 0.0
 
     def test_fit_covariance_is_read_only(self):
         phi_d = phase_scan(8)
@@ -536,7 +538,7 @@ class TestLevelAverage:
         phi_d = phase_scan(8)
         for engine, rows in (("first_order_model", experiment._model_fringe),
                              ("oracle", experiment._oracle_fringe)):
-            config = _config(engine=engine, mode=dist, qubit_shift=EPSILON * 0.01,
+            config = _config(engine=engine, mode=dist, lambda_tilde=0.01,
                              phase_points=8, cutoff_n_max=88)
             per_level = rows(config, table80, levels, phi_d)
             assert per_level.shape == (levels.size, phi_d.size)

@@ -139,7 +139,6 @@ class TestSymmetryBlocks:
         assert np.abs(k - expected).max() <= 1e-14
 
 
-DETUNING = -2.0 * math.pi * 11e3
 RAMP_LAM = 0.02
 
 
@@ -186,8 +185,7 @@ class TestExactVsRK4:
         d = oracle_cutoff.dim
         init = np.zeros((4 * d, 2), dtype=complex)
         init[oracle_cutoff.index(0, 0), 0] = init[oracle_cutoff.index(0, 1), 1] = 1.0
-        config = SequenceConfig(detuning=DETUNING, qubit_shift=RAMP_LAM * DETUNING, mode=1,
-                                phase_points=5, shots=None)
+        config = SequenceConfig(lambda_tilde=RAMP_LAM, mode=1, phase_points=5, shots=None)
         phis = phase_scan(config.phase_points)
         gate1, gate2 = (0.0, TAU), (TAU, 2 * TAU)
         mid, _, _ = propagate_ramped_axis(init, oracle_cutoff, 0.5, RAMP_LAM, np.zeros(2), gate1)
@@ -209,8 +207,7 @@ class TestExactVsRK4:
         # mode occupies both parity blocks.  Its 56 gate-2 columns run at
         # 2048 steps, where the RK4 fringe is off by 1.6e-13 (6e-15 at 8192).
         mode = ThermalDistribution(0.05)
-        config = SequenceConfig(detuning=DETUNING, qubit_shift=RAMP_LAM * DETUNING, mode=mode,
-                                phase_points=7, shots=None)
+        config = SequenceConfig(lambda_tilde=RAMP_LAM, mode=mode, phase_points=7, shots=None)
         phis = phase_scan(config.phase_points)
         levels, weights = level_weights(mode)
         init = np.stack([basis_state("gg", n, oracle_cutoff) for n in levels], axis=1)
@@ -236,8 +233,7 @@ class TestFringeColumns:
             return ramped(amps, *args, **kwargs)
 
         monkeypatch.setattr("msgate.experiment.propagate_ramped_axis", spy)
-        config = SequenceConfig(detuning=DETUNING, qubit_shift=RAMP_LAM * DETUNING, mode=mode,
-                                phase_points=points, shots=None)
+        config = SequenceConfig(lambda_tilde=RAMP_LAM, mode=mode, phase_points=points, shots=None)
         simulate_fringe(config, table)
         levels = len(level_weights(mode)[0])
         assert columns == [levels, 3 * levels]
@@ -314,9 +310,7 @@ class TestEighCalls:
     @pytest.mark.parametrize("mode, calls", [(0, 2), (ThermalDistribution(0.05), 4)])
     def test_oracle_fringe(self, table, eigh_sizes, mode, calls):
         # Two gates; a thermal mixture has both parities, so each gate needs both.
-        detuning = -2.0 * math.pi * 11e3
-        config = SequenceConfig(detuning=detuning, qubit_shift=0.02 * detuning, mode=mode,
-                                shots=None)
+        config = SequenceConfig(lambda_tilde=0.02, mode=mode, shots=None)
         simulate_fringe(config, table)
         assert len(eigh_sizes) == calls
 

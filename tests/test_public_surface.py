@@ -82,8 +82,8 @@ CLI_OPTIONS = {
 CONFIG_FIELDS = {
     "DimensionlessGateParams": ("omega_tilde", "tau_gate", "phi"),
     "IntegratorConfig": ("steps_per_gate",),
-    "SequenceConfig": ("detuning", "qubit_shift", "mode", "phase_points", "shots",
-                       "engine", "cutoff_n_max"),
+    "SequenceConfig": ("lambda_tilde", "mode", "phase_points", "shots", "engine",
+                       "cutoff_n_max"),
     "QuadratureSpec": ("panels_1d", "panels_2d"),
 }
 
@@ -111,7 +111,7 @@ OPTIONAL_PARAMETERS = {
 SOURCE_CODE_LINES = {
     "__init__": 2,
     "cli": 414,
-    "experiment": 205,
+    "experiment": 195,
     "hilbert": 113,
     "ideal": 67,
     "magnus": 478,
@@ -325,6 +325,34 @@ def test_input_rules_have_one_owner():
             assert "unknown qubit label" not in text, stem
         if stem != "magnus":
             assert "LAMBDA_HARD_CAP" not in text, stem
+
+
+def _parameters_and_fields(tree):
+    """Every function parameter (lambdas too) and every annotated class
+    field of a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            names |= {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                          a.vararg, a.kwarg) if arg is not None}
+        elif isinstance(node, ast.ClassDef):
+            names |= {f.target.id for f in node.body
+                      if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)}
+    return names
+
+
+def test_units_have_one_owner():
+    # The library is dimensionless: a center-line error is lambda_tilde, lam
+    # over the detuning, and cli alone converts the Hz its options take.  A
+    # parameter or field for a detuning, a shift or a frequency elsewhere
+    # would start a second unit system, as SequenceConfig's rad/s fields did.
+    found = {stem: _parameters_and_fields(tree) for stem, tree in _modules().items()}
+    assert {"lambda_tilde", "slope", "mode"} <= found["experiment"]
+    dimensional = {(stem, name) for stem, names in found.items() if stem != "cli"
+                   for name in names
+                   if name in ("detuning", "qubit_shift") or name.endswith("_hz")}
+    assert dimensional == set()
 
 
 def test_level_average_has_one_owner():
