@@ -337,6 +337,7 @@ def cmd_calibrate(args) -> int:
             "amplitude_err": _finite_or_null(fit.amplitude_err),
             "phase_err": _finite_or_null(fit.phase_err),
             "offset_err": _finite_or_null(fit.offset_err),
+            "covariance": [[_finite_or_null(x) for x in row] for row in fit.covariance.tolist()],
             "residual_rms": fit.residual_rms,
         },
         "estimate": {

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import FockCutoff, ThermalDistribution, _count, _finite, _level_sum, level_weights
+from .hilbert import (FockCutoff, ThermalDistribution, _count, _finite, _level_sum, _number,
+                      level_weights)
 from .magnus import CoefficientTable, _check_lambda, _scalars
 from .oracle import _basis_columns, propagate_ramped_axis
 
@@ -67,8 +68,9 @@ class SequenceConfig:
     """Physical and numerical settings for one calibration run.
 
     ``lambda_tilde`` is the center-line error being estimated, lam over the
-    signed detuning: one finite real number inside the predictors' hard
-    cap, else ``ValueError`` naming it.  Each gate is the gate of the
+    signed detuning: one finite real number (the rule of
+    :func:`msgate.hilbert._number`) inside the predictors' hard cap, else
+    ``ValueError`` naming it.  Each gate is the gate of the
     coefficient table the run is given, its ``tau_gate`` in units of
     1/|detuning|.  ``mode`` is the initial mode of the motion: a Fock level
     or a thermal distribution.  ``shots`` per scan point is at least 1, or
@@ -77,7 +79,10 @@ class SequenceConfig:
     (``phase_points``, ``shots``, a Fock level ``mode`` and
     ``cutoff_n_max``, whichever engine runs) are integers,
     numpy integers included but not bools or floats such as 6.0; anything
-    else raises ``ValueError`` naming the field.
+    else raises ``ValueError`` naming the field, in the order of the
+    fields.  A value: each number is kept as the Python float or int its
+    rule returns, so a config compares, hashes and prints the same however
+    the caller wrote it.
     """
 
     lambda_tilde: float
@@ -88,17 +93,17 @@ class SequenceConfig:
     cutoff_n_max: int = 32
 
     def __post_init__(self) -> None:
-        if _check_lambda(self.lambda_tilde).ndim:
-            raise ValueError("lambda_tilde must be a single number, "
-                             f"got {np.asarray(self.lambda_tilde).tolist()!r}")
+        object.__setattr__(self, "lambda_tilde", _number("lambda_tilde", self.lambda_tilde))
+        _check_lambda(self.lambda_tilde)
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
-        _count("phase_points", self.phase_points, _MIN_PHASE_POINTS)
+        object.__setattr__(self, "phase_points",
+                           _count("phase_points", self.phase_points, _MIN_PHASE_POINTS))
         if not isinstance(self.mode, ThermalDistribution):
-            _count("mode", self.mode)
+            object.__setattr__(self, "mode", _count("mode", self.mode))
         if self.shots is not None:
-            _count("shots", self.shots, 1)
-        _count("cutoff_n_max", self.cutoff_n_max)
+            object.__setattr__(self, "shots", _count("shots", self.shots, 1))
+        object.__setattr__(self, "cutoff_n_max", _count("cutoff_n_max", self.cutoff_n_max))
 
 
 def phase_scan(n_points: int) -> np.ndarray:
@@ -224,8 +229,9 @@ class FringeFit:
 
 # Residual RMS at or below which a fit without shots has no scale for its
 # covariance: exact cosine fringes leave rounding of at most 6e-16.  The
-# oracle fringe departs from a cosine as lam^4 (5.4e-13 at 10 Hz, 4.4e-11
-# at 30 Hz against 11 kHz), so it keeps its error bars down to about 3 Hz.
+# oracle fringe departs from a cosine as lam^4 (5.4e-13 at |lambda_tilde|
+# 9.1e-4, 4.4e-11 at 2.7e-3), so it keeps its error bars down to about
+# |lambda_tilde| 2.7e-4.
 _RESIDUAL_RMS_FLOOR = 1e-14
 
 
@@ -312,7 +318,7 @@ class LambdaEstimate:
     """Inverted center-line error ``lambda_tilde`` (lam over the detuning)
     with its propagated one-sigma uncertainty ``lambda_tilde_err``, the
     phase slope it was inverted through, and the caveats of the
-    inversion."""
+    inversion.  Each number is a Python float."""
 
     lambda_tilde: float
     lambda_tilde_err: float
@@ -323,9 +329,12 @@ class LambdaEstimate:
 def estimate_lambda(fit: FringeFit, slope: float) -> LambdaEstimate:
     """Invert the fitted fringe phase through phi_seq = 2*lambda_tilde*slope.
 
-    A ``slope`` that is not finite or below 1e-6 in magnitude raises
-    ``ValueError``.  The error is inf when the fit's phase error is."""
-    if abs(_finite("slope", slope)) < 1e-6:
+    ``slope`` is one finite real number (the rule of
+    :func:`msgate.hilbert._number`), kept as a float in the estimate; one
+    that is not, or is below 1e-6 in magnitude, raises ``ValueError``.
+    The error is inf when the fit's phase error is."""
+    slope = _number("slope", slope)
+    if abs(slope) < 1e-6:
         raise ValueError(
             f"phase slope {slope:.2e} is too small to invert; the sequence "
             "is insensitive to the center-line error at this Fock level"
@@ -335,7 +344,7 @@ def estimate_lambda(fit: FringeFit, slope: float) -> LambdaEstimate:
     caveats = []
     if abs(lam_hat) > 0.1:
         caveats.append(
-            "estimated |shift/detuning| exceeds 0.1; the first-order "
+            "estimated |lambda_tilde| exceeds 0.1; the first-order "
             "inversion is biased this far out"
         )
     if fit.amplitude < 0.2:

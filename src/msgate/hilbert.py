@@ -76,6 +76,17 @@ def _finite(name: str, value) -> np.ndarray:
     return arr
 
 
+def _number(name: str, value) -> float:
+    """``value`` as a float, if it is one finite real number (a numpy scalar
+    or a 0-d array too); else ``ValueError`` naming ``name``: whatever
+    :func:`_finite` refuses, then any array with an axis, a one-element
+    list included."""
+    arr = _finite(name, value)
+    if arr.ndim:
+        raise ValueError(f"{name} must be a single number, got {np.asarray(value).tolist()!r}")
+    return float(arr)
+
+
 def _label(label: str) -> str:
     """``label`` if it is one of :data:`QUBIT_LABELS`, else ``ValueError``."""
     if label not in QUBIT_LABELS:
@@ -92,12 +103,14 @@ class FockCutoff:
 
     ``n_max`` and the Fock levels :meth:`index` takes are counts: integers,
     numpy integers included but not bools or floats such as 32.0; anything
-    else raises ``ValueError`` naming the parameter."""
+    else raises ``ValueError`` naming the parameter.  A value: ``n_max`` is
+    kept as the Python int :func:`_count` returns, so a cutoff built from a
+    numpy integer compares, hashes and serialises as one built from an int."""
 
     n_max: int
 
     def __post_init__(self) -> None:
-        _count("n_max", self.n_max)
+        object.__setattr__(self, "n_max", _count("n_max", self.n_max))
 
     @property
     def dim(self) -> int:
@@ -154,16 +167,15 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     (and +0 imaginary parts, where that route may leave -0).  The result
     is a C-ordered complex copy of the buffer's transpose, whatever
     ``alpha``: the table products' rounding depends on the operand layout.
-    ``dim`` is a count >= 1 and ``alpha`` one finite real or complex number
-    (its real and imaginary parts checked by :func:`_finite`), else
-    ``ValueError``.
+    ``dim`` is a count >= 1 and ``alpha`` one finite real number, or a
+    complex one whose real and imaginary parts each are (the rule of
+    :func:`_number`), else ``ValueError`` naming it.
     """
     dim = _count("dim", dim, 1)
-    z = np.asarray(alpha)
-    if z.ndim:
-        raise ValueError(f"alpha must be a single number, got {alpha!r}")
-    _finite("alpha", [z.real, z.imag] if z.dtype.kind == "c" else alpha)
-    alpha = np.complex128(alpha) if z.dtype.kind == "c" else np.float64(alpha)
+    if np.iscomplexobj(alpha):
+        alpha = np.complex128(_number("alpha", np.real(alpha)), _number("alpha", np.imag(alpha)))
+    else:
+        alpha = np.float64(_number("alpha", alpha))
     cols = np.empty((dim, dim), dtype=alpha.dtype)  # cols[n, m] = <m|D|n>
     sqrt_m = np.sqrt(np.arange(dim))
     scale = 1.0 / sqrt_m[1:]  # scale[n] = 1 / sqrt(n+1)
@@ -201,10 +213,13 @@ class ThermalDistribution:
     p_n = n_bar^n / (1+n_bar)^{n+1}, n = 0..n_max.
     With r = n_bar / (1 + n_bar), ``n_max`` is the smallest n >= 4 with
     r^n <= 1e-9 (0 for the ground state), so the truncated tail r^(n_max+1)
-    stays below 1e-9.  A negative or non-finite ``n_bar``, or one that needs
-    more than 10^4 levels (n_bar above about 480), raises ``ValueError``.
-    A value: ``n_max`` and the read-only ``probabilities`` are computed
-    once from ``n_bar``, so two modes compare and hash by ``n_bar`` alone.
+    stays below 1e-9.  ``n_bar`` is one finite real number (the rule of
+    :func:`_number`); a negative one, or one that needs more than 10^4
+    levels (n_bar above about 480), raises ``ValueError`` naming it.
+    A value: ``n_bar`` is kept as the Python float that rule returns, and
+    ``n_max`` and the read-only ``probabilities`` are computed once from
+    it, so two modes compare and hash by ``n_bar`` alone, however the
+    caller wrote it.
     """
 
     n_bar: float
@@ -212,7 +227,8 @@ class ThermalDistribution:
     probabilities: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if _finite("n_bar", self.n_bar) < 0:
+        object.__setattr__(self, "n_bar", _number("n_bar", self.n_bar))
+        if self.n_bar < 0:
             raise ValueError(f"n_bar must be >= 0, got {self.n_bar:g}")
         n_max, weights = 0, np.ones(1)
         if self.n_bar > 0.0:

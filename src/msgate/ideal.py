@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import SIGMA_X, SIGMA_Y, FockCutoff, _count, _finite, _label
+from .hilbert import SIGMA_X, SIGMA_Y, FockCutoff, _count, _label, _number
 
 __all__ = [
     "DimensionlessGateParams",
@@ -49,7 +49,12 @@ class DimensionlessGateParams:
     """Gate parameters after rescaling time by the drive detuning.
 
     The center-line error lam/epsilon is not one of them: every propagator,
-    table and fringe takes it as an argument.
+    table and fringe takes it as an argument.  Each field is one finite
+    real number (the rule of :func:`msgate.hilbert._number`), kept as the
+    Python float that rule returns, so parameters compare, hash and
+    serialise the same whether written as an int, a float, a numpy scalar
+    or a 0-d array; anything else, a zero ``omega_tilde`` or a
+    ``tau_gate`` that is not positive raises ``ValueError`` naming it.
 
     Attributes
     ----------
@@ -68,7 +73,7 @@ class DimensionlessGateParams:
 
     def __post_init__(self) -> None:
         for name in ("omega_tilde", "tau_gate", "phi"):
-            _finite(name, getattr(self, name))
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         if self.omega_tilde == 0.0:
             raise ValueError("omega_tilde must be nonzero")
         if self.tau_gate <= 0.0:

@@ -100,6 +100,7 @@ from .hilbert import (
     _finite,
     _label,
     _level_sum,
+    _number,
     displacement_matrix,
     level_weights,
 )
@@ -151,9 +152,9 @@ class UnhealthyTableError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Panel counts of the quadrature route, validated and kept as
-    ``CoefficientTable.quad``.  No table value, file or digest depends on
-    them: the tables are exact."""
+    """Panel counts of the quadrature route, validated, stored as the
+    Python ints of the count rule and kept as ``CoefficientTable.quad``.
+    No table value, file or digest depends on them: the tables are exact."""
 
     panels_1d: int = 2**14
     panels_2d: int = 2**10
@@ -163,6 +164,7 @@ class QuadratureSpec:
             v = _count(name, getattr(self, name), 2)
             if v & (v - 1):
                 raise ValueError(f"{name} must be a power of two >= 2, got {v}")
+            object.__setattr__(self, name, v)
 
 
 def _require_closed_loop(params: DimensionlessGateParams) -> None:
@@ -696,10 +698,11 @@ def predicted_state(
     pieces: psi0 is :func:`~msgate.ideal.ideal_output_state`, and the
     first-order state subtracts lam times :func:`first_order_correction`.
     A cross-check route, compared with the oracle's final state: like the
-    two corrections it checks neither structure nor trust, by design."""
-    if np.ndim(lambda_tilde):
-        raise ValueError(f"predicted_state takes one lambda_tilde, not an array of "
-                         f"shape {np.shape(lambda_tilde)}")
+    two corrections it checks neither structure nor trust, by design.
+    ``lambda_tilde`` is one finite real number (the rule of
+    :func:`msgate.hilbert._number`) inside the hard cap, else
+    ``ValueError`` naming it: one state per call."""
+    lambda_tilde = _number("lambda_tilde", lambda_tilde)
     _check_lambda(lambda_tilde)
     return (ideal_output_state(label, n, table.cutoff)
             - lambda_tilde * first_order_correction(label, n, table)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import FockCutoff, _finite
+from .hilbert import FockCutoff, _finite, _number
 from .ideal import (DimensionlessGateParams, collective_spin, ideal_output_state,
                      relative_phase_pair)
 
@@ -245,13 +245,15 @@ def propagate_ramped_axis(
     the frame factors e^{-i(phi + lam s0) S_z} and e^{i(phi + lam s1) S_z}
     of the module docstring.  Those are diagonal phases, so that call's
     norm drift and guard mass are returned with the final amplitudes.
-    Raises as :func:`propagate_batch`.
+    ``lambda_tilde`` is one finite real number (the rule of
+    :func:`msgate.hilbert._number`), else ``ValueError`` naming it: one ramp
+    for every column.  Raises as :func:`propagate_batch` otherwise.
     """
     cols = np.asarray(amps, dtype=complex).reshape(cutoff.composite_dim, -1)
     phi = np.broadcast_to(np.asarray(phi_values, dtype=float), (cols.shape[1],))
     s0, s1 = span
     # Checked before the frame, where an inf would meet S_z = 0.
-    lam = _finite("lambda_tilde", lambda_tilde)
+    lam = _number("lambda_tilde", lambda_tilde)
     chi = np.exp(-1j * (phi + lam * s0) * cutoff.s_z) * cols
     static, drift, guard = propagate_batch(
         chi, cutoff, DimensionlessGateParams(omega_tilde), lam, config, span

@@ -511,8 +511,32 @@ class TestCalibrate:
         assert doc["fit"]["amplitude_err"] is doc["fit"]["phase_err"] is None
         assert doc["fit"]["offset_err"] is None
         assert doc["estimate"]["shift_err_hz"] is None
+        assert doc["fit"]["covariance"] == [[None] * 3] * 3
         assert any("covariance undetermined" in c for c in doc["estimate"]["caveats"])
         assert "caveat: fringe covariance undetermined" in capsys.readouterr().out
+
+    def test_report_writes_the_fit_covariance(self, table_file, tmp_path):
+        # The whole covariance of (amplitude, phase, offset) reaches the
+        # report, not only the square roots of its diagonal.
+        out = tmp_path / "report.json"
+        rc = main(["calibrate", "--table", table_file, "--detuning-hz=-11e3",
+                   "--shift-hz", "30", "--shots", "200", "--points", "8",
+                   "--cutoff-n-max", "24", "--out", str(out)])
+        assert rc == EXIT_OK
+        fit = json.loads(out.read_text())["fit"]
+        cov = np.array(fit["covariance"], dtype=float)
+        assert cov.shape == (3, 3)
+        np.testing.assert_allclose(cov, cov.T, rtol=1e-12, atol=0.0)
+        errs = [math.sqrt(v) for v in np.diag(cov)]
+        assert errs == [fit["amplitude_err"], fit["phase_err"], fit["offset_err"]]
+
+    def test_large_estimate_caveat_names_lambda_tilde(self, table_file, capsys):
+        # The library is dimensionless, so its caveat speaks of lambda_tilde.
+        rc = main(["calibrate", "--table", table_file, "--engine", "first_order_model",
+                   "--detuning-hz", "11000", "--shift-hz", "1500", "--shots", "0"])
+        assert rc == EXIT_OK
+        assert ("caveat: estimated |lambda_tilde| exceeds 0.1; the first-order inversion "
+                "is biased this far out\n") in capsys.readouterr().out
 
     def test_report_writes_the_fit_errors(self, table_file, tmp_path):
         # Every health number of the fringe fit is written: refitting the
@@ -524,9 +548,10 @@ class TestCalibrate:
         assert rc == EXIT_OK
         doc = json.loads(out.read_text())
         refit = fit_fringe(np.array(doc["scan"]["phi_d"]), np.array(doc["scan"]["p_ee"]), 200)
-        assert doc["fit"] == {name: getattr(refit, name) for name in (
-            "amplitude", "phase", "offset", "amplitude_err", "phase_err", "offset_err",
-            "residual_rms")}
+        assert doc["fit"] == {"covariance": refit.covariance.tolist()} | {
+            name: getattr(refit, name) for name in (
+                "amplitude", "phase", "offset", "amplitude_err", "phase_err", "offset_err",
+                "residual_rms")}
         assert 0.0 < doc["fit"]["amplitude_err"] and 0.0 < doc["fit"]["offset_err"]
 
     @pytest.mark.parametrize("mode, level", [

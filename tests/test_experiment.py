@@ -452,6 +452,13 @@ class TestEstimator:
         with pytest.raises(ValueError, match="slope must be finite"):
             estimate_lambda(fit, slope)
 
+    def test_array_slope_refused(self):
+        # Unrefused, it ended in numpy's ambiguous truth value.
+        fit = fit_fringe(phase_scan(8), 0.5 + 0.4 * np.cos(2 * phase_scan(8) + 0.1))
+        with pytest.raises(ValueError, match=r"^slope must be a single number, got \[5.0, 6.0\]"):
+            estimate_lambda(fit, np.array([5.0, 6.0]))
+        assert type(estimate_lambda(fit, np.float64(5.0)).slope) is float
+
     def test_caveats(self):
         phi = phase_scan(12)
         weak = 0.5 + 0.05 * np.cos(2 * phi + 1.2)

@@ -21,7 +21,8 @@ from msgate.hilbert import (
     displacement_matrix,
     level_weights,
 )
-from msgate.ideal import ideal_output_state
+from msgate.experiment import SequenceConfig
+from msgate.ideal import DimensionlessGateParams, ideal_output_state
 from msgate.magnus import _fock_margin
 from msgate.oracle import observables
 from quadrature import (
@@ -436,3 +437,71 @@ class TestThermal:
         # The tail beyond n_max, at most 1e-9, costs the mean under 1e-8.
         dist = ThermalDistribution(n_bar)
         assert dist.probabilities @ np.arange(dist.n_max + 1) == pytest.approx(n_bar, abs=1e-7)
+
+
+# Each scalar field of a value type: a builder of its owner from that field
+# alone, and values the field takes.
+_NUMBER_FIELDS = {
+    "n_bar": (ThermalDistribution, st.floats(0.0, 5.0) | st.integers(0, 5)),
+    "omega_tilde": (lambda v: DimensionlessGateParams(omega_tilde=v),
+                    st.floats(0.05, 2.0) | st.integers(1, 3)),
+    "tau_gate": (lambda v: DimensionlessGateParams(tau_gate=v),
+                 st.floats(0.1, 20.0) | st.integers(1, 20)),
+    "phi": (lambda v: DimensionlessGateParams(phi=v), st.floats(-4.0, 4.0) | st.integers(-3, 3)),
+    "lambda_tilde": (SequenceConfig, st.floats(-0.5, 0.5) | st.just(0)),
+}
+_COUNT_FIELDS = {
+    "n_max": (FockCutoff, st.integers(0, 120)),
+    "mode": (lambda v: SequenceConfig(0.01, mode=v), st.integers(0, 40)),
+    "phase_points": (lambda v: SequenceConfig(0.01, phase_points=v), st.integers(5, 64)),
+    "shots": (lambda v: SequenceConfig(0.01, shots=v), st.integers(1, 10**6)),
+    "cutoff_n_max": (lambda v: SequenceConfig(0.01, cutoff_n_max=v), st.integers(0, 200)),
+}
+
+
+def _same_value(built, field, kind):
+    # Equal values with equal hashes, each field the plain Python number.
+    assert all(value == built[0] for value in built)
+    assert len({hash(value) for value in built}) == 1
+    assert {type(getattr(value, field)) for value in built} == {kind}
+
+
+class TestValueFieldsHoldNumbers:
+    """A value keeps the number its input rule returns, so it compares,
+    hashes and serialises the same however the caller wrote it."""
+
+    @pytest.mark.parametrize("field", sorted(_NUMBER_FIELDS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_number_field_holds_a_float(self, field, data):
+        build, values = _NUMBER_FIELDS[field]
+        value = data.draw(values)
+        # A Python number, a numpy scalar and a 0-d array.
+        built = [build(v) for v in (value, np.asarray(value)[()], np.asarray(value))]
+        _same_value(built, field, float)
+        assert getattr(built[0], field) == value
+
+    @pytest.mark.parametrize("field", sorted(_COUNT_FIELDS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_count_field_holds_an_int(self, field, data):
+        build, values = _COUNT_FIELDS[field]
+        value = data.draw(values)
+        built = [build(v) for v in (value, np.int64(value), np.int32(value))]
+        _same_value(built, field, int)
+        assert getattr(built[0], field) == value
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("field", sorted(_NUMBER_FIELDS))
+    def test_number_field_refuses_an_array(self, field, size):
+        build, _ = _NUMBER_FIELDS[field]
+        with pytest.raises(ValueError, match=rf"^{field} must be a single number, got \["):
+            build(np.full(size, 0.25))
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("field", sorted(_COUNT_FIELDS))
+    def test_count_field_refuses_an_array(self, field, size):
+        # A count is an integer (a numpy integer too), never an array.
+        build, _ = _COUNT_FIELDS[field]
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+            build(np.full(size, 6))

@@ -397,6 +397,13 @@ class TestHealthChecks:
             with pytest.raises(ValueError, match=f"lambda_tilde must be finite, got {lam}"):
                 call()
 
+    def test_ramped_axis_takes_one_lambda(self, oracle_cutoff):
+        # One ramp for every column: two values are refused by name, not
+        # left to a reshape error.
+        state = basis_state("gg", 0, oracle_cutoff)
+        with pytest.raises(ValueError, match=r"^lambda_tilde must be a single number"):
+            propagate_ramped_axis(state, oracle_cutoff, 0.5, [0.01, 0.02], 0.0, (0.0, TAU))
+
     @pytest.mark.parametrize("drift,guard,error", [
         (np.array([0.0, math.nan]), 0.0, NormDriftError),
         (np.array([0.0]), math.nan, GuardBandError),

@@ -110,9 +110,9 @@ OPTIONAL_PARAMETERS = {
 # must show up here.
 SOURCE_CODE_LINES = {
     "__init__": 2,
-    "cli": 414,
-    "experiment": 195,
-    "hilbert": 113,
+    "cli": 415,
+    "experiment": 197,
+    "hilbert": 118,
     "ideal": 67,
     "magnus": 478,
     "oracle": 165,
@@ -310,9 +310,14 @@ docstring"""
 
 
 def test_input_rules_have_one_owner():
-    # hilbert's _count, _finite and _label own the count, finite-value and
-    # qubit-label rules, and magnus._check_lambda the lambda cap: a copy of
-    # a rule elsewhere drifts from them, as copies of the count rule did.
+    # hilbert's _count, _finite, _number and _label own the count,
+    # finite-value, single-number and qubit-label rules, and
+    # magnus._check_lambda the lambda cap: a copy of a rule elsewhere drifts
+    # from them, as copies of the count rule and the single-number check did.
+    # A value keeps what its rules return: a rule called for its check alone
+    # in a __post_init__ leaves the caller's object (a numpy scalar, a 0-d
+    # array) in the field, where it hashes, compares and serialises apart.
+    rules = {"_count", "_finite", "_number"}
     for stem, tree in _modules().items():
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                     for alias in node.names}
@@ -322,9 +327,19 @@ def test_input_rules_have_one_owner():
         if stem != "hilbert":
             assert "numbers" not in imported, stem
             assert "must be finite" not in text, stem
+            assert "must be a single number" not in text, stem
             assert "unknown qubit label" not in text, stem
         if stem != "magnus":
             assert "LAMBDA_HARD_CAP" not in text, stem
+        discarded = [
+            f"{stem}:{node.lineno}"
+            for init in ast.walk(tree)
+            if isinstance(init, ast.FunctionDef) and init.name == "__post_init__"
+            for node in ast.walk(init)
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name) and node.value.func.id in rules
+        ]
+        assert discarded == []
 
 
 def _parameters_and_fields(tree):
