@@ -21,11 +21,14 @@ model above (thermally weighted when asked), and ``oracle`` propagates the
 full ramped-axis Hamiltonian exactly (see :mod:`msgate.oracle`) with the
 axis angle continuing across both gates, as drive-phase bookkeeping works
 on hardware.  A scan phase is then a diagonal S_z factor around gate 2, so
-gate 2 runs once for the whole scan; the engine raises when either gate
-fails its health checks.  Each engine first checks the table's structure
-(UnhealthyTableError) and that it trusts every initial level
-(TruncationError), through ``magnus._scalars``, the oracle after its
-cutoff check and before it propagates either gate.
+gate 2 runs once for the whole scan, and the two gates, which share one
+rotating-frame Hamiltonian, share its block spectra: one ``eigh`` per
+occupied parity block per fringe (``msgate.oracle._shared_spectra``).
+The engine raises when either gate fails its health checks.  Each engine
+first checks the table's structure (UnhealthyTableError) and that it
+trusts every initial level (TruncationError), through
+``magnus._scalars``, the oracle after its cutoff check and before it
+propagates either gate.
 Populations are frame-independent, so the two may be compared directly.
 
 The coefficient table owns the gate: the oracle runs its ``omega_tilde`` for
@@ -42,7 +45,7 @@ import numpy as np
 from .hilbert import (FockCutoff, ThermalDistribution, _count, _finite, _level_sum, _number,
                       level_weights)
 from .magnus import CoefficientTable, _check_lambda, _scalars
-from .oracle import _basis_columns, propagate_ramped_axis
+from .oracle import _basis_columns, _shared_spectra, propagate_ramped_axis
 
 __all__ = [
     "SequenceConfig",
@@ -77,12 +80,12 @@ class SequenceConfig:
     None to fit exact probabilities, and ``phase_points`` at least
     ``_MIN_PHASE_POINTS`` (5), for the three fringe parameters.  Counts
     (``phase_points``, ``shots``, a Fock level ``mode`` and
-    ``cutoff_n_max``, whichever engine runs) are integers,
-    numpy integers included but not bools or floats such as 6.0; anything
-    else raises ``ValueError`` naming the field, in the order of the
-    fields.  A value: each number is kept as the Python float or int its
-    rule returns, so a config compares, hashes and prints the same however
-    the caller wrote it.
+    ``cutoff_n_max``, whichever engine runs) are integers, numpy integers
+    and 0-d integer arrays included but not bools or floats such as 6.0;
+    anything else raises ``ValueError`` naming the field, in the order of
+    the fields.  A value: each number is kept as the Python float or int
+    its rule returns, so a config compares, hashes and prints the same
+    however the caller wrote it.
     """
 
     lambda_tilde: float
@@ -160,17 +163,20 @@ def _oracle_fringe(
     # above the cutoff raises GuardBandError.
     init = _basis_columns(0, levels, cutoff)
     _scalars(levels, table)  # each level trusted by the table, before any gate runs
-    mid, _, _ = propagate_ramped_axis(init, cutoff, omega, lam, 0.0, (0.0, tau))
-    # Gate 2 spans s in [tau, 2 tau], the axis ramp continuing through it.
-    # A scan phase phi_d is the frame factor e^{i phi_d S_z} around it (see
-    # msgate.oracle), so gate 2 runs once at phase 0 on the S_z = m parts
-    # of mid (3 columns per level).  Up to a phase, the |ee> rows at phi_d
-    # are the sum over m of e^{-i m phi_d} times gate 2's output on part m.
-    m = np.array([1.0, 0.0, -1.0])
-    parts = np.where(cutoff.s_z[:, :, None] == m, mid[:, :, None], 0.0)
-    fin, _, _ = propagate_ramped_axis(
-        parts.reshape(len(mid), -1), cutoff, omega, lam, 0.0, (tau, 2.0 * tau)
-    )
+    # Both gates have one H', so gate 2 reuses gate 1's block spectra.
+    with _shared_spectra():
+        mid, _, _ = propagate_ramped_axis(init, cutoff, omega, lam, 0.0, (0.0, tau))
+        # Gate 2 spans s in [tau, 2 tau], the axis ramp continuing through
+        # it.  A scan phase phi_d is the frame factor e^{i phi_d S_z} around
+        # it (see msgate.oracle), so gate 2 runs once at phase 0 on the
+        # S_z = m parts of mid (3 columns per level).  Up to a phase, the
+        # |ee> rows at phi_d are the sum over m of e^{-i m phi_d} times gate
+        # 2's output on part m.
+        m = np.array([1.0, 0.0, -1.0])
+        parts = np.where(cutoff.s_z[:, :, None] == m, mid[:, :, None], 0.0)
+        fin, _, _ = propagate_ramped_axis(
+            parts.reshape(len(mid), -1), cutoff, omega, lam, 0.0, (tau, 2.0 * tau)
+        )
     ee = cutoff.blocks(fin)[3].reshape(cutoff.dim, len(levels), 3)
     return (np.abs(ee @ np.exp(-1j * np.outer(m, phi_d))) ** 2).sum(axis=0)
 
@@ -264,9 +270,10 @@ def fit_fringe(
     rather than the observed fractions: observed-fraction weights correlate
     with the noise and understate the parameter covariance.  The
     covariance of (c, s, offset) maps to (A, phase, offset) through the
-    Jacobian of A = hypot(c, s), phase = atan2(s, c).  Raises ValueError on
-    ``shots`` that is neither None nor an integer >= 1, non-finite data or
-    scan phases that do not determine the fringe.
+    Jacobian of A = hypot(c, s), phase = atan2(s, c), and is exactly
+    symmetric.  Raises ValueError on ``shots`` that is neither None nor an
+    integer >= 1, non-finite data or scan phases that do not determine the
+    fringe.
     """
     if shots is not None:
         _count("shots", shots, 1)
@@ -300,6 +307,9 @@ def fit_fringe(
         cu, su = c / amp, s / amp
         jac = np.array([[cu, su, 0.0], [-su / amp, cu / amp, 0.0], [0.0, 0.0, 1.0]])
         cov = jac @ cov @ jac.T
+        # The product rounds its two off-diagonal halves apart; the mean
+        # leaves the diagonal's bits, so each *_err is unchanged.
+        cov = (cov + cov.T) / 2.0
     errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FringeFit(
         amplitude=amp,

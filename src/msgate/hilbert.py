@@ -51,9 +51,12 @@ QUBIT_LABELS = ("gg", "ge", "eg", "ee")
 # The input rules every module checks its arguments by, each in one place.
 
 def _count(name: str, value, least: int = 0, most: int | None = None) -> int:
-    """``value`` as an int, if it is an integer (a numpy integer too, but not
-    a bool, a float such as 6.0, a string or None) in least..most (unbounded
-    above when ``most`` is None); else ``ValueError`` naming ``name``."""
+    """``value`` as an int, if it is an integer (a numpy integer or a 0-d
+    integer array too, but not a bool, a float such as 6.0, a string or
+    None) in least..most (unbounded above when ``most`` is None); else
+    ``ValueError`` naming ``name``."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]  # the numpy scalar it holds, as _number reads it
     whole = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if whole and least <= value and (most is None or value <= most):
         return int(value)
@@ -102,10 +105,11 @@ class FockCutoff:
     :meth:`blocks`, the four qubit-pair blocks of a ket or a batch.
 
     ``n_max`` and the Fock levels :meth:`index` takes are counts: integers,
-    numpy integers included but not bools or floats such as 32.0; anything
-    else raises ``ValueError`` naming the parameter.  A value: ``n_max`` is
-    kept as the Python int :func:`_count` returns, so a cutoff built from a
-    numpy integer compares, hashes and serialises as one built from an int."""
+    numpy integers and 0-d integer arrays included but not bools or floats
+    such as 32.0; anything else raises ``ValueError`` naming the parameter.
+    A value: ``n_max`` is kept as the Python int :func:`_count` returns, so
+    a cutoff built from a numpy integer compares, hashes and serialises as
+    one built from an int."""
 
     n_max: int
 

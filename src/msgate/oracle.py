@@ -26,8 +26,12 @@ symmetry block: e^{i(pi/2 - phi) S_z} turns S_phi into the real S_x, and
 H' commutes with qubit exchange and with the parity (-1)^(N + S_z).  The
 singlet evolves by e^{-iN dt}; the triplet splits by the parity of n + m
 into two real blocks (49 and 50 states at n_max 32), and a batch calls
-``eigh`` once per lam and block its columns occupy.  The tests check these
-propagators against an independent RK4 route on :func:`hamiltonian_matrix`.
+``eigh`` once per lam and block its columns occupy.  That spectrum depends
+on none of the span, the scan phase or the ramp frame, so inside one
+:func:`_shared_spectra` scope (the calibration fringe's two gates) each
+(n_max, omega, lam, block) is diagonalised once; outside a scope nothing
+is kept.  The tests check these propagators against an independent RK4
+route on :func:`hamiltonian_matrix`.
 Kets are in :mod:`msgate.hilbert`'s qubit-major layout, read only through
 its owner: ``FockCutoff.number`` and ``s_z`` are the frame's diagonals, and
 ``FockCutoff.blocks`` splits a batch into its qubit-pair blocks for the
@@ -36,6 +40,8 @@ guard band and the reduced states.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 from dataclasses import dataclass
 
@@ -141,17 +147,36 @@ def _symmetry_blocks(n_max: int):
     return out
 
 
+# The block spectra of the open _shared_spectra scope, or None outside one.
+_SPECTRA = contextvars.ContextVar("_SPECTRA", default=None)
+
+
+@contextlib.contextmanager
+def _shared_spectra():
+    """A scope in which :func:`_exact_evolve` diagonalises each (n_max,
+    omega, lam, parity block) once, and reuses that spectrum: the arrays
+    a second ``eigh`` of the same matrix returns.  It is dropped when the
+    scope closes, on a raise too."""
+    token = _SPECTRA.set({})
+    try:
+        yield
+    finally:
+        _SPECTRA.reset(token)
+
+
 def _exact_evolve(lam, omega, phi, cutoff, cols: np.ndarray, dt: float) -> np.ndarray:
     """e^{-i H' dt} on each column, in the parity blocks of the rotated H'
     (module docstring), with one basis change each way for the batch.
 
     ``lam`` is one value or one per column, ``dt`` one duration.  Per lam,
-    a block that is zero in those columns gets no ``eigh``; the real
-    eigenvectors act on (re, im).  A non-finite ``lam`` raises
-    ``ValueError``: a NaN matches no lambda group and an inf makes NaN
-    amplitudes.
+    a block that is zero in those columns gets no ``eigh``, and a block
+    already diagonalised in the open :func:`_shared_spectra` scope gets
+    none either; the real eigenvectors act on (re, im).  This is the
+    package's one ``eigh``.  A non-finite ``lam`` raises ``ValueError``: a
+    NaN matches no lambda group and an inf makes NaN amplitudes.
     """
     lam = _finite("lambda_tilde", lam)
+    spectra = _SPECTRA.get()
     basis, number, sz, blocks = _symmetry_blocks(cutoff.n_max)
     rot = np.exp(1j * (np.pi / 2 - phi) * cutoff.s_z)
     x = basis.T @ (rot * cols)
@@ -164,8 +189,14 @@ def _exact_evolve(lam, omega, phi, cutoff, cols: np.ndarray, dt: float) -> np.nd
         for sl, coupling in blocks:
             part = x[sl].compress(same, axis=1)
             if part.any():
-                h = omega * coupling + np.diag(number[sl] + value * sz[sl])
-                energies, vecs = np.linalg.eigh(h)
+                key = (cutoff.n_max, omega, value, sl.start)
+                spectrum = None if spectra is None else spectra.get(key)
+                if spectrum is None:
+                    h = omega * coupling + np.diag(number[sl] + value * sz[sl])
+                    spectrum = np.linalg.eigh(h)
+                    if spectra is not None:
+                        spectra[key] = spectrum
+                energies, vecs = spectrum
                 z = (vecs.T @ part.view(float)).view(complex)
                 z *= np.exp(-1j * energies[:, None] * dt)
                 y[sl, same] = (vecs @ z.view(float)).view(complex)

@@ -526,7 +526,7 @@ class TestCalibrate:
         fit = json.loads(out.read_text())["fit"]
         cov = np.array(fit["covariance"], dtype=float)
         assert cov.shape == (3, 3)
-        np.testing.assert_allclose(cov, cov.T, rtol=1e-12, atol=0.0)
+        assert np.array_equal(cov, cov.T)
         errs = [math.sqrt(v) for v in np.diag(cov)]
         assert errs == [fit["amplitude_err"], fit["phase_err"], fit["offset_err"]]
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import msgate.experiment as experiment
 from msgate.experiment import (
     ENGINES,
+    FringeFit,
     SequenceConfig,
     effective_phase_slope,
     estimate_lambda,
@@ -304,6 +305,15 @@ class TestFringeFit:
             assert any("covariance undetermined" in c for c in estimate.caveats)
 
 
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("shots", [1, 200, 10**6])
+    def test_binomial_sigma_floor(self, p, shots):
+        # A fraction of 0 or 1 has no binomial spread; its weight is floored
+        # at the spread of p(1 - p) = 1/(4 shots), one half-count per shot.
+        sigma = experiment._binomial_sigma(np.array([p]), shots)
+        assert sigma[0] == pytest.approx(0.5 / shots, rel=1e-15)
+
+
 class TestSampling:
     def test_sampled_fraction_range(self, rng):
         p = np.linspace(0.0, 1.0, 21)
@@ -452,6 +462,13 @@ class TestEstimator:
         with pytest.raises(ValueError, match="slope must be finite"):
             estimate_lambda(fit, slope)
 
+    def test_smallest_slope_inverted(self):
+        # The floor is 1e-6 in magnitude, so 1.5e-6 of either sign inverts.
+        fit = fit_fringe(phase_scan(8), 0.5 + 0.4 * np.cos(2 * phase_scan(8) + 0.1))
+        for slope in (1.5e-6, -1.5e-6):
+            estimate = estimate_lambda(fit, slope)
+            assert estimate.lambda_tilde == pytest.approx(fit.phase / (2.0 * slope))
+
     def test_array_slope_refused(self):
         # Unrefused, it ended in numpy's ambiguous truth value.
         fit = fit_fringe(phase_scan(8), 0.5 + 0.4 * np.cos(2 * phase_scan(8) + 0.1))
@@ -474,6 +491,15 @@ class TestEstimator:
         estimate = estimate_lambda(exact, 5.68)
         assert any("covariance undetermined" in c for c in estimate.caveats)
         assert math.isinf(estimate.lambda_tilde_err)
+
+    @pytest.mark.parametrize("amplitude, caveat", [(0.2, False), (np.nextafter(0.2, 0.0), True)])
+    def test_contrast_caveat_below_0_2(self, amplitude, caveat):
+        # Contrast below 0.2 is poor; 0.2 itself is not.
+        fit = FringeFit(amplitude=amplitude, phase=0.1, offset=0.5, amplitude_err=0.01,
+                        phase_err=0.01, offset_err=0.01, covariance=np.eye(3) * 1e-4,
+                        residual_rms=0.01)
+        poor = ("fringe contrast below 0.2; phase poorly constrained",)
+        assert estimate_lambda(fit, 5.68).caveats == (poor if caveat else ())
 
     def test_error_propagation(self):
         phi = phase_scan(16)

@@ -487,9 +487,17 @@ class TestValueFieldsHoldNumbers:
     def test_count_field_holds_an_int(self, field, data):
         build, values = _COUNT_FIELDS[field]
         value = data.draw(values)
-        built = [build(v) for v in (value, np.int64(value), np.int32(value))]
+        # A 0-d integer array is the count it holds, as a 0-d array is a number.
+        built = [build(v) for v in (value, np.int64(value), np.int32(value), np.asarray(value))]
         _same_value(built, field, int)
         assert getattr(built[0], field) == value
+
+    @pytest.mark.parametrize("value, shown", [(np.array(True), "True"), (np.array(6.0), "6.0")])
+    @pytest.mark.parametrize("field", sorted(_COUNT_FIELDS))
+    def test_count_field_refuses_a_0d_bool_or_float(self, field, value, shown):
+        build, _ = _COUNT_FIELDS[field]
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer .*, got {shown}$"):
+            build(value)
 
     @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("field", sorted(_NUMBER_FIELDS))

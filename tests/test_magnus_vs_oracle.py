@@ -78,6 +78,16 @@ class TestScalarPredictors:
             atol=5e-5,
         )
 
+    @pytest.mark.parametrize("lam", [-0.01, 0.01])
+    def test_ee_coherence_sign(self, table, oracle_cutoff, fast_integrator, lam):
+        # The first-order term of an |ee> coherence has the sign opposite to
+        # a |gg> one's.  The angles at both signs of lam differ by 2 lam a_0
+        # (about 0.11), so a flipped sign misses the oracle by that much.
+        final = _oracle_states(table, oracle_cutoff, fast_integrator, "ee", 0, [lam])
+        obs = observables(final[:, 0], "ee", oracle_cutoff)
+        coherence = predict_coherence(0, lam, table, initial="ee")
+        assert np.angle(coherence) == pytest.approx(obs["relative_phase"], abs=1e-3)
+
     def test_first_order_slope(self, table, derived, oracle_cutoff, fast_integrator):
         h, n = 0.01, 1
         final = _oracle_states(

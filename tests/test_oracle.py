@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import expm
 
+import msgate.experiment as experiment
 import msgate.oracle as oracle
 from msgate.cli import main
 from msgate.experiment import SequenceConfig, phase_scan, simulate_fringe
@@ -307,12 +308,35 @@ class TestEighCalls:
         propagate_batch(amps, oracle_cutoff, DimensionlessGateParams(), [0.01, 0.02, 0.01])
         assert sorted(eigh_sizes) == [49, 50]
 
-    @pytest.mark.parametrize("mode, calls", [(0, 2), (ThermalDistribution(0.05), 4)])
+    @pytest.mark.parametrize("mode, calls", [(0, 1), (ThermalDistribution(0.05), 2)])
     def test_oracle_fringe(self, table, eigh_sizes, mode, calls):
-        # Two gates; a thermal mixture has both parities, so each gate needs both.
+        # The two gates have one H', so gate 2 reuses gate 1's spectra; a
+        # thermal mixture has both parities, so it needs both blocks.
         config = SequenceConfig(lambda_tilde=0.02, mode=mode, shots=None)
         simulate_fringe(config, table)
         assert len(eigh_sizes) == calls
+
+    def test_fringe_scope_closes_when_gate_2_raises(self, table, eigh_sizes, monkeypatch):
+        # At cutoff 12 gate 1 leaves 7e-12 in the guard band and gate 2
+        # 9e-10, past the tolerance: gate 2 raises on gate 1's spectrum.
+        gates, propagate = [], experiment.propagate_ramped_axis
+        monkeypatch.setattr(experiment, "propagate_ramped_axis",
+                            lambda *args: gates.append(args) or propagate(*args))
+        config = SequenceConfig(lambda_tilde=0.02, shots=None, cutoff_n_max=12)
+        with pytest.raises(GuardBandError, match="guard-band occupation"):
+            simulate_fringe(config, table)
+        assert (len(gates), len(eigh_sizes)) == (2, 1)
+        assert oracle._SPECTRA.get() is None
+
+    def test_later_call_diagonalises_again(self, table, oracle_cutoff, eigh_sizes):
+        # A fringe's spectra go with its scope, and a call outside any scope
+        # keeps none, so each later gate at the same lambda has its own eigh.
+        simulate_fringe(SequenceConfig(lambda_tilde=0.02, shots=None), table)
+        init = basis_state("gg", 0, oracle_cutoff)
+        omega, tau = table.params.omega_tilde, table.params.tau_gate
+        for _ in range(2):
+            propagate_ramped_axis(init, oracle_cutoff, omega, 0.02, 0.0, (0.0, tau))
+        assert len(eigh_sizes) == 3
 
 
 class TestCalibratedPoint:

@@ -111,11 +111,11 @@ OPTIONAL_PARAMETERS = {
 SOURCE_CODE_LINES = {
     "__init__": 2,
     "cli": 415,
-    "experiment": 197,
-    "hilbert": 118,
+    "experiment": 199,
+    "hilbert": 120,
     "ideal": 67,
     "magnus": 478,
-    "oracle": 165,
+    "oracle": 182,
 }
 
 
@@ -340,6 +340,19 @@ def test_input_rules_have_one_owner():
             and isinstance(node.value.func, ast.Name) and node.value.func.id in rules
         ]
         assert discarded == []
+
+
+def test_diagonalisation_has_one_owner():
+    # oracle._exact_evolve owns the package's one eigh, so an open
+    # _shared_spectra scope reaches every diagonalisation; an eigh elsewhere
+    # would pay again for a spectrum the scope already holds.
+    modules = _modules()
+    owner = {id(node) for node in ast.walk(_function(modules["oracle"], "_exact_evolve"))}
+    uses = [(stem, ast.unparse(node), id(node) in owner)
+            for stem, tree in modules.items() for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "eigh")
+            or (isinstance(node, ast.alias) and node.name.rpartition(".")[2] == "eigh")]
+    assert uses == [("oracle", "np.linalg.eigh", True)]
 
 
 def _parameters_and_fields(tree):
