@@ -142,11 +142,12 @@ def _add_initial_mode(p: argparse.ArgumentParser) -> None:
 
 
 def _initial_mode(args) -> int | ThermalDistribution:
-    """The ``--fock-initial`` level (default 0), or the thermal mode of
-    ``--nbar``.  argparse refuses the two flags together; this also catches
-    a config file supplying one."""
+    """The ``--fock-initial`` level (default 0), refused under the option's
+    name if it is negative, or the thermal mode of ``--nbar``.  argparse
+    refuses the two flags together; this also catches a config file
+    supplying one."""
     if args.nbar is None:
-        return args.fock_initial or 0
+        return _count("--fock-initial", args.fock_initial or 0)
     if args.fock_initial is not None:
         raise CliError(f"{args.command}: --fock-initial and --nbar are exclusive")
     return ThermalDistribution(args.nbar)
@@ -199,7 +200,8 @@ def cmd_coefficients(args) -> int:
 
 
 def _fock_levels(text: str) -> list[int]:
-    """The distinct levels of a ``sweep --fock`` list, in its order."""
+    """The distinct levels of a ``sweep --fock`` list, in its order, each
+    refused under the option's name if it is negative."""
     try:
         fock = [int(s) for s in text.split(",") if s.strip() != ""]
     except ValueError:
@@ -207,35 +209,49 @@ def _fock_levels(text: str) -> list[int]:
     if not fock:
         raise CliError("--fock must name at least one level")
     for i, n in enumerate(fock):
+        _count("--fock", n)
         if n in fock[:i]:
             raise CliError(f"--fock names level {n} more than once")
     return fock
+
+
+def _predictions(mode, lam, table: CoefficientTable, initial: str = "gg") -> dict:
+    """Every closed-form predictor at ``mode`` (a level, a list of levels
+    or a thermal mode) and ``lam`` (one value or a grid), each called once,
+    keyed as ``predict`` prints them.  ``populations`` keeps its trailing
+    (gg, ge, eg, ee) axis."""
+    pops = predict_populations(mode, lam, table, initial)
+    coh = predict_coherence(mode, lam, table, initial)
+    return {"phase": predict_phase(mode, lam, table, initial),
+            "fidelity": predict_fidelity(mode, lam, table),
+            "populations": pops, "population_sum": pops.sum(axis=-1),
+            "coherence_re": coh.real, "coherence_im": coh.imag,
+            "purity": predict_purity(mode, lam, table)}
 
 
 def cmd_sweep(args) -> int:
     if args.plot_script and Path(args.plot_script).resolve() == Path(args.out).resolve():
         raise CliError(f"--plot-script names the --out file {args.out}; give it its own path")
     _count("--points", args.points, 1)
+    _finite("--lambda-min", args.lambda_min)
+    _finite("--lambda-max", args.lambda_max)
     fock = _fock_levels(args.fock)
     # Checked under the option's name, with or without --oracle.
     cutoff = FockCutoff(_count("--cutoff-n-max", args.cutoff_n_max))
     table = _table_for(args)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.points)
-    # One predictor pass each over the (level, lambda) grid; the CSV is
-    # written from (level, lambda) columns, level-major.
-    pops = predict_populations(fock, lams, table)
-    coh = predict_coherence(fock, lams, table)
-    grid = coh.shape
+    # One predictor pass over the (level, lambda) grid; the CSV is written
+    # from (level, lambda) columns, level-major.
+    pred = _predictions(fock, lams, table)
+    grid = pred["phase"].shape
     columns = {
         "lambda_tilde": np.broadcast_to(lams, grid),
         "fock_n": np.broadcast_to(np.array(fock)[:, None], grid),
-        "pred_phase": predict_phase(fock, lams, table),
-        **{f"pred_p_{q}": pops[..., i] for i, q in enumerate(QUBIT_LABELS)},
+        "pred_phase": pred["phase"],
+        **{f"pred_p_{q}": pred["populations"][..., i] for i, q in enumerate(QUBIT_LABELS)},
         # hypot, as Python's abs of a complex: np.abs differs in the last bit.
-        "pred_coherence_abs": np.hypot(coh.real, coh.imag),
-        "pred_fidelity": predict_fidelity(fock, lams, table),
-        "pred_purity": predict_purity(fock, lams, table),
-        "pred_population_sum": pops.sum(axis=-1),
+        "pred_coherence_abs": np.hypot(pred["coherence_re"], pred["coherence_im"]),
+        **{f"pred_{k}": pred[k] for k in ("fidelity", "purity", "population_sum")},
     }
     if args.oracle:
         # The table's gate, on the same (level, lambda) grid.
@@ -244,17 +260,17 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     outputs = {out: _csv_text(SWEEP_REPORT_SCHEMA, columns)}
     if args.plot_script:
-        outputs[Path(args.plot_script)] = _sweep_plot_text(
-            out, fock, "oracle" if args.oracle else None
-        )
+        outputs[Path(args.plot_script)] = _sweep_plot_text(out, fock, args.oracle)
     _write_all(outputs)
-    print(f"wrote {out} ({coh.size} rows)")
+    print(f"wrote {out} ({pred['phase'].size} rows)")
     if args.plot_script:
         print(f"wrote {args.plot_script}")
     return EXIT_OK
 
 
-def _sweep_plot_text(csv_path, fock, oracle_tag) -> str:
+def _sweep_plot_text(csv_path, fock, oracle: bool) -> str:
+    """A gnuplot script of four panels, each plotting per level the model
+    column with lines and, with ``oracle``, the oracle column with points."""
     lines = [
         "# gnuplot script generated by msgate sweep",
         "set datafile separator ','",
@@ -271,19 +287,14 @@ def _sweep_plot_text(csv_path, fock, oracle_tag) -> str:
         ("fidelity", "pred_fidelity", "oracle_fidelity"),
         ("purity", "pred_purity", "oracle_purity"),
     ]
-    for title, pred_col, oracle_col in panels:
+    series = [("lines", "model"), ("points", "oracle")][: 2 if oracle else 1]
+    for title, *cols in panels:
         lines.append(f"set title '{title}'")
-        plots = []
-        for n in fock:
-            sel = f"(column('fock_n')=={n} ? column('{pred_col}') : 1/0)"
-            plots.append(
-                f"csv using (column('lambda_tilde')):{sel} with lines title 'n={n} model'"
-            )
-            if oracle_tag:
-                sel_o = f"(column('fock_n')=={n} ? column('{oracle_col}') : 1/0)"
-                plots.append(
-                    f"csv using (column('lambda_tilde')):{sel_o} with points title 'n={n} oracle'"
-                )
+        plots = [
+            f"csv using (column('lambda_tilde')):(column('fock_n')=={n} ? column('{col}') : 1/0)"
+            f" with {style} title 'n={n} {who}'"
+            for n in fock for col, (style, who) in zip(cols, series)
+        ]
         lines.append("plot " + ", \\\n     ".join(plots))
     lines.append("unset multiplot")
     return "\n".join(lines) + "\n"
@@ -382,21 +393,10 @@ def cmd_predict(args) -> int:
     table = _table_for(args)
     lam = args.lambda_tilde
     mode = _initial_mode(args)
-    pops = predict_populations(mode, lam, table, args.initial)
-    coh = predict_coherence(mode, lam, table, args.initial)
-    doc = {
-        "lambda_tilde": lam,
-        "initial": args.initial,
-        "fock": mode if isinstance(mode, int) else None,
-        "n_bar": args.nbar,
-        "phase": predict_phase(mode, lam, table, args.initial),
-        "fidelity": predict_fidelity(mode, lam, table),
-        "populations": [float(p) for p in pops],
-        "population_sum": float(pops.sum()),
-        "coherence_re": coh.real,
-        "coherence_im": coh.imag,
-        "purity": predict_purity(mode, lam, table),
-    }
+    pred = _predictions(mode, lam, table, args.initial)
+    doc = {"lambda_tilde": lam, "initial": args.initial,
+           "fock": mode if isinstance(mode, int) else None, "n_bar": args.nbar,
+           **pred, "populations": pred["populations"].tolist()}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import FockCutoff, _finite, _number
+from .hilbert import QUBIT_LABELS, FockCutoff, _finite, _number
 from .ideal import (DimensionlessGateParams, collective_spin, ideal_output_state,
                      relative_phase_pair)
 
@@ -224,9 +224,10 @@ def _basis_columns(qubit: int, levels, cutoff: FockCutoff) -> np.ndarray:
     return amps
 
 
-def _guard_band_mass(amps: np.ndarray, cutoff: FockCutoff, levels: int) -> np.ndarray:
-    """Per-column probability in the top Fock levels."""
-    levels = min(levels, cutoff.dim)
+def _guard_band_mass(amps: np.ndarray, cutoff: FockCutoff) -> np.ndarray:
+    """Per-column probability in the top ``_GUARD_LEVELS`` Fock levels (all
+    of them on a shorter ladder)."""
+    levels = min(_GUARD_LEVELS, cutoff.dim)
     return (np.abs(cutoff.blocks(amps)[:, cutoff.dim - levels :, :]) ** 2).sum(axis=(0, 1))
 
 
@@ -254,7 +255,7 @@ def propagate_batch(
     final = _exact_evolve(lambda_values, params.omega_tilde, params.phi, cutoff, chi, t1 - t0)
     final *= np.exp(1j * t1 * cutoff.number)
     drift = np.abs(np.linalg.norm(final, axis=0) - np.linalg.norm(cols, axis=0))
-    guard = float(_guard_band_mass(final, cutoff, _GUARD_LEVELS).max(initial=0.0))
+    guard = float(_guard_band_mass(final, cutoff).max(initial=0.0))
     _check_health(drift, guard)
     return final.reshape(np.shape(amps)), drift, guard
 
@@ -350,9 +351,9 @@ def sweep(
     obs = observables(final, "gg", cutoff)
     columns = {
         "relative_phase": obs["relative_phase"],
-        **dict(zip(("p_gg", "p_ge", "p_eg", "p_ee"), obs["populations"].T)),
+        **{f"p_{q}": p for q, p in zip(QUBIT_LABELS, obs["populations"].T)},
         **{k: obs[k] for k in ("coherence_abs", "fidelity", "purity")},
         "norm_drift": drift,
-        "guard_band_mass": _guard_band_mass(final, cutoff, _GUARD_LEVELS),
+        "guard_band_mass": _guard_band_mass(final, cutoff),
     }
     return {key: value.reshape(grid) for key, value in columns.items()}

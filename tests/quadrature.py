@@ -43,7 +43,7 @@ from scipy.special import gammaln
 from msgate.hilbert import QUBIT_LABELS, FockCutoff, displacement_matrix
 from msgate.ideal import DimensionlessGateParams, collective_spin, loop_functions
 from msgate.magnus import CoefficientTable, QuadratureSpec
-from msgate.oracle import _GUARD_LEVELS, _check_health, _exact_evolve, _guard_band_mass
+from msgate.oracle import _check_health, _exact_evolve, _guard_band_mass
 
 # Outer-time rows of the 2D grid per moment call; bounds the workspace.
 CHUNK_ROWS = 16
@@ -308,7 +308,7 @@ def expectation_trajectory(
     psi = np.exp(1j * cutoff.number * taus[None, :]) * chi
     norms = np.linalg.norm(psi, axis=0)
     a_exp = np.einsum("ij,ij->j", psi.conj(), a_op @ psi) / np.maximum(norms**2, 1e-300)
-    guard = _guard_band_mass(psi, cutoff, _GUARD_LEVELS)
+    guard = _guard_band_mass(psi, cutoff)
     _check_health(np.abs(norms - np.linalg.norm(initial)), float(guard.max()))
     return {"tau": taus, "a_expect": a_exp, "norm": norms, "guard_band_mass": guard}
 

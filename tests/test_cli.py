@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,18 @@ class TestSweep:
                 assert (f"column('oracle_{column}')" in text) == (oracle == "--oracle")
         assert "title 'n=1 oracle'" not in text
 
+    @pytest.mark.parametrize("oracle", ["--oracle", "--no-oracle"])
+    def test_plot_script_columns_are_csv_headers(self, table_file, workdir, oracle):
+        # The script names its columns apart from the CSV that cmd_sweep and
+        # oracle.sweep write: every name it plots must be one of its headers.
+        rc = main(["sweep", "--table", table_file, "--points", "3", "--fock", "0,1",
+                   oracle, "--plot-script", "sweep.gp"])
+        assert rc == EXIT_OK
+        header = Path("sweep.csv").read_text().splitlines()[1].split(",")
+        named = set(re.findall(r"column\('([^']*)'\)", Path("sweep.gp").read_text()))
+        assert len(named) == (10 if oracle == "--oracle" else 6)
+        assert named <= set(header)
+
     @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["model", "oracle"])
     def test_repeated_level_refused(self, table_file, workdir, capsys, oracle):
         # A repeated level would write its rows, and propagate its columns, twice.
@@ -434,6 +447,15 @@ class TestSweep:
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err == (
             "error: --fock takes comma-separated integer levels, got '0,1.5'\n")
+        assert _files(workdir) == []
+
+    @pytest.mark.parametrize("levels, level", [("-1", -1), ("0,-2", -2)])
+    def test_negative_level_refused(self, table_file, workdir, capsys, levels, level):
+        # Named by the option, as --fock-initial is, not by the library's
+        # level rule.
+        rc = main(["sweep", "--table", table_file, "--points", "3", f"--fock={levels}"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --fock must be an integer >= 0, got {level}\n"
         assert _files(workdir) == []
 
     def test_guard_band_exit(self, table_file, tmp_path, capsys):
@@ -1061,6 +1083,17 @@ class TestInitialMode:
         assert exc.value.code == EXIT_USAGE
         assert "not allowed with argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        *COMMANDS,
+        ["calibrate", "--detuning-hz=-11e3", "--shift-hz", "30", "--engine", "oracle"],
+    ])
+    def test_negative_level_refused(self, table_file, workdir, capsys, command):
+        # Named by the option in every command; a level above the table
+        # keeps the library's range message (test_level_above_table_exit).
+        assert main([*command, "--table", table_file, "--fock-initial=-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --fock-initial must be an integer >= 0, got -1\n"
+        assert _files(workdir) == []
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_config_nbar_with_flag_refused(self, table_file, workdir, capsys, command):
         Path("c.json").write_text(json.dumps({command[0]: {"nbar": 0.05}}))
@@ -1077,7 +1110,9 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("command, message", [
         (["predict", "--table", "T", "--lambda-tilde", "nan"], "lambda_tilde must be finite"),
         (["sweep", "--table", "T", "--lambda-min", "nan", "--points", "3"],
-         "lambda_tilde must be finite"),
+         "--lambda-min must be finite, got nan"),
+        (["sweep", "--table", "T", "--lambda-max=-inf"], "--lambda-max must be finite, got -inf"),
+        (["sweep", "--table", "T", "--lambda-min=inf"], "--lambda-min must be finite, got inf"),
         (["calibrate", "--table", "T", "--detuning-hz", "inf", "--shift-hz", "30",
           "--out", "r.json"], "--detuning-hz must be finite"),
         (["calibrate", "--table", "T", "--detuning-hz=-11e3", "--shift-hz", "nan",
@@ -1090,7 +1125,8 @@ class TestNonFiniteInput:
          "n_bar = 50000 needs 1.04e+06 Fock levels"),
         (["calibrate", "--table", "T", "--detuning-hz=-11e3", "--shift-hz", "30",
           "--nbar", "5e4", "--out", "r.json"], "n_bar = 50000 needs 1.04e+06 Fock levels"),
-    ], ids=["predict-lambda", "sweep-lambda", "calibrate-detuning", "calibrate-shift",
+    ], ids=["predict-lambda", "sweep-lambda", "sweep-lambda-max-inf", "sweep-lambda-min-inf",
+            "calibrate-detuning", "calibrate-shift",
             "predict-nbar", "calibrate-nbar", "predict-nbar-levels", "calibrate-nbar-levels"])
     def test_exit_usage(self, table_file, workdir, capsys, command, message):
         command = [table_file if arg == "T" else arg for arg in command]

@@ -110,7 +110,7 @@ OPTIONAL_PARAMETERS = {
 # must show up here.
 SOURCE_CODE_LINES = {
     "__init__": 2,
-    "cli": 415,
+    "cli": 405,
     "experiment": 199,
     "hilbert": 120,
     "ideal": 67,
@@ -353,6 +353,20 @@ def test_diagonalisation_has_one_owner():
             if (isinstance(node, ast.Attribute) and node.attr == "eigh")
             or (isinstance(node, ast.alias) and node.name.rpartition(".")[2] == "eigh")]
     assert uses == [("oracle", "np.linalg.eigh", True)]
+
+
+def test_cli_predictors_have_one_pass():
+    # predict and sweep read every closed-form output from cli._predictions,
+    # so an output is stated once for both.  Its calls go through the names
+    # cli imports, the ones the benchmark tracer wraps.
+    cli = _modules()["cli"]
+    owner = {id(node) for node in ast.walk(_function(cli, "_predictions"))}
+    calls = sorted((name, id(node) in owner) for node in ast.walk(cli)
+                   if isinstance(node, ast.Call)
+                   for name in [getattr(node.func, "id", getattr(node.func, "attr", ""))]
+                   if name.startswith("predict_"))
+    assert calls == [(f"predict_{what}", True) for what in
+                     ("coherence", "fidelity", "phase", "populations", "purity")]
 
 
 def _parameters_and_fields(tree):
