@@ -232,6 +232,8 @@ def _predictions(mode, lam, table: CoefficientTable, initial: str = "gg") -> dic
 def cmd_sweep(args) -> int:
     if args.plot_script and Path(args.plot_script).resolve() == Path(args.out).resolve():
         raise CliError(f"--plot-script names the --out file {args.out}; give it its own path")
+    if args.plot_script and "\n" in args.out:
+        raise CliError("--plot-script cannot name an --out path that holds a newline")
     _count("--points", args.points, 1)
     _finite("--lambda-min", args.lambda_min)
     _finite("--lambda-max", args.lambda_max)
@@ -270,13 +272,15 @@ def cmd_sweep(args) -> int:
 
 def _sweep_plot_text(csv_path, fock, oracle: bool) -> str:
     """A gnuplot script of four panels, each plotting per level the model
-    column with lines and, with ``oracle``, the oracle column with points."""
+    column with lines and, with ``oracle``, the oracle column with points.
+    The CSV path is a gnuplot single-quoted string, so each ``'`` in it is
+    doubled; a newline cannot be quoted there, and ``cmd_sweep`` refuses it."""
     lines = [
         "# gnuplot script generated by msgate sweep",
         "set datafile separator ','",
         "set key outside",
         "set xlabel 'lambda_tilde'",
-        f"csv = '{csv_path}'",
+        "csv = '" + str(csv_path).replace("'", "''") + "'",
         "set terminal pngcairo size 1200,800",
         "set output 'sweep.png'",
         "set multiplot layout 2,2",

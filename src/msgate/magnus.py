@@ -631,7 +631,10 @@ def _corrections(label: str, table: CoefficientTable, order: int, entries):
     qubits: at order k the ee blocks are the gg blocks with the qubits
     flipped (its gg block is gg's ee block), times (-1)^k on the
     diagonal-in-qubit blocks and -(-1)^k on the cross blocks, whose m - n
-    is odd.  This is the one fold from the tables to states: the two
+    is odd.  The predictors read the same symmetry at the level of their
+    closed forms: :func:`_scalars` negates lam for ee, and
+    :func:`predict_density_matrix` flips the |gg> state's qubits.  This is
+    the one fold from the tables to states: the two
     corrections read a column of it, :func:`derived_scalars` the first
     order whole and the second order's diagonal, and the table builders
     invert it.
@@ -730,17 +733,25 @@ def _check_lambda(lambda_tilde) -> np.ndarray:
 
 def _scalars(n, table: CoefficientTable, lambda_tilde=0.0, initial: str = "gg"):
     """(lam, a, b, c_gg, c_ee, c_eg) of one predictor call, every input
-    checked: the one place a thermal mode is averaged.
+    checked: the one place a thermal mode is averaged, and the one owner of
+    the input's sign.
 
-    ``lam`` is from :func:`_check_lambda`.  ``initial`` must be gg or ee,
-    the inputs every predictor covers.  For a Fock level or a 1-D sequence
-    of levels ``n``, each scalar is gathered per level and shaped
-    ``np.shape(n) + (1,) * lam.ndim``, to broadcast against ``lam`` (an
-    empty sequence gives an empty grid).  For a ThermalDistribution each
-    is its probability-weighted mean over the mode's levels
-    (:func:`_level_sum`), a numpy scalar: every predictor's reduced state
-    is linear in the five, so the closed forms at the means are the
-    mixture's.  The table's structure is checked first, by
+    ``lam`` is the lambda the |gg> closed forms read: :func:`_check_lambda`'s
+    array for a gg input, its negation for ee.  ``initial`` must be gg or
+    ee, the inputs every predictor covers.  An |ee> input is |gg> under the
+    qubit-flip symmetry of :func:`_corrections`, which maps U(lam) to
+    U(-lam) with both qubits flipped, so its predictions are the |gg> ones
+    at -lam, qubits flipped where they have a qubit axis.  The negation
+    comes last, after every check, so each refusal names the caller's
+    value.
+
+    For a Fock level or a 1-D sequence of levels ``n``, each scalar is
+    gathered per level and shaped ``np.shape(n) + (1,) * lam.ndim``, to
+    broadcast against ``lam`` (an empty sequence gives an empty grid).
+    For a ThermalDistribution each is its probability-weighted mean over
+    the mode's levels (:func:`_level_sum`), a numpy scalar: every
+    predictor's reduced state is linear in the five, so the closed forms at
+    the means are the mixture's.  The table's structure is checked first, by
     :meth:`CoefficientTable.check_health`, so an off-line table raises
     UnhealthyTableError here, however it was made.  A level the table
     does not trust raises TruncationError, as
@@ -790,7 +801,7 @@ def _scalars(n, table: CoefficientTable, lambda_tilde=0.0, initial: str = "gg"):
             f"sqrt(kappa_n) = {math.sqrt(x2_w):.3f}, past 1/sqrt(2), where the "
             "second-order expansion is meaningless; it serves |lambda_tilde| up to "
             f"{math.sqrt(0.5 / kappa_w):.3g} there")
-    return lam, *scalars
+    return (lam if initial == "gg" else -lam), *scalars
 
 
 def predict_density_matrix(
@@ -803,22 +814,20 @@ def predict_density_matrix(
     the mixture of its levels' states.  Raw, like every predictor here: the
     trace keeps its O(lam^2) defect.  The populations are its diagonal and
     the pair coherence its (3, 0) entry for a |gg> input, (0, 3) for |ee>.
+    Only the |gg> form is built, at the lambda :func:`_scalars` returns; an
+    |ee> input's state is that form with both qubits flipped, the qubit
+    order reversed on both axes (gg <-> ee, ge <-> eg).
     """
     lam, a, b, c_gg, c_ee, c_eg = _scalars(n, table, lambda_tilde, initial)
-    if initial == "gg":
-        sign, same, other = 1.0, c_gg, c_ee
-    else:
-        sign, same, other = -1.0, c_ee, c_gg
     l2 = lam * lam
-    coh = (-1j + sign * lam * a + l2 * b) / 2.0
+    coh = (-1j + lam * a + l2 * b) / 2.0
     rho = np.zeros(coh.shape + (4, 4), dtype=complex)
-    rho[..., 0, 0] = 0.5 + l2 * same
-    rho[..., 3, 3] = 0.5 + l2 * other
+    rho[..., 0, 0] = 0.5 + l2 * c_gg
+    rho[..., 3, 3] = 0.5 + l2 * c_ee
     rho[..., 1, 1] = rho[..., 2, 2] = rho[..., 1, 2] = rho[..., 2, 1] = l2 * c_eg
-    row, col = relative_phase_pair(initial)
-    rho[..., row, col] = coh
-    rho[..., col, row] = np.conj(coh)
-    return rho
+    rho[..., 3, 0] = coh
+    rho[..., 0, 3] = np.conj(coh)
+    return rho if initial == "gg" else rho[..., ::-1, ::-1].copy()
 
 
 def predict_populations(
@@ -844,13 +853,13 @@ def predict_phase(n, lambda_tilde, table: CoefficientTable, initial: str = "gg")
     """Relative phase of the pair coherence of a |gg> or |ee> input (ideal
     value -pi/2), to second order.
 
-    The expanded angle -pi/2 +- lam a + lam^2 Re b, not the argument of
+    The expanded angle -pi/2 + lam a + lam^2 Re b at the lambda
+    :func:`_scalars` returns (-lam for |ee>), not the argument of
     :func:`predict_coherence`.  A thermal mode's is the same expression at
     its mean scalars, which is the mean of its levels' phases.
     """
     lam, a, b, *_ = _scalars(n, table, lambda_tilde, initial)
-    sign = 1.0 if initial == "gg" else -1.0
-    return -math.pi / 2.0 + sign * lam * a + lam * lam * b.real
+    return -math.pi / 2.0 + lam * a + lam * lam * b.real
 
 
 def predict_fidelity(n, lambda_tilde, table: CoefficientTable):

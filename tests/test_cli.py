@@ -356,6 +356,24 @@ class TestSweep:
             "error: --plot-script names the --out file s.csv; give it its own path\n")
         assert _files(workdir) == []
 
+    def test_plot_script_quotes_the_csv_path(self, table_file, workdir):
+        # gnuplot's single-quoted string takes '' for a quote; the path was
+        # written as is, so 'it's.csv' ended the string early.
+        rc = main(["sweep", "--table", table_file, "--points", "2", "--fock", "0",
+                   "--out", "it's.csv", "--plot-script", "p.gp"])
+        assert rc == EXIT_OK
+        assert "csv = 'it''s.csv'\n" in Path("p.gp").read_text()
+        assert Path("it's.csv").is_file()
+
+    def test_plot_script_refuses_a_newline_in_the_csv_path(self, table_file, workdir, capsys):
+        # No gnuplot string holds a newline: the script would break its line.
+        rc = main(["sweep", "--table", table_file, "--points", "2", "--fock", "0",
+                   "--out", "a\nb.csv", "--plot-script", "p.gp"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: --plot-script cannot name an --out path that holds a newline\n")
+        assert _files(workdir) == []
+
     def test_zero_points(self, table_file, tmp_path, capsys):
         rc = main(["sweep", "--table", table_file, "--points", "0",
                    "--out", str(tmp_path / "s.csv")])

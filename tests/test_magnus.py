@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import msgate.magnus as magnus
@@ -882,6 +882,29 @@ class TestPredictorGrid:
         for predictor in (predict_coherence, predict_purity, predict_fidelity, predict_phase):
             assert predictor(dist, lams, table40).shape == (5,)
             assert isinstance(predictor(dist, 0.01, table40), np.generic)
+
+    @pytest.mark.parametrize("mode", [3, [0, 5, 23], ThermalDistribution(0.3)],
+                             ids=["level", "levels", "thermal"])
+    @given(lam=st.one_of(st.floats(-0.2, 0.2),
+                         st.lists(st.floats(-0.2, 0.2), min_size=1, max_size=6).map(np.array)))
+    @example(lam=0.0)
+    @example(lam=-0.0)
+    @example(lam=np.array([-0.0, 0.0, 1e-300, -0.2, 0.2]))
+    @settings(max_examples=40, deadline=None)
+    def test_ee_is_gg_at_minus_lambda_with_qubits_flipped(self, table40, mode, lam):
+        # The gate's qubit-flip symmetry maps U(lam) to U(-lam) with both
+        # qubits flipped: an |ee> prediction is the |gg> one at -lam, with
+        # the qubit order reversed on each qubit axis, bit for bit (signed
+        # zeros included).
+        def bits(value):
+            value = np.asarray(value)
+            return value.dtype, value.shape, value.tobytes()
+
+        for predictor, flip in ((predict_density_matrix, (-2, -1)), (predict_populations, -1),
+                                (predict_coherence, ()), (predict_phase, ())):
+            ee = predictor(mode, lam, table40, "ee")
+            gg = np.flip(predictor(mode, -lam, table40, "gg"), flip)
+            assert bits(ee) == bits(gg), predictor.__name__
 
     @pytest.mark.parametrize("n_bar", [0.05, 0.3])
     def test_thermal_ideal_point_exact(self, table40, n_bar):

@@ -110,11 +110,11 @@ OPTIONAL_PARAMETERS = {
 # must show up here.
 SOURCE_CODE_LINES = {
     "__init__": 2,
-    "cli": 405,
+    "cli": 407,
     "experiment": 199,
     "hilbert": 120,
     "ideal": 67,
-    "magnus": 478,
+    "magnus": 472,
     "oracle": 182,
 }
 
@@ -367,6 +367,25 @@ def test_cli_predictors_have_one_pass():
                    if name.startswith("predict_"))
     assert calls == [(f"predict_{what}", True) for what in
                      ("coherence", "fidelity", "phase", "populations", "purity")]
+
+
+def test_input_sign_has_one_owner():
+    # An |ee> prediction is the |gg> one at -lam with both qubits flipped:
+    # magnus._scalars negates lam for ee and predict_density_matrix flips
+    # the qubits.  A predictor that tested the input itself would restate
+    # the symmetry as its own sign-and-swap branch.
+    labels = {"gg", "ge", "eg", "ee"}
+
+    def compares_initial(node):
+        operands = [node.left, *node.comparators]
+        names = {n.id for op in operands for n in ast.walk(op) if isinstance(n, ast.Name)}
+        consts = {n.value for op in operands for n in ast.walk(op) if isinstance(n, ast.Constant)}
+        return "initial" in names and bool(consts & labels)
+
+    tree = _modules()["magnus"]
+    owners = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn) if isinstance(node, ast.Compare) and compares_initial(node)}
+    assert owners == {"_scalars", "predict_density_matrix"}
 
 
 def _parameters_and_fields(tree):
