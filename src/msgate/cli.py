@@ -51,7 +51,7 @@ from . import __version__
 from .experiment import (ENGINES, _MIN_PHASE_POINTS, SequenceConfig, phi_seq_prediction,
                          run_calibration)
 from .hilbert import QUBIT_LABELS, FockCutoff, ThermalDistribution, _count, _finite
-from .ideal import DimensionlessGateParams, phase_space_trajectory
+from .ideal import DimensionlessGateParams, loop_functions
 from .magnus import (
     CoefficientTable,
     QuadratureSpec,
@@ -230,10 +230,17 @@ def _predictions(mode, lam, table: CoefficientTable, initial: str = "gg") -> dic
 
 
 def cmd_sweep(args) -> int:
-    if args.plot_script and Path(args.plot_script).resolve() == Path(args.out).resolve():
+    out = Path(args.out)
+    # The --out path with the suffix .png; a path with no name, such as
+    # ".", still gets one and fails where the CSV does.
+    figure = out.parent / f"{out.stem}.png"
+    plot = args.plot_script and Path(args.plot_script).resolve()
+    if plot and plot == out.resolve():
         raise CliError(f"--plot-script names the --out file {args.out}; give it its own path")
-    if args.plot_script and "\n" in args.out:
+    if plot and "\n" in args.out:
         raise CliError("--plot-script cannot name an --out path that holds a newline")
+    if plot and figure.resolve() in (plot, out.resolve()):
+        raise CliError(f"the figure {figure} would overwrite --out or the plot script")
     _count("--points", args.points, 1)
     _finite("--lambda-min", args.lambda_min)
     _finite("--lambda-max", args.lambda_max)
@@ -259,10 +266,9 @@ def cmd_sweep(args) -> int:
         # The table's gate, on the same (level, lambda) grid.
         oracle = oracle_sweep(lams, fock, table.params, cutoff)
         columns.update((f"oracle_{k}", v) for k, v in oracle.items())
-    out = Path(args.out)
     outputs = {out: _csv_text(SWEEP_REPORT_SCHEMA, columns)}
     if args.plot_script:
-        outputs[Path(args.plot_script)] = _sweep_plot_text(out, fock, args.oracle)
+        outputs[Path(args.plot_script)] = _sweep_plot_text(out, figure, fock, args.oracle)
     _write_all(outputs)
     print(f"wrote {out} ({pred['phase'].size} rows)")
     if args.plot_script:
@@ -270,19 +276,28 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _sweep_plot_text(csv_path, fock, oracle: bool) -> str:
+def _gnuplot_string(text) -> str:
+    """``text`` as a gnuplot single-quoted string, each ``'`` in it doubled.
+    A newline cannot be quoted there; ``cmd_sweep`` refuses it."""
+    return "'" + str(text).replace("'", "''") + "'"
+
+
+def _sweep_plot_text(csv_path, figure_path, fock, oracle: bool) -> str:
     """A gnuplot script of four panels, each plotting per level the model
     column with lines and, with ``oracle``, the oracle column with points.
-    The CSV path is a gnuplot single-quoted string, so each ``'`` in it is
-    doubled; a newline cannot be quoted there, and ``cmd_sweep`` refuses it."""
+    It reads the CSV at ``csv_path`` and draws the PNG figure at
+    ``figure_path``, both written as gnuplot strings.  ``cmd_sweep`` names
+    the figure after the CSV, the ``--out`` path with the suffix ``.png``
+    (``sweep.csv`` draws ``sweep.png``), and refuses a figure path that
+    names the CSV or the script."""
     lines = [
         "# gnuplot script generated by msgate sweep",
         "set datafile separator ','",
         "set key outside",
         "set xlabel 'lambda_tilde'",
-        "csv = '" + str(csv_path).replace("'", "''") + "'",
+        "csv = " + _gnuplot_string(csv_path),
         "set terminal pngcairo size 1200,800",
-        "set output 'sweep.png'",
+        "set output " + _gnuplot_string(figure_path),
         "set multiplot layout 2,2",
     ]
     panels = [
@@ -343,6 +358,7 @@ def cmd_calibrate(args) -> int:
             "fock_initial": config.mode if isinstance(config.mode, int) else None,
             "n_bar": args.nbar,
             "seed": args.seed,
+            "cutoff_n_max": config.cutoff_n_max if args.engine == "oracle" else None,
             "table_provenance": table.provenance_hash,
         },
         "fit": {
@@ -381,12 +397,13 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    _count("--samples", args.samples, 2)
-    traj = phase_space_trajectory(_gate(args), args.samples)
-    plus, minus = traj["alpha_plus"], traj["alpha_minus"]
-    columns = {"tau": traj["tau"], "re_alpha_plus": plus.real, "im_alpha_plus": plus.imag,
-               "re_alpha_minus": minus.real, "im_alpha_minus": minus.imag,
-               "area_phase": traj["area_phase"]}
+    samples = _count("--samples", args.samples, 2)
+    gate = _gate(args)
+    tau = np.linspace(0.0, gate.tau_gate, samples)
+    f, g = loop_functions(tau, gate)
+    # The two spin branches ride the loop at +F and -F.
+    columns = {"tau": tau, "re_alpha_plus": f.real, "im_alpha_plus": f.imag,
+               "re_alpha_minus": (-f).real, "im_alpha_minus": (-f).imag, "area_phase": g}
     _write_all({Path(args.out): _csv_text(TRAJECTORY_SCHEMA, columns)})
     print(f"wrote {args.out} ({args.samples} samples)")
     return EXIT_OK

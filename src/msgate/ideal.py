@@ -31,7 +31,6 @@ __all__ = [
     "loop_functions",
     "ideal_output_state",
     "relative_phase_pair",
-    "phase_space_trajectory",
 ]
 
 TAU_GATE = 2.0 * math.pi
@@ -132,22 +131,4 @@ def relative_phase_pair(initial_label: str) -> tuple[int, int]:
     and the predictors both read the phase there."""
     pairs = {"gg": (3, 0), "ee": (0, 3), "ge": (2, 1), "eg": (1, 2)}
     return pairs[_label(initial_label)]
-
-
-def phase_space_trajectory(params: DimensionlessGateParams,
-                           n_samples: int) -> dict[str, np.ndarray]:
-    """Sampled +/- branch trajectories of the driven mode over one gate, at
-    ``n_samples`` (at least 2) evenly spaced times from 0 to tau_gate.
-
-    Returns arrays ``tau``, ``alpha_plus``, ``alpha_minus`` (complex), and
-    ``area_phase`` = G(tau).
-    """
-    tau = np.linspace(0.0, params.tau_gate, _count("n_samples", n_samples, 2))
-    f, g = loop_functions(tau, params)
-    return {
-        "tau": tau,
-        "alpha_plus": f,
-        "alpha_minus": -f,
-        "area_phase": g,
-    }
 

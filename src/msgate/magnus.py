@@ -117,8 +117,6 @@ __all__ = [
     "compute_second_order_tables",
     "compute_coefficient_table",
     "derived_scalars",
-    "first_order_correction",
-    "second_order_correction",
     "predicted_state",
     "predict_phase",
     "predict_populations",
@@ -662,32 +660,13 @@ def _corrections(label: str, table: CoefficientTable, order: int, entries):
 
 def _column(label: str, order: int, n: int, table: CoefficientTable) -> np.ndarray:
     """Column n of the four qubit blocks of :func:`_corrections`, qubit-major:
-    the amplitudes of the correction to |label, n>."""
+    the amplitudes of the correction psi1 (``order`` 1) or psi2 (``order``
+    2) to |label, n>, whose full state is psi0 - lam*psi1 - lam^2*psi2.
+    An unknown label, or a level n that is not an integer in 0..n_max, is
+    refused with ``ValueError``; like :func:`predicted_state`, it checks
+    neither the table's structure nor its trust."""
     n = _count("Fock level n", n, 0, table.n_max)
     return np.concatenate(_corrections(label, table, order, lambda x: x[:, n]))
-
-
-def first_order_correction(label: str, n: int, table: CoefficientTable) -> np.ndarray:
-    """Amplitudes of the state correction psi1 on |label, n>; the full state
-    is psi0 - lam*psi1 - lam^2*psi2.  Column n of the first-order blocks of
-    :func:`_corrections`.
-
-    The two corrections and :func:`predicted_state` are the cross-check
-    route: by design they check neither the table's structure nor its
-    trusted levels, so that any closed loop, off-calibration ones included,
-    can be compared with the Van Loan derivatives of the exact gate at
-    every level up to ``n_max``.  A check here would close that
-    independent route; the predictors check both, through :func:`_scalars`.
-    """
-    return _column(label, 1, n, table)
-
-
-def second_order_correction(label: str, n: int, table: CoefficientTable) -> np.ndarray:
-    """State correction psi2 on |label, n> (see :func:`first_order_correction`):
-    column n of the second-order blocks of :func:`_corrections`.  Like it,
-    a cross-check route that checks neither structure nor trust.
-    """
-    return _column(label, 2, n, table)
 
 
 def predicted_state(
@@ -697,19 +676,25 @@ def predicted_state(
     table: CoefficientTable,
 ) -> np.ndarray:
     """Amplitudes of the second-order final state psi0 - lam*psi1 - lam^2*psi2
-    (unnormalized), at one lambda.  Its lower orders are sums of the public
-    pieces: psi0 is :func:`~msgate.ideal.ideal_output_state`, and the
-    first-order state subtracts lam times :func:`first_order_correction`.
-    A cross-check route, compared with the oracle's final state: like the
-    two corrections it checks neither structure nor trust, by design.
-    ``lambda_tilde`` is one finite real number (the rule of
-    :func:`msgate.hilbert._number`) inside the hard cap, else
-    ``ValueError`` naming it: one state per call."""
+    (unnormalized), at one lambda.  psi0 is
+    :func:`~msgate.ideal.ideal_output_state`, and psi1 and psi2 are the
+    first- and second-order columns n of :func:`_corrections`, read by
+    :func:`_column`.
+
+    The cross-check route, compared with the oracle's final state and with
+    the Van Loan derivatives of the exact gate: by design it checks neither
+    the table's structure nor its trusted levels, so that any closed loop,
+    off-calibration ones included, can be compared at every level up to
+    ``n_max``.  A check here would close that independent route; the
+    predictors check both, through :func:`_scalars`.  ``lambda_tilde`` is
+    one finite real number (the rule of :func:`msgate.hilbert._number`)
+    inside the hard cap, else ``ValueError`` naming it: one state per
+    call."""
     lambda_tilde = _number("lambda_tilde", lambda_tilde)
     _check_lambda(lambda_tilde)
     return (ideal_output_state(label, n, table.cutoff)
-            - lambda_tilde * first_order_correction(label, n, table)
-            - lambda_tilde * lambda_tilde * second_order_correction(label, n, table))
+            - lambda_tilde * _column(label, 1, n, table)
+            - lambda_tilde * lambda_tilde * _column(label, 2, n, table))
 
 
 # --------------------------------------------------------------------------

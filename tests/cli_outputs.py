@@ -5,15 +5,20 @@
 Each command of ``COMMANDS`` runs as ``python -W error -m msgate.cli ARGS``
 with ``PYTHONPATH=<tree>/src``, once per tree, each run in its own empty
 temporary directory (also its ``HOME``).  The exit code, stdout, stderr
-and every file the run writes there are compared.  One line per command
-reads ``same`` or ``DIFF`` with what differs; the script exits 1 if any
-command differs, else 0.  A change that claims byte-identical outputs runs
-it against a ``git archive`` of its parent.
+and every file the run writes there are compared.  Each entry of
+``CHAINS`` runs the same way in one directory: its input files are written
+first, then its steps run in order, each a command or a function that
+edits the directory; every command's exit code, stdout and stderr are
+compared, and every file at the end.  One line per command or chain reads
+``same`` or ``DIFF`` with what differs; the script exits 1 if any differs,
+else 0.  A change that claims byte-identical outputs runs it against a
+``git archive`` of its parent.
 
 Not collected by pytest (no ``test_`` prefix), and it uses the standard
 library only.
 """
 
+import json
 import os
 import shlex
 import subprocess
@@ -105,15 +110,82 @@ COMMANDS = [
 ]
 
 
-def run(tree: Path, argv: list[str]) -> tuple:
-    """(exit code, stdout, stderr, {path: bytes}) of one command on one tree."""
+def _edit_stored_scalar(work: Path) -> None:
+    """Move the first stored slope ``a`` of ``t.json`` in its ninth digit,
+    past the load's 1e-12 check; every other value keeps its bits."""
+    path = work / "t.json"
+    doc = json.loads(path.read_text())
+    doc["derived"]["a"][0] *= 1.0 + 1e-9
+    path.write_text(json.dumps(doc))
+
+
+_BENCH_TABLE = ["coefficients", "--n-max", "40", "--panels-1d", "4096", "--panels-2d", "256",
+                "--out", "t.json"]
+
+# Chains of (input files, steps).  The first runs the benchmark's command
+# shapes against a --table file; the others the refusals of the load path
+# and the config path.
+CHAINS = [
+    ({}, [
+        _BENCH_TABLE,
+        ["sweep", "--table", "t.json", "--lambda-min=-0.095", "--lambda-max", "0.093",
+         "--points", "21", "--fock", "0,1,2,3", "--oracle", "--steps", "1024",
+         "--cutoff-n-max", "32", "--out", "sweep.csv"],
+        ["calibrate", "--table", "t.json", "--engine", "oracle", "--detuning-hz=-11000.0",
+         "--shift-hz", "41.5", "--fock-initial", "0", "--shots", "200", "--seed", "12345",
+         "--out", "r0.json", "--steps", "1024"],
+        ["calibrate", "--table", "t.json", "--engine", "oracle", "--detuning-hz=-11000.0",
+         "--shift-hz=-38.25", "--fock-initial", "1", "--shots", "200", "--seed", "678",
+         "--out", "r1.json", "--steps", "1024"],
+        ["predict", "--table", "t.json", "--lambda-tilde=-0.0123", "--nbar", "0.4"],
+        ["predict", "--table", "t.json", "--n-max", "24", "--lambda-tilde", "0.01"],
+    ]),
+    ({}, [
+        ["coefficients", "--n-max", "24", "--out", "t.json"],
+        _edit_stored_scalar,
+        ["predict", "--table", "t.json", "--lambda-tilde", "0.01"],
+    ]),
+    ({"c.json": json.dumps({"sweep": {"points": 5, "fock": "0,2", "oracle": True,
+                                      "cutoff-n-max": 24, "lambda-min": -0.05,
+                                      "plot-script": "s.gp"}})}, [
+        ["--config", "c.json", "sweep", "--out", "s.csv"],
+        ["--config", "c.json", "sweep", "--no-oracle", "--points", "3", "--out", "t.csv"],
+    ]),
+    ({"c.json": json.dumps({"sweep": {"points": "many"}})}, [
+        ["--config", "c.json", "sweep"],
+    ]),
+]
+
+
+def run(tree: Path, inputs: dict, steps: list) -> tuple:
+    """([(exit code, stdout, stderr) per command], {path: bytes}) of one
+    chain on one tree."""
     with tempfile.TemporaryDirectory() as work:
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), HOME=work)
-        done = subprocess.run([sys.executable, "-W", "error", "-m", "msgate.cli", *argv],
-                              cwd=work, env=env, capture_output=True, timeout=600)
+        for name, text in inputs.items():
+            (Path(work) / name).write_text(text)
+        results = []
+        for step in steps:
+            if callable(step):
+                step(Path(work))
+                continue
+            done = subprocess.run([sys.executable, "-W", "error", "-m", "msgate.cli", *step],
+                                  cwd=work, env=env, capture_output=True, timeout=600)
+            results.append((done.returncode, done.stdout, done.stderr))
         files = {p.relative_to(work).as_posix(): p.read_bytes()
                  for p in sorted(Path(work).rglob("*")) if p.is_file()}
-        return done.returncode, done.stdout, done.stderr, files
+        return results, files
+
+
+def _differences(a: tuple, b: tuple) -> list[str]:
+    """What differs between two runs of one chain."""
+    parts = [f"{name}{f'[{k}]' if len(a[0]) > 1 else ''}"
+             for k, (x, y) in enumerate(zip(a[0], b[0]))
+             for name, u, v in zip(("exit", "stdout", "stderr"), x, y) if u != v]
+    if a[1] != b[1]:
+        parts.append("files " + ",".join(
+            sorted(k for k in a[1].keys() | b[1].keys() if a[1].get(k) != b[1].get(k))))
+    return parts
 
 
 def main(argv: list[str]) -> int:
@@ -121,19 +193,19 @@ def main(argv: list[str]) -> int:
         print("usage: " + __doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     old, new = (Path(tree).resolve() for tree in argv)
+    entries = [({}, [args]) for args in COMMANDS] + CHAINS
     differ = 0
-    for args in COMMANDS:
-        a, b = run(old, args), run(new, args)
-        parts = [name for name, x, y in zip(("exit", "stdout", "stderr", "files"), a, b)
-                 if x != y]
-        if a[3] != b[3]:
-            parts[-1] = "files " + ",".join(
-                sorted(k for k in a[3].keys() | b[3].keys() if a[3].get(k) != b[3].get(k)))
+    for inputs, steps in entries:
+        a, b = run(old, inputs, steps), run(new, inputs, steps)
+        parts = _differences(a, b)
         differ += bool(parts)
-        shown = " ".join(shlex.quote(arg) for arg in args)
-        line = f"{'DIFF ' + ' '.join(parts) if parts else 'same'}  (exit {a[0]})  {shown}"
+        shown = " ; ".join(step.__name__ if callable(step) else
+                           " ".join(shlex.quote(arg) for arg in step) for step in steps)
+        exits = ",".join(str(result[0]) for result in a[0])
+        line = f"{'DIFF ' + ' '.join(parts) if parts else 'same'}  (exit {exits})  {shown}"
         print(line.replace("\n", "\\n"))
-    print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands identical")
+    print(f"{len(entries) - differ} of {len(entries)} entries identical "
+          f"({len(COMMANDS)} commands, {len(CHAINS)} chains)")
     return 1 if differ else 0
 
 

@@ -15,7 +15,7 @@ import msgate.magnus as magnus
 from msgate.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from msgate.experiment import SequenceConfig, fit_fringe, run_calibration
 from msgate.hilbert import ThermalDistribution
-from msgate.ideal import DimensionlessGateParams, phase_space_trajectory
+from msgate.ideal import DimensionlessGateParams, loop_functions
 from msgate.magnus import (
     QuadratureSpec,
     compute_coefficient_table,
@@ -362,8 +362,36 @@ class TestSweep:
         rc = main(["sweep", "--table", table_file, "--points", "2", "--fock", "0",
                    "--out", "it's.csv", "--plot-script", "p.gp"])
         assert rc == EXIT_OK
-        assert "csv = 'it''s.csv'\n" in Path("p.gp").read_text()
+        script = Path("p.gp").read_text()
+        assert "csv = 'it''s.csv'\n" in script
+        assert "set output 'it''s.png'\n" in script
         assert Path("it's.csv").is_file()
+
+    @pytest.mark.parametrize("out, figure", [
+        ([], "sweep.png"), (["--out", "sub/s.csv"], "sub/s.png"), (["--out", "data"], "data.png"),
+    ], ids=["default", "subdirectory", "no-suffix"])
+    def test_plot_script_draws_the_figure_beside_the_csv(self, table_file, workdir, out, figure):
+        # Every script used to draw 'sweep.png', so two sweeps' scripts drew
+        # into one figure.  It is the --out path with the suffix .png.
+        rc = main(["sweep", "--table", table_file, "--points", "2", "--fock", "0", *out,
+                   "--plot-script", "sub/p.gp"])
+        assert rc == EXIT_OK
+        assert f"set output '{figure}'\n" in Path("sub/p.gp").read_text()
+
+    @pytest.mark.parametrize("out, plot, figure", [
+        ("x.png", "p.gp", "x.png"), ("s.csv", "s.png", "s.png"), ("s.csv", "sub/../s.png", "s.png"),
+    ], ids=["over-the-csv", "over-the-script", "over-the-script-resolved"])
+    def test_plot_script_refuses_a_figure_over_its_outputs(self, workdir, capsys, out, plot,
+                                                           figure):
+        # gnuplot would overwrite the CSV it reads, or the script it runs.
+        # Refused before any table: the table file does not exist.
+        (workdir / "sub").mkdir()
+        rc = main(["sweep", "--table", "missing.json", "--fock", "0", "--points", "3",
+                   "--out", out, "--plot-script", plot])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: the figure {figure} would overwrite --out or the plot script\n")
+        assert _files(workdir) == []
 
     def test_plot_script_refuses_a_newline_in_the_csv_path(self, table_file, workdir, capsys):
         # No gnuplot string holds a newline: the script would break its line.
@@ -520,6 +548,17 @@ class TestCalibrate:
         inputs = json.loads(out.read_text())["inputs"]
         assert inputs["fock_initial"] == fock
         assert inputs["n_bar"] == n_bar
+
+    @pytest.mark.parametrize("engine, cutoff", [("oracle", 24), ("first_order_model", None)])
+    def test_report_records_the_oracle_cutoff(self, table_file, tmp_path, engine, cutoff):
+        # The cutoff moves an oracle fringe in its last bits, and the report
+        # did not record it; the model engine never reads it.
+        out = tmp_path / "report.json"
+        rc = main(["calibrate", "--table", table_file, "--engine", engine,
+                   "--detuning-hz=-11e3", "--shift-hz", "30", "--shots", "0", "--points", "8",
+                   "--cutoff-n-max", "24", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert json.loads(out.read_text())["inputs"]["cutoff_n_max"] == cutoff
 
     def test_oracle_engine(self, table_file, capsys):
         rc = main(["calibrate", "--table", table_file, "--detuning-hz",
@@ -955,12 +994,15 @@ class TestTrajectory:
         text = Path("traj.csv").read_text()
         assert text.count("\n") == 11
         assert text.splitlines()[0] == "# schema=msgate/trajectory/1"
-        traj = phase_space_trajectory(DimensionlessGateParams(), 9)
+        gate = DimensionlessGateParams()
+        tau = np.linspace(0.0, gate.tau_gate, 9)
+        f, g = loop_functions(tau, gate)
         data = np.genfromtxt("traj.csv", delimiter=",", names=True, skip_header=1)
-        # Each value is written as its repr, so it reads back exactly.
-        for name, column in [("tau", traj["tau"]), ("re_alpha_plus", traj["alpha_plus"].real),
-                             ("im_alpha_minus", traj["alpha_minus"].imag),
-                             ("area_phase", traj["area_phase"])]:
+        # Each value is written as its repr, so it reads back exactly; the
+        # minus branch is the plus branch negated.
+        for name, column in [("tau", tau), ("re_alpha_plus", f.real),
+                             ("im_alpha_plus", f.imag), ("re_alpha_minus", (-f).real),
+                             ("im_alpha_minus", (-f).imag), ("area_phase", g)]:
             assert np.array_equal(data[name], column), name
 
     def test_new_directory_and_line_ends(self, workdir):
@@ -978,12 +1020,11 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("samples", ["1", "-3"])
     def test_samples_refused_before_sampling(self, workdir, capsys, monkeypatch, samples):
-        # Named by the option, not by phase_space_trajectory's parameter, and
-        # refused before the loop is sampled.
+        # Named by the option and refused before the loop is sampled.
         def sampled(*args, **kwargs):
             raise AssertionError("the loop was sampled")
 
-        monkeypatch.setattr("msgate.cli.phase_space_trajectory", sampled)
+        monkeypatch.setattr("msgate.cli.loop_functions", sampled)
         assert main(["trajectory", "--samples", samples]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: --samples must be an integer >= 2, got {samples}\n"
         assert _files(workdir) == []
@@ -1171,11 +1212,14 @@ class TestUnwritableOutput:
         ["sweep", "--points", "3", "--out", "blocker/s.csv"],
         ["sweep", "--points", "3", "--plot-script", "blocker/p.gp"],
         ["sweep", "--points", "3", "--plot-script", "."],
+        # "." has no name to give a suffix: its figure is ".png", and the
+        # CSV's write fails as it does without --plot-script.
+        ["sweep", "--points", "3", "--out", ".", "--plot-script", "p.gp"],
         ["calibrate", "--engine", "first_order_model", "--detuning-hz=-11e3",
          "--shift-hz", "30", "--out", "blocker/r.json"],
         ["trajectory", "--samples", "9", "--out", "blocker/t.csv"],
-    ], ids=["coefficients", "sweep", "plot-script", "plot-script-dir", "calibrate",
-            "trajectory"])
+    ], ids=["coefficients", "sweep", "plot-script", "plot-script-dir", "out-dir-with-plot-script",
+            "calibrate", "trajectory"])
     def test_exit_usage(self, table_file, workdir, capsys, command):
         Path("blocker").write_text("")
         if command[0] in ("sweep", "calibrate"):

@@ -11,7 +11,6 @@ from msgate.ideal import (
     collective_spin,
     ideal_output_state,
     loop_functions,
-    phase_space_trajectory,
 )
 from msgate.oracle import observables
 from quadrature import basis_state, ideal_propagator, ms_target_unitary
@@ -164,22 +163,3 @@ class TestTargetUnitary:
         s2 = s2 @ s2
         np.testing.assert_allclose(s2 @ s2, s2, atol=1e-14)
 
-
-class TestTrajectory:
-    def test_samples_and_closure(self):
-        traj = phase_space_trajectory(DimensionlessGateParams(), 33)
-        assert traj["tau"].shape == (33,)
-        np.testing.assert_allclose(traj["alpha_plus"], -traj["alpha_minus"])
-        assert abs(traj["alpha_plus"][-1]) < 1e-14
-        assert traj["area_phase"][-1] == pytest.approx(math.pi / 2)
-
-    def test_rejects_single_sample(self):
-        with pytest.raises(ValueError):
-            phase_space_trajectory(DimensionlessGateParams(), 1)
-
-    @pytest.mark.parametrize("n_samples", [2.5, 4.0])
-    def test_rejects_non_integer_samples(self, n_samples):
-        # Unrefused, these ended in a bare TypeError from numpy.
-        message = f"n_samples must be an integer >= 2, got {n_samples}"
-        with pytest.raises(ValueError, match=message):
-            phase_space_trajectory(DimensionlessGateParams(), n_samples)

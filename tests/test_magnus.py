@@ -42,7 +42,6 @@ from msgate.magnus import (
     compute_first_order_table,
     compute_second_order_tables,
     derived_scalars,
-    first_order_correction,
     load_coefficient_table,
     predict_coherence,
     predict_density_matrix,
@@ -51,7 +50,6 @@ from msgate.magnus import (
     predict_populations,
     predict_purity,
     predicted_state,
-    second_order_correction,
 )
 from quadrature import (
     SIGMA_Y_BASIS,
@@ -268,10 +266,9 @@ def _van_loan_gap(table, levels, pad=30):
     for q, label in enumerate(("gg", "ge", "eg", "ee")):
         for n in levels:
             col = big.index(q, n)
-            for deriv, correction in ((first, first_order_correction),
-                                      (second, second_order_correction)):
+            for order, deriv in ((1, first), (2, second)):
                 want = -deriv[:, col].reshape(4, big.dim)[:, :dim].ravel()
-                got = correction(label, n, table)
+                got = magnus._column(label, order, n, table)
                 gaps.append(np.abs(got - want).max())
                 scales.append(np.abs(want).max())
     return float(np.max(gaps)), float(np.max(scales))  # np.max keeps a nan
@@ -535,7 +532,7 @@ class TestDerivedScalars:
 class TestCorrectionStates:
     def test_first_order_parity_structure(self, table):
         n = 2
-        psi1 = first_order_correction("gg", n, table).reshape(4, -1)
+        psi1 = magnus._column("gg", 1, n, table).reshape(4, -1)
         dim = table.cutoff.dim
         m = np.arange(dim)
         even = (m - n) % 2 == 0
@@ -548,12 +545,12 @@ class TestCorrectionStates:
     def test_second_order_cross_blocks(self, table):
         # A |gg,n> input leaves odd-parity second-order weight on the ge/eg
         # blocks; a |ge,n> input leaves odd-parity weight on gg/ee.
-        psi2 = second_order_correction("gg", 1, table).reshape(4, -1)
+        psi2 = magnus._column("gg", 2, 1, table).reshape(4, -1)
         assert np.abs(psi2[1]).max() > 1e-3
         np.testing.assert_allclose(
             psi2[1], psi2[2], atol=1e-15
         )
-        psi2_mid = second_order_correction("ge", 1, table).reshape(4, -1)
+        psi2_mid = magnus._column("ge", 2, 1, table).reshape(4, -1)
         assert np.abs(psi2_mid[0]).max() > 1e-3
         np.testing.assert_allclose(
             psi2_mid[0], -psi2_mid[3], atol=1e-15
@@ -563,8 +560,8 @@ class TestCorrectionStates:
         # Swapping g<->e on both qubits swaps the roles of the gg/ee blocks
         # and flips the sign of the first-order diagonal pieces.
         n = 2
-        gg1 = first_order_correction("gg", n, table).reshape(4, -1)
-        ee1 = first_order_correction("ee", n, table).reshape(4, -1)
+        gg1 = magnus._column("gg", 1, n, table).reshape(4, -1)
+        ee1 = magnus._column("ee", 1, n, table).reshape(4, -1)
         np.testing.assert_allclose(
             ee1[3], -gg1[0], atol=1e-15
         )
@@ -573,16 +570,16 @@ class TestCorrectionStates:
         )
 
     def test_predicted_state_orders(self, table):
-        # The lower orders are the public pieces: psi0 is the ideal output,
-        # and the first-order state subtracts lam psi1.
+        # The lower orders are its pieces: psi0 is the ideal output, and the
+        # first-order state subtracts lam psi1.
         lam = 0.05
         psi0 = ideal_output_state("gg", 0, table.cutoff)
-        psi1 = psi0 - lam * first_order_correction("gg", 0, table)
+        psi1 = psi0 - lam * magnus._column("gg", 1, 0, table)
         psi2 = predicted_state("gg", 0, lam, table)
         np.testing.assert_allclose(predicted_state("gg", 0, 0.0, table), psi0)
         diff = np.linalg.norm(psi2 - psi1)
         assert diff == pytest.approx(
-            lam**2 * np.linalg.norm(second_order_correction("gg", 0, table)), rel=1e-12
+            lam**2 * np.linalg.norm(magnus._column("gg", 2, 0, table)), rel=1e-12
         )
 
     def test_predicted_state_refuses_lambda_array(self, table):
@@ -594,14 +591,14 @@ class TestCorrectionStates:
 
     def test_bad_label_and_level(self, table):
         with pytest.raises(ValueError, match="label"):
-            first_order_correction("xx", 0, table)
+            magnus._column("xx", 1, 0, table)
         message = f"Fock level n must be an integer in 0..{table.n_max}"
         with pytest.raises(ValueError, match=message):
-            second_order_correction("gg", table.n_max + 1, table)
+            magnus._column("gg", 2, table.n_max + 1, table)
         # Unrefused, True indexed the blocks as a mask: a (36, 1, 9) array.
-        for correction in (first_order_correction, second_order_correction):
+        for order in (1, 2):
             with pytest.raises(ValueError, match="Fock level n must be an integer"):
-                correction("gg", True, table)
+                magnus._column("gg", order, True, table)
 
 
 class TestPredictors:

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msgate.magnus as magnus
 from msgate.hilbert import FockCutoff, ThermalDistribution
 from msgate.ideal import DimensionlessGateParams, ideal_output_state, relative_phase_pair
 from msgate.magnus import (
     compute_coefficient_table,
-    first_order_correction,
     predict_coherence,
     predict_fidelity,
     predict_phase,
@@ -107,7 +107,7 @@ class TestStateResidualScaling:
 
         states = {
             1: lambda lam: (ideal_output_state(label, n, table.cutoff)
-                            - lam * first_order_correction(label, n, table)),
+                            - lam * magnus._column(label, 1, n, table)),
             2: lambda lam: predicted_state(label, n, lam, table),
         }
         slopes = {}

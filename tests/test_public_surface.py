@@ -8,7 +8,9 @@ finds every name it wraps, and its hooks run on real commands.
 
 A module's public names are its ``__all__``.  A name counts as called when
 some statement under ``src/msgate`` other than its own top-level definition
-reads it as a ``Name`` or an ``Attribute``, or imports it.  A public member
+reads it as a ``Name`` or an ``Attribute``, or imports it; a reference from
+inside a ``CROSS_CHECK_ONLY`` definition does not count, since that caller
+is itself reached only from the tests.  A public member
 is a method or property, not named with a leading underscore, of a class in
 ``__all__``; it counts as called when some code under ``src/msgate`` outside
 its own definition reads it as an ``Attribute``.  A field of a public
@@ -110,11 +112,11 @@ OPTIONAL_PARAMETERS = {
 # must show up here.
 SOURCE_CODE_LINES = {
     "__init__": 2,
-    "cli": 407,
+    "cli": 414,
     "experiment": 199,
     "hilbert": 120,
-    "ideal": 67,
-    "magnus": 472,
+    "ideal": 56,
+    "magnus": 466,
     "oracle": 182,
 }
 
@@ -134,12 +136,15 @@ def _public_names(modules):
 
 
 def _called_names(modules):
-    """Qualified public names referred to outside their own definitions."""
+    """Qualified public names referred to outside their own definitions and
+    outside the cross-check routes' definitions."""
     public = _public_names(modules)
     called = set()
     for stem, tree in modules.items():
         for stmt in tree.body:
             own = f"{stem}.{getattr(stmt, 'name', '')}"
+            if own in CROSS_CHECK_ONLY:
+                continue
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     ref = node.id
